@@ -1,7 +1,7 @@
 """Command-line front end: JSON functions in, values/CSV out.
 
 Subcommands map one-to-one onto library operations; all numeric work stays
-in the modules, the dispatcher only parses, validates, runs and serializes.
+in the modules, this front end only parses, validates, runs and serializes.
 Identical arguments and seed produce byte-identical output files.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error.
@@ -13,7 +13,6 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import __version__
 from .errors import ConfigError, PersymError
@@ -53,26 +52,21 @@ TOLERANCE_DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: command plus its parsed parameters."""
-
-    command: str
-    params: dict = field(default_factory=dict)
-
-
 def parse_cost(spec: str) -> ConvexJ:
     """Cost specs: abs | power:P | shifted_power:p=P,t0=T | one_sided | exp."""
     name, _, rest = spec.partition(":")
-    if name == "abs":
-        return j_library("abs")
-    if name == "power":
-        return j_library("power", p=float(rest or 2.0))
-    if name == "shifted_power":
-        kv = dict(part.split("=") for part in rest.split(",") if part)
-        return j_library(
-            "shifted_power", p=float(kv.get("p", 2)), t0=float(kv.get("t0", 0))
-        )
+    try:
+        if name == "abs":
+            return j_library("abs")
+        if name == "power":
+            return j_library("power", p=float(rest or 2.0))
+        if name == "shifted_power":
+            kv = dict(part.split("=") for part in rest.split(",") if part)
+            return j_library(
+                "shifted_power", p=float(kv.get("p", 2)), t0=float(kv.get("t0", 0))
+            )
+    except ValueError as exc:
+        raise ConfigError(f"malformed cost spec {spec!r}: {exc}") from exc
     if name == "one_sided":
         return j_library("one_sided")
     if name in ("exp", "exp_increasing"):
@@ -85,17 +79,20 @@ def parse_kernel(spec: str):
     name, _, rest = spec.partition(":")
     kv = {}
     values = None
-    if rest:
-        if "=" in rest:
-            kv = dict(part.split("=") for part in rest.split(","))
-        else:
-            values = [float(x) for x in rest.split(",")]
-    if name == "heat":
-        return HeatKernel(float(kv.get("t", 1.0)))
-    if name == "gauss":
-        return GaussianKernel(float(kv.get("t", 1.0)))
-    if name == "riesz":
-        return PeriodizedRieszKernel(float(kv.get("sigma", 0.5)))
+    try:
+        if rest:
+            if "=" in rest:
+                kv = dict(part.split("=") for part in rest.split(","))
+            else:
+                values = [float(x) for x in rest.split(",")]
+        if name == "heat":
+            return HeatKernel(float(kv.get("t", 1.0)))
+        if name == "gauss":
+            return GaussianKernel(float(kv.get("t", 1.0)))
+        if name == "riesz":
+            return PeriodizedRieszKernel(float(kv.get("sigma", 0.5)))
+    except ValueError as exc:
+        raise ConfigError(f"malformed kernel spec {spec!r}: {exc}") from exc
     if name == "step":
         if not values:
             raise ConfigError("step kernel needs values, e.g. step:1,2,1,0")
@@ -181,8 +178,7 @@ def cmd_perimeter(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suites = args.suite if args.suite != "all" else "all"
-    report = run_suite(suites, seed=args.seed, cases=args.cases)
+    report = run_suite(args.suite, seed=args.seed, cases=args.cases)
     if args.out:
         _write_csv(
             args.out,
@@ -287,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--cases", type=int, default=200)
     p.add_argument("--out", default=None, help="CSV report path")
-    p.add_argument("--threads", type=int, default=1, help="accepted for interface parity; execution is deterministic and single-threaded")
 
     p = sub.add_parser("sweep", help="sweep the seminorm over s values")
     p.add_argument("--in", dest="infile", required=True)
@@ -316,13 +311,6 @@ _COMMANDS = {
 }
 
 
-def dispatch(config: RunConfig) -> int:
-    """Run a validated configuration; never raises for domain errors."""
-    if config.command not in _COMMANDS:
-        raise ConfigError(f"unknown command {config.command!r}")
-    return _COMMANDS[config.command](argparse.Namespace(**config.params))
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -342,9 +330,8 @@ def main(argv=None) -> int:
         args.suite = args.suite or ["all"]
         if "all" in args.suite:
             args.suite = "all"
-    params = {k: v for k, v in vars(args).items() if k not in ("command", "version")}
     try:
-        return dispatch(RunConfig(args.command, params))
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

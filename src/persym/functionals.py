@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DivergentTail, GridMismatch, NotNormalized, UnknownCost
 from .grid import StepFunction
-from .kernels import KernelWeights
+from .kernels import KernelWeights, offset_sums
 
 
 @dataclass(frozen=True)
@@ -195,14 +195,18 @@ def _check_alignment(u: StepFunction, v: StepFunction, w: KernelWeights, periodi
         raise GridMismatch("weight table was built for a different grid")
 
 
+def _pair_energy(u: StepFunction, v: StepFunction, j: ConvexJ, w: KernelWeights) -> float:
+    """sum_{i,j} J(u_i - v_j) W[j - i] over the cells of the common grid."""
+    s = offset_sums(u.values, v.values, lambda a, b: j(a - b), (w.periodic,))
+    return float(np.vdot(s, w.weights))
+
+
 def energy_circle(
     u: StepFunction, v: StepFunction, j: ConvexJ, w: KernelWeights
 ) -> EnergyResult:
     """E[u, v] = sum_{i,j} J(u_i - v_j) W[j - i] over one period squared; exact."""
     _check_alignment(u, v, w, periodic=True)
-    diff = u.values[:, None] - v.values[None, :]
-    val = float(np.sum(j(diff) * w.matrix()))
-    return EnergyResult(val, "direct", w.accuracy)
+    return EnergyResult(_pair_energy(u, v, j, w), "direct", w.accuracy)
 
 
 def energy_euclidean(
@@ -223,8 +227,7 @@ def energy_euclidean(
         )
     if w.exterior is None:
         raise GridMismatch("weight table carries no exterior masses")
-    diff = u.values[:, None] - v.values[None, :]
-    interior = float(np.sum(j(diff) * w.matrix()))
+    interior = _pair_energy(u, v, j, w)
     tails = float(j(u.values) @ w.exterior) + float(j(-v.values) @ w.exterior)
     return EnergyResult(interior + tails, "direct", w.accuracy)
 
@@ -246,6 +249,11 @@ class LayerDecomposition:
     integral: float
 
 
+def _bilinear(f: np.ndarray, g: np.ndarray, w: KernelWeights) -> float:
+    """sum_{i,j} f_i g_j W[j - i] on a periodic grid."""
+    return float(np.vdot(offset_sums(f, g, np.multiply, (True,)), w.weights))
+
+
 def level_source_term(
     u: StepFunction, j_plus: ConvexJ, w: KernelWeights, tau: float
 ) -> float:
@@ -258,7 +266,7 @@ def level_interaction_term(
 ) -> float:
     """sum_{i, j: v_j > tau} J'(u_i - tau) W[j - i]; grows under rearrangement."""
     mask = (v.values > tau).astype(float)
-    return float(j_plus.deriv(u.values - tau) @ w.matrix() @ mask)
+    return _bilinear(j_plus.deriv(u.values - tau), mask, w)
 
 
 def ab_decomposition(
@@ -275,7 +283,6 @@ def ab_decomposition(
     if float(j_plus(-1.0)) != 0.0 or float(j_plus(0.0)) != 0.0:
         raise NotNormalized("layer decomposition needs the one-sided (plus) part")
     levels = np.unique(np.concatenate(([0.0], u.values, v.values)))
-    mat = w.matrix()
     source = np.array([level_source_term(u, j_plus, w, t) for t in levels])
     interaction = np.array(
         [level_interaction_term(u, v, j_plus, w, t) for t in levels]
@@ -285,10 +292,7 @@ def ab_decomposition(
     integral = 0.0
     for a, b in zip(levels[:-1], levels[1:]):
         allowed = (v.values <= a).astype(float)
-        kernel_share = mat @ allowed  # per-i mass of {v <= a} columns
-        integral += float(
-            (j_plus(u.values - a) - j_plus(u.values - b)) @ kernel_share
-        )
+        integral += _bilinear(j_plus(u.values - a) - j_plus(u.values - b), allowed, w)
     # final interval [tau_max, inf): the derivative already vanishes there
-    integral += float(j_plus(u.values - levels[-1]) @ (mat @ np.ones(u.grid.n)))
+    integral += float(np.sum(j_plus(u.values - levels[-1]))) * w.row_sum()
     return LayerDecomposition(levels, source, interaction, integral)

@@ -325,13 +325,15 @@ def function_from_json(obj: dict) -> StepFunction | GridFunctionND:
 
 
 def load_function(path: str) -> StepFunction | GridFunctionND:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
     return function_from_json(obj)
 
 

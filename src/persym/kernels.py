@@ -2,7 +2,8 @@
 
 Every double integral in the package reduces to finite sums against tables
 W[d] = integral of a convolution kernel over a pair of cells at offset d.
-This module builds those tables:
+``offset_sums`` owns the offset layout and computes the pair-cost sums that
+such tables contract with.  This module builds the tables:
 
 * wrapped Gaussian (periodic heat kernel) and line Gaussian, via erf/erfc
   antiderivatives, with a theta-series dual branch for small diffusion time;
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 from .errors import (
@@ -87,14 +89,6 @@ class KernelWeights:
             return 0.0
         return float(self.weights[d + self.n - 1])
 
-    def matrix(self) -> np.ndarray:
-        """Dense (n, n) matrix M[i, j] = W[j - i]."""
-        i = np.arange(self.n)
-        d = i[None, :] - i[:, None]
-        if self.periodic:
-            return self.weights[d % self.n]
-        return self.weights[d + self.n - 1]
-
     def row_sum(self) -> float:
         """Kernel mass seen from one cell against the whole period."""
         if not self.periodic:
@@ -108,6 +102,69 @@ class KernelWeights:
                 np.allclose(self.weights[d], self.weights[self.n - d], rtol=tol, atol=0)
             )
         return bool(np.allclose(self.weights, self.weights[::-1], rtol=tol, atol=0))
+
+
+# largest pair temporary of offset_sums, in elements
+OFFSET_BLOCK = 1 << 18
+
+
+def offset_sums(u, v, cost, periodic) -> np.ndarray:
+    """Pair costs summed by cell offset: S[d] = sum_i cost(u[i], v[i + d]).
+
+    This is the offset layout of every pair table in the package:
+
+    * a periodic axis of n cells has offsets 0..n-1, taken mod n, stored
+      at index d;
+    * an interval axis of n cells has offsets -(n-1)..n-1, stored at
+      index d + n - 1, and pairs whose partner leaves the interval are
+      dropped.
+
+    ``periodic`` holds one flag per axis of ``u``; leading axes of ``v``
+    beyond ``len(periodic)`` are batch axes and lead the result.  ``cost``
+    is a vectorized binary function (``np.multiply``, or
+    ``lambda a, b: j(a - b)``).  Contracting with a table of the same
+    layout, ``np.vdot(S, w.weights)``, gives sum_{i,j} cost(u_i, v_j) W[j - i].
+
+    The partners of all offsets are one strided window view of ``v``
+    extended past its ends (wrapped on periodic axes, zero-padded on
+    interval axes); inputs with more than OFFSET_BLOCK cell pairs take the
+    first axis's offsets in blocks so that no temporary exceeds that many
+    elements (unless a single offset does).
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    k = len(periodic)
+    if u.ndim != k or v.shape[v.ndim - k :] != u.shape:
+        raise GridMismatch(f"cannot pair shapes {u.shape} and {v.shape} on {k} axes")
+    first = v.ndim - k
+    ext, keep = v, None
+    for a, (n, per) in enumerate(zip(u.shape, periodic)):
+        ax = first + a
+        if per:
+            ext = np.concatenate((ext, ext.take(range(n - 1), axis=ax)), axis=ax)
+            continue
+        zeros = np.zeros(ext.shape[:ax] + (n - 1,) + ext.shape[ax + 1 :])
+        ext = np.concatenate((zeros, ext, zeros), axis=ax)
+        j = np.arange(1 - n, n)[:, None] + np.arange(n)
+        shape = [1] * (2 * k)
+        shape[a], shape[k + a] = 2 * n - 1, n
+        inside = ((j >= 0) & (j < n)).reshape(shape)
+        keep = inside if keep is None else keep & inside
+    # windows[..., d_1..d_k, i_1..i_k] = partner of cell i at offset d
+    windows = sliding_window_view(ext, u.shape, axis=tuple(range(first, v.ndim)))
+    n_off = windows.shape[first]
+    if keep is not None:
+        keep = np.broadcast_to(keep, (n_off,) + keep.shape[1:])
+    step = max(1, OFFSET_BLOCK * n_off // windows.size)
+    cells = tuple(range(-k, 0))
+    parts = []
+    for lo in range(0, n_off, step):
+        blk = slice(lo, lo + step)
+        c = cost(u, windows[(slice(None),) * first + (blk,)])
+        if keep is not None:
+            c = np.where(keep[blk], c, 0.0)
+        parts.append(c.sum(axis=cells))
+    return np.concatenate(parts, axis=first)
 
 
 def check_kernel_monotone(w: KernelWeights) -> bool:
@@ -198,25 +255,6 @@ def _gauss_pair_integral(c, h: float, t) -> np.ndarray:
     return vals[0] - 2.0 * vals[1] + vals[2]
 
 
-def _heat_table(n: int, h: float, t: float, rtol: float = 1e-15) -> np.ndarray:
-    """Raw periodic heat-kernel weight table (length n), dual branch."""
-    d = np.arange(n)
-    if t >= T_SWITCH:
-        kmax = int(math.ceil((math.sqrt(-math.log(rtol) / t) + n * h) / TWO_PI)) + 1
-        k = np.arange(-kmax, kmax + 1)
-        # centered offset representative keeps |c| = h exact for adjacent
-        # pairs, which the pair integral's branch split relies on
-        dc = np.where(d <= n // 2, d, d - n)
-        c = dc[:, None] * h - TWO_PI * k[None, :]
-        return _gauss_pair_integral(c, h, t).sum(axis=1)
-    lead = -math.log(max(rtol * h * h / 8.0, 1e-300))
-    mmax = int(math.ceil(2.0 * math.sqrt(t * lead))) + 2
-    m = np.arange(1, mmax + 1)
-    coef = np.exp(-(m**2) / (4.0 * t)) * (4.0 / m**2) * np.sin(m * h / 2.0) ** 2
-    series = h * h + 2.0 * (coef[None, :] * np.cos(np.outer(d * h, m))).sum(axis=1)
-    return series / (2.0 * math.sqrt(math.pi * t))
-
-
 def _heat_table_batch(n: int, h: float, ts: np.ndarray, rtol: float = 1e-15) -> np.ndarray:
     """Heat-kernel weight tables for many times at once, shape (len(ts), n)."""
     ts = np.asarray(ts, dtype=float)
@@ -229,6 +267,8 @@ def _heat_table_batch(n: int, h: float, ts: np.ndarray, rtol: float = 1e-15) -> 
             math.ceil((math.sqrt(-math.log(rtol) / tb.min()) + n * h) / TWO_PI)
         ) + 1
         k = np.arange(-kmax, kmax + 1)
+        # centered offset representative keeps |c| = h exact for adjacent
+        # pairs, which the pair integral's branch split relies on
         dc = np.where(d <= n // 2, d, d - n)
         c = dc[None, :, None] * h - TWO_PI * k[None, None, :]
         out[big] = _gauss_pair_integral(c, h, tb[:, None, None]).sum(axis=2)
@@ -254,9 +294,8 @@ def heat_weights_periodic(grid: Grid1D, t: float) -> KernelWeights:
         raise GridMismatch("heat_weights_periodic needs a periodic grid")
     if not t > 0:
         raise NonpositiveTime(f"diffusion time must be positive, got {t}")
-    return KernelWeights(
-        grid.n, grid.h, True, _heat_table(grid.n, grid.h, t), accuracy=1e-12
-    )
+    table = _heat_table_batch(grid.n, grid.h, np.array([t]))[0]
+    return KernelWeights(grid.n, grid.h, True, table, accuracy=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +308,21 @@ def _erfc_antideriv(u) -> np.ndarray:
     return u * special.erfc(u) - np.expm1(-(u**2)) / SQRT_PI
 
 
-def _gauss_exterior(grid: Grid1D, t: float) -> np.ndarray:
-    """Kernel mass from each cell to the complement of the grid interval."""
-    st = math.sqrt(t)
+def _gauss_tables_batch(grid: Grid1D, ts) -> tuple[np.ndarray, np.ndarray]:
+    """Line-Gaussian pair tables (len(ts), 2n-1) and exterior masses (len(ts), n).
+
+    The exterior mass of a cell is its kernel mass to the complement of the
+    grid interval.
+    """
+    ts = np.asarray(ts, dtype=float)[:, None]
+    st = np.sqrt(ts)
     b = grid.boundaries()
     lo, hi = grid.lo, grid.hi
     upper = _erfc_antideriv((hi - b[:-1]) * st) - _erfc_antideriv((hi - b[1:]) * st)
     lower = _erfc_antideriv((b[1:] - lo) * st) - _erfc_antideriv((b[:-1] - lo) * st)
-    return (SQRT_PI / (2.0 * t)) * (upper + lower)
+    d = np.arange(-(grid.n - 1), grid.n)
+    table = _gauss_pair_integral(d * grid.h, grid.h, ts)
+    return table, (SQRT_PI / (2.0 * ts)) * (upper + lower)
 
 
 def gaussian_weights_interval(grid: Grid1D, t: float) -> KernelWeights:
@@ -285,15 +331,15 @@ def gaussian_weights_interval(grid: Grid1D, t: float) -> KernelWeights:
         raise GridMismatch("gaussian_weights_interval needs an interval grid")
     if not t > 0:
         raise NonpositiveTime(f"diffusion time must be positive, got {t}")
-    d = np.arange(-(grid.n - 1), grid.n)
+    table, ext = _gauss_tables_batch(grid, [t])
     return KernelWeights(
         grid.n,
         grid.h,
         False,
-        _gauss_pair_integral(d * grid.h, grid.h, t),
+        table[0],
         accuracy=1e-12,
         total_mass=math.sqrt(math.pi / t),
-        exterior=_gauss_exterior(grid, t),
+        exterior=ext[0],
     )
 
 
@@ -610,14 +656,6 @@ class NDKernelWeights:
     weights: np.ndarray = field(repr=False)
     exterior: np.ndarray = field(repr=False)
     accuracy: float = 1e-12
-
-    def matrix(self) -> np.ndarray:
-        """(n1, n2, n1, n2) tensor of pair weights."""
-        i1 = np.arange(self.n1)
-        i2 = np.arange(self.n2)
-        d1 = (i1[None, :] - i1[:, None]) % self.n1
-        d2 = i2[None, :] - i2[:, None] + self.n2 - 1
-        return self.weights[d1[:, None, :, None], d2[None, :, None, :]]
 
 
 def _nd_cache_path(grid1, grid2, sigma, k_copies):

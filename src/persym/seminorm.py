@@ -23,10 +23,10 @@ from .errors import ConfigError, NotIndicator
 from .grid import Grid1D, GridFunctionND, StepFunction
 from .kernels import (
     LaplaceConfig,
-    _erfc_antideriv,
-    _gauss_pair_integral,
+    _gauss_tables_batch,
     _heat_table_batch,
     laplace_quadrature,
+    offset_sums,
     riesz_weights_1d,
     riesz_weights_nd,
 )
@@ -45,8 +45,8 @@ class SeminormParams:
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
             raise ConfigError(f"s must lie in (0, 1), got {self.s}")
-        if self.p < 1.0:
-            raise ConfigError(f"p must be >= 1, got {self.p}")
+        if not (math.isfinite(self.p) and self.p >= 1.0):
+            raise ConfigError(f"p must be finite and >= 1, got {self.p}")
         if self.n < 1:
             raise ConfigError(f"dimension must be positive, got {self.n}")
 
@@ -86,33 +86,10 @@ def _divergent(method: str) -> SeminormResult:
     return SeminormResult(math.inf, method, math.inf, divergent=True)
 
 
-def _offset_costs_1d(u: StepFunction, p: float) -> np.ndarray:
-    """S[d] = sum_i |u_i - u_{i+d}|^p for periodic offsets d = 0..n-1."""
-    n = u.grid.n
-    vals = u.values
-    out = np.empty(n)
-    for d in range(n):
-        out[d] = float(np.sum(np.abs(vals - np.roll(vals, -d)) ** p))
-    return out
-
-
-def _offset_costs_2d(u: GridFunctionND, p: float) -> np.ndarray:
-    """S[d1, d2 + n2 - 1] = sum over cell pairs at that offset of |du|^p."""
-    n1 = u.axis1.n
-    n2 = u.axes_perp[0].n
-    vals = u.values
-    out = np.zeros((n1, 2 * n2 - 1))
-    for d1 in range(n1):
-        shifted = np.roll(vals, -d1, axis=0)
-        for d2 in range(-(n2 - 1), n2):
-            if d2 >= 0:
-                a = vals[:, : n2 - d2]
-                b = shifted[:, d2:]
-            else:
-                a = vals[:, -d2:]
-                b = shifted[:, : n2 + d2]
-            out[d1, d2 + n2 - 1] = float(np.sum(np.abs(a - b) ** p))
-    return out
+def _pair_costs(u: StepFunction | GridFunctionND, p: float) -> np.ndarray:
+    """S[d] = sum over cell pairs at offset d of |u_i - u_j|^p."""
+    periodic = (True, False) if isinstance(u, GridFunctionND) else (True,)
+    return offset_sums(u.values, u.values, lambda a, b: np.abs(a - b) ** p, periodic)
 
 
 def gagliardo_periodic_direct(
@@ -146,8 +123,8 @@ def gagliardo_periodic_direct(
             u.axes_perp[0].hi,
             params.sigma,
         )
-        s = _offset_costs_2d(u, params.p)
-        interior = float(np.sum(s * table.weights))
+        s = _pair_costs(u, params.p)
+        interior = float(np.vdot(s, table.weights))
         tails = 2.0 * float(np.sum((u.values**params.p) * table.exterior[None, :]))
         total = interior + tails
         return SeminormResult(total ** (1.0 / params.p), "direct", table.accuracy)
@@ -160,8 +137,8 @@ def gagliardo_periodic_direct(
             else _divergent("direct")
         )
     w = _riesz_table_cached(u.grid.n, params.sigma)
-    s = _offset_costs_1d(u, params.p)
-    total = float(s @ w.weights)
+    s = _pair_costs(u, params.p)
+    total = float(np.vdot(s, w.weights))
     return SeminormResult(total ** (1.0 / params.p), "direct", w.accuracy)
 
 
@@ -205,25 +182,6 @@ def _touch_count(d: int, n: int) -> int:
     return sum(1 for k in (-1, 0, 1) if abs(d - k * n) == 1)
 
 
-def _gauss_tables_interval(grid: Grid1D, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian pair tables (Q, 2n-1) and exterior masses (Q, n) at many times."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    d = np.arange(-(grid.n - 1), grid.n)
-    table = _gauss_pair_integral(
-        d[None, :] * grid.h, grid.h, ts[:, None]
-    )
-    st = np.sqrt(ts)[:, None]
-    b = grid.boundaries()
-    upper = _erfc_antideriv((grid.hi - b[None, :-1]) * st) - _erfc_antideriv(
-        (grid.hi - b[None, 1:]) * st
-    )
-    lower = _erfc_antideriv((b[None, 1:] - grid.lo) * st) - _erfc_antideriv(
-        (b[None, :-1] - grid.lo) * st
-    )
-    ext = (SQRT_PI / (2.0 * ts[:, None])) * (upper + lower)
-    return table, ext
-
-
 @lru_cache(maxsize=32)
 def _stack_1d(n: int, lam: float, sigma: float, rtol: float):
     """(rule, heat-table stack) for the 1D Laplace route on the n-cell circle."""
@@ -241,7 +199,7 @@ def _stack_2d(n1: int, n2: int, lo: float, hi: float, lam: float, sigma: float, 
     z_max = (2.0 * math.pi) ** 2 + g2.length**2
     cfg = _laplace_rule_cached(lam, sigma, 2, z_min, z_max, rtol)
     heat = _heat_table_batch(n1, h1, cfg.nodes)
-    gauss, ext = _gauss_tables_interval(g2, cfg.nodes)
+    gauss, ext = _gauss_tables_batch(g2, cfg.nodes)
     row1 = h1 * np.sqrt(math.pi / cfg.nodes)
     return cfg, heat, gauss, ext, row1
 
@@ -275,13 +233,13 @@ def gagliardo_periodic_laplace(
         g2 = u.axes_perp[0]
         if cfg is not None:
             heat = _heat_table_batch(n1, h1, cfg.nodes)
-            gauss, ext = _gauss_tables_interval(g2, cfg.nodes)
+            gauss, ext = _gauss_tables_batch(g2, cfg.nodes)
             row1 = h1 * np.sqrt(math.pi / cfg.nodes)
         else:
             cfg, heat, gauss, ext, row1 = _stack_2d(
                 n1, g2.n, g2.lo, g2.hi, lam, params.sigma, rtol
             )
-        s = _offset_costs_2d(u, params.p)
+        s = _pair_costs(u, params.p)
         upow = np.abs(u.values) ** params.p
         profile = np.einsum("qa,ab,qb->q", heat, s, gauss)
         profile += 2.0 * row1 * (ext @ upow.sum(axis=0))
@@ -318,7 +276,7 @@ def gagliardo_periodic_laplace(
         heat = _heat_table_batch(n, h, cfg.nodes)
     else:
         cfg, heat = _stack_1d(n, lam, params.sigma, rtol)
-    s = _offset_costs_1d(u, params.p)
+    s = _pair_costs(u, params.p)
     total = cfg.apply(heat @ s)
     total += cfg.algebraic_tail(
         sum(s[d] * _touch_count(d, n) for d in range(n)) / 2.0, 1.0
@@ -343,26 +301,13 @@ def fractional_perimeter(e: StepFunction | GridFunctionND, s: float) -> float:
             e.axis1.n, e.axes_perp[0].n, e.axes_perp[0].lo, e.axes_perp[0].hi, s
         )
         inside = e.values
-        outside = 1.0 - inside
-        scost = np.zeros_like(table.weights)
-        n1, n2 = e.axis1.n, e.axes_perp[0].n
-        for d1 in range(n1):
-            shifted = np.roll(outside, -d1, axis=0)
-            for d2 in range(-(n2 - 1), n2):
-                if d2 >= 0:
-                    a = inside[:, : n2 - d2]
-                    b = shifted[:, d2:]
-                else:
-                    a = inside[:, -d2:]
-                    b = shifted[:, : n2 + d2]
-                scost[d1, d2 + n2 - 1] = float(np.sum(a * b))
-        interior = float(np.sum(scost * table.weights))
+        scost = offset_sums(inside, 1.0 - inside, np.multiply, (True, False))
+        interior = float(np.vdot(scost, table.weights))
         tails = float(np.sum(inside * table.exterior[None, :]))
         return interior + tails
     w = _riesz_table_cached(e.grid.n, s)
-    inside = e.values
-    mat = w.matrix()
-    return float(inside @ mat @ (1.0 - inside))
+    scost = offset_sums(e.values, 1.0 - e.values, np.multiply, (True,))
+    return float(np.vdot(scost, w.weights))
 
 
 def coarea_identity_check(u: StepFunction, s: float) -> float:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import persym
 from persym.cli import main, parse_cost, parse_kernel
 from persym.errors import ConfigError
 from persym.grid import (
@@ -137,6 +141,20 @@ class TestVerifyCommand:
         assert lines[0] == "suite,case_id,margin,class_predicted,class_observed,status"
         assert len(lines) == 21
 
+    def test_byte_identical_across_hash_seeds(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(persym.__file__))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"report-{hash_seed}.csv"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "persym.cli", "verify", "--suite", "riesz",
+                 "--seed", "9", "--cases", "15", "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -186,3 +204,27 @@ class TestErrorPaths:
         assert rc == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["energy", "--J", "abs", "--kernel", "heat:t=abc", "--u", "{u}", "--v", "{u}"],
+        ["energy", "--J", "abs", "--kernel", "heat:t=1,oops", "--u", "{u}", "--v", "{u}"],
+        ["energy", "--J", "power:x", "--kernel", "heat:t=1", "--u", "{u}", "--v", "{u}"],
+        ["seminorm", "--s", "0.4", "--in", "{missing}"],
+        ["seminorm", "--s", "0.4", "--p", "nan", "--in", "{u}"],
+        ["seminorm", "--s", "nan", "--in", "{u}"],
+        ["verify", "--suite", "riesz", "--cases", "-5"],
+        ["verify", "--suite", "riesz", "--seed", "-1"],
+    ],
+    ids=["kernel-float", "kernel-pair", "cost-float", "missing-in", "p-nan", "s-nan",
+         "cases-negative", "seed-negative"],
+)
+def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys):
+    infile, _ = circle_file
+    paths = {"u": infile, "missing": str(tmp_path / "absent.json")}
+    rc = main([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from persym.errors import (
     StepFunctionDivergence,
 )
 from persym.grid import Grid1D, StepFunction
+from persym import kernels
 from persym.kernels import (
     T_SWITCH,
     HeatKernel,
@@ -23,6 +25,7 @@ from persym.kernels import (
     heat_kernel_periodic,
     heat_weights_periodic,
     laplace_quadrature,
+    offset_sums,
     riesz_weights_1d,
     riesz_weights_nd,
     step_kernel_table,
@@ -116,11 +119,10 @@ class TestHeatWeights:
             assert w.offset(d) == pytest.approx(ref, rel=1e-11)
 
     def test_branches_agree_at_switch(self):
-        from persym.kernels import _heat_table
+        from persym.kernels import _heat_table_batch
 
         n, h = 16, 2 * math.pi / 16
-        lo = _heat_table(n, h, T_SWITCH * (1 - 1e-12))
-        hi = _heat_table(n, h, T_SWITCH * (1 + 1e-12))
+        lo, hi = _heat_table_batch(n, h, T_SWITCH * np.array([1 - 1e-12, 1 + 1e-12]))
         assert np.max(np.abs(lo / hi - 1.0)) < 1e-11
 
 
@@ -399,3 +401,63 @@ class TestLaplaceQuadrature:
     def test_range_too_wide(self):
         with pytest.raises(RangeTooWide):
             laplace_quadrature(0.75, 1e-300, 1e300, rtol=1e-12, max_nodes=50)
+
+
+def offset_sums_reference(u, v, cost, periodic):
+    """Loop over every offset and sum the cell pairs it joins on the grid."""
+    batch = v.shape[: v.ndim - u.ndim]
+    ranges = [range(n) if per else range(1 - n, n) for n, per in zip(u.shape, periodic)]
+    out = np.zeros(batch + tuple(len(r) for r in ranges))
+    cells = np.indices(u.shape).reshape(u.ndim, -1)
+    for slot, d in zip(np.ndindex(*out.shape[len(batch) :]), itertools.product(*ranges)):
+        j = cells + np.array(d)[:, None]
+        on = np.ones(cells.shape[1], dtype=bool)
+        for a, (n, per) in enumerate(zip(u.shape, periodic)):
+            if per:
+                j[a] %= n
+            else:
+                on &= (j[a] >= 0) & (j[a] < n)
+        pair = cost(u[tuple(cells[:, on])], v[(...,) + tuple(j[:, on])])
+        out[(...,) + slot] = pair.sum(axis=-1)
+    return out
+
+
+def power_cost(a, b):
+    return np.abs(a - b) ** 1.5
+
+
+class TestOffsetSums:
+    @pytest.mark.parametrize(
+        "shape,batch,periodic,cost",
+        [
+            ((9,), (), (True,), power_cost),
+            ((8,), (), (False,), power_cost),
+            ((5, 6), (), (True, False), power_cost),
+            ((5, 6), (), (True, False), np.multiply),
+            ((7,), (4,), (True,), power_cost),
+            ((4, 5), (3,), (True, False), np.multiply),
+            ((2500,), (), (True,), np.multiply),
+        ],
+        ids=["1d-periodic", "1d-interval", "2d", "2d-product", "1d-batched",
+             "2d-batched", "1d-multi-block"],
+    )
+    def test_against_reference(self, shape, batch, periodic, cost, rng):
+        u = rng.random(shape)
+        v = rng.random(batch + shape)
+        got = offset_sums(u, v, cost, periodic)
+        ref = offset_sums_reference(u, v, cost, periodic)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_multi_block_case_spans_blocks(self):
+        assert 2500 * 2500 > kernels.OFFSET_BLOCK
+
+    def test_small_blocks_change_nothing(self, rng, monkeypatch):
+        u = rng.random((5, 4))
+        v = rng.random((2, 5, 4))
+        whole = offset_sums(u, v, power_cost, (False, True))
+        monkeypatch.setattr(kernels, "OFFSET_BLOCK", 16)
+        blocked = offset_sums(u, v, power_cost, (False, True))
+        ref = offset_sums_reference(u, v, power_cost, (False, True))
+        assert np.max(np.abs(whole - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(blocked - ref)) <= 1e-13 * np.max(np.abs(ref))
