@@ -24,6 +24,8 @@ from .grid import (
     save_function,
 )
 from .kernels import (
+    ND_TABLE_ACCURACY,
+    RIESZ_RTOL,
     GaussianKernel,
     HeatKernel,
     PeriodizedRieszKernel,
@@ -36,19 +38,20 @@ from .rearrange import (
     symmetric_decreasing_1d,
 )
 from .seminorm import (
+    LAPLACE_RTOL,
     SeminormParams,
     fractional_perimeter,
     gagliardo_periodic_direct,
     gagliardo_periodic_laplace,
 )
-from .verify import run_suite
+from .verify import DUAL_RTOL, EXACT_TOL, run_suite
 
 TOLERANCE_DEFAULTS = {
-    "exact margin": 1e-12,
-    "laplace rule": 1e-9,
-    "riesz table": 1e-13,
-    "nd table": 1e-12,
-    "dual route": 1e-6,
+    "exact margin": EXACT_TOL,
+    "laplace rule": LAPLACE_RTOL,
+    "riesz table": RIESZ_RTOL,
+    "nd table": ND_TABLE_ACCURACY,
+    "dual route": DUAL_RTOL,
 }
 
 
@@ -200,6 +203,8 @@ def cmd_sweep(args) -> int:
     u = load_function(args.infile)
     n = 2 if isinstance(u, GridFunctionND) else 1
     lo, hi, count = args.values
+    if not (count >= 1 and count.is_integer()):
+        raise ConfigError(f"sweep COUNT must be a positive integer, got {count:g}")
     count = int(count)
     rows = []
     for k in range(count):

@@ -41,7 +41,7 @@ class NotNormalized(PersymError):
     """Cost function must satisfy J(0) = 0 for this operation."""
 
 
-class UnknownCost(PersymError):
+class UnknownCost(ConfigError):
     """Unrecognized name in the convex cost library."""
 
 
@@ -59,10 +59,6 @@ class NonpositiveTime(PersymError):
 
 class RangeTooWide(PersymError):
     """Quadrature rule cannot meet its tolerance within the node budget."""
-
-
-class ToleranceNotMet(PersymError):
-    """Adaptive integration exhausted its budget before reaching the target accuracy."""
 
 
 class DivergentTail(PersymError):

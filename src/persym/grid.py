@@ -226,18 +226,6 @@ def refine(u: StepFunction, factor: int) -> StepFunction:
     return StepFunction(u.grid.refined(int(factor)), np.repeat(u.values, int(factor)))
 
 
-def refine_nd(u: GridFunctionND, factor: int, axis: int = 0) -> GridFunctionND:
-    """Refine one axis of an ND function by an integer factor."""
-    if factor < 1 or int(factor) != factor:
-        raise ConfigError(f"refinement factor must be a positive integer, got {factor}")
-    vals = np.repeat(u.values, int(factor), axis=axis)
-    grids = list(u.grids)
-    grids[axis] = grids[axis].refined(int(factor))
-    return GridFunctionND(
-        grids[0], tuple(grids[1:]), vals, require_compact=u.require_compact
-    )
-
-
 def superlevel_measure(u: StepFunction | GridFunctionND, tau: float) -> float:
     """Lebesgue measure of the strict superlevel set {u > tau}; exact."""
     if isinstance(u, GridFunctionND):
@@ -312,16 +300,22 @@ def function_to_json(u: StepFunction | GridFunctionND) -> dict:
     return {"grid": _grid_to_json(u.grid), "values": u.values.tolist()}
 
 
+def _json_values(obj: dict) -> np.ndarray:
+    try:
+        return np.asarray(obj["values"], dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows or non-numbers
+        raise ConfigError(f"function values are not a numeric array: {exc}") from exc
+
+
 def function_from_json(obj: dict) -> StepFunction | GridFunctionND:
     if "axes" in obj:
         grids = [_grid_from_json(g) for g in obj["axes"]]
         if not grids:
             raise ConfigError("ND function needs at least one axis")
-        vals = np.asarray(obj["values"], dtype=float)
-        return GridFunctionND(grids[0], tuple(grids[1:]), vals)
+        return GridFunctionND(grids[0], tuple(grids[1:]), _json_values(obj))
     if "grid" not in obj or "values" not in obj:
         raise ConfigError("function JSON needs 'grid' and 'values' keys")
-    return StepFunction(_grid_from_json(obj["grid"]), np.asarray(obj["values"], dtype=float))
+    return StepFunction(_grid_from_json(obj["grid"]), _json_values(obj))
 
 
 def load_function(path: str) -> StepFunction | GridFunctionND:

@@ -53,6 +53,10 @@ SQRT_PI = math.sqrt(math.pi)
 # switch between the Gaussian-copy sum and the theta dual representation;
 # both need <= ~8 terms there
 T_SWITCH = 1.0 / (4.0 * math.pi**2)
+# certified relative accuracy of the periodized 1D power-kernel table, and
+# the self-convergence-checked accuracy of the 2D power-kernel table
+RIESZ_RTOL = 1e-13
+ND_TABLE_ACCURACY = 1e-12
 
 
 @dataclass(frozen=True)
@@ -437,7 +441,7 @@ def _riesz_em_tail(a: float, n: int, h: float, sigma: float, k0: int) -> tuple[f
 
 
 def riesz_weights_1d(
-    grid: Grid1D, sigma: float, periodized: bool, rtol: float = 1e-13
+    grid: Grid1D, sigma: float, periodized: bool, rtol: float = RIESZ_RTOL
 ) -> KernelWeights:
     """Cell-pair weights of |x - y|^(-(1+sigma)), optionally 2 pi periodized.
 
@@ -655,7 +659,7 @@ class NDKernelWeights:
     sigma: float
     weights: np.ndarray = field(repr=False)
     exterior: np.ndarray = field(repr=False)
-    accuracy: float = 1e-12
+    accuracy: float = ND_TABLE_ACCURACY
 
 
 def _nd_cache_path(grid1, grid2, sigma, k_copies):

@@ -42,18 +42,13 @@ def placement_order(n_refined: int) -> np.ndarray:
     return order
 
 
-def _sorted_desc(values: np.ndarray) -> np.ndarray:
-    # stable (value desc, original index asc) so equal values stay reproducible
-    idx = np.argsort(-values, kind="stable")
-    return values[idx]
-
-
-def _rearranged_values(values: np.ndarray) -> np.ndarray:
-    """Core step: duplicate onto half cells, sort, walk the placement order."""
-    doubled = np.repeat(values, 2)
+def _rearranged_values(values: np.ndarray, axis: int) -> np.ndarray:
+    """Core step along ``axis``: duplicate onto half cells, sort descending,
+    walk the placement order.  Other axes are independent slices."""
+    doubled = np.moveaxis(np.repeat(values, 2, axis=axis), axis, 0)
     out = np.empty_like(doubled)
-    out[placement_order(doubled.size)] = _sorted_desc(doubled)
-    return out
+    out[placement_order(doubled.shape[0])] = -np.sort(-doubled, axis=0)  # descending
+    return np.moveaxis(out, 0, axis)
 
 
 def symmetric_decreasing_1d(u: StepFunction) -> StepFunction:
@@ -69,7 +64,7 @@ def symmetric_decreasing_1d(u: StepFunction) -> StepFunction:
         out_grid = grid.refined(2)
     else:
         out_grid = Grid1D.centered_interval(2 * grid.n, grid.length)
-    return StepFunction(out_grid, _rearranged_values(u.values))
+    return StepFunction(out_grid, _rearranged_values(u.values, axis=0))
 
 
 def periodic_rearrange_1d(u: StepFunction) -> StepFunction:
@@ -81,16 +76,10 @@ def periodic_rearrange_1d(u: StepFunction) -> StepFunction:
 
 def periodic_rearrange_nd(u: GridFunctionND) -> GridFunctionND:
     """Rearrange every perpendicular slice along the periodic axis."""
-    n1 = u.axis1.n
-    flat = u.values.reshape(n1, -1)
-    doubled = np.repeat(flat, 2, axis=0)
-    srt = -np.sort(-doubled, axis=0)  # descending per column
-    out = np.empty_like(doubled)
-    out[placement_order(2 * n1), :] = srt
     return GridFunctionND(
         u.axis1.refined(2),
         u.axes_perp,
-        out.reshape((2 * n1,) + u.values.shape[1:]),
+        _rearranged_values(u.values, axis=0),
         require_compact=u.require_compact,
     )
 
@@ -115,7 +104,7 @@ def schwarz_discrete_nd(values: np.ndarray, grids: tuple[Grid1D, ...]) -> np.nda
     flat_dist = dist2.ravel()
     order = np.lexsort((np.arange(flat_dist.size), flat_dist))
     out = np.empty(arr.size)
-    out[order] = _sorted_desc(arr.ravel())
+    out[order] = -np.sort(-arr.ravel())
     return out.reshape(arr.shape)
 
 
@@ -131,14 +120,10 @@ def cylindrical_rearrange(u: GridFunctionND) -> GridFunctionND:
         raise ConfigError("cylindrical rearrangement needs at least one perpendicular axis")
     if len(u.axes_perp) == 1:
         g = u.axes_perp[0]
-        doubled = np.repeat(u.values, 2, axis=1)
-        srt = -np.sort(-doubled, axis=1)
-        out = np.empty_like(doubled)
-        out[:, placement_order(2 * g.n)] = srt
         return GridFunctionND(
             u.axis1,
             (Grid1D.centered_interval(2 * g.n, g.length),),
-            out,
+            _rearranged_values(u.values, axis=1),
             require_compact=u.require_compact,
         )
     slices = [schwarz_discrete_nd(u.values[i], u.axes_perp) for i in range(u.axis1.n)]

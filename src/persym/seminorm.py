@@ -32,6 +32,7 @@ from .kernels import (
 )
 
 SQRT_PI = math.sqrt(math.pi)
+LAPLACE_RTOL = 1e-9  # build target of the Laplace-route quadrature rule
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ def _nd_table_cached(n1: int, n2: int, lo: float, hi: float, sigma: float):
 
 @lru_cache(maxsize=64)
 def _laplace_rule_cached(
-    lam: float, sigma: float, n: int, z_min: float, z_max: float, rtol: float
+    lam: float, sigma: float, n: int, z_min: float, z_max: float
 ) -> LaplaceConfig:
     # left rate sigma/2: the wrapped Gaussian contributes t^(-1/2) as t -> 0,
     # and for n >= 2 so do the exterior tails; right rate (1 - sigma)/2:
@@ -165,7 +166,7 @@ def _laplace_rule_cached(
         lam,
         z_min,
         z_max,
-        rtol=rtol,
+        rtol=LAPLACE_RTOL,
         left_rate=sigma / 2.0,
         right_rate=(1.0 - sigma) / 2.0,
         s_right_cap=min(650.0, 1340.0 / (n + 1)),
@@ -183,21 +184,21 @@ def _touch_count(d: int, n: int) -> int:
 
 
 @lru_cache(maxsize=32)
-def _stack_1d(n: int, lam: float, sigma: float, rtol: float):
+def _stack_1d(n: int, lam: float, sigma: float):
     """(rule, heat-table stack) for the 1D Laplace route on the n-cell circle."""
     h = 2.0 * math.pi / n
-    cfg = _laplace_rule_cached(lam, sigma, 1, h * h / 4.0, (2 * math.pi) ** 2, rtol)
+    cfg = _laplace_rule_cached(lam, sigma, 1, h * h / 4.0, (2 * math.pi) ** 2)
     return cfg, _heat_table_batch(n, h, cfg.nodes)
 
 
 @lru_cache(maxsize=16)
-def _stack_2d(n1: int, n2: int, lo: float, hi: float, lam: float, sigma: float, rtol: float):
+def _stack_2d(n1: int, n2: int, lo: float, hi: float, lam: float, sigma: float):
     """Rule and per-node tables for the 2D Laplace route (heat, gauss, ext, row)."""
     h1 = 2.0 * math.pi / n1
     g2 = Grid1D.interval(n2, lo, hi)
     z_min = min(h1, g2.h) ** 2 / 4.0
     z_max = (2.0 * math.pi) ** 2 + g2.length**2
-    cfg = _laplace_rule_cached(lam, sigma, 2, z_min, z_max, rtol)
+    cfg = _laplace_rule_cached(lam, sigma, 2, z_min, z_max)
     heat = _heat_table_batch(n1, h1, cfg.nodes)
     gauss, ext = _gauss_tables_batch(g2, cfg.nodes)
     row1 = h1 * np.sqrt(math.pi / cfg.nodes)
@@ -205,10 +206,7 @@ def _stack_2d(n1: int, n2: int, lo: float, hi: float, lam: float, sigma: float, 
 
 
 def gagliardo_periodic_laplace(
-    u: StepFunction | GridFunctionND,
-    params: SeminormParams,
-    cfg: LaplaceConfig | None = None,
-    rtol: float = 1e-9,
+    u: StepFunction | GridFunctionND, params: SeminormParams
 ) -> SeminormResult:
     """Fractional seminorm through the heat-kernel time integral.
 
@@ -231,14 +229,7 @@ def gagliardo_periodic_laplace(
     if nd:
         n1, h1 = u.axis1.n, u.axis1.h
         g2 = u.axes_perp[0]
-        if cfg is not None:
-            heat = _heat_table_batch(n1, h1, cfg.nodes)
-            gauss, ext = _gauss_tables_batch(g2, cfg.nodes)
-            row1 = h1 * np.sqrt(math.pi / cfg.nodes)
-        else:
-            cfg, heat, gauss, ext, row1 = _stack_2d(
-                n1, g2.n, g2.lo, g2.hi, lam, params.sigma, rtol
-            )
+        cfg, heat, gauss, ext, row1 = _stack_2d(n1, g2.n, g2.lo, g2.hi, lam, params.sigma)
         s = _pair_costs(u, params.p)
         upow = np.abs(u.values) ** params.p
         profile = np.einsum("qa,ab,qb->q", heat, s, gauss)
@@ -272,10 +263,7 @@ def gagliardo_periodic_laplace(
         acc = cfg.achieved + 1e-12
         return SeminormResult(total ** (1.0 / params.p), "laplace", acc)
     n, h = u.grid.n, u.grid.h
-    if cfg is not None:
-        heat = _heat_table_batch(n, h, cfg.nodes)
-    else:
-        cfg, heat = _stack_1d(n, lam, params.sigma, rtol)
+    cfg, heat = _stack_1d(n, lam, params.sigma)
     s = _pair_costs(u, params.p)
     total = cfg.apply(heat @ s)
     total += cfg.algebraic_tail(

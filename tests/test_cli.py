@@ -217,13 +217,21 @@ class TestErrorPaths:
         ["seminorm", "--s", "nan", "--in", "{u}"],
         ["verify", "--suite", "riesz", "--cases", "-5"],
         ["verify", "--suite", "riesz", "--seed", "-1"],
+        ["energy", "--J", "power:0.5", "--kernel", "heat:t=1", "--u", "{u}", "--v", "{u}"],
+        ["sweep", "--in", "{u}", "--values", "0.1", "0.9", "0"],
+        ["sweep", "--in", "{u}", "--values", "0.1", "0.9", "2.5"],
+        ["seminorm", "--s", "0.4", "--in", "{ragged}"],
     ],
     ids=["kernel-float", "kernel-pair", "cost-float", "missing-in", "p-nan", "s-nan",
-         "cases-negative", "seed-negative"],
+         "cases-negative", "seed-negative", "cost-p-below-1", "sweep-count-zero",
+         "sweep-count-fraction", "ragged-json"],
 )
 def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys):
     infile, _ = circle_file
-    paths = {"u": infile, "missing": str(tmp_path / "absent.json")}
+    ragged = {"axes": [{"n": 2, "domain": "periodic"}, {"n": 3, "domain": [-1.0, 1.0]}],
+              "values": [[0, 1, 0], [0, 1]]}
+    paths = {"u": infile, "missing": str(tmp_path / "absent.json"),
+             "ragged": write_json(tmp_path / "ragged.json", ragged)}
     rc = main([arg.format(**paths) for arg in argv])
     err = capsys.readouterr().err
     assert rc == 2

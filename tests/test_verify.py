@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from persym.functionals import j_library
 from persym.grid import Grid1D, GridFunctionND, StepFunction
 from persym.kernels import GaussianKernel, HeatKernel, StepKernelCircle
 from persym.seminorm import SeminormParams
+import persym.verify
 from persym.verify import (
+    _rotation_mask,
     check_nonexpansivity_circle,
     check_nonexpansivity_euclidean,
     check_polya_cylindrical,
@@ -20,6 +24,42 @@ from persym.verify import (
 )
 
 from conftest import random_circle_function, random_interval_function, random_nd_function
+
+
+def _roll_reference(a, b):
+    """Shifts z with a == np.roll(b, -z), one np.roll per shift."""
+    return np.array([np.array_equal(a, np.roll(b, -z)) for z in range(a.size)])
+
+
+class TestRotationMask:
+    def test_random_floats(self, rng):
+        for n in (1, 2, 5, 16):
+            a = rng.random(n)
+            for b in (rng.random(n), np.roll(a, int(rng.integers(n))), a):
+                assert np.array_equal(_rotation_mask(a, b), _roll_reference(a, b))
+
+    def test_bool_masks(self, rng):
+        for _ in range(50):
+            a = rng.random(12) > 0.5
+            for b in (rng.random(12) > 0.5, np.roll(a, int(rng.integers(12)))):
+                assert np.array_equal(_rotation_mask(a, b), _roll_reference(a, b))
+
+    def test_periodic_pattern_has_several_shifts(self):
+        a = np.tile([2.0, 0.0, 1.0], 4)
+        b = np.roll(a, 5)
+        mask = _rotation_mask(a, b)
+        assert np.array_equal(mask, _roll_reference(a, b))
+        assert np.flatnonzero(mask).tolist() == [2, 5, 8, 11]
+
+    def test_leading_axes_are_batch_axes(self, rng):
+        a = rng.integers(0, 2, (3, 4, 8)).astype(float)
+        b = np.roll(a, 3, axis=-1)
+        b[0, 1] = rng.random(8)
+        mask = _rotation_mask(a, b)
+        assert mask.shape == (3, 4, 8)
+        for i in range(3):
+            for j in range(4):
+                assert np.array_equal(mask[i, j], _roll_reference(a[i, j], b[i, j]))
 
 
 class TestClassify:
@@ -295,6 +335,17 @@ class TestRunSuite:
         assert [r.margin for r in a.rows] == [r.margin for r in b.rows]
         c = run_suite(["nonexp-circle"], seed=4, cases=40)
         assert [r.margin for r in a.rows] != [r.margin for r in c.rows]
+
+    def test_dual_route_gap_fails_polya_cases(self, monkeypatch):
+        laplace = persym.verify.gagliardo_periodic_laplace
+
+        def skewed(u, params):
+            res = laplace(u, params)
+            return dataclasses.replace(res, value=res.value * (1.0 + 1e-3))
+
+        monkeypatch.setattr(persym.verify, "gagliardo_periodic_laplace", skewed)
+        rep = run_suite("polya-per", cases=4)
+        assert rep.failures
 
     def test_all_suites_pass(self):
         rep = run_suite("all", seed=7, cases=30)
