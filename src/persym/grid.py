@@ -309,6 +309,8 @@ def _json_values(obj: dict) -> np.ndarray:
 
 def function_from_json(obj: dict) -> StepFunction | GridFunctionND:
     if "axes" in obj:
+        if "values" not in obj:
+            raise ConfigError("ND function JSON needs 'axes' and 'values' keys")
         grids = [_grid_from_json(g) for g in obj["axes"]]
         if not grids:
             raise ConfigError("ND function needs at least one axis")

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import math
 import os
+import tempfile
+import zipfile
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -259,8 +261,9 @@ def _gauss_pair_integral(c, h: float, t) -> np.ndarray:
     return vals[0] - 2.0 * vals[1] + vals[2]
 
 
-def _heat_table_batch(n: int, h: float, ts: np.ndarray, rtol: float = 1e-15) -> np.ndarray:
+def _heat_table_batch(n: int, h: float, ts: np.ndarray) -> np.ndarray:
     """Heat-kernel weight tables for many times at once, shape (len(ts), n)."""
+    rtol = 1e-15  # relative size of the copy or theta terms left out
     ts = np.asarray(ts, dtype=float)
     out = np.empty((ts.size, n))
     d = np.arange(n)
@@ -361,13 +364,6 @@ def _check_sigma(sigma: float) -> None:
         raise SigmaOutOfRange(f"sigma must lie in (0, 1), got {sigma}")
 
 
-def _falling(a: float, m: int) -> float:
-    out = 1.0
-    for j in range(m):
-        out *= a - j
-    return out
-
-
 def _d2_power(a: float, z, h: float):
     """Second difference P(z+h) - 2 P(z) + P(z-h) of P(r) = r^a, cancellation-safe.
 
@@ -391,7 +387,7 @@ def _d2_power(a: float, z, h: float):
                 2.0
                 * h ** (2 * j)
                 / math.factorial(2 * j)
-                * _falling(a, 2 * j)
+                * math.prod(a - i for i in range(2 * j))
                 * zf ** (a - 2 * j)
             )
         out[far] = acc
@@ -410,18 +406,19 @@ def _riesz_line_pair(m, h: float, sigma: float) -> np.ndarray:
     return c * _d2_power(1.0 - sigma, m * h, h)
 
 
-def _riesz_em_tail(a: float, n: int, h: float, sigma: float, k0: int) -> tuple[float, float]:
-    """sum_{k >= k0} pair_weight((a + k n) h) by Euler-Maclaurin; (value, bound).
+def _riesz_em_tail(a, n: int, h: float, sigma: float, k0: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{k >= k0} pair_weight((a + k n) h) by Euler-Maclaurin, per offset a.
 
     Every piece is a second difference of an explicit antiderivative of the
     power kernel; the bound is the magnitude of the first omitted correction.
+    Returns (values, bounds) shaped like the integer offset array ``a``.
     """
     s = sigma
     nh = n * h
-    z0 = (a + k0 * n) * h
+    z0 = (np.asarray(a) + k0 * n) * h
 
-    def d2(a_pow: float, coef: float) -> float:
-        return coef * float(_d2_power(a_pow, z0, h)[0])
+    def d2(a_pow: float, coef: float) -> np.ndarray:
+        return coef * _d2_power(a_pow, z0, h)
 
     c3 = 1.0 / (s * (s - 1.0) * (2.0 - s))
     c2 = 1.0 / (s * (s - 1.0))
@@ -436,18 +433,18 @@ def _riesz_em_tail(a: float, n: int, h: float, sigma: float, k0: int) -> tuple[f
         + nh**3 * d2(-2.0 - s, cf1) / 720.0
         - nh**5 * d2(-4.0 - s, cf3) / 30240.0
     )
-    bound = abs(nh**7 * d2(-6.0 - s, cf5)) / 1209600.0
+    bound = np.abs(nh**7 * d2(-6.0 - s, cf5)) / 1209600.0
     return tail, bound
 
 
-def riesz_weights_1d(
-    grid: Grid1D, sigma: float, periodized: bool, rtol: float = RIESZ_RTOL
-) -> KernelWeights:
+def riesz_weights_1d(grid: Grid1D, sigma: float, periodized: bool) -> KernelWeights:
     """Cell-pair weights of |x - y|^(-(1+sigma)), optionally 2 pi periodized.
 
     W[0] is 0 by the singular-diagonal convention.  Periodization sums cell
     copies at offsets d + k N explicitly and closes the k-tail with an
-    Euler-Maclaurin correction certified by its next-term bound.
+    Euler-Maclaurin correction certified by its next-term bound, for all
+    offsets at once; the copy count doubles until every offset certifies
+    RIESZ_RTOL.
     """
     _check_sigma(sigma)
     n, h = grid.n, grid.h
@@ -459,25 +456,22 @@ def riesz_weights_1d(
         return KernelWeights(n, h, False, w, accuracy=1e-14, singular_diagonal=True)
     if not grid.periodic:
         raise GridMismatch("periodized Riesz weights need a periodic grid")
+    d = np.arange(1, n)
     k0 = 8
     while True:
-        w = np.zeros(n)
-        worst = 0.0
-        for d in range(1, n):
-            ks = np.arange(-k0 + 1, k0)
-            offs = np.abs(d + ks * n)
-            core = float(_riesz_line_pair(offs[offs > 0], h, sigma).sum())
-            t_plus, b_plus = _riesz_em_tail(d, n, h, sigma, k0)
-            t_minus, b_minus = _riesz_em_tail(-d, n, h, sigma, k0)
-            w[d] = core + t_plus + t_minus
-            worst = max(worst, (b_plus + b_minus) / w[d])
-        if worst <= rtol:
+        ks = np.arange(-k0 + 1, k0)
+        core = _riesz_line_pair(np.abs(d[:, None] + ks * n), h, sigma).sum(axis=1)
+        t_plus, b_plus = _riesz_em_tail(d, n, h, sigma, k0)
+        t_minus, b_minus = _riesz_em_tail(-d, n, h, sigma, k0)
+        w = np.concatenate(([0.0], core + t_plus + t_minus))
+        worst = float(np.max((b_plus + b_minus) / w[1:], initial=0.0))
+        if worst <= RIESZ_RTOL:
             return KernelWeights(
                 n, h, True, w, accuracy=max(worst, 1e-15), singular_diagonal=True
             )
         if k0 >= 128:
             raise RangeTooWide(
-                f"Euler-Maclaurin tail would not certify rtol={rtol} at k0={k0}"
+                f"Euler-Maclaurin tail would not certify rtol={RIESZ_RTOL} at k0={k0}"
             )
         k0 *= 2
 
@@ -520,126 +514,103 @@ def _corner_rect_moment(alpha: int, beta: int, w1: float, w2: float, mu: float) 
     return total
 
 
-def _smooth_rect(c1, c2, x0, x1, y0, y1, h1, h2, mu, order=20) -> float:
-    """GL integral of tri(z1) tri(z2) |c + z|^(-2 mu) over a kink-free rectangle."""
-    zx, wx = _gl_on(x0, x1, order)
-    zy, wy = _gl_on(y0, y1, order)
-    trix = (h1 - np.abs(zx)) * wx
-    triy = (h2 - np.abs(zy)) * wy
-    rho = (c1 + zx[:, None]) ** 2 + (c2 + zy[None, :]) ** 2
-    return float(trix @ rho ** (-mu) @ triy)
+def _quadrants(h1: float, h2: float, order: int) -> tuple[np.ndarray, ...]:
+    """Gauss-Legendre rule on the four sign quadrants of the pair-offset box.
 
-
-def _affine_overlap(s: float, c: float, h: float, u0: float, tol: float):
-    """Write tri(z) = h - |z| on a sign-s quadrant as a + b p, p = |c + z|.
-
-    Only valid when the shifted quadrant has one endpoint at the kernel
-    origin (|u0| < tol means the left endpoint; otherwise the right one).
+    Quadrant q = 2 i + j takes z1 of sign (-, +)[i] and z2 of sign (-, +)[j],
+    where tri(z1) tri(z2) = (h1 - |z1|) (h2 - |z2|) has no kink.  Returns
+    nodes z1 (4, order, 1), z2 (4, 1, order) and tri-weighted weights t1
+    (4, 1, order), t2 (4, order, 1): (t1 @ f(z1, z2) @ t2)[..., 0, 0] holds
+    the integral of tri tri f over each quadrant.
     """
-    if abs(u0) < tol:  # w = +p on [0, h]
-        return h + s * c, -s
-    return h + s * c, s  # w = -p, reflected
+
+    def side(h: float) -> tuple[np.ndarray, np.ndarray]:
+        z, w = (np.array(v) for v in zip(_gl_on(-h, 0.0, order), _gl_on(0.0, h, order)))
+        return z, (h - np.abs(z)) * w
+
+    (z1, t1), (z2, t2) = side(h1), side(h2)
+    i, j = [0, 0, 1, 1], [0, 1, 0, 1]
+    return z1[i, :, None], z2[j, None, :], t1[i, None, :], t2[j, :, None]
 
 
-def _box_weight_2d(c1: float, c2: float, h1: float, h2: float, mu: float) -> float:
+def _box_weights_2d(c1, c2, h1: float, h2: float, mu: float, rule, corner) -> np.ndarray:
     """Integral of tri(z1) tri(z2) ((c1+z1)^2 + (c2+z2)^2)^(-mu) over the z-box.
 
-    Splits at the density kinks into four rectangles; a rectangle whose
-    shifted corner hits the kernel origin is expanded in bilinear monomials
-    and integrated exactly in the radius (possible because the density
-    vanishes linearly toward the origin there).
+    One product rule per quadrant for all offsets (c1, c2) at once.  A quadrant
+    whose shifted corner hits the kernel origin is expanded in bilinear
+    monomials instead, with exact-in-radius ``corner`` moments for (alpha,
+    beta) = (0, 1), (1, 0), (1, 1): the density vanishes linearly there.
     """
-    total = 0.0
+    z1, z2, t1, t2 = rule
+    x = c1[:, None, None, None] + z1
+    y = c2[:, None, None, None] + z2
+    vals = (t1 @ (x**2 + y**2) ** (-mu) @ t2)[..., 0, 0]
+    # shifted by c, quadrant q of _quadrants spans [u0, u1] x [v0, v1]
+    s1 = np.array([-1.0, -1.0, 1.0, 1.0])
+    s2 = np.array([-1.0, 1.0, -1.0, 1.0])
+    c1, c2 = c1[:, None], c2[:, None]
+    u0, u1 = c1 + h1 * np.minimum(s1, 0.0), c1 + h1 * np.maximum(s1, 0.0)
+    v0, v1 = c2 + h2 * np.minimum(s2, 0.0), c2 + h2 * np.maximum(s2, 0.0)
     tol1, tol2 = 1e-9 * h1, 1e-9 * h2
-    for s1 in (-1.0, 1.0):
-        for s2 in (-1.0, 1.0):
-            x0, x1 = (0.0, h1) if s1 > 0 else (-h1, 0.0)
-            y0, y1 = (0.0, h2) if s2 > 0 else (-h2, 0.0)
-            u0, u1 = c1 + x0, c1 + x1
-            v0, v1 = c2 + y0, c2 + y1
-            if u0 * u1 < -tol1 * h1 or v0 * v1 < -tol2 * h2:
-                raise ConfigError("offset is not on the cell lattice")
-            touch_x = min(abs(u0), abs(u1)) < tol1
-            touch_y = min(abs(v0), abs(v1)) < tol2
-            if not (touch_x and touch_y):
-                total += _smooth_rect(c1, c2, x0, x1, y0, y1, h1, h2, mu)
-                continue
-            a1, b1 = _affine_overlap(s1, c1, h1, u0, tol1)
-            a2, b2 = _affine_overlap(s2, c2, h2, v0, tol2)
-            for alpha, ca in ((0, a1), (1, b1)):
-                for beta, cb in ((0, a2), (1, b2)):
-                    coef = ca * cb
-                    if coef == 0.0 or (alpha == 0 and beta == 0):
-                        if alpha == 0 and beta == 0 and abs(coef) > tol1 * tol2:
-                            raise ConfigError("corner moment lost its linear factor")
-                        continue
-                    total += coef * _corner_rect_moment(alpha, beta, h1, h2, mu)
-    return total
+    if np.any(u0 * u1 < -tol1 * h1) or np.any(v0 * v1 < -tol2 * h2):
+        raise ConfigError("offset is not on the cell lattice")
+    touch = (np.minimum(np.abs(u0), np.abs(u1)) < tol1) & (
+        np.minimum(np.abs(v0), np.abs(v1)) < tol2
+    )
+    # there tri(z) = a + b p with p = |c + z|: a = h + s c, and b = -s when
+    # the left end of the shifted quadrant is at the origin, else b = s
+    a1, b1 = h1 + s1 * c1, np.where(np.abs(u0) < tol1, -s1, s1)
+    a2, b2 = h2 + s2 * c2, np.where(np.abs(v0) < tol2, -s2, s2)
+    if np.any(touch & (np.abs(a1 * a2) > tol1 * tol2)):
+        raise ConfigError("corner moment lost its linear factor")
+    # one fixed order for every offset: quadrant by quadrant, and a touching
+    # quadrant's three corner terms one after another
+    box = np.zeros(len(vals))
+    for q in range(4):
+        hit = touch[:, q]
+        box += np.where(hit, a1[:, q] * b2[:, q] * corner[0], vals[:, q])
+        box += hit * (b1[:, q] * a2[:, q] * corner[1])
+        box += hit * (b1[:, q] * b2[:, q] * corner[2])
+    return box
 
 
-def _fint_over_box(c1, c2, h1, h2, mu, order=16) -> float:
-    """GL integral of tri tri int_{c1+z1}^inf (t^2 + (c2+z2)^2)^(-mu) dt dz.
+def _copy_tails_2d(a, c2, h1: float, h2: float, mu: float, k_next: int) -> np.ndarray:
+    """sum_{k >= k_next} box_weight(a + 2 pi k, c2) by Euler-Maclaurin, per offset.
 
-    The inner integral has the incomplete-beta closed form; needs c1 > h1 so
-    the lower limit stays positive across the box.
+    int psi + psi/2 - psi'/12 + psi'''/720 - psi^(5)/30240 at k_next, where
+    psi(k) = box_weight(a + 2 pi k, c2).  The k-integral has an incomplete-beta
+    closed form in x1 (a + 2 pi k_next > h1 keeps it regular) and the
+    derivatives are analytic; all five share one node tensor, and each is
+    contracted as soon as it is formed.
     """
-    bcoef = 0.5 * special.beta(mu - 0.5, 0.5)
-    total = 0.0
-    for sx in (-1, 1):
-        for sy in (-1, 1):
-            zx, wx = _gl_on(0.0 if sx > 0 else -h1, h1 if sx > 0 else 0.0, order)
-            zy, wy = _gl_on(0.0 if sy > 0 else -h2, h2 if sy > 0 else 0.0, order)
-            a = c1 + zx[:, None] + 0.0 * zy[None, :]
-            b = np.abs(c2 + 0.0 * zx[:, None] + zy[None, :])
-            x = b**2 / (a**2 + b**2)
-            vals = b ** (1.0 - 2.0 * mu) * bcoef * special.betainc(mu - 0.5, 0.5, x)
-            trix = (h1 - np.abs(zx)) * wx
-            triy = (h2 - np.abs(zy)) * wy
-            total += float(trix @ vals @ triy)
-    return total
+    z1, z2, t1, t2 = _quadrants(h1, h2, 16)
 
+    def quad(f, scale=1.0):
+        return ((t1 @ f @ t2)[..., 0, 0] * scale).sum(axis=1)
 
-def _psi_derivs_box(c1, c2, h1, h2, mu, order=16) -> tuple[float, float, float, float]:
-    """(psi, psi', psi''', psi^(5)) of the copy weight in the copy index k,
-    where psi(k) = box_weight(c1 + 2 pi (k - k_ref)); evaluated at c1 itself."""
+    w1 = (a + TWO_PI * k_next)[:, None, None, None] + z1
+    w2 = c2[:, None, None, None] + z2
+    rho = w1**2 + w2**2
+    b = np.abs(w2)
     m = mu
-    out = [0.0, 0.0, 0.0, 0.0]
-    for sx in (-1, 1):
-        for sy in (-1, 1):
-            zx, wx = _gl_on(0.0 if sx > 0 else -h1, h1 if sx > 0 else 0.0, order)
-            zy, wy = _gl_on(0.0 if sy > 0 else -h2, h2 if sy > 0 else 0.0, order)
-            w1 = c1 + zx[:, None] + 0.0 * zy[None, :]
-            w2 = c2 + 0.0 * zx[:, None] + zy[None, :]
-            rho = w1**2 + w2**2
-            trix = (h1 - np.abs(zx)) * wx
-            triy = (h2 - np.abs(zy)) * wy
-            m2 = m * (m + 1.0)
-            m3 = m2 * (m + 2.0)
-            m4 = m3 * (m + 3.0)
-            m5 = m4 * (m + 4.0)
-            f = rho ** (-m)
-            f1 = -2.0 * m * w1 * rho ** (-m - 1.0)
-            f3 = 12.0 * m2 * w1 * rho ** (-m - 2.0) - 8.0 * m3 * w1**3 * rho ** (
-                -m - 3.0
-            )
-            f5 = (
-                -120.0 * m3 * w1 * rho ** (-m - 3.0)
-                + 160.0 * m4 * w1**3 * rho ** (-m - 4.0)
-                - 32.0 * m5 * w1**5 * rho ** (-m - 5.0)
-            )
-            out[0] += float(trix @ f @ triy)
-            out[1] += float(trix @ f1 @ triy) * TWO_PI
-            out[2] += float(trix @ f3 @ triy) * TWO_PI**3
-            out[3] += float(trix @ f5 @ triy) * TWO_PI**5
-    return out[0], out[1], out[2], out[3]
-
-
-def _copy_tail_2d(a: float, c2: float, h1: float, h2: float, mu: float, k_next: int) -> float:
-    """sum_{k >= k_next} box_weight(a + 2 pi k, c2) by Euler-Maclaurin."""
-    c1 = a + TWO_PI * k_next
-    psi, psi1, psi3, psi5 = _psi_derivs_box(c1, c2, h1, h2, mu)
-    integral = _fint_over_box(c1, c2, h1, h2, mu) / TWO_PI
-    return integral + 0.5 * psi - psi1 / 12.0 + psi3 / 720.0 - psi5 / 30240.0
+    m2 = m * (m + 1.0)
+    m3 = m2 * (m + 2.0)
+    m4 = m3 * (m + 3.0)
+    m5 = m4 * (m + 4.0)
+    bcoef = 0.5 * special.beta(m - 0.5, 0.5)
+    fint = quad(b ** (1.0 - 2.0 * m) * bcoef * special.betainc(m - 0.5, 0.5, b**2 / rho))
+    psi = quad(rho ** (-m))
+    psi1 = quad(-2.0 * m * w1 * rho ** (-m - 1.0), TWO_PI)
+    psi3 = quad(
+        12.0 * m2 * w1 * rho ** (-m - 2.0) - 8.0 * m3 * w1**3 * rho ** (-m - 3.0), TWO_PI**3
+    )
+    psi5 = quad(
+        -120.0 * m3 * w1 * rho ** (-m - 3.0)
+        + 160.0 * m4 * w1**3 * rho ** (-m - 4.0)
+        - 32.0 * m5 * w1**5 * rho ** (-m - 5.0),
+        TWO_PI**5,
+    )
+    return fint / TWO_PI + 0.5 * psi - psi1 / 12.0 + psi3 / 720.0 - psi5 / 30240.0
 
 
 @dataclass(frozen=True)
@@ -667,11 +638,25 @@ def _nd_cache_path(grid1, grid2, sigma, k_copies):
     if not cache_dir:
         return None
     os.makedirs(cache_dir, exist_ok=True)
+    # bump the format version v1 whenever the builder's values change, so a
+    # table written by an older builder is never served
     tag = (
-        f"riesz2d_n{grid1.n}x{grid2.n}_box{grid2.lo:.9g}_{grid2.hi:.9g}"
+        f"riesz2d_v1_n{grid1.n}x{grid2.n}_box{grid2.lo:.9g}_{grid2.hi:.9g}"
         f"_sigma{sigma:.9g}_k{k_copies}.npz"
     )
     return os.path.join(cache_dir, tag)
+
+
+def _load_nd_cache(path: str, n1: int, n2: int):
+    """(weights, exterior) from a cache file; None if absent, unreadable or misshapen."""
+    try:
+        with np.load(path) as data:
+            w, ext = data["weights"], data["exterior"]
+    except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile):
+        return None  # every way np.load reports a file that is not an intact npz
+    if w.shape != (n1, 2 * n2 - 1) or ext.shape != (n2,):
+        return None
+    return w, ext
 
 
 def riesz_weights_nd(
@@ -682,41 +667,51 @@ def riesz_weights_nd(
     Desk-scale builder for the direct n = 2 seminorm route; the Laplace
     representation is the supported fast path beyond that.  Offsets are
     computed for one symmetry sector and reflected (the kernel is even in
-    each coordinate and the x1 copies are symmetric).  Set PERSYM_CACHE_DIR
-    to persist tables across runs.
+    each coordinate and the x1 copies are symmetric).  The 2 k_copies + 1
+    x1 copies are taken one at a time over all m = (n1 // 2 + 1) n2 - 1
+    sector offsets, so the largest temporaries hold m x 4 x 400 floats (four
+    20 x 20 quadrant rules), 1.8 MB at 16 x 16.  Set PERSYM_CACHE_DIR to
+    persist tables across runs.
     """
     _check_sigma(sigma)
     if not grid1.periodic or grid2.periodic:
         raise GridMismatch("riesz_weights_nd needs (periodic, interval) axes")
-    cache = _nd_cache_path(grid1, grid2, sigma, k_copies)
-    if cache and os.path.exists(cache):
-        data = np.load(cache)
-        return NDKernelWeights(
-            grid1.n, grid1.h, grid2.n, grid2.h, sigma, data["weights"], data["exterior"]
-        )
-    mu = (2.0 + sigma) / 2.0
     n1, h1 = grid1.n, grid1.h
     n2, h2 = grid2.n, grid2.h
+    cache = _nd_cache_path(grid1, grid2, sigma, k_copies)
+    cached = cache and _load_nd_cache(cache, n1, n2)
+    if cached:
+        return NDKernelWeights(n1, h1, n2, h2, sigma, *cached)
+    mu = (2.0 + sigma) / 2.0
+    # one symmetry sector, 0 <= d1 <= n1/2 and 0 <= d2 < n2; the singular
+    # diagonal (0, 0) keeps the convention W = 0
+    d1, d2 = np.divmod(np.arange(1, (n1 // 2 + 1) * n2), n2)
+    c1, c2 = d1 * h1, d2 * h2
+    rule = _quadrants(h1, h2, 20)
+    corner = [_corner_rect_moment(al, be, h1, h2, mu) for al, be in ((0, 1), (1, 0), (1, 1))]
+    total = np.zeros(c1.size)
+    for k in range(-k_copies, k_copies + 1):
+        total += _box_weights_2d(c1 + TWO_PI * k, c2, h1, h2, mu, rule, corner)
+    for a in (c1, -c1):
+        total += _copy_tails_2d(a, c2, h1, h2, mu, k_copies + 1)
     w = np.zeros((n1, 2 * n2 - 1))
-    for d1c in range(n1 // 2 + 1):
-        for d2 in range(n2):
-            if d1c == 0 and d2 == 0:
-                continue  # singular diagonal: convention W = 0
-            total = 0.0
-            for k in range(-k_copies, k_copies + 1):
-                total += _box_weight_2d(d1c * h1 + TWO_PI * k, d2 * h2, h1, h2, mu)
-            total += _copy_tail_2d(d1c * h1, d2 * h2, h1, h2, mu, k_copies + 1)
-            total += _copy_tail_2d(-d1c * h1, d2 * h2, h1, h2, mu, k_copies + 1)
-            for d1 in {d1c, (n1 - d1c) % n1}:
-                w[d1, n2 - 1 + d2] = total
-                w[d1, n2 - 1 - d2] = total
+    for e1 in (d1, (n1 - d1) % n1):
+        w[e1, n2 - 1 + d2] = total
+        w[e1, n2 - 1 - d2] = total
     kappa = SQRT_PI * special.gamma(mu - 0.5) / special.gamma(mu)
     b = grid2.boundaries()
     up = (grid2.hi - b[:-1]) ** (1.0 - sigma) - (grid2.hi - b[1:]) ** (1.0 - sigma)
     lo = (b[1:] - grid2.lo) ** (1.0 - sigma) - (b[:-1] - grid2.lo) ** (1.0 - sigma)
     ext = h1 * (kappa / (sigma * (1.0 - sigma))) * (up + lo)
-    if cache:
-        np.savez(cache, weights=w, exterior=ext)
+    if cache:  # write beside the final name, then rename: no reader sees a partial file
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(cache), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:  # a handle: savez would append .npz to tmp
+                np.savez(fh, weights=w, exterior=ext)
+            os.replace(tmp, cache)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return NDKernelWeights(n1, h1, n2, h2, sigma, w, ext)
 
 

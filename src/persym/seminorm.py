@@ -93,6 +93,17 @@ def _pair_costs(u: StepFunction | GridFunctionND, p: float) -> np.ndarray:
     return offset_sums(u.values, u.values, lambda a, b: np.abs(a - b) ** p, periodic)
 
 
+def _is_2d(u: StepFunction | GridFunctionND, params: SeminormParams) -> bool:
+    """Whether u is a 2D input; both routes take n in {1, 2} and need params.n == n."""
+    nd = isinstance(u, GridFunctionND)
+    if nd and u.ndim != 2:
+        raise ConfigError(f"the seminorm routes implement n in {{1, 2}}, got n = {u.ndim}")
+    dim = 2 if nd else 1
+    if params.n != dim:
+        raise ConfigError(f"{dim}D input needs params.n == {dim}")
+    return nd
+
+
 def gagliardo_periodic_direct(
     u: StepFunction | GridFunctionND, params: SeminormParams
 ) -> SeminormResult:
@@ -103,13 +114,7 @@ def gagliardo_periodic_direct(
     vanishes outside the box, so the exterior contributes |u|^p against
     closed-form tail masses.
     """
-    if isinstance(u, GridFunctionND):
-        if u.ndim != 2:
-            raise ConfigError(
-                "direct route implements n = 2; use the laplace route beyond"
-            )
-        if params.n != 2:
-            raise ConfigError("2D input needs params.n == 2")
+    if _is_2d(u, params):
         if not params.step_mode_finite:
             const = float(u.values.max() - u.values.min()) == 0.0
             return (
@@ -129,8 +134,6 @@ def gagliardo_periodic_direct(
         tails = 2.0 * float(np.sum((u.values**params.p) * table.exterior[None, :]))
         total = interior + tails
         return SeminormResult(total ** (1.0 / params.p), "direct", table.accuracy)
-    if params.n != 1:
-        raise ConfigError("1D input needs params.n == 1")
     if not params.step_mode_finite:
         return (
             SeminormResult(0.0, "direct", 1e-15)
@@ -215,11 +218,7 @@ def gagliardo_periodic_laplace(
     closed-form exterior masses); the validated rule then integrates
     t^(lam-1) times that profile and Gamma(lam) rescales.
     """
-    nd = isinstance(u, GridFunctionND)
-    if nd and u.ndim != 2:
-        raise ConfigError("laplace route is implemented for n in {1, 2}")
-    dim = 2 if nd else 1
-    lam = (dim + params.sigma) / 2.0
+    nd = _is_2d(u, params)
     if not params.step_mode_finite:
         vals = u.values
         const = float(vals.max() - vals.min()) == 0.0
@@ -229,7 +228,7 @@ def gagliardo_periodic_laplace(
     if nd:
         n1, h1 = u.axis1.n, u.axis1.h
         g2 = u.axes_perp[0]
-        cfg, heat, gauss, ext, row1 = _stack_2d(n1, g2.n, g2.lo, g2.hi, lam, params.sigma)
+        cfg, heat, gauss, ext, row1 = _stack_2d(n1, g2.n, g2.lo, g2.hi, params.lam, params.sigma)
         s = _pair_costs(u, params.p)
         upow = np.abs(u.values) ** params.p
         profile = np.einsum("qa,ab,qb->q", heat, s, gauss)
@@ -259,18 +258,18 @@ def gagliardo_periodic_laplace(
             - 2.0 * SQRT_PI * h1 * g2.h * g2.length * upow_total,
             0.5,
         )
-        total /= special.gamma(lam)
+        total /= special.gamma(params.lam)
         acc = cfg.achieved + 1e-12
         return SeminormResult(total ** (1.0 / params.p), "laplace", acc)
     n, h = u.grid.n, u.grid.h
-    cfg, heat = _stack_1d(n, lam, params.sigma)
+    cfg, heat = _stack_1d(n, params.lam, params.sigma)
     s = _pair_costs(u, params.p)
     total = cfg.apply(heat @ s)
     total += cfg.algebraic_tail(
         sum(s[d] * _touch_count(d, n) for d in range(n)) / 2.0, 1.0
     )
     total += cfg.algebraic_head(float(s.sum()) * h**2 / (2.0 * SQRT_PI), 0.5)
-    total /= special.gamma(lam)
+    total /= special.gamma(params.lam)
     return SeminormResult(total ** (1.0 / params.p), "laplace", cfg.achieved + 1e-12)
 
 

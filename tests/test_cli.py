@@ -221,17 +221,19 @@ class TestErrorPaths:
         ["sweep", "--in", "{u}", "--values", "0.1", "0.9", "0"],
         ["sweep", "--in", "{u}", "--values", "0.1", "0.9", "2.5"],
         ["seminorm", "--s", "0.4", "--in", "{ragged}"],
+        ["seminorm", "--s", "0.4", "--in", "{novalues}"],
     ],
     ids=["kernel-float", "kernel-pair", "cost-float", "missing-in", "p-nan", "s-nan",
          "cases-negative", "seed-negative", "cost-p-below-1", "sweep-count-zero",
-         "sweep-count-fraction", "ragged-json"],
+         "sweep-count-fraction", "ragged-json", "nd-json-without-values"],
 )
 def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys):
     infile, _ = circle_file
     ragged = {"axes": [{"n": 2, "domain": "periodic"}, {"n": 3, "domain": [-1.0, 1.0]}],
               "values": [[0, 1, 0], [0, 1]]}
     paths = {"u": infile, "missing": str(tmp_path / "absent.json"),
-             "ragged": write_json(tmp_path / "ragged.json", ragged)}
+             "ragged": write_json(tmp_path / "ragged.json", ragged),
+             "novalues": write_json(tmp_path / "novalues.json", {"axes": ragged["axes"]})}
     rc = main([arg.format(**paths) for arg in argv])
     err = capsys.readouterr().err
     assert rc == 2

@@ -243,6 +243,22 @@ class TestRieszWeights1D:
         assert check_kernel_monotone(w)
         assert w.is_even()
 
+    @pytest.mark.parametrize("sigma", [0.3, 0.7])
+    def test_periodized_pinned_values(self, sigma):
+        # recorded from the per-offset loop builder; every offset's arithmetic
+        # is unchanged by batching, so the table must match bit for bit
+        pinned = {
+            0.3: ["0x0.0p+0", "0x1.f558493518d82p+0", "0x1.a6dca217e66b2p-1",
+                  "0x1.5f8a8ad0562f4p-1", "0x1.4f666111d9962p-1", "0x1.5f8a8ad0562f6p-1",
+                  "0x1.a6dca217e66b1p-1", "0x1.f558493518d83p+0"],
+            0.7: ["0x0.0p+0", "0x1.c278966f46690p+1", "0x1.c26594c31681dp-2",
+                  "0x1.2555af2d04acap-2", "0x1.052b36908440fp-2", "0x1.2555af2d04acbp-2",
+                  "0x1.c26594c31681cp-2", "0x1.c278966f46690p+1"],
+        }
+        w = riesz_weights_1d(Grid1D.circle(8), sigma, periodized=True)
+        assert w.weights.tolist() == [float.fromhex(x) for x in pinned[sigma]]
+        assert w.accuracy == 1e-15
+
 
 class TestRieszWeightsND:
     def test_symmetries(self):
@@ -325,6 +341,59 @@ class TestRieszWeightsND:
     def test_needs_periodic_interval_pair(self):
         with pytest.raises(GridMismatch):
             riesz_weights_nd(Grid1D.circle(4), Grid1D.circle(4), 0.5)
+
+    @pytest.mark.parametrize("sigma", [0.3, 0.7])
+    def test_pinned_sector_values(self, sigma):
+        # the sector 0 <= d1 <= 3, 0 <= d2 < 5, recorded from the scalar
+        # per-offset builder; the contractions go through BLAS, whose last
+        # bits may vary between builds, hence 1e-14
+        pinned = {
+            0.3: [
+                ["0x0.0p+0", "0x1.edd6b3d56cf72p+0", "0x1.17d939b87426ap-2",
+                 "0x1.db1d17e145606p-4", "0x1.07cf61331bbffp-4"],
+                ["0x1.6aba52b85fa6ap-1", "0x1.1583d1ae5bfa9p-2", "0x1.f9faf6ef82608p-4",
+                 "0x1.2ab1c9b796243p-4", "0x1.8b065cd2daef4p-5"],
+                ["0x1.8c91328e67543p-5", "0x1.7af341a213023p-5", "0x1.5024c09271e5ep-5",
+                 "0x1.1e0f64fc4cb54p-5", "0x1.dfcff19e91b04p-6"],
+                ["0x1.f62433d5b9fbep-6", "0x1.eccf3104a41dcp-6", "0x1.d2fb52b90f2f9p-6",
+                 "0x1.adfb5b70fb19fp-6", "0x1.83d4937ed9610p-6"],
+            ],
+            0.7: [
+                ["0x0.0p+0", "0x1.6b0a2002fc175p+2", "0x1.3069796def5f4p-2",
+                 "0x1.ab422cc894469p-4", "0x1.9da08cf14b4a1p-5"],
+                ["0x1.0672e18a0b828p+1", "0x1.600d2189f962bp-2", "0x1.da945120c772ap-4",
+                 "0x1.e62e5254d9dd1p-5", "0x1.200ca2aade41bp-5"],
+                ["0x1.1f2c2f5a520d0p-5", "0x1.0e9d09bdadaf5p-5", "0x1.cef38b8b17de6p-6",
+                 "0x1.77782ce6c7b53p-6", "0x1.2aff2476c11a0p-6"],
+                ["0x1.339d7303c8ae7p-6", "0x1.2c7548cdee2f4p-6", "0x1.18d367e136239p-6",
+                 "0x1.fa537f7e99659p-7", "0x1.bcb0ac654d68dp-7"],
+            ],
+        }
+        ref = np.array([[float.fromhex(x) for x in row] for row in pinned[sigma]])
+        W = riesz_weights_nd(Grid1D.circle(6), Grid1D.centered_interval(5, 2.0), sigma)
+        sector = W.weights[:4, 4:]
+        assert sector[0, 0] == 0.0
+        nz = ref != 0
+        assert np.max(np.abs(sector[nz] / ref[nz] - 1.0)) < 1e-14
+
+    @pytest.mark.parametrize("damage", ["truncated", "wrong-shape"])
+    def test_bad_cache_file_is_rebuilt(self, damage, tmp_path, monkeypatch):
+        g1, g2 = Grid1D.circle(4), Grid1D.centered_interval(3, 2.0)
+        fresh = riesz_weights_nd(g1, g2, 0.5)
+        monkeypatch.setenv("PERSYM_CACHE_DIR", str(tmp_path))
+        riesz_weights_nd(g1, g2, 0.5)
+        (path,) = tmp_path.iterdir()
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:300])
+        else:
+            np.savez(path, weights=np.zeros(6), exterior=np.zeros(3))
+        W = riesz_weights_nd(g1, g2, 0.5)
+        assert np.array_equal(W.weights, fresh.weights)
+        assert np.array_equal(W.exterior, fresh.exterior)
+        # the rebuilt table replaced the bad file, and no temporary is left
+        assert list(tmp_path.iterdir()) == [path]
+        with np.load(path) as data:
+            assert np.array_equal(data["weights"], fresh.weights)
 
 
 class TestStepKernelTables:

@@ -73,6 +73,16 @@ class TestDirectRoute:
         assert b == pytest.approx(2.0 * a, rel=1e-13)
 
 
+@pytest.mark.parametrize("route", [gagliardo_periodic_direct, gagliardo_periodic_laplace])
+def test_input_dimension_must_match_params(route, rng):
+    u1 = random_circle_function(rng, n=8)
+    u2 = random_nd_function(rng, n1=4, n2=4)
+    with pytest.raises(ConfigError, match=r"params\.n == 1"):
+        route(u1, SeminormParams(0.3, 1.0, n=2))
+    with pytest.raises(ConfigError, match=r"params\.n == 2"):
+        route(u2, SeminormParams(0.3, 1.0, n=1))
+
+
 class TestDualRoute:
     @pytest.mark.parametrize("n", [8, 16, 32])
     @pytest.mark.parametrize("s,p", [(0.2, 1.0), (0.4, 2.0), (0.7, 1.0)])
