@@ -25,6 +25,10 @@ class NegativeValue(PersymError):
     """Step functions must be nonnegative; pass inputs through absolute_value first."""
 
 
+class NegativeEnergy(PersymError):
+    """A computed pair energy came out below zero."""
+
+
 class NotPeriodic(PersymError):
     """Operation requires a periodic grid."""
 

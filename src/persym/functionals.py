@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergentTail, GridMismatch, NotNormalized, UnknownCost
+from .errors import DivergentTail, GridMismatch, NegativeEnergy, NotNormalized, UnknownCost
 from .grid import StepFunction
 from .kernels import KernelWeights, offset_sums
 
@@ -182,7 +182,7 @@ class EnergyResult:
 
     def __post_init__(self):
         if self.value < 0.0:
-            raise ValueError(f"energy came out negative: {self.value}")
+            raise NegativeEnergy(f"energy came out negative: {self.value}")
 
 
 def _check_alignment(u: StepFunction, v: StepFunction, w: KernelWeights, periodic: bool):

@@ -5,8 +5,9 @@ W[d] = integral of a convolution kernel over a pair of cells at offset d.
 ``offset_sums`` owns the offset layout and computes the pair-cost sums that
 such tables contract with.  This module builds the tables:
 
-* wrapped Gaussian (periodic heat kernel) and line Gaussian, via erf/erfc
-  antiderivatives, with a theta-series dual branch for small diffusion time;
+* wrapped Gaussian (periodic heat kernel) and line Gaussian, from one
+  erf/erfc antiderivative value per lattice point, with a theta-series dual
+  branch for small diffusion time;
 * power kernel |z|^(-(1+sigma)) on the line (closed-form second
   antiderivative) and its periodization (explicit copies plus an
   Euler-Maclaurin tail with analytic derivatives, certified by the
@@ -52,8 +53,8 @@ from .rearrange import periodic_rearrange_1d, symmetric_decreasing_1d
 TWO_PI = 2.0 * math.pi
 SQRT_PI = math.sqrt(math.pi)
 
-# switch between the Gaussian-copy sum and the theta dual representation;
-# both need <= ~8 terms there
+# pointwise switch between the Gaussian-copy sum and the theta dual
+# representation; both need <= ~8 terms there (tables: _heat_switch)
 T_SWITCH = 1.0 / (4.0 * math.pi**2)
 # certified relative accuracy of the periodized 1D power-kernel table, and
 # the self-convergence-checked accuracy of the 2D power-kernel table
@@ -230,68 +231,101 @@ def heat_kernel_periodic(z, params: HeatKernelParams | float):
     return float(out[0]) if scalar else out
 
 
-def _gauss_pair_integral(c, h: float, t) -> np.ndarray:
-    """Integral of exp(-(c + xi - eta)^2 t) over (xi, eta) in [0, h]^2.
+def _e2(z, t, erfc: bool) -> np.ndarray:
+    """Antiderivative E2 with E2'' = exp(-z^2 t), E2(0) = 0, and its erfc complement.
 
-    Second difference of an antiderivative E2 with E2'' = exp(-z^2 t); the
-    affine-in-z part of E2 cancels in the difference, so near the origin we
-    keep erf with expm1 (no large constant) and far out we switch to the
-    erfc complement whose terms are all Gaussian-small.  Broadcasts over
-    both the offset c and the time t.
+    The erf form z a erf(z sqrt t) + expm1(-z^2 t) / (2t), a = sqrt(pi) / (2
+    sqrt t), is of size O(z^2) while z sqrt t stays below 1; the complement
+    drops the affine part z a, leaving terms that are all Gaussian-small far
+    out.  Second differences of either form are the same.
     """
-    c = np.abs(np.asarray(c, dtype=float))
-    t = np.asarray(t, dtype=float)
-    st = np.sqrt(t)
-    pts = np.stack(np.broadcast_arrays(c + h, c + 0.0 * t, np.abs(c - h)), axis=0)
-    tt = np.broadcast_to(t, pts.shape[1:])
-    stt = np.broadcast_to(st, pts.shape[1:])
-    near = np.broadcast_to(c < h, pts.shape)
+    a = SQRT_PI / (2.0 * np.sqrt(t))
+    if erfc:
+        return np.expm1(-(z**2) * t) / (2.0 * t) - z * a * special.erfc(z * np.sqrt(t))
+    return z * a * special.erf(z * np.sqrt(t)) + np.expm1(-(z**2) * t) / (2.0 * t)
 
-    def e2_erf(zz):
-        return zz * (SQRT_PI / (2.0 * stt)) * special.erf(zz * stt) + np.expm1(
-            -(zz**2) * tt
-        ) / (2.0 * tt)
 
-    def e2_erfc(zz):
-        return np.expm1(-(zz**2) * tt) / (2.0 * tt) - zz * (
-            SQRT_PI / (2.0 * stt)
-        ) * special.erfc(zz * stt)
+def _gauss_lattice(h: float, ts, jmax: int) -> np.ndarray:
+    """Pair integrals of exp(-z^2 t) over two cells j = 0..jmax apart.
 
-    vals = np.where(near, e2_erf(pts), e2_erfc(pts))
-    return vals[0] - 2.0 * vals[1] + vals[2]
+    Returns G, shape (len(ts), jmax + 1).  The integral of
+    exp(-(j h + xi - eta)^2 t) over (xi, eta) in [0, h]^2 is the second
+    difference G(j) = F(j+1) - 2 F(j) + F(j-1) of F(j) = E2(j h), so one
+    antiderivative value per lattice point serves every offset.  A time whose
+    lattice stays within one Gaussian width, (jmax + 1) h sqrt(t) <= 1, takes
+    the erf form of E2 and the others its erfc complement, so rounding costs
+    ~min((jmax + 1)^2, 1 / (t h^2)) ulps of G(0) either way; G(0) = 2 E2(h)
+    always takes the erf form, which has no large constant near the origin.
+    """
+    t = np.asarray(ts, dtype=float)[:, None]
+    z = h * np.arange(jmax + 2)
+    g = np.empty((t.shape[0], jmax + 1))
+    wide = z[-1] ** 2 * t[:, 0] > 1.0
+    for sel, erfc in ((wide, True), (~wide, False)):
+        if sel.any():
+            f = _e2(z, t[sel], erfc)
+            g[sel, 1:] = f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2]
+    g[:, 0] = 2.0 * _e2(h, t[:, 0], False)
+    return g
+
+
+def _heat_switch(h: float) -> float:
+    """Smallest time at which a heat table on cells of width h sums Gaussian copies.
+
+    Each copy-branch entry of size O(h^2) is a second difference of
+    antiderivative values of size O(1/t), so its rounding error relative to
+    the row grows like 1/(t h^2); below t = 0.02 / h^2 the theta branch, which
+    has no such cancellation, takes over.
+    """
+    return max(T_SWITCH, 0.02 / (h * h))
 
 
 def _heat_table_batch(n: int, h: float, ts: np.ndarray) -> np.ndarray:
-    """Heat-kernel weight tables for many times at once, shape (len(ts), n)."""
+    """Heat-kernel weight tables for many times at once, shape (len(ts), n).
+
+    Needs h = 2 pi / n.  Times t >= _heat_switch(h) sum Gaussian copies:
+    every copy c = d h - 2 pi k of a centered offset d lies on the lattice
+    j h, so W[d] = sum_{|k| <= kmax} G(|d - n k|) with G from
+    ``_gauss_lattice``, gathered through one index matrix.  Smaller times sum
+    the theta series, its terms folded modulo n and summed by one real FFT
+    per time.  Each branch takes the times in chunks, sized so that no
+    temporary exceeds OFFSET_BLOCK elements (unless one time's does): copy
+    chunks run in ascending t and take kmax from their own smallest time,
+    theta chunks in descending t and take the term count from their largest.
+    """
     rtol = 1e-15  # relative size of the copy or theta terms left out
     ts = np.asarray(ts, dtype=float)
     out = np.empty((ts.size, n))
     d = np.arange(n)
-    big = ts >= T_SWITCH
-    if big.any():
-        tb = ts[big]
-        kmax = int(
-            math.ceil((math.sqrt(-math.log(rtol) / tb.min()) + n * h) / TWO_PI)
-        ) + 1
-        k = np.arange(-kmax, kmax + 1)
-        # centered offset representative keeps |c| = h exact for adjacent
-        # pairs, which the pair integral's branch split relies on
-        dc = np.where(d <= n // 2, d, d - n)
-        c = dc[None, :, None] * h - TWO_PI * k[None, None, :]
-        out[big] = _gauss_pair_integral(c, h, tb[:, None, None]).sum(axis=2)
-    small = ~big
-    if small.any():
-        tb = ts[small]
-        lead = -math.log(max(rtol * h * h / 8.0, 1e-300))
-        mmax = int(math.ceil(2.0 * math.sqrt(tb.max() * lead))) + 2
+    dc = np.where(d <= n // 2, d, d - n)
+    switch = _heat_switch(h)
+    far = np.flatnonzero(ts >= switch)
+    far = far[np.argsort(ts[far], kind="stable")]
+    i = 0
+    while i < far.size:
+        kmax = int(math.ceil((math.sqrt(-math.log(rtol) / ts[far[i]]) + n * h) / TWO_PI)) + 1
+        idx = np.abs(dc[:, None] - n * np.arange(-kmax, kmax + 1))
+        chunk = far[i : i + max(1, OFFSET_BLOCK // idx.size)]
+        out[chunk] = _gauss_lattice(h, ts[chunk], int(idx.max()))[:, idx].sum(axis=2)
+        i += chunk.size
+    near = np.flatnonzero(ts < switch)
+    near = near[np.argsort(-ts[near], kind="stable")]
+    lead = -math.log(max(rtol * h * h / 8.0, 1e-300))
+    i = 0
+    while i < near.size:
+        mmax = int(math.ceil(2.0 * math.sqrt(ts[near[i]] * lead))) + 2
+        width = n * (mmax // n + 1)  # room for m = 0..mmax, folded modulo n
+        chunk = near[i : i + max(1, OFFSET_BLOCK // width)]
+        tb = ts[chunk][:, None]
         m = np.arange(1, mmax + 1)
-        coef = (
-            np.exp(-(m[None, :] ** 2) / (4.0 * tb[:, None]))
-            * (4.0 / m[None, :] ** 2)
-            * np.sin(m[None, :] * h / 2.0) ** 2
-        )
-        series = h * h + 2.0 * coef @ np.cos(np.outer(m, d * h))
-        out[small] = series / (2.0 * np.sqrt(math.pi * tb))[:, None]
+        terms = np.zeros((chunk.size, width))
+        terms[:, 1 : mmax + 1] = np.exp(-(m**2) / (4.0 * tb)) * (4.0 / m**2) * np.sin(
+            m * h / 2.0
+        ) ** 2
+        folded = terms.reshape(chunk.size, -1, n).sum(axis=1)
+        series = h * h + 2.0 * np.fft.rfft(folded, axis=1).real[:, np.abs(dc)]
+        out[chunk] = series / (2.0 * np.sqrt(math.pi * tb))
+        i += chunk.size
     return out
 
 
@@ -328,7 +362,9 @@ def _gauss_tables_batch(grid: Grid1D, ts) -> tuple[np.ndarray, np.ndarray]:
     upper = _erfc_antideriv((hi - b[:-1]) * st) - _erfc_antideriv((hi - b[1:]) * st)
     lower = _erfc_antideriv((b[1:] - lo) * st) - _erfc_antideriv((b[:-1] - lo) * st)
     d = np.arange(-(grid.n - 1), grid.n)
-    table = _gauss_pair_integral(d * grid.h, grid.h, ts)
+    # take keeps the table C-ordered (fancy indexing would not), which the
+    # Laplace route's per-node einsum over these rows needs to stay fast
+    table = _gauss_lattice(grid.h, ts[:, 0], grid.n - 1).take(np.abs(d), axis=1)
     return table, (SQRT_PI / (2.0 * ts)) * (upper + lower)
 
 
@@ -637,7 +673,10 @@ def _nd_cache_path(grid1, grid2, sigma, k_copies):
     cache_dir = os.environ.get("PERSYM_CACHE_DIR")
     if not cache_dir:
         return None
-    os.makedirs(cache_dir, exist_ok=True)
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"PERSYM_CACHE_DIR is not a usable directory: {exc}") from exc
     # bump the format version v1 whenever the builder's values change, so a
     # table written by an older builder is never served
     tag = (
@@ -704,14 +743,17 @@ def riesz_weights_nd(
     lo = (b[1:] - grid2.lo) ** (1.0 - sigma) - (b[:-1] - grid2.lo) ** (1.0 - sigma)
     ext = h1 * (kappa / (sigma * (1.0 - sigma))) * (up + lo)
     if cache:  # write beside the final name, then rename: no reader sees a partial file
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(cache), suffix=".tmp")
         try:
-            with os.fdopen(fd, "wb") as fh:  # a handle: savez would append .npz to tmp
-                np.savez(fh, weights=w, exterior=ext)
-            os.replace(tmp, cache)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(cache), suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as fh:  # a handle: savez would append .npz to tmp
+                    np.savez(fh, weights=w, exterior=ext)
+                os.replace(tmp, cache)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError as exc:
+            raise ConfigError(f"cannot write to PERSYM_CACHE_DIR: {exc}") from exc
     return NDKernelWeights(n1, h1, n2, h2, sigma, w, ext)
 
 

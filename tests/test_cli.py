@@ -222,18 +222,26 @@ class TestErrorPaths:
         ["sweep", "--in", "{u}", "--values", "0.1", "0.9", "2.5"],
         ["seminorm", "--s", "0.4", "--in", "{ragged}"],
         ["seminorm", "--s", "0.4", "--in", "{novalues}"],
+        ["seminorm", "--s", "0.3", "--method", "direct", "--in", "{u2d}"],
     ],
     ids=["kernel-float", "kernel-pair", "cost-float", "missing-in", "p-nan", "s-nan",
          "cases-negative", "seed-negative", "cost-p-below-1", "sweep-count-zero",
-         "sweep-count-fraction", "ragged-json", "nd-json-without-values"],
+         "sweep-count-fraction", "ragged-json", "nd-json-without-values",
+         "cache-dir-is-file"],
 )
-def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys):
+def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys, monkeypatch):
     infile, _ = circle_file
     ragged = {"axes": [{"n": 2, "domain": "periodic"}, {"n": 3, "domain": [-1.0, 1.0]}],
               "values": [[0, 1, 0], [0, 1]]}
+    # a grid no other test builds, so the 2D table cache is not served from memory
+    u2d = {"axes": [{"n": 4, "domain": "periodic"}, {"n": 4, "domain": [-0.7, 0.7]}],
+           "values": [[0, 1, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]}
     paths = {"u": infile, "missing": str(tmp_path / "absent.json"),
              "ragged": write_json(tmp_path / "ragged.json", ragged),
-             "novalues": write_json(tmp_path / "novalues.json", {"axes": ragged["axes"]})}
+             "novalues": write_json(tmp_path / "novalues.json", {"axes": ragged["axes"]}),
+             "u2d": write_json(tmp_path / "u2d.json", u2d)}
+    # only the 2D direct route reads PERSYM_CACHE_DIR, here a regular file
+    monkeypatch.setenv("PERSYM_CACHE_DIR", write_json(tmp_path / "cache", {}))
     rc = main([arg.format(**paths) for arg in argv])
     err = capsys.readouterr().err
     assert rc == 2

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from persym.errors import DivergentTail, GridMismatch, NotNormalized, UnknownCost
+from persym.errors import DivergentTail, GridMismatch, NotNormalized, PersymError, UnknownCost
 from persym.functionals import (
+    EnergyResult,
     ab_decomposition,
     energy_circle,
     energy_euclidean,
@@ -158,6 +159,12 @@ class TestEnergyCircle:
             energy_circle(u, v, j_library("abs"), w)
         with pytest.raises(GridMismatch):
             energy_circle(refine(u, 2), refine(v, 1), j_library("abs"), w)
+
+
+def test_negative_energy_is_a_persym_error():
+    # the CLI reports a PersymError as one "error:" line, not a traceback
+    with pytest.raises(PersymError):
+        EnergyResult(-1.0, "direct", 0.0)
 
 
 class TestEnergyEuclidean:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,40 @@ def wrapped_gaussian_reference(z, t, kmax=500):
     return np.exp(-((np.atleast_1d(z)[:, None] + 2 * math.pi * k[None, :]) ** 2) * t).sum(
         axis=1
     )
+
+
+def theta_heat_table_reference(n, t, dps=50):
+    """Heat-kernel pair table on the n-cell circle from the theta series at dps digits."""
+    with mpmath.workdps(dps):
+        h = 2 * mpmath.pi / n
+        t = mpmath.mpf(t)
+        mmax = int(mpmath.ceil(mpmath.sqrt(320 * t))) + 2  # exp(-m^2/4t) < e^-80 beyond
+        coef = [
+            mpmath.exp(-m * m / (4 * t)) * 4 / (m * m) * mpmath.sin(m * h / 2) ** 2
+            for m in range(1, mmax + 1)
+        ]
+        half = [
+            (h * h + 2 * mpmath.fsum(c * mpmath.cos(m * d * h) for m, c in enumerate(coef, 1)))
+            / (2 * mpmath.sqrt(mpmath.pi * t))
+            for d in range(n // 2 + 1)
+        ]
+    half = np.array([float(v) for v in half])
+    return np.concatenate((half, half[(n - 1) // 2 : 0 : -1]))
+
+
+def line_gauss_pair_reference(n, h, t, dps=50):
+    """Line-Gaussian pair weights at offsets 0..n-1 from the erf antiderivative at dps digits."""
+    with mpmath.workdps(dps):
+        h, t = mpmath.mpf(h), mpmath.mpf(t)
+        st = mpmath.sqrt(t)
+
+        def e2(z):
+            return z * mpmath.sqrt(mpmath.pi) / (2 * st) * mpmath.erf(z * st) + mpmath.expm1(
+                -z * z * t
+            ) / (2 * t)
+
+        vals = [e2((j + 1) * h) - 2 * e2(j * h) + e2(abs(j - 1) * h) for j in range(n)]
+    return np.array([float(v) for v in vals])
 
 
 class TestHeatKernel:
@@ -119,14 +154,52 @@ class TestHeatWeights:
             assert w.offset(d) == pytest.approx(ref, rel=1e-11)
 
     def test_branches_agree_at_switch(self):
-        from persym.kernels import _heat_table_batch
+        # tables switch from the theta series to Gaussian copies at
+        # _heat_switch(h), above the pointwise T_SWITCH on these grids; a
+        # relative step of 1e-14 in t moves a table by ~1e-14 of its maximum
+        for n in (16, 256):
+            h = 2 * math.pi / n
+            switch = kernels._heat_switch(h)
+            assert switch > T_SWITCH
+            lo, hi = kernels._heat_table_batch(n, h, switch * np.array([1 - 1e-14, 1 + 1e-14]))
+            assert np.max(np.abs(lo - hi)) < 1e-13 * hi.max()
 
-        n, h = 16, 2 * math.pi / 16
-        lo, hi = _heat_table_batch(n, h, T_SWITCH * np.array([1 - 1e-12, 1 + 1e-12]))
-        assert np.max(np.abs(lo / hi - 1.0)) < 1e-11
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_against_theta_reference_on_fine_grids(self, n):
+        for t in (1.001 * T_SWITCH, 0.1, 0.5, 2.0):
+            ref = theta_heat_table_reference(n, t)
+            w = heat_weights_periodic(Grid1D.circle(n), t).weights
+            assert np.max(np.abs(w - ref)) <= 1e-13 * ref.max()
+
+    def test_stack_memory_is_bounded(self):
+        # the 1D Laplace stack at s = 0.5 and n = 1024, 974 nodes: node chunks
+        # keep every temporary within OFFSET_BLOCK elements
+        from persym.seminorm import SeminormParams, _laplace_rule_cached
+
+        n, h = 1024, 2 * math.pi / 1024
+        params = SeminormParams(0.5, 1.0)
+        cfg = _laplace_rule_cached(params.lam, params.sigma, 1, h * h / 4.0, (2 * math.pi) ** 2)
+        tracemalloc.start()
+        try:
+            out = kernels._heat_table_batch(n, h, cfg.nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 32 * 2**20
 
 
 class TestGaussianWeights:
+    def test_tables_against_mpmath_at_all_times(self):
+        # at small t the erfc complement of the antiderivative is of size
+        # 1/sqrt(t) against entries of size h^2; such times keep the erf form
+        g = Grid1D.interval(12, -1.0, 1.5)
+        ts = np.array([1e-240, 1e-12, 1e-3, 0.1, 10.0])
+        tables, _ = kernels._gauss_tables_batch(g, ts)
+        for t, table in zip(ts, tables):
+            ref = line_gauss_pair_reference(g.n, g.h, t)
+            assert np.max(np.abs(table[g.n - 1 :] - ref)) <= 3e-13 * ref.max()
+            assert np.array_equal(table[: g.n], table[g.n - 1 :][::-1])
+
     def test_symmetry_and_quadrature(self):
         g = Grid1D.interval(6, -1.5, 1.5)
         t = 0.8
