@@ -49,7 +49,7 @@ class UnknownCost(ConfigError):
     """Unrecognized name in the convex cost library."""
 
 
-class SigmaOutOfRange(PersymError):
+class SigmaOutOfRange(ConfigError):
     """Kernel exponent must lie in (0, 1)."""
 
 
@@ -57,7 +57,7 @@ class StepFunctionDivergence(PersymError):
     """The requested functional is genuinely infinite on piecewise-constant inputs."""
 
 
-class NonpositiveTime(PersymError):
+class NonpositiveTime(ConfigError):
     """Heat-kernel diffusion time must be positive."""
 
 

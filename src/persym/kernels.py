@@ -516,7 +516,7 @@ def riesz_weights_1d(grid: Grid1D, sigma: float, periodized: bool) -> KernelWeig
 # 2D power kernel |z|^-(2+sigma), x1-periodized, for the direct ND route
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=32)
 def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
@@ -569,6 +569,41 @@ def _quadrants(h1: float, h2: float, order: int) -> tuple[np.ndarray, ...]:
     return z1[i, :, None], z2[j, None, :], t1[i, None, :], t2[j, :, None]
 
 
+def _gl_order(gap1, gap2, h1: float, h2: float) -> np.ndarray:
+    """Gauss-Legendre order per box of pair offsets, from Trefethen's bound.
+
+    The box [c1 - h1, c1 + h1] x [c2 - h2, c2 + h2] lies gap1 and gap2 away
+    from the kernel origin along each axis.  With z2 real, the integrand
+    ((c1 + z1)^2 + (c2 + z2)^2)^(-mu) is singular in z1 only where
+    Re(c1 + z1) = 0 and |Im(c1 + z1)| >= gap2.  So a quadrant's z1 rule
+    (half-width a = h1 / 2) integrates a function analytic in the Bernstein
+    ellipse E_rho whose real semi-axis ends at the origin, rho = r +
+    sqrt(r^2 - 1) with r = 1 + gap1 / a, and also in the one whose
+    imaginary semi-axis is gap2, rho = t + sqrt(t^2 + 1) with t = gap2 / a;
+    the larger rho holds.  The z2 rule likewise, and the box takes the
+    smaller rho of its two axes.
+
+    An m-point rule errs by at most 64 M / (15 (rho^2 - 1) rho^(2 m - 2))
+    (Trefethen, SIAM Review 50, 2008, Thm 4.5, whose rule I_n has n + 1
+    points), M bounding the integrand on E_rho.  The linear triangle weight
+    grows there to (1 + rho) times its mean, so M is taken as (1 + rho)
+    times the box's magnitude.  The order is the smallest m at which the
+    bound falls below 2^-52 of that magnitude, capped at 20: a box touching
+    the origin has rho = 1 and keeps order 20.
+    """
+
+    def rho(along, across, a):
+        r, t = 1.0 + along / a, across / a
+        return np.maximum(r + np.sqrt(r * r - 1.0), t + np.sqrt(t * t + 1.0))
+
+    g1, g2 = np.maximum(gap1, 0.0), np.maximum(gap2, 0.0)
+    p = np.minimum(rho(g1, g2, 0.5 * h1), rho(g2, g1, 0.5 * h2))
+    with np.errstate(divide="ignore"):  # rho = 1 gives m = inf, capped below
+        bound = 64.0 * (1.0 + p) / (15.0 * (p * p - 1.0))
+        m = 1.0 + np.log(bound / np.finfo(float).eps) / (2.0 * np.log(p))
+    return np.clip(np.ceil(m), 1, 20).astype(int)
+
+
 def _box_weights_2d(c1, c2, h1: float, h2: float, mu: float, rule, corner) -> np.ndarray:
     """Integral of tri(z1) tri(z2) ((c1+z1)^2 + (c2+z2)^2)^(-mu) over the z-box.
 
@@ -580,7 +615,8 @@ def _box_weights_2d(c1, c2, h1: float, h2: float, mu: float, rule, corner) -> np
     z1, z2, t1, t2 = rule
     x = c1[:, None, None, None] + z1
     y = c2[:, None, None, None] + z2
-    vals = (t1 @ (x**2 + y**2) ** (-mu) @ t2)[..., 0, 0]
+    r2 = x**2 + y**2
+    vals = (t1 @ np.power(r2, -mu, out=r2) @ t2)[..., 0, 0]  # in place: one full temporary
     # shifted by c, quadrant q of _quadrants spans [u0, u1] x [v0, v1]
     s1 = np.array([-1.0, -1.0, 1.0, 1.0])
     s2 = np.array([-1.0, 1.0, -1.0, 1.0])
@@ -610,16 +646,19 @@ def _box_weights_2d(c1, c2, h1: float, h2: float, mu: float, rule, corner) -> np
     return box
 
 
-def _copy_tails_2d(a, c2, h1: float, h2: float, mu: float, k_next: int) -> np.ndarray:
+def _copy_tails_2d(
+    a, c2, h1: float, h2: float, mu: float, k_next: int, order: int
+) -> np.ndarray:
     """sum_{k >= k_next} box_weight(a + 2 pi k, c2) by Euler-Maclaurin, per offset.
 
     int psi + psi/2 - psi'/12 + psi'''/720 - psi^(5)/30240 at k_next, where
     psi(k) = box_weight(a + 2 pi k, c2).  The k-integral has an incomplete-beta
     closed form in x1 (a + 2 pi k_next > h1 keeps it regular) and the
-    derivatives are analytic; all five share one node tensor, and each is
-    contracted as soon as it is formed.
+    derivatives are analytic.  All five are singular only where the copy at
+    k_next is, so they share one node tensor of that copy's ``_gl_order``,
+    passed as ``order``; each is contracted as soon as it is formed.
     """
-    z1, z2, t1, t2 = _quadrants(h1, h2, 16)
+    z1, z2, t1, t2 = _quadrants(h1, h2, order)
 
     def quad(f, scale=1.0):
         return ((t1 @ f @ t2)[..., 0, 0] * scale).sum(axis=1)
@@ -677,10 +716,10 @@ def _nd_cache_path(grid1, grid2, sigma, k_copies):
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"PERSYM_CACHE_DIR is not a usable directory: {exc}") from exc
-    # bump the format version v1 whenever the builder's values change, so a
+    # bump the format version v2 whenever the builder's values change, so a
     # table written by an older builder is never served
     tag = (
-        f"riesz2d_v1_n{grid1.n}x{grid2.n}_box{grid2.lo:.9g}_{grid2.hi:.9g}"
+        f"riesz2d_v2_n{grid1.n}x{grid2.n}_box{grid2.lo:.9g}_{grid2.hi:.9g}"
         f"_sigma{sigma:.9g}_k{k_copies}.npz"
     )
     return os.path.join(cache_dir, tag)
@@ -706,11 +745,21 @@ def riesz_weights_nd(
     Desk-scale builder for the direct n = 2 seminorm route; the Laplace
     representation is the supported fast path beyond that.  Offsets are
     computed for one symmetry sector and reflected (the kernel is even in
-    each coordinate and the x1 copies are symmetric).  The 2 k_copies + 1
-    x1 copies are taken one at a time over all m = (n1 // 2 + 1) n2 - 1
-    sector offsets, so the largest temporaries hold m x 4 x 400 floats (four
-    20 x 20 quadrant rules), 1.8 MB at 16 x 16.  Set PERSYM_CACHE_DIR to
-    persist tables across runs.
+    each coordinate and the x1 copies are symmetric).
+
+    The box of each x1 copy k in [-k_copies, k_copies] and sector offset
+    takes the smallest Gauss-Legendre order m at which Trefethen's bound
+    64 M / (15 (rho^2 - 1) rho^(2 m - 2)) on an m-point rule falls below
+    2^-52 of the box's magnitude, capped at 20; rho is the Bernstein-ellipse
+    parameter set by the box's distance from the kernel origin (see
+    ``_gl_order``).  Boxes touching the origin (the k = 0 neighbours, and
+    the k = +-1 copies when n1 <= 2) keep order 20 and the exact corner
+    moments; a copy one period away takes 5 to 12 nodes, one sixteen
+    periods away 3 or 4, as do the Euler-Maclaurin tails, which take the
+    order of the copy at k_copies + 1.  The boxes of one order go through
+    ``_box_weights_2d`` together, in blocks of at most OFFSET_BLOCK
+    quadrature points, so no temporary exceeds 2 MiB.  Set PERSYM_CACHE_DIR
+    to persist tables across runs.
     """
     _check_sigma(sigma)
     if not grid1.periodic or grid2.periodic:
@@ -726,13 +775,25 @@ def riesz_weights_nd(
     # diagonal (0, 0) keeps the convention W = 0
     d1, d2 = np.divmod(np.arange(1, (n1 // 2 + 1) * n2), n2)
     c1, c2 = d1 * h1, d2 * h2
-    rule = _quadrants(h1, h2, 20)
     corner = [_corner_rect_moment(al, be, h1, h2, mu) for al, be in ((0, 1), (1, 0), (1, 1))]
-    total = np.zeros(c1.size)
-    for k in range(-k_copies, k_copies + 1):
-        total += _box_weights_2d(c1 + TWO_PI * k, c2, h1, h2, mu, rule, corner)
+    # every (copy, offset) box, grouped by order; each group in OFFSET_BLOCK
+    # blocks of 4 m^2 quadrature points per box
+    x1 = (c1 + TWO_PI * np.arange(-k_copies, k_copies + 1)[:, None]).ravel()
+    x2 = np.tile(c2, 2 * k_copies + 1)
+    order = _gl_order(np.abs(x1) - h1, x2 - h2, h1, h2)
+    boxes = np.empty(x1.size)
+    for m in np.unique(order):
+        rule = _quadrants(h1, h2, m)
+        sel = np.flatnonzero(order == m)
+        step = max(1, OFFSET_BLOCK // (4 * m * m))
+        for lo in range(0, sel.size, step):
+            b = sel[lo : lo + step]
+            boxes[b] = _box_weights_2d(x1[b], x2[b], h1, h2, mu, rule, corner)
+    total = boxes.reshape(-1, c1.size).sum(axis=0)
+    k_next = k_copies + 1
+    tail_order = np.max(_gl_order(TWO_PI * k_next - c1 - h1, c2 - h2, h1, h2), initial=1)
     for a in (c1, -c1):
-        total += _copy_tails_2d(a, c2, h1, h2, mu, k_copies + 1)
+        total += _copy_tails_2d(a, c2, h1, h2, mu, k_next, tail_order)
     w = np.zeros((n1, 2 * n2 - 1))
     for e1 in (d1, (n1 - d1) % n1):
         w[e1, n2 - 1 + d2] = total

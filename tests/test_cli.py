@@ -223,11 +223,15 @@ class TestErrorPaths:
         ["seminorm", "--s", "0.4", "--in", "{ragged}"],
         ["seminorm", "--s", "0.4", "--in", "{novalues}"],
         ["seminorm", "--s", "0.3", "--method", "direct", "--in", "{u2d}"],
+        ["perimeter", "--s", "nan", "--set", "{e}"],
+        ["kernels", "--kernel", "heat:t=-1", "--n", "4"],
+        ["kernels", "--kernel", "riesz:sigma=nan", "--n", "8"],
     ],
     ids=["kernel-float", "kernel-pair", "cost-float", "missing-in", "p-nan", "s-nan",
          "cases-negative", "seed-negative", "cost-p-below-1", "sweep-count-zero",
          "sweep-count-fraction", "ragged-json", "nd-json-without-values",
-         "cache-dir-is-file"],
+         "cache-dir-is-file", "perimeter-s-nan", "kernel-heat-t-negative",
+         "kernel-riesz-sigma-nan"],
 )
 def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys, monkeypatch):
     infile, _ = circle_file
@@ -239,7 +243,9 @@ def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys, monkeypatch):
     paths = {"u": infile, "missing": str(tmp_path / "absent.json"),
              "ragged": write_json(tmp_path / "ragged.json", ragged),
              "novalues": write_json(tmp_path / "novalues.json", {"axes": ragged["axes"]}),
-             "u2d": write_json(tmp_path / "u2d.json", u2d)}
+             "u2d": write_json(tmp_path / "u2d.json", u2d),
+             "e": write_json(tmp_path / "e.json", function_to_json(
+                 StepFunction.on_circle([0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0])))}
     # only the 2D direct route reads PERSYM_CACHE_DIR, here a regular file
     monkeypatch.setenv("PERSYM_CACHE_DIR", write_json(tmp_path / "cache", {}))
     rc = main([arg.format(**paths) for arg in argv])

@@ -468,6 +468,39 @@ class TestRieszWeightsND:
         with np.load(path) as data:
             assert np.array_equal(data["weights"], fresh.weights)
 
+    def test_stale_format_cache_file_is_not_served(self, tmp_path, monkeypatch):
+        # a right-shaped table under the name of the v1 builder, whose
+        # values the graded-order builder no longer reproduces bit for bit
+        g1, g2 = Grid1D.circle(4), Grid1D.centered_interval(3, 2.0)
+        fresh = riesz_weights_nd(g1, g2, 0.5)
+        stale = tmp_path / f"riesz2d_v1_n4x3_box{g2.lo:.9g}_{g2.hi:.9g}_sigma0.5_k16.npz"
+        np.savez(stale, weights=np.ones((4, 5)), exterior=np.ones(3))
+        monkeypatch.setenv("PERSYM_CACHE_DIR", str(tmp_path))
+        W = riesz_weights_nd(g1, g2, 0.5)
+        assert np.array_equal(W.weights, fresh.weights)
+        assert np.array_equal(W.exterior, fresh.exterior)
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.5, 0.89])
+    @pytest.mark.parametrize("n1,n2", [(1, 4), (2, 3), (4, 5), (6, 5), (12, 12), (16, 16)])
+    def test_graded_orders_against_fixed_order(self, n1, n2, sigma):
+        # oracle: the sector from order 20 on every copy k in -16..16 and
+        # order-16 Euler-Maclaurin tails; on circles of n1 <= 2 the k = +-1
+        # copies touch the kernel origin
+        g1, g2 = Grid1D.circle(n1), Grid1D.centered_interval(n2, 2.0)
+        h1, h2, mu = g1.h, g2.h, (2.0 + sigma) / 2.0
+        d1, d2 = np.divmod(np.arange(1, (n1 // 2 + 1) * n2), n2)
+        c1, c2 = d1 * h1, d2 * h2
+        rule = kernels._quadrants(h1, h2, 20)
+        corner = [kernels._corner_rect_moment(a, b, h1, h2, mu) for a, b in ((0, 1), (1, 0), (1, 1))]
+        ref = np.zeros(c1.size)
+        for k in range(-16, 17):
+            ref += kernels._box_weights_2d(c1 + 2 * math.pi * k, c2, h1, h2, mu, rule, corner)
+        for a in (c1, -c1):
+            ref += kernels._copy_tails_2d(a, c2, h1, h2, mu, 17, 16)
+        got = riesz_weights_nd(g1, g2, sigma).weights[d1, n2 - 1 + d2]
+        assert np.all(ref > 0)
+        assert np.max(np.abs(got / ref - 1.0)) < 1e-14
+
 
 class TestStepKernelTables:
     def test_table_matches_brute_integration(self, rng):
