@@ -74,7 +74,10 @@ class Grid1D:
         return self.lo + (np.arange(self.n) + 0.5) * self.h
 
     def boundaries(self) -> np.ndarray:
-        return self.lo + np.arange(self.n + 1) * self.h
+        """Cell edges lo + i h; the last is hi itself, which lo + n h may overshoot."""
+        b = self.lo + np.arange(self.n + 1) * self.h
+        b[-1] = self.hi
+        return b
 
     def cell_of(self, x: float) -> int:
         """Index of the cell containing x (wrapping on periodic grids)."""

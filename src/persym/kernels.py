@@ -726,7 +726,7 @@ def _nd_cache_path(grid1, grid2, sigma, k_copies):
 
 
 def _load_nd_cache(path: str, n1: int, n2: int):
-    """(weights, exterior) from a cache file; None if absent, unreadable or misshapen."""
+    """(weights, exterior) from a cache file; None unless it is intact, right-shaped and finite."""
     try:
         with np.load(path) as data:
             w, ext = data["weights"], data["exterior"]
@@ -734,6 +734,8 @@ def _load_nd_cache(path: str, n1: int, n2: int):
         return None  # every way np.load reports a file that is not an intact npz
     if w.shape != (n1, 2 * n2 - 1) or ext.shape != (n2,):
         return None
+    if not (np.isfinite(w).all() and np.isfinite(ext).all()):
+        return None  # e.g. a table built with an overshooting last cell edge
     return w, ext
 
 
@@ -1068,35 +1070,30 @@ def laplace_quadrature(
     z_min: float,
     z_max: float,
     rtol: float = 1e-9,
-    left_rate: float | None = None,
-    right_rate: float | None = None,
-    s_right_cap: float | None = None,
     max_nodes: int = 200_000,
 ) -> LaplaceConfig:
     """Build and validate the exp-substitution trapezoid rule.
 
-    The window in s = log t is sized from the declared decay rates of the
-    target integrand (defaulting to the pure-exponential model on
-    [z_min, z_max]); the spacing is halved until the Gamma-identity check
-    passes at rtol, else RangeTooWide.  ``s_right_cap`` truncates the window
-    where the caller will continue the integral analytically (and where the
-    node weights stay representable: e^(lam s) must not overflow).
+    The window in s = log t is sized by the pure-exponential model e^(-z t)
+    on [z_min, z_max] alone: the part of each transform left of it is below
+    rtol * 1e-3 of Gamma(lam) z^-lam, and right of it e^(-z_min t) has
+    decayed as far.  A profile with algebraic ends (coef t^-beta as t -> 0
+    or t -> inf) needs the window only where it differs from those forms;
+    ``algebraic_head`` and ``algebraic_tail`` sum the rule's own nodes beyond
+    the window on them in closed form.  The spacing is halved until the
+    Gamma-identity check passes at rtol, else RangeTooWide.  The window
+    never starts below s = -600 nor runs past the point where e^(lam s)
+    would overflow.
     """
     if lam <= 0 or z_min <= 0 or z_max < z_min:
         raise ConfigError("need lam > 0 and 0 < z_min <= z_max")
     eps = rtol * 1e-3
     lgamma = math.lgamma(lam)
-    lrate = left_rate if left_rate is not None else lam
-    s_left_exp = (math.log(eps * lam) + lgamma) / lam - math.log(z_max)
-    s_left = min(s_left_exp, math.log(eps) / lrate - 2.0)
-    s_left = max(s_left, -600.0)  # callers continue analytically below this
+    s_left = (math.log(eps * lam) + lgamma) / lam - math.log(z_max)
+    s_left = max(s_left, -600.0)
     big = -math.log(eps) + abs(lgamma) + 5.0
     big += lam * math.log(max(big, 2.0))
-    s_right = math.log(big / z_min)
-    if right_rate is not None:
-        s_right = max(s_right, (-math.log(eps) + 5.0) / right_rate)
-    hard_cap = 680.0 / lam  # keep e^(lam s) finite
-    s_right = min(s_right, hard_cap if s_right_cap is None else min(s_right_cap, hard_cap))
+    s_right = min(math.log(big / z_min), 680.0 / lam)  # keep e^(lam s) finite
     ds = 0.5
     zs = np.geomspace(z_min, z_max, 41)
     while True:

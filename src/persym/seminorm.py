@@ -157,23 +157,11 @@ def _nd_table_cached(n1: int, n2: int, lo: float, hi: float, sigma: float):
 
 
 @lru_cache(maxsize=64)
-def _laplace_rule_cached(
-    lam: float, sigma: float, n: int, z_min: float, z_max: float
-) -> LaplaceConfig:
-    # left rate sigma/2: the wrapped Gaussian contributes t^(-1/2) as t -> 0,
-    # and for n >= 2 so do the exterior tails; right rate (1 - sigma)/2:
-    # touching cell pairs decay like t^(-(n+1)/2) against t^(lam-1) dt.  The
-    # window is capped where float64 runs out; beyond the cap the profile
-    # has settled onto its exact algebraic tail, appended analytically.
-    return laplace_quadrature(
-        lam,
-        z_min,
-        z_max,
-        rtol=LAPLACE_RTOL,
-        left_rate=sigma / 2.0,
-        right_rate=(1.0 - sigma) / 2.0,
-        s_right_cap=min(650.0, 1340.0 / (n + 1)),
-    )
+def _laplace_rule_cached(lam: float, z_min: float, z_max: float) -> LaplaceConfig:
+    # the window covers the pair tables' exponential transients only: below
+    # it every table is on its small-t branch, above it on its large-t one,
+    # and the routes add both algebraic ends in closed form
+    return laplace_quadrature(lam, z_min, z_max, rtol=LAPLACE_RTOL)
 
 
 def _touch_count(d: int, n: int) -> int:
@@ -187,21 +175,21 @@ def _touch_count(d: int, n: int) -> int:
 
 
 @lru_cache(maxsize=32)
-def _stack_1d(n: int, lam: float, sigma: float):
+def _stack_1d(n: int, lam: float):
     """(rule, heat-table stack) for the 1D Laplace route on the n-cell circle."""
     h = 2.0 * math.pi / n
-    cfg = _laplace_rule_cached(lam, sigma, 1, h * h / 4.0, (2 * math.pi) ** 2)
+    cfg = _laplace_rule_cached(lam, h * h / 4.0, (2 * math.pi) ** 2)
     return cfg, _heat_table_batch(n, h, cfg.nodes)
 
 
 @lru_cache(maxsize=16)
-def _stack_2d(n1: int, n2: int, lo: float, hi: float, lam: float, sigma: float):
+def _stack_2d(n1: int, n2: int, lo: float, hi: float, lam: float):
     """Rule and per-node tables for the 2D Laplace route (heat, gauss, ext, row)."""
     h1 = 2.0 * math.pi / n1
     g2 = Grid1D.interval(n2, lo, hi)
     z_min = min(h1, g2.h) ** 2 / 4.0
     z_max = (2.0 * math.pi) ** 2 + g2.length**2
-    cfg = _laplace_rule_cached(lam, sigma, 2, z_min, z_max)
+    cfg = _laplace_rule_cached(lam, z_min, z_max)
     heat = _heat_table_batch(n1, h1, cfg.nodes)
     gauss, ext = _gauss_tables_batch(g2, cfg.nodes)
     row1 = h1 * np.sqrt(math.pi / cfg.nodes)
@@ -228,7 +216,7 @@ def gagliardo_periodic_laplace(
     if nd:
         n1, h1 = u.axis1.n, u.axis1.h
         g2 = u.axes_perp[0]
-        cfg, heat, gauss, ext, row1 = _stack_2d(n1, g2.n, g2.lo, g2.hi, params.lam, params.sigma)
+        cfg, heat, gauss, ext, row1 = _stack_2d(n1, g2.n, g2.lo, g2.hi, params.lam)
         s = _pair_costs(u, params.p)
         upow = np.abs(u.values) ** params.p
         profile = np.einsum("qa,ab,qb->q", heat, s, gauss)
@@ -237,7 +225,8 @@ def gagliardo_periodic_laplace(
         # beyond the window only the touching-pair products survive, with the
         # exact algebraic forms (multiplicity/2t per adjacent axis, with wrap
         # multiplicities on the periodic one, and h sqrt(pi/t) - 1/t per
-        # zero-offset axis); everything else is exp(-h^2 t)-small there
+        # zero-offset axis); everything else is exp(-h^2 t)-small there.  The
+        # wrap multiplicity of d1 = 0 (n1 = 1) enters once, through t1c
         n2 = g2.n
         t1 = sum(s[d1, n2 - 1] * _touch_count(d1, n1) for d1 in range(n1))
         t1c = sum(
@@ -245,12 +234,11 @@ def gagliardo_periodic_laplace(
             for d1 in range(n1)
         )
         s_b = s[0, n2] + s[0, n2 - 2] if n2 >= 2 else 0.0
-        wrap0 = _touch_count(0, n1) / 2.0 - 1.0  # t^-1 coefficient of Wh[0]
         total += cfg.algebraic_tail((t1 * g2.h + s_b * h1) * SQRT_PI / 2.0, 1.5)
-        total += cfg.algebraic_tail(-t1 / 2.0 + s_b * wrap0 / 2.0 + t1c / 4.0, 2.0)
+        total += cfg.algebraic_tail(-(t1 + s_b) / 2.0 + t1c / 4.0, 2.0)
         # below the window every weight is on its small-t branch: heat tables
-        # are h1^2/(2 sqrt(pi t)), Gaussian tables h2^2, exterior masses
-        # h2 (sqrt(pi/t) - L2), all up to exp(-1/4t)
+        # are h1^2/(2 sqrt(pi t)) up to exp(-1/4t), Gaussian tables h2^2 and
+        # exterior masses h2 (sqrt(pi/t) - L2) up to O(t) relative
         upow_total = float(np.sum(upow))
         total += cfg.algebraic_head(2.0 * math.pi * h1 * g2.h * upow_total, 1.0)
         total += cfg.algebraic_head(
@@ -262,7 +250,7 @@ def gagliardo_periodic_laplace(
         acc = cfg.achieved + 1e-12
         return SeminormResult(total ** (1.0 / params.p), "laplace", acc)
     n, h = u.grid.n, u.grid.h
-    cfg, heat = _stack_1d(n, params.lam, params.sigma)
+    cfg, heat = _stack_1d(n, params.lam)
     s = _pair_costs(u, params.p)
     total = cfg.apply(heat @ s)
     total += cfg.algebraic_tail(

@@ -32,6 +32,14 @@ def test_circle_grid_geometry():
     assert g.cell_of(math.pi + 0.1) == g.cell_of(-math.pi + 0.1)
 
 
+def test_last_boundary_is_hi():
+    # lo + n h overshoots hi by one ulp on this box
+    g = Grid1D.interval(12, -2.6850435714719296, 0.7295159521014427)
+    b = g.boundaries()
+    assert b[0] == g.lo and b[-1] == g.hi
+    assert np.all(np.diff(b) > 0)
+
+
 def test_interval_grid_rejects_outside_points():
     g = Grid1D.interval(4, 0.0, 1.0)
     with pytest.raises(OutOfDomain):

@@ -172,16 +172,16 @@ class TestHeatWeights:
             assert np.max(np.abs(w - ref)) <= 1e-13 * ref.max()
 
     def test_stack_memory_is_bounded(self):
-        # the 1D Laplace stack at s = 0.5 and n = 1024, 974 nodes: node chunks
-        # keep every temporary within OFFSET_BLOCK elements
-        from persym.seminorm import SeminormParams, _laplace_rule_cached
-
+        # a 1000-time stack at n = 1024, half on the theta branch and half on
+        # the copy branch: node chunks keep every temporary within
+        # OFFSET_BLOCK elements
         n, h = 1024, 2 * math.pi / 1024
-        params = SeminormParams(0.5, 1.0)
-        cfg = _laplace_rule_cached(params.lam, params.sigma, 1, h * h / 4.0, (2 * math.pi) ** 2)
+        ts = np.geomspace(1e-20, 1e20, 1000)
+        switch = kernels._heat_switch(h)
+        assert 400 < np.count_nonzero(ts < switch) < 600
         tracemalloc.start()
         try:
-            out = kernels._heat_table_batch(n, h, cfg.nodes)
+            out = kernels._heat_table_batch(n, h, ts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -449,7 +449,7 @@ class TestRieszWeightsND:
         nz = ref != 0
         assert np.max(np.abs(sector[nz] / ref[nz] - 1.0)) < 1e-14
 
-    @pytest.mark.parametrize("damage", ["truncated", "wrong-shape"])
+    @pytest.mark.parametrize("damage", ["truncated", "wrong-shape", "non-finite"])
     def test_bad_cache_file_is_rebuilt(self, damage, tmp_path, monkeypatch):
         g1, g2 = Grid1D.circle(4), Grid1D.centered_interval(3, 2.0)
         fresh = riesz_weights_nd(g1, g2, 0.5)
@@ -458,8 +458,10 @@ class TestRieszWeightsND:
         (path,) = tmp_path.iterdir()
         if damage == "truncated":
             path.write_bytes(path.read_bytes()[:300])
-        else:
+        elif damage == "wrong-shape":
             np.savez(path, weights=np.zeros(6), exterior=np.zeros(3))
+        else:  # right-shaped, with the NaN exterior of an overshooting last cell edge
+            np.savez(path, weights=fresh.weights, exterior=np.full(3, np.nan))
         W = riesz_weights_nd(g1, g2, 0.5)
         assert np.array_equal(W.weights, fresh.weights)
         assert np.array_equal(W.exterior, fresh.exterior)

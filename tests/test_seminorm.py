@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from persym import seminorm
 from persym.errors import ConfigError, NotIndicator
 from persym.grid import Grid1D, GridFunctionND, StepFunction, refine
 from persym.seminorm import (
@@ -229,3 +230,81 @@ class TestEdgeRegimes:
             a = gagliardo_periodic_direct(u, params).value
             b = gagliardo_periodic_laplace(u, params).value
             assert b == pytest.approx(a, rel=1e-6)
+
+
+def _closed_form_end_inputs(rng):
+    """1D circles of 2 to 64 cells and 2D circle(n1) x [-3, 3] in 4 cells; on
+    the smallest circles the touching pairs wrap onto copies of themselves."""
+    inputs = [StepFunction.on_circle(2 * rng.random(n)) for n in (2, 3, 8, 64)]
+    for n1 in (1, 2, 3):
+        vals = np.zeros((n1, 4))
+        vals[:, 1:3] = rng.random((n1, 2))
+        inputs.append(GridFunctionND(Grid1D.circle(n1), (Grid1D.interval(4, -3.0, 3.0),), vals))
+    return inputs
+
+
+def _params(u, s):
+    return SeminormParams(s, 1.0, 2 if isinstance(u, GridFunctionND) else 1)
+
+
+@pytest.fixture
+def fresh_stacks():
+    """Drop the stacks a test built on a patched rule, so no other test sees them."""
+    yield
+    seminorm._stack_1d.cache_clear()
+    seminorm._stack_2d.cache_clear()
+
+
+class TestClosedFormEnds:
+    """The quadrature window covers only the exponential transients of the
+    pair tables; ``algebraic_head`` and ``algebraic_tail`` carry the rest in
+    closed form, so they must be exact, not merely small."""
+
+    S_VALUES = (0.02, 0.3, 0.7, 0.98)
+
+    def test_value_does_not_depend_on_the_window(self, rng, monkeypatch, fresh_stacks):
+        inputs = _closed_form_end_inputs(rng)
+        narrow = [
+            [gagliardo_periodic_laplace(u, _params(u, s)).value for s in self.S_VALUES]
+            for u in inputs
+        ]
+        rule = seminorm._laplace_rule_cached.__wrapped__
+        monkeypatch.setattr(
+            seminorm,
+            "_laplace_rule_cached",
+            lambda lam, z_min, z_max: rule(lam, z_min / 1e4, z_max * 1e4),
+        )
+        seminorm._stack_1d.cache_clear()
+        seminorm._stack_2d.cache_clear()
+        for u, row in zip(inputs, narrow):
+            for s, a in zip(self.S_VALUES, row):
+                b = gagliardo_periodic_laplace(u, _params(u, s)).value
+                assert b == pytest.approx(a, rel=1e-13)
+
+    def test_dual_route_agreement(self, rng):
+        inputs = _closed_form_end_inputs(rng)
+        inputs.append(StepFunction.on_circle(2 * rng.random(1024)))
+        vals = np.zeros((12, 12))
+        vals[:, 1:-1] = 2 * rng.random((12, 10))
+        inputs.append(GridFunctionND(Grid1D.circle(12), (Grid1D.interval(12, -2.0, 2.0),), vals))
+        for u in inputs:
+            for s in self.S_VALUES:
+                params = _params(u, s)
+                a = gagliardo_periodic_direct(u, params).value
+                b = gagliardo_periodic_laplace(u, params).value
+                assert b == pytest.approx(a, rel=1e-12)
+
+
+def test_off_centre_box_is_finite(rng):
+    # lo + 12 h overshoots hi by one ulp on this box; the last cell's
+    # exterior mass took a fractional power of a negative number
+    g2 = Grid1D.interval(12, -2.6850435714719296, 0.7295159521014427)
+    vals = np.zeros((16, 12))
+    vals[:, 1:-1] = rng.random((16, 10))
+    u = GridFunctionND(Grid1D.circle(16), (g2,), vals)
+    params = SeminormParams(0.482, 1.5, 2)
+    a = gagliardo_periodic_direct(u, params).value
+    b = gagliardo_periodic_laplace(u, params).value
+    assert math.isfinite(a) and a == pytest.approx(b, rel=1e-12)
+    e = GridFunctionND(Grid1D.circle(16), (g2,), (vals > 0.5).astype(float))
+    assert math.isfinite(fractional_perimeter(e, 0.482))
