@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 from .errors import (
@@ -82,12 +81,13 @@ class KernelWeights:
     exterior: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.weights, dtype=float)
+        w = _frozen(self.weights)
         expected = self.n if self.periodic else 2 * self.n - 1
         if w.size != expected:
             raise ConfigError(f"weight table needs {expected} entries, got {w.size}")
-        w.flags.writeable = False
         object.__setattr__(self, "weights", w)
+        if self.exterior is not None:
+            object.__setattr__(self, "exterior", _frozen(self.exterior))
 
     def offset(self, d: int) -> float:
         if self.periodic:
@@ -111,8 +111,17 @@ class KernelWeights:
         return bool(np.allclose(self.weights, self.weights[::-1], rtol=tol, atol=0))
 
 
-# largest pair temporary of offset_sums, in elements
-OFFSET_BLOCK = 1 << 18
+def _frozen(a) -> np.ndarray:
+    """``a`` as a read-only contiguous float array: tables are cached and shared."""
+    a = np.ascontiguousarray(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+# largest temporary of offset_sums and of the table builders, in elements:
+# 128 KiB blocks measured 1.3-2x faster than 2 MiB ones on 12x12 pair sums
+# and 2D table builds
+OFFSET_BLOCK = 1 << 14
 
 
 def offset_sums(u, v, cost, periodic) -> np.ndarray:
@@ -132,46 +141,75 @@ def offset_sums(u, v, cost, periodic) -> np.ndarray:
     ``lambda a, b: j(a - b)``).  Contracting with a table of the same
     layout, ``np.vdot(S, w.weights)``, gives sum_{i,j} cost(u_i, v_j) W[j - i].
 
-    The partners of all offsets are one strided window view of ``v``
-    extended past its ends (wrapped on periodic axes, zero-padded on
-    interval axes); inputs with more than OFFSET_BLOCK cell pairs take the
-    first axis's offsets in blocks so that no temporary exceeds that many
-    elements (unless a single offset does).
+    Partners are gathered through the cached ``_gather_plan`` of a block of
+    first-axis offsets, in chunks of at most OFFSET_BLOCK pairs (unless one
+    offset has more), then summed over cells.  On a periodic first axis
+    each block reuses the first block's plan with u rolled by its first
+    offset lo: cell i at offset d + lo pairs as cell i + lo at offset d.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    periodic = tuple(periodic)
     k = len(periodic)
     if u.ndim != k or v.shape[v.ndim - k :] != u.shape:
         raise GridMismatch(f"cannot pair shapes {u.shape} and {v.shape} on {k} axes")
-    first = v.ndim - k
-    ext, keep = v, None
-    for a, (n, per) in enumerate(zip(u.shape, periodic)):
-        ax = first + a
-        if per:
-            ext = np.concatenate((ext, ext.take(range(n - 1), axis=ax)), axis=ax)
-            continue
-        zeros = np.zeros(ext.shape[:ax] + (n - 1,) + ext.shape[ax + 1 :])
-        ext = np.concatenate((zeros, ext, zeros), axis=ax)
-        j = np.arange(1 - n, n)[:, None] + np.arange(n)
-        shape = [1] * (2 * k)
-        shape[a], shape[k + a] = 2 * n - 1, n
-        inside = ((j >= 0) & (j < n)).reshape(shape)
-        keep = inside if keep is None else keep & inside
-    # windows[..., d_1..d_k, i_1..i_k] = partner of cell i at offset d
-    windows = sliding_window_view(ext, u.shape, axis=tuple(range(first, v.ndim)))
-    n_off = windows.shape[first]
-    if keep is not None:
-        keep = np.broadcast_to(keep, (n_off,) + keep.shape[1:])
-    step = max(1, OFFSET_BLOCK * n_off // windows.size)
-    cells = tuple(range(-k, 0))
+    batch = v.shape[: v.ndim - k]
+    off = _offset_shape(u.shape, periodic)
+    rest = math.prod(off[1:])
+    chunk = max(1, OFFSET_BLOCK // (math.prod(batch) * u.size))  # offsets per temporary
+    step = min(off[0], max(1, chunk // rest))  # first-axis offsets per plan
+    partners = v.reshape(batch + (-1,))
     parts = []
-    for lo in range(0, n_off, step):
-        blk = slice(lo, lo + step)
-        c = cost(u, windows[(slice(None),) * first + (blk,)])
-        if keep is not None:
-            c = np.where(keep[blk], c, 0.0)
-        parts.append(c.sum(axis=cells))
-    return np.concatenate(parts, axis=first)
+    for lo in range(0, off[0], step):
+        hi = min(lo + step, off[0])
+        if periodic[0]:
+            idx, keep = _gather_plan(u.shape, periodic, 0, step)
+            cells = np.roll(u, lo, axis=0).ravel() if lo else u.ravel()
+        else:
+            idx, keep = _gather_plan(u.shape, periodic, lo, hi)
+            cells = u.ravel()
+        for r in range(0, (hi - lo) * rest, chunk):
+            rows = slice(r, min(r + chunk, (hi - lo) * rest))
+            pc = cost(cells, partners.take(idx[rows], axis=-1))
+            if keep is not None:
+                pc = np.where(keep[rows], pc, 0.0)
+            # summed over the last cell axis first, then the others in turn
+            pc = pc.reshape(pc.shape[:-1] + u.shape)
+            for _ in range(k):
+                pc = pc.sum(axis=-1)
+            parts.append(pc)
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)).reshape(batch + off)
+
+
+def _offset_shape(shape, periodic) -> tuple:
+    return tuple(n if per else 2 * n - 1 for n, per in zip(shape, periodic))
+
+
+@lru_cache(maxsize=32)
+def _gather_plan(shape: tuple, periodic: tuple, lo: int, hi: int):
+    """Flat partner index (offset row, cell column) of first-axis offsets
+    lo..hi-1, and the mask of pairs whose partner lies inside every interval
+    axis (None if all are periodic); dropped pairs point at a valid cell."""
+    k = len(shape)
+    off = (hi - lo,) + _offset_shape(shape, periodic)[1:]
+    idx = np.zeros(off + shape, dtype=np.intp)
+    keep = None
+    for a, (n, per) in enumerate(zip(shape, periodic)):
+        j = np.arange(off[a])[:, None] + (lo if a == 0 else 0) + np.arange(n)
+        view = [1] * (2 * k)
+        view[a], view[k + a] = j.shape
+        if per:
+            j %= n
+        else:
+            j -= n - 1
+            inside = ((j >= 0) & (j < n)).reshape(view)
+            keep = inside if keep is None else keep & inside
+            np.clip(j, 0, n - 1, out=j)
+        idx *= n
+        idx += j.reshape(view)
+    rows = math.prod(off)
+    keep = None if keep is None else np.broadcast_to(keep, idx.shape).reshape(rows, -1)
+    return idx.reshape(rows, -1), keep  # writeable: ``take`` copies a read-only index
 
 
 def check_kernel_monotone(w: KernelWeights) -> bool:
@@ -329,8 +367,9 @@ def _heat_table_batch(n: int, h: float, ts: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=128)
 def heat_weights_periodic(grid: Grid1D, t: float) -> KernelWeights:
-    """Cell-pair integrals of the wrapped Gaussian on a periodic grid."""
+    """Cell-pair integrals of the wrapped Gaussian on a periodic grid (cached)."""
     if not grid.periodic:
         raise GridMismatch("heat_weights_periodic needs a periodic grid")
     if not t > 0:
@@ -362,14 +401,13 @@ def _gauss_tables_batch(grid: Grid1D, ts) -> tuple[np.ndarray, np.ndarray]:
     upper = _erfc_antideriv((hi - b[:-1]) * st) - _erfc_antideriv((hi - b[1:]) * st)
     lower = _erfc_antideriv((b[1:] - lo) * st) - _erfc_antideriv((b[:-1] - lo) * st)
     d = np.arange(-(grid.n - 1), grid.n)
-    # take keeps the table C-ordered (fancy indexing would not), which the
-    # Laplace route's per-node einsum over these rows needs to stay fast
-    table = _gauss_lattice(grid.h, ts[:, 0], grid.n - 1).take(np.abs(d), axis=1)
+    table = _gauss_lattice(grid.h, ts[:, 0], grid.n - 1)[:, np.abs(d)]
     return table, (SQRT_PI / (2.0 * ts)) * (upper + lower)
 
 
+@lru_cache(maxsize=128)
 def gaussian_weights_interval(grid: Grid1D, t: float) -> KernelWeights:
-    """Cell-pair integrals of exp(-r^2 t) on an interval grid, with tails."""
+    """Cell-pair integrals of exp(-r^2 t) on an interval grid, with tails (cached)."""
     if grid.periodic:
         raise GridMismatch("gaussian_weights_interval needs an interval grid")
     if not t > 0:
@@ -521,75 +559,78 @@ def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _gl_on(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _gl(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+def _corner_moments(side: float, mu: float) -> tuple[float, float, float]:
+    """Integrals of y, x and x y times (x^2 + y^2)^(-mu) over [0, side]^2.
 
-
-def _corner_rect_moment(alpha: int, beta: int, w1: float, w2: float, mu: float) -> float:
-    """Integral of x^alpha y^beta (x^2 + y^2)^(-mu) over [0, w1] x [0, w2].
-
-    Exact power integral in the radius; Gauss-Legendre in the angle over the
-    two sub-sectors split where the rectangle boundary switches edges.
-    Needs alpha + beta + 2 > 2 mu, guaranteed because singular overlap
-    densities always carry a vanishing linear factor.
+    Exact in the radius, 40-point Gauss-Legendre in the angle over the half
+    below the diagonal, which the other half mirrors (so the first two are
+    equal); 3 - 2 mu = 1 - sigma > 0 keeps them finite.
     """
-    gamma = alpha + beta + 2.0 - 2.0 * mu
-    if gamma <= 0:
-        raise ConfigError("non-integrable corner moment")
-    theta_c = math.atan2(w2, w1)
-    total = 0.0
-    for lo, hi, edge in ((0.0, theta_c, "cos"), (theta_c, 0.5 * math.pi, "sin")):
-        if hi <= lo:
-            continue
-        th, wt = _gl_on(lo, hi, 40)
-        r = w1 / np.cos(th) if edge == "cos" else w2 / np.sin(th)
-        integ = (r**gamma / gamma) * np.cos(th) ** alpha * np.sin(th) ** beta
-        total += float(integ @ wt)
-    return total
+    x, w = _gl(40)
+    th = math.pi / 8.0 * (x + 1.0)
+    c, s = np.cos(th), np.sin(th)
+    m1 = float(((side / c) ** (3.0 - 2.0 * mu) / (3.0 - 2.0 * mu) * (c + s)) @ w) * math.pi / 8.0
+    m11 = float(((side / c) ** (4.0 - 2.0 * mu) / (4.0 - 2.0 * mu) * 2.0 * c * s) @ w) * math.pi / 8.0
+    return m1, m1, m11
 
 
-def _quadrants(h1: float, h2: float, order: int) -> tuple[np.ndarray, ...]:
-    """Gauss-Legendre rule on the four sign quadrants of the pair-offset box.
+def _panels(x1, x2, h1: float, h2: float):
+    """Quadrature panels of the pair-offset boxes centred at (x1, x2).
 
-    Quadrant q = 2 i + j takes z1 of sign (-, +)[i] and z2 of sign (-, +)[j],
-    where tri(z1) tri(z2) = (h1 - |z1|) (h2 - |z2|) has no kink.  Returns
-    nodes z1 (4, order, 1), z2 (4, 1, order) and tri-weighted weights t1
-    (4, 1, order), t2 (4, order, 1): (t1 @ f(z1, z2) @ t2)[..., 0, 0] holds
-    the integral of tri tri f over each quadrant.
+    Box i spans [x1 - h1, x1 + h1] x [x2 - h2, x2 + h2] with density
+    tri(z1) tri(z2), tri(z) = h - |z|, linear in each sign quadrant.  A
+    quadrant whose span along the long cell side L ends at the kernel
+    origin, less than L from it along the short side s, is split at
+    distances 0, s, 2s, 4s, ... (up to L/2), L from the origin.  Returns per
+    panel its box, lower corner lo (P, 2) and kind, and per kind (K, 2)
+    arrays: width, and the density factor f0 + slope (x - lo) per axis.
     """
+    h = np.array([h1, h2])
+    sgn = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+    ax = int(h2 > h1)
+    big, small = h[ax], h[1 - ax]
+    edges = [0.0, small]
+    while 2.0 * edges[-1] <= 0.5 * big:
+        edges.append(2.0 * edges[-1])
+    edges = np.array(edges + [big] if big > small * (1.0 + 1e-9) else [0.0, big])
+    pieces = edges.size - 1
+    # kind 4 + (2 q + e) pieces + j: piece j of quadrant q, counted from the
+    # origin at the lower (e = 0) or upper (e = 1) end of the quadrant's span
+    q, e, j = (v.ravel() for v in np.meshgrid(range(4), (0, 1), range(pieces), indexing="ij"))
+    width = np.tile(h, (4 + q.size, 1))
+    start = np.zeros_like(width)
+    width[4:, ax] = edges[j + 1] - edges[j]
+    start[4:, ax] = np.where(e == 1, big - edges[j + 1], edges[j])
+    quadrant = np.concatenate((np.arange(4), q))
+    slope = -sgn[quadrant]
+    f0 = h * (sgn[quadrant] > 0) + slope * start
+    lo = (np.stack([x1, x2], axis=-1)[:, None, :] + h * np.minimum(sgn, 0.0)).reshape(-1, 2)
+    box, kind = np.divmod(np.arange(lo.shape[0]), 4)
+    up = np.abs(lo[:, ax] + big) < 1e-9 * big
+    across = np.maximum(lo[:, 1 - ax], -lo[:, 1 - ax] - small)
+    near = (up | (np.abs(lo[:, ax]) < 1e-9 * big)) & (across < big * (1.0 - 1e-9))
+    split = (4 + (2 * kind[near] + up[near]) * pieces)[:, None] + np.arange(pieces)
+    box = np.concatenate((box[~near], np.repeat(box[near], pieces)))
+    kind = np.concatenate((kind[~near], split.ravel()))
+    lo = np.concatenate((lo[~near], np.repeat(lo[near], pieces, axis=0))) + start[kind]
+    return box, lo, kind, width, f0, slope
 
-    def side(h: float) -> tuple[np.ndarray, np.ndarray]:
-        z, w = (np.array(v) for v in zip(_gl_on(-h, 0.0, order), _gl_on(0.0, h, order)))
-        return z, (h - np.abs(z)) * w
 
-    (z1, t1), (z2, t2) = side(h1), side(h2)
-    i, j = [0, 0, 1, 1], [0, 1, 0, 1]
-    return z1[i, :, None], z2[j, None, :], t1[i, None, :], t2[j, :, None]
+def _gl_order(gap1, gap2, w1, w2) -> np.ndarray:
+    """Gauss-Legendre order per panel of pair offsets, from Trefethen's bound.
 
-
-def _gl_order(gap1, gap2, h1: float, h2: float) -> np.ndarray:
-    """Gauss-Legendre order per box of pair offsets, from Trefethen's bound.
-
-    The box [c1 - h1, c1 + h1] x [c2 - h2, c2 + h2] lies gap1 and gap2 away
-    from the kernel origin along each axis.  With z2 real, the integrand
-    ((c1 + z1)^2 + (c2 + z2)^2)^(-mu) is singular in z1 only where
-    Re(c1 + z1) = 0 and |Im(c1 + z1)| >= gap2.  So a quadrant's z1 rule
-    (half-width a = h1 / 2) integrates a function analytic in the Bernstein
-    ellipse E_rho whose real semi-axis ends at the origin, rho = r +
-    sqrt(r^2 - 1) with r = 1 + gap1 / a, and also in the one whose
-    imaginary semi-axis is gap2, rho = t + sqrt(t^2 + 1) with t = gap2 / a;
-    the larger rho holds.  The z2 rule likewise, and the box takes the
-    smaller rho of its two axes.
-
+    The panel, w1 by w2, lies gap1 and gap2 from the kernel origin along
+    each axis.  With z2 real, (z1^2 + z2^2)^(-mu) is singular in z1 only at
+    Re z1 = 0, |Im z1| >= gap2, so the z1 rule (half-width a = w1 / 2) sees a
+    function analytic in the Bernstein ellipse of rho = r + sqrt(r^2 - 1),
+    r = 1 + gap1 / a, and in that of rho = t + sqrt(t^2 + 1), t = gap2 / a;
+    the larger holds, and the panel takes the smaller over its two axes.
     An m-point rule errs by at most 64 M / (15 (rho^2 - 1) rho^(2 m - 2))
-    (Trefethen, SIAM Review 50, 2008, Thm 4.5, whose rule I_n has n + 1
-    points), M bounding the integrand on E_rho.  The linear triangle weight
-    grows there to (1 + rho) times its mean, so M is taken as (1 + rho)
-    times the box's magnitude.  The order is the smallest m at which the
-    bound falls below 2^-52 of that magnitude, capped at 20: a box touching
-    the origin has rho = 1 and keeps order 20.
+    (Trefethen, SIAM Review 50, 2008, Thm 4.5), M = (1 + rho) times the
+    panel's magnitude for the linear density; m is the smallest order that
+    brings this below 2^-52 of the magnitude.  Every panel of ``_panels``
+    off the origin has rho >= 3 (it lies a third of its width away along
+    one axis, or a width across), so m <= 18.
     """
 
     def rho(along, across, a):
@@ -597,95 +638,80 @@ def _gl_order(gap1, gap2, h1: float, h2: float) -> np.ndarray:
         return np.maximum(r + np.sqrt(r * r - 1.0), t + np.sqrt(t * t + 1.0))
 
     g1, g2 = np.maximum(gap1, 0.0), np.maximum(gap2, 0.0)
-    p = np.minimum(rho(g1, g2, 0.5 * h1), rho(g2, g1, 0.5 * h2))
-    with np.errstate(divide="ignore"):  # rho = 1 gives m = inf, capped below
-        bound = 64.0 * (1.0 + p) / (15.0 * (p * p - 1.0))
-        m = 1.0 + np.log(bound / np.finfo(float).eps) / (2.0 * np.log(p))
-    return np.clip(np.ceil(m), 1, 20).astype(int)
+    p = np.minimum(rho(g1, g2, 0.5 * w1), rho(g2, g1, 0.5 * w2))
+    bound = 64.0 * (1.0 + p) / (15.0 * (p * p - 1.0))
+    m = 1.0 + np.log(bound / np.finfo(float).eps) / (2.0 * np.log(p))
+    return np.maximum(np.ceil(m), 1).astype(int)
 
 
-def _box_weights_2d(c1, c2, h1: float, h2: float, mu: float, rule, corner) -> np.ndarray:
-    """Integral of tri(z1) tri(z2) ((c1+z1)^2 + (c2+z2)^2)^(-mu) over the z-box.
+def _box_integrals(x1, x2, h1: float, h2: float, density, corner=None) -> np.ndarray:
+    """Integral of tri(z1) tri(z2) density(x1 + z1, x2 + z2) over each box.
 
-    One product rule per quadrant for all offsets (c1, c2) at once.  A quadrant
-    whose shifted corner hits the kernel origin is expanded in bilinear
-    monomials instead, with exact-in-radius ``corner`` moments for (alpha,
-    beta) = (0, 1), (1, 0), (1, 1): the density vanishes linearly there.
+    Each panel of ``_panels`` takes the product Gauss-Legendre rule of its
+    ``_gl_order``, those of one order together in blocks of at most
+    OFFSET_BLOCK nodes.  A panel at the kernel origin (an s-by-s square) is
+    expanded in bilinear monomials against the ``corner`` moments instead:
+    the density vanishes linearly there.
     """
-    z1, z2, t1, t2 = rule
-    x = c1[:, None, None, None] + z1
-    y = c2[:, None, None, None] + z2
-    r2 = x**2 + y**2
-    vals = (t1 @ np.power(r2, -mu, out=r2) @ t2)[..., 0, 0]  # in place: one full temporary
-    # shifted by c, quadrant q of _quadrants spans [u0, u1] x [v0, v1]
-    s1 = np.array([-1.0, -1.0, 1.0, 1.0])
-    s2 = np.array([-1.0, 1.0, -1.0, 1.0])
-    c1, c2 = c1[:, None], c2[:, None]
-    u0, u1 = c1 + h1 * np.minimum(s1, 0.0), c1 + h1 * np.maximum(s1, 0.0)
-    v0, v1 = c2 + h2 * np.minimum(s2, 0.0), c2 + h2 * np.maximum(s2, 0.0)
-    tol1, tol2 = 1e-9 * h1, 1e-9 * h2
-    if np.any(u0 * u1 < -tol1 * h1) or np.any(v0 * v1 < -tol2 * h2):
-        raise ConfigError("offset is not on the cell lattice")
-    touch = (np.minimum(np.abs(u0), np.abs(u1)) < tol1) & (
-        np.minimum(np.abs(v0), np.abs(v1)) < tol2
-    )
-    # there tri(z) = a + b p with p = |c + z|: a = h + s c, and b = -s when
-    # the left end of the shifted quadrant is at the origin, else b = s
-    a1, b1 = h1 + s1 * c1, np.where(np.abs(u0) < tol1, -s1, s1)
-    a2, b2 = h2 + s2 * c2, np.where(np.abs(v0) < tol2, -s2, s2)
-    if np.any(touch & (np.abs(a1 * a2) > tol1 * tol2)):
-        raise ConfigError("corner moment lost its linear factor")
-    # one fixed order for every offset: quadrant by quadrant, and a touching
-    # quadrant's three corner terms one after another
-    box = np.zeros(len(vals))
-    for q in range(4):
-        hit = touch[:, q]
-        box += np.where(hit, a1[:, q] * b2[:, q] * corner[0], vals[:, q])
-        box += hit * (b1[:, q] * a2[:, q] * corner[1])
-        box += hit * (b1[:, q] * b2[:, q] * corner[2])
-    return box
+    box, lo, kind, width, f0, slope = _panels(x1, x2, h1, h2)
+    tol = 1e-9 * np.array([h1, h2])
+    wk = width[kind]
+    gap = np.maximum(lo, -lo - wk)
+    at0 = (gap[:, 0] < tol[0]) & (gap[:, 1] < tol[1])
+    vals = np.zeros(box.size)
+    if at0.any():
+        # there the factor is a + b p in p = |x|: a at the origin, and b the
+        # slope on [0, w], minus it on [-w, 0]
+        k = kind[at0]
+        a1, a2 = (f0[k] - slope[k] * lo[at0]).T
+        b1, b2 = np.where(lo[at0] > -tol, slope[k], -slope[k]).T
+        if np.any(np.abs(a1 * a2) > tol[0] * tol[1]):
+            raise ConfigError("corner moment lost its linear factor")
+        vals[at0] = a1 * b2 * corner[0] + b1 * a2 * corner[1] + b1 * b2 * corner[2]
+        gap[at0] = wk[at0]  # any finite order: these panels are done
+    order = np.where(at0, 0, _gl_order(*gap.T, *wk.T))
+    for m in np.unique(order[order > 0]):
+        g, wg = _gl(m)
+        half = 0.5 * width[:, :, None]
+        u = half * (g + 1.0)  # each kind's nodes, from its lower corner
+        t = half * wg * (f0[:, :, None] + slope[:, :, None] * u)
+        rules = (t[:, 0, :, None] * t[:, 1, None, :]).reshape(len(width), -1)
+        sel = np.flatnonzero(order == m)
+        step = max(1, OFFSET_BLOCK // (m * m))
+        for p in (sel[i : i + step] for i in range(0, sel.size, step)):
+            x = lo[p][:, :, None] + u[kind[p]]
+            f = density(x[:, 0, :, None], x[:, 1, None, :]).reshape(p.size, -1)
+            vals[p] = np.einsum("pq,pq->p", f, rules[kind[p]])
+    return np.bincount(box, vals, minlength=len(x1))
 
 
-def _copy_tails_2d(
-    a, c2, h1: float, h2: float, mu: float, k_next: int, order: int
-) -> np.ndarray:
-    """sum_{k >= k_next} box_weight(a + 2 pi k, c2) by Euler-Maclaurin, per offset.
+def _copy_tail_density(mu: float):
+    """Density whose box integral is sum_{k >= 0} box_weight(x1 + 2 pi k, x2).
 
-    int psi + psi/2 - psi'/12 + psi'''/720 - psi^(5)/30240 at k_next, where
-    psi(k) = box_weight(a + 2 pi k, c2).  The k-integral has an incomplete-beta
-    closed form in x1 (a + 2 pi k_next > h1 keeps it regular) and the
-    derivatives are analytic.  All five are singular only where the copy at
-    k_next is, so they share one node tensor of that copy's ``_gl_order``,
-    passed as ``order``; each is contracted as soon as it is formed.
+    By Euler-Maclaurin, int psi + psi/2 - psi'/12 + psi'''/720 - psi^(5)/30240
+    at k = 0, psi(k) the box weight k periods further out: the k-integral
+    has an incomplete-beta closed form in x1 > 0, the derivatives are analytic.
     """
-    z1, z2, t1, t2 = _quadrants(h1, h2, order)
-
-    def quad(f, scale=1.0):
-        return ((t1 @ f @ t2)[..., 0, 0] * scale).sum(axis=1)
-
-    w1 = (a + TWO_PI * k_next)[:, None, None, None] + z1
-    w2 = c2[:, None, None, None] + z2
-    rho = w1**2 + w2**2
-    b = np.abs(w2)
     m = mu
-    m2 = m * (m + 1.0)
-    m3 = m2 * (m + 2.0)
-    m4 = m3 * (m + 3.0)
-    m5 = m4 * (m + 4.0)
+    m2, m3, m4, m5 = np.cumprod(m + np.arange(1.0, 5.0)) * m
     bcoef = 0.5 * special.beta(m - 0.5, 0.5)
-    fint = quad(b ** (1.0 - 2.0 * m) * bcoef * special.betainc(m - 0.5, 0.5, b**2 / rho))
-    psi = quad(rho ** (-m))
-    psi1 = quad(-2.0 * m * w1 * rho ** (-m - 1.0), TWO_PI)
-    psi3 = quad(
-        12.0 * m2 * w1 * rho ** (-m - 2.0) - 8.0 * m3 * w1**3 * rho ** (-m - 3.0), TWO_PI**3
-    )
-    psi5 = quad(
-        -120.0 * m3 * w1 * rho ** (-m - 3.0)
-        + 160.0 * m4 * w1**3 * rho ** (-m - 4.0)
-        - 32.0 * m5 * w1**5 * rho ** (-m - 5.0),
-        TWO_PI**5,
-    )
-    return fint / TWO_PI + 0.5 * psi - psi1 / 12.0 + psi3 / 720.0 - psi5 / 30240.0
+
+    def density(w1, w2):
+        rho = w1**2 + w2**2
+        b = np.abs(w2)
+        fint = b ** (1.0 - 2.0 * m) * bcoef * special.betainc(m - 0.5, 0.5, b**2 / rho)
+        psi1 = -2.0 * m * w1 * rho ** (-m - 1.0) * TWO_PI
+        psi3 = TWO_PI**3 * (
+            12.0 * m2 * w1 * rho ** (-m - 2.0) - 8.0 * m3 * w1**3 * rho ** (-m - 3.0)
+        )
+        psi5 = TWO_PI**5 * (
+            -120.0 * m3 * w1 * rho ** (-m - 3.0)
+            + 160.0 * m4 * w1**3 * rho ** (-m - 4.0)
+            - 32.0 * m5 * w1**5 * rho ** (-m - 5.0)
+        )
+        return fint / TWO_PI + 0.5 * rho ** (-m) - psi1 / 12.0 + psi3 / 720.0 - psi5 / 30240.0
+
+    return density
 
 
 @dataclass(frozen=True)
@@ -707,6 +733,10 @@ class NDKernelWeights:
     exterior: np.ndarray = field(repr=False)
     accuracy: float = ND_TABLE_ACCURACY
 
+    def __post_init__(self):
+        object.__setattr__(self, "weights", _frozen(self.weights))
+        object.__setattr__(self, "exterior", _frozen(self.exterior))
+
 
 def _nd_cache_path(grid1, grid2, sigma, k_copies):
     cache_dir = os.environ.get("PERSYM_CACHE_DIR")
@@ -716,10 +746,10 @@ def _nd_cache_path(grid1, grid2, sigma, k_copies):
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"PERSYM_CACHE_DIR is not a usable directory: {exc}") from exc
-    # bump the format version v2 whenever the builder's values change, so a
+    # bump the format version v3 whenever the builder's values change, so a
     # table written by an older builder is never served
     tag = (
-        f"riesz2d_v2_n{grid1.n}x{grid2.n}_box{grid2.lo:.9g}_{grid2.hi:.9g}"
+        f"riesz2d_v3_n{grid1.n}x{grid2.n}_box{grid2.lo:.9g}_{grid2.hi:.9g}"
         f"_sigma{sigma:.9g}_k{k_copies}.npz"
     )
     return os.path.join(cache_dir, tag)
@@ -749,19 +779,11 @@ def riesz_weights_nd(
     computed for one symmetry sector and reflected (the kernel is even in
     each coordinate and the x1 copies are symmetric).
 
-    The box of each x1 copy k in [-k_copies, k_copies] and sector offset
-    takes the smallest Gauss-Legendre order m at which Trefethen's bound
-    64 M / (15 (rho^2 - 1) rho^(2 m - 2)) on an m-point rule falls below
-    2^-52 of the box's magnitude, capped at 20; rho is the Bernstein-ellipse
-    parameter set by the box's distance from the kernel origin (see
-    ``_gl_order``).  Boxes touching the origin (the k = 0 neighbours, and
-    the k = +-1 copies when n1 <= 2) keep order 20 and the exact corner
-    moments; a copy one period away takes 5 to 12 nodes, one sixteen
-    periods away 3 or 4, as do the Euler-Maclaurin tails, which take the
-    order of the copy at k_copies + 1.  The boxes of one order go through
-    ``_box_weights_2d`` together, in blocks of at most OFFSET_BLOCK
-    quadrature points, so no temporary exceeds 2 MiB.  Set PERSYM_CACHE_DIR
-    to persist tables across runs.
+    The boxes of each x1 copy k in [-k_copies, k_copies] and sector offset,
+    and the Euler-Maclaurin tails past both ends, are integrated over the
+    panels of ``_panels`` (``_box_integrals``), each at the Gauss-Legendre
+    order that Trefethen's bound asks for, or by exact corner moments at
+    the origin.  Set PERSYM_CACHE_DIR to persist tables across runs.
     """
     _check_sigma(sigma)
     if not grid1.periodic or grid2.periodic:
@@ -777,25 +799,22 @@ def riesz_weights_nd(
     # diagonal (0, 0) keeps the convention W = 0
     d1, d2 = np.divmod(np.arange(1, (n1 // 2 + 1) * n2), n2)
     c1, c2 = d1 * h1, d2 * h2
-    corner = [_corner_rect_moment(al, be, h1, h2, mu) for al, be in ((0, 1), (1, 0), (1, 1))]
-    # every (copy, offset) box, grouped by order; each group in OFFSET_BLOCK
-    # blocks of 4 m^2 quadrature points per box
+    corner = _corner_moments(min(h1, h2), mu)
+    # every copy k in -k_copies..k_copies of every sector offset, then the
+    # Euler-Maclaurin tails of the copies past both ends
     x1 = (c1 + TWO_PI * np.arange(-k_copies, k_copies + 1)[:, None]).ravel()
     x2 = np.tile(c2, 2 * k_copies + 1)
-    order = _gl_order(np.abs(x1) - h1, x2 - h2, h1, h2)
-    boxes = np.empty(x1.size)
-    for m in np.unique(order):
-        rule = _quadrants(h1, h2, m)
-        sel = np.flatnonzero(order == m)
-        step = max(1, OFFSET_BLOCK // (4 * m * m))
-        for lo in range(0, sel.size, step):
-            b = sel[lo : lo + step]
-            boxes[b] = _box_weights_2d(x1[b], x2[b], h1, h2, mu, rule, corner)
-    total = boxes.reshape(-1, c1.size).sum(axis=0)
-    k_next = k_copies + 1
-    tail_order = np.max(_gl_order(TWO_PI * k_next - c1 - h1, c2 - h2, h1, h2), initial=1)
-    for a in (c1, -c1):
-        total += _copy_tails_2d(a, c2, h1, h2, mu, k_next, tail_order)
+
+    def kernel(y1, y2):
+        r2 = y1 * y1 + y2 * y2
+        return np.power(r2, -mu, out=r2)  # in place: one full temporary
+
+    total = _box_integrals(x1, x2, h1, h2, kernel, corner).reshape(-1, c1.size).sum(axis=0)
+    far = TWO_PI * (k_copies + 1)
+    tails = _box_integrals(
+        np.concatenate((far + c1, far - c1)), np.tile(c2, 2), h1, h2, _copy_tail_density(mu)
+    )
+    total += tails.reshape(2, -1).sum(axis=0)
     w = np.zeros((n1, 2 * n2 - 1))
     for e1 in (d1, (n1 - d1) % n1):
         w[e1, n2 - 1 + d2] = total

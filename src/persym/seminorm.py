@@ -1,11 +1,13 @@
 """Periodic fractional seminorm by two independent routes, perimeter, coarea.
 
-Route one ("direct") integrates the power kernel over cell pairs: periodized
-1D tables, or the 2D table with analytic exterior masses.  Route two
-("laplace") writes the kernel as a Gamma-weighted integral of Gaussians in
-an auxiliary time variable, evaluates wrapped-Gaussian and line-Gaussian
-tables at each quadrature node, and integrates with the validated
-exp-substitution rule.  The routes share no kernel code, so their agreement
+Both routes contract the pair costs of u with one table of cell-pair
+weights (plus, in 2D, exterior masses); they differ in how the table is
+built.  Route one ("direct") integrates the power kernel over cell pairs:
+periodized 1D tables, or the 2D table with analytic exterior masses.  Route
+two ("laplace") writes the kernel as a Gamma-weighted integral of Gaussians
+in an auxiliary time variable and contracts the wrapped-Gaussian and
+line-Gaussian tables at the nodes of the validated exp-substitution rule
+into one table.  The tables share no kernel code, so their agreement
 cross-validates both; divergence (sp >= 1 on non-constant step input) is a
 first-class result, not an exception.
 """
@@ -22,7 +24,10 @@ from scipy import special
 from .errors import ConfigError, NotIndicator
 from .grid import Grid1D, GridFunctionND, StepFunction
 from .kernels import (
+    OFFSET_BLOCK,
+    KernelWeights,
     LaplaceConfig,
+    NDKernelWeights,
     _gauss_tables_batch,
     _heat_table_batch,
     laplace_quadrature,
@@ -93,15 +98,28 @@ def _pair_costs(u: StepFunction | GridFunctionND, p: float) -> np.ndarray:
     return offset_sums(u.values, u.values, lambda a, b: np.abs(a - b) ** p, periodic)
 
 
-def _is_2d(u: StepFunction | GridFunctionND, params: SeminormParams) -> bool:
-    """Whether u is a 2D input; both routes take n in {1, 2} and need params.n == n."""
+def _seminorm(u, params: SeminormParams, method: str, table_1d, table_2d) -> SeminormResult:
+    """vdot(S, W) over cell offsets plus, in 2D, 2 sum_x |u(x)|^p E[x2]: u
+    vanishes outside the box, where the plane sees |u|^p against the
+    table's exterior masses E.  The dimension, 1 or 2, must be params.n."""
     nd = isinstance(u, GridFunctionND)
     if nd and u.ndim != 2:
         raise ConfigError(f"the seminorm routes implement n in {{1, 2}}, got n = {u.ndim}")
-    dim = 2 if nd else 1
-    if params.n != dim:
-        raise ConfigError(f"{dim}D input needs params.n == {dim}")
-    return nd
+    if params.n != 1 + nd:
+        raise ConfigError(f"{1 + nd}D input needs params.n == {1 + nd}")
+    if not params.step_mode_finite:
+        const = float(u.values.max() - u.values.min()) == 0.0
+        return SeminormResult(0.0, method, 1e-15) if const else _divergent(method)
+    s = _pair_costs(u, params.p)
+    if nd:
+        g2 = u.axes_perp[0]
+        table = table_2d(u.axis1.n, g2.n, g2.lo, g2.hi, params.sigma)
+        tails = 2.0 * float(np.sum(u.values**params.p * table.exterior[None, :]))
+        total = float(np.vdot(s, table.weights)) + tails
+    else:
+        table = table_1d(u.grid.n, params.sigma)
+        total = float(np.vdot(s, table.weights))
+    return SeminormResult(total ** (1.0 / params.p), method, table.accuracy)
 
 
 def gagliardo_periodic_direct(
@@ -114,36 +132,15 @@ def gagliardo_periodic_direct(
     vanishes outside the box, so the exterior contributes |u|^p against
     closed-form tail masses.
     """
-    if _is_2d(u, params):
-        if not params.step_mode_finite:
-            const = float(u.values.max() - u.values.min()) == 0.0
-            return (
-                SeminormResult(0.0, "direct", 1e-15)
-                if const
-                else _divergent("direct")
-            )
-        table = _nd_table_cached(
-            u.axis1.n,
-            u.axes_perp[0].n,
-            u.axes_perp[0].lo,
-            u.axes_perp[0].hi,
-            params.sigma,
-        )
-        s = _pair_costs(u, params.p)
-        interior = float(np.vdot(s, table.weights))
-        tails = 2.0 * float(np.sum((u.values**params.p) * table.exterior[None, :]))
-        total = interior + tails
-        return SeminormResult(total ** (1.0 / params.p), "direct", table.accuracy)
-    if not params.step_mode_finite:
-        return (
-            SeminormResult(0.0, "direct", 1e-15)
-            if u.is_constant()
-            else _divergent("direct")
-        )
-    w = _riesz_table_cached(u.grid.n, params.sigma)
-    s = _pair_costs(u, params.p)
-    total = float(np.vdot(s, w.weights))
-    return SeminormResult(total ** (1.0 / params.p), "direct", w.accuracy)
+    return _seminorm(u, params, "direct", _riesz_table_cached, _nd_table_cached)
+
+
+def gagliardo_periodic_laplace(
+    u: StepFunction | GridFunctionND, params: SeminormParams
+) -> SeminormResult:
+    """Fractional seminorm through the heat-kernel time integral, against the
+    tables of ``_laplace_table_1d`` and ``_laplace_table_2d``."""
+    return _seminorm(u, params, "laplace", _laplace_table_1d, _laplace_table_2d)
 
 
 @lru_cache(maxsize=64)
@@ -160,105 +157,89 @@ def _nd_table_cached(n1: int, n2: int, lo: float, hi: float, sigma: float):
 def _laplace_rule_cached(lam: float, z_min: float, z_max: float) -> LaplaceConfig:
     # the window covers the pair tables' exponential transients only: below
     # it every table is on its small-t branch, above it on its large-t one,
-    # and the routes add both algebraic ends in closed form
+    # and the tables add both algebraic ends in closed form
     return laplace_quadrature(lam, z_min, z_max, rtol=LAPLACE_RTOL)
 
 
-def _touch_count(d: int, n: int) -> int:
-    """Number of periodic copies of offset d at exactly one cell of distance.
+def _node_chunks(cfg: LaplaceConfig, width: int):
+    """(nodes, weights) of the rule in chunks of at most OFFSET_BLOCK table entries."""
+    step = max(1, OFFSET_BLOCK // width)
+    for lo in range(0, cfg.nodes.size, step):
+        yield cfg.nodes[lo : lo + step], cfg.weights[lo : lo + step]
 
-    For n >= 3 this is 1 for d in {1, n-1} and 0 otherwise; tiny circles
-    wrap: on n = 2 the two cells touch on both sides, on n = 1 the cell
-    touches its own copies twice.
+
+def _touches(n: int) -> np.ndarray:
+    """Per offset d, the periodic copies of d at exactly one cell of distance:
+    1 at d in {1, n-1} for n >= 3; on n = 2 the cells touch on both sides, on
+    n = 1 the cell touches its own copies twice."""
+    return (np.abs(np.arange(n)[:, None] - n * np.arange(-1, 2)) == 1).sum(axis=1)
+
+
+@lru_cache(maxsize=64)
+def _laplace_table_1d(n: int, sigma: float) -> KernelWeights:
+    """Periodized power-kernel table of the Laplace route on the n-cell circle.
+
+    W = (sum_q w_q heat_q + head + tail) / Gamma(lam), lam = (1 + sigma) / 2,
+    the heat stack contracted chunk by chunk as it is built.  Beyond the
+    window only touching pairs survive, each as multiplicity / 2t; below it
+    every entry is h^2 / (2 sqrt(pi t)) up to exp(-1/4t).  W[0] = 0, as in
+    the direct table.
     """
-    return sum(1 for k in (-1, 0, 1) if abs(d - k * n) == 1)
+    lam = (1.0 + sigma) / 2.0
+    h = 2.0 * math.pi / n
+    cfg = _laplace_rule_cached(lam, h * h / 4.0, (2 * math.pi) ** 2)
+    w = np.zeros(n)
+    for t, wq in _node_chunks(cfg, n):
+        w += wq @ _heat_table_batch(n, h, t)
+    w += _touches(n) * cfg.algebraic_tail(0.5, 1.0)
+    w += cfg.algebraic_head(h * h / (2.0 * SQRT_PI), 0.5)
+    w[0] = 0.0
+    w /= special.gamma(lam)
+    return KernelWeights(
+        n, h, True, w, accuracy=cfg.achieved + 1e-12, singular_diagonal=True
+    )
 
 
 @lru_cache(maxsize=32)
-def _stack_1d(n: int, lam: float):
-    """(rule, heat-table stack) for the 1D Laplace route on the n-cell circle."""
-    h = 2.0 * math.pi / n
-    cfg = _laplace_rule_cached(lam, h * h / 4.0, (2 * math.pi) ** 2)
-    return cfg, _heat_table_batch(n, h, cfg.nodes)
+def _laplace_table_2d(n1: int, n2: int, lo: float, hi: float, sigma: float) -> NDKernelWeights:
+    """x1-periodized 2D power-kernel table and exterior masses of the Laplace route.
 
-
-@lru_cache(maxsize=16)
-def _stack_2d(n1: int, n2: int, lo: float, hi: float, lam: float):
-    """Rule and per-node tables for the 2D Laplace route (heat, gauss, ext, row)."""
+    W = (sum_q w_q heat_q (x) gauss_q + head + tail) / Gamma(lam) and
+    E = (sum_q w_q row1_q ext_q + head) / Gamma(lam), lam = (2 + sigma) / 2,
+    row1_q = h1 sqrt(pi / t_q) the heat row's mass; the stacks are
+    contracted chunk by chunk as they are built.  Beyond the window only
+    touching pairs survive, as multiplicity / 2t per adjacent axis (with
+    wrap multiplicities on the periodic one) and h sqrt(pi / t) - 1 / t per
+    zero-offset axis, and a boundary column sees the outside as 1 / 2t.
+    Below the window heat tables are h1^2 / (2 sqrt(pi t)), Gaussian tables
+    h2^2 and exterior masses h2 (sqrt(pi / t) - L2), up to O(t) relative.
+    """
+    lam = (2.0 + sigma) / 2.0
     h1 = 2.0 * math.pi / n1
     g2 = Grid1D.interval(n2, lo, hi)
-    z_min = min(h1, g2.h) ** 2 / 4.0
-    z_max = (2.0 * math.pi) ** 2 + g2.length**2
-    cfg = _laplace_rule_cached(lam, z_min, z_max)
-    heat = _heat_table_batch(n1, h1, cfg.nodes)
-    gauss, ext = _gauss_tables_batch(g2, cfg.nodes)
-    row1 = h1 * np.sqrt(math.pi / cfg.nodes)
-    return cfg, heat, gauss, ext, row1
-
-
-def gagliardo_periodic_laplace(
-    u: StepFunction | GridFunctionND, params: SeminormParams
-) -> SeminormResult:
-    """Fractional seminorm through the heat-kernel time integral.
-
-    At each quadrature time the periodic axis contributes a wrapped-Gaussian
-    pair table and every perpendicular axis a line-Gaussian factor (plus
-    closed-form exterior masses); the validated rule then integrates
-    t^(lam-1) times that profile and Gamma(lam) rescales.
-    """
-    nd = _is_2d(u, params)
-    if not params.step_mode_finite:
-        vals = u.values
-        const = float(vals.max() - vals.min()) == 0.0
-        return (
-            SeminormResult(0.0, "laplace", 1e-15) if const else _divergent("laplace")
-        )
-    if nd:
-        n1, h1 = u.axis1.n, u.axis1.h
-        g2 = u.axes_perp[0]
-        cfg, heat, gauss, ext, row1 = _stack_2d(n1, g2.n, g2.lo, g2.hi, params.lam)
-        s = _pair_costs(u, params.p)
-        upow = np.abs(u.values) ** params.p
-        profile = np.einsum("qa,ab,qb->q", heat, s, gauss)
-        profile += 2.0 * row1 * (ext @ upow.sum(axis=0))
-        total = cfg.apply(profile)
-        # beyond the window only the touching-pair products survive, with the
-        # exact algebraic forms (multiplicity/2t per adjacent axis, with wrap
-        # multiplicities on the periodic one, and h sqrt(pi/t) - 1/t per
-        # zero-offset axis); everything else is exp(-h^2 t)-small there.  The
-        # wrap multiplicity of d1 = 0 (n1 = 1) enters once, through t1c
-        n2 = g2.n
-        t1 = sum(s[d1, n2 - 1] * _touch_count(d1, n1) for d1 in range(n1))
-        t1c = sum(
-            (s[d1, n2] + s[d1, n2 - 2] if n2 >= 2 else 0.0) * _touch_count(d1, n1)
-            for d1 in range(n1)
-        )
-        s_b = s[0, n2] + s[0, n2 - 2] if n2 >= 2 else 0.0
-        total += cfg.algebraic_tail((t1 * g2.h + s_b * h1) * SQRT_PI / 2.0, 1.5)
-        total += cfg.algebraic_tail(-(t1 + s_b) / 2.0 + t1c / 4.0, 2.0)
-        # below the window every weight is on its small-t branch: heat tables
-        # are h1^2/(2 sqrt(pi t)) up to exp(-1/4t), Gaussian tables h2^2 and
-        # exterior masses h2 (sqrt(pi/t) - L2) up to O(t) relative
-        upow_total = float(np.sum(upow))
-        total += cfg.algebraic_head(2.0 * math.pi * h1 * g2.h * upow_total, 1.0)
-        total += cfg.algebraic_head(
-            float(s.sum()) * h1**2 * g2.h**2 / (2.0 * SQRT_PI)
-            - 2.0 * SQRT_PI * h1 * g2.h * g2.length * upow_total,
-            0.5,
-        )
-        total /= special.gamma(params.lam)
-        acc = cfg.achieved + 1e-12
-        return SeminormResult(total ** (1.0 / params.p), "laplace", acc)
-    n, h = u.grid.n, u.grid.h
-    cfg, heat = _stack_1d(n, params.lam)
-    s = _pair_costs(u, params.p)
-    total = cfg.apply(heat @ s)
-    total += cfg.algebraic_tail(
-        sum(s[d] * _touch_count(d, n) for d in range(n)) / 2.0, 1.0
+    h2 = g2.h
+    cfg = _laplace_rule_cached(lam, min(h1, h2) ** 2 / 4.0, (2.0 * math.pi) ** 2 + g2.length**2)
+    w = np.zeros((n1, 2 * n2 - 1))
+    ext = np.zeros(n2)
+    for t, wq in _node_chunks(cfg, n1 + 3 * n2):
+        gauss, e = _gauss_tables_batch(g2, t)
+        w += (wq[:, None] * _heat_table_batch(n1, h1, t)).T @ gauss
+        ext += (wq * h1 * np.sqrt(math.pi / t)) @ e
+    touch = _touches(n1)
+    w[:, n2 - 1] += touch * (cfg.algebraic_tail(h2 * SQRT_PI / 2.0, 1.5) + cfg.algebraic_tail(-0.5, 2.0))
+    if n2 >= 2:
+        near = [n2 - 2, n2]
+        w[0, near] += cfg.algebraic_tail(h1 * SQRT_PI / 2.0, 1.5) + cfg.algebraic_tail(-0.5, 2.0)
+        w[:, near] += touch[:, None] * cfg.algebraic_tail(0.25, 2.0)
+    w += cfg.algebraic_head(h1**2 * h2**2 / (2.0 * SQRT_PI), 0.5)
+    ext += 0.5 * cfg.algebraic_head(2.0 * math.pi * h1 * h2, 1.0)
+    ext += 0.5 * cfg.algebraic_head(-2.0 * SQRT_PI * h1 * h2 * g2.length, 0.5)
+    np.add.at(ext, [0, n2 - 1], cfg.algebraic_tail(h1 * SQRT_PI / 2.0, 1.5))  # twice if n2 = 1
+    w[0, n2 - 1] = 0.0  # the self pair, as in the direct table
+    gam = special.gamma(lam)
+    return NDKernelWeights(
+        n1, h1, n2, h2, sigma, w / gam, ext / gam, accuracy=cfg.achieved + 1e-12
     )
-    total += cfg.algebraic_head(float(s.sum()) * h**2 / (2.0 * SQRT_PI), 0.5)
-    total /= special.gamma(params.lam)
-    return SeminormResult(total ** (1.0 / params.p), "laplace", cfg.achieved + 1e-12)
 
 
 def fractional_perimeter(e: StepFunction | GridFunctionND, s: float) -> float:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -37,3 +39,21 @@ def random_nd_function(rng, n1=8, n2=8, length2=4.0, vmax=2.0, levels=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def clear_persym_caches():
+    """Empty every lru_cache in persym's modules, as a fresh process has them."""
+    for name, mod in list(sys.modules.items()):
+        if name == "persym" or name.startswith("persym."):
+            for obj in vars(mod).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty caches around a test that patches a builder, so that no table it
+    builds reaches another test; yields the clearing function for use mid-test."""
+    clear_persym_caches()
+    yield clear_persym_caches
+    clear_persym_caches()

@@ -471,11 +471,11 @@ class TestRieszWeightsND:
             assert np.array_equal(data["weights"], fresh.weights)
 
     def test_stale_format_cache_file_is_not_served(self, tmp_path, monkeypatch):
-        # a right-shaped table under the name of the v1 builder, whose
-        # values the graded-order builder no longer reproduces bit for bit
+        # a right-shaped table under the name of the v2 builder, whose
+        # values the panel builder no longer reproduces bit for bit
         g1, g2 = Grid1D.circle(4), Grid1D.centered_interval(3, 2.0)
         fresh = riesz_weights_nd(g1, g2, 0.5)
-        stale = tmp_path / f"riesz2d_v1_n4x3_box{g2.lo:.9g}_{g2.hi:.9g}_sigma0.5_k16.npz"
+        stale = tmp_path / f"riesz2d_v2_n4x3_box{g2.lo:.9g}_{g2.hi:.9g}_sigma0.5_k16.npz"
         np.savez(stale, weights=np.ones((4, 5)), exterior=np.ones(3))
         monkeypatch.setenv("PERSYM_CACHE_DIR", str(tmp_path))
         W = riesz_weights_nd(g1, g2, 0.5)
@@ -484,24 +484,44 @@ class TestRieszWeightsND:
 
     @pytest.mark.parametrize("sigma", [0.1, 0.5, 0.89])
     @pytest.mark.parametrize("n1,n2", [(1, 4), (2, 3), (4, 5), (6, 5), (12, 12), (16, 16)])
-    def test_graded_orders_against_fixed_order(self, n1, n2, sigma):
-        # oracle: the sector from order 20 on every copy k in -16..16 and
-        # order-16 Euler-Maclaurin tails; on circles of n1 <= 2 the k = +-1
-        # copies touch the kernel origin
+    def test_graded_orders_against_fixed_order(self, n1, n2, sigma, monkeypatch, fresh_caches):
+        # oracle: the same panels, every one at order 20, above the graded
+        # orders' ceiling of 18; on circles of n1 <= 2 the k = +-1 copies
+        # touch the kernel origin, and their cells are 4.7 to 12.6 times
+        # wider than tall
         g1, g2 = Grid1D.circle(n1), Grid1D.centered_interval(n2, 2.0)
-        h1, h2, mu = g1.h, g2.h, (2.0 + sigma) / 2.0
-        d1, d2 = np.divmod(np.arange(1, (n1 // 2 + 1) * n2), n2)
-        c1, c2 = d1 * h1, d2 * h2
-        rule = kernels._quadrants(h1, h2, 20)
-        corner = [kernels._corner_rect_moment(a, b, h1, h2, mu) for a, b in ((0, 1), (1, 0), (1, 1))]
-        ref = np.zeros(c1.size)
-        for k in range(-16, 17):
-            ref += kernels._box_weights_2d(c1 + 2 * math.pi * k, c2, h1, h2, mu, rule, corner)
-        for a in (c1, -c1):
-            ref += kernels._copy_tails_2d(a, c2, h1, h2, mu, 17, 16)
-        got = riesz_weights_nd(g1, g2, sigma).weights[d1, n2 - 1 + d2]
-        assert np.all(ref > 0)
-        assert np.max(np.abs(got / ref - 1.0)) < 1e-14
+        monkeypatch.delenv("PERSYM_CACHE_DIR", raising=False)
+        got = riesz_weights_nd(g1, g2, sigma).weights
+        graded, used = kernels._gl_order, []
+
+        def fixed(*args):
+            m = graded(*args)
+            used.append(m.max(initial=1))
+            return np.full_like(m, 20)
+
+        monkeypatch.setattr(kernels, "_gl_order", fixed)
+        ref = riesz_weights_nd(g1, g2, sigma).weights
+        assert max(used) <= 18
+        nz = ref != 0
+        assert np.all(ref[nz] > 0) and np.count_nonzero(nz) == ref.size - 1
+        assert np.max(np.abs(got[nz] / ref[nz] - 1.0)) < 1e-14
+
+
+def test_tables_are_read_only():
+    # tables are cached and handed to every caller, so none may be changed
+    circle, line = Grid1D.circle(8), Grid1D.centered_interval(6, 3.0)
+    nd = riesz_weights_nd(Grid1D.circle(4), Grid1D.centered_interval(3, 2.0), 0.5)
+    arrays = [
+        heat_weights_periodic(circle, 0.5).weights,
+        gaussian_weights_interval(line, 0.5).weights,
+        gaussian_weights_interval(line, 0.5).exterior,
+        nd.weights,
+        nd.exterior,
+    ]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert heat_weights_periodic(circle, 0.5) is heat_weights_periodic(circle, 0.5)
 
 
 class TestStepKernelTables:
@@ -614,9 +634,14 @@ class TestOffsetSums:
             ((7,), (4,), (True,), power_cost),
             ((4, 5), (3,), (True, False), np.multiply),
             ((2500,), (), (True,), np.multiply),
+            ((1,), (), (True,), power_cost),
+            ((2,), (3,), (True,), power_cost),
+            ((1, 4), (), (True, False), power_cost),
+            ((2, 3), (2,), (True, False), np.multiply),
         ],
         ids=["1d-periodic", "1d-interval", "2d", "2d-product", "1d-batched",
-             "2d-batched", "1d-multi-block"],
+             "2d-batched", "1d-multi-block", "1d-one-cell", "1d-two-cells",
+             "2d-one-cell-circle", "2d-two-cell-circle"],
     )
     def test_against_reference(self, shape, batch, periodic, cost, rng):
         u = rng.random(shape)
@@ -628,6 +653,26 @@ class TestOffsetSums:
 
     def test_multi_block_case_spans_blocks(self):
         assert 2500 * 2500 > kernels.OFFSET_BLOCK
+
+    @pytest.mark.parametrize(
+        "shape,periodic", [((4096,), (True,)), ((64, 64), (True, False))], ids=["1d", "2d"]
+    )
+    def test_memory_is_bounded(self, shape, periodic, rng, fresh_caches):
+        # the full pair tensor would be 128 MiB (1d) or 254 MiB (2d); every
+        # temporary stays within OFFSET_BLOCK elements, and the cached plan
+        # (an index and a keep mask, 9 bytes a pair) within the pairs of one
+        # first-axis offset or OFFSET_BLOCK pairs, whichever is more
+        u = rng.random(shape)
+        pairs = u.size * math.prod(n if per else 2 * n - 1 for n, per in zip(shape, periodic))
+        block = 8 * kernels.OFFSET_BLOCK
+        plan = 9 * max(kernels.OFFSET_BLOCK, pairs // shape[0])
+        tracemalloc.start()
+        try:
+            out = offset_sums(u, u, power_cost, periodic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + plan + 6 * block, (peak - out.nbytes - plan) / block
 
     def test_small_blocks_change_nothing(self, rng, monkeypatch):
         u = rng.random((5, 4))

@@ -247,14 +247,6 @@ def _params(u, s):
     return SeminormParams(s, 1.0, 2 if isinstance(u, GridFunctionND) else 1)
 
 
-@pytest.fixture
-def fresh_stacks():
-    """Drop the stacks a test built on a patched rule, so no other test sees them."""
-    yield
-    seminorm._stack_1d.cache_clear()
-    seminorm._stack_2d.cache_clear()
-
-
 class TestClosedFormEnds:
     """The quadrature window covers only the exponential transients of the
     pair tables; ``algebraic_head`` and ``algebraic_tail`` carry the rest in
@@ -262,7 +254,7 @@ class TestClosedFormEnds:
 
     S_VALUES = (0.02, 0.3, 0.7, 0.98)
 
-    def test_value_does_not_depend_on_the_window(self, rng, monkeypatch, fresh_stacks):
+    def test_value_does_not_depend_on_the_window(self, rng, monkeypatch, fresh_caches):
         inputs = _closed_form_end_inputs(rng)
         narrow = [
             [gagliardo_periodic_laplace(u, _params(u, s)).value for s in self.S_VALUES]
@@ -274,8 +266,7 @@ class TestClosedFormEnds:
             "_laplace_rule_cached",
             lambda lam, z_min, z_max: rule(lam, z_min / 1e4, z_max * 1e4),
         )
-        seminorm._stack_1d.cache_clear()
-        seminorm._stack_2d.cache_clear()
+        fresh_caches()
         for u, row in zip(inputs, narrow):
             for s, a in zip(self.S_VALUES, row):
                 b = gagliardo_periodic_laplace(u, _params(u, s)).value
@@ -308,3 +299,58 @@ def test_off_centre_box_is_finite(rng):
     assert math.isfinite(a) and a == pytest.approx(b, rel=1e-12)
     e = GridFunctionND(Grid1D.circle(16), (g2,), (vals > 0.5).astype(float))
     assert math.isfinite(fractional_perimeter(e, 0.482))
+
+
+class TestDualCertificate:
+    """The direct and Laplace tables describe the same kernel, so they agree
+    entry by entry, whatever the input, away from the self pair."""
+
+    SIGMAS = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64, 256])
+    def test_1d_tables_agree(self, n):
+        for sigma in self.SIGMAS:
+            direct = seminorm._riesz_table_cached(n, sigma).weights
+            laplace = seminorm._laplace_table_1d(n, sigma).weights
+            assert direct[0] == laplace[0] == 0.0
+            assert np.max(np.abs(laplace[1:] / direct[1:] - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "n1,g2",
+        [
+            (12, Grid1D.interval(12, -2.0, 2.0)),
+            (6, Grid1D.centered_interval(8, 4.0)),
+            (1, Grid1D.interval(6, -1.0, 1.0)),
+            (2, Grid1D.interval(5, -1.0, 1.0)),
+            (8, Grid1D.centered_interval(3, 0.2)),
+        ],
+        ids=["12x12", "6x8", "1x6-elongated", "2x5-elongated", "8x3-elongated"],
+    )
+    def test_2d_tables_agree(self, n1, g2):
+        # exterior masses on every column, the boundary ones included: input
+        # that does not vanish there (require_compact=False) needs them
+        n2 = g2.n
+        off_self = np.ones((n1, 2 * n2 - 1), dtype=bool)
+        off_self[0, n2 - 1] = False
+        for sigma in self.SIGMAS:
+            direct = seminorm._nd_table_cached(n1, n2, g2.lo, g2.hi, sigma)
+            laplace = seminorm._laplace_table_2d(n1, n2, g2.lo, g2.hi, sigma)
+            assert laplace.weights[0, n2 - 1] == 0.0
+            rel = laplace.weights[off_self] / direct.weights[off_self] - 1.0
+            assert np.max(np.abs(rel)) < 1e-12
+            ext = laplace.exterior / direct.exterior - 1.0
+            assert np.max(np.abs(ext)) < 1e-12
+
+
+def test_cached_route_tables_are_read_only():
+    tables = [
+        seminorm._riesz_table_cached(8, 0.4),
+        seminorm._laplace_table_1d(8, 0.4),
+        seminorm._nd_table_cached(4, 5, -1.0, 1.0, 0.4),
+        seminorm._laplace_table_2d(4, 5, -1.0, 1.0, 0.4),
+    ]
+    for table in tables:
+        for arr in (table.weights, getattr(table, "exterior", None)):
+            if arr is not None:
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
