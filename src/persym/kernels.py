@@ -12,9 +12,10 @@ such tables contract with.  This module builds the tables:
   antiderivative) and its periodization (explicit copies plus an
   Euler-Maclaurin tail with analytic derivatives, certified by the
   next-term bound);
-* the 2D power kernel |z|^(-(2+sigma)) with x1-periodization, where the
-  singular near-offsets are integrated exactly in the radial variable and
-  by Gauss-Legendre in the angle;
+* the 2D power kernel |z|^(-(2+sigma)) with x1-periodization, over
+  Gauss-Legendre panels graded by their distance from the kernel origin,
+  with exact corner moments at it; nodes and weights depend on the grid
+  alone and are kept once per grid;
 * general nonnegative step-function kernels, whose tables are exact
   two-tap averages of the kernel values (and whose rearrangement is again
   a step kernel, so rearranged tables stay exact);
@@ -111,9 +112,9 @@ class KernelWeights:
         return bool(np.allclose(self.weights, self.weights[::-1], rtol=tol, atol=0))
 
 
-def _frozen(a) -> np.ndarray:
-    """``a`` as a read-only contiguous float array: tables are cached and shared."""
-    a = np.ascontiguousarray(a, dtype=float)
+def _frozen(a, dtype=float) -> np.ndarray:
+    """``a`` as a read-only contiguous array: tables and plans are cached and shared."""
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -143,9 +144,12 @@ def offset_sums(u, v, cost, periodic) -> np.ndarray:
 
     Partners are gathered through the cached ``_gather_plan`` of a block of
     first-axis offsets, in chunks of at most OFFSET_BLOCK pairs (unless one
-    offset has more), then summed over cells.  On a periodic first axis
-    each block reuses the first block's plan with u rolled by its first
-    offset lo: cell i at offset d + lo pairs as cell i + lo at offset d.
+    offset has more), then summed over cells.  Past one block, every block
+    reuses the first block's plan, with the first axis taken periodic and u
+    rolled by the block's first offset s: slot i of offset o pairs cell
+    i - s with partner i + o, both mod n.  On an interval first axis that is
+    a pair at offset s + o only where cell and partner wrap alike; the
+    other slots are masked.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -159,15 +163,26 @@ def offset_sums(u, v, cost, periodic) -> np.ndarray:
     chunk = max(1, OFFSET_BLOCK // (math.prod(batch) * u.size))  # offsets per temporary
     step = min(off[0], max(1, chunk // rest))  # first-axis offsets per plan
     partners = v.reshape(batch + (-1,))
+    n = u.shape[0]
+    whole = not periodic[0] and step >= off[0]  # an interval first axis in one block
+    wraps = None
+    if not (whole or periodic[0]):  # partner i + o wrapped, per (o, i)
+        view = (step,) + (1,) * (k - 1) + (n,) + (1,) * (k - 1)
+        wraps = (np.arange(n) + np.arange(step)[:, None] >= n).reshape(view)
     parts = []
     for lo in range(0, off[0], step):
         hi = min(lo + step, off[0])
-        if periodic[0]:
-            idx, keep = _gather_plan(u.shape, periodic, 0, step)
-            cells = np.roll(u, lo, axis=0).ravel() if lo else u.ravel()
-        else:
-            idx, keep = _gather_plan(u.shape, periodic, lo, hi)
+        if whole:
+            idx, keep = _gather_plan(u.shape, periodic, off[0])
             cells = u.ravel()
+        else:
+            idx, keep = _gather_plan(u.shape, (True,) + periodic[1:], step)
+            s = lo if periodic[0] else lo - (n - 1)  # the block's first offset
+            cells = np.roll(u, s, axis=0).ravel() if s else u.ravel()
+            if wraps is not None:  # cell i - s wrapped by (i - s) // n
+                alike = wraps == ((np.arange(n) - s) // n).reshape(wraps.shape[1:])
+                alike = np.broadcast_to(alike, (step,) + off[1:] + u.shape).reshape(idx.shape)
+                keep = alike if keep is None else keep & alike
         for r in range(0, (hi - lo) * rest, chunk):
             rows = slice(r, min(r + chunk, (hi - lo) * rest))
             pc = cost(cells, partners.take(idx[rows], axis=-1))
@@ -186,16 +201,17 @@ def _offset_shape(shape, periodic) -> tuple:
 
 
 @lru_cache(maxsize=32)
-def _gather_plan(shape: tuple, periodic: tuple, lo: int, hi: int):
-    """Flat partner index (offset row, cell column) of first-axis offsets
-    lo..hi-1, and the mask of pairs whose partner lies inside every interval
-    axis (None if all are periodic); dropped pairs point at a valid cell."""
+def _gather_plan(shape: tuple, periodic: tuple, first: int):
+    """Flat partner index (offset row, cell column) of the first ``first``
+    first-axis offsets, and the mask of pairs whose partner lies inside every
+    interval axis (None if all are periodic); dropped pairs point at a valid
+    cell."""
     k = len(shape)
-    off = (hi - lo,) + _offset_shape(shape, periodic)[1:]
+    off = (first,) + _offset_shape(shape, periodic)[1:]
     idx = np.zeros(off + shape, dtype=np.intp)
     keep = None
     for a, (n, per) in enumerate(zip(shape, periodic)):
-        j = np.arange(off[a])[:, None] + (lo if a == 0 else 0) + np.arange(n)
+        j = np.arange(off[a])[:, None] + np.arange(n)
         view = [1] * (2 * k)
         view[a], view[k + a] = j.shape
         if per:
@@ -574,46 +590,37 @@ def _corner_moments(side: float, mu: float) -> tuple[float, float, float]:
     return m1, m1, m11
 
 
-def _panels(x1, x2, h1: float, h2: float):
-    """Quadrature panels of the pair-offset boxes centred at (x1, x2).
+def _panels(j1, j2, h1: float, h2: float):
+    """Quadrature panels of the lattice squares [j1, j1 + 1] h1 x [j2, j2 + 1] h2.
 
-    Box i spans [x1 - h1, x1 + h1] x [x2 - h2, x2 + h2] with density
-    tri(z1) tri(z2), tri(z) = h - |z|, linear in each sign quadrant.  A
-    quadrant whose span along the long cell side L ends at the kernel
+    A square whose span along the long cell side L ends at the kernel
     origin, less than L from it along the short side s, is split at
     distances 0, s, 2s, 4s, ... (up to L/2), L from the origin.  Returns per
-    panel its box, lower corner lo (P, 2) and kind, and per kind (K, 2)
-    arrays: width, and the density factor f0 + slope (x - lo) per axis.
+    panel its square, and the offsets of its lower and upper corner from the
+    square's lower corner, (P, 2) each.
     """
     h = np.array([h1, h2])
-    sgn = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
     ax = int(h2 > h1)
     big, small = h[ax], h[1 - ax]
     edges = [0.0, small]
     while 2.0 * edges[-1] <= 0.5 * big:
         edges.append(2.0 * edges[-1])
-    edges = np.array(edges + [big] if big > small * (1.0 + 1e-9) else [0.0, big])
-    pieces = edges.size - 1
-    # kind 4 + (2 q + e) pieces + j: piece j of quadrant q, counted from the
-    # origin at the lower (e = 0) or upper (e = 1) end of the quadrant's span
-    q, e, j = (v.ravel() for v in np.meshgrid(range(4), (0, 1), range(pieces), indexing="ij"))
-    width = np.tile(h, (4 + q.size, 1))
-    start = np.zeros_like(width)
-    width[4:, ax] = edges[j + 1] - edges[j]
-    start[4:, ax] = np.where(e == 1, big - edges[j + 1], edges[j])
-    quadrant = np.concatenate((np.arange(4), q))
-    slope = -sgn[quadrant]
-    f0 = h * (sgn[quadrant] > 0) + slope * start
-    lo = (np.stack([x1, x2], axis=-1)[:, None, :] + h * np.minimum(sgn, 0.0)).reshape(-1, 2)
-    box, kind = np.divmod(np.arange(lo.shape[0]), 4)
-    up = np.abs(lo[:, ax] + big) < 1e-9 * big
-    across = np.maximum(lo[:, 1 - ax], -lo[:, 1 - ax] - small)
-    near = (up | (np.abs(lo[:, ax]) < 1e-9 * big)) & (across < big * (1.0 - 1e-9))
-    split = (4 + (2 * kind[near] + up[near]) * pieces)[:, None] + np.arange(pieces)
-    box = np.concatenate((box[~near], np.repeat(box[near], pieces)))
-    kind = np.concatenate((kind[~near], split.ravel()))
-    lo = np.concatenate((lo[~near], np.repeat(lo[near], pieces, axis=0))) + start[kind]
-    return box, lo, kind, width, f0, slope
+    edges = np.array(edges + [big])
+    along, across = (j1, j2) if ax == 0 else (j2, j1)
+    gap = np.maximum(across, -across - 1) * small  # from the origin along the short side
+    near = (along >= -1) & (along <= 0) & (gap < big * (1.0 - 1e-9))
+    pieces = np.where(near & (big > small * (1.0 + 1e-9)), edges.size - 1, 1)
+    square = np.repeat(np.arange(pieces.size), pieces)
+    start = np.zeros((square.size, 2))
+    stop = np.tile(h, (square.size, 1))
+    split = np.flatnonzero(pieces[square] > 1)
+    # piece i, counted from the origin at the square's lower (along = 0) or
+    # upper (along = -1) end
+    i = split - np.repeat(np.cumsum(pieces) - pieces, pieces)[split]
+    low = along[square[split]] == 0
+    start[split, ax] = np.where(low, edges[i], big - edges[i + 1])
+    stop[split, ax] = np.where(low, edges[i + 1], big - edges[i])
+    return square, start, stop
 
 
 def _gl_order(gap1, gap2, w1, w2) -> np.ndarray:
@@ -644,45 +651,149 @@ def _gl_order(gap1, gap2, w1, w2) -> np.ndarray:
     return np.maximum(np.ceil(m), 1).astype(int)
 
 
-def _box_integrals(x1, x2, h1: float, h2: float, density, corner=None) -> np.ndarray:
-    """Integral of tri(z1) tri(z2) density(x1 + z1, x2 + z2) over each box.
+@lru_cache(maxsize=32)
+def _hat_rule(m: int) -> np.ndarray:
+    """The m x m Gauss-Legendre product rule on [-1, 1]^2 times the four bilinear hats.
 
-    Each panel of ``_panels`` takes the product Gauss-Legendre rule of its
-    ``_gl_order``, those of one order together in blocks of at most
-    OFFSET_BLOCK nodes.  A panel at the kernel origin (an s-by-s square) is
-    expanded in bilinear monomials against the ``corner`` moments instead:
-    the density vanishes linearly there.
+    Column 2 a + b weights the hat that is 1 at the square's corner (a, b)
+    (0 the lower end, 1 the upper end of each axis); rows run over the
+    nodes, the first axis's index leading.
     """
-    box, lo, kind, width, f0, slope = _panels(x1, x2, h1, h2)
-    tol = 1e-9 * np.array([h1, h2])
-    wk = width[kind]
-    gap = np.maximum(lo, -lo - wk)
-    at0 = (gap[:, 0] < tol[0]) & (gap[:, 1] < tol[1])
-    vals = np.zeros(box.size)
-    if at0.any():
-        # there the factor is a + b p in p = |x|: a at the origin, and b the
-        # slope on [0, w], minus it on [-w, 0]
-        k = kind[at0]
-        a1, a2 = (f0[k] - slope[k] * lo[at0]).T
-        b1, b2 = np.where(lo[at0] > -tol, slope[k], -slope[k]).T
-        if np.any(np.abs(a1 * a2) > tol[0] * tol[1]):
-            raise ConfigError("corner moment lost its linear factor")
-        vals[at0] = a1 * b2 * corner[0] + b1 * a2 * corner[1] + b1 * b2 * corner[2]
-        gap[at0] = wk[at0]  # any finite order: these panels are done
-    order = np.where(at0, 0, _gl_order(*gap.T, *wk.T))
-    for m in np.unique(order[order > 0]):
-        g, wg = _gl(m)
-        half = 0.5 * width[:, :, None]
-        u = half * (g + 1.0)  # each kind's nodes, from its lower corner
-        t = half * wg * (f0[:, :, None] + slope[:, :, None] * u)
-        rules = (t[:, 0, :, None] * t[:, 1, None, :]).reshape(len(width), -1)
-        sel = np.flatnonzero(order == m)
-        step = max(1, OFFSET_BLOCK // (m * m))
-        for p in (sel[i : i + step] for i in range(0, sel.size, step)):
-            x = lo[p][:, :, None] + u[kind[p]]
-            f = density(x[:, 0, :, None], x[:, 1, None, :]).reshape(p.size, -1)
-            vals[p] = np.einsum("pq,pq->p", f, rules[kind[p]])
-    return np.bincount(box, vals, minlength=len(x1))
+    g, w = _gl(m)
+    hats = w[:, None] * np.stack(((1.0 - g) / 2.0, (1.0 + g) / 2.0), axis=1)
+    return _frozen(np.einsum("ia,jb->ijab", hats, hats).reshape(m * m, 4))
+
+
+@dataclass(frozen=True)
+class _BoxRule:
+    """A sigma-free rule for box integrals of a density, summed per target.
+
+    A box centred at x, [x1 - h1, x1 + h1] x [x2 - h2, x2 + h2], integrates
+    tri(z1) tri(z2) density(x + z), tri(z) = h - |z|, over the panels of
+    its four quadrant squares.  Neighbouring boxes share squares, so each
+    distinct panel's Gauss-Legendre nodes are kept once (``nodes``, in the
+    form the density takes them, panel after panel) and its four hat
+    moments (``_hat_rule``) serve every box it belongs to: tri is linear
+    along each axis of a panel, a nonnegative combination of the hats at
+    the panel's two ends, so no sum cancels.  Each term of a box's sum
+    takes ``moment`` (flat index, panel * 4 + hat) times ``weight`` into
+    ``target``.  Panels at the kernel origin take the exact corner moments
+    instead, weighted by ``corner`` per target.
+    """
+
+    nodes: tuple
+    chunks: tuple  # (first node, first panel, end panel, order)
+    moment: np.ndarray
+    weight: np.ndarray
+    target: np.ndarray
+    corner: np.ndarray  # (targets, 3)
+
+
+def _box_rule(a1, a2, target, targets: int, h1: float, h2: float, coords) -> _BoxRule:
+    """``_BoxRule`` of the boxes centred at the lattice points (a1 h1, a2 h2).
+
+    Each panel of ``_panels`` takes the product rule of its ``_gl_order``;
+    the panels of one order go together, in chunks of at most OFFSET_BLOCK
+    nodes.  ``coords(x1, x2)`` gives the node arrays the density takes.  The
+    terms are listed one quadrant and block of boxes at a time, and before
+    the nodes, so that few temporaries outlive their block.
+    """
+    h = np.array([h1, h2])
+    # quadrant q lies below its box's centre along axis 0 if q < 2, along
+    # axis 1 if q is even: its square's lower corner is the centre less that
+    below = np.array([[1, 1], [1, 0], [0, 1], [0, 0]])
+    # the distinct squares, numbered through a dense map of their range
+    base = np.array([a1.min(), a2.min()]) - 1
+    centre = np.stack([a1, a2]) - base[:, None]
+    used = np.zeros(tuple(centre.max(axis=1) + 1), dtype=bool)
+    for q in below:
+        used[tuple(centre - q[:, None])] = True
+    number = np.cumsum(used).reshape(used.shape) - 1
+    sj = np.argwhere(used) + base
+    square, start, stop = _panels(sj[:, 0], sj[:, 1], h1, h2)
+    width = stop - start
+    lo = sj[square] * h + start
+    gap = np.maximum(lo, -lo - width)
+    at0 = np.all(gap < 1e-9 * h, axis=1)
+    order = np.zeros(square.size, dtype=int)
+    order[~at0] = _gl_order(*gap[~at0].T, *width[~at0].T)
+    upper = lo < -1e-9 * h  # the kernel origin at the panel's upper end, if at all
+    area = 0.25 * width[:, 0] * width[:, 1]  # the hat rule covers [-1, 1]^2
+    # quadrature panels by order; the corner panels, of order 0, lead and are cut off
+    rank = np.argsort(order, kind="stable")[np.count_nonzero(at0) :]
+    index = np.empty(square.size, dtype=int)
+    index[rank] = np.arange(rank.size)
+    orders = order[rank]
+    del gap, order
+    # the terms of every (box quadrant, panel of its square) pair
+    first = np.searchsorted(square, np.arange(sj.shape[0]))
+    count = np.diff(np.append(first, square.size))
+    moment, weight, into = [], [], []
+    corner = np.zeros((targets, 3))
+    step = max(1, OFFSET_BLOCK // 16)  # boxes per block: a use takes ~16 numbers
+    for q in below:
+        # tri along each axis: rising from the square's lower edge below the
+        # box's centre, falling from the centre above it
+        rise = q.astype(bool)
+        for b0 in range(0, a1.size, step):
+            sq = number[tuple(centre[:, b0 : b0 + step] - q[:, None])]
+            n = count[sq]
+            panel = np.repeat(first[sq] - np.cumsum(n) + n, n) + np.arange(n.sum())
+            box = b0 + np.repeat(np.arange(sq.size), n)
+            corners = np.stack((start[panel], stop[panel]), axis=1)
+            ends = np.where(rise, corners, h - corners)  # (uses, end, axis)
+            zero = at0[panel]
+            if zero.any():  # tri = a + b |z| on each axis, z from the kernel origin
+                up = upper[panel[zero]]
+                a = np.where(up, ends[zero, 1], ends[zero, 0])
+                b = np.where(up == rise, -1.0, 1.0)
+                if np.any(np.abs(a[:, 0] * a[:, 1]) > 1e-18 * h1 * h2):
+                    raise ConfigError("corner moment lost its linear factor")
+                cw = (a[:, 0] * b[:, 1], b[:, 0] * a[:, 1], b[:, 0] * b[:, 1])
+                for i, c in enumerate(cw):
+                    corner[:, i] += np.bincount(target[box[zero]], c, minlength=targets)
+            keep = ~zero
+            e, p = ends[keep], panel[keep]
+            coef = (area[p, None, None] * e[:, :, 0, None] * e[:, None, :, 1]).reshape(-1, 4)
+            nz = coef != 0.0
+            moment.append((4 * index[p][:, None] + np.arange(4))[nz])
+            weight.append(coef[nz])
+            into.append(np.broadcast_to(target[box[keep]][:, None], nz.shape)[nz])
+    del number, centre, sj, square, start, stop, at0, upper, area, index, first, count
+    terms = []
+    for parts in (moment, weight, into):  # each list freed before the next is joined
+        terms.append(_frozen(np.concatenate(parts), parts[0].dtype))
+        parts.clear()
+    # the nodes, chunk by chunk
+    nodes, chunks, n0 = None, [], 0
+    for m in np.unique(orders):
+        p_first, p_end = np.searchsorted(orders, [m, m + 1])
+        per = max(1, OFFSET_BLOCK // (m * m))
+        g = _gl(m)[0] + 1.0
+        for p0 in range(p_first, p_end, per):
+            p1 = min(p0 + per, p_end)
+            pp = rank[p0:p1]
+            x = lo[pp][:, :, None] + 0.5 * width[pp][:, :, None] * g  # (panels, 2, m)
+            vals = coords(x[:, 0, :, None], x[:, 1, None, :])
+            if nodes is None:
+                nodes = tuple(np.empty(int(orders @ orders)) for _ in vals)
+            n1 = n0 + (p1 - p0) * m * m
+            for out, v in zip(nodes, vals):
+                out[n0:n1].reshape(p1 - p0, m, m)[...] = v
+            chunks.append((n0, int(p0), int(p1), int(m)))
+            n0 = n1
+    return _BoxRule(tuple(_frozen(x) for x in nodes), tuple(chunks), *terms, _frozen(corner))
+
+
+def _box_sums(rule: _BoxRule, density, corner) -> np.ndarray:
+    """Box integrals of ``density`` summed per target: hat moments per panel,
+    then the weighted moments per target, plus the corner terms."""
+    moments = np.empty((rule.chunks[-1][2], 4))
+    for n0, p0, p1, m in rule.chunks:
+        f = density(*(x[n0 : n0 + (p1 - p0) * m * m] for x in rule.nodes))
+        np.matmul(f.reshape(p1 - p0, m * m), _hat_rule(m), out=moments[p0:p1])
+    terms = moments.ravel()[rule.moment] * rule.weight
+    return np.bincount(rule.target, terms, minlength=len(rule.corner)) + rule.corner @ corner
 
 
 def _copy_tail_density(mu: float):
@@ -746,8 +857,8 @@ def _nd_cache_path(grid1, grid2, sigma, k_copies):
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"PERSYM_CACHE_DIR is not a usable directory: {exc}") from exc
-    # bump the format version v3 whenever the builder's values change, so a
-    # table written by an older builder is never served
+    # bump the format version v3 whenever the builder's values change beyond
+    # rounding, so a table written by an older builder is never served
     tag = (
         f"riesz2d_v3_n{grid1.n}x{grid2.n}_box{grid2.lo:.9g}_{grid2.hi:.9g}"
         f"_sigma{sigma:.9g}_k{k_copies}.npz"
@@ -769,21 +880,55 @@ def _load_nd_cache(path: str, n1: int, n2: int):
     return w, ext
 
 
+def _nd_sector(n1: int, n2: int):
+    """Offsets of one symmetry sector, 0 <= d1 <= n1/2 and 0 <= d2 < n2, less
+    the singular diagonal (0, 0), which keeps the convention W = 0."""
+    return np.divmod(np.arange(1, (n1 // 2 + 1) * n2), n2)
+
+
+@lru_cache(maxsize=8)
+def _nd_plan(n1: int, h1: float, n2: int, h2: float, k_copies: int):
+    """The sigma-free part of ``riesz_weights_nd``, once per grid (read-only).
+
+    Returns the ``_BoxRule`` of the boxes of every x1 copy k in
+    [-k_copies, k_copies] of every sector offset, its nodes as r^2, and
+    that of the Euler-Maclaurin tails of the copies past both ends, its
+    nodes as (x1, x2).  Both sum into the sector offsets.
+    """
+    d1, d2 = _nd_sector(n1, n2)
+    sector = np.arange(d1.size)
+    k = np.arange(-k_copies, k_copies + 1)[:, None]
+    boxes = _box_rule(
+        (d1 + n1 * k).ravel(), np.tile(d2, k.size), np.tile(sector, k.size), d1.size,
+        h1, h2, lambda x1, x2: (x1 * x1 + x2 * x2,),
+    )
+    far = n1 * (k_copies + 1)
+    tails = _box_rule(
+        np.concatenate((far + d1, far - d1)), np.tile(d2, 2), np.tile(sector, 2), d1.size,
+        h1, h2, lambda x1, x2: (x1, x2),
+    )
+    return boxes, tails
+
+
 def riesz_weights_nd(
     grid1: Grid1D, grid2: Grid1D, sigma: float, k_copies: int = 16
 ) -> NDKernelWeights:
     """Pair weights of |x - y|^(-(2+sigma)) with periodized x1, analytic tails.
 
-    Desk-scale builder for the direct n = 2 seminorm route; the Laplace
-    representation is the supported fast path beyond that.  Offsets are
-    computed for one symmetry sector and reflected (the kernel is even in
-    each coordinate and the x1 copies are symmetric).
+    Offsets are computed for one symmetry sector and reflected (the kernel
+    is even in each coordinate and the x1 copies are symmetric).  The boxes
+    of each x1 copy k in [-k_copies, k_copies] and sector offset, and the
+    Euler-Maclaurin tails past both ends, are integrated over the panels of
+    ``_panels``, each at the Gauss-Legendre order that Trefethen's bound
+    asks for, or by exact corner moments at the origin.
 
-    The boxes of each x1 copy k in [-k_copies, k_copies] and sector offset,
-    and the Euler-Maclaurin tails past both ends, are integrated over the
-    panels of ``_panels`` (``_box_integrals``), each at the Gauss-Legendre
-    order that Trefethen's bound asks for, or by exact corner moments at
-    the origin.  Set PERSYM_CACHE_DIR to persist tables across runs.
+    None of that depends on sigma: ``_nd_plan`` keeps it once per grid, as
+    the distinct quadrature nodes (neighbouring boxes share their quadrant
+    squares), per panel use its hat weights and sector offset, and the
+    corner-moment weights.  A build for one sigma evaluates the kernel at
+    those nodes and contracts per panel, then per offset (``_box_sums``).
+    Set PERSYM_CACHE_DIR to persist tables across runs; a table found there
+    builds no plan.
     """
     _check_sigma(sigma)
     if not grid1.periodic or grid2.periodic:
@@ -795,26 +940,11 @@ def riesz_weights_nd(
     if cached:
         return NDKernelWeights(n1, h1, n2, h2, sigma, *cached)
     mu = (2.0 + sigma) / 2.0
-    # one symmetry sector, 0 <= d1 <= n1/2 and 0 <= d2 < n2; the singular
-    # diagonal (0, 0) keeps the convention W = 0
-    d1, d2 = np.divmod(np.arange(1, (n1 // 2 + 1) * n2), n2)
-    c1, c2 = d1 * h1, d2 * h2
+    boxes, tails = _nd_plan(n1, h1, n2, h2, k_copies)
     corner = _corner_moments(min(h1, h2), mu)
-    # every copy k in -k_copies..k_copies of every sector offset, then the
-    # Euler-Maclaurin tails of the copies past both ends
-    x1 = (c1 + TWO_PI * np.arange(-k_copies, k_copies + 1)[:, None]).ravel()
-    x2 = np.tile(c2, 2 * k_copies + 1)
-
-    def kernel(y1, y2):
-        r2 = y1 * y1 + y2 * y2
-        return np.power(r2, -mu, out=r2)  # in place: one full temporary
-
-    total = _box_integrals(x1, x2, h1, h2, kernel, corner).reshape(-1, c1.size).sum(axis=0)
-    far = TWO_PI * (k_copies + 1)
-    tails = _box_integrals(
-        np.concatenate((far + c1, far - c1)), np.tile(c2, 2), h1, h2, _copy_tail_density(mu)
-    )
-    total += tails.reshape(2, -1).sum(axis=0)
+    total = _box_sums(boxes, lambda r2: np.power(r2, -mu), corner)
+    total += _box_sums(tails, _copy_tail_density(mu), corner)
+    d1, d2 = _nd_sector(n1, n2)
     w = np.zeros((n1, 2 * n2 - 1))
     for e1 in (d1, (n1 - d1) % n1):
         w[e1, n2 - 1 + d2] = total

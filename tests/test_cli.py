@@ -16,6 +16,8 @@ from persym.grid import (
     load_function,
 )
 
+from conftest import random_nd_function
+
 
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
@@ -179,6 +181,31 @@ class TestSweepCommand:
         assert len(lines) == 6
         values = [float(l.split(",")[1]) for l in lines[1:]]
         assert all(v > 0 for v in values)
+
+    def test_2d_sweep_both_methods_matches_seminorm(
+        self, tmp_path, rng, capsys, monkeypatch, fresh_caches
+    ):
+        # every row of a 2D sweep builds the direct route's power table at a
+        # fresh s on one grid plan; each must equal the one-off command run
+        # from empty caches
+        monkeypatch.delenv("PERSYM_CACHE_DIR", raising=False)
+        u = random_nd_function(rng, n1=6, n2=8)
+        infile = write_json(tmp_path / "u2d.json", function_to_json(u))
+        rc = main(["sweep", "--in", infile, "--p", "1", "--method", "both",
+                   "--values", "0.1", "0.9", "5"])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "s,direct,laplace" and len(lines) == 6
+        for line in lines[1:]:
+            s, direct, laplace = line.split(",")
+            direct, laplace = float(direct), float(laplace)
+            assert direct > 0 and laplace == pytest.approx(direct, rel=1e-6)
+            fresh_caches()
+            rc = main(["seminorm", "--s", s, "--p", "1", "--method", "both", "--in", infile])
+            assert rc == 0
+            one = dict(l.split(": ") for l in capsys.readouterr().out.strip().splitlines())
+            assert float(one["direct"]) == pytest.approx(direct, rel=1e-12)
+            assert float(one["laplace"]) == pytest.approx(laplace, rel=1e-12)
 
 
 class TestErrorPaths:

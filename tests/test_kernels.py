@@ -500,11 +500,72 @@ class TestRieszWeightsND:
             return np.full_like(m, 20)
 
         monkeypatch.setattr(kernels, "_gl_order", fixed)
+        fresh_caches()  # the cached grid plan holds the graded orders
         ref = riesz_weights_nd(g1, g2, sigma).weights
         assert max(used) <= 18
         nz = ref != 0
         assert np.all(ref[nz] > 0) and np.count_nonzero(nz) == ref.size - 1
         assert np.max(np.abs(got[nz] / ref[nz] - 1.0)) < 1e-14
+
+    def test_second_sigma_reuses_the_grid_plan(self, monkeypatch, fresh_caches):
+        # panels and orders depend on the grid alone, so a second sigma on
+        # the same grid builds neither
+        g1, g2 = Grid1D.circle(12), Grid1D.interval(12, -2.0, 2.0)
+        monkeypatch.delenv("PERSYM_CACHE_DIR", raising=False)
+        riesz_weights_nd(g1, g2, 0.3)
+        calls = []
+        for name in ("_panels", "_gl_order"):
+            original = getattr(kernels, name)
+            monkeypatch.setattr(
+                kernels, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+            )
+        riesz_weights_nd(g1, g2, 0.7)
+        assert calls == []
+        fresh_caches()
+        riesz_weights_nd(g1, g2, 0.7)
+        assert set(calls) == {"_panels", "_gl_order"}
+
+    def test_plan_is_read_only(self, monkeypatch):
+        monkeypatch.delenv("PERSYM_CACHE_DIR", raising=False)
+        g1, g2 = Grid1D.circle(6), Grid1D.centered_interval(8, 4.0)
+        riesz_weights_nd(g1, g2, 0.5)
+        rules = kernels._nd_plan(g1.n, g1.h, g2.n, g2.h, 16)
+        arrays = [a for r in rules for a in (*r.nodes, r.moment, r.weight, r.target, r.corner)]
+        assert len(arrays) == (1 + 4) + (2 + 4)  # nodes as r^2, and as (x1, x2) in the tails
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        assert rules is kernels._nd_plan(g1.n, g1.h, g2.n, g2.h, 16)
+
+    def test_disk_cache_hit_builds_no_plan(self, tmp_path, monkeypatch, fresh_caches):
+        g1, g2 = Grid1D.circle(4), Grid1D.centered_interval(3, 2.0)
+        monkeypatch.setenv("PERSYM_CACHE_DIR", str(tmp_path))
+        fresh = riesz_weights_nd(g1, g2, 0.5)
+        fresh_caches()
+        W = riesz_weights_nd(g1, g2, 0.5)
+        assert kernels._nd_plan.cache_info().misses == 0
+        assert np.array_equal(W.weights, fresh.weights)
+
+    def test_plan_memory_is_bounded(self, monkeypatch, fresh_caches):
+        # the plan is listed a block of boxes and a chunk of nodes at a
+        # time: the first build at 16x16 peaks within the plan it keeps
+        # (1.4 MiB) and 8 blocks (1 MiB; measured 6.9); listing every
+        # box quadrant at once peaked 16 blocks above it
+        monkeypatch.delenv("PERSYM_CACHE_DIR", raising=False)
+        g1, g2 = Grid1D.circle(16), Grid1D.interval(16, -2.0, 2.0)
+        kernels._gl_order(1.0, 1.0, 1.0, 1.0)  # scipy's lazy imports are not the plan's
+        tracemalloc.start()
+        try:
+            riesz_weights_nd(g1, g2, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rules = kernels._nd_plan(g1.n, g1.h, g2.n, g2.h, 16)
+        plan = sum(
+            a.nbytes for r in rules for a in (*r.nodes, r.moment, r.weight, r.target, r.corner)
+        )
+        block = 8 * kernels.OFFSET_BLOCK
+        assert peak < plan + 8 * block, (peak - plan) / block
 
 
 def test_tables_are_read_only():
@@ -655,7 +716,9 @@ class TestOffsetSums:
         assert 2500 * 2500 > kernels.OFFSET_BLOCK
 
     @pytest.mark.parametrize(
-        "shape,periodic", [((4096,), (True,)), ((64, 64), (True, False))], ids=["1d", "2d"]
+        "shape,periodic",
+        [((4096,), (True,)), ((64, 64), (True, False)), ((2048,), (False,))],
+        ids=["1d", "2d", "1d-interval"],
     )
     def test_memory_is_bounded(self, shape, periodic, rng, fresh_caches):
         # the full pair tensor would be 128 MiB (1d) or 254 MiB (2d); every
@@ -673,6 +736,25 @@ class TestOffsetSums:
         finally:
             tracemalloc.stop()
         assert peak < out.nbytes + plan + 6 * block, (peak - out.nbytes - plan) / block
+
+    @pytest.mark.parametrize(
+        "shape,periodic", [((700,), (False,)), ((40, 5), (False, False)), ((30, 7), (False, True))]
+    )
+    def test_interval_first_axis_reuses_one_plan(self, shape, periodic, rng, fresh_caches):
+        # past one block of first-axis offsets, every block takes the first
+        # block's plan, so a repeated call builds none (at 700 cells it
+        # built 61 per call, more than the cache holds)
+        u = rng.random(shape)
+        v = rng.random((2,) + shape)
+        offsets = math.prod(n if per else 2 * n - 1 for n, per in zip(shape, periodic))
+        assert v.size * offsets > 4 * kernels.OFFSET_BLOCK  # several blocks
+        offset_sums(u, v, power_cost, periodic)
+        misses = kernels._gather_plan.cache_info().misses
+        assert misses == 1
+        got = offset_sums(u, v, power_cost, periodic)
+        assert kernels._gather_plan.cache_info().misses == misses
+        ref = offset_sums_reference(u, v, power_cost, periodic)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_small_blocks_change_nothing(self, rng, monkeypatch):
         u = rng.random((5, 4))
