@@ -148,8 +148,8 @@ def offset_sums(u, v, cost, periodic) -> np.ndarray:
     reuses the first block's plan, with the first axis taken periodic and u
     rolled by the block's first offset s: slot i of offset o pairs cell
     i - s with partner i + o, both mod n.  On an interval first axis that is
-    a pair at offset s + o only where cell and partner wrap alike; the
-    other slots are masked.
+    a pair at offset s + o only where cell and partner wrapped as many
+    times; the other slots are masked.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -165,10 +165,9 @@ def offset_sums(u, v, cost, periodic) -> np.ndarray:
     partners = v.reshape(batch + (-1,))
     n = u.shape[0]
     whole = not periodic[0] and step >= off[0]  # an interval first axis in one block
-    wraps = None
-    if not (whole or periodic[0]):  # partner i + o wrapped, per (o, i)
+    if not (whole or periodic[0]):  # times partner i + o wrapped, per (o, i)
         view = (step,) + (1,) * (k - 1) + (n,) + (1,) * (k - 1)
-        wraps = (np.arange(n) + np.arange(step)[:, None] >= n).reshape(view)
+        wraps = ((np.arange(n) + np.arange(step)[:, None]) // n).reshape(view)
     parts = []
     for lo in range(0, off[0], step):
         hi = min(lo + step, off[0])
@@ -179,7 +178,7 @@ def offset_sums(u, v, cost, periodic) -> np.ndarray:
             idx, keep = _gather_plan(u.shape, (True,) + periodic[1:], step)
             s = lo if periodic[0] else lo - (n - 1)  # the block's first offset
             cells = np.roll(u, s, axis=0).ravel() if s else u.ravel()
-            if wraps is not None:  # cell i - s wrapped by (i - s) // n
+            if not periodic[0]:  # cell i - s wrapped (i - s) // n times
                 alike = wraps == ((np.arange(n) - s) // n).reshape(wraps.shape[1:])
                 alike = np.broadcast_to(alike, (step,) + off[1:] + u.shape).reshape(idx.shape)
                 keep = alike if keep is None else keep & alike
@@ -857,10 +856,10 @@ def _nd_cache_path(grid1, grid2, sigma, k_copies):
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"PERSYM_CACHE_DIR is not a usable directory: {exc}") from exc
-    # bump the format version v3 whenever the builder's values change beyond
-    # rounding, so a table written by an older builder is never served
+    # bump the format version v4 whenever the builder's values change, so a
+    # table written by an older builder is never served
     tag = (
-        f"riesz2d_v3_n{grid1.n}x{grid2.n}_box{grid2.lo:.9g}_{grid2.hi:.9g}"
+        f"riesz2d_v4_n{grid1.n}x{grid2.n}_box{grid2.lo:.9g}_{grid2.hi:.9g}"
         f"_sigma{sigma:.9g}_k{k_copies}.npz"
     )
     return os.path.join(cache_dir, tag)

@@ -471,11 +471,11 @@ class TestRieszWeightsND:
             assert np.array_equal(data["weights"], fresh.weights)
 
     def test_stale_format_cache_file_is_not_served(self, tmp_path, monkeypatch):
-        # a right-shaped table under the name of the v2 builder, whose
-        # values the panel builder no longer reproduces bit for bit
+        # a right-shaped table under the name of the v3 builder, whose
+        # values the grid-plan builder no longer reproduces bit for bit
         g1, g2 = Grid1D.circle(4), Grid1D.centered_interval(3, 2.0)
         fresh = riesz_weights_nd(g1, g2, 0.5)
-        stale = tmp_path / f"riesz2d_v2_n4x3_box{g2.lo:.9g}_{g2.hi:.9g}_sigma0.5_k16.npz"
+        stale = tmp_path / f"riesz2d_v3_n4x3_box{g2.lo:.9g}_{g2.hi:.9g}_sigma0.5_k16.npz"
         np.savez(stale, weights=np.ones((4, 5)), exterior=np.ones(3))
         monkeypatch.setenv("PERSYM_CACHE_DIR", str(tmp_path))
         W = riesz_weights_nd(g1, g2, 0.5)
@@ -699,10 +699,14 @@ class TestOffsetSums:
             ((2,), (3,), (True,), power_cost),
             ((1, 4), (), (True, False), power_cost),
             ((2, 3), (2,), (True, False), np.multiply),
+            ((100,), (), (False,), power_cost),
+            ((100, 1), (), (False, True), power_cost),
         ],
         ids=["1d-periodic", "1d-interval", "2d", "2d-product", "1d-batched",
              "2d-batched", "1d-multi-block", "1d-one-cell", "1d-two-cells",
-             "2d-one-cell-circle", "2d-two-cell-circle"],
+             "2d-one-cell-circle", "2d-two-cell-circle",
+             # blocks of more first-axis offsets than cells: partners wrap twice
+             "1d-interval-wide-blocks", "2d-interval-first-wide-blocks"],
     )
     def test_against_reference(self, shape, batch, periodic, cost, rng):
         u = rng.random(shape)
