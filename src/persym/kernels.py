@@ -20,8 +20,9 @@ such tables contract with.  This module builds the tables:
   two-tap averages of the kernel values (and whose rearrangement is again
   a step kernel, so rearranged tables stay exact);
 * the exp-substitution trapezoid rule turning t-integrals of
-  t^(lambda-1) e^(-zt) into Gamma(lambda) z^(-lambda), validated against
-  that closed form before use.
+  t^(lambda-1) e^(-zt) into Gamma(lambda) z^(-lambda), its nodes on the
+  fixed lattice s = k ds in s = log t, validated against that closed form
+  before use.
 
 Convention: W[0] := 0 for kernels singular at the origin (step-function
 energies never see the diagonal because u(x) - u(y) vanishes there).
@@ -453,24 +454,27 @@ def _check_sigma(sigma: float) -> None:
         raise SigmaOutOfRange(f"sigma must lie in (0, 1), got {sigma}")
 
 
-def _d2_power(a: float, z, h: float):
+def _d2_power(a, z, h: float):
     """Second difference P(z+h) - 2 P(z) + P(z-h) of P(r) = r^a, cancellation-safe.
 
     Direct evaluation loses (z/h)^2 in relative precision, so for z >= 16 h it
     switches to the even-order Taylor series 2 sum_j h^(2j)/(2j)! P^(2j)(z),
-    whose omitted terms are below 1e-16 relative at that threshold.
+    whose omitted terms are below 1e-16 relative at that threshold.  An array
+    of exponents ``a`` adds its axes in front of those of z, one pass for all.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.empty_like(z)
+    a = np.asarray(a, dtype=float)
+    out = np.empty(a.shape + z.shape)
+    a = a[..., None]  # against the cells of z that one branch takes, flattened
     near = z < 16.0 * h
     if near.any():
         zn = z[near]
         p = lambda r: np.where(r > 0.0, r, 1.0) ** a * (r > 0.0)
-        out[near] = p(zn + h) - 2.0 * p(zn) + p(zn - h)
+        out[..., near] = p(zn + h) - 2.0 * p(zn) + p(zn - h)
     far = ~near
     if far.any():
         zf = z[far]
-        acc = np.zeros_like(zf)
+        acc = np.zeros(a.shape[:-1] + zf.shape)
         for j in range(1, 6):
             acc += (
                 2.0
@@ -479,7 +483,7 @@ def _d2_power(a: float, z, h: float):
                 * math.prod(a - i for i in range(2 * j))
                 * zf ** (a - 2 * j)
             )
-        out[far] = acc
+        out[..., far] = acc
     return out
 
 
@@ -495,20 +499,18 @@ def _riesz_line_pair(m, h: float, sigma: float) -> np.ndarray:
     return c * _d2_power(1.0 - sigma, m * h, h)
 
 
-def _riesz_em_tail(a, n: int, h: float, sigma: float, k0: int) -> tuple[np.ndarray, np.ndarray]:
+def _riesz_em_tail(a, n: int, h: float, sigma: float, k0) -> tuple[np.ndarray, np.ndarray]:
     """sum_{k >= k0} pair_weight((a + k n) h) by Euler-Maclaurin, per offset a.
 
     Every piece is a second difference of an explicit antiderivative of the
-    power kernel; the bound is the magnitude of the first omitted correction.
-    Returns (values, bounds) shaped like the integer offset array ``a``.
+    power kernel, all six from one ``_d2_power`` pass; the bound is the
+    magnitude of the first omitted correction.  Returns (values, bounds)
+    shaped like ``a + k0``, so an array of k0 evaluates several copy counts.
     """
     s = sigma
     nh = n * h
     z0 = (np.asarray(a) + k0 * n) * h
-
-    def d2(a_pow: float, coef: float) -> np.ndarray:
-        return coef * _d2_power(a_pow, z0, h)
-
+    d2p = _d2_power(np.array([2.0 - s, 1.0 - s, -s, -2.0 - s, -4.0 - s, -6.0 - s]), z0, h)
     c3 = 1.0 / (s * (s - 1.0) * (2.0 - s))
     c2 = 1.0 / (s * (s - 1.0))
     c1 = -1.0 / s
@@ -516,24 +518,47 @@ def _riesz_em_tail(a, n: int, h: float, sigma: float, k0: int) -> tuple[np.ndarr
     cf3 = -(1.0 + s) * (2.0 + s) * (3.0 + s)
     cf5 = cf3 * (4.0 + s) * (5.0 + s)
     tail = (
-        -d2(2.0 - s, c3) / nh
-        + 0.5 * d2(1.0 - s, c2)
-        - nh * d2(-s, c1) / 12.0
-        + nh**3 * d2(-2.0 - s, cf1) / 720.0
-        - nh**5 * d2(-4.0 - s, cf3) / 30240.0
+        -(c3 * d2p[0]) / nh
+        + 0.5 * (c2 * d2p[1])
+        - nh * (c1 * d2p[2]) / 12.0
+        + nh**3 * (cf1 * d2p[3]) / 720.0
+        - nh**5 * (cf3 * d2p[4]) / 30240.0
     )
-    bound = np.abs(nh**7 * d2(-6.0 - s, cf5)) / 1209600.0
+    bound = np.abs(nh**7 * (cf5 * d2p[5])) / 1209600.0
     return tail, bound
+
+
+# copy counts of the periodized 1D table, tried in this order
+RIESZ_K0 = (8, 16, 32, 64, 128)
+
+
+def _riesz_first_jump(bounds: np.ndarray, w: np.ndarray) -> int:
+    """Index into RIESZ_K0 of the round after a failed first round.
+
+    Tail bounds barely depend on the table they are measured against, so
+    those of every later k0 (``bounds``, shape (len(RIESZ_K0) - 1, n - 1)),
+    taken against the first round's table ``w``, predict where doubling
+    stops; they fall as k0 grows.  The prediction is taken when it is clear
+    by a 1e-6 relative margin, the rounds it skips failing by as much;
+    otherwise the next round is the doubled one.
+    """
+    pred = np.max(bounds / w[1:], axis=1, initial=0.0)
+    failing = int(np.count_nonzero(pred > RIESZ_RTOL * (1.0 + 1e-6)))
+    if failing < pred.size and pred[failing] > RIESZ_RTOL * (1.0 - 1e-6):
+        return 1
+    return 1 + min(failing, pred.size - 1)
 
 
 def riesz_weights_1d(grid: Grid1D, sigma: float, periodized: bool) -> KernelWeights:
     """Cell-pair weights of |x - y|^(-(1+sigma)), optionally 2 pi periodized.
 
     W[0] is 0 by the singular-diagonal convention.  Periodization sums cell
-    copies at offsets d + k N explicitly and closes the k-tail with an
-    Euler-Maclaurin correction certified by its next-term bound, for all
-    offsets at once; the copy count doubles until every offset certifies
-    RIESZ_RTOL.
+    copies at offsets d + k N, |k| < k0, explicitly and closes the k-tail
+    with an Euler-Maclaurin correction certified by its next-term bound, for
+    all offsets at once; k0 runs through RIESZ_K0 until every offset
+    certifies RIESZ_RTOL.  After the first round the tail bounds of every
+    k0 predict the stopping k0 (``_riesz_first_jump``), so most tables take
+    two rounds; each round is the one copy doubling would compute.
     """
     _check_sigma(sigma)
     n, h = grid.n, grid.h
@@ -546,23 +571,24 @@ def riesz_weights_1d(grid: Grid1D, sigma: float, periodized: bool) -> KernelWeig
     if not grid.periodic:
         raise GridMismatch("periodized Riesz weights need a periodic grid")
     d = np.arange(1, n)
-    k0 = 8
+    k0s = np.array(RIESZ_K0)
+    tails, bounds = _riesz_em_tail(np.stack((d, -d)), n, h, sigma, k0s[:, None, None])
+    bounds = bounds[:, 0] + bounds[:, 1]
+    i = 0
     while True:
-        ks = np.arange(-k0 + 1, k0)
+        ks = np.arange(-k0s[i] + 1, k0s[i])
         core = _riesz_line_pair(np.abs(d[:, None] + ks * n), h, sigma).sum(axis=1)
-        t_plus, b_plus = _riesz_em_tail(d, n, h, sigma, k0)
-        t_minus, b_minus = _riesz_em_tail(-d, n, h, sigma, k0)
-        w = np.concatenate(([0.0], core + t_plus + t_minus))
-        worst = float(np.max((b_plus + b_minus) / w[1:], initial=0.0))
+        w = np.concatenate(([0.0], core + tails[i, 0] + tails[i, 1]))
+        worst = float(np.max(bounds[i] / w[1:], initial=0.0))
         if worst <= RIESZ_RTOL:
             return KernelWeights(
                 n, h, True, w, accuracy=max(worst, 1e-15), singular_diagonal=True
             )
-        if k0 >= 128:
+        if i == k0s.size - 1:
             raise RangeTooWide(
-                f"Euler-Maclaurin tail would not certify rtol={RIESZ_RTOL} at k0={k0}"
+                f"Euler-Maclaurin tail would not certify rtol={RIESZ_RTOL} at k0={k0s[i]}"
             )
-        k0 *= 2
+        i = _riesz_first_jump(bounds[1:], w) if i == 0 else i + 1
 
 
 # ---------------------------------------------------------------------------
@@ -1176,6 +1202,7 @@ class LaplaceConfig:
     rtol: float
     achieved: float
     ds: float = 0.0
+    k_lo: int = 0  # node q is exp((k_lo + q) ds)
 
     def apply(self, fvals: np.ndarray) -> float:
         return float(self.weights @ fvals)
@@ -1213,6 +1240,23 @@ class LaplaceConfig:
         return np.abs(approx / exact - 1.0)
 
 
+def laplace_window(lam: float, z_min: float, z_max: float, rtol: float) -> tuple[float, float]:
+    """Ends (s_left, s_right) in s = log t of the window of ``laplace_quadrature``.
+
+    Sized by the pure-exponential model e^(-z t) on [z_min, z_max] alone:
+    the part of each transform left of s_left is below rtol * 1e-3 of
+    Gamma(lam) z^-lam, and right of s_right e^(-z_min t) has decayed as far.
+    The window never starts below s = -600 nor runs past the point where
+    e^(lam s) would overflow.
+    """
+    eps = rtol * 1e-3
+    lgamma = math.lgamma(lam)
+    s_left = (math.log(eps * lam) + lgamma) / lam - math.log(z_max)
+    big = -math.log(eps) + abs(lgamma) + 5.0
+    big += lam * math.log(max(big, 2.0))
+    return max(s_left, -600.0), min(math.log(big / z_min), 680.0 / lam)
+
+
 def laplace_quadrature(
     lam: float,
     z_min: float,
@@ -1222,41 +1266,35 @@ def laplace_quadrature(
 ) -> LaplaceConfig:
     """Build and validate the exp-substitution trapezoid rule.
 
-    The window in s = log t is sized by the pure-exponential model e^(-z t)
-    on [z_min, z_max] alone: the part of each transform left of it is below
-    rtol * 1e-3 of Gamma(lam) z^-lam, and right of it e^(-z_min t) has
-    decayed as far.  A profile with algebraic ends (coef t^-beta as t -> 0
-    or t -> inf) needs the window only where it differs from those forms;
-    ``algebraic_head`` and ``algebraic_tail`` sum the rule's own nodes beyond
-    the window on them in closed form.  The spacing is halved until the
-    Gamma-identity check passes at rtol, else RangeTooWide.  The window
-    never starts below s = -600 nor runs past the point where e^(lam s)
-    would overflow.
+    The nodes sit on the lattice s = k ds in s = log t, over the window of
+    ``laplace_window`` snapped outward to it: k runs from floor(s_left / ds)
+    to ceil(s_right / ds).  The trapezoid rule stays exponentially
+    convergent on any such lattice, and every lam with the same ds shares
+    its node values bit for bit.  A profile with algebraic ends (coef t^-beta
+    as t -> 0 or t -> inf) needs the window only where it differs from
+    those forms; ``algebraic_head`` and ``algebraic_tail`` sum the rule's own
+    nodes beyond the window on them in closed form.  The spacing is halved
+    until the Gamma-identity check passes at rtol, else RangeTooWide.
     """
     if lam <= 0 or z_min <= 0 or z_max < z_min:
         raise ConfigError("need lam > 0 and 0 < z_min <= z_max")
-    eps = rtol * 1e-3
-    lgamma = math.lgamma(lam)
-    s_left = (math.log(eps * lam) + lgamma) / lam - math.log(z_max)
-    s_left = max(s_left, -600.0)
-    big = -math.log(eps) + abs(lgamma) + 5.0
-    big += lam * math.log(max(big, 2.0))
-    s_right = min(math.log(big / z_min), 680.0 / lam)  # keep e^(lam s) finite
+    s_left, s_right = laplace_window(lam, z_min, z_max, rtol)
     ds = 0.5
     zs = np.geomspace(z_min, z_max, 41)
     while True:
-        m = int(math.ceil((s_right - s_left) / ds)) + 1
+        k_lo = math.floor(s_left / ds)
+        m = math.ceil(s_right / ds) - k_lo + 1
         if m > max_nodes:
             raise RangeTooWide(
                 f"would need {m} nodes for rtol={rtol} on z in [{z_min}, {z_max}]"
             )
-        s = s_left + ds * np.arange(m)
+        s = ds * np.arange(k_lo, k_lo + m)
         cfg = LaplaceConfig(
-            lam, np.exp(s), ds * np.exp(lam * s), z_min, z_max, rtol, math.nan, ds
+            lam, np.exp(s), ds * np.exp(lam * s), z_min, z_max, rtol, math.nan, ds, k_lo
         )
         err = float(cfg.gamma_identity_error(zs).max())
         if err <= rtol:
             return LaplaceConfig(
-                lam, cfg.nodes, cfg.weights, z_min, z_max, rtol, err, ds
+                lam, cfg.nodes, cfg.weights, z_min, z_max, rtol, err, ds, k_lo
             )
         ds *= 0.5

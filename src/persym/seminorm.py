@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .errors import ConfigError, NotIndicator
+from .errors import ConfigError, NotIndicator, RangeTooWide
 from .grid import Grid1D, GridFunctionND, StepFunction
 from .kernels import (
     OFFSET_BLOCK,
@@ -29,8 +29,10 @@ from .kernels import (
     LaplaceConfig,
     NDKernelWeights,
     _gauss_tables_batch,
+    _frozen,
     _heat_table_batch,
     laplace_quadrature,
+    laplace_window,
     offset_sums,
     riesz_weights_1d,
     riesz_weights_nd,
@@ -161,11 +163,61 @@ def _laplace_rule_cached(lam: float, z_min: float, z_max: float) -> LaplaceConfi
     return laplace_quadrature(lam, z_min, z_max, rtol=LAPLACE_RTOL)
 
 
-def _node_chunks(cfg: LaplaceConfig, width: int):
-    """(nodes, weights) of the rule in chunks of at most OFFSET_BLOCK table entries."""
+def _lattice_rows(cfg: LaplaceConfig, dim: int) -> tuple[tuple[float, int, int], slice]:
+    """The lattice (ds, k_lo, k_hi) of the dim-D route's stacks at cfg's
+    spacing, z-range and rtol, and the rows of its stack at cfg's nodes.
+
+    The lattice s = k ds, k_lo <= k <= k_hi, covers the rule window of every
+    lam in (dim / 2, (dim + 1) / 2), that is of every sigma in (0, 1).  Both
+    window ends rise with lam (short of the overflow clamp, which no grid
+    reaches), so the windows of the two limits bound the union; a rule
+    outside it raises rather than read the wrong rows.
+    """
+    ends = [laplace_window(lam, cfg.z_min, cfg.z_max, cfg.rtol) for lam in (dim / 2, (dim + 1) / 2)]
+    k_lo = math.floor(min(e[0] for e in ends) / cfg.ds)
+    k_hi = math.ceil(max(e[1] for e in ends) / cfg.ds)
+    first = cfg.k_lo - k_lo
+    if first < 0 or cfg.k_lo + cfg.nodes.size - 1 > k_hi:
+        raise RangeTooWide(f"the rule for lam={cfg.lam} leaves the lattice k in [{k_lo}, {k_hi}]")
+    return (cfg.ds, k_lo, k_hi), slice(first, first + cfg.nodes.size)
+
+
+def _row_blocks(rows: int, width: int):
+    """Slices of at most OFFSET_BLOCK table entries over a stack of rows."""
     step = max(1, OFFSET_BLOCK // width)
-    for lo in range(0, cfg.nodes.size, step):
-        yield cfg.nodes[lo : lo + step], cfg.weights[lo : lo + step]
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+@lru_cache(maxsize=8)
+def _heat_stack(n: int, ds: float, k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice times t_k = exp(k ds), k_lo <= k <= k_hi, and the heat rows on
+    the n-cell circle at them, shape (k_hi - k_lo + 1, n); read-only."""
+    t = np.exp(ds * np.arange(k_lo, k_hi + 1))
+    heat = np.empty((t.size, n))
+    for sl in _row_blocks(t.size, n):
+        heat[sl] = _heat_table_batch(n, 2.0 * math.pi / n, t[sl])
+    return _frozen(t), _frozen(heat)
+
+
+@lru_cache(maxsize=8)
+def _heat_gauss_stack(
+    n1: int, n2: int, lo: float, hi: float, ds: float, k_lo: int, k_hi: int
+) -> tuple[np.ndarray, ...]:
+    """Lattice times t_k = exp(k ds) with, at each, the heat row on the
+    n1-cell circle, the line-Gaussian row on the n2-cell interval [lo, hi]
+    and its exterior masses times the heat row's mass h1 sqrt(pi / t_k);
+    read-only."""
+    h1 = 2.0 * math.pi / n1
+    g2 = Grid1D.interval(n2, lo, hi)
+    t = np.exp(ds * np.arange(k_lo, k_hi + 1))
+    heat = np.empty((t.size, n1))
+    gauss = np.empty((t.size, 2 * n2 - 1))
+    ext = np.empty((t.size, n2))
+    for sl in _row_blocks(t.size, n1 + 3 * n2):
+        heat[sl] = _heat_table_batch(n1, h1, t[sl])
+        gauss[sl], e = _gauss_tables_batch(g2, t[sl])
+        ext[sl] = (h1 * np.sqrt(math.pi / t[sl]))[:, None] * e
+    return tuple(_frozen(a) for a in (t, heat, gauss, ext))
 
 
 def _touches(n: int) -> np.ndarray:
@@ -180,17 +232,18 @@ def _laplace_table_1d(n: int, sigma: float) -> KernelWeights:
     """Periodized power-kernel table of the Laplace route on the n-cell circle.
 
     W = (sum_q w_q heat_q + head + tail) / Gamma(lam), lam = (1 + sigma) / 2,
-    the heat stack contracted chunk by chunk as it is built.  Beyond the
-    window only touching pairs survive, each as multiplicity / 2t; below it
-    every entry is h^2 / (2 sqrt(pi t)) up to exp(-1/4t).  W[0] = 0, as in
-    the direct table.
+    the heat rows a slice of the grid's lattice stack (``_heat_stack``), so
+    a fresh sigma costs its rule and one contraction.  Beyond the window
+    only touching pairs survive, each as multiplicity / 2t; below it every
+    entry is h^2 / (2 sqrt(pi t)) up to exp(-1/4t).  W[0] = 0, as in the
+    direct table.
     """
     lam = (1.0 + sigma) / 2.0
     h = 2.0 * math.pi / n
     cfg = _laplace_rule_cached(lam, h * h / 4.0, (2 * math.pi) ** 2)
-    w = np.zeros(n)
-    for t, wq in _node_chunks(cfg, n):
-        w += wq @ _heat_table_batch(n, h, t)
+    lattice, rows = _lattice_rows(cfg, 1)
+    _, heat = _heat_stack(n, *lattice)
+    w = cfg.weights @ heat[rows]
     w += _touches(n) * cfg.algebraic_tail(0.5, 1.0)
     w += cfg.algebraic_head(h * h / (2.0 * SQRT_PI), 0.5)
     w[0] = 0.0
@@ -206,11 +259,11 @@ def _laplace_table_2d(n1: int, n2: int, lo: float, hi: float, sigma: float) -> N
 
     W = (sum_q w_q heat_q (x) gauss_q + head + tail) / Gamma(lam) and
     E = (sum_q w_q row1_q ext_q + head) / Gamma(lam), lam = (2 + sigma) / 2,
-    row1_q = h1 sqrt(pi / t_q) the heat row's mass; the stacks are
-    contracted chunk by chunk as they are built.  Beyond the window only
-    touching pairs survive, as multiplicity / 2t per adjacent axis (with
-    wrap multiplicities on the periodic one) and h sqrt(pi / t) - 1 / t per
-    zero-offset axis, and a boundary column sees the outside as 1 / 2t.
+    row1_q = h1 sqrt(pi / t_q) the heat row's mass; the rows are slices of
+    the grid's lattice stacks (``_heat_gauss_stack``).  Beyond the window
+    only touching pairs survive, as multiplicity / 2t per adjacent axis
+    (with wrap multiplicities on the periodic one) and h sqrt(pi / t) - 1 / t
+    per zero-offset axis, and a boundary column sees the outside as 1 / 2t.
     Below the window heat tables are h1^2 / (2 sqrt(pi t)), Gaussian tables
     h2^2 and exterior masses h2 (sqrt(pi / t) - L2), up to O(t) relative.
     """
@@ -219,12 +272,10 @@ def _laplace_table_2d(n1: int, n2: int, lo: float, hi: float, sigma: float) -> N
     g2 = Grid1D.interval(n2, lo, hi)
     h2 = g2.h
     cfg = _laplace_rule_cached(lam, min(h1, h2) ** 2 / 4.0, (2.0 * math.pi) ** 2 + g2.length**2)
-    w = np.zeros((n1, 2 * n2 - 1))
-    ext = np.zeros(n2)
-    for t, wq in _node_chunks(cfg, n1 + 3 * n2):
-        gauss, e = _gauss_tables_batch(g2, t)
-        w += (wq[:, None] * _heat_table_batch(n1, h1, t)).T @ gauss
-        ext += (wq * h1 * np.sqrt(math.pi / t)) @ e
+    lattice, rows = _lattice_rows(cfg, 2)
+    _, heat, gauss, ext_rows = _heat_gauss_stack(n1, n2, lo, hi, *lattice)
+    w = (cfg.weights[:, None] * heat[rows]).T @ gauss[rows]
+    ext = cfg.weights @ ext_rows[rows]
     touch = _touches(n1)
     w[:, n2 - 1] += touch * (cfg.algebraic_tail(h2 * SQRT_PI / 2.0, 1.5) + cfg.algebraic_tail(-0.5, 2.0))
     if n2 >= 2:

@@ -176,6 +176,7 @@ def test_criterion_4_coarea_and_perimeter(rng):
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_inequality_suites(rng):
     """>= 1e4 randomized margins across every theorem family, < 10 min.
 

@@ -332,6 +332,102 @@ class TestRieszWeights1D:
         assert w.weights.tolist() == [float.fromhex(x) for x in pinned[sigma]]
         assert w.accuracy == 1e-15
 
+    @pytest.mark.parametrize("sigma", [0.1, 0.5, 0.89])
+    def test_periodized_pinned_values_64(self, sigma):
+        # recorded from the copy-doubling builder, whose rounds stop at
+        # k0 = 16, 32 and 32 here: the first round must land on the same k0
+        # and give the same table and certificate bit for bit
+        pinned = {
+            0.1: (
+                "0x1.6f37bbbb12f0fp-44",
+                "0x0.0p+0 0x1.b0b867897e511p-3 0x1.681770ee71ef9p-4 0x1.099505e310f34p-4 "
+                "0x1.bcf5962e93f52p-5 0x1.8b98dcc1902acp-5 0x1.6bb37b53567a8p-5 0x1.5575866424e1fp-5 "
+                "0x1.451c56deeb7fbp-5 0x1.389f5d4240ee3p-5 0x1.2eccb112a42cep-5 0x1.26e4ec15b5d6ap-5 "
+                "0x1.206a4778f8470p-5 0x1.1b06c8209aaeap-5 0x1.167db77c09d56p-5 0x1.12a309af968bdp-5 "
+                "0x1.0f560d679dc7ep-5 0x1.0c7e04d924d0ap-5 0x1.0a07e69354d0fp-5 0x1.07e4d76bf04fdp-5 "
+                "0x1.06091bc13d448p-5 0x1.046b57b765445p-5 0x1.030404fa10288p-5 0x1.01cd0d87e6460p-5 "
+                "0x1.00c180a167e3bp-5 0x1.ffbab5012432ap-6 0x1.fe3ab39adec8ep-6 0x1.fcfdbe98072f3p-6 "
+                "0x1.fbffaa93b5582p-6 0x1.fb3d3a128c07cp-6 0x1.fab401d422436p-6 0x1.fa6254da9e163p-6 "
+                "0x1.fa4736efae2fap-6 0x1.fa6254da9e166p-6 0x1.fab401d42243dp-6 0x1.fb3d3a128c086p-6 "
+                "0x1.fbffaa93b558ep-6 0x1.fcfdbe9807301p-6 0x1.fe3ab39adeca4p-6 0x1.ffbab50124340p-6 "
+                "0x1.00c180a167e47p-5 0x1.01cd0d87e646ep-5 0x1.030404fa10298p-5 0x1.046b57b765457p-5 "
+                "0x1.06091bc13d45cp-5 0x1.07e4d76bf0511p-5 0x1.0a07e69354d24p-5 0x1.0c7e04d924d22p-5 "
+                "0x1.0f560d679dc97p-5 0x1.12a309af968d9p-5 0x1.167db77c09d73p-5 0x1.1b06c8209ab09p-5 "
+                "0x1.206a4778f8491p-5 0x1.26e4ec15b5d8bp-5 0x1.2eccb112a42f1p-5 0x1.389f5d4240f09p-5 "
+                "0x1.451c56deeb821p-5 0x1.5575866424e47p-5 0x1.6bb37b53567d2p-5 0x1.8b98dcc1902d7p-5 "
+                "0x1.bcf5962e93f7ep-5 0x1.099505e310f4ap-4 0x1.681770ee71f11p-4 0x1.b0b867897e520p-3 "
+            ),
+            0.5: (
+                "0x1.203af9ee75616p-50",
+                "0x0.0p+0 0x1.7988e51835a43p-1 0x1.fbdcc111ad3f8p-4 0x1.0d396d5065778p-4 "
+                "0x1.619b31e7df3d8p-5 0x1.02d610f096a9ep-5 0x1.9523039312e20p-6 0x1.4be041726a5b4p-6 "
+                "0x1.190db4d5706fdp-6 0x1.e83bc8e861de2p-7 0x1.b09a41dfef5b4p-7 0x1.85864960e7510p-7 "
+                "0x1.6369afeaf0c69p-7 0x1.47e7d5af6ff45p-7 0x1.31640d4b8f6fap-7 0x1.1ebc1bb90490ep-7 "
+                "0x1.0f1ea67f9a534p-7 0x1.01f15cc7c88cbp-7 0x1.ed80bb71b99e8p-8 0x1.da667ec871375p-8 "
+                "0x1.ca0b3e51ae93fp-8 0x1.bc03f68a09764p-8 0x1.affc202396b88p-8 0x1.a5b077b25b80bp-8 "
+                "0x1.9ceb30727afbep-8 0x1.958126e2d4842p-8 0x1.8f4fcae9853fep-8 0x1.8a3b9004ced4bp-8 "
+                "0x1.862ec136c7297p-8 0x1.8318a0a784061p-8 0x1.80ecc21ee71afp-8 0x1.7fa2948b7811dp-8 "
+                "0x1.7f3512845f8f6p-8 0x1.7fa2948b7811cp-8 0x1.80ecc21ee71b0p-8 0x1.8318a0a784060p-8 "
+                "0x1.862ec136c7298p-8 0x1.8a3b9004ced4dp-8 0x1.8f4fcae9853fdp-8 0x1.958126e2d4841p-8 "
+                "0x1.9ceb30727afbbp-8 0x1.a5b077b25b80ap-8 0x1.affc202396b8ap-8 0x1.bc03f68a09765p-8 "
+                "0x1.ca0b3e51ae93bp-8 0x1.da667ec871375p-8 0x1.ed80bb71b99e8p-8 0x1.01f15cc7c88cap-7 "
+                "0x1.0f1ea67f9a532p-7 0x1.1ebc1bb90490fp-7 0x1.31640d4b8f6fbp-7 0x1.47e7d5af6ff45p-7 "
+                "0x1.6369afeaf0c69p-7 0x1.85864960e750fp-7 0x1.b09a41dfef5b3p-7 0x1.e83bc8e861de5p-7 "
+                "0x1.190db4d5706fdp-6 0x1.4be041726a5b7p-6 0x1.9523039312e1fp-6 0x1.02d610f096a9ep-5 "
+                "0x1.619b31e7df3d7p-5 0x1.0d396d5065777p-4 0x1.fbdcc111ad3f6p-4 0x1.7988e51835a41p-1 "
+            ),
+            0.89: (
+                "0x1.203af9ee75616p-50",
+                "0x0.0p+0 0x1.d25f1dc037649p+2 0x1.e86477fdb5644p-3 0x1.a7d81b11cddafp-4 "
+                "0x1.e458117934f36p-5 0x1.3d62e69bfc764p-5 0x1.c468f66099b01p-6 0x1.557a6dc30fbf1p-6 "
+                "0x1.0ccbbd3922a49p-6 0x1.b5061d2650a39p-7 0x1.6c7ec2c0f7bc3p-7 0x1.36729dbc3bb59p-7 "
+                "0x1.0d18d33d7a6b5p-7 0x1.d98ab89937af2p-8 0x1.a6174e5a41880p-8 0x1.7c88c3035bba2p-8 "
+                "0x1.5a8d4acc6f8bfp-8 0x1.3e7a6cd2c1514p-8 0x1.271787b81f22cp-8 0x1.137b57ac5bbbap-8 "
+                "0x1.02f52401426dep-8 0x1.e9fa9146db3f6p-9 0x1.d25508f71c31ap-9 0x1.be54e38e4e7a9p-9 "
+                "0x1.ad7846b26b181p-9 0x1.9f587a7dff96dp-9 0x1.93a4312066dc3p-9 0x1.8a1b4db941dddp-9 "
+                "0x1.828bc344f729cp-9 0x1.7ccf446f2969cp-9 0x1.78c992f2094eep-9 0x1.76674c68cbe31p-9 "
+                "0x1.759d1d7772ad2p-9 0x1.76674c68cbe30p-9 0x1.78c992f2094eep-9 0x1.7ccf446f2969cp-9 "
+                "0x1.828bc344f729bp-9 0x1.8a1b4db941ddcp-9 0x1.93a4312066dc1p-9 0x1.9f587a7dff96dp-9 "
+                "0x1.ad7846b26b180p-9 0x1.be54e38e4e7abp-9 0x1.d25508f71c319p-9 0x1.e9fa9146db3f7p-9 "
+                "0x1.02f52401426e0p-8 0x1.137b57ac5bbb9p-8 0x1.271787b81f22ap-8 0x1.3e7a6cd2c1514p-8 "
+                "0x1.5a8d4acc6f8bfp-8 0x1.7c88c3035bba2p-8 0x1.a6174e5a41882p-8 0x1.d98ab89937af3p-8 "
+                "0x1.0d18d33d7a6b5p-7 0x1.36729dbc3bb56p-7 0x1.6c7ec2c0f7bc1p-7 0x1.b5061d2650a37p-7 "
+                "0x1.0ccbbd3922a4bp-6 0x1.557a6dc30fbf4p-6 0x1.c468f66099b03p-6 0x1.3d62e69bfc762p-5 "
+                "0x1.e458117934f35p-5 0x1.a7d81b11cddaep-4 0x1.e86477fdb5642p-3 0x1.d25f1dc037648p+2 "
+            ),
+        }
+        accuracy, weights = pinned[sigma]
+        w = riesz_weights_1d(Grid1D.circle(64), sigma, periodized=True)
+        assert w.weights.tolist() == [float.fromhex(x) for x in weights.split()]
+        assert w.accuracy == float.fromhex(accuracy)
+
+    def test_first_round_predicts_the_stopping_k0(self):
+        # bounds of k0 = 16, 32, 64, 128 against a table whose entries are 1
+        # and 2: the prediction per k0 is the first bound
+        r = kernels.RIESZ_RTOL
+        w = np.array([0.0, 1.0, 2.0])
+
+        def jump(*pred):
+            return kernels.RIESZ_K0[kernels._riesz_first_jump(np.array([[p, p] for p in pred]), w)]
+
+        assert jump(3 * r, 2 * r, 0.5 * r, 0.1 * r) == 64
+        assert jump(0.5 * r, 0.1 * r, 0.0, 0.0) == 16
+        assert jump(5 * r, 4 * r, 3 * r, 2 * r) == 128  # fails there, as doubling would
+        assert jump(3 * r, r * (1 + 1e-7), 0.5 * r, 0.1 * r) == 16  # unclear: double
+        assert jump(3 * r, r * (1 - 1e-7), 0.5 * r, 0.1 * r) == 16
+
+    def test_at_most_two_rounds(self, monkeypatch):
+        rounds = []
+        pair = kernels._riesz_line_pair
+        monkeypatch.setattr(
+            kernels, "_riesz_line_pair", lambda m, h, sigma: rounds.append(m.shape[1]) or pair(m, h, sigma)
+        )
+        for n in (2, 3, 8, 64, 256, 1024):
+            for sigma in np.linspace(0.01, 0.99, 13):
+                rounds.clear()
+                riesz_weights_1d(Grid1D.circle(n), float(sigma), periodized=True)
+                assert len(rounds) <= 2 and rounds[0] == 15
+
 
 class TestRieszWeightsND:
     def test_symmetries(self):
@@ -359,6 +455,7 @@ class TestRieszWeightsND:
         ours = W.weights[d1, d2 + 31]
         assert abs(ours / approx - 1.0) < 0.01
 
+    @pytest.mark.slow
     def test_monte_carlo_oracle(self):
         rng = np.random.default_rng(42)
         g1, g2 = Grid1D.circle(8), Grid1D.centered_interval(8, 4.0)
@@ -659,6 +756,22 @@ class TestLaplaceQuadrature:
     def test_range_too_wide(self):
         with pytest.raises(RangeTooWide):
             laplace_quadrature(0.75, 1e-300, 1e300, rtol=1e-12, max_nodes=50)
+
+    def test_nodes_sit_on_the_lattice(self):
+        # the window of laplace_window, snapped outward to s = k ds; every
+        # lam with the same ds takes the same node values bit for bit
+        rules = [laplace_quadrature(lam, 2.4e-3, 39.5, rtol=1e-9) for lam in (0.51, 0.75, 0.99)]
+        assert {cfg.ds for cfg in rules} == {0.25}
+        for cfg in rules:
+            k = np.arange(cfg.k_lo, cfg.k_lo + cfg.nodes.size)
+            assert np.array_equal(cfg.nodes, np.exp(k * cfg.ds))
+            s_left, s_right = kernels.laplace_window(cfg.lam, 2.4e-3, 39.5, 1e-9)
+            assert cfg.k_lo == math.floor(s_left / cfg.ds)
+            assert k[-1] == math.ceil(s_right / cfg.ds)
+        for a, b in itertools.combinations(rules, 2):
+            lo, hi = max(a.k_lo, b.k_lo), min(a.k_lo + a.nodes.size, b.k_lo + b.nodes.size)
+            assert hi - lo > 100
+            assert np.array_equal(a.nodes[lo - a.k_lo : hi - a.k_lo], b.nodes[lo - b.k_lo : hi - b.k_lo])
 
 
 def offset_sums_reference(u, v, cost, periodic):
