@@ -8,14 +8,16 @@ such tables contract with.  This module builds the tables:
 * wrapped Gaussian (periodic heat kernel) and line Gaussian, from one
   erf/erfc antiderivative value per lattice point, with a theta-series dual
   branch for small diffusion time;
-* power kernel |z|^(-(1+sigma)) on the line (closed-form second
-  antiderivative) and its periodization (explicit copies plus an
-  Euler-Maclaurin tail with analytic derivatives, certified by the
-  next-term bound);
-* the 2D power kernel |z|^(-(2+sigma)) with x1-periodization, over
-  Gauss-Legendre panels graded by their distance from the kernel origin,
-  with exact corner moments at it; nodes and weights depend on the grid
-  alone and are kept once per grid;
+* power kernel |z|^(-(1+sigma)) on the line (the all-positive even series
+  of its second differences) and its Hurwitz-zeta periodization (explicit
+  copies plus the same series summed over the far copies, positive-order
+  zeta only, certified by its first omitted term), built in one pass;
+* the 2D power kernel |z|^(-(2+sigma)) with x1-periodization: the copies
+  near the cell over Gauss-Legendre panels graded by their distance from
+  the kernel origin, with exact corner moments at it, and the far copies
+  as a Hurwitz-zeta polynomial series whose box integral separates into
+  one small contraction per sigma; nodes, weights and moments depend on the
+  grid alone and are kept once per grid;
 * general nonnegative step-function kernels, whose tables are exact
   two-tap averages of the kernel values (and whose rearrangement is again
   a step kernel, so rearranged tables stay exact);
@@ -58,7 +60,8 @@ SQRT_PI = math.sqrt(math.pi)
 # representation; both need <= ~8 terms there (tables: _heat_switch)
 T_SWITCH = 1.0 / (4.0 * math.pi**2)
 # certified relative accuracy of the periodized 1D power-kernel table, and
-# the self-convergence-checked accuracy of the 2D power-kernel table
+# the accuracy of the 2D power-kernel table (quadrature checked against a
+# fixed-order rule, copy tail certified by its series bound)
 RIESZ_RTOL = 1e-13
 ND_TABLE_ACCURACY = 1e-12
 
@@ -454,141 +457,86 @@ def _check_sigma(sigma: float) -> None:
         raise SigmaOutOfRange(f"sigma must lie in (0, 1), got {sigma}")
 
 
-def _d2_power(a, z, h: float):
-    """Second difference P(z+h) - 2 P(z) + P(z-h) of P(r) = r^a, cancellation-safe.
+def _riesz_series(a: float, terms: int) -> np.ndarray:
+    """q_k = prod_{j=2}^{2k-1} (j - a) / (2k)!, k = 1..terms, all positive for a < 2.
 
-    Direct evaluation loses (z/h)^2 in relative precision, so for z >= 16 h it
-    switches to the even-order Taylor series 2 sum_j h^(2j)/(2j)! P^(2j)(z),
-    whose omitted terms are below 1e-16 relative at that threshold.  An array
-    of exponents ``a`` adds its axes in front of those of z, one pass for all.
+    The pair weight of |x - y|^(-(1+sigma)) at cell offset m, a = 1 - sigma,
+    is the second difference c (P(z+h) - 2 P(z) + P(z-h)) at z = m h of
+    P(r) = r^a, c = 1 / (sigma (sigma - 1)); its even Taylor series
+    2 sum_k h^(2k) P^(2k)(z) / (2k)! becomes 2 h^a sum_k q_k m^(a - 2k),
+    since c a (a - 1) = 1.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    a = np.asarray(a, dtype=float)
-    out = np.empty(a.shape + z.shape)
-    a = a[..., None]  # against the cells of z that one branch takes, flattened
-    near = z < 16.0 * h
-    if near.any():
-        zn = z[near]
-        p = lambda r: np.where(r > 0.0, r, 1.0) ** a * (r > 0.0)
-        out[..., near] = p(zn + h) - 2.0 * p(zn) + p(zn - h)
-    far = ~near
-    if far.any():
-        zf = z[far]
-        acc = np.zeros(a.shape[:-1] + zf.shape)
-        for j in range(1, 6):
-            acc += (
-                2.0
-                * h ** (2 * j)
-                / math.factorial(2 * j)
-                * math.prod(a - i for i in range(2 * j))
-                * zf ** (a - 2 * j)
-            )
-        out[..., far] = acc
-    return out
+    k = np.arange(2, terms + 1)
+    ratio = (2 * k - 2 - a) * (2 * k - 1 - a) / ((2 * k - 1) * (2 * k))
+    return 0.5 * np.cumprod(np.concatenate(([1.0], ratio)))
 
 
-def _riesz_line_pair(m, h: float, sigma: float) -> np.ndarray:
-    """Exact pair weight at cell offset |m| >= 1 from the second antiderivative.
+def _riesz_line_pairs(mmax: int, h: float, sigma: float) -> np.ndarray:
+    """Pair weights L[m] of |x - y|^(-(1+sigma)) at cell offsets m = 0..mmax, L[0] = 0.
 
-    K2(r) = r^(1-sigma) / (sigma (sigma - 1)) satisfies K2'' = r^(-(1+sigma));
-    the weight is the second difference of K2 at the three edge gaps, with
-    K2(0) = 0 for sigma < 1 (this is where sigma >= 1 diverges).
+    L[1] = 2 h^a (1 - 2^-sigma) / (sigma (1 - sigma)) in closed form, and
+    L[m] for m >= 2 the all-positive series 2 h^a sum_k q_k m^(a - 2k) of
+    ``_riesz_series``: 30 terms below m = 40, 5 from there, the first
+    omitted term below 2e-17 relative at m = 2 and 40.  No term cancels, so
+    the weights hold a few ulps at every sigma.
     """
-    m = np.asarray(m, dtype=float)
-    c = 1.0 / (sigma * (sigma - 1.0))
-    return c * _d2_power(1.0 - sigma, m * h, h)
+    a = 1.0 - sigma
+    q = _riesz_series(a, 30)
+    out = np.zeros(mmax + 1)
+    if mmax >= 1:
+        out[1] = 2.0 * -math.expm1(-sigma * math.log(2.0)) / (sigma * (1.0 - sigma))
+    for lo, hi, terms in ((2, min(40, mmax + 1), 30), (40, mmax + 1, 5)):
+        if lo < hi:
+            m = np.arange(lo, hi, dtype=float)
+            powers = (1.0 / (m * m))[:, None] ** np.arange(terms)
+            out[lo:hi] = 2.0 * m ** (a - 2.0) * (powers @ q[:terms])
+    return out * h**a
 
 
-def _riesz_em_tail(a, n: int, h: float, sigma: float, k0) -> tuple[np.ndarray, np.ndarray]:
-    """sum_{k >= k0} pair_weight((a + k n) h) by Euler-Maclaurin, per offset a.
-
-    Every piece is a second difference of an explicit antiderivative of the
-    power kernel, all six from one ``_d2_power`` pass; the bound is the
-    magnitude of the first omitted correction.  Returns (values, bounds)
-    shaped like ``a + k0``, so an array of k0 evaluates several copy counts.
-    """
-    s = sigma
-    nh = n * h
-    z0 = (np.asarray(a) + k0 * n) * h
-    d2p = _d2_power(np.array([2.0 - s, 1.0 - s, -s, -2.0 - s, -4.0 - s, -6.0 - s]), z0, h)
-    c3 = 1.0 / (s * (s - 1.0) * (2.0 - s))
-    c2 = 1.0 / (s * (s - 1.0))
-    c1 = -1.0 / s
-    cf1 = -(1.0 + s)
-    cf3 = -(1.0 + s) * (2.0 + s) * (3.0 + s)
-    cf5 = cf3 * (4.0 + s) * (5.0 + s)
-    tail = (
-        -(c3 * d2p[0]) / nh
-        + 0.5 * (c2 * d2p[1])
-        - nh * (c1 * d2p[2]) / 12.0
-        + nh**3 * (cf1 * d2p[3]) / 720.0
-        - nh**5 * (cf3 * d2p[4]) / 30240.0
-    )
-    bound = np.abs(nh**7 * (cf5 * d2p[5])) / 1209600.0
-    return tail, bound
-
-
-# copy counts of the periodized 1D table, tried in this order
-RIESZ_K0 = (8, 16, 32, 64, 128)
-
-
-def _riesz_first_jump(bounds: np.ndarray, w: np.ndarray) -> int:
-    """Index into RIESZ_K0 of the round after a failed first round.
-
-    Tail bounds barely depend on the table they are measured against, so
-    those of every later k0 (``bounds``, shape (len(RIESZ_K0) - 1, n - 1)),
-    taken against the first round's table ``w``, predict where doubling
-    stops; they fall as k0 grows.  The prediction is taken when it is clear
-    by a 1e-6 relative margin, the rounds it skips failing by as much;
-    otherwise the next round is the doubled one.
-    """
-    pred = np.max(bounds / w[1:], axis=1, initial=0.0)
-    failing = int(np.count_nonzero(pred > RIESZ_RTOL * (1.0 + 1e-6)))
-    if failing < pred.size and pred[failing] > RIESZ_RTOL * (1.0 - 1e-6):
-        return 1
-    return 1 + min(failing, pred.size - 1)
+# copies -RIESZ_NEAR <= k < RIESZ_NEAR of the periodized 1D table are summed
+# explicitly, the others by the Hurwitz-zeta series
+RIESZ_NEAR = 4
+# rounding floor of the periodized 1D table's certificate: the largest
+# error measured against 40-digit Hurwitz-zeta values, 1.7e-15 (n from 2
+# to 1024, sigma from 0.02 to 0.98), with room to spare
+RIESZ_ROUNDING = 4e-15
 
 
 def riesz_weights_1d(grid: Grid1D, sigma: float, periodized: bool) -> KernelWeights:
     """Cell-pair weights of |x - y|^(-(1+sigma)), optionally 2 pi periodized.
 
-    W[0] is 0 by the singular-diagonal convention.  Periodization sums cell
-    copies at offsets d + k N, |k| < k0, explicitly and closes the k-tail
-    with an Euler-Maclaurin correction certified by its next-term bound, for
-    all offsets at once; k0 runs through RIESZ_K0 until every offset
-    certifies RIESZ_RTOL.  After the first round the tail bounds of every
-    k0 predict the stopping k0 (``_riesz_first_jump``), so most tables take
-    two rounds; each round is the one copy doubling would compute.
+    W[0] is 0 by the singular-diagonal convention; the line weights are
+    ``_riesz_line_pairs``.  Periodization sums the copies at offsets
+    d + k n, -K <= k < K = RIESZ_NEAR, explicitly, and closes the far copies
+    in one pass by summing the same series over them, with Hurwitz zeta of
+    positive order only:
+    W[d] += 2 h^a sum_{k <= J} q_k n^(a - 2k) (Z_k[d] + Z_k[n - d]),
+    Z_k[j] = zeta(2k - a, K + j / n), J = ceil(17 / (2 log10(n K))) + 1.
+    Successive terms fall by at least (n K)^2 >= 16, so twice the first
+    omitted term bounds the rest; ``accuracy`` is the larger of that bound
+    and the rounding floor RIESZ_ROUNDING, relative to each entry.
     """
     _check_sigma(sigma)
     n, h = grid.n, grid.h
     if not periodized:
-        d = np.arange(-(n - 1), n)
-        w = np.zeros(d.size)
-        nz = d != 0
-        w[nz] = _riesz_line_pair(np.abs(d[nz]), h, sigma)
+        line = _riesz_line_pairs(n - 1, h, sigma)
+        w = np.concatenate((line[:0:-1], line))
         return KernelWeights(n, h, False, w, accuracy=1e-14, singular_diagonal=True)
     if not grid.periodic:
         raise GridMismatch("periodized Riesz weights need a periodic grid")
+    a = 1.0 - sigma
     d = np.arange(1, n)
-    k0s = np.array(RIESZ_K0)
-    tails, bounds = _riesz_em_tail(np.stack((d, -d)), n, h, sigma, k0s[:, None, None])
-    bounds = bounds[:, 0] + bounds[:, 1]
-    i = 0
-    while True:
-        ks = np.arange(-k0s[i] + 1, k0s[i])
-        core = _riesz_line_pair(np.abs(d[:, None] + ks * n), h, sigma).sum(axis=1)
-        w = np.concatenate(([0.0], core + tails[i, 0] + tails[i, 1]))
-        worst = float(np.max(bounds[i] / w[1:], initial=0.0))
-        if worst <= RIESZ_RTOL:
-            return KernelWeights(
-                n, h, True, w, accuracy=max(worst, 1e-15), singular_diagonal=True
-            )
-        if i == k0s.size - 1:
-            raise RangeTooWide(
-                f"Euler-Maclaurin tail would not certify rtol={RIESZ_RTOL} at k0={k0s[i]}"
-            )
-        i = _riesz_first_jump(bounds[1:], w) if i == 0 else i + 1
+    near = np.abs(d[:, None] + n * np.arange(-RIESZ_NEAR, RIESZ_NEAR))
+    w = _riesz_line_pairs(RIESZ_NEAR * n - 1, h, sigma)[near].sum(axis=1)
+    terms = math.ceil(17.0 / (2.0 * math.log10(n * RIESZ_NEAR))) + 1
+    order = 2.0 * np.arange(1, terms + 2) - a
+    z = special.zeta(order[:, None], RIESZ_NEAR + d / n)
+    scale = 2.0 * h**a * _riesz_series(a, terms + 1) * float(n) ** -order
+    far = scale[:, None] * (z + z[:, ::-1])
+    w += far[:terms].sum(axis=0)
+    accuracy = max(float(np.max(2.0 * far[terms] / w, initial=0.0)), RIESZ_ROUNDING)
+    w = np.concatenate(([0.0], w))
+    return KernelWeights(n, h, True, w, accuracy=accuracy, singular_diagonal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +644,8 @@ class _BoxRule:
     A box centred at x, [x1 - h1, x1 + h1] x [x2 - h2, x2 + h2], integrates
     tri(z1) tri(z2) density(x + z), tri(z) = h - |z|, over the panels of
     its four quadrant squares.  Neighbouring boxes share squares, so each
-    distinct panel's Gauss-Legendre nodes are kept once (``nodes``, in the
-    form the density takes them, panel after panel) and its four hat
+    distinct panel's Gauss-Legendre nodes are kept once (``nodes``, as
+    r^2 = z1^2 + z2^2, panel after panel) and its four hat
     moments (``_hat_rule``) serve every box it belongs to: tri is linear
     along each axis of a panel, a nonnegative combination of the hats at
     the panel's two ends, so no sum cancels.  Each term of a box's sum
@@ -706,7 +654,7 @@ class _BoxRule:
     instead, weighted by ``corner`` per target.
     """
 
-    nodes: tuple
+    nodes: np.ndarray
     chunks: tuple  # (first node, first panel, end panel, order)
     moment: np.ndarray
     weight: np.ndarray
@@ -714,14 +662,13 @@ class _BoxRule:
     corner: np.ndarray  # (targets, 3)
 
 
-def _box_rule(a1, a2, target, targets: int, h1: float, h2: float, coords) -> _BoxRule:
+def _box_rule(a1, a2, target, targets: int, h1: float, h2: float) -> _BoxRule:
     """``_BoxRule`` of the boxes centred at the lattice points (a1 h1, a2 h2).
 
     Each panel of ``_panels`` takes the product rule of its ``_gl_order``;
     the panels of one order go together, in chunks of at most OFFSET_BLOCK
-    nodes.  ``coords(x1, x2)`` gives the node arrays the density takes.  The
-    terms are listed one quadrant and block of boxes at a time, and before
-    the nodes, so that few temporaries outlive their block.
+    nodes.  The terms are listed one quadrant and block of boxes at a time,
+    and before the nodes, so that few temporaries outlive their block.
     """
     h = np.array([h1, h2])
     # quadrant q lies below its box's centre along axis 0 if q < 2, along
@@ -790,7 +737,7 @@ def _box_rule(a1, a2, target, targets: int, h1: float, h2: float, coords) -> _Bo
         terms.append(_frozen(np.concatenate(parts), parts[0].dtype))
         parts.clear()
     # the nodes, chunk by chunk
-    nodes, chunks, n0 = None, [], 0
+    nodes, chunks, n0 = np.empty(int(orders @ orders)), [], 0
     for m in np.unique(orders):
         p_first, p_end = np.searchsorted(orders, [m, m + 1])
         per = max(1, OFFSET_BLOCK // (m * m))
@@ -799,55 +746,77 @@ def _box_rule(a1, a2, target, targets: int, h1: float, h2: float, coords) -> _Bo
             p1 = min(p0 + per, p_end)
             pp = rank[p0:p1]
             x = lo[pp][:, :, None] + 0.5 * width[pp][:, :, None] * g  # (panels, 2, m)
-            vals = coords(x[:, 0, :, None], x[:, 1, None, :])
-            if nodes is None:
-                nodes = tuple(np.empty(int(orders @ orders)) for _ in vals)
+            x *= x
             n1 = n0 + (p1 - p0) * m * m
-            for out, v in zip(nodes, vals):
-                out[n0:n1].reshape(p1 - p0, m, m)[...] = v
+            nodes[n0:n1].reshape(p1 - p0, m, m)[...] = x[:, 0, :, None] + x[:, 1, None, :]
             chunks.append((n0, int(p0), int(p1), int(m)))
             n0 = n1
-    return _BoxRule(tuple(_frozen(x) for x in nodes), tuple(chunks), *terms, _frozen(corner))
+    return _BoxRule(_frozen(nodes), tuple(chunks), *terms, _frozen(corner))
 
 
 def _box_sums(rule: _BoxRule, density, corner) -> np.ndarray:
-    """Box integrals of ``density`` summed per target: hat moments per panel,
-    then the weighted moments per target, plus the corner terms."""
+    """Box integrals of ``density`` (a function of r^2) summed per target: hat
+    moments per panel, then the weighted moments per target, plus the
+    corner terms."""
     moments = np.empty((rule.chunks[-1][2], 4))
     for n0, p0, p1, m in rule.chunks:
-        f = density(*(x[n0 : n0 + (p1 - p0) * m * m] for x in rule.nodes))
+        f = density(rule.nodes[n0 : n0 + (p1 - p0) * m * m])
         np.matmul(f.reshape(p1 - p0, m * m), _hat_rule(m), out=moments[p0:p1])
     terms = moments.ravel()[rule.moment] * rule.weight
     return np.bincount(rule.target, terms, minlength=len(rule.corner)) + rule.corner @ corner
 
 
-def _copy_tail_density(mu: float):
-    """Density whose box integral is sum_{k >= 0} box_weight(x1 + 2 pi k, x2).
+# total degree of the 2D copy-tail series, and the largest ratio of a box
+# point's distance from the kernel origin to the first tail copy's, in periods
+TAIL_DEGREE = 24
+TAIL_REACH = 0.2
 
-    By Euler-Maclaurin, int psi + psi/2 - psi'/12 + psi'''/720 - psi^(5)/30240
-    at k = 0, psi(k) the box weight k periods further out: the k-integral
-    has an incomplete-beta closed form in x1 > 0, the derivatives are analytic.
+
+def _tail_copies(n1: int, h1: float, n2: int, h2: float) -> int:
+    """Copies K per side that the 2D table integrates explicitly: the least K
+    with r_max / (K + 1) <= TAIL_REACH, where r_max = hypot(pi + h1,
+    (n2 + 1) h2) / 2 pi bounds |x| / 2 pi over the boxes of the sector."""
+    return math.ceil(math.hypot(math.pi + h1, (n2 + 1) * h2) / TWO_PI / TAIL_REACH) - 1
+
+
+def _tri_moments(count: int, h: float) -> np.ndarray:
+    """M[d, j] = integral over |z| < h of (h - |z|) ((d h + z) / 2 pi)^(2 j),
+    d < count, 2 j <= TAIL_DEGREE + 2 (read-only): the copy-tail series
+    integrated along one axis.  A 16-point Gauss-Legendre rule per half cell
+    is exact to polynomial degree 31."""
+    g, w = _gl(16)
+    z = 0.5 * h * np.concatenate((g - 1.0, g + 1.0))
+    weight = 0.5 * h * np.tile(w, 2) * (h - np.abs(z))
+    x2 = ((np.arange(count)[:, None] * h + z) / TWO_PI) ** 2
+    powers = x2[:, :, None] ** np.arange(TAIL_DEGREE // 2 + 2)
+    return _frozen(np.einsum("dzj,z->dj", powers, weight))
+
+
+def _copy_tail_series(mu: float, copies: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of the 2D copy tail and of its first omitted degree.
+
+    With xi = x1 / 2 pi and eta = x2 / 2 pi, and K = ``copies``,
+    sum_{|k| > K} ((2 pi k + x1)^2 + x2^2)^(-mu)
+    = (2 pi)^(-2 mu) sum_{i + b <= TAIL_DEGREE / 2} C[i, b] xi^(2 i) eta^(2 b),
+    C[i, b] = 2 binom(-mu, b) binom(-2 mu - 2 b, 2 i) zeta(2 mu + 2 b + 2 i, K + 1),
+    from the binomial series in eta^2 / (k + xi)^2 and then in xi / k (the
+    generating function of DLMF 18.12.4); the odd powers of xi cancel
+    between k and -k.  The series converges absolutely while
+    |xi| + |eta| < K + 1.  Returns C, and the absolute coefficients of the
+    terms with i + b = TAIL_DEGREE / 2 + 1; both are zero elsewhere.
     """
-    m = mu
-    m2, m3, m4, m5 = np.cumprod(m + np.arange(1.0, 5.0)) * m
-    bcoef = 0.5 * special.beta(m - 0.5, 0.5)
-
-    def density(w1, w2):
-        rho = w1**2 + w2**2
-        b = np.abs(w2)
-        fint = b ** (1.0 - 2.0 * m) * bcoef * special.betainc(m - 0.5, 0.5, b**2 / rho)
-        psi1 = -2.0 * m * w1 * rho ** (-m - 1.0) * TWO_PI
-        psi3 = TWO_PI**3 * (
-            12.0 * m2 * w1 * rho ** (-m - 2.0) - 8.0 * m3 * w1**3 * rho ** (-m - 3.0)
-        )
-        psi5 = TWO_PI**5 * (
-            -120.0 * m3 * w1 * rho ** (-m - 3.0)
-            + 160.0 * m4 * w1**3 * rho ** (-m - 4.0)
-            - 32.0 * m5 * w1**5 * rho ** (-m - 5.0)
-        )
-        return fint / TWO_PI + 0.5 * rho ** (-m) - psi1 / 12.0 + psi3 / 720.0 - psi5 / 30240.0
-
-    return density
+    top = TAIL_DEGREE // 2 + 1  # half the first omitted degree
+    j = np.arange(top + 1)
+    # binom(x, p) = prod_{q < p} (x - q) / (q + 1): at x = -2 mu - 2 b, row b,
+    # for every p <= 2 top, then at x = -mu
+    p = np.arange(2 * top)
+    ratio = (-2.0 * mu - 2.0 * j[:, None] - p) / (p + 1.0)
+    by_a = np.cumprod(np.hstack((np.ones((top + 1, 1)), ratio)), axis=1)[:, ::2].T  # [i, b]
+    by_b = np.cumprod(np.append(1.0, (-mu - j[:-1]) / (j[:-1] + 1.0)))
+    half = j[:, None] + j  # i + b
+    zeta = special.zeta(2.0 * mu + 2.0 * j, copies + 1.0)
+    c = 2.0 * by_a * by_b * zeta[np.minimum(half, top)]
+    return np.where(half < top, c, 0.0), np.where(half == top, np.abs(c), 0.0)
 
 
 @dataclass(frozen=True)
@@ -874,7 +843,7 @@ class NDKernelWeights:
         object.__setattr__(self, "exterior", _frozen(self.exterior))
 
 
-def _nd_cache_path(grid1, grid2, sigma, k_copies):
+def _nd_cache_path(grid1, grid2, sigma):
     cache_dir = os.environ.get("PERSYM_CACHE_DIR")
     if not cache_dir:
         return None
@@ -882,12 +851,9 @@ def _nd_cache_path(grid1, grid2, sigma, k_copies):
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"PERSYM_CACHE_DIR is not a usable directory: {exc}") from exc
-    # bump the format version v4 whenever the builder's values change, so a
+    # bump the format version v5 whenever the builder's values change, so a
     # table written by an older builder is never served
-    tag = (
-        f"riesz2d_v4_n{grid1.n}x{grid2.n}_box{grid2.lo:.9g}_{grid2.hi:.9g}"
-        f"_sigma{sigma:.9g}_k{k_copies}.npz"
-    )
+    tag = f"riesz2d_v5_n{grid1.n}x{grid2.n}_box{grid2.lo:.9g}_{grid2.hi:.9g}_sigma{sigma:.9g}.npz"
     return os.path.join(cache_dir, tag)
 
 
@@ -912,47 +878,45 @@ def _nd_sector(n1: int, n2: int):
 
 
 @lru_cache(maxsize=8)
-def _nd_plan(n1: int, h1: float, n2: int, h2: float, k_copies: int):
+def _nd_plan(n1: int, h1: float, n2: int, h2: float):
     """The sigma-free part of ``riesz_weights_nd``, once per grid (read-only).
 
-    Returns the ``_BoxRule`` of the boxes of every x1 copy k in
-    [-k_copies, k_copies] of every sector offset, its nodes as r^2, and
-    that of the Euler-Maclaurin tails of the copies past both ends, its
-    nodes as (x1, x2).  Both sum into the sector offsets.
+    Returns the copy count K of ``_tail_copies``, the ``_BoxRule`` of the
+    boxes of every x1 copy k in [-K, K] of every sector offset, which sum
+    into the sector offsets, and the moments ``_tri_moments`` along x1 at
+    sector offsets d1 <= n1 / 2 and along x2 at every d2.
     """
+    copies = _tail_copies(n1, h1, n2, h2)
     d1, d2 = _nd_sector(n1, n2)
     sector = np.arange(d1.size)
-    k = np.arange(-k_copies, k_copies + 1)[:, None]
+    k = np.arange(-copies, copies + 1)[:, None]
     boxes = _box_rule(
-        (d1 + n1 * k).ravel(), np.tile(d2, k.size), np.tile(sector, k.size), d1.size,
-        h1, h2, lambda x1, x2: (x1 * x1 + x2 * x2,),
+        (d1 + n1 * k).ravel(), np.tile(d2, k.size), np.tile(sector, k.size), d1.size, h1, h2
     )
-    far = n1 * (k_copies + 1)
-    tails = _box_rule(
-        np.concatenate((far + d1, far - d1)), np.tile(d2, 2), np.tile(sector, 2), d1.size,
-        h1, h2, lambda x1, x2: (x1, x2),
-    )
-    return boxes, tails
+    return copies, boxes, _tri_moments(n1 // 2 + 1, h1), _tri_moments(n2, h2)
 
 
-def riesz_weights_nd(
-    grid1: Grid1D, grid2: Grid1D, sigma: float, k_copies: int = 16
-) -> NDKernelWeights:
+def riesz_weights_nd(grid1: Grid1D, grid2: Grid1D, sigma: float) -> NDKernelWeights:
     """Pair weights of |x - y|^(-(2+sigma)) with periodized x1, analytic tails.
 
     Offsets are computed for one symmetry sector and reflected (the kernel
     is even in each coordinate and the x1 copies are symmetric).  The boxes
-    of each x1 copy k in [-k_copies, k_copies] and sector offset, and the
-    Euler-Maclaurin tails past both ends, are integrated over the panels of
-    ``_panels``, each at the Gauss-Legendre order that Trefethen's bound
-    asks for, or by exact corner moments at the origin.
+    of each x1 copy k in [-K, K] and sector offset are integrated over the
+    panels of ``_panels``, each at the Gauss-Legendre order that Trefethen's
+    bound asks for, or by exact corner moments at the origin; K is chosen
+    per grid (``_tail_copies``).  The copies past both ends sum to the
+    polynomial series of ``_copy_tail_series``, whose box integral against
+    tri(z1) tri(z2) separates: it is M1 C M2^T, M1 and M2 the tri moments
+    along each axis.  Twice its first omitted degree bounds the rest, and
+    must stay within ND_TABLE_ACCURACY of every entry.
 
-    None of that depends on sigma: ``_nd_plan`` keeps it once per grid, as
-    the distinct quadrature nodes (neighbouring boxes share their quadrant
-    squares), per panel use its hat weights and sector offset, and the
-    corner-moment weights.  A build for one sigma evaluates the kernel at
-    those nodes and contracts per panel, then per offset (``_box_sums``).
-    Set PERSYM_CACHE_DIR to persist tables across runs; a table found there
+    None of that but C depends on sigma: ``_nd_plan`` keeps it once per
+    grid, as the distinct quadrature nodes (neighbouring boxes share their
+    quadrant squares), per panel use its hat weights and sector offset, the
+    corner-moment weights and the tri moments.  A build for one sigma
+    evaluates the kernel at those nodes and contracts per panel, then per
+    offset (``_box_sums``), and adds the contracted tail series.  Set
+    PERSYM_CACHE_DIR to persist tables across runs; a table found there
     builds no plan.
     """
     _check_sigma(sigma)
@@ -960,16 +924,20 @@ def riesz_weights_nd(
         raise GridMismatch("riesz_weights_nd needs (periodic, interval) axes")
     n1, h1 = grid1.n, grid1.h
     n2, h2 = grid2.n, grid2.h
-    cache = _nd_cache_path(grid1, grid2, sigma, k_copies)
+    cache = _nd_cache_path(grid1, grid2, sigma)
     cached = cache and _load_nd_cache(cache, n1, n2)
     if cached:
         return NDKernelWeights(n1, h1, n2, h2, sigma, *cached)
     mu = (2.0 + sigma) / 2.0
-    boxes, tails = _nd_plan(n1, h1, n2, h2, k_copies)
-    corner = _corner_moments(min(h1, h2), mu)
-    total = _box_sums(boxes, lambda r2: np.power(r2, -mu), corner)
-    total += _box_sums(tails, _copy_tail_density(mu), corner)
+    copies, boxes, m1, m2 = _nd_plan(n1, h1, n2, h2)
+    total = _box_sums(boxes, lambda r2: np.power(r2, -mu), _corner_moments(min(h1, h2), mu))
     d1, d2 = _nd_sector(n1, n2)
+    series, omitted = _copy_tail_series(mu, copies)
+    scale = TWO_PI ** (-2.0 * mu)
+    total += scale * (m1 @ series @ m2.T)[d1, d2]
+    bound = 2.0 * scale * (m1 @ omitted @ m2.T)[d1, d2]
+    if np.max(bound / total, initial=0.0) > ND_TABLE_ACCURACY:
+        raise RangeTooWide(f"copy-tail series would not certify rtol={ND_TABLE_ACCURACY}")
     w = np.zeros((n1, 2 * n2 - 1))
     for e1 in (d1, (n1 - d1) % n1):
         w[e1, n2 - 1 + d2] = total
@@ -1273,13 +1241,16 @@ def laplace_quadrature(
     its node values bit for bit.  A profile with algebraic ends (coef t^-beta
     as t -> 0 or t -> inf) needs the window only where it differs from
     those forms; ``algebraic_head`` and ``algebraic_tail`` sum the rule's own
-    nodes beyond the window on them in closed form.  The spacing is halved
-    until the Gamma-identity check passes at rtol, else RangeTooWide.
+    nodes beyond the window on them in closed form.  The spacing starts at
+    ds = 0.25, where every rule of the seminorm routes passes (none did at
+    0.5), and is halved until the Gamma-identity check passes at rtol, else
+    RangeTooWide.  It never depends on earlier calls, so a lam gets the same
+    rule in every process.
     """
     if lam <= 0 or z_min <= 0 or z_max < z_min:
         raise ConfigError("need lam > 0 and 0 < z_min <= z_max")
     s_left, s_right = laplace_window(lam, z_min, z_max, rtol)
-    ds = 0.5
+    ds = 0.25
     zs = np.geomspace(z_min, z_max, 41)
     while True:
         k_lo = math.floor(s_left / ds)

@@ -254,19 +254,22 @@ class TestGaussianWeights:
 
 
 def hurwitz_periodized_reference(d, n, sigma):
-    """Independent closed form for the periodized pair weight via Hurwitz zeta."""
-    mp = mpmath
-    mp.mp.dps = 40
-    h = 2 * mp.pi / n
-    c = (2 * mp.pi) ** (1 - sigma) / (sigma * (sigma - 1))
+    """Independent closed form for the periodized pair weights via Hurwitz zeta.
 
-    def g2(z):
-        q = z / (2 * mp.pi)
-        if q == 0:
-            return 2 * c * mp.zeta(sigma - 1)
-        return c * (mp.zeta(sigma - 1, q) + mp.zeta(sigma - 1, 1 - q))
-
-    return float(g2((d + 1) * h) - 2 * g2(d * h) + g2((d - 1) * h))
+    The second antiderivative of the periodized kernel at z = 2 pi q is
+    c (zeta(sigma - 1, q) + zeta(sigma - 1, 1 - q)), taken at q = j / n with
+    j wrapped into [0, n) by periodicity (at q = 0 both terms are Riemann
+    zeta); ``d`` is one offset or a list of them."""
+    with mpmath.workdps(40):
+        s = mpmath.mpf(sigma)
+        c = (2 * mpmath.pi) ** (1 - s) / (s * (s - 1))
+        ds = [int(x) for x in np.atleast_1d(d)]
+        js = {j % n for x in ds for j in (x - 1, x, x + 1)}
+        ends = js | {n - j for j in js}
+        zeta = {j: mpmath.zeta(s - 1, mpmath.mpf(j) / n) for j in ends if 0 < j < n}
+        g = {j: c * (zeta[j] + zeta[n - j]) if j else 2 * c * mpmath.zeta(s - 1) for j in js}
+        out = [float(g[(x + 1) % n] - 2 * g[x % n] + g[(x - 1) % n]) for x in ds]
+    return out if np.ndim(d) else out[0]
 
 
 class TestRieszWeights1D:
@@ -306,10 +309,8 @@ class TestRieszWeights1D:
     @pytest.mark.parametrize("sigma", [0.1, 0.5, 0.9])
     def test_periodized_against_hurwitz_zeta(self, n, sigma):
         w = riesz_weights_1d(Grid1D.circle(n), sigma, periodized=True)
-        for d in range(1, n):
-            assert w.offset(d) == pytest.approx(
-                hurwitz_periodized_reference(d, n, sigma), rel=2e-12
-            )
+        ref = hurwitz_periodized_reference(range(1, n), n, sigma)
+        assert w.weights[1:].tolist() == pytest.approx(ref, rel=2e-12)
 
     def test_periodized_monotone_and_periodic(self):
         w = riesz_weights_1d(Grid1D.circle(16), 0.4, periodized=True)
@@ -318,115 +319,117 @@ class TestRieszWeights1D:
 
     @pytest.mark.parametrize("sigma", [0.3, 0.7])
     def test_periodized_pinned_values(self, sigma):
-        # recorded from the per-offset loop builder; every offset's arithmetic
-        # is unchanged by batching, so the table must match bit for bit
+        # the 40-digit Hurwitz-zeta closed form (hurwitz_periodized_reference)
+        # rounded to double: the table must be within its own accuracy, and
+        # that within 1e-14
         pinned = {
-            0.3: ["0x0.0p+0", "0x1.f558493518d82p+0", "0x1.a6dca217e66b2p-1",
-                  "0x1.5f8a8ad0562f4p-1", "0x1.4f666111d9962p-1", "0x1.5f8a8ad0562f6p-1",
-                  "0x1.a6dca217e66b1p-1", "0x1.f558493518d83p+0"],
-            0.7: ["0x0.0p+0", "0x1.c278966f46690p+1", "0x1.c26594c31681dp-2",
-                  "0x1.2555af2d04acap-2", "0x1.052b36908440fp-2", "0x1.2555af2d04acbp-2",
-                  "0x1.c26594c31681cp-2", "0x1.c278966f46690p+1"],
+            0.3: ["0x0.0p+0", "0x1.f558493518d83p+0", "0x1.a6dca217e669fp-1",
+                  "0x1.5f8a8ad056300p-1", "0x1.4f666111d994ap-1", "0x1.5f8a8ad056300p-1",
+                  "0x1.a6dca217e669fp-1", "0x1.f558493518d83p+0"],
+            0.7: ["0x0.0p+0", "0x1.c278966f46688p+1", "0x1.c26594c31680bp-2",
+                  "0x1.2555af2d04acep-2", "0x1.052b36908442dp-2", "0x1.2555af2d04acep-2",
+                  "0x1.c26594c31680bp-2", "0x1.c278966f46688p+1"],
         }
         w = riesz_weights_1d(Grid1D.circle(8), sigma, periodized=True)
-        assert w.weights.tolist() == [float.fromhex(x) for x in pinned[sigma]]
-        assert w.accuracy == 1e-15
+        ref = np.array([float.fromhex(x) for x in pinned[sigma]])
+        assert w.weights[0] == ref[0] == 0.0
+        assert np.max(np.abs(w.weights[1:] / ref[1:] - 1.0)) <= w.accuracy <= 1e-14
 
     @pytest.mark.parametrize("sigma", [0.1, 0.5, 0.89])
     def test_periodized_pinned_values_64(self, sigma):
-        # recorded from the copy-doubling builder, whose rounds stop at
-        # k0 = 16, 32 and 32 here: the first round must land on the same k0
-        # and give the same table and certificate bit for bit
+        # as above, on 64 cells
         pinned = {
             0.1: (
-                "0x1.6f37bbbb12f0fp-44",
-                "0x0.0p+0 0x1.b0b867897e511p-3 0x1.681770ee71ef9p-4 0x1.099505e310f34p-4 "
-                "0x1.bcf5962e93f52p-5 0x1.8b98dcc1902acp-5 0x1.6bb37b53567a8p-5 0x1.5575866424e1fp-5 "
-                "0x1.451c56deeb7fbp-5 0x1.389f5d4240ee3p-5 0x1.2eccb112a42cep-5 0x1.26e4ec15b5d6ap-5 "
-                "0x1.206a4778f8470p-5 0x1.1b06c8209aaeap-5 0x1.167db77c09d56p-5 0x1.12a309af968bdp-5 "
-                "0x1.0f560d679dc7ep-5 0x1.0c7e04d924d0ap-5 0x1.0a07e69354d0fp-5 0x1.07e4d76bf04fdp-5 "
-                "0x1.06091bc13d448p-5 0x1.046b57b765445p-5 0x1.030404fa10288p-5 0x1.01cd0d87e6460p-5 "
-                "0x1.00c180a167e3bp-5 0x1.ffbab5012432ap-6 0x1.fe3ab39adec8ep-6 0x1.fcfdbe98072f3p-6 "
-                "0x1.fbffaa93b5582p-6 0x1.fb3d3a128c07cp-6 0x1.fab401d422436p-6 0x1.fa6254da9e163p-6 "
-                "0x1.fa4736efae2fap-6 0x1.fa6254da9e166p-6 0x1.fab401d42243dp-6 0x1.fb3d3a128c086p-6 "
-                "0x1.fbffaa93b558ep-6 0x1.fcfdbe9807301p-6 0x1.fe3ab39adeca4p-6 0x1.ffbab50124340p-6 "
-                "0x1.00c180a167e47p-5 0x1.01cd0d87e646ep-5 0x1.030404fa10298p-5 0x1.046b57b765457p-5 "
-                "0x1.06091bc13d45cp-5 0x1.07e4d76bf0511p-5 0x1.0a07e69354d24p-5 0x1.0c7e04d924d22p-5 "
-                "0x1.0f560d679dc97p-5 0x1.12a309af968d9p-5 0x1.167db77c09d73p-5 0x1.1b06c8209ab09p-5 "
-                "0x1.206a4778f8491p-5 0x1.26e4ec15b5d8bp-5 0x1.2eccb112a42f1p-5 0x1.389f5d4240f09p-5 "
-                "0x1.451c56deeb821p-5 0x1.5575866424e47p-5 0x1.6bb37b53567d2p-5 0x1.8b98dcc1902d7p-5 "
-                "0x1.bcf5962e93f7ep-5 0x1.099505e310f4ap-4 0x1.681770ee71f11p-4 0x1.b0b867897e520p-3 "
+                "0x0.0p+0 0x1.b0b867897e4c3p-3 0x1.681770ee71e3cp-4 0x1.099505e310e95p-4 "
+                "0x1.bcf5962e93e85p-5 0x1.8b98dcc1900b8p-5 0x1.6bb37b5356664p-5 0x1.5575866424c6cp-5 "
+                "0x1.451c56deeb731p-5 0x1.389f5d4240d82p-5 0x1.2eccb112a40a2p-5 0x1.26e4ec15b5d3ep-5 "
+                "0x1.206a4778f8219p-5 0x1.1b06c8209a99bp-5 0x1.167db77c099f2p-5 0x1.12a309af9692dp-5 "
+                "0x1.0f560d679db34p-5 0x1.0c7e04d924bb8p-5 0x1.0a07e69354bb8p-5 0x1.07e4d76bf03a4p-5 "
+                "0x1.06091bc13d2edp-5 0x1.046b57b7652eap-5 0x1.030404fa1012cp-5 0x1.01cd0d87e6303p-5 "
+                "0x1.00c180a167cddp-5 0x1.ffbab5012406dp-6 0x1.fe3ab39ade9d2p-6 0x1.fcfdbe9807033p-6 "
+                "0x1.fbffaa93b52c1p-6 0x1.fb3d3a128bdb9p-6 0x1.fab401d422174p-6 0x1.fa6254da9de9dp-6 "
+                "0x1.fa4736efae034p-6 0x1.fa6254da9de9dp-6 0x1.fab401d422174p-6 0x1.fb3d3a128bdb9p-6 "
+                "0x1.fbffaa93b52c1p-6 0x1.fcfdbe9807033p-6 0x1.fe3ab39ade9d2p-6 0x1.ffbab5012406dp-6 "
+                "0x1.00c180a167cddp-5 0x1.01cd0d87e6303p-5 0x1.030404fa1012cp-5 0x1.046b57b7652eap-5 "
+                "0x1.06091bc13d2edp-5 0x1.07e4d76bf03a4p-5 0x1.0a07e69354bb8p-5 0x1.0c7e04d924bb8p-5 "
+                "0x1.0f560d679db34p-5 0x1.12a309af9692dp-5 0x1.167db77c099f2p-5 0x1.1b06c8209a99bp-5 "
+                "0x1.206a4778f8219p-5 0x1.26e4ec15b5d3ep-5 0x1.2eccb112a40a2p-5 0x1.389f5d4240d82p-5 "
+                "0x1.451c56deeb731p-5 0x1.5575866424c6cp-5 0x1.6bb37b5356664p-5 0x1.8b98dcc1900b8p-5 "
+                "0x1.bcf5962e93e85p-5 0x1.099505e310e95p-4 0x1.681770ee71e3cp-4 0x1.b0b867897e4c3p-3 "
             ),
             0.5: (
-                "0x1.203af9ee75616p-50",
-                "0x0.0p+0 0x1.7988e51835a43p-1 0x1.fbdcc111ad3f8p-4 0x1.0d396d5065778p-4 "
-                "0x1.619b31e7df3d8p-5 0x1.02d610f096a9ep-5 0x1.9523039312e20p-6 0x1.4be041726a5b4p-6 "
-                "0x1.190db4d5706fdp-6 0x1.e83bc8e861de2p-7 0x1.b09a41dfef5b4p-7 0x1.85864960e7510p-7 "
-                "0x1.6369afeaf0c69p-7 0x1.47e7d5af6ff45p-7 0x1.31640d4b8f6fap-7 0x1.1ebc1bb90490ep-7 "
-                "0x1.0f1ea67f9a534p-7 0x1.01f15cc7c88cbp-7 0x1.ed80bb71b99e8p-8 0x1.da667ec871375p-8 "
-                "0x1.ca0b3e51ae93fp-8 0x1.bc03f68a09764p-8 0x1.affc202396b88p-8 0x1.a5b077b25b80bp-8 "
-                "0x1.9ceb30727afbep-8 0x1.958126e2d4842p-8 0x1.8f4fcae9853fep-8 0x1.8a3b9004ced4bp-8 "
-                "0x1.862ec136c7297p-8 0x1.8318a0a784061p-8 0x1.80ecc21ee71afp-8 0x1.7fa2948b7811dp-8 "
-                "0x1.7f3512845f8f6p-8 0x1.7fa2948b7811cp-8 0x1.80ecc21ee71b0p-8 0x1.8318a0a784060p-8 "
-                "0x1.862ec136c7298p-8 0x1.8a3b9004ced4dp-8 0x1.8f4fcae9853fdp-8 0x1.958126e2d4841p-8 "
-                "0x1.9ceb30727afbbp-8 0x1.a5b077b25b80ap-8 0x1.affc202396b8ap-8 0x1.bc03f68a09765p-8 "
-                "0x1.ca0b3e51ae93bp-8 0x1.da667ec871375p-8 0x1.ed80bb71b99e8p-8 0x1.01f15cc7c88cap-7 "
-                "0x1.0f1ea67f9a532p-7 0x1.1ebc1bb90490fp-7 0x1.31640d4b8f6fbp-7 0x1.47e7d5af6ff45p-7 "
-                "0x1.6369afeaf0c69p-7 0x1.85864960e750fp-7 0x1.b09a41dfef5b3p-7 0x1.e83bc8e861de5p-7 "
-                "0x1.190db4d5706fdp-6 0x1.4be041726a5b7p-6 0x1.9523039312e1fp-6 0x1.02d610f096a9ep-5 "
-                "0x1.619b31e7df3d7p-5 0x1.0d396d5065777p-4 0x1.fbdcc111ad3f6p-4 0x1.7988e51835a41p-1 "
+                "0x0.0p+0 0x1.7988e51835a42p-1 0x1.fbdcc111ad3f4p-4 0x1.0d396d5065778p-4 "
+                "0x1.619b31e7df418p-5 0x1.02d610f096a56p-5 0x1.9523039312debp-6 0x1.4be041726a5f4p-6 "
+                "0x1.190db4d57072ep-6 0x1.e83bc8e861df0p-7 0x1.b09a41dfef54dp-7 0x1.85864960e7349p-7 "
+                "0x1.6369afeaf0dc5p-7 0x1.47e7d5af6ff3ep-7 0x1.31640d4b8f563p-7 0x1.1ebc1bb9047fbp-7 "
+                "0x1.0f1ea67f9a5c2p-7 0x1.01f15cc7c8911p-7 0x1.ed80bb71b9a2ep-8 0x1.da667ec87139ap-8 "
+                "0x1.ca0b3e51ae950p-8 0x1.bc03f68a0976cp-8 0x1.affc202396b8dp-8 0x1.a5b077b25b80dp-8 "
+                "0x1.9ceb30727afbbp-8 0x1.958126e2d4840p-8 0x1.8f4fcae9853fbp-8 0x1.8a3b9004ced4bp-8 "
+                "0x1.862ec136c7295p-8 0x1.8318a0a78405ep-8 0x1.80ecc21ee71acp-8 0x1.7fa2948b7811ap-8 "
+                "0x1.7f3512845f8f2p-8 0x1.7fa2948b7811ap-8 0x1.80ecc21ee71acp-8 0x1.8318a0a78405ep-8 "
+                "0x1.862ec136c7295p-8 0x1.8a3b9004ced4bp-8 0x1.8f4fcae9853fbp-8 0x1.958126e2d4840p-8 "
+                "0x1.9ceb30727afbbp-8 0x1.a5b077b25b80dp-8 0x1.affc202396b8dp-8 0x1.bc03f68a0976cp-8 "
+                "0x1.ca0b3e51ae950p-8 0x1.da667ec87139ap-8 0x1.ed80bb71b9a2ep-8 0x1.01f15cc7c8911p-7 "
+                "0x1.0f1ea67f9a5c2p-7 0x1.1ebc1bb9047fbp-7 0x1.31640d4b8f563p-7 0x1.47e7d5af6ff3ep-7 "
+                "0x1.6369afeaf0dc5p-7 0x1.85864960e7349p-7 0x1.b09a41dfef54dp-7 0x1.e83bc8e861df0p-7 "
+                "0x1.190db4d57072ep-6 0x1.4be041726a5f4p-6 0x1.9523039312debp-6 0x1.02d610f096a56p-5 "
+                "0x1.619b31e7df418p-5 0x1.0d396d5065778p-4 0x1.fbdcc111ad3f4p-4 0x1.7988e51835a42p-1 "
             ),
             0.89: (
-                "0x1.203af9ee75616p-50",
-                "0x0.0p+0 0x1.d25f1dc037649p+2 0x1.e86477fdb5644p-3 0x1.a7d81b11cddafp-4 "
-                "0x1.e458117934f36p-5 0x1.3d62e69bfc764p-5 0x1.c468f66099b01p-6 0x1.557a6dc30fbf1p-6 "
-                "0x1.0ccbbd3922a49p-6 0x1.b5061d2650a39p-7 0x1.6c7ec2c0f7bc3p-7 0x1.36729dbc3bb59p-7 "
-                "0x1.0d18d33d7a6b5p-7 0x1.d98ab89937af2p-8 0x1.a6174e5a41880p-8 0x1.7c88c3035bba2p-8 "
-                "0x1.5a8d4acc6f8bfp-8 0x1.3e7a6cd2c1514p-8 0x1.271787b81f22cp-8 0x1.137b57ac5bbbap-8 "
-                "0x1.02f52401426dep-8 0x1.e9fa9146db3f6p-9 0x1.d25508f71c31ap-9 0x1.be54e38e4e7a9p-9 "
-                "0x1.ad7846b26b181p-9 0x1.9f587a7dff96dp-9 0x1.93a4312066dc3p-9 0x1.8a1b4db941dddp-9 "
-                "0x1.828bc344f729cp-9 0x1.7ccf446f2969cp-9 0x1.78c992f2094eep-9 0x1.76674c68cbe31p-9 "
-                "0x1.759d1d7772ad2p-9 0x1.76674c68cbe30p-9 0x1.78c992f2094eep-9 0x1.7ccf446f2969cp-9 "
-                "0x1.828bc344f729bp-9 0x1.8a1b4db941ddcp-9 0x1.93a4312066dc1p-9 0x1.9f587a7dff96dp-9 "
-                "0x1.ad7846b26b180p-9 0x1.be54e38e4e7abp-9 0x1.d25508f71c319p-9 0x1.e9fa9146db3f7p-9 "
-                "0x1.02f52401426e0p-8 0x1.137b57ac5bbb9p-8 0x1.271787b81f22ap-8 0x1.3e7a6cd2c1514p-8 "
-                "0x1.5a8d4acc6f8bfp-8 0x1.7c88c3035bba2p-8 0x1.a6174e5a41882p-8 0x1.d98ab89937af3p-8 "
-                "0x1.0d18d33d7a6b5p-7 0x1.36729dbc3bb56p-7 0x1.6c7ec2c0f7bc1p-7 0x1.b5061d2650a37p-7 "
-                "0x1.0ccbbd3922a4bp-6 0x1.557a6dc30fbf4p-6 0x1.c468f66099b03p-6 0x1.3d62e69bfc762p-5 "
-                "0x1.e458117934f35p-5 0x1.a7d81b11cddaep-4 0x1.e86477fdb5642p-3 0x1.d25f1dc037648p+2 "
+                "0x0.0p+0 0x1.d25f1dc037648p+2 0x1.e86477fdb565fp-3 0x1.a7d81b11cdde8p-4 "
+                "0x1.e458117934ecap-5 0x1.3d62e69bfc744p-5 0x1.c468f66099b1cp-6 0x1.557a6dc30fbacp-6 "
+                "0x1.0ccbbd3922a7fp-6 0x1.b5061d2650bebp-7 0x1.6c7ec2c0f7934p-7 0x1.36729dbc3baafp-7 "
+                "0x1.0d18d33d7ab2cp-7 0x1.d98ab8993771bp-8 0x1.a6174e5a410ebp-8 0x1.7c88c3035c36ep-8 "
+                "0x1.5a8d4acc6fafcp-8 0x1.3e7a6cd2c162bp-8 0x1.271787b81f2b8p-8 0x1.137b57ac5bc03p-8 "
+                "0x1.02f5240142707p-8 0x1.e9fa9146db424p-9 0x1.d25508f71c332p-9 0x1.be54e38e4e7bap-9 "
+                "0x1.ad7846b26b188p-9 0x1.9f587a7dff972p-9 0x1.93a4312066dc6p-9 0x1.8a1b4db941ddep-9 "
+                "0x1.828bc344f729dp-9 0x1.7ccf446f2969ap-9 0x1.78c992f2094edp-9 0x1.76674c68cbe31p-9 "
+                "0x1.759d1d7772ad2p-9 0x1.76674c68cbe31p-9 0x1.78c992f2094edp-9 0x1.7ccf446f2969ap-9 "
+                "0x1.828bc344f729dp-9 0x1.8a1b4db941ddep-9 0x1.93a4312066dc6p-9 0x1.9f587a7dff972p-9 "
+                "0x1.ad7846b26b188p-9 0x1.be54e38e4e7bap-9 0x1.d25508f71c332p-9 0x1.e9fa9146db424p-9 "
+                "0x1.02f5240142707p-8 0x1.137b57ac5bc03p-8 0x1.271787b81f2b8p-8 0x1.3e7a6cd2c162bp-8 "
+                "0x1.5a8d4acc6fafcp-8 0x1.7c88c3035c36ep-8 0x1.a6174e5a410ebp-8 0x1.d98ab8993771bp-8 "
+                "0x1.0d18d33d7ab2cp-7 0x1.36729dbc3baafp-7 0x1.6c7ec2c0f7934p-7 0x1.b5061d2650bebp-7 "
+                "0x1.0ccbbd3922a7fp-6 0x1.557a6dc30fbacp-6 0x1.c468f66099b1cp-6 0x1.3d62e69bfc744p-5 "
+                "0x1.e458117934ecap-5 0x1.a7d81b11cdde8p-4 0x1.e86477fdb565fp-3 0x1.d25f1dc037648p+2 "
             ),
         }
-        accuracy, weights = pinned[sigma]
         w = riesz_weights_1d(Grid1D.circle(64), sigma, periodized=True)
-        assert w.weights.tolist() == [float.fromhex(x) for x in weights.split()]
-        assert w.accuracy == float.fromhex(accuracy)
+        ref = np.array([float.fromhex(x) for x in pinned[sigma].split()])
+        assert w.weights[0] == ref[0] == 0.0
+        assert np.max(np.abs(w.weights[1:] / ref[1:] - 1.0)) <= w.accuracy <= 1e-14
 
-    def test_first_round_predicts_the_stopping_k0(self):
-        # bounds of k0 = 16, 32, 64, 128 against a table whose entries are 1
-        # and 2: the prediction per k0 is the first bound
-        r = kernels.RIESZ_RTOL
-        w = np.array([0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 64, 256, 1024])
+    @pytest.mark.parametrize("sigma", [0.02, 0.1, 0.5, 0.9, 0.98])
+    def test_periodized_against_hurwitz_oracle(self, n, sigma):
+        # every offset up to 64 cells, a spread of offsets past that; sigma
+        # near 0 and 1 is where a direct second difference of r^(1 - sigma)
+        # loses a factor 1 / (sigma (1 - sigma)), 1e-12 at n = 64
+        w = riesz_weights_1d(Grid1D.circle(n), sigma, periodized=True)
+        d = np.arange(1, n) if n <= 64 else np.array([1, 2, 3, n // 4 - 1, n // 2, n - 3, n - 1])
+        ref = np.array(hurwitz_periodized_reference(d, n, sigma))
+        err = np.max(np.abs(w.weights[d] / ref - 1.0))
+        assert err <= w.accuracy <= 1e-14
+        assert w.accuracy >= kernels.RIESZ_ROUNDING
 
-        def jump(*pred):
-            return kernels.RIESZ_K0[kernels._riesz_first_jump(np.array([[p, p] for p in pred]), w)]
+    @pytest.mark.parametrize("sigma", [0.02, 0.5, 0.98])
+    def test_line_series_against_direct_differences(self, sigma):
+        # the closed form at m = 1 and both series lengths (30 terms below
+        # m = 40, 5 from there) agree with the direct second difference of
+        # r^(1 - sigma) taken in 50-digit arithmetic
+        h = 2 * math.pi / 64
+        line = kernels._riesz_line_pairs(300, h, sigma)
+        with mpmath.workdps(50):
+            a, hh = 1 - mpmath.mpf(sigma), mpmath.mpf(h)
+            c = 1 / (mpmath.mpf(sigma) * (mpmath.mpf(sigma) - 1))
+            for m in (1, 2, 3, 39, 40, 41, 300):
+                ref = c * (((m + 1) * hh) ** a - 2 * (m * hh) ** a + ((m - 1) * hh) ** a)
+                assert abs(line[m] / float(ref) - 1.0) < 2e-15
 
-        assert jump(3 * r, 2 * r, 0.5 * r, 0.1 * r) == 64
-        assert jump(0.5 * r, 0.1 * r, 0.0, 0.0) == 16
-        assert jump(5 * r, 4 * r, 3 * r, 2 * r) == 128  # fails there, as doubling would
-        assert jump(3 * r, r * (1 + 1e-7), 0.5 * r, 0.1 * r) == 16  # unclear: double
-        assert jump(3 * r, r * (1 - 1e-7), 0.5 * r, 0.1 * r) == 16
 
-    def test_at_most_two_rounds(self, monkeypatch):
-        rounds = []
-        pair = kernels._riesz_line_pair
-        monkeypatch.setattr(
-            kernels, "_riesz_line_pair", lambda m, h, sigma: rounds.append(m.shape[1]) or pair(m, h, sigma)
-        )
-        for n in (2, 3, 8, 64, 256, 1024):
-            for sigma in np.linspace(0.01, 0.99, 13):
-                rounds.clear()
-                riesz_weights_1d(Grid1D.circle(n), float(sigma), periodized=True)
-                assert len(rounds) <= 2 and rounds[0] == 15
+# (n1, interval axis) of the copy-tail tests: the benchmark's 12x12 grid and
+# one whose long interval needs many more explicit copies
+TAIL_GRIDS = [(12, Grid1D.interval(12, -2.0, 2.0)), (12, Grid1D.interval(12, -6.0, 6.0))]
 
 
 class TestRieszWeightsND:
@@ -442,7 +445,7 @@ class TestRieszWeightsND:
     def test_far_cell_midpoint_asymptotics(self):
         g1, g2 = Grid1D.circle(32), Grid1D.centered_interval(32, 8.0)
         sigma = 0.5
-        W = riesz_weights_nd(g1, g2, sigma, k_copies=16)
+        W = riesz_weights_nd(g1, g2, sigma)
         d1, d2 = 0, 16  # center distance 4, cells ~0.2 wide: midpoint regime
         k = np.arange(-200_000, 200_001)
         approx = float(
@@ -479,12 +482,56 @@ class TestRieszWeightsND:
             se = samples.std() * (h1 * h2) ** 2 / math.sqrt(nsamp)
             assert abs(W.weights[d1, d2 + 7] - est) < 3.0 * se
 
-    def test_copy_tail_self_convergence(self):
-        g1, g2 = Grid1D.circle(8), Grid1D.centered_interval(8, 4.0)
-        a = riesz_weights_nd(g1, g2, 0.3, k_copies=16).weights
-        b = riesz_weights_nd(g1, g2, 0.3, k_copies=32).weights
-        nz = b != 0
-        assert np.max(np.abs(a[nz] / b[nz] - 1.0)) < 1e-12
+    def test_copy_tail_self_convergence(self, monkeypatch, fresh_caches):
+        # four more explicit copies per side move no entry by more than 1e-14
+        monkeypatch.delenv("PERSYM_CACHE_DIR", raising=False)
+        for (n1, g2), sigma in itertools.product(TAIL_GRIDS, (0.02, 0.5, 0.98)):
+            g1 = Grid1D.circle(n1)
+            copies = kernels._tail_copies(g1.n, g1.h, g2.n, g2.h)
+            a = riesz_weights_nd(g1, g2, sigma).weights
+            with monkeypatch.context() as m:
+                m.setattr(kernels, "_tail_copies", lambda *args: copies + 4)
+                fresh_caches()
+                b = riesz_weights_nd(g1, g2, sigma).weights
+            fresh_caches()
+            nz = b != 0
+            assert np.max(np.abs(a[nz] / b[nz] - 1.0)) < 1e-14
+
+    @pytest.mark.parametrize("n1,g2", TAIL_GRIDS, ids=["12x12", "12-long"])
+    @pytest.mark.parametrize("sigma", [0.02, 0.98])
+    def test_copy_tail_series_against_reference(self, n1, g2, sigma):
+        # oracle: the copies K < |k| < 400 summed in 25-digit arithmetic, and
+        # the rest by the binomial series at Hurwitz zeta from k = 400, at
+        # points spanning the sector boxes (the series is even in x1 and x2)
+        h1 = 2 * math.pi / n1
+        copies = kernels._tail_copies(n1, h1, g2.n, g2.h)
+        mu = (2 + sigma) / 2
+        series, _ = kernels._copy_tail_series(mu, copies)
+        powers = np.arange(series.shape[0])
+        cut = 400
+        for x1 in (0.0, h1, math.pi / 2, math.pi + h1):
+            for x2 in (0.0, g2.h, g2.length / 2, g2.length + g2.h):
+                xi2, eta2 = (x1 / (2 * math.pi)) ** 2, (x2 / (2 * math.pi)) ** 2
+                got = (2 * math.pi) ** (-2 * mu) * (xi2**powers @ series @ eta2**powers)
+                with mpmath.workdps(25):
+                    m, y1, y2, tp = mpmath.mpf(mu), mpmath.mpf(x1), mpmath.mpf(x2), 2 * mpmath.pi
+                    near = mpmath.fsum(
+                        ((tp * k + y1) ** 2 + y2**2) ** -m + ((tp * k - y1) ** 2 + y2**2) ** -m
+                        for k in range(copies + 1, cut)
+                    )
+                    rest = mpmath.fsum(
+                        2 * mpmath.binomial(-m, b) * mpmath.binomial(-2 * m - 2 * b, a)
+                        * mpmath.zeta(2 * m + 2 * b + a, cut)
+                        * (y1 / tp) ** a * (y2 / tp) ** (2 * b)
+                        for a in range(0, 9, 2) for b in range(0, 5 - a // 2)
+                    )
+                    ref = float(near + tp ** (-2 * m) * rest)
+                assert got == pytest.approx(ref, rel=1e-14)
+
+    def test_copy_count_follows_the_grid(self):
+        # a 12-long interval needs K = 10 where 12x12 on [-2, 2] takes 4
+        h1 = 2 * math.pi / 12
+        assert [kernels._tail_copies(12, h1, g.n, g.h) for _, g in TAIL_GRIDS] == [4, 10]
 
     def test_exterior_against_quadrature(self):
         g1, g2 = Grid1D.circle(4), Grid1D.centered_interval(5, 2.0)
@@ -514,29 +561,31 @@ class TestRieszWeightsND:
 
     @pytest.mark.parametrize("sigma", [0.3, 0.7])
     def test_pinned_sector_values(self, sigma):
-        # the sector 0 <= d1 <= 3, 0 <= d2 < 5, recorded from the scalar
-        # per-offset builder; the contractions go through BLAS, whose last
-        # bits may vary between builds, hence 1e-14
+        # the sector 0 <= d1 <= 3, 0 <= d2 < 5, recorded from the series-tail
+        # builder, which is within 1.4e-15 of a 64-copy build here (the
+        # Euler-Maclaurin tails of 16 copies were 4.4e-14 and 2.2e-14 off at
+        # sigma = 0.3 and 0.7); the contractions go through BLAS, whose
+        # last bits may vary between builds, hence 1e-14
         pinned = {
             0.3: [
-                ["0x0.0p+0", "0x1.edd6b3d56cf72p+0", "0x1.17d939b87426ap-2",
-                 "0x1.db1d17e145606p-4", "0x1.07cf61331bbffp-4"],
-                ["0x1.6aba52b85fa6ap-1", "0x1.1583d1ae5bfa9p-2", "0x1.f9faf6ef82608p-4",
-                 "0x1.2ab1c9b796243p-4", "0x1.8b065cd2daef4p-5"],
-                ["0x1.8c91328e67543p-5", "0x1.7af341a213023p-5", "0x1.5024c09271e5ep-5",
-                 "0x1.1e0f64fc4cb54p-5", "0x1.dfcff19e91b04p-6"],
-                ["0x1.f62433d5b9fbep-6", "0x1.eccf3104a41dcp-6", "0x1.d2fb52b90f2f9p-6",
-                 "0x1.adfb5b70fb19fp-6", "0x1.83d4937ed9610p-6"],
+                ["0x0.0p+0", "0x1.edd6b3d56cf73p+0", "0x1.17d939b87425ep-2",
+                 "0x1.db1d17e1455c7p-4", "0x1.07cf61331bbb8p-4"],
+                ["0x1.6aba52b85fa5dp-1", "0x1.1583d1ae5bf97p-2", "0x1.f9faf6ef825bbp-4",
+                 "0x1.2ab1c9b7961fcp-4", "0x1.8b065cd2dae62p-5"],
+                ["0x1.8c91328e674abp-5", "0x1.7af341a212f8ep-5", "0x1.5024c09271dcap-5",
+                 "0x1.1e0f64fc4cabfp-5", "0x1.dfcff19e919ddp-6"],
+                ["0x1.f62433d5b9e94p-6", "0x1.eccf3104a40b2p-6", "0x1.d2fb52b90f1cep-6",
+                 "0x1.adfb5b70fb075p-6", "0x1.83d4937ed94e2p-6"],
             ],
             0.7: [
-                ["0x0.0p+0", "0x1.6b0a2002fc175p+2", "0x1.3069796def5f4p-2",
-                 "0x1.ab422cc894469p-4", "0x1.9da08cf14b4a1p-5"],
-                ["0x1.0672e18a0b828p+1", "0x1.600d2189f962bp-2", "0x1.da945120c772ap-4",
-                 "0x1.e62e5254d9dd1p-5", "0x1.200ca2aade41bp-5"],
-                ["0x1.1f2c2f5a520d0p-5", "0x1.0e9d09bdadaf5p-5", "0x1.cef38b8b17de6p-6",
-                 "0x1.77782ce6c7b53p-6", "0x1.2aff2476c11a0p-6"],
-                ["0x1.339d7303c8ae7p-6", "0x1.2c7548cdee2f4p-6", "0x1.18d367e136239p-6",
-                 "0x1.fa537f7e99659p-7", "0x1.bcb0ac654d68dp-7"],
+                ["0x0.0p+0", "0x1.6b0a2002fc17bp+2", "0x1.3069796def5f1p-2",
+                 "0x1.ab422cc894455p-4", "0x1.9da08cf14b479p-5"],
+                ["0x1.0672e18a0b829p+1", "0x1.600d2189f9626p-2", "0x1.da945120c7712p-4",
+                 "0x1.e62e5254d9da6p-5", "0x1.200ca2aade3efp-5"],
+                ["0x1.1f2c2f5a520a8p-5", "0x1.0e9d09bdadacap-5", "0x1.cef38b8b17d8ep-6",
+                 "0x1.77782ce6c7b02p-6", "0x1.2aff2476c114cp-6"],
+                ["0x1.339d7303c8a94p-6", "0x1.2c7548cdee2a0p-6", "0x1.18d367e1361e4p-6",
+                 "0x1.fa537f7e995b3p-7", "0x1.bcb0ac654d5e4p-7"],
             ],
         }
         ref = np.array([[float.fromhex(x) for x in row] for row in pinned[sigma]])
@@ -568,11 +617,11 @@ class TestRieszWeightsND:
             assert np.array_equal(data["weights"], fresh.weights)
 
     def test_stale_format_cache_file_is_not_served(self, tmp_path, monkeypatch):
-        # a right-shaped table under the name of the v3 builder, whose
-        # values the grid-plan builder no longer reproduces bit for bit
+        # a right-shaped table under the name of the v4 builder, whose
+        # Euler-Maclaurin copy tails the series builder does not reproduce
         g1, g2 = Grid1D.circle(4), Grid1D.centered_interval(3, 2.0)
         fresh = riesz_weights_nd(g1, g2, 0.5)
-        stale = tmp_path / f"riesz2d_v3_n4x3_box{g2.lo:.9g}_{g2.hi:.9g}_sigma0.5_k16.npz"
+        stale = tmp_path / f"riesz2d_v4_n4x3_box{g2.lo:.9g}_{g2.hi:.9g}_sigma0.5_k16.npz"
         np.savez(stale, weights=np.ones((4, 5)), exterior=np.ones(3))
         monkeypatch.setenv("PERSYM_CACHE_DIR", str(tmp_path))
         W = riesz_weights_nd(g1, g2, 0.5)
@@ -626,13 +675,13 @@ class TestRieszWeightsND:
         monkeypatch.delenv("PERSYM_CACHE_DIR", raising=False)
         g1, g2 = Grid1D.circle(6), Grid1D.centered_interval(8, 4.0)
         riesz_weights_nd(g1, g2, 0.5)
-        rules = kernels._nd_plan(g1.n, g1.h, g2.n, g2.h, 16)
-        arrays = [a for r in rules for a in (*r.nodes, r.moment, r.weight, r.target, r.corner)]
-        assert len(arrays) == (1 + 4) + (2 + 4)  # nodes as r^2, and as (x1, x2) in the tails
+        plan = kernels._nd_plan(g1.n, g1.h, g2.n, g2.h)
+        _, boxes, m1, m2 = plan
+        arrays = [boxes.nodes, boxes.moment, boxes.weight, boxes.target, boxes.corner, m1, m2]
         for arr in arrays:
             with pytest.raises(ValueError):
-                arr[0] = 1
-        assert rules is kernels._nd_plan(g1.n, g1.h, g2.n, g2.h, 16)
+                arr.flat[0] = 1
+        assert plan is kernels._nd_plan(g1.n, g1.h, g2.n, g2.h)
 
     def test_disk_cache_hit_builds_no_plan(self, tmp_path, monkeypatch, fresh_caches):
         g1, g2 = Grid1D.circle(4), Grid1D.centered_interval(3, 2.0)
@@ -657,10 +706,9 @@ class TestRieszWeightsND:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        rules = kernels._nd_plan(g1.n, g1.h, g2.n, g2.h, 16)
-        plan = sum(
-            a.nbytes for r in rules for a in (*r.nodes, r.moment, r.weight, r.target, r.corner)
-        )
+        _, boxes, m1, m2 = kernels._nd_plan(g1.n, g1.h, g2.n, g2.h)
+        arrays = (boxes.nodes, boxes.moment, boxes.weight, boxes.target, boxes.corner, m1, m2)
+        plan = sum(a.nbytes for a in arrays)
         block = 8 * kernels.OFFSET_BLOCK
         assert peak < plan + 8 * block, (peak - plan) / block
 

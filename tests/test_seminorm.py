@@ -306,20 +306,6 @@ def test_off_centre_box_is_finite(rng):
 SIGMA_ENDS = (0.02, 0.98)
 
 
-def _stack_end_cases():
-    """(n, sigma) of the 1D dual certificate at SIGMA_ENDS.  The direct 1D
-    table's adjacent-cell second differences lose a further factor of about
-    1 / (sigma (1 - sigma)) in relative precision: at sigma = 0.98 on 64 and
-    256 cells they are 1.4e-12 and 1.0e-12 off the Hurwitz-zeta closed form,
-    where the Laplace table is within 4e-14 of it."""
-    off = pytest.mark.xfail(strict=True, reason="direct 1D table loses precision as sigma nears 0 or 1")
-    return [
-        pytest.param(n, sigma, marks=off if sigma == 0.98 and n in (64, 256) else ())
-        for n in (2, 3, 8, 64, 256)
-        for sigma in SIGMA_ENDS
-    ]
-
-
 class TestDualCertificate:
     """The direct and Laplace tables describe the same kernel, so they agree
     entry by entry, whatever the input, away from the self pair."""
@@ -338,7 +324,7 @@ class TestDualCertificate:
         for sigma in self.SIGMAS:
             self._assert_1d_agree(n, sigma)
 
-    @pytest.mark.parametrize("n,sigma", _stack_end_cases())
+    @pytest.mark.parametrize("n,sigma", [(n, s) for n in (2, 3, 8, 64, 256) for s in SIGMA_ENDS])
     def test_1d_tables_agree_at_the_stack_ends(self, n, sigma):
         self._assert_1d_agree(n, sigma)
 
