@@ -40,6 +40,7 @@ from .rearrange import (
 from .seminorm import (
     LAPLACE_RTOL,
     SeminormParams,
+    _both_routes,
     fractional_perimeter,
     gagliardo_periodic_direct,
     gagliardo_periodic_laplace,
@@ -156,19 +157,26 @@ def cmd_energy(args) -> int:
     return 0
 
 
+def _run_routes(u, params: SeminormParams, method: str):
+    """The seminorm by one route, or by both from one pass of pair costs."""
+    if method == "both":
+        return _both_routes(u, params)
+    fn = gagliardo_periodic_direct if method == "direct" else gagliardo_periodic_laplace
+    return (fn(u, params),)
+
+
 def cmd_seminorm(args) -> int:
     u = load_function(args.infile)
     n = 2 if isinstance(u, GridFunctionND) else 1
     params = SeminormParams(args.s, args.p, n)
+    t0 = time.perf_counter()
+    results = _run_routes(u, params, args.method)
+    wall = time.perf_counter() - t0  # with both routes, their joint time on each row
     rows = []
-    for method in ("direct", "laplace") if args.method == "both" else (args.method,):
-        t0 = time.perf_counter()
-        fn = gagliardo_periodic_direct if method == "direct" else gagliardo_periodic_laplace
-        res = fn(u, params)
-        wall = time.perf_counter() - t0
+    for res in results:
         value = "divergent" if res.divergent else repr(res.value)
-        rows.append((value, method, repr(res.accuracy), f"{wall:.6f}"))
-        print(f"{method}: {value}")
+        rows.append((value, res.method, repr(res.accuracy), f"{wall:.6f}"))
+        print(f"{res.method}: {value}")
     if args.out:
         _write_csv(args.out, ["value", "method", "tolerance", "wall_time"], rows)
     return 0
@@ -211,9 +219,7 @@ def cmd_sweep(args) -> int:
         s = lo + (hi - lo) * k / max(count - 1, 1)
         params = SeminormParams(s, args.p, n)
         row = [repr(s)]
-        for method in ("direct", "laplace") if args.method == "both" else (args.method,):
-            fn = gagliardo_periodic_direct if method == "direct" else gagliardo_periodic_laplace
-            res = fn(u, params)
+        for res in _run_routes(u, params, args.method):
             row.append("divergent" if res.divergent else repr(res.value))
         rows.append(row)
     header = ["s"] + (

@@ -45,10 +45,11 @@ def placement_order(n_refined: int) -> np.ndarray:
 def _rearranged_values(values: np.ndarray, axis: int) -> np.ndarray:
     """Core step along ``axis``: duplicate onto half cells, sort descending,
     walk the placement order.  Other axes are independent slices."""
-    doubled = np.moveaxis(np.repeat(values, 2, axis=axis), axis, 0)
+    doubled = np.repeat(values, 2, axis=axis)
     out = np.empty_like(doubled)
-    out[placement_order(doubled.shape[0])] = -np.sort(-doubled, axis=0)  # descending
-    return np.moveaxis(out, 0, axis)
+    place = (slice(None),) * axis + (placement_order(doubled.shape[axis]),)
+    out[place] = -np.sort(-doubled, axis=axis)  # descending
+    return out
 
 
 def symmetric_decreasing_1d(u: StepFunction) -> StepFunction:

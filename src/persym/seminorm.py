@@ -100,10 +100,12 @@ def _pair_costs(u: StepFunction | GridFunctionND, p: float) -> np.ndarray:
     return offset_sums(u.values, u.values, lambda a, b: np.abs(a - b) ** p, periodic)
 
 
-def _seminorm(u, params: SeminormParams, method: str, table_1d, table_2d) -> SeminormResult:
-    """vdot(S, W) over cell offsets plus, in 2D, 2 sum_x |u(x)|^p E[x2]: u
-    vanishes outside the box, where the plane sees |u|^p against the
-    table's exterior masses E.  The dimension, 1 or 2, must be params.n."""
+def _seminorm(u, params: SeminormParams, routes) -> list[SeminormResult]:
+    """One result per route (method, table_1d, table_2d): vdot(S, W) over cell
+    offsets plus, in 2D, 2 sum_x |u(x)|^p E[x2]: u vanishes outside the box,
+    where the plane sees |u|^p against the table's exterior masses E.  The
+    pair costs S are computed once for all routes.  The dimension, 1 or 2,
+    must be params.n."""
     nd = isinstance(u, GridFunctionND)
     if nd and u.ndim != 2:
         raise ConfigError(f"the seminorm routes implement n in {{1, 2}}, got n = {u.ndim}")
@@ -111,17 +113,20 @@ def _seminorm(u, params: SeminormParams, method: str, table_1d, table_2d) -> Sem
         raise ConfigError(f"{1 + nd}D input needs params.n == {1 + nd}")
     if not params.step_mode_finite:
         const = float(u.values.max() - u.values.min()) == 0.0
-        return SeminormResult(0.0, method, 1e-15) if const else _divergent(method)
+        return [SeminormResult(0.0, m, 1e-15) if const else _divergent(m) for m, _, _ in routes]
     s = _pair_costs(u, params.p)
-    if nd:
-        g2 = u.axes_perp[0]
-        table = table_2d(u.axis1.n, g2.n, g2.lo, g2.hi, params.sigma)
-        tails = 2.0 * float(np.sum(u.values**params.p * table.exterior[None, :]))
-        total = float(np.vdot(s, table.weights)) + tails
-    else:
-        table = table_1d(u.grid.n, params.sigma)
-        total = float(np.vdot(s, table.weights))
-    return SeminormResult(total ** (1.0 / params.p), method, table.accuracy)
+    out = []
+    for method, table_1d, table_2d in routes:
+        if nd:
+            g2 = u.axes_perp[0]
+            table = table_2d(u.axis1.n, g2.n, g2.lo, g2.hi, params.sigma)
+            tails = 2.0 * float(np.sum(u.values**params.p * table.exterior[None, :]))
+            total = float(np.vdot(s, table.weights)) + tails
+        else:
+            table = table_1d(u.grid.n, params.sigma)
+            total = float(np.vdot(s, table.weights))
+        out.append(SeminormResult(total ** (1.0 / params.p), method, table.accuracy))
+    return out
 
 
 def gagliardo_periodic_direct(
@@ -134,7 +139,7 @@ def gagliardo_periodic_direct(
     vanishes outside the box, so the exterior contributes |u|^p against
     closed-form tail masses.
     """
-    return _seminorm(u, params, "direct", _riesz_table_cached, _nd_table_cached)
+    return _seminorm(u, params, [("direct", _riesz_table_cached, _nd_table_cached)])[0]
 
 
 def gagliardo_periodic_laplace(
@@ -142,7 +147,18 @@ def gagliardo_periodic_laplace(
 ) -> SeminormResult:
     """Fractional seminorm through the heat-kernel time integral, against the
     tables of ``_laplace_table_1d`` and ``_laplace_table_2d``."""
-    return _seminorm(u, params, "laplace", _laplace_table_1d, _laplace_table_2d)
+    return _seminorm(u, params, [("laplace", _laplace_table_1d, _laplace_table_2d)])[0]
+
+
+def _both_routes(
+    u: StepFunction | GridFunctionND, params: SeminormParams
+) -> tuple[SeminormResult, SeminormResult]:
+    """The direct and the Laplace result, from one pass of pair costs."""
+    routes = [
+        ("direct", _riesz_table_cached, _nd_table_cached),
+        ("laplace", _laplace_table_1d, _laplace_table_2d),
+    ]
+    return tuple(_seminorm(u, params, routes))
 
 
 @lru_cache(maxsize=64)

@@ -17,6 +17,12 @@ the structural equality classes:
 Translates are detected on the half-cell grid, which is complete for exact
 step inputs: a non-constant step function equals a translate of its
 rearrangement only if the translate aligns the two breakpoint lattices.
+Classification works on raw value arrays.  On the circle every rotation of
+the rearrangement is compared at once (``_rotation_mask``).  On the line and
+the cylinder's interval axis one run-centre core (``_runs``) takes the strict
+superlevel sets of every level and row at once: a function is a translate of
+its rearrangement exactly when each set is one run of cells and all share
+one centre.  Centres are integers in half cells until a class is built.
 """
 
 from __future__ import annotations
@@ -38,7 +44,8 @@ from .functionals import (
     normalize,
     split_plus_minus,
 )
-from .grid import Grid1D, GridFunctionND, StepFunction, refine
+from . import rearrange
+from .grid import Grid1D, GridFunctionND, StepFunction
 from .kernels import (
     CircleKernel,
     GaussianKernel,
@@ -55,11 +62,7 @@ from .rearrange import (
     periodic_rearrange_nd,
     symmetric_decreasing_1d,
 )
-from .seminorm import (
-    SeminormParams,
-    gagliardo_periodic_direct,
-    gagliardo_periodic_laplace,
-)
+from .seminorm import SeminormParams, _both_routes
 
 EXACT_TOL = 1e-12
 # a Pólya case fails when its two seminorm routes disagree on the margin by
@@ -88,27 +91,44 @@ class EqualityClass:
         return self.tag != "neither"
 
 
+_rotation_cache: dict[int, np.ndarray] = {}
+
+
 def _rotation_mask(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Shifts z with a[i] == b[(i + z) % n] for every i, as a bool vector.
 
-    All rotations of ``b`` are compared at once through one index matrix.
-    Leading axes of ``a`` and ``b`` are batch axes (broadcast together);
-    the shift axis is last.
+    All rotations of ``b`` are compared at once through one index matrix,
+    kept per length.  Leading axes of ``a`` and ``b`` are batch axes
+    (broadcast together); the shift axis is last.
     """
     n = a.shape[-1]
-    rot = (np.arange(n)[:, None] + np.arange(n)) % n  # rot[z, i] = (i + z) % n
+    rot = _rotation_cache.get(n)
+    if rot is None:
+        rot = (np.arange(n)[:, None] + np.arange(n)) % n  # rot[z, i] = (i + z) % n
+        rot.flags.writeable = False
+        _rotation_cache[n] = rot
     return (b[..., rot] == a[..., None, :]).all(axis=-1)
 
 
-def _shared_levels(u: StepFunction, v: StepFunction) -> np.ndarray:
-    lo = max(float(u.values.min()), float(v.values.min()))
-    hi = min(float(u.values.max()), float(v.values.max()))
-    levels = np.unique(np.concatenate((u.values, v.values)))
-    return levels[(levels >= lo) & (levels < hi)]
+def _rotation_class(values: np.ndarray, taus: np.ndarray) -> EqualityClass:
+    """Circle classes of the slices of ``values`` along its first (periodic)
+    axis, each against its rearrangement on the half-cell grid.
 
-
-def _levelwise_class(taus: np.ndarray, ok: np.ndarray) -> EqualityClass:
-    """Levelwise class from per-level shift masks (one row per level in taus)."""
+    Common translate: one half-cell rotation takes every slice's
+    rearrangement to the slice.  Levelwise: per level in ``taus``, one
+    rotation does so for every slice's strict superlevel set; a slice wholly
+    above or below the level matches every rotation by itself.
+    """
+    m = 2 * values.shape[0]
+    # one row per slice, at half-cell resolution along the periodic axis;
+    # C-ordered copies, which the rotation gathers read about twice as fast
+    rows = np.repeat(values, 2, axis=0).reshape(m, -1).T.copy()
+    stars = rearrange._rearranged_values(values, axis=0).reshape(m, -1).T.copy()
+    common = _rotation_mask(rows, stars).all(axis=0)
+    if common.any():
+        return EqualityClass("common-translate", shift=float(np.argmax(common)))
+    t = taus[:, None, None]
+    ok = _rotation_mask(rows > t, stars > t).all(axis=-2)  # (level, shift)
     if not ok.any(axis=-1).all():
         return EqualityClass("neither")
     shifts = np.argmax(ok, axis=-1).astype(float)  # first admissible shift
@@ -117,150 +137,96 @@ def _levelwise_class(taus: np.ndarray, ok: np.ndarray) -> EqualityClass:
     )
 
 
-def _classify_circle_pair(u: StepFunction, v: StepFunction) -> EqualityClass:
-    if u.is_constant() or v.is_constant():
+def _classify_circle(cols: np.ndarray) -> EqualityClass:
+    """Classes of the functions in the columns of ``cols`` on one circle;
+    the levelwise test takes the levels all of them cross."""
+    lo, hi = cols.min(axis=0), cols.max(axis=0)
+    if (lo == hi).any():
         return EqualityClass("constant")
-    ur, vr = refine(u, 2).values, refine(v, 2).values
-    su, sv = periodic_rearrange_1d(u).values, periodic_rearrange_1d(v).values
-    common = _rotation_mask(ur, su) & _rotation_mask(vr, sv)
-    if common.any():
-        return EqualityClass("common-translate", shift=float(np.argmax(common)))
-    # levelwise: every shared strict superlevel pair admits one shift
-    taus = _shared_levels(u, v)
-    t = taus[:, None]
-    return _levelwise_class(taus, _rotation_mask(ur > t, su > t) & _rotation_mask(vr > t, sv > t))
+    levels = np.unique(cols)
+    return _rotation_class(cols, levels[(levels >= lo.max()) & (levels < hi.min())])
 
 
-def _strip(vals: np.ndarray):
-    nz = np.flatnonzero(vals)
-    if nz.size == 0:
-        return None, np.empty(0)
-    return int(nz[0]), vals[nz[0] : nz[-1] + 1]
+def _runs(masks: np.ndarray):
+    """Per mask along the last axis: whether it is nonempty, whether it is one
+    contiguous run of cells, and the run's centre in half cells from the
+    left end (cells a..b give a + b + 1)."""
+    n = masks.shape[-1]
+    first = np.argmax(masks, axis=-1)
+    last = n - 1 - np.argmax(masks[..., ::-1], axis=-1)
+    nonempty = masks.any(axis=-1)
+    run = nonempty & (last - first + 1 == masks.sum(axis=-1))
+    return nonempty, run, first + last + 1
 
 
-def _line_translate(u: StepFunction) -> float | None:
-    """Translate a with u = u*(. - a) as functions on the line, if any."""
-    ur = refine(u, 2)
-    star = symmetric_decreasing_1d(u)
-    i_u, core_u = _strip(ur.values)
-    i_s, core_s = _strip(star.values)
-    if i_u is None or not np.array_equal(core_u, core_s):
-        return None
-    pos_u = ur.grid.lo + i_u * ur.grid.h
-    pos_s = star.grid.lo + i_s * star.grid.h
-    return pos_u - pos_s
+def _run_class(rows: np.ndarray, grid: Grid1D, hi: float) -> EqualityClass:
+    """Line classes of the rows of ``rows``, functions on the interval ``grid``
+    with a positive maximum.
 
-
-def _run_center(mask: np.ndarray, grid: Grid1D) -> float | None:
-    """Center coordinate of a contiguous run of cells, None if not a run."""
-    nz = np.flatnonzero(mask)
-    if nz.size == 0:
-        return None
-    if not np.all(np.diff(nz) == 1):
-        return None
-    return grid.lo + 0.5 * (nz[0] + nz[-1] + 1) * grid.h
-
-
-def _classify_line_pair(u: StepFunction, v: StepFunction) -> EqualityClass:
-    if not u.values.any() or not v.values.any():
-        return EqualityClass("zero")
-    au, av = _line_translate(u), _line_translate(v)
-    if au is not None and av is not None and math.isclose(au, av, abs_tol=1e-9):
-        return EqualityClass("common-translate", shift=au)
-    hi = min(float(u.values.max()), float(v.values.max()))
-    levels = np.unique(np.concatenate((u.values, v.values)))
-    levels = levels[(levels >= 0.0) & (levels < hi)]
-    ur, vr = refine(u, 2), refine(v, 2)
-    shifts = []
-    for tau in levels:
-        cu = _run_center(ur.values > tau, ur.grid)
-        cv = _run_center(vr.values > tau, vr.grid)
-        if cu is None or cv is None or not math.isclose(cu, cv, abs_tol=1e-9):
-            return EqualityClass("neither")
-        shifts.append((float(tau), cu))
-    return EqualityClass("levelwise-translate", level_shifts=tuple(shifts))
-
-
-def _classify_periodic_nd(u: GridFunctionND) -> EqualityClass:
-    """Classes for slicewise rearrangement along the periodic axis (n = 2).
-
-    Common translate: one half-cell shift works for every perpendicular
-    slice (slices constant in x1 accept any).  Levelwise: each 2D strict
-    superlevel set is a single x1-translate of its rearrangement.
+    Every strict superlevel set {row > tau}, tau in {0} and the values, is
+    tested at once (levels x rows x cells).  A row is a translate of its
+    rearrangement when each of its nonempty sets is one run and all share
+    one centre.  Common translate: one centre for every row.  Levelwise:
+    per value tau < hi, the nonempty sets are runs sharing a centre.
+    Centres are integers in half cells until the class is built.
     """
-    m = 2 * u.axis1.n
-    # one row per perpendicular slice, at half-cell resolution along x1
-    rows = np.repeat(u.values, 2, axis=0).reshape(m, -1).T
-    stars = periodic_rearrange_nd(u).values.reshape(m, -1).T
-    common = _rotation_mask(rows, stars).all(axis=0)
-    if common.any():
-        return EqualityClass("common-translate", shift=float(np.argmax(common)))
-    levels = np.unique(u.values)
-    taus = levels[levels < float(u.values.max())]
-    t = taus[:, None, None]
-    # a slice wholly above or below tau matches every shift by itself
-    return _levelwise_class(taus, _rotation_mask(rows > t, stars > t).all(axis=-2))
-
-
-def _classify_cylindrical(u: GridFunctionND) -> EqualityClass:
-    """n = 2 classes for slicewise rearrangement in the interval axis."""
-    if not u.values.any():
-        return EqualityClass("zero")
-    g2 = u.axes_perp[0]
-    shift = None
-    for i in range(u.axis1.n):
-        row = StepFunction(g2, u.values[i])
-        if not row.values.any():
-            continue
-        a = _line_translate(row)
-        if a is None:
-            shift = math.nan
-        elif shift is None:
-            shift = a
-        elif not math.isclose(shift, a, abs_tol=1e-9):
-            shift = math.nan
-    if shift is not None and not math.isnan(shift):
-        return EqualityClass("common-translate", shift=shift)
-    # levelwise: per level, one x2-shift shared by all slices
-    levels = np.unique(u.values)
-    levels = levels[levels < float(u.values.max())]
-    shifts = []
-    rgrid = g2.refined(2)
-    for tau in levels:
-        centers = []
-        for i in range(u.axis1.n):
-            mask = np.repeat(u.values[i] > tau, 2)
-            if not mask.any():
-                continue
-            c = _run_center(mask, Grid1D.interval(rgrid.n, g2.lo, g2.hi))
-            if c is None:
-                return EqualityClass("neither")
-            centers.append(c)
-        if centers and np.ptp(centers) > 1e-9:
-            return EqualityClass("neither")
-        if centers:
-            shifts.append((float(tau), centers[0]))
-    return EqualityClass("levelwise-translate", level_shifts=tuple(shifts))
+    taus = np.unique(np.concatenate(([0.0], rows.ravel())))[:-1]  # below the top
+    nonempty, run, centre = _runs(rows > taus[:, None, None])
+    ok = run | ~nonempty
+    top = np.where(nonempty, centre, -1).max(axis=1)
+    bottom = np.where(nonempty, centre, 2 * grid.n).min(axis=1)
+    half = grid.h / 2.0
+    if ok.all() and top.max() == bottom.min():
+        return EqualityClass("common-translate", shift=grid.lo + float(top[0]) * half)
+    keep = taus < hi
+    keep[0] &= bool(rows.min() == 0.0)  # 0 is a level only as a value
+    if not (ok[keep].all() and (top[keep] == bottom[keep]).all()):
+        return EqualityClass("neither")
+    centres = (grid.lo + top[keep] * half).tolist()
+    return EqualityClass(
+        "levelwise-translate", level_shifts=tuple(zip(taus[keep].tolist(), centres))
+    )
 
 
 def classify_equality(u, v=None, context: str = "circle") -> EqualityClass:
     """Detect the structural equality class of a pair (or single function).
 
-    Context ``circle`` and ``euclidean`` classify pairs for the
-    nonexpansivity and bilinear checks; ``periodic-ps`` and
-    ``cylindrical-ps`` classify a single function for the seminorm checks.
-    Classification is structural: it needs neither the cost nor the kernel.
+    Context ``circle`` and ``euclidean`` classify pairs on one periodic or
+    one interval grid for the nonexpansivity and bilinear checks;
+    ``periodic-ps`` and ``cylindrical-ps`` classify a single function for
+    the seminorm checks.  Classification is structural: it needs neither
+    the cost nor the kernel.  Inputs off their context raise ConfigError.
     """
-    if context == "circle":
-        return _classify_circle_pair(u, v if v is not None else u)
-    if context == "euclidean":
-        return _classify_line_pair(u, v if v is not None else u)
+    if context in ("circle", "euclidean"):
+        v = u if v is None else v
+        periodic = context == "circle"
+        if not (
+            isinstance(u, StepFunction)
+            and isinstance(v, StepFunction)
+            and u.grid == v.grid
+            and u.grid.periodic == periodic
+        ):
+            kind = "periodic" if periodic else "interval"
+            raise ConfigError(f"{context} classification needs u and v on one {kind} grid")
+        if periodic:
+            return _classify_circle(np.stack((u.values, v.values), axis=1))
+        if not u.values.any() or not v.values.any():
+            return EqualityClass("zero")
+        hi = min(float(u.values.max()), float(v.values.max()))
+        return _run_class(np.stack((u.values, v.values)), u.grid, hi)
     if context == "periodic-ps":
         if isinstance(u, GridFunctionND):
-            return _classify_periodic_nd(u)
-        return _classify_circle_pair(u, u)
+            levels = np.unique(u.values)
+            return _rotation_class(u.values, levels[levels < levels[-1]])
+        if not (isinstance(u, StepFunction) and u.grid.periodic):
+            raise ConfigError("periodic-ps classification needs a periodic grid")
+        return _classify_circle(u.values[:, None])
     if context == "cylindrical-ps":
-        return _classify_cylindrical(u)
+        if not (isinstance(u, GridFunctionND) and len(u.axes_perp) == 1):
+            raise ConfigError("cylindrical-ps classification needs one interval axis")
+        if not u.values.any():
+            return EqualityClass("zero")
+        return _run_class(u.values, u.axes_perp[0], float(u.values.max()))
     raise ConfigError(f"unknown context {context!r}")
 
 
@@ -387,10 +353,7 @@ class PolyaResult:
 
 def _polya(u, star, params: SeminormParams) -> PolyaResult:
     """Seminorm margin of u against its rearrangement ``star``, both routes."""
-    (d0, l0), (d1, l1) = [
-        (gagliardo_periodic_direct(f, params), gagliardo_periodic_laplace(f, params))
-        for f in (u, star)
-    ]
+    (d0, l0), (d1, l1) = _both_routes(u, params), _both_routes(star, params)
     bound = 4.0 * (d0.accuracy + d1.accuracy) * max(d0.value, 1.0)
     return PolyaResult(
         d0.value - d1.value, l0.value - l1.value, d0.value, d1.value, max(bound, EXACT_TOL)

@@ -13,6 +13,7 @@ from persym.grid import (
     superlevel_measure,
 )
 from persym.rearrange import (
+    _rearranged_values,
     composition_commutes_check,
     cylindrical_rearrange,
     periodic_rearrange_1d,
@@ -57,6 +58,21 @@ def test_placement_order_structure():
     centers = Grid1D.circle(8).centers()
     dists = np.abs(centers[order])
     assert np.all(np.diff(dists) >= -1e-15)
+
+
+def test_rearranged_values_per_axis_match_1d(rng):
+    vals = rng.integers(0, 4, (6, 8)).astype(float)
+    vals[2] = 2.0 * rng.random(8)
+    g0, g1 = Grid1D.circle(6), Grid1D.interval(8, -1.0, 3.0)
+    along0 = _rearranged_values(vals, axis=0)
+    along1 = _rearranged_values(vals, axis=1)
+    assert along0.shape == (12, 8) and along1.shape == (6, 16)
+    for j in range(8):
+        star = symmetric_decreasing_1d(StepFunction(g0, vals[:, j]))
+        assert np.array_equal(along0[:, j], star.values)
+    for i in range(6):
+        star = symmetric_decreasing_1d(StepFunction(g1, vals[i]))
+        assert np.array_equal(along1[i], star.values)
 
 
 def test_rearrange_spec_example():

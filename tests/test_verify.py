@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from persym.errors import BudgetExceeded, KernelNotMonotone, NotNormalized
+from persym.errors import BudgetExceeded, ConfigError, KernelNotMonotone, NotNormalized
 from persym.functionals import j_library
 from persym.grid import Grid1D, GridFunctionND, StepFunction
 from persym.kernels import GaussianKernel, HeatKernel, StepKernelCircle
+from persym.rearrange import symmetric_decreasing_1d
 from persym.seminorm import SeminormParams
 import persym.verify
 from persym.verify import (
@@ -112,6 +113,208 @@ class TestClassify:
         cls = classify_equality(u, v, "circle")
         assert cls.tag == "levelwise-translate"
         assert cls.level_shifts == ()
+
+
+def _roll_shifts(a, b):
+    """The z with a == np.roll(b, -z), in increasing order."""
+    return [z for z in range(a.size) if np.array_equal(a, np.roll(b, -z))]
+
+
+def _oracle_rotations(cols, taus):
+    """Circle classes of the columns of cols (n x k) by explicit rolls."""
+    rows = [np.repeat(c, 2) for c in cols.T]
+    stars = [symmetric_decreasing_1d(StepFunction.on_circle(c)).values for c in cols.T]
+    common = set.intersection(*(set(_roll_shifts(r, s)) for r, s in zip(rows, stars)))
+    if common:
+        return ("common-translate", float(min(common)), ())
+    shifts = []
+    for tau in taus:
+        ok = set.intersection(
+            *(set(_roll_shifts(r > tau, s > tau)) for r, s in zip(rows, stars))
+        )
+        if not ok:
+            return ("neither", None, ())
+        shifts.append((float(tau), float(min(ok))))
+    return ("levelwise-translate", None, tuple(shifts))
+
+
+def _oracle_translate(vals, grid):
+    """Strip-and-compare: the a with u = u*(. - a) on the line, or None."""
+    ur = np.repeat(vals, 2)
+    star = symmetric_decreasing_1d(StepFunction(grid, vals)).values
+    nz_u, nz_s = np.flatnonzero(ur), np.flatnonzero(star)
+    if nz_u.size == 0:
+        return None
+    if not np.array_equal(ur[nz_u[0] : nz_u[-1] + 1], star[nz_s[0] : nz_s[-1] + 1]):
+        return None
+    hh = grid.h / 2.0
+    return (grid.lo + nz_u[0] * hh) - (-grid.length / 2.0 + nz_s[0] * hh)
+
+
+def _oracle_center(mask, grid):
+    """Centre of the cells of mask (base grid, repeated onto half cells) if
+    they form one contiguous run, else None."""
+    nz = np.flatnonzero(np.repeat(mask, 2))
+    for a, b in zip(nz, nz[1:]):
+        if b != a + 1:
+            return None
+    return grid.lo + 0.5 * (nz[0] + nz[-1] + 1) * (grid.h / 2.0)
+
+
+def _oracle_runs(rows, grid, levels):
+    """Line classes of the nonzero rows: translates by strip-and-compare,
+    levelwise by an explicit per-level contiguity check."""
+    rows = [r for r in rows if r.any()]
+    shifts = [_oracle_translate(r, grid) for r in rows]
+    if all(a is not None for a in shifts) and all(abs(a - shifts[0]) <= 1e-9 for a in shifts):
+        return ("common-translate", shifts[0], ())
+    out = []
+    for tau in levels:
+        centres = [_oracle_center(r > tau, grid) for r in rows if (r > tau).any()]
+        if any(c is None for c in centres) or max(centres) - min(centres) > 1e-9:
+            return ("neither", None, ())
+        out.append((float(tau), centres[0]))
+    return ("levelwise-translate", None, tuple(out))
+
+
+def _oracle_class(u, v, context):
+    if context == "circle":
+        if u.is_constant() or v.is_constant():
+            return ("constant", None, ())
+        lo = max(u.values.min(), v.values.min())
+        hi = min(u.values.max(), v.values.max())
+        levels = np.unique(np.concatenate((u.values, v.values)))
+        shared = levels[(levels >= lo) & (levels < hi)]
+        return _oracle_rotations(np.stack((u.values, v.values), 1), shared)
+    if context == "euclidean":
+        if not u.values.any() or not v.values.any():
+            return ("zero", None, ())
+        hi = min(u.values.max(), v.values.max())
+        levels = np.unique(np.concatenate((u.values, v.values)))
+        return _oracle_runs([u.values, v.values], u.grid, levels[levels < hi])
+    levels = np.unique(u.values)
+    if context == "periodic-ps":
+        return _oracle_rotations(u.values, levels[levels < levels[-1]])
+    if not u.values.any():
+        return ("zero", None, ())
+    return _oracle_runs(list(u.values), u.axes_perp[0], levels[levels < levels[-1]])
+
+
+def _assert_same_class(cls, ref):
+    tag, shift, level_shifts = ref
+    assert cls.tag == tag
+    if tag == "common-translate":
+        assert cls.shift == pytest.approx(shift, abs=1e-12)
+    assert len(cls.level_shifts) == len(level_shifts)
+    for (t0, s0), (t1, s1) in zip(cls.level_shifts, level_shifts):
+        assert t0 == t1 and s0 == pytest.approx(s1, abs=1e-12)
+
+
+def _placed(rng, n, m, at):
+    """A centred symmetric decreasing block of m (even) cells placed at
+    cell ``at`` of n zero cells."""
+    vals = np.zeros(n)
+    vals[at : at + m] = symmetric_decreasing_instance(rng, Grid1D.circle(m)).values
+    return np.round(vals)
+
+
+class TestClassifyOracle:
+    """classify_equality against brute-force loops on quantized inputs."""
+
+    BOXES = ((-2.0, 2.0), (0.0, 3.0), (1.0, 2.5))
+
+    def test_circle_pairs(self, rng):
+        for k in range(150):
+            n = int(rng.choice([2, 3, 4, 6, 8]))
+            g = Grid1D.circle(n)
+            if k % 3 == 0:
+                shift = int(rng.integers(n))
+                pair = [
+                    symmetric_decreasing_instance(rng, g, shift).values.round() for _ in range(2)
+                ]
+            else:
+                pair = [rng.integers(0, 3, n).astype(float) for _ in range(2)]
+            if k % 5 == 0:
+                pair[1] = pair[0]
+            u, v = (StepFunction(g, x) for x in pair)
+            _assert_same_class(classify_equality(u, v, "circle"), _oracle_class(u, v, "circle"))
+            _assert_same_class(
+                classify_equality(u, context="periodic-ps"), _oracle_class(u, u, "circle")
+            )
+
+    def test_line_pairs(self, rng):
+        for k in range(200):
+            n = int(rng.choice([2, 3, 5, 6, 8]))
+            g = Grid1D.interval(n, *self.BOXES[k % 3])
+            if k % 4 == 0 and n >= 2:
+                m = 2 * int(rng.integers(1, n // 2 + 1))
+                at = int(rng.integers(0, n - m + 1))
+                at_v = at if k % 8 == 0 else int(rng.integers(0, n - m + 1))
+                pair = [_placed(rng, n, m, at), _placed(rng, n, m, at_v)]
+            else:
+                pair = [rng.integers(0, 3, n).astype(float) for _ in range(2)]
+            if k % 7 == 0:
+                pair[1] = pair[0]
+            u, v = (StepFunction(g, x) for x in pair)
+            _assert_same_class(
+                classify_equality(u, v, "euclidean"), _oracle_class(u, v, "euclidean")
+            )
+
+    def test_cylinders(self, rng):
+        for k in range(150):
+            n1, n2 = int(rng.choice([1, 2, 4])), int(rng.choice([4, 5, 8]))
+            if k % 3 == 0:
+                m, at = 2, int(rng.integers(1, n2 - 2))
+                rows = [_placed(rng, n2, m, at) * (rng.random() < 0.7) for _ in range(n1)]
+                vals = np.stack(rows)
+            else:
+                vals = rng.integers(0, 3, (n1, n2)).astype(float)
+                vals[rng.random(n1) < 0.3] = 0.0  # zero rows
+            vals[:, 0] = vals[:, -1] = 0.0
+            g2 = Grid1D.interval(n2, *self.BOXES[k % 3])
+            u = GridFunctionND(Grid1D.circle(n1), (g2,), vals)
+            _assert_same_class(
+                classify_equality(u, context="cylindrical-ps"), _oracle_class(u, None, "cylinder")
+            )
+
+    def test_periodic_nd(self, rng):
+        for k in range(100):
+            n1, n2 = int(rng.choice([2, 4, 6])), int(rng.choice([3, 4]))
+            if k % 3 == 0:
+                shift = int(rng.integers(n1))
+                g1 = Grid1D.circle(n1)
+                cols = [
+                    symmetric_decreasing_instance(rng, g1, shift).values.round() for _ in range(n2)
+                ]
+                vals = np.stack(cols, 1)
+            else:
+                vals = rng.integers(0, 3, (n1, n2)).astype(float)
+            vals[:, 0] = vals[:, -1] = 0.0
+            u = GridFunctionND(Grid1D.circle(n1), (Grid1D.centered_interval(n2, 3.0),), vals)
+            _assert_same_class(
+                classify_equality(u, context="periodic-ps"), _oracle_class(u, None, "periodic-ps")
+            )
+
+
+class TestClassifyConfig:
+    def test_circle_pair_of_two_sizes(self, rng):
+        u, v = random_circle_function(rng, n=4), random_circle_function(rng, n=6)
+        with pytest.raises(ConfigError):
+            classify_equality(u, v, "circle")
+
+    def test_line_pair_on_two_boxes(self):
+        u = StepFunction(Grid1D.interval(4, -2.0, 2.0), [0.0, 1.0, 1.0, 0.0])
+        v = StepFunction(Grid1D.interval(4, -1.0, 1.0), [0.0, 1.0, 1.0, 0.0])
+        with pytest.raises(ConfigError):
+            classify_equality(u, v, "euclidean")
+
+    def test_periodic_input_to_euclidean(self, rng):
+        u = random_circle_function(rng, n=6)
+        with pytest.raises(ConfigError):
+            classify_equality(u, u, "euclidean")
+        w = StepFunction(Grid1D.interval(4, 0.0, 1.0), np.ones(4))
+        with pytest.raises(ConfigError):
+            classify_equality(w, context="circle")
 
 
 class TestRieszCircle:
@@ -337,13 +540,13 @@ class TestRunSuite:
         assert [r.margin for r in a.rows] != [r.margin for r in c.rows]
 
     def test_dual_route_gap_fails_polya_cases(self, monkeypatch):
-        laplace = persym.verify.gagliardo_periodic_laplace
+        both = persym.verify._both_routes
 
         def skewed(u, params):
-            res = laplace(u, params)
-            return dataclasses.replace(res, value=res.value * (1.0 + 1e-3))
+            direct, laplace = both(u, params)
+            return direct, dataclasses.replace(laplace, value=laplace.value * (1.0 + 1e-3))
 
-        monkeypatch.setattr(persym.verify, "gagliardo_periodic_laplace", skewed)
+        monkeypatch.setattr(persym.verify, "_both_routes", skewed)
         rep = run_suite("polya-per", cases=4)
         assert rep.failures
 
