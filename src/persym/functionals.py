@@ -195,10 +195,9 @@ def _check_alignment(u: StepFunction, v: StepFunction, w: KernelWeights, periodi
         raise GridMismatch("weight table was built for a different grid")
 
 
-def _pair_energy(u: StepFunction, v: StepFunction, j: ConvexJ, w: KernelWeights) -> float:
-    """sum_{i,j} J(u_i - v_j) W[j - i] over the cells of the common grid."""
-    s = offset_sums(u.values, v.values, lambda a, b: j(a - b), (w.periodic,))
-    return float(np.vdot(s, w.weights))
+def _pair_sum(f: np.ndarray, g: np.ndarray, cost, w: KernelWeights) -> float:
+    """sum_{i,j} cost(f_i, g_j) W[j - i] over the cells of the table's grid."""
+    return float(np.vdot(offset_sums(f, g, cost, (w.periodic,)), w.weights))
 
 
 def energy_circle(
@@ -206,7 +205,8 @@ def energy_circle(
 ) -> EnergyResult:
     """E[u, v] = sum_{i,j} J(u_i - v_j) W[j - i] over one period squared; exact."""
     _check_alignment(u, v, w, periodic=True)
-    return EnergyResult(_pair_energy(u, v, j, w), "direct", w.accuracy)
+    energy = _pair_sum(u.values, v.values, lambda a, b: j(a - b), w)
+    return EnergyResult(energy, "direct", w.accuracy)
 
 
 def energy_euclidean(
@@ -227,7 +227,7 @@ def energy_euclidean(
         )
     if w.exterior is None:
         raise GridMismatch("weight table carries no exterior masses")
-    interior = _pair_energy(u, v, j, w)
+    interior = _pair_sum(u.values, v.values, lambda a, b: j(a - b), w)
     tails = float(j(u.values) @ w.exterior) + float(j(-v.values) @ w.exterior)
     return EnergyResult(interior + tails, "direct", w.accuracy)
 
@@ -249,11 +249,6 @@ class LayerDecomposition:
     integral: float
 
 
-def _bilinear(f: np.ndarray, g: np.ndarray, w: KernelWeights) -> float:
-    """sum_{i,j} f_i g_j W[j - i] on a periodic grid."""
-    return float(np.vdot(offset_sums(f, g, np.multiply, (True,)), w.weights))
-
-
 def level_source_term(
     u: StepFunction, j_plus: ConvexJ, w: KernelWeights, tau: float
 ) -> float:
@@ -266,7 +261,7 @@ def level_interaction_term(
 ) -> float:
     """sum_{i, j: v_j > tau} J'(u_i - tau) W[j - i]; grows under rearrangement."""
     mask = (v.values > tau).astype(float)
-    return _bilinear(j_plus.deriv(u.values - tau), mask, w)
+    return _pair_sum(j_plus.deriv(u.values - tau), mask, np.multiply, w)
 
 
 def ab_decomposition(
@@ -292,7 +287,7 @@ def ab_decomposition(
     integral = 0.0
     for a, b in zip(levels[:-1], levels[1:]):
         allowed = (v.values <= a).astype(float)
-        integral += _bilinear(j_plus(u.values - a) - j_plus(u.values - b), allowed, w)
+        integral += _pair_sum(j_plus(u.values - a) - j_plus(u.values - b), allowed, np.multiply, w)
     # final interval [tau_max, inf): the derivative already vanishes there
     integral += float(np.sum(j_plus(u.values - levels[-1]))) * w.row_sum()
     return LayerDecomposition(levels, source, interaction, integral)

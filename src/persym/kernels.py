@@ -3,7 +3,9 @@
 Every double integral in the package reduces to finite sums against tables
 W[d] = integral of a convolution kernel over a pair of cells at offset d.
 ``offset_sums`` owns the offset layout and computes the pair-cost sums that
-such tables contract with.  This module builds the tables:
+such tables contract with, each pair's cost once: gathered along periodic
+axes, dense and binned by offset along interval ones.  This module builds
+the tables:
 
 * wrapped Gaussian (periodic heat kernel) and line Gaussian, from one
   erf/erfc antiderivative value per lattice point, with a theta-series dual
@@ -36,6 +38,7 @@ import math
 import os
 import tempfile
 import zipfile
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -123,9 +126,11 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return a
 
 
-# largest temporary of offset_sums and of the table builders, in elements:
-# 128 KiB blocks measured 1.3-2x faster than 2 MiB ones on 12x12 pair sums
-# and 2D table builds
+# largest temporary of offset_sums and of the table builders, in elements.
+# 128 KiB blocks built 2D tables 1.3-2x faster than 2 MiB ones.  Offset sums
+# at 1 << 14, 15 and 16 (2-vCPU Xeon, numpy 2.4, best of 7): 12x12 cylinder
+# 75, 58, 54 us; 6x8 cylinder 17 us; 1024-cell circle 2.8, 2.7, 7.2 ms and
+# interval 3.3, 3.1, 3.6 ms.  Larger blocks re-round circle sums past 128 cells.
 OFFSET_BLOCK = 1 << 14
 
 
@@ -146,89 +151,93 @@ def offset_sums(u, v, cost, periodic) -> np.ndarray:
     ``lambda a, b: j(a - b)``).  Contracting with a table of the same
     layout, ``np.vdot(S, w.weights)``, gives sum_{i,j} cost(u_i, v_j) W[j - i].
 
-    Partners are gathered through the cached ``_gather_plan`` of a block of
-    first-axis offsets, in chunks of at most OFFSET_BLOCK pairs (unless one
-    offset has more), then summed over cells.  Past one block, every block
-    reuses the first block's plan, with the first axis taken periodic and u
-    rolled by the block's first offset s: slot i of offset o pairs cell
-    i - s with partner i + o, both mod n.  On an interval first axis that is
-    a pair at offset s + o only where cell and partner wrapped as many
-    times; the other slots are masked.
+    Each pair's cost is taken once.  Periodic partners (axes moved first)
+    are gathered by the cached ``_offset_plan`` of the first block of
+    offsets, later blocks rolling u by their first offset.  Interval pairs
+    are all valid: the cost is taken on the dense cell x partner block,
+    summed over the periodic cells and binned to offset slots by one
+    ``np.bincount``.  Offsets, and past one offset the rows of the first
+    interval axis, come in chunks of at most OFFSET_BLOCK cost elements.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     periodic = tuple(periodic)
     k = len(periodic)
     if u.ndim != k or v.shape[v.ndim - k :] != u.shape:
         raise GridMismatch(f"cannot pair shapes {u.shape} and {v.shape} on {k} axes")
-    batch = v.shape[: v.ndim - k]
-    off = _offset_shape(u.shape, periodic)
-    rest = math.prod(off[1:])
-    chunk = max(1, OFFSET_BLOCK // (math.prod(batch) * u.size))  # offsets per temporary
-    step = min(off[0], max(1, chunk // rest))  # first-axis offsets per plan
-    partners = v.reshape(batch + (-1,))
-    n = u.shape[0]
-    whole = not periodic[0] and step >= off[0]  # an interval first axis in one block
-    if not (whole or periodic[0]):  # times partner i + o wrapped, per (o, i)
-        view = (step,) + (1,) * (k - 1) + (n,) + (1,) * (k - 1)
-        wraps = ((np.arange(n) + np.arange(step)[:, None]) // n).reshape(view)
+    p = _offset_plan(u.shape, periodic, v.shape[: v.ndim - k], OFFSET_BLOCK)
+    cells = u.transpose(p.order).reshape(p.vshape[1:])
+    vs = v.transpose(p.v_axes).reshape(p.vshape)
     parts = []
-    for lo in range(0, off[0], step):
-        hi = min(lo + step, off[0])
-        if whole:
-            idx, keep = _gather_plan(u.shape, periodic, off[0])
-            cells = u.ravel()
-        else:
-            idx, keep = _gather_plan(u.shape, (True,) + periodic[1:], step)
-            s = lo if periodic[0] else lo - (n - 1)  # the block's first offset
-            cells = np.roll(u, s, axis=0).ravel() if s else u.ravel()
-            if not periodic[0]:  # cell i - s wrapped (i - s) // n times
-                alike = wraps == ((np.arange(n) - s) // n).reshape(wraps.shape[1:])
-                alike = np.broadcast_to(alike, (step,) + off[1:] + u.shape).reshape(idx.shape)
-                keep = alike if keep is None else keep & alike
-        for r in range(0, (hi - lo) * rest, chunk):
-            rows = slice(r, min(r + chunk, (hi - lo) * rest))
-            pc = cost(cells, partners.take(idx[rows], axis=-1))
-            if keep is not None:
-                pc = np.where(keep[rows], pc, 0.0)
-            # summed over the last cell axis first, then the others in turn
-            pc = pc.reshape(pc.shape[:-1] + u.shape)
-            for _ in range(k):
-                pc = pc.sum(axis=-1)
-            parts.append(pc)
-    return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)).reshape(batch + off)
+    for s, sel in p.chunks:  # s: the block's first offset, in flat cells
+        c = np.roll(cells, s, axis=0) if s else cells
+        partners = vs.take(p.idx[sel], axis=1)
+        if p.bins is None:  # summed over the cells
+            parts.append(cost(c, partners).sum(axis=2))
+            continue
+        held = partners.shape[0] * partners.shape[1]
+        for cut, shift in p.rows:
+            pc = cost(c[:, cut, None], partners[..., None, :])
+            pc = pc.sum(axis=2) if pc.shape[2] > 1 else pc[:, :, 0]  # over the periodic cells
+            at = p.bins[:held, : pc.size // held].ravel()
+            got = np.bincount(at, pc.ravel(), held * p.slots).reshape(held, p.slots)
+            if shift:  # later rows take the first rows' bins, shifted down
+                acc[:, : p.slots - shift] += got[:, shift:]
+            else:
+                acc = got
+                parts.append(got.reshape(partners.shape[0], -1))
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    return np.ascontiguousarray(out.reshape(p.shape).transpose(p.back))
 
 
-def _offset_shape(shape, periodic) -> tuple:
-    return tuple(n if per else 2 * n - 1 for n, per in zip(shape, periodic))
+_OffsetPlan = namedtuple("_OffsetPlan", "order v_axes shape back vshape chunks idx bins rows slots")
 
 
 @lru_cache(maxsize=32)
-def _gather_plan(shape: tuple, periodic: tuple, first: int):
-    """Flat partner index (offset row, cell column) of the first ``first``
-    first-axis offsets, and the mask of pairs whose partner lies inside every
-    interval axis (None if all are periodic); dropped pairs point at a valid
-    cell."""
-    k = len(shape)
-    off = (first,) + _offset_shape(shape, periodic)[1:]
-    idx = np.zeros(off + shape, dtype=np.intp)
-    keep = None
-    for a, (n, per) in enumerate(zip(shape, periodic)):
-        j = np.arange(off[a])[:, None] + np.arange(n)
-        view = [1] * (2 * k)
-        view[a], view[k + a] = j.shape
-        if per:
-            j %= n
-        else:
-            j -= n - 1
-            inside = ((j >= 0) & (j < n)).reshape(view)
-            keep = inside if keep is None else keep & inside
-            np.clip(j, 0, n - 1, out=j)
-        idx *= n
-        idx += j.reshape(view)
-    rows = math.prod(off)
-    keep = None if keep is None else np.broadcast_to(keep, idx.shape).reshape(rows, -1)
-    return idx.reshape(rows, -1), keep  # writeable: ``take`` copies a read-only index
+def _offset_plan(shape: tuple, periodic: tuple, batch: tuple, block: int) -> _OffsetPlan:
+    """Layout of ``offset_sums`` for one shape, batch and block size: axis
+    orders with the periodic axes first and ``back``; per temporary
+    (``chunks``) its block's first offset in flat cells and its rows of
+    ``idx``, the flat cell (i + o) mod n per periodic offset o of the first
+    block and periodic cell i; ``bins``, per leading row l and (cell,
+    partner) pair of the first ``rows`` chunk of interval rows, the slot
+    l * slots + the flat slot of partner - cell (None without interval axes).
+    """
+    k, b, lead = len(shape), len(batch), math.prod(batch)
+    order = tuple(sorted(range(k), key=lambda a: not periodic[a]))
+    pshape = tuple(shape[a] for a in order if periodic[a])
+    ishape = tuple(shape[a] for a in order if not periodic[a])
+    ioff = tuple(2 * m - 1 for m in ishape)
+    grid = pshape or (1,)  # the periodic cells, one if there are none
+    n, cells, pairs, slots = grid[0], math.prod(grid), math.prod(ishape), math.prod(ioff)
+    dense = lead * cells * pairs * pairs  # cost elements of one periodic offset
+    chunk = max(1, block // dense)  # periodic offsets per temporary
+    rest = cells // n  # flat cells per first-axis cell
+    step = min(n, max(1, chunk // rest))  # first-axis offsets per block
+    blocks = [(lo * rest, (min(lo + step, n) - lo) * rest) for lo in range(0, n, step)]
+    chunks = [(s, slice(r, min(r + chunk, m))) for s, m in blocks for r in range(0, m, chunk)]
+    g, j = np.indices((step,) + grid[1:] + grid, sparse=True), len(grid)
+    idx = np.ravel_multi_index([g[a] + g[j + a] for a in range(j)], grid, mode="wrap")
+    n_rows = ishape[0] if ishape else 1
+    rows = min(n_rows, max(1, block * n_rows // dense))  # interval rows per temporary
+    bins = None
+    if ishape:
+        g, j = np.indices((rows,) + ishape[1:] + ishape, sparse=True), len(ishape)
+        slot = np.ravel_multi_index([g[j + a] - g[a] + m - 1 for a, m in enumerate(ishape)], ioff)
+        held = lead * min(chunk, blocks[0][1])  # leading rows of a temporary
+        bins = _frozen(slot.ravel() + slots * np.arange(held)[:, None], np.intp)
+    w, down = pairs // n_rows, slots // (2 * n_rows - 1)  # cells and slots of a row
+    return _OffsetPlan(
+        order=order,
+        v_axes=tuple(range(b)) + tuple(b + a for a in order),
+        shape=batch + pshape + ioff,  # of the sums, periodic axes first
+        back=tuple(range(b)) + tuple(b + order.index(a) for a in range(k)),
+        vshape=(lead, cells) + (pairs,) * bool(ishape),
+        chunks=tuple(chunks),
+        idx=idx.reshape(-1, cells),  # writeable: ``take`` copies a read-only index
+        bins=bins,
+        rows=tuple((slice(a * w, (a + rows) * w), a * down) for a in range(0, n_rows, rows)),
+        slots=slots,
+    )
 
 
 def check_kernel_monotone(w: KernelWeights) -> bool:
@@ -238,11 +247,7 @@ def check_kernel_monotone(w: KernelWeights) -> bool:
     the kernel decreasing away from the origin, which this verifies on the
     table instead of assuming.
     """
-    if not w.periodic:
-        seq = w.weights[w.n - 1 :]
-        return bool(np.all(np.diff(seq) < 0))
-    half = w.n // 2
-    seq = w.weights[1 : half + 1]
+    seq = w.weights[1 : w.n // 2 + 1] if w.periodic else w.weights[w.n - 1 :]
     return bool(np.all(np.diff(seq) < 0))
 
 

@@ -36,6 +36,7 @@ import numpy as np
 from .errors import BudgetExceeded, ConfigError, KernelNotMonotone, NotNormalized
 from .functionals import (
     ConvexJ,
+    _pair_sum,
     energy_circle,
     energy_euclidean,
     j_library,
@@ -117,18 +118,23 @@ def _rotation_class(values: np.ndarray, taus: np.ndarray) -> EqualityClass:
     Common translate: one half-cell rotation takes every slice's
     rearrangement to the slice.  Levelwise: per level in ``taus``, one
     rotation does so for every slice's strict superlevel set; a slice wholly
-    above or below the level matches every rotation by itself.
+    above or below the level matches every rotation by itself.  A level set
+    that is not one cyclic arc (more than one rising edge) matches no
+    rotation and rules out both, before any rotation is compared.
     """
     m = 2 * values.shape[0]
     # one row per slice, at half-cell resolution along the periodic axis;
     # C-ordered copies, which the rotation gathers read about twice as fast
     rows = np.repeat(values, 2, axis=0).reshape(m, -1).T.copy()
+    above = rows > taus[:, None, None]  # (level, slice, cell)
+    rises = np.count_nonzero(above[..., 1:] > above[..., :-1], axis=-1)
+    if (rises + (above[..., 0] > above[..., -1]) > 1).any():  # not one cyclic arc
+        return EqualityClass("neither")
     stars = rearrange._rearranged_values(values, axis=0).reshape(m, -1).T.copy()
     common = _rotation_mask(rows, stars).all(axis=0)
     if common.any():
         return EqualityClass("common-translate", shift=float(np.argmax(common)))
-    t = taus[:, None, None]
-    ok = _rotation_mask(rows > t, stars > t).all(axis=-2)  # (level, shift)
+    ok = _rotation_mask(above, stars > taus[:, None, None]).all(axis=-2)  # (level, shift)
     if not ok.any(axis=-1).all():
         return EqualityClass("neither")
     shifts = np.argmax(ok, axis=-1).astype(float)  # first admissible shift
@@ -243,10 +249,6 @@ class CheckResult:
     extra: dict = field(default_factory=dict)
 
 
-def _bilinear(f: StepFunction, h: StepFunction, w: KernelWeights) -> float:
-    return float(np.vdot(offset_sums(f.values, h.values, np.multiply, (True,)), w.weights))
-
-
 def check_riesz_circle(
     f: StepFunction,
     h: StepFunction,
@@ -264,9 +266,10 @@ def check_riesz_circle(
     w = kernel.weights(f.grid)
     if equality_analysis and not check_kernel_monotone(w):
         raise KernelNotMonotone(f"{kernel.name} is not strictly decreasing")
-    lhs = _bilinear(f, h, w)
+    lhs = _pair_sum(f.values, h.values, np.multiply, w)
     w2 = kernel.rearranged().weights(f.grid.refined(2))
-    rhs = _bilinear(periodic_rearrange_1d(f), periodic_rearrange_1d(h), w2)
+    sf, sh = periodic_rearrange_1d(f), periodic_rearrange_1d(h)
+    rhs = _pair_sum(sf.values, sh.values, np.multiply, w2)
     bound = 4.0 * (w.accuracy + w2.accuracy) * max(abs(lhs), abs(rhs), 1.0)
     return CheckResult(rhs - lhs, lhs, rhs, max(bound, EXACT_TOL))
 
@@ -364,12 +367,8 @@ def check_polya_periodic(
     u: StepFunction | GridFunctionND, params: SeminormParams
 ) -> PolyaResult:
     """Seminorm margin under periodic rearrangement, both routes reported."""
-    star = (
-        periodic_rearrange_nd(u)
-        if isinstance(u, GridFunctionND)
-        else periodic_rearrange_1d(u)
-    )
-    return _polya(u, star, params)
+    nd = isinstance(u, GridFunctionND)
+    return _polya(u, periodic_rearrange_nd(u) if nd else periodic_rearrange_1d(u), params)
 
 
 def check_polya_cylindrical(u: GridFunctionND, params: SeminormParams) -> PolyaResult:

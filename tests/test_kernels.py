@@ -847,37 +847,73 @@ def power_cost(a, b):
     return np.abs(a - b) ** 1.5
 
 
+def abs_cost(a, b):
+    return np.abs(a - b)
+
+
+def skew_cost(a, b):
+    return np.exp(a - 2 * b)
+
+
 class TestOffsetSums:
     @pytest.mark.parametrize(
-        "shape,batch,periodic,cost",
+        "shape,batch,periodic,cost,block",
         [
-            ((9,), (), (True,), power_cost),
-            ((8,), (), (False,), power_cost),
-            ((5, 6), (), (True, False), power_cost),
-            ((5, 6), (), (True, False), np.multiply),
-            ((7,), (4,), (True,), power_cost),
-            ((4, 5), (3,), (True, False), np.multiply),
-            ((2500,), (), (True,), np.multiply),
-            ((1,), (), (True,), power_cost),
-            ((2,), (3,), (True,), power_cost),
-            ((1, 4), (), (True, False), power_cost),
-            ((2, 3), (2,), (True, False), np.multiply),
-            ((100,), (), (False,), power_cost),
-            ((100, 1), (), (False, True), power_cost),
+            ((9,), (), (True,), power_cost, None),
+            ((8,), (), (False,), power_cost, None),
+            ((5, 6), (), (True, False), power_cost, None),
+            ((5, 6), (), (True, False), np.multiply, None),
+            ((7,), (4,), (True,), power_cost, None),
+            ((4, 5), (3,), (True, False), np.multiply, None),
+            ((2500,), (), (True,), np.multiply, None),
+            ((1,), (), (True,), power_cost, None),
+            ((2,), (3,), (True,), power_cost, None),
+            ((1, 4), (), (True, False), power_cost, None),
+            ((2, 3), (2,), (True, False), np.multiply, None),
+            ((100,), (), (False,), power_cost, None),
+            ((100, 1), (), (False, True), power_cost, None),
+            ((12, 12), (), (True, False), abs_cost, None),
+            ((6, 8), (), (True, False), skew_cost, None),
+            ((5, 4), (3,), (True, False), power_cost, 16),
+            ((3, 2), (2,), (True, False), skew_cost, 48),
+            ((3, 5), (2,), (True, False), power_cost, 64),
         ],
         ids=["1d-periodic", "1d-interval", "2d", "2d-product", "1d-batched",
              "2d-batched", "1d-multi-block", "1d-one-cell", "1d-two-cells",
              "2d-one-cell-circle", "2d-two-cell-circle",
-             # blocks of more first-axis offsets than cells: partners wrap twice
-             "1d-interval-wide-blocks", "2d-interval-first-wide-blocks"],
+             "1d-interval-wide-blocks", "2d-interval-first-wide-blocks",
+             "2d-sweep-12x12", "2d-asymmetric-cost",
+             # one offset and one interval row per temporary; blocks of 2 and
+             # 1 offsets; interval rows in chunks of 2, 2 and 1
+             "2d-batched-small-blocks", "2d-batched-partial-block",
+             "2d-batched-partial-rows"],
     )
-    def test_against_reference(self, shape, batch, periodic, cost, rng):
+    def test_against_reference(self, shape, batch, periodic, cost, block, rng, monkeypatch):
         u = rng.random(shape)
         v = rng.random(batch + shape)
+        if block:
+            monkeypatch.setattr(kernels, "OFFSET_BLOCK", block)
         got = offset_sums(u, v, cost, periodic)
         ref = offset_sums_reference(u, v, cost, periodic)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "n,pins",
+        [
+            (16, {0: "0x1.1cc22e56d48eap+2", 1: "0x1.07e01d229e174p+2",
+                  8: "0x1.6d0a1f042a6b4p+1", 15: "0x1.f9969b318832ap+1"}),
+            (64, {0: "0x1.8804047b15800p+3", 1: "0x1.bab6898a24506p+3",
+                  32: "0x1.f01f2b82b4fdcp+3", 63: "0x1.c3641465c008dp+3"}),
+        ],
+    )
+    def test_periodic_1d_sums_are_pinned(self, n, pins):
+        # float-hex pins: any change to the arithmetic of 1D periodic sums
+        # (cost layout, summation order, blocking) shows here bit for bit
+        rng = np.random.default_rng(n)
+        u, v = rng.random(n), rng.random((2, n))
+        got = offset_sums(u, v, power_cost, (True,))[1]
+        assert {d: float(got[d]).hex() for d in pins} == pins
 
     def test_multi_block_case_spans_blocks(self):
         assert 2500 * 2500 > kernels.OFFSET_BLOCK
@@ -908,18 +944,16 @@ class TestOffsetSums:
         "shape,periodic", [((700,), (False,)), ((40, 5), (False, False)), ((30, 7), (False, True))]
     )
     def test_interval_first_axis_reuses_one_plan(self, shape, periodic, rng, fresh_caches):
-        # past one block of first-axis offsets, every block takes the first
-        # block's plan, so a repeated call builds none (at 700 cells it
-        # built 61 per call, more than the cache holds)
+        # one plan per shape serves every block of offsets and every chunk
+        # of interval rows, so a repeated call builds none
         u = rng.random(shape)
         v = rng.random((2,) + shape)
-        offsets = math.prod(n if per else 2 * n - 1 for n, per in zip(shape, periodic))
-        assert v.size * offsets > 4 * kernels.OFFSET_BLOCK  # several blocks
         offset_sums(u, v, power_cost, periodic)
-        misses = kernels._gather_plan.cache_info().misses
-        assert misses == 1
+        assert kernels._offset_plan.cache_info().misses == 1
         got = offset_sums(u, v, power_cost, periodic)
-        assert kernels._gather_plan.cache_info().misses == misses
+        plan = kernels._offset_plan(shape, periodic, (2,), kernels.OFFSET_BLOCK)
+        assert kernels._offset_plan.cache_info().misses == 1
+        assert len(plan.chunks) * len(plan.rows) > 4  # several temporaries
         ref = offset_sums_reference(u, v, power_cost, periodic)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 

@@ -242,6 +242,32 @@ class TestClassifyOracle:
                 classify_equality(u, context="periodic-ps"), _oracle_class(u, u, "circle")
             )
 
+    def test_circle_pairs_n16(self, rng):
+        # continuous and quantized pairs on 16 cells: translates of a
+        # rearrangement, levelwise pairs and random values, where most
+        # shared levels are not one arc in some function
+        g = Grid1D.circle(16)
+        for k in range(80):
+            shift = int(rng.integers(16))
+            kind = k % 4
+            if kind == 0:
+                pair = [symmetric_decreasing_instance(rng, g, shift).values for _ in range(2)]
+            elif kind == 1:
+                pair = [x.values for x in levelwise_pair(rng, g, n_levels=1 + k % 3)]
+            elif kind == 2:
+                pair = [3.0 * rng.random(16) for _ in range(2)]
+            else:
+                pair = [rng.integers(0, 3, 16).astype(float) for _ in range(2)]
+            if k % 8 < 4:
+                pair = [x.round() for x in pair]
+            if k % 5 == 0:
+                pair[1] = pair[0]
+            u, v = (StepFunction(g, x) for x in pair)
+            _assert_same_class(classify_equality(u, v, "circle"), _oracle_class(u, v, "circle"))
+            _assert_same_class(
+                classify_equality(u, context="periodic-ps"), _oracle_class(u, u, "circle")
+            )
+
     def test_line_pairs(self, rng):
         for k in range(200):
             n = int(rng.choice([2, 3, 5, 6, 8]))
@@ -585,3 +611,11 @@ class TestClassifyPeriodicND:
         assert cls.tag != "common-translate"
         res = check_polya_periodic(u, SeminormParams(0.3, 2.0, 2))
         assert res.margin > res.bound  # p > 1: no translate, strict inequality
+
+
+def test_fresh_caches_empty_the_plain_dict_caches(fresh_caches):
+    u = StepFunction.on_circle([0.0, 1.0, 2.0, 1.0])
+    classify_equality(u, context="periodic-ps")
+    assert persym.verify._rotation_cache and persym.rearrange._placement_cache
+    fresh_caches()
+    assert not persym.verify._rotation_cache and not persym.rearrange._placement_cache
