@@ -13,20 +13,22 @@ the tables:
 * power kernel |z|^(-(1+sigma)) on the line (the all-positive even series
   of its second differences) and its Hurwitz-zeta periodization (explicit
   copies plus the same series summed over the far copies, positive-order
-  zeta only, certified by its first omitted term), built in one pass;
+  zeta only, each term an even Taylor series at one point, certified by
+  the first omitted terms), built in one pass against sigma-free arrays
+  kept per cell count;
 * the 2D power kernel |z|^(-(2+sigma)) with x1-periodization: the copies
   near the cell over Gauss-Legendre panels graded by their distance from
   the kernel origin, with exact corner moments at it, and the far copies
   as a Hurwitz-zeta polynomial series whose box integral separates into
-  one small contraction per sigma; nodes, weights and moments depend on the
-  grid alone and are kept once per grid;
+  one small contraction per sigma; nodes (as log r^2), weights and moments
+  depend on the grid alone and are kept once per grid;
 * general nonnegative step-function kernels, whose tables are exact
   two-tap averages of the kernel values (and whose rearrangement is again
   a step kernel, so rearranged tables stay exact);
 * the exp-substitution trapezoid rule turning t-integrals of
   t^(lambda-1) e^(-zt) into Gamma(lambda) z^(-lambda), its nodes on the
   fixed lattice s = k ds in s = log t, validated against that closed form
-  before use.
+  before use through check data kept once per lattice.
 
 Convention: W[0] := 0 for kernels singular at the origin (step-function
 energies never see the diagonal because u(x) - u(y) vanishes there).
@@ -476,6 +478,18 @@ def _riesz_series(a: float, terms: int) -> np.ndarray:
     return 0.5 * np.cumprod(np.concatenate(([1.0], ratio)))
 
 
+@lru_cache(maxsize=8)
+def _line_powers(mmax: int) -> tuple:
+    """Per block (lo, hi) of the offsets 2 <= m <= mmax of ``_riesz_line_pairs``,
+    the offsets m and the powers (1 / m^2)^i of its series (read-only)."""
+    blocks = []
+    for lo, hi, terms in ((2, min(40, mmax + 1), 30), (40, mmax + 1, 5)):
+        if lo < hi:
+            m = np.arange(lo, hi, dtype=float)
+            blocks.append((lo, hi, _frozen(m), _frozen((1.0 / (m * m))[:, None] ** np.arange(terms))))
+    return tuple(blocks)
+
+
 def _riesz_line_pairs(mmax: int, h: float, sigma: float) -> np.ndarray:
     """Pair weights L[m] of |x - y|^(-(1+sigma)) at cell offsets m = 0..mmax, L[0] = 0.
 
@@ -483,28 +497,63 @@ def _riesz_line_pairs(mmax: int, h: float, sigma: float) -> np.ndarray:
     L[m] for m >= 2 the all-positive series 2 h^a sum_k q_k m^(a - 2k) of
     ``_riesz_series``: 30 terms below m = 40, 5 from there, the first
     omitted term below 2e-17 relative at m = 2 and 40.  No term cancels, so
-    the weights hold a few ulps at every sigma.
+    the weights hold a few ulps at every sigma.  The powers of 1 / m^2 are
+    kept per mmax (``_line_powers``).
     """
     a = 1.0 - sigma
     q = _riesz_series(a, 30)
     out = np.zeros(mmax + 1)
     if mmax >= 1:
         out[1] = 2.0 * -math.expm1(-sigma * math.log(2.0)) / (sigma * (1.0 - sigma))
-    for lo, hi, terms in ((2, min(40, mmax + 1), 30), (40, mmax + 1, 5)):
-        if lo < hi:
-            m = np.arange(lo, hi, dtype=float)
-            powers = (1.0 / (m * m))[:, None] ** np.arange(terms)
-            out[lo:hi] = 2.0 * m ** (a - 2.0) * (powers @ q[:terms])
+    for lo, hi, m, powers in _line_powers(mmax):
+        out[lo:hi] = 2.0 * m ** (a - 2.0) * (powers @ q[: powers.shape[1]])
     return out * h**a
 
 
 # copies -RIESZ_NEAR <= k < RIESZ_NEAR of the periodized 1D table are summed
-# explicitly, the others by the Hurwitz-zeta series
+# explicitly, the others by the Hurwitz-zeta series, each of its terms by
+# RIESZ_TAYLOR even Taylor terms
 RIESZ_NEAR = 4
+RIESZ_TAYLOR = 10
 # rounding floor of the periodized 1D table's certificate: the largest
-# error measured against 40-digit Hurwitz-zeta values, 1.7e-15 (n from 2
-# to 1024, sigma from 0.02 to 0.98), with room to spare
+# error measured against 40-digit Hurwitz-zeta values, 1.2e-15 (n from 2
+# to 4096, sigma from 0.02 to 0.98), with room to spare
 RIESZ_ROUNDING = 4e-15
+
+
+@lru_cache(maxsize=8)
+def _periodized_plan(n: int, taylor: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sigma-free part of the periodized 1D table on n cells (read-only).
+
+    Per offset d = 1..n-1: the line offsets |d + k n| of its explicit copies,
+    -RIESZ_NEAR <= k < RIESZ_NEAR; and the far-copy matrix, shape
+    (2, n - 1, J + M + 1) in the notation of ``riesz_weights_1d``, M =
+    ``taylor``: per order j, the sum over the series terms (k, m) with
+    k + m = j of C(2j, 2m) n^(-2k) y^(2m), y = d / n - 1/2, over the terms
+    the table keeps (k <= J, m < M) in row 0, and in row 1 over the terms
+    that bound the rest, each with its factor: 2 for the first omitted zeta
+    term (k = J + 1), and 1 / (1 - rho_k) for each Taylor tail (m = M),
+    rho_k = (2k + 2M)(2k + 2M + 1) / ((2M + 1)(2M + 2) 4 x^2), the ratio
+    bound at s <= 2k and y^2 <= 1/4.
+    """
+    d = np.arange(1, n)
+    near = np.abs(d[:, None] + n * np.arange(-RIESZ_NEAR, RIESZ_NEAR))
+    terms = math.ceil(17.0 / (2.0 * math.log10(n * RIESZ_NEAR))) + 1
+    k = np.arange(1, terms + 2)[:, None]
+    m = np.arange(taylor + 1)
+    top = 2.0 * (k + taylor)
+    rho = top * (top + 1.0) / ((2 * taylor + 1) * (2 * taylor + 2) * 4.0 * (RIESZ_NEAR + 0.5) ** 2)
+    omitted = k == terms + 1
+    c = special.comb(2 * (k + m), 2 * m) * float(n) ** (-2.0 * k)
+    factors = (
+        np.where(~omitted & (m < taylor), 1.0, 0.0),
+        np.where(m < taylor, 2.0 * omitted, (1.0 + omitted) / (1.0 - rho)),
+    )
+    by_order = np.zeros((2, taylor + 1, terms + taylor + 1))  # [row, m, j - 1]
+    for row, f in enumerate(factors):
+        by_order[row, m, k + m - 1] = f * c
+    ypow = ((d / n - 0.5) ** 2)[:, None] ** m
+    return _frozen(near, np.intp), _frozen(ypow @ by_order)
 
 
 def riesz_weights_1d(grid: Grid1D, sigma: float, periodized: bool) -> KernelWeights:
@@ -518,8 +567,20 @@ def riesz_weights_1d(grid: Grid1D, sigma: float, periodized: bool) -> KernelWeig
     W[d] += 2 h^a sum_{k <= J} q_k n^(a - 2k) (Z_k[d] + Z_k[n - d]),
     Z_k[j] = zeta(2k - a, K + j / n), J = ceil(17 / (2 log10(n K))) + 1.
     Successive terms fall by at least (n K)^2 >= 16, so twice the first
-    omitted term bounds the rest; ``accuracy`` is the larger of that bound
-    and the rounding floor RIESZ_ROUNDING, relative to each entry.
+    omitted term bounds the rest.
+
+    With x = K + 1/2 and y = d / n - 1/2, the pair Z_k[d] + Z_k[n - d] is
+    zeta(s, x + y) + zeta(s, x - y), s = 2k - a, whose even Taylor series
+    2 sum_m (s)_2m / (2m)! zeta(s + 2m, x) y^(2m) (d/dx zeta(s, x) =
+    -s zeta(s + 1, x)) has positive terms only.  Term m + 1 is at most
+    (s + 2m)(s + 2m + 1) / ((2m + 1)(2m + 2)) y^2 / x^2 times term m, a ratio
+    that falls with m, so the first omitted term M = RIESZ_TAYLOR over one
+    minus that ratio at m = M bounds the rest.  Since q_k (s)_2m / (2m)! =
+    q_j C(2j, 2m), j = k + m, the far copies are
+    4 (h n)^a sum_j q_j zeta(2j - a, x) F[d, j], and the bound the same sum
+    over another matrix; ``_periodized_plan`` keeps both per n, so a build
+    takes one zeta call at x on the orders 2j - a.  ``accuracy`` is that
+    bound, relative to each entry, plus the rounding floor RIESZ_ROUNDING.
     """
     _check_sigma(sigma)
     n, h = grid.n, grid.h
@@ -530,16 +591,13 @@ def riesz_weights_1d(grid: Grid1D, sigma: float, periodized: bool) -> KernelWeig
     if not grid.periodic:
         raise GridMismatch("periodized Riesz weights need a periodic grid")
     a = 1.0 - sigma
-    d = np.arange(1, n)
-    near = np.abs(d[:, None] + n * np.arange(-RIESZ_NEAR, RIESZ_NEAR))
+    near, far_plan = _periodized_plan(n, RIESZ_TAYLOR)
     w = _riesz_line_pairs(RIESZ_NEAR * n - 1, h, sigma)[near].sum(axis=1)
-    terms = math.ceil(17.0 / (2.0 * math.log10(n * RIESZ_NEAR))) + 1
-    order = 2.0 * np.arange(1, terms + 2) - a
-    z = special.zeta(order[:, None], RIESZ_NEAR + d / n)
-    scale = 2.0 * h**a * _riesz_series(a, terms + 1) * float(n) ** -order
-    far = scale[:, None] * (z + z[:, ::-1])
-    w += far[:terms].sum(axis=0)
-    accuracy = max(float(np.max(2.0 * far[terms] / w, initial=0.0)), RIESZ_ROUNDING)
+    j = np.arange(1, far_plan.shape[2] + 1)
+    series = _riesz_series(a, j.size) * special.zeta(2.0 * j - a, RIESZ_NEAR + 0.5)
+    far, bound = far_plan @ (4.0 * h**a * float(n) ** a * series)
+    w += far
+    accuracy = float(np.max(bound / w, initial=0.0)) + RIESZ_ROUNDING
     w = np.concatenate(([0.0], w))
     return KernelWeights(n, h, True, w, accuracy=accuracy, singular_diagonal=True)
 
@@ -650,7 +708,7 @@ class _BoxRule:
     tri(z1) tri(z2) density(x + z), tri(z) = h - |z|, over the panels of
     its four quadrant squares.  Neighbouring boxes share squares, so each
     distinct panel's Gauss-Legendre nodes are kept once (``nodes``, as
-    r^2 = z1^2 + z2^2, panel after panel) and its four hat
+    log r^2, r^2 = z1^2 + z2^2, panel after panel) and its four hat
     moments (``_hat_rule``) serve every box it belongs to: tri is linear
     along each axis of a panel, a nonnegative combination of the hats at
     the panel's two ends, so no sum cancels.  Each term of a box's sum
@@ -756,11 +814,12 @@ def _box_rule(a1, a2, target, targets: int, h1: float, h2: float) -> _BoxRule:
             nodes[n0:n1].reshape(p1 - p0, m, m)[...] = x[:, 0, :, None] + x[:, 1, None, :]
             chunks.append((n0, int(p0), int(p1), int(m)))
             n0 = n1
+    np.log(nodes, out=nodes)
     return _BoxRule(_frozen(nodes), tuple(chunks), *terms, _frozen(corner))
 
 
 def _box_sums(rule: _BoxRule, density, corner) -> np.ndarray:
-    """Box integrals of ``density`` (a function of r^2) summed per target: hat
+    """Box integrals of ``density`` (a function of log r^2) summed per target: hat
     moments per panel, then the weighted moments per target, plus the
     corner terms."""
     moments = np.empty((rule.chunks[-1][2], 4))
@@ -856,9 +915,9 @@ def _nd_cache_path(grid1, grid2, sigma):
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"PERSYM_CACHE_DIR is not a usable directory: {exc}") from exc
-    # bump the format version v5 whenever the builder's values change, so a
+    # bump the format version v6 whenever the builder's values change, so a
     # table written by an older builder is never served
-    tag = f"riesz2d_v5_n{grid1.n}x{grid2.n}_box{grid2.lo:.9g}_{grid2.hi:.9g}_sigma{sigma:.9g}.npz"
+    tag = f"riesz2d_v6_n{grid1.n}x{grid2.n}_box{grid2.lo:.9g}_{grid2.hi:.9g}_sigma{sigma:.9g}.npz"
     return os.path.join(cache_dir, tag)
 
 
@@ -919,10 +978,10 @@ def riesz_weights_nd(grid1: Grid1D, grid2: Grid1D, sigma: float) -> NDKernelWeig
     grid, as the distinct quadrature nodes (neighbouring boxes share their
     quadrant squares), per panel use its hat weights and sector offset, the
     corner-moment weights and the tri moments.  A build for one sigma
-    evaluates the kernel at those nodes and contracts per panel, then per
-    offset (``_box_sums``), and adds the contracted tail series.  Set
-    PERSYM_CACHE_DIR to persist tables across runs; a table found there
-    builds no plan.
+    evaluates the kernel at those nodes, exp(-mu log r^2) from the kept
+    log r^2, and contracts per panel, then per offset (``_box_sums``), and
+    adds the contracted tail series.  Set PERSYM_CACHE_DIR to persist tables
+    across runs; a table found there builds no plan.
     """
     _check_sigma(sigma)
     if not grid1.periodic or grid2.periodic:
@@ -935,7 +994,7 @@ def riesz_weights_nd(grid1: Grid1D, grid2: Grid1D, sigma: float) -> NDKernelWeig
         return NDKernelWeights(n1, h1, n2, h2, sigma, *cached)
     mu = (2.0 + sigma) / 2.0
     copies, boxes, m1, m2 = _nd_plan(n1, h1, n2, h2)
-    total = _box_sums(boxes, lambda r2: np.power(r2, -mu), _corner_moments(min(h1, h2), mu))
+    total = _box_sums(boxes, lambda lr2: np.exp(-mu * lr2), _corner_moments(min(h1, h2), mu))
     d1, d2 = _nd_sector(n1, n2)
     series, omitted = _copy_tail_series(mu, copies)
     scale = TWO_PI ** (-2.0 * mu)
@@ -1176,6 +1235,9 @@ class LaplaceConfig:
     achieved: float
     ds: float = 0.0
     k_lo: int = 0  # node q is exp((k_lo + q) ds)
+    # first and last k of the lattice the rule was checked on, shared by
+    # every lam of its band (``laplace_quadrature``)
+    lattice: tuple[int, int] = (0, -1)
 
     def apply(self, fvals: np.ndarray) -> float:
         return float(self.weights @ fvals)
@@ -1251,12 +1313,23 @@ def laplace_quadrature(
     0.5), and is halved until the Gamma-identity check passes at rtol, else
     RangeTooWide.  It never depends on earlier calls, so a lam gets the same
     rule in every process.
+
+    The check compares the rule's transform of e^(-z t) with Gamma(lam)
+    z^-lam at 41 geometric points z of [z_min, z_max].  Its points and
+    e^(-z t) do not depend on lam: they are kept per lattice
+    (``_rule_lattice``), over the union of the windows of the band's ends,
+    b = floor(2 lam) / 2 and b + 1/2, and of lam's own; both window ends
+    rise with lam in every band from 1/2 up short of the overflow clamp, so
+    every lam of such a band shares one lattice (the seminorm routes read it
+    as ``lattice``).  A rule takes the slice at its nodes times its weights.
     """
     if lam <= 0 or z_min <= 0 or z_max < z_min:
         raise ConfigError("need lam > 0 and 0 < z_min <= z_max")
-    s_left, s_right = laplace_window(lam, z_min, z_max, rtol)
+    band = math.floor(2.0 * lam) / 2.0
+    ends = [laplace_window(x, z_min, z_max, rtol) for x in (band, band + 0.5, lam) if x > 0]
+    s_left, s_right = ends[-1]
+    lo, hi = min(e[0] for e in ends), max(e[1] for e in ends)
     ds = 0.25
-    zs = np.geomspace(z_min, z_max, 41)
     while True:
         k_lo = math.floor(s_left / ds)
         m = math.ceil(s_right / ds) - k_lo + 1
@@ -1264,13 +1337,24 @@ def laplace_quadrature(
             raise RangeTooWide(
                 f"would need {m} nodes for rtol={rtol} on z in [{z_min}, {z_max}]"
             )
-        s = ds * np.arange(k_lo, k_lo + m)
-        cfg = LaplaceConfig(
-            lam, np.exp(s), ds * np.exp(lam * s), z_min, z_max, rtol, math.nan, ds, k_lo
-        )
-        err = float(cfg.gamma_identity_error(zs).max())
+        lattice = (math.floor(lo / ds), math.ceil(hi / ds))
+        zs, t, decay = _rule_lattice(z_min, z_max, ds, *lattice)
+        rows = slice(k_lo - lattice[0], k_lo - lattice[0] + m)
+        weights = ds * np.exp(lam * (ds * np.arange(k_lo, k_lo + m)))
+        exact = special.gamma(lam) * zs ** (-lam)
+        err = float(np.abs(decay[:, rows] @ weights / exact - 1.0).max())
         if err <= rtol:
             return LaplaceConfig(
-                lam, cfg.nodes, cfg.weights, z_min, z_max, rtol, err, ds, k_lo
+                lam, t[rows], _frozen(weights), z_min, z_max, rtol, err, ds, k_lo, lattice
             )
         ds *= 0.5
+
+
+@lru_cache(maxsize=8)
+def _rule_lattice(z_min: float, z_max: float, ds: float, k_lo: int, k_hi: int):
+    """The lam-free part of the Gamma-identity check of ``laplace_quadrature``
+    on the lattice t_k = exp(k ds), k_lo <= k <= k_hi: its 41 points z, the
+    lattice t and e^(-z t), shape (41, k_hi - k_lo + 1); read-only."""
+    zs = np.geomspace(z_min, z_max, 41)
+    t = np.exp(ds * np.arange(k_lo, k_hi + 1))
+    return _frozen(zs), _frozen(t), _frozen(np.exp(-np.outer(zs, t)))

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .errors import ConfigError, NotIndicator, RangeTooWide
+from .errors import ConfigError, NotIndicator
 from .grid import Grid1D, GridFunctionND, StepFunction
 from .kernels import (
     OFFSET_BLOCK,
@@ -32,7 +32,6 @@ from .kernels import (
     _frozen,
     _heat_table_batch,
     laplace_quadrature,
-    laplace_window,
     offset_sums,
     riesz_weights_1d,
     riesz_weights_nd,
@@ -97,15 +96,16 @@ def _divergent(method: str) -> SeminormResult:
 def _pair_costs(u: StepFunction | GridFunctionND, p: float) -> np.ndarray:
     """S[d] = sum over cell pairs at offset d of |u_i - u_j|^p."""
     periodic = (True, False) if isinstance(u, GridFunctionND) else (True,)
-    return offset_sums(u.values, u.values, lambda a, b: np.abs(a - b) ** p, periodic)
+    cost = (lambda a, b: np.abs(a - b)) if p == 1.0 else (lambda a, b: np.abs(a - b) ** p)
+    return offset_sums(u.values, u.values, cost, periodic)
 
 
 def _seminorm(u, params: SeminormParams, routes) -> list[SeminormResult]:
     """One result per route (method, table_1d, table_2d): vdot(S, W) over cell
     offsets plus, in 2D, 2 sum_x |u(x)|^p E[x2]: u vanishes outside the box,
     where the plane sees |u|^p against the table's exterior masses E.  The
-    pair costs S are computed once for all routes.  The dimension, 1 or 2,
-    must be params.n."""
+    pair costs S, and in 2D the column sums of |u|^p over x1, are computed
+    once for all routes.  The dimension, 1 or 2, must be params.n."""
     nd = isinstance(u, GridFunctionND)
     if nd and u.ndim != 2:
         raise ConfigError(f"the seminorm routes implement n in {{1, 2}}, got n = {u.ndim}")
@@ -115,13 +115,14 @@ def _seminorm(u, params: SeminormParams, routes) -> list[SeminormResult]:
         const = float(u.values.max() - u.values.min()) == 0.0
         return [SeminormResult(0.0, m, 1e-15) if const else _divergent(m) for m, _, _ in routes]
     s = _pair_costs(u, params.p)
+    if nd:  # u is nonnegative, so |u|^p is u^p
+        columns = (u.values**params.p).sum(axis=0)
     out = []
     for method, table_1d, table_2d in routes:
         if nd:
             g2 = u.axes_perp[0]
             table = table_2d(u.axis1.n, g2.n, g2.lo, g2.hi, params.sigma)
-            tails = 2.0 * float(np.sum(u.values**params.p * table.exterior[None, :]))
-            total = float(np.vdot(s, table.weights)) + tails
+            total = float(np.vdot(s, table.weights)) + 2.0 * float(columns @ table.exterior)
         else:
             table = table_1d(u.grid.n, params.sigma)
             total = float(np.vdot(s, table.weights))
@@ -179,22 +180,17 @@ def _laplace_rule_cached(lam: float, z_min: float, z_max: float) -> LaplaceConfi
     return laplace_quadrature(lam, z_min, z_max, rtol=LAPLACE_RTOL)
 
 
-def _lattice_rows(cfg: LaplaceConfig, dim: int) -> tuple[tuple[float, int, int], slice]:
-    """The lattice (ds, k_lo, k_hi) of the dim-D route's stacks at cfg's
-    spacing, z-range and rtol, and the rows of its stack at cfg's nodes.
+def _lattice_rows(cfg: LaplaceConfig) -> tuple[tuple[float, int, int], slice]:
+    """The lattice (ds, k_lo, k_hi) that cfg was checked on, s = k ds for
+    k_lo <= k <= k_hi, and the rows of a stack on it at cfg's nodes.
 
-    The lattice s = k ds, k_lo <= k <= k_hi, covers the rule window of every
-    lam in (dim / 2, (dim + 1) / 2), that is of every sigma in (0, 1).  Both
-    window ends rise with lam (short of the overflow clamp, which no grid
-    reaches), so the windows of the two limits bound the union; a rule
-    outside it raises rather than read the wrong rows.
+    The dim-D route's lam = (dim + sigma) / 2 lies in the band
+    (dim / 2, (dim + 1) / 2) for every sigma in (0, 1), and every rule of a
+    band is checked on the lattice over the union of the band's windows, so
+    one stack per grid serves every sigma.
     """
-    ends = [laplace_window(lam, cfg.z_min, cfg.z_max, cfg.rtol) for lam in (dim / 2, (dim + 1) / 2)]
-    k_lo = math.floor(min(e[0] for e in ends) / cfg.ds)
-    k_hi = math.ceil(max(e[1] for e in ends) / cfg.ds)
+    k_lo, k_hi = cfg.lattice
     first = cfg.k_lo - k_lo
-    if first < 0 or cfg.k_lo + cfg.nodes.size - 1 > k_hi:
-        raise RangeTooWide(f"the rule for lam={cfg.lam} leaves the lattice k in [{k_lo}, {k_hi}]")
     return (cfg.ds, k_lo, k_hi), slice(first, first + cfg.nodes.size)
 
 
@@ -257,7 +253,7 @@ def _laplace_table_1d(n: int, sigma: float) -> KernelWeights:
     lam = (1.0 + sigma) / 2.0
     h = 2.0 * math.pi / n
     cfg = _laplace_rule_cached(lam, h * h / 4.0, (2 * math.pi) ** 2)
-    lattice, rows = _lattice_rows(cfg, 1)
+    lattice, rows = _lattice_rows(cfg)
     _, heat = _heat_stack(n, *lattice)
     w = cfg.weights @ heat[rows]
     w += _touches(n) * cfg.algebraic_tail(0.5, 1.0)
@@ -288,7 +284,7 @@ def _laplace_table_2d(n1: int, n2: int, lo: float, hi: float, sigma: float) -> N
     g2 = Grid1D.interval(n2, lo, hi)
     h2 = g2.h
     cfg = _laplace_rule_cached(lam, min(h1, h2) ** 2 / 4.0, (2.0 * math.pi) ** 2 + g2.length**2)
-    lattice, rows = _lattice_rows(cfg, 2)
+    lattice, rows = _lattice_rows(cfg)
     _, heat, gauss, ext_rows = _heat_gauss_stack(n1, n2, lo, hi, *lattice)
     w = (cfg.weights[:, None] * heat[rows]).T @ gauss[rows]
     ext = cfg.weights @ ext_rows[rows]

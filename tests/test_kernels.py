@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from persym.errors import (
     GridMismatch,
@@ -401,7 +401,7 @@ class TestRieszWeights1D:
         assert w.weights[0] == ref[0] == 0.0
         assert np.max(np.abs(w.weights[1:] / ref[1:] - 1.0)) <= w.accuracy <= 1e-14
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 8, 64, 256, 1024])
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 64, 256, 1024, 4096])
     @pytest.mark.parametrize("sigma", [0.02, 0.1, 0.5, 0.9, 0.98])
     def test_periodized_against_hurwitz_oracle(self, n, sigma):
         # every offset up to 64 cells, a spread of offsets past that; sigma
@@ -413,6 +413,20 @@ class TestRieszWeights1D:
         err = np.max(np.abs(w.weights[d] / ref - 1.0))
         assert err <= w.accuracy <= 1e-14
         assert w.accuracy >= kernels.RIESZ_ROUNDING
+
+    @pytest.mark.parametrize("n", [8, 64, 4096])
+    @pytest.mark.parametrize("sigma", [0.02, 0.5, 0.98])
+    def test_short_far_copy_series_is_certified(self, n, sigma, monkeypatch):
+        # three Taylor terms of the far copies instead of RIESZ_TAYLOR leave
+        # an error far above the rounding floor: the certificate grows with
+        # it and still bounds it
+        full = riesz_weights_1d(Grid1D.circle(n), sigma, periodized=True)
+        monkeypatch.setattr(kernels, "RIESZ_TAYLOR", 3)
+        w = riesz_weights_1d(Grid1D.circle(n), sigma, periodized=True)
+        d = np.arange(1, n, max(1, n // 64))  # the certificate is a maximum over offsets
+        ref = np.array(hurwitz_periodized_reference(d, n, sigma))
+        err = np.max(np.abs(w.weights[d] / ref - 1.0))
+        assert 1e3 * full.accuracy < err <= w.accuracy < 2.0 * err
 
     @pytest.mark.parametrize("sigma", [0.02, 0.5, 0.98])
     def test_line_series_against_direct_differences(self, sigma):
@@ -619,12 +633,15 @@ class TestRieszWeightsND:
             assert np.array_equal(data["weights"], fresh.weights)
 
     def test_stale_format_cache_file_is_not_served(self, tmp_path, monkeypatch):
-        # a right-shaped table under the name of the v4 builder, whose
-        # Euler-Maclaurin copy tails the series builder does not reproduce
+        # right-shaped tables under the names of the v4 builder, whose
+        # Euler-Maclaurin copy tails the series builder does not reproduce,
+        # and of the v5 builder, which took the kernel as a power of r^2
+        # rather than the exponential of mu log r^2
         g1, g2 = Grid1D.circle(4), Grid1D.centered_interval(3, 2.0)
         fresh = riesz_weights_nd(g1, g2, 0.5)
-        stale = tmp_path / f"riesz2d_v4_n4x3_box{g2.lo:.9g}_{g2.hi:.9g}_sigma0.5_k16.npz"
-        np.savez(stale, weights=np.ones((4, 5)), exterior=np.ones(3))
+        box = f"box{g2.lo:.9g}_{g2.hi:.9g}"
+        for name in (f"riesz2d_v4_n4x3_{box}_sigma0.5_k16.npz", f"riesz2d_v5_n4x3_{box}_sigma0.5.npz"):
+            np.savez(tmp_path / name, weights=np.ones((4, 5)), exterior=np.ones(3))
         monkeypatch.setenv("PERSYM_CACHE_DIR", str(tmp_path))
         W = riesz_weights_nd(g1, g2, 0.5)
         assert np.array_equal(W.weights, fresh.weights)
@@ -782,6 +799,40 @@ class TestKernelMonotoneCheck:
         assert not check_kernel_monotone(const)
 
 
+def laplace_rule_reference(lam, z_min, z_max, rtol):
+    """The rule checked on its own window: 41 geometric points, e^(-z t) at
+    its nodes, the spacing halved from 0.25 until the check passes; returns
+    nodes, weights, the check's error, ds and the first k."""
+    s_left, s_right = kernels.laplace_window(lam, z_min, z_max, rtol)
+    zs = np.geomspace(z_min, z_max, 41)
+    ds = 0.25
+    while True:
+        k_lo = math.floor(s_left / ds)
+        s = ds * np.arange(k_lo, math.ceil(s_right / ds) + 1)
+        nodes, weights = np.exp(s), ds * np.exp(lam * s)
+        approx = np.exp(-np.outer(zs, nodes)) @ weights
+        err = float(np.abs(approx / (special.gamma(lam) * zs ** (-lam)) - 1.0).max())
+        if err <= rtol:
+            return nodes, weights, err, ds, k_lo
+        ds *= 0.5
+
+
+def _route_z_range(n1, g2=None):
+    """The z-range of the Laplace route's rule on n1 circle cells (times g2)."""
+    h1 = 2 * math.pi / n1
+    if g2 is None:
+        return h1 * h1 / 4, (2 * math.pi) ** 2
+    return min(h1, g2.h) ** 2 / 4, (2 * math.pi) ** 2 + g2.length**2
+
+
+LAPLACE_Z_RANGES = [
+    _route_z_range(2),
+    _route_z_range(64),
+    _route_z_range(4096),
+    _route_z_range(12, Grid1D.interval(12, -2.0, 2.0)),
+]
+
+
 class TestLaplaceQuadrature:
     @pytest.mark.parametrize("lam", [0.6, 0.75, 1.5])
     def test_gamma_anchor(self, lam):
@@ -803,9 +854,28 @@ class TestLaplaceQuadrature:
         fine = np.exp(-np.outer(z, np.exp(s2))) @ ((ds / 2) * np.exp(0.75 * s2))
         assert np.max(np.abs(coarse / fine - 1.0)) < 1e-10
 
-    def test_range_too_wide(self):
+    def test_range_too_wide(self, fresh_caches):
         with pytest.raises(RangeTooWide):
             laplace_quadrature(0.75, 1e-300, 1e300, rtol=1e-12, max_nodes=50)
+        assert kernels._rule_lattice.cache_info().misses == 0  # raised before any lattice
+
+    @pytest.mark.parametrize("z_range", LAPLACE_Z_RANGES, ids=["n2", "n64", "n4096", "12x12"])
+    # 0.1: below lam = 0.3 the window's right end falls as lam rises
+    @pytest.mark.parametrize("lam", [0.1, 0.51, 0.75, 0.99, 1.01, 1.25, 1.49, 1.5])
+    def test_rule_matches_a_rule_checked_on_its_own(self, lam, z_range):
+        self._assert_matches_reference(lam, z_range, 1e-9)
+
+    def test_rule_that_halves_its_spacing(self):
+        assert self._assert_matches_reference(5.0, LAPLACE_Z_RANGES[1], 1e-12).ds < 0.25
+
+    @staticmethod
+    def _assert_matches_reference(lam, z_range, rtol):
+        """The rule equals ``laplace_rule_reference`` bit for bit."""
+        cfg = laplace_quadrature(lam, *z_range, rtol=rtol)
+        nodes, weights, err, ds, k_lo = laplace_rule_reference(lam, *z_range, rtol)
+        assert (cfg.ds, cfg.k_lo, cfg.achieved) == (ds, k_lo, err)
+        assert np.array_equal(cfg.nodes, nodes) and np.array_equal(cfg.weights, weights)
+        return cfg
 
     def test_nodes_sit_on_the_lattice(self):
         # the window of laplace_window, snapped outward to s = k ds; every

@@ -376,7 +376,7 @@ def _stack_and_rule(dim, grid, sigma):
     finally:
         seminorm._laplace_rule_cached = rule
     (cfg,) = rules
-    lattice, rows = seminorm._lattice_rows(cfg, dim)
+    lattice, rows = seminorm._lattice_rows(cfg)
     build = seminorm._heat_stack if dim == 1 else seminorm._heat_gauss_stack
     return cfg, lattice, rows, build(*grid, *lattice)
 
@@ -403,8 +403,13 @@ class TestLatticeStacks:
 
     @pytest.mark.parametrize("dim,grid", STACK_GRIDS)
     def test_stack_spans_the_whole_sigma_range(self, dim, grid):
+        # every sigma's rule is checked on one lattice and lies within it
+        lattices = set()
         for sigma in np.linspace(1e-6, 1.0 - 1e-6, 101):
-            _stack_and_rule(dim, grid, float(sigma))  # raises if the rule leaves it
+            cfg, lattice, rows, stack = _stack_and_rule(dim, grid, float(sigma))
+            lattices.add(lattice)
+            assert 0 <= rows.start and rows.stop <= stack[0].size
+        assert len(lattices) == 1
 
     def test_a_second_sigma_builds_no_rows(self, monkeypatch, fresh_caches):
         counts = {"_heat_table_batch": 0, "_gauss_tables_batch": 0}
@@ -423,6 +428,37 @@ class TestLatticeStacks:
         assert counts == {"_heat_table_batch": 0, "_gauss_tables_batch": 0}
         assert seminorm._heat_stack.cache_info().currsize == 1
         assert seminorm._heat_gauss_stack.cache_info().currsize == 1
+
+
+def test_fresh_sigmas_build_each_grid_cache_once(rng, monkeypatch, fresh_caches):
+    # the seminorm-sweep grids, 20 fresh s through both public routes: every
+    # table is rebuilt, but each sigma-free cache misses once per grid, so a
+    # sigma in the key of a grid's plan, lattice or stack fails here
+    monkeypatch.delenv("PERSYM_CACHE_DIR", raising=False)
+    u1 = random_circle_function(rng, n=64)
+    g2 = Grid1D.interval(12, -2.0, 2.0)
+    vals = rng.random((12, 12))
+    vals[:, [0, -1]] = 0.0
+    u2 = GridFunctionND(Grid1D.circle(12), (g2,), vals)
+    for s in np.linspace(0.1, 0.9, 20):
+        for u, dim in ((u1, 1), (u2, 2)):
+            params = SeminormParams(float(s), 1.0, dim)
+            gagliardo_periodic_direct(u, params)
+            gagliardo_periodic_laplace(u, params)
+    builds = {
+        seminorm._riesz_table_cached: 20,
+        seminorm._nd_table_cached: 20,
+        seminorm._laplace_rule_cached: 40,
+        kernels._rule_lattice: 2,
+        kernels._periodized_plan: 1,
+        kernels._line_powers: 1,
+        kernels._nd_plan: 1,
+        seminorm._heat_stack: 1,
+        seminorm._heat_gauss_stack: 1,
+    }
+    assert {f.__name__: f.cache_info().misses for f in builds} == {
+        f.__name__: misses for f, misses in builds.items()
+    }
 
 
 def test_cached_route_tables_are_read_only():
