@@ -20,8 +20,9 @@ the tables:
   near the cell over Gauss-Legendre panels graded by their distance from
   the kernel origin, with exact corner moments at it, and the far copies
   as a Hurwitz-zeta polynomial series whose box integral separates into
-  one small contraction per sigma; nodes (as log r^2), weights and moments
-  depend on the grid alone and are kept once per grid;
+  one small contraction; all but the corner moments is analytic in sigma,
+  so each grid keeps it as a certified Chebyshev series, fitted to direct
+  sums at 25 sigmas, and a sigma evaluates that series;
 * general nonnegative step-function kernels, whose tables are exact
   two-tap averages of the kernel values (and whose rearrangement is again
   a step kernel, so rearranged tables stay exact);
@@ -37,9 +38,6 @@ energies never see the diagonal because u(x) - u(y) vanishes there).
 from __future__ import annotations
 
 import math
-import os
-import tempfile
-import zipfile
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -66,7 +64,7 @@ SQRT_PI = math.sqrt(math.pi)
 T_SWITCH = 1.0 / (4.0 * math.pi**2)
 # certified relative accuracy of the periodized 1D power-kernel table, and
 # the accuracy of the 2D power-kernel table (quadrature checked against a
-# fixed-order rule, copy tail certified by its series bound)
+# fixed-order rule, copy tail and Chebyshev fit certified by their bounds)
 RIESZ_RTOL = 1e-13
 ND_TABLE_ACCURACY = 1e-12
 
@@ -611,18 +609,30 @@ def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _corner_moments(side: float, mu: float) -> tuple[float, float, float]:
-    """Integrals of y, x and x y times (x^2 + y^2)^(-mu) over [0, side]^2.
-
-    Exact in the radius, 40-point Gauss-Legendre in the angle over the half
-    below the diagonal, which the other half mirrors (so the first two are
-    equal); 3 - 2 mu = 1 - sigma > 0 keeps them finite.
-    """
+def _corner_rule(side: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sigma-free part of ``_corner_moments`` on [0, side]^2 (read-only):
+    at the 40 Gauss-Legendre angles th of [0, pi/4], log(side / c),
+    w (c + s) and w 2 c s, c = cos th, s = sin th, w the angle weight."""
     x, w = _gl(40)
     th = math.pi / 8.0 * (x + 1.0)
     c, s = np.cos(th), np.sin(th)
-    m1 = float(((side / c) ** (3.0 - 2.0 * mu) / (3.0 - 2.0 * mu) * (c + s)) @ w) * math.pi / 8.0
-    m11 = float(((side / c) ** (4.0 - 2.0 * mu) / (4.0 - 2.0 * mu) * 2.0 * c * s) @ w) * math.pi / 8.0
+    w = w * (math.pi / 8.0)
+    return _frozen(np.log(side / c)), _frozen(w * (c + s)), _frozen(w * 2.0 * c * s)
+
+
+def _corner_moments(rule, sigma: float) -> tuple[float, float, float]:
+    """Integrals of y, x and x y times (x^2 + y^2)^(-1 - sigma/2) over [0, side]^2.
+
+    Exact in the radius, 40-point Gauss-Legendre in the angle over the half
+    below the diagonal, which the other half mirrors (so the first two are
+    equal); 1 - sigma > 0 keeps them finite.  The radial powers take 1 - sigma
+    itself: formed as 3 - 2 mu, it would carry mu's rounding, relative to
+    1 - sigma.  ``rule`` is ``_corner_rule(side)``, so a sigma costs two
+    exponentials per angle.
+    """
+    log_ray, linear, product = rule
+    m1 = (np.exp((1.0 - sigma) * log_ray) @ linear) / (1.0 - sigma)
+    m11 = (np.exp((2.0 - sigma) * log_ray) @ product) / (2.0 - sigma)
     return m1, m1, m11
 
 
@@ -818,22 +828,27 @@ def _box_rule(a1, a2, target, targets: int, h1: float, h2: float) -> _BoxRule:
     return _BoxRule(_frozen(nodes), tuple(chunks), *terms, _frozen(corner))
 
 
-def _box_sums(rule: _BoxRule, density, corner) -> np.ndarray:
-    """Box integrals of ``density`` (a function of log r^2) summed per target: hat
-    moments per panel, then the weighted moments per target, plus the
-    corner terms."""
+def _box_sums(rule: _BoxRule, density) -> np.ndarray:
+    """Box integrals of ``density`` (a function of log r^2) summed per target,
+    less the corner terms: hat moments per panel, then the weighted moments
+    per target."""
     moments = np.empty((rule.chunks[-1][2], 4))
     for n0, p0, p1, m in rule.chunks:
         f = density(rule.nodes[n0 : n0 + (p1 - p0) * m * m])
         np.matmul(f.reshape(p1 - p0, m * m), _hat_rule(m), out=moments[p0:p1])
     terms = moments.ravel()[rule.moment] * rule.weight
-    return np.bincount(rule.target, terms, minlength=len(rule.corner)) + rule.corner @ corner
+    return np.bincount(rule.target, terms, minlength=len(rule.corner))
 
 
 # total degree of the 2D copy-tail series, and the largest ratio of a box
 # point's distance from the kernel origin to the first tail copy's, in periods
 TAIL_DEGREE = 24
 TAIL_REACH = 0.2
+# degree in mu of the 2D table's Chebyshev fit, and rho of the Bernstein
+# ellipse that certifies it: the ellipse's real ends, mu = 1.25 -+ (rho +
+# 1/rho) / 8 = 0.6 and 1.9, stay above 1/2, where the copy-tail series converges
+FIT_DEGREE = 24
+FIT_RHO = 5.0
 
 
 def _tail_copies(n1: int, h1: float, n2: int, h2: float) -> int:
@@ -907,48 +922,19 @@ class NDKernelWeights:
         object.__setattr__(self, "exterior", _frozen(self.exterior))
 
 
-def _nd_cache_path(grid1, grid2, sigma):
-    cache_dir = os.environ.get("PERSYM_CACHE_DIR")
-    if not cache_dir:
-        return None
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"PERSYM_CACHE_DIR is not a usable directory: {exc}") from exc
-    # bump the format version v6 whenever the builder's values change, so a
-    # table written by an older builder is never served
-    tag = f"riesz2d_v6_n{grid1.n}x{grid2.n}_box{grid2.lo:.9g}_{grid2.hi:.9g}_sigma{sigma:.9g}.npz"
-    return os.path.join(cache_dir, tag)
-
-
-def _load_nd_cache(path: str, n1: int, n2: int):
-    """(weights, exterior) from a cache file; None unless it is intact, right-shaped and finite."""
-    try:
-        with np.load(path) as data:
-            w, ext = data["weights"], data["exterior"]
-    except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile):
-        return None  # every way np.load reports a file that is not an intact npz
-    if w.shape != (n1, 2 * n2 - 1) or ext.shape != (n2,):
-        return None
-    if not (np.isfinite(w).all() and np.isfinite(ext).all()):
-        return None  # e.g. a table built with an overshooting last cell edge
-    return w, ext
-
-
 def _nd_sector(n1: int, n2: int):
     """Offsets of one symmetry sector, 0 <= d1 <= n1/2 and 0 <= d2 < n2, less
     the singular diagonal (0, 0), which keeps the convention W = 0."""
     return np.divmod(np.arange(1, (n1 // 2 + 1) * n2), n2)
 
 
-@lru_cache(maxsize=8)
 def _nd_plan(n1: int, h1: float, n2: int, h2: float):
-    """The sigma-free part of ``riesz_weights_nd``, once per grid (read-only).
+    """The sigma-free part of ``_nd_direct`` on one grid, built by ``_nd_fit``.
 
     Returns the copy count K of ``_tail_copies``, the ``_BoxRule`` of the
     boxes of every x1 copy k in [-K, K] of every sector offset, which sum
-    into the sector offsets, and the moments ``_tri_moments`` along x1 at
-    sector offsets d1 <= n1 / 2 and along x2 at every d2.
+    into the sector offsets, and per sector offset its moments
+    ``_tri_moments`` along x1 and along x2.
     """
     copies = _tail_copies(n1, h1, n2, h2)
     d1, d2 = _nd_sector(n1, n2)
@@ -957,73 +943,122 @@ def _nd_plan(n1: int, h1: float, n2: int, h2: float):
     boxes = _box_rule(
         (d1 + n1 * k).ravel(), np.tile(d2, k.size), np.tile(sector, k.size), d1.size, h1, h2
     )
-    return copies, boxes, _tri_moments(n1 // 2 + 1, h1), _tri_moments(n2, h2)
+    return copies, boxes, _tri_moments(n1 // 2 + 1, h1)[d1], _tri_moments(n2, h2)[d2]
+
+
+def _nd_direct(plan, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sector entries less their corner terms, summed directly at one mu,
+    and the truncation bound of their copy tails.
+
+    The boxes of each x1 copy k in [-K, K] are integrated over the panels of
+    ``_panels``, each at the Gauss-Legendre order that Trefethen's bound asks
+    for: the kernel exp(-mu log r^2) at the plan's nodes, contracted per
+    panel, then per offset (``_box_sums``).  The copies past both ends sum
+    to the polynomial series of ``_copy_tail_series``, whose box integral
+    against tri(z1) tri(z2) separates into the tri moments along each axis
+    and C; twice its first omitted degree bounds the rest.
+    """
+    copies, boxes, tri1, tri2 = plan
+    quadrature = _box_sums(boxes, lambda lr2: np.exp(-mu * lr2))
+    tail, omitted = TWO_PI ** (-2.0 * mu) * np.sum(
+        (tri1 @ np.stack(_copy_tail_series(mu, copies))) * tri2, axis=2
+    )
+    return quadrature + tail, 2.0 * omitted
+
+
+_NDFit = namedtuple("_NDFit", "coef log_r2 corner corner_rule cells bound")
+
+
+@lru_cache(maxsize=8)
+def _nd_fit(n1: int, h1: float, n2: int, h2: float) -> _NDFit:
+    """The sigma-free part of ``riesz_weights_nd``, once per grid (read-only).
+
+    With r the distance of a sector offset's centre from the kernel origin,
+    F(mu) = r^(2 mu) ``_nd_direct``(mu) varies slowly in mu.  It is sampled
+    at the N + 1 = FIT_DEGREE + 1 Chebyshev points mu_j = 1.25 +
+    cos(pi j / N) / 4 of [1, 1.5] and kept as its interpolant's
+    coefficients, F = sum_k a_k T_k(x) with x = 4 mu - 5 = 2 sigma - 1
+    (``coef``, one row per offset), beside log r^2, the corner weights of
+    the box rule, ``_corner_rule`` and the flat indices of the four table
+    cells that each sector offset fills by symmetry.
+
+    The certificate: F, with the exact copy tail, is a positive combination
+    of exp(-mu (log r'^2 - log r^2)) over points r', so at complex mu
+    |F(mu)| <= F(Re mu), a convex function of Re mu.  On the Bernstein
+    ellipse of [1, 1.5] with rho = FIT_RHO, |F| is therefore at most its
+    larger value M at the ellipse's two real ends, there evaluated directly
+    plus the truncation bound, and the interpolant of F errs by at most
+    4 M rho^(-N) / (rho - 1) (Trefethen, Approximation Theory and
+    Approximation Practice, Thm 8.2).  The samples carry the copy tails'
+    truncation, which interpolation spreads by at most the Lebesgue constant
+    2 / pi log(N + 1) + 1 (Thm 15.2).  ``bound`` is the largest sum of both,
+    relative to the offset's least sample; above ND_TABLE_ACCURACY the grid
+    raises RangeTooWide.
+    """
+    plan = _nd_plan(n1, h1, n2, h2)
+    d1, d2 = _nd_sector(n1, n2)
+    log_r2 = np.log((d1 * h1) ** 2 + (d2 * h2) ** 2)
+    j = np.arange(FIT_DEGREE + 1)
+    mus = 1.25 + 0.25 * np.cos(math.pi / FIT_DEGREE * j)
+    samples = np.array([_nd_direct(plan, mu) for mu in mus])  # (point, 2, offset)
+    values, truncation = (samples * np.exp(np.outer(mus, log_r2))[:, None]).transpose(1, 0, 2)
+    # the type-I DCT of the samples; j k is reduced mod 2N before the cosine,
+    # whose argument would otherwise lose up to 6 bits
+    half = np.where((j == 0) | (j == FIT_DEGREE), 0.5, 1.0)
+    dct = np.cos(math.pi / FIT_DEGREE * (np.outer(j, j) % (2 * FIT_DEGREE)))
+    coef = (values.T * half) @ dct * (2.0 / FIT_DEGREE * half)
+    reach = 0.125 * (FIT_RHO + 1.0 / FIT_RHO)  # the ellipse's half-length in mu
+    peak = np.max([np.exp(mu * log_r2) * np.sum(_nd_direct(plan, mu), axis=0)
+                   for mu in (1.25 - reach, 1.25 + reach)], axis=0)
+    lebesgue = 2.0 / math.pi * math.log(FIT_DEGREE + 1) + 1.0
+    error = 4.0 * peak / ((FIT_RHO - 1.0) * FIT_RHO**FIT_DEGREE) + lebesgue * truncation.max(axis=0)
+    bound = float(np.max(error / values.min(axis=0)))
+    if bound > ND_TABLE_ACCURACY:
+        raise RangeTooWide(f"2D table fit would not certify rtol={ND_TABLE_ACCURACY}")
+    # (d1 or -d1, d2 or -d2) in weights[d1 mod n1, d2 + n2 - 1]
+    rows = np.stack((d1, (n1 - d1) % n1))[:, None]
+    cells = rows * (2 * n2 - 1) + (n2 - 1 + np.stack((d2, -d2)))
+    corner_rule = _corner_rule(min(h1, h2))
+    return _NDFit(
+        _frozen(coef), _frozen(log_r2), plan[1].corner, corner_rule, _frozen(cells, np.intp), bound
+    )
 
 
 def riesz_weights_nd(grid1: Grid1D, grid2: Grid1D, sigma: float) -> NDKernelWeights:
     """Pair weights of |x - y|^(-(2+sigma)) with periodized x1, analytic tails.
 
     Offsets are computed for one symmetry sector and reflected (the kernel
-    is even in each coordinate and the x1 copies are symmetric).  The boxes
-    of each x1 copy k in [-K, K] and sector offset are integrated over the
-    panels of ``_panels``, each at the Gauss-Legendre order that Trefethen's
-    bound asks for, or by exact corner moments at the origin; K is chosen
-    per grid (``_tail_copies``).  The copies past both ends sum to the
-    polynomial series of ``_copy_tail_series``, whose box integral against
-    tri(z1) tri(z2) separates: it is M1 C M2^T, M1 and M2 the tri moments
-    along each axis.  Twice its first omitted degree bounds the rest, and
-    must stay within ND_TABLE_ACCURACY of every entry.
-
-    None of that but C depends on sigma: ``_nd_plan`` keeps it once per
-    grid, as the distinct quadrature nodes (neighbouring boxes share their
-    quadrant squares), per panel use its hat weights and sector offset, the
-    corner-moment weights and the tri moments.  A build for one sigma
-    evaluates the kernel at those nodes, exp(-mu log r^2) from the kept
-    log r^2, and contracts per panel, then per offset (``_box_sums``), and
-    adds the contracted tail series.  Set PERSYM_CACHE_DIR to persist tables
-    across runs; a table found there builds no plan.
+    is even in each coordinate and the x1 copies are symmetric).  Each
+    sector entry is the Gauss-Legendre quadrature of the boxes of the x1
+    copies k in [-K, K] near the cell, K chosen per grid (``_tail_copies``),
+    plus a Hurwitz-zeta series for the copies past both ends
+    (``_nd_direct``), plus exact corner moments at the kernel origin.  All
+    but the corner moments is analytic in mu = 1 + sigma / 2, and
+    ``_nd_fit`` keeps it once per grid as a Chebyshev series in mu,
+    certified within ND_TABLE_ACCURACY.  A build for one sigma evaluates
+    that series, T_k(2 sigma - 1) = cos(k arccos(2 sigma - 1)) times the
+    coefficients, undoes the scaling by r^(2 mu) with one exponential per
+    offset, adds the corner moments (two exponentials per angle node), and
+    reflects the sector.
     """
     _check_sigma(sigma)
     if not grid1.periodic or grid2.periodic:
         raise GridMismatch("riesz_weights_nd needs (periodic, interval) axes")
     n1, h1 = grid1.n, grid1.h
     n2, h2 = grid2.n, grid2.h
-    cache = _nd_cache_path(grid1, grid2, sigma)
-    cached = cache and _load_nd_cache(cache, n1, n2)
-    if cached:
-        return NDKernelWeights(n1, h1, n2, h2, sigma, *cached)
     mu = (2.0 + sigma) / 2.0
-    copies, boxes, m1, m2 = _nd_plan(n1, h1, n2, h2)
-    total = _box_sums(boxes, lambda lr2: np.exp(-mu * lr2), _corner_moments(min(h1, h2), mu))
-    d1, d2 = _nd_sector(n1, n2)
-    series, omitted = _copy_tail_series(mu, copies)
-    scale = TWO_PI ** (-2.0 * mu)
-    total += scale * (m1 @ series @ m2.T)[d1, d2]
-    bound = 2.0 * scale * (m1 @ omitted @ m2.T)[d1, d2]
-    if np.max(bound / total, initial=0.0) > ND_TABLE_ACCURACY:
-        raise RangeTooWide(f"copy-tail series would not certify rtol={ND_TABLE_ACCURACY}")
-    w = np.zeros((n1, 2 * n2 - 1))
-    for e1 in (d1, (n1 - d1) % n1):
-        w[e1, n2 - 1 + d2] = total
-        w[e1, n2 - 1 - d2] = total
+    fit = _nd_fit(n1, h1, n2, h2)
+    cheb = np.cos(math.acos(2.0 * sigma - 1.0) * np.arange(fit.coef.shape[1]))
+    total = np.exp(-mu * fit.log_r2) * (fit.coef @ cheb)
+    total += fit.corner @ _corner_moments(fit.corner_rule, sigma)
+    w = np.zeros(n1 * (2 * n2 - 1))
+    w[fit.cells] = total
     kappa = SQRT_PI * special.gamma(mu - 0.5) / special.gamma(mu)
     b = grid2.boundaries()
     up = (grid2.hi - b[:-1]) ** (1.0 - sigma) - (grid2.hi - b[1:]) ** (1.0 - sigma)
     lo = (b[1:] - grid2.lo) ** (1.0 - sigma) - (b[:-1] - grid2.lo) ** (1.0 - sigma)
     ext = h1 * (kappa / (sigma * (1.0 - sigma))) * (up + lo)
-    if cache:  # write beside the final name, then rename: no reader sees a partial file
-        try:
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(cache), suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:  # a handle: savez would append .npz to tmp
-                    np.savez(fh, weights=w, exterior=ext)
-                os.replace(tmp, cache)
-            except BaseException:
-                os.unlink(tmp)
-                raise
-        except OSError as exc:
-            raise ConfigError(f"cannot write to PERSYM_CACHE_DIR: {exc}") from exc
-    return NDKernelWeights(n1, h1, n2, h2, sigma, w, ext)
+    return NDKernelWeights(n1, h1, n2, h2, sigma, w.reshape(n1, 2 * n2 - 1), ext)
 
 
 # ---------------------------------------------------------------------------

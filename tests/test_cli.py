@@ -183,12 +183,11 @@ class TestSweepCommand:
         assert all(v > 0 for v in values)
 
     def test_2d_sweep_both_methods_matches_seminorm(
-        self, tmp_path, rng, capsys, monkeypatch, fresh_caches
+        self, tmp_path, rng, capsys, fresh_caches
     ):
         # every row of a 2D sweep builds the direct route's power table at a
         # fresh s on one grid plan; each must equal the one-off command run
         # from empty caches
-        monkeypatch.delenv("PERSYM_CACHE_DIR", raising=False)
         u = random_nd_function(rng, n1=6, n2=8)
         infile = write_json(tmp_path / "u2d.json", function_to_json(u))
         rc = main(["sweep", "--in", infile, "--p", "1", "--method", "both",
@@ -249,7 +248,6 @@ class TestErrorPaths:
         ["sweep", "--in", "{u}", "--values", "0.1", "0.9", "2.5"],
         ["seminorm", "--s", "0.4", "--in", "{ragged}"],
         ["seminorm", "--s", "0.4", "--in", "{novalues}"],
-        ["seminorm", "--s", "0.3", "--method", "direct", "--in", "{u2d}"],
         ["perimeter", "--s", "nan", "--set", "{e}"],
         ["kernels", "--kernel", "heat:t=-1", "--n", "4"],
         ["kernels", "--kernel", "riesz:sigma=nan", "--n", "8"],
@@ -257,24 +255,18 @@ class TestErrorPaths:
     ids=["kernel-float", "kernel-pair", "cost-float", "missing-in", "p-nan", "s-nan",
          "cases-negative", "seed-negative", "cost-p-below-1", "sweep-count-zero",
          "sweep-count-fraction", "ragged-json", "nd-json-without-values",
-         "cache-dir-is-file", "perimeter-s-nan", "kernel-heat-t-negative",
+         "perimeter-s-nan", "kernel-heat-t-negative",
          "kernel-riesz-sigma-nan"],
 )
-def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys, monkeypatch):
+def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys):
     infile, _ = circle_file
     ragged = {"axes": [{"n": 2, "domain": "periodic"}, {"n": 3, "domain": [-1.0, 1.0]}],
               "values": [[0, 1, 0], [0, 1]]}
-    # a grid no other test builds, so the 2D table cache is not served from memory
-    u2d = {"axes": [{"n": 4, "domain": "periodic"}, {"n": 4, "domain": [-0.7, 0.7]}],
-           "values": [[0, 1, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]}
     paths = {"u": infile, "missing": str(tmp_path / "absent.json"),
              "ragged": write_json(tmp_path / "ragged.json", ragged),
              "novalues": write_json(tmp_path / "novalues.json", {"axes": ragged["axes"]}),
-             "u2d": write_json(tmp_path / "u2d.json", u2d),
              "e": write_json(tmp_path / "e.json", function_to_json(
                  StepFunction.on_circle([0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0])))}
-    # only the 2D direct route reads PERSYM_CACHE_DIR, here a regular file
-    monkeypatch.setenv("PERSYM_CACHE_DIR", write_json(tmp_path / "cache", {}))
     rc = main([arg.format(**paths) for arg in argv])
     err = capsys.readouterr().err
     assert rc == 2

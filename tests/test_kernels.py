@@ -16,6 +16,7 @@ from persym.errors import (
 from persym.grid import Grid1D, StepFunction
 from persym import kernels
 from persym.kernels import (
+    ND_TABLE_ACCURACY,
     T_SWITCH,
     HeatKernel,
     HeatKernelParams,
@@ -446,6 +447,12 @@ class TestRieszWeights1D:
 # (n1, interval axis) of the copy-tail tests: the benchmark's 12x12 grid and
 # one whose long interval needs many more explicit copies
 TAIL_GRIDS = [(12, Grid1D.interval(12, -2.0, 2.0)), (12, Grid1D.interval(12, -6.0, 6.0))]
+# the grids of the fit tests: the benchmark's, a 16-long box and 64 x 64
+FIT_GRIDS = [
+    (Grid1D.circle(12), Grid1D.interval(12, -2.0, 2.0)),
+    (Grid1D.circle(32), Grid1D.centered_interval(32, 16.0)),
+    (Grid1D.circle(64), Grid1D.interval(64, -2.0, 2.0)),
+]
 
 
 class TestRieszWeightsND:
@@ -500,7 +507,6 @@ class TestRieszWeightsND:
 
     def test_copy_tail_self_convergence(self, monkeypatch, fresh_caches):
         # four more explicit copies per side move no entry by more than 1e-14
-        monkeypatch.delenv("PERSYM_CACHE_DIR", raising=False)
         for (n1, g2), sigma in itertools.product(TAIL_GRIDS, (0.02, 0.5, 0.98)):
             g1 = Grid1D.circle(n1)
             copies = kernels._tail_copies(g1.n, g1.h, g2.n, g2.h)
@@ -611,41 +617,24 @@ class TestRieszWeightsND:
         nz = ref != 0
         assert np.max(np.abs(sector[nz] / ref[nz] - 1.0)) < 1e-14
 
-    @pytest.mark.parametrize("damage", ["truncated", "wrong-shape", "non-finite"])
-    def test_bad_cache_file_is_rebuilt(self, damage, tmp_path, monkeypatch):
-        g1, g2 = Grid1D.circle(4), Grid1D.centered_interval(3, 2.0)
-        fresh = riesz_weights_nd(g1, g2, 0.5)
-        monkeypatch.setenv("PERSYM_CACHE_DIR", str(tmp_path))
-        riesz_weights_nd(g1, g2, 0.5)
-        (path,) = tmp_path.iterdir()
-        if damage == "truncated":
-            path.write_bytes(path.read_bytes()[:300])
-        elif damage == "wrong-shape":
-            np.savez(path, weights=np.zeros(6), exterior=np.zeros(3))
-        else:  # right-shaped, with the NaN exterior of an overshooting last cell edge
-            np.savez(path, weights=fresh.weights, exterior=np.full(3, np.nan))
-        W = riesz_weights_nd(g1, g2, 0.5)
-        assert np.array_equal(W.weights, fresh.weights)
-        assert np.array_equal(W.exterior, fresh.exterior)
-        # the rebuilt table replaced the bad file, and no temporary is left
-        assert list(tmp_path.iterdir()) == [path]
-        with np.load(path) as data:
-            assert np.array_equal(data["weights"], fresh.weights)
+    @pytest.mark.parametrize("sigma", [0.3, 0.98, 0.9999, 0.999999])
+    def test_corner_moments_against_mpmath(self, sigma):
+        # oracle: the radial integrals in closed form, over the angle in
+        # 30-digit arithmetic; with 1 - sigma formed as 3 - 2 mu, the moments
+        # were 2.2e-12 off at sigma = 0.9999 and 1.1e-10 at 0.999999
+        side = 0.3
+        got = kernels._corner_moments(kernels._corner_rule(side), sigma)
+        with mpmath.workdps(30):
+            a, cos, sin = 1 - mpmath.mpf(sigma), mpmath.cos, mpmath.sin
 
-    def test_stale_format_cache_file_is_not_served(self, tmp_path, monkeypatch):
-        # right-shaped tables under the names of the v4 builder, whose
-        # Euler-Maclaurin copy tails the series builder does not reproduce,
-        # and of the v5 builder, which took the kernel as a power of r^2
-        # rather than the exponential of mu log r^2
-        g1, g2 = Grid1D.circle(4), Grid1D.centered_interval(3, 2.0)
-        fresh = riesz_weights_nd(g1, g2, 0.5)
-        box = f"box{g2.lo:.9g}_{g2.hi:.9g}"
-        for name in (f"riesz2d_v4_n4x3_{box}_sigma0.5_k16.npz", f"riesz2d_v5_n4x3_{box}_sigma0.5.npz"):
-            np.savez(tmp_path / name, weights=np.ones((4, 5)), exterior=np.ones(3))
-        monkeypatch.setenv("PERSYM_CACHE_DIR", str(tmp_path))
-        W = riesz_weights_nd(g1, g2, 0.5)
-        assert np.array_equal(W.weights, fresh.weights)
-        assert np.array_equal(W.exterior, fresh.exterior)
+            def moment(f, power):
+                return mpmath.quad(
+                    lambda t: (side / cos(t)) ** power / power * f(t), [0, mpmath.pi / 4]
+                )
+
+            m1 = float(moment(lambda t: cos(t) + sin(t), a))
+            m11 = float(moment(lambda t: 2 * cos(t) * sin(t), a + 1))
+        assert got == pytest.approx((m1, m1, m11), rel=1e-14)
 
     @pytest.mark.parametrize("sigma", [0.1, 0.5, 0.89])
     @pytest.mark.parametrize("n1,n2", [(1, 4), (2, 3), (4, 5), (6, 5), (12, 12), (16, 16)])
@@ -655,7 +644,6 @@ class TestRieszWeightsND:
         # touch the kernel origin, and their cells are 4.7 to 12.6 times
         # wider than tall
         g1, g2 = Grid1D.circle(n1), Grid1D.centered_interval(n2, 2.0)
-        monkeypatch.delenv("PERSYM_CACHE_DIR", raising=False)
         got = riesz_weights_nd(g1, g2, sigma).weights
         graded, used = kernels._gl_order, []
 
@@ -665,21 +653,56 @@ class TestRieszWeightsND:
             return np.full_like(m, 20)
 
         monkeypatch.setattr(kernels, "_gl_order", fixed)
-        fresh_caches()  # the cached grid plan holds the graded orders
+        fresh_caches()  # the cached grid fit holds the graded orders
         ref = riesz_weights_nd(g1, g2, sigma).weights
         assert max(used) <= 18
         nz = ref != 0
         assert np.all(ref[nz] > 0) and np.count_nonzero(nz) == ref.size - 1
         assert np.max(np.abs(got[nz] / ref[nz] - 1.0)) < 1e-14
 
+    @pytest.mark.parametrize("g1,g2", FIT_GRIDS, ids=["12x12", "32x32-16-long", "64x64"])
+    def test_fit_against_direct_sums(self, g1, g2):
+        # the Chebyshev series in sigma against the direct sums it was
+        # fitted to, at both ends and the middle of the sigma range and at
+        # 20 random sigmas
+        plan = kernels._nd_plan(g1.n, g1.h, g2.n, g2.h)
+        sigmas = [0.02, 0.5, 0.98, *np.random.default_rng(16).uniform(0.01, 0.99, 20)]
+        for sigma in sigmas:
+            ref = direct_sector(plan, g1, g2, sigma)
+            assert np.max(np.abs(fitted_sector(g1, g2, sigma) / ref - 1.0)) < 1e-14
+
+    def test_low_degree_fit_is_certified(self, monkeypatch, fresh_caches):
+        # a degree-8 fit instead of FIT_DEGREE leaves an error far above
+        # the rounding floor: the certified bound grows with it and still
+        # bounds it
+        g1, g2 = FIT_GRIDS[0]
+        full = kernels._nd_fit(g1.n, g1.h, g2.n, g2.h).bound
+        monkeypatch.setattr(kernels, "FIT_DEGREE", 8)
+        monkeypatch.setattr(kernels, "ND_TABLE_ACCURACY", 1.0)  # report the bound, do not raise
+        fresh_caches()
+        low = kernels._nd_fit(g1.n, g1.h, g2.n, g2.h).bound
+        plan = kernels._nd_plan(g1.n, g1.h, g2.n, g2.h)
+        err = max(
+            np.max(np.abs(fitted_sector(g1, g2, sigma) / direct_sector(plan, g1, g2, sigma) - 1.0))
+            for sigma in np.linspace(0.01, 0.99, 41)
+        )
+        assert full < ND_TABLE_ACCURACY and low > 1e6 * full
+        assert 1e-11 < err <= low < 100.0 * err
+
+    def test_low_degree_fit_raises(self, monkeypatch, fresh_caches):
+        g1, g2 = FIT_GRIDS[0]
+        monkeypatch.setattr(kernels, "FIT_DEGREE", 8)
+        fresh_caches()
+        with pytest.raises(RangeTooWide):
+            riesz_weights_nd(g1, g2, 0.5)
+
     def test_second_sigma_reuses_the_grid_plan(self, monkeypatch, fresh_caches):
-        # panels and orders depend on the grid alone, so a second sigma on
-        # the same grid builds neither
+        # panels, orders and the fit depend on the grid alone, so a second
+        # sigma on the same grid builds none of them and sums nothing directly
         g1, g2 = Grid1D.circle(12), Grid1D.interval(12, -2.0, 2.0)
-        monkeypatch.delenv("PERSYM_CACHE_DIR", raising=False)
         riesz_weights_nd(g1, g2, 0.3)
         calls = []
-        for name in ("_panels", "_gl_order"):
+        for name in ("_panels", "_gl_order", "_nd_direct"):
             original = getattr(kernels, name)
             monkeypatch.setattr(
                 kernels, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
@@ -688,48 +711,56 @@ class TestRieszWeightsND:
         assert calls == []
         fresh_caches()
         riesz_weights_nd(g1, g2, 0.7)
-        assert set(calls) == {"_panels", "_gl_order"}
+        assert set(calls) == {"_panels", "_gl_order", "_nd_direct"}
+        assert calls.count("_nd_direct") == kernels.FIT_DEGREE + 3
 
-    def test_plan_is_read_only(self, monkeypatch):
-        monkeypatch.delenv("PERSYM_CACHE_DIR", raising=False)
+    def test_plan_is_read_only(self):
         g1, g2 = Grid1D.circle(6), Grid1D.centered_interval(8, 4.0)
         riesz_weights_nd(g1, g2, 0.5)
-        plan = kernels._nd_plan(g1.n, g1.h, g2.n, g2.h)
-        _, boxes, m1, m2 = plan
-        arrays = [boxes.nodes, boxes.moment, boxes.weight, boxes.target, boxes.corner, m1, m2]
-        for arr in arrays:
+        fit = kernels._nd_fit(g1.n, g1.h, g2.n, g2.h)
+        for arr in (fit.coef, fit.log_r2, fit.corner, *fit.corner_rule, fit.cells):
             with pytest.raises(ValueError):
                 arr.flat[0] = 1
-        assert plan is kernels._nd_plan(g1.n, g1.h, g2.n, g2.h)
+        assert fit is kernels._nd_fit(g1.n, g1.h, g2.n, g2.h)
 
-    def test_disk_cache_hit_builds_no_plan(self, tmp_path, monkeypatch, fresh_caches):
-        g1, g2 = Grid1D.circle(4), Grid1D.centered_interval(3, 2.0)
-        monkeypatch.setenv("PERSYM_CACHE_DIR", str(tmp_path))
-        fresh = riesz_weights_nd(g1, g2, 0.5)
-        fresh_caches()
-        W = riesz_weights_nd(g1, g2, 0.5)
-        assert kernels._nd_plan.cache_info().misses == 0
-        assert np.array_equal(W.weights, fresh.weights)
-
-    def test_plan_memory_is_bounded(self, monkeypatch, fresh_caches):
+    def test_plan_memory_is_bounded(self, fresh_caches):
         # the plan is listed a block of boxes and a chunk of nodes at a
-        # time: the first build at 16x16 peaks within the plan it keeps
-        # (1.4 MiB) and 8 blocks (1 MiB; measured 6.9); listing every
-        # box quadrant at once peaked 16 blocks above it
-        monkeypatch.delenv("PERSYM_CACHE_DIR", raising=False)
+        # time, and dropped once the fit is made: the first build at 16x16
+        # peaks within the plan (0.47 MiB) and 8 blocks (1 MiB; measured 4;
+        # listing every box quadrant at once peaked 16 blocks above the
+        # plan), and what it keeps, the fit (38 KiB) and small rules, is
+        # under a quarter of the plan
         g1, g2 = Grid1D.circle(16), Grid1D.interval(16, -2.0, 2.0)
         kernels._gl_order(1.0, 1.0, 1.0, 1.0)  # scipy's lazy imports are not the plan's
         tracemalloc.start()
         try:
             riesz_weights_nd(g1, g2, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        _, boxes, m1, m2 = kernels._nd_plan(g1.n, g1.h, g2.n, g2.h)
-        arrays = (boxes.nodes, boxes.moment, boxes.weight, boxes.target, boxes.corner, m1, m2)
+        _, boxes, tri1, tri2 = kernels._nd_plan(g1.n, g1.h, g2.n, g2.h)
+        arrays = (boxes.nodes, boxes.moment, boxes.weight, boxes.target, boxes.corner, tri1, tri2)
         plan = sum(a.nbytes for a in arrays)
+        fit = kernels._nd_fit(g1.n, g1.h, g2.n, g2.h)
+        fit_arrays = (fit.coef, fit.log_r2, fit.corner, *fit.corner_rule, fit.cells)
+        fit_bytes = sum(a.nbytes for a in fit_arrays)
         block = 8 * kernels.OFFSET_BLOCK
         assert peak < plan + 8 * block, (peak - plan) / block
+        assert fit_bytes < plan / 10 and kept < plan / 4, (fit_bytes, kept, plan)
+
+
+def direct_sector(plan, g1, g2, sigma):
+    """The sector of a 2D table summed directly at sigma, corner moments
+    included: the sample function of the fit."""
+    mu = (2 + sigma) / 2
+    values, _ = kernels._nd_direct(plan, mu)
+    rule = kernels._corner_rule(min(g1.h, g2.h))
+    return values + plan[1].corner @ np.array(kernels._corner_moments(rule, sigma))
+
+
+def fitted_sector(g1, g2, sigma):
+    d1, d2 = kernels._nd_sector(g1.n, g2.n)
+    return riesz_weights_nd(g1, g2, sigma).weights[d1, d2 + g2.n - 1]
 
 
 def test_tables_are_read_only():

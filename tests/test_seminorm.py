@@ -430,11 +430,10 @@ class TestLatticeStacks:
         assert seminorm._heat_gauss_stack.cache_info().currsize == 1
 
 
-def test_fresh_sigmas_build_each_grid_cache_once(rng, monkeypatch, fresh_caches):
+def test_fresh_sigmas_build_each_grid_cache_once(rng, fresh_caches):
     # the seminorm-sweep grids, 20 fresh s through both public routes: every
     # table is rebuilt, but each sigma-free cache misses once per grid, so a
-    # sigma in the key of a grid's plan, lattice or stack fails here
-    monkeypatch.delenv("PERSYM_CACHE_DIR", raising=False)
+    # sigma in the key of a grid's fit, plan, lattice or stack fails here
     u1 = random_circle_function(rng, n=64)
     g2 = Grid1D.interval(12, -2.0, 2.0)
     vals = rng.random((12, 12))
@@ -452,7 +451,7 @@ def test_fresh_sigmas_build_each_grid_cache_once(rng, monkeypatch, fresh_caches)
         kernels._rule_lattice: 2,
         kernels._periodized_plan: 1,
         kernels._line_powers: 1,
-        kernels._nd_plan: 1,
+        kernels._nd_fit: 1,
         seminorm._heat_stack: 1,
         seminorm._heat_gauss_stack: 1,
     }
