@@ -59,6 +59,7 @@ from .seminorm import (
     SeminormResult,
     coarea_identity_check,
     fractional_perimeter,
+    gagliardo_periodic,
     gagliardo_periodic_direct,
     gagliardo_periodic_laplace,
 )

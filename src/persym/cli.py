@@ -40,10 +40,8 @@ from .rearrange import (
 from .seminorm import (
     LAPLACE_RTOL,
     SeminormParams,
-    _both_routes,
     fractional_perimeter,
-    gagliardo_periodic_direct,
-    gagliardo_periodic_laplace,
+    gagliardo_periodic,
 )
 from .verify import DUAL_RTOL, EXACT_TOL, run_suite
 
@@ -157,12 +155,9 @@ def cmd_energy(args) -> int:
     return 0
 
 
-def _run_routes(u, params: SeminormParams, method: str):
-    """The seminorm by one route, or by both from one pass of pair costs."""
-    if method == "both":
-        return _both_routes(u, params)
-    fn = gagliardo_periodic_direct if method == "direct" else gagliardo_periodic_laplace
-    return (fn(u, params),)
+def _methods(choice: str) -> tuple[str, ...]:
+    """The routes of a --method choice; "both" takes one pass of pair costs."""
+    return ("direct", "laplace") if choice == "both" else (choice,)
 
 
 def cmd_seminorm(args) -> int:
@@ -170,7 +165,7 @@ def cmd_seminorm(args) -> int:
     n = 2 if isinstance(u, GridFunctionND) else 1
     params = SeminormParams(args.s, args.p, n)
     t0 = time.perf_counter()
-    results = _run_routes(u, params, args.method)
+    results = gagliardo_periodic(u, params, _methods(args.method))
     wall = time.perf_counter() - t0  # with both routes, their joint time on each row
     rows = []
     for res in results:
@@ -214,17 +209,16 @@ def cmd_sweep(args) -> int:
     if not (count >= 1 and count.is_integer()):
         raise ConfigError(f"sweep COUNT must be a positive integer, got {count:g}")
     count = int(count)
+    methods = _methods(args.method)
     rows = []
     for k in range(count):
         s = lo + (hi - lo) * k / max(count - 1, 1)
         params = SeminormParams(s, args.p, n)
         row = [repr(s)]
-        for res in _run_routes(u, params, args.method):
+        for res in gagliardo_periodic(u, params, methods):
             row.append("divergent" if res.divergent else repr(res.value))
         rows.append(row)
-    header = ["s"] + (
-        ["direct", "laplace"] if args.method == "both" else [args.method]
-    )
+    header = ["s", *methods]
     if args.out:
         _write_csv(args.out, header, rows)
     else:

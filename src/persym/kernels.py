@@ -416,17 +416,23 @@ def _gauss_tables_batch(grid: Grid1D, ts) -> tuple[np.ndarray, np.ndarray]:
     """Line-Gaussian pair tables (len(ts), 2n-1) and exterior masses (len(ts), n).
 
     The exterior mass of a cell is its kernel mass to the complement of the
-    grid interval.
+    grid interval.  The times come in chunks of at most OFFSET_BLOCK table
+    entries (unless one time's row exceeds it).
     """
-    ts = np.asarray(ts, dtype=float)[:, None]
-    st = np.sqrt(ts)
+    ts = np.asarray(ts, dtype=float)
     b = grid.boundaries()
     lo, hi = grid.lo, grid.hi
-    upper = _erfc_antideriv((hi - b[:-1]) * st) - _erfc_antideriv((hi - b[1:]) * st)
-    lower = _erfc_antideriv((b[1:] - lo) * st) - _erfc_antideriv((b[:-1] - lo) * st)
-    d = np.arange(-(grid.n - 1), grid.n)
-    table = _gauss_lattice(grid.h, ts[:, 0], grid.n - 1)[:, np.abs(d)]
-    return table, (SQRT_PI / (2.0 * ts)) * (upper + lower)
+    d = np.abs(np.arange(-(grid.n - 1), grid.n))
+    table, ext = np.empty((ts.size, d.size)), np.empty((ts.size, grid.n))
+    step = max(1, OFFSET_BLOCK // d.size)
+    for i in range(0, ts.size, step):
+        t = ts[i : i + step, None]
+        st = np.sqrt(t)
+        upper = _erfc_antideriv((hi - b[:-1]) * st) - _erfc_antideriv((hi - b[1:]) * st)
+        lower = _erfc_antideriv((b[1:] - lo) * st) - _erfc_antideriv((b[:-1] - lo) * st)
+        table[i : i + step] = _gauss_lattice(grid.h, t[:, 0], grid.n - 1)[:, d]
+        ext[i : i + step] = (SQRT_PI / (2.0 * t)) * (upper + lower)
+    return table, ext
 
 
 @lru_cache(maxsize=128)
@@ -476,34 +482,35 @@ def _riesz_series(a: float, terms: int) -> np.ndarray:
     return 0.5 * np.cumprod(np.concatenate(([1.0], ratio)))
 
 
-@lru_cache(maxsize=8)
-def _line_powers(mmax: int) -> tuple:
-    """Per block (lo, hi) of the offsets 2 <= m <= mmax of ``_riesz_line_pairs``,
-    the offsets m and the powers (1 / m^2)^i of its series (read-only)."""
+def _line_powers(mmax: int) -> tuple[int, tuple]:
+    """The sigma-free part of ``_riesz_line_pairs`` up to offset mmax: mmax,
+    and per block (lo, hi) of the offsets 2 <= m <= mmax the offsets m and
+    the powers (1 / m^2)^i of its series (read-only)."""
     blocks = []
     for lo, hi, terms in ((2, min(40, mmax + 1), 30), (40, mmax + 1, 5)):
         if lo < hi:
             m = np.arange(lo, hi, dtype=float)
             blocks.append((lo, hi, _frozen(m), _frozen((1.0 / (m * m))[:, None] ** np.arange(terms))))
-    return tuple(blocks)
+    return mmax, tuple(blocks)
 
 
-def _riesz_line_pairs(mmax: int, h: float, sigma: float) -> np.ndarray:
-    """Pair weights L[m] of |x - y|^(-(1+sigma)) at cell offsets m = 0..mmax, L[0] = 0.
+def _riesz_line_pairs(line: tuple[int, tuple], h: float, sigma: float) -> np.ndarray:
+    """Pair weights L[m] of |x - y|^(-(1+sigma)) at cell offsets m = 0..mmax,
+    L[0] = 0, from ``line`` = ``_line_powers(mmax)``.
 
     L[1] = 2 h^a (1 - 2^-sigma) / (sigma (1 - sigma)) in closed form, and
     L[m] for m >= 2 the all-positive series 2 h^a sum_k q_k m^(a - 2k) of
     ``_riesz_series``: 30 terms below m = 40, 5 from there, the first
     omitted term below 2e-17 relative at m = 2 and 40.  No term cancels, so
-    the weights hold a few ulps at every sigma.  The powers of 1 / m^2 are
-    kept per mmax (``_line_powers``).
+    the weights hold a few ulps at every sigma.
     """
+    mmax, blocks = line
     a = 1.0 - sigma
     q = _riesz_series(a, 30)
     out = np.zeros(mmax + 1)
     if mmax >= 1:
         out[1] = 2.0 * -math.expm1(-sigma * math.log(2.0)) / (sigma * (1.0 - sigma))
-    for lo, hi, m, powers in _line_powers(mmax):
+    for lo, hi, m, powers in blocks:
         out[lo:hi] = 2.0 * m ** (a - 2.0) * (powers @ q[: powers.shape[1]])
     return out * h**a
 
@@ -520,10 +527,11 @@ RIESZ_ROUNDING = 4e-15
 
 
 @lru_cache(maxsize=8)
-def _periodized_plan(n: int, taylor: int) -> tuple[np.ndarray, np.ndarray]:
+def _periodized_plan(n: int, taylor: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     """The sigma-free part of the periodized 1D table on n cells (read-only).
 
-    Per offset d = 1..n-1: the line offsets |d + k n| of its explicit copies,
+    The line powers ``_line_powers`` of the offsets up to RIESZ_NEAR n - 1;
+    per offset d = 1..n-1, the line offsets |d + k n| of its explicit copies,
     -RIESZ_NEAR <= k < RIESZ_NEAR; and the far-copy matrix, shape
     (2, n - 1, J + M + 1) in the notation of ``riesz_weights_1d``, M =
     ``taylor``: per order j, the sum over the series terms (k, m) with
@@ -551,7 +559,8 @@ def _periodized_plan(n: int, taylor: int) -> tuple[np.ndarray, np.ndarray]:
     for row, f in enumerate(factors):
         by_order[row, m, k + m - 1] = f * c
     ypow = ((d / n - 0.5) ** 2)[:, None] ** m
-    return _frozen(near, np.intp), _frozen(ypow @ by_order)
+    line = _line_powers(RIESZ_NEAR * n - 1)
+    return line, _frozen(near, np.intp), _frozen(ypow @ by_order)
 
 
 def riesz_weights_1d(grid: Grid1D, sigma: float, periodized: bool) -> KernelWeights:
@@ -576,21 +585,22 @@ def riesz_weights_1d(grid: Grid1D, sigma: float, periodized: bool) -> KernelWeig
     minus that ratio at m = M bounds the rest.  Since q_k (s)_2m / (2m)! =
     q_j C(2j, 2m), j = k + m, the far copies are
     4 (h n)^a sum_j q_j zeta(2j - a, x) F[d, j], and the bound the same sum
-    over another matrix; ``_periodized_plan`` keeps both per n, so a build
-    takes one zeta call at x on the orders 2j - a.  ``accuracy`` is that
-    bound, relative to each entry, plus the rounding floor RIESZ_ROUNDING.
+    over another matrix; ``_periodized_plan`` keeps both per n, with the
+    line powers of the near copies, so a build takes one zeta call at x on
+    the orders 2j - a.  ``accuracy`` is that bound, relative to each entry,
+    plus the rounding floor RIESZ_ROUNDING.
     """
     _check_sigma(sigma)
     n, h = grid.n, grid.h
     if not periodized:
-        line = _riesz_line_pairs(n - 1, h, sigma)
+        line = _riesz_line_pairs(_line_powers(n - 1), h, sigma)
         w = np.concatenate((line[:0:-1], line))
         return KernelWeights(n, h, False, w, accuracy=1e-14, singular_diagonal=True)
     if not grid.periodic:
         raise GridMismatch("periodized Riesz weights need a periodic grid")
     a = 1.0 - sigma
-    near, far_plan = _periodized_plan(n, RIESZ_TAYLOR)
-    w = _riesz_line_pairs(RIESZ_NEAR * n - 1, h, sigma)[near].sum(axis=1)
+    line, near, far_plan = _periodized_plan(n, RIESZ_TAYLOR)
+    w = _riesz_line_pairs(line, h, sigma)[near].sum(axis=1)
     j = np.arange(1, far_plan.shape[2] + 1)
     series = _riesz_series(a, j.size) * special.zeta(2.0 * j - a, RIESZ_NEAR + 0.5)
     far, bound = far_plan @ (4.0 * h**a * float(n) ** a * series)
@@ -697,7 +707,6 @@ def _gl_order(gap1, gap2, w1, w2) -> np.ndarray:
     return np.maximum(np.ceil(m), 1).astype(int)
 
 
-@lru_cache(maxsize=32)
 def _hat_rule(m: int) -> np.ndarray:
     """The m x m Gauss-Legendre product rule on [-1, 1]^2 times the four bilinear hats.
 
@@ -719,16 +728,17 @@ class _BoxRule:
     its four quadrant squares.  Neighbouring boxes share squares, so each
     distinct panel's Gauss-Legendre nodes are kept once (``nodes``, as
     log r^2, r^2 = z1^2 + z2^2, panel after panel) and its four hat
-    moments (``_hat_rule``) serve every box it belongs to: tri is linear
-    along each axis of a panel, a nonnegative combination of the hats at
-    the panel's two ends, so no sum cancels.  Each term of a box's sum
-    takes ``moment`` (flat index, panel * 4 + hat) times ``weight`` into
-    ``target``.  Panels at the kernel origin take the exact corner moments
-    instead, weighted by ``corner`` per target.
+    moments (``_hat_rule``, whose matrix each chunk of panels of one order
+    carries) serve every box it belongs to: tri is linear along each axis
+    of a panel, a nonnegative combination of the hats at the panel's two
+    ends, so no sum cancels.  Each term of a box's sum takes ``moment``
+    (flat index, panel * 4 + hat) times ``weight`` into ``target``.  Panels
+    at the kernel origin take the exact corner moments instead, weighted by
+    ``corner`` per target.
     """
 
     nodes: np.ndarray
-    chunks: tuple  # (first node, first panel, end panel, order)
+    chunks: tuple  # (first node, first panel, end panel, hat matrix of the order)
     moment: np.ndarray
     weight: np.ndarray
     target: np.ndarray
@@ -815,6 +825,7 @@ def _box_rule(a1, a2, target, targets: int, h1: float, h2: float) -> _BoxRule:
         p_first, p_end = np.searchsorted(orders, [m, m + 1])
         per = max(1, OFFSET_BLOCK // (m * m))
         g = _gl(m)[0] + 1.0
+        hats = _hat_rule(m)
         for p0 in range(p_first, p_end, per):
             p1 = min(p0 + per, p_end)
             pp = rank[p0:p1]
@@ -822,7 +833,7 @@ def _box_rule(a1, a2, target, targets: int, h1: float, h2: float) -> _BoxRule:
             x *= x
             n1 = n0 + (p1 - p0) * m * m
             nodes[n0:n1].reshape(p1 - p0, m, m)[...] = x[:, 0, :, None] + x[:, 1, None, :]
-            chunks.append((n0, int(p0), int(p1), int(m)))
+            chunks.append((n0, int(p0), int(p1), hats))
             n0 = n1
     np.log(nodes, out=nodes)
     return _BoxRule(_frozen(nodes), tuple(chunks), *terms, _frozen(corner))
@@ -833,9 +844,9 @@ def _box_sums(rule: _BoxRule, density) -> np.ndarray:
     less the corner terms: hat moments per panel, then the weighted moments
     per target."""
     moments = np.empty((rule.chunks[-1][2], 4))
-    for n0, p0, p1, m in rule.chunks:
-        f = density(rule.nodes[n0 : n0 + (p1 - p0) * m * m])
-        np.matmul(f.reshape(p1 - p0, m * m), _hat_rule(m), out=moments[p0:p1])
+    for n0, p0, p1, hats in rule.chunks:
+        f = density(rule.nodes[n0 : n0 + (p1 - p0) * len(hats)])
+        np.matmul(f.reshape(p1 - p0, len(hats)), hats, out=moments[p0:p1])
     terms = moments.ravel()[rule.moment] * rule.weight
     return np.bincount(rule.target, terms, minlength=len(rule.corner))
 
@@ -966,11 +977,11 @@ def _nd_direct(plan, mu: float) -> tuple[np.ndarray, np.ndarray]:
     return quadrature + tail, 2.0 * omitted
 
 
-_NDFit = namedtuple("_NDFit", "coef log_r2 corner corner_rule cells bound")
+_NDFit = namedtuple("_NDFit", "coef log_r2 corner corner_rule cells to_hi to_lo bound")
 
 
 @lru_cache(maxsize=8)
-def _nd_fit(n1: int, h1: float, n2: int, h2: float) -> _NDFit:
+def _nd_fit(grid1: Grid1D, grid2: Grid1D) -> _NDFit:
     """The sigma-free part of ``riesz_weights_nd``, once per grid (read-only).
 
     With r the distance of a sector offset's centre from the kernel origin,
@@ -979,8 +990,10 @@ def _nd_fit(n1: int, h1: float, n2: int, h2: float) -> _NDFit:
     cos(pi j / N) / 4 of [1, 1.5] and kept as its interpolant's
     coefficients, F = sum_k a_k T_k(x) with x = 4 mu - 5 = 2 sigma - 1
     (``coef``, one row per offset), beside log r^2, the corner weights of
-    the box rule, ``_corner_rule`` and the flat indices of the four table
-    cells that each sector offset fills by symmetry.
+    the box rule, ``_corner_rule``, the flat indices of the four table
+    cells that each sector offset fills by symmetry, and the distances of
+    grid2's cell edges to its upper and lower end, which the closed-form
+    exterior masses take to the power 1 - sigma.
 
     The certificate: F, with the exact copy tail, is a positive combination
     of exp(-mu (log r'^2 - log r^2)) over points r', so at complex mu
@@ -995,6 +1008,7 @@ def _nd_fit(n1: int, h1: float, n2: int, h2: float) -> _NDFit:
     relative to the offset's least sample; above ND_TABLE_ACCURACY the grid
     raises RangeTooWide.
     """
+    n1, h1, n2, h2 = grid1.n, grid1.h, grid2.n, grid2.h
     plan = _nd_plan(n1, h1, n2, h2)
     d1, d2 = _nd_sector(n1, n2)
     log_r2 = np.log((d1 * h1) ** 2 + (d2 * h2) ** 2)
@@ -1019,8 +1033,10 @@ def _nd_fit(n1: int, h1: float, n2: int, h2: float) -> _NDFit:
     rows = np.stack((d1, (n1 - d1) % n1))[:, None]
     cells = rows * (2 * n2 - 1) + (n2 - 1 + np.stack((d2, -d2)))
     corner_rule = _corner_rule(min(h1, h2))
+    b = grid2.boundaries()
     return _NDFit(
-        _frozen(coef), _frozen(log_r2), plan[1].corner, corner_rule, _frozen(cells, np.intp), bound
+        _frozen(coef), _frozen(log_r2), plan[1].corner, corner_rule, _frozen(cells, np.intp),
+        _frozen(grid2.hi - b), _frozen(b - grid2.lo), bound,
     )
 
 
@@ -1047,16 +1063,15 @@ def riesz_weights_nd(grid1: Grid1D, grid2: Grid1D, sigma: float) -> NDKernelWeig
     n1, h1 = grid1.n, grid1.h
     n2, h2 = grid2.n, grid2.h
     mu = (2.0 + sigma) / 2.0
-    fit = _nd_fit(n1, h1, n2, h2)
+    fit = _nd_fit(grid1, grid2)
     cheb = np.cos(math.acos(2.0 * sigma - 1.0) * np.arange(fit.coef.shape[1]))
     total = np.exp(-mu * fit.log_r2) * (fit.coef @ cheb)
     total += fit.corner @ _corner_moments(fit.corner_rule, sigma)
     w = np.zeros(n1 * (2 * n2 - 1))
     w[fit.cells] = total
     kappa = SQRT_PI * special.gamma(mu - 0.5) / special.gamma(mu)
-    b = grid2.boundaries()
-    up = (grid2.hi - b[:-1]) ** (1.0 - sigma) - (grid2.hi - b[1:]) ** (1.0 - sigma)
-    lo = (b[1:] - grid2.lo) ** (1.0 - sigma) - (b[:-1] - grid2.lo) ** (1.0 - sigma)
+    up = fit.to_hi[:-1] ** (1.0 - sigma) - fit.to_hi[1:] ** (1.0 - sigma)
+    lo = fit.to_lo[1:] ** (1.0 - sigma) - fit.to_lo[:-1] ** (1.0 - sigma)
     ext = h1 * (kappa / (sigma * (1.0 - sigma))) * (up + lo)
     return NDKernelWeights(n1, h1, n2, h2, sigma, w.reshape(n1, 2 * n2 - 1), ext)
 

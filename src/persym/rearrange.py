@@ -12,34 +12,31 @@ difference.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .errors import ConfigError, NotIndicator, NotInterval, NotPeriodic
 from .grid import Grid1D, GridFunctionND, StepFunction
 
-_placement_cache: dict[int, np.ndarray] = {}
 
-
+@cache
 def placement_order(n_refined: int) -> np.ndarray:
     """Cell visit order on a refined centered grid: by distance to 0, right first.
 
     The grid has ``n_refined`` cells (even) on a centered domain, so 0 is the
     boundary between cells n/2 - 1 and n/2.  Mirror cells are equidistant and
     the tie goes to the right cell; distances are nondecreasing along the
-    returned permutation.
+    returned permutation.  Kept per cell count, read-only.
     """
     if n_refined % 2 != 0:
         raise ConfigError("placement order needs an even cell count")
-    order = _placement_cache.get(n_refined)
-    if order is None:
-        half = n_refined // 2
-        out = np.empty(n_refined, dtype=np.intp)
-        out[0::2] = half + np.arange(half)       # right cells: half, half+1, ...
-        out[1::2] = half - 1 - np.arange(half)   # left mirrors
-        out.flags.writeable = False
-        _placement_cache[n_refined] = out
-        order = out
-    return order
+    half = n_refined // 2
+    out = np.empty(n_refined, dtype=np.intp)
+    out[0::2] = half + np.arange(half)       # right cells: half, half+1, ...
+    out[1::2] = half - 1 - np.arange(half)   # left mirrors
+    out.flags.writeable = False
+    return out
 
 
 def _rearranged_values(values: np.ndarray, axis: int) -> np.ndarray:

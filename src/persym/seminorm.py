@@ -24,7 +24,6 @@ from scipy import special
 from .errors import ConfigError, NotIndicator
 from .grid import Grid1D, GridFunctionND, StepFunction
 from .kernels import (
-    OFFSET_BLOCK,
     KernelWeights,
     LaplaceConfig,
     NDKernelWeights,
@@ -100,12 +99,22 @@ def _pair_costs(u: StepFunction | GridFunctionND, p: float) -> np.ndarray:
     return offset_sums(u.values, u.values, cost, periodic)
 
 
-def _seminorm(u, params: SeminormParams, routes) -> list[SeminormResult]:
-    """One result per route (method, table_1d, table_2d): vdot(S, W) over cell
-    offsets plus, in 2D, 2 sum_x |u(x)|^p E[x2]: u vanishes outside the box,
-    where the plane sees |u|^p against the table's exterior masses E.  The
-    pair costs S, and in 2D the column sums of |u|^p over x1, are computed
-    once for all routes.  The dimension, 1 or 2, must be params.n."""
+def gagliardo_periodic(
+    u: StepFunction | GridFunctionND,
+    params: SeminormParams,
+    methods: tuple[str, ...] = ("direct", "laplace"),
+) -> tuple[SeminormResult, ...]:
+    """The fractional seminorm by each route of ``methods``, in their order.
+
+    Each route contracts the pair costs S with its weight table W (see
+    ``_ROUTES``): vdot(S, W) over cell offsets plus, in 2D,
+    2 sum_x |u(x)|^p E[x2], since u vanishes outside the box, where the plane
+    sees |u|^p against the table's exterior masses E.  The pair costs, and in
+    2D the column sums of |u|^p over x1, are computed once for all routes.
+    The dimension, 1 or 2, must be params.n.
+    """
+    if not set(methods) <= _ROUTES.keys():
+        raise ConfigError(f"methods must be among {list(_ROUTES)}, got {list(methods)}")
     nd = isinstance(u, GridFunctionND)
     if nd and u.ndim != 2:
         raise ConfigError(f"the seminorm routes implement n in {{1, 2}}, got n = {u.ndim}")
@@ -113,21 +122,18 @@ def _seminorm(u, params: SeminormParams, routes) -> list[SeminormResult]:
         raise ConfigError(f"{1 + nd}D input needs params.n == {1 + nd}")
     if not params.step_mode_finite:
         const = float(u.values.max() - u.values.min()) == 0.0
-        return [SeminormResult(0.0, m, 1e-15) if const else _divergent(m) for m, _, _ in routes]
+        return tuple(SeminormResult(0.0, m, 1e-15) if const else _divergent(m) for m in methods)
     s = _pair_costs(u, params.p)
     if nd:  # u is nonnegative, so |u|^p is u^p
         columns = (u.values**params.p).sum(axis=0)
     out = []
-    for method, table_1d, table_2d in routes:
+    for method in methods:
+        table = _table(u, method, params.sigma)
+        total = float(np.vdot(s, table.weights))
         if nd:
-            g2 = u.axes_perp[0]
-            table = table_2d(u.axis1.n, g2.n, g2.lo, g2.hi, params.sigma)
-            total = float(np.vdot(s, table.weights)) + 2.0 * float(columns @ table.exterior)
-        else:
-            table = table_1d(u.grid.n, params.sigma)
-            total = float(np.vdot(s, table.weights))
+            total += 2.0 * float(columns @ table.exterior)
         out.append(SeminormResult(total ** (1.0 / params.p), method, table.accuracy))
-    return out
+    return tuple(out)
 
 
 def gagliardo_periodic_direct(
@@ -140,7 +146,7 @@ def gagliardo_periodic_direct(
     vanishes outside the box, so the exterior contributes |u|^p against
     closed-form tail masses.
     """
-    return _seminorm(u, params, [("direct", _riesz_table_cached, _nd_table_cached)])[0]
+    return gagliardo_periodic(u, params, ("direct",))[0]
 
 
 def gagliardo_periodic_laplace(
@@ -148,18 +154,17 @@ def gagliardo_periodic_laplace(
 ) -> SeminormResult:
     """Fractional seminorm through the heat-kernel time integral, against the
     tables of ``_laplace_table_1d`` and ``_laplace_table_2d``."""
-    return _seminorm(u, params, [("laplace", _laplace_table_1d, _laplace_table_2d)])[0]
+    return gagliardo_periodic(u, params, ("laplace",))[0]
 
 
-def _both_routes(
-    u: StepFunction | GridFunctionND, params: SeminormParams
-) -> tuple[SeminormResult, SeminormResult]:
-    """The direct and the Laplace result, from one pass of pair costs."""
-    routes = [
-        ("direct", _riesz_table_cached, _nd_table_cached),
-        ("laplace", _laplace_table_1d, _laplace_table_2d),
-    ]
-    return tuple(_seminorm(u, params, routes))
+def _table(u: StepFunction | GridFunctionND, method: str, sigma: float):
+    """The weight table of route ``method`` at sigma, keyed by u's grid: the
+    circle's cell count, and in 2D the interval axis's cell count and ends."""
+    table_1d, table_2d = _ROUTES[method]
+    if isinstance(u, GridFunctionND):
+        g2 = u.axes_perp[0]
+        return table_2d(u.axis1.n, g2.n, g2.lo, g2.hi, sigma)
+    return table_1d(u.grid.n, sigma)
 
 
 @lru_cache(maxsize=64)
@@ -170,14 +175,6 @@ def _riesz_table_cached(n: int, sigma: float):
 @lru_cache(maxsize=32)
 def _nd_table_cached(n1: int, n2: int, lo: float, hi: float, sigma: float):
     return riesz_weights_nd(Grid1D.circle(n1), Grid1D.interval(n2, lo, hi), sigma)
-
-
-@lru_cache(maxsize=64)
-def _laplace_rule_cached(lam: float, z_min: float, z_max: float) -> LaplaceConfig:
-    # the window covers the pair tables' exponential transients only: below
-    # it every table is on its small-t branch, above it on its large-t one,
-    # and the tables add both algebraic ends in closed form
-    return laplace_quadrature(lam, z_min, z_max, rtol=LAPLACE_RTOL)
 
 
 def _lattice_rows(cfg: LaplaceConfig) -> tuple[tuple[float, int, int], slice]:
@@ -194,21 +191,12 @@ def _lattice_rows(cfg: LaplaceConfig) -> tuple[tuple[float, int, int], slice]:
     return (cfg.ds, k_lo, k_hi), slice(first, first + cfg.nodes.size)
 
 
-def _row_blocks(rows: int, width: int):
-    """Slices of at most OFFSET_BLOCK table entries over a stack of rows."""
-    step = max(1, OFFSET_BLOCK // width)
-    return (slice(lo, lo + step) for lo in range(0, rows, step))
-
-
 @lru_cache(maxsize=8)
 def _heat_stack(n: int, ds: float, k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Lattice times t_k = exp(k ds), k_lo <= k <= k_hi, and the heat rows on
     the n-cell circle at them, shape (k_hi - k_lo + 1, n); read-only."""
     t = np.exp(ds * np.arange(k_lo, k_hi + 1))
-    heat = np.empty((t.size, n))
-    for sl in _row_blocks(t.size, n):
-        heat[sl] = _heat_table_batch(n, 2.0 * math.pi / n, t[sl])
-    return _frozen(t), _frozen(heat)
+    return _frozen(t), _frozen(_heat_table_batch(n, 2.0 * math.pi / n, t))
 
 
 @lru_cache(maxsize=8)
@@ -222,13 +210,9 @@ def _heat_gauss_stack(
     h1 = 2.0 * math.pi / n1
     g2 = Grid1D.interval(n2, lo, hi)
     t = np.exp(ds * np.arange(k_lo, k_hi + 1))
-    heat = np.empty((t.size, n1))
-    gauss = np.empty((t.size, 2 * n2 - 1))
-    ext = np.empty((t.size, n2))
-    for sl in _row_blocks(t.size, n1 + 3 * n2):
-        heat[sl] = _heat_table_batch(n1, h1, t[sl])
-        gauss[sl], e = _gauss_tables_batch(g2, t[sl])
-        ext[sl] = (h1 * np.sqrt(math.pi / t[sl]))[:, None] * e
+    heat = _heat_table_batch(n1, h1, t)
+    gauss, ext = _gauss_tables_batch(g2, t)
+    ext *= (h1 * np.sqrt(math.pi / t))[:, None]
     return tuple(_frozen(a) for a in (t, heat, gauss, ext))
 
 
@@ -252,7 +236,10 @@ def _laplace_table_1d(n: int, sigma: float) -> KernelWeights:
     """
     lam = (1.0 + sigma) / 2.0
     h = 2.0 * math.pi / n
-    cfg = _laplace_rule_cached(lam, h * h / 4.0, (2 * math.pi) ** 2)
+    # the rule's window covers the pair tables' exponential transients only:
+    # below it every table is on its small-t branch, above it on its large-t
+    # one, and both algebraic ends are added in closed form
+    cfg = laplace_quadrature(lam, h * h / 4.0, (2 * math.pi) ** 2, rtol=LAPLACE_RTOL)
     lattice, rows = _lattice_rows(cfg)
     _, heat = _heat_stack(n, *lattice)
     w = cfg.weights @ heat[rows]
@@ -283,7 +270,8 @@ def _laplace_table_2d(n1: int, n2: int, lo: float, hi: float, sigma: float) -> N
     h1 = 2.0 * math.pi / n1
     g2 = Grid1D.interval(n2, lo, hi)
     h2 = g2.h
-    cfg = _laplace_rule_cached(lam, min(h1, h2) ** 2 / 4.0, (2.0 * math.pi) ** 2 + g2.length**2)
+    z_max = (2.0 * math.pi) ** 2 + g2.length**2  # the window as in _laplace_table_1d
+    cfg = laplace_quadrature(lam, min(h1, h2) ** 2 / 4.0, z_max, rtol=LAPLACE_RTOL)
     lattice, rows = _lattice_rows(cfg)
     _, heat, gauss, ext_rows = _heat_gauss_stack(n1, n2, lo, hi, *lattice)
     w = (cfg.weights[:, None] * heat[rows]).T @ gauss[rows]
@@ -305,6 +293,13 @@ def _laplace_table_2d(n1: int, n2: int, lo: float, hi: float, sigma: float) -> N
     )
 
 
+# method -> (1D table of (n, sigma), 2D table of (n1, n2, lo, hi, sigma))
+_ROUTES = {
+    "direct": (_riesz_table_cached, _nd_table_cached),
+    "laplace": (_laplace_table_1d, _laplace_table_2d),
+}
+
+
 def fractional_perimeter(e: StepFunction | GridFunctionND, s: float) -> float:
     """Interaction of an indicator set with its complement under |z|^-(n+s).
 
@@ -313,20 +308,16 @@ def fractional_perimeter(e: StepFunction | GridFunctionND, s: float) -> float:
     """
     if not e.is_indicator():
         raise NotIndicator("fractional perimeter needs an indicator function")
-    if isinstance(e, GridFunctionND):
-        if e.ndim != 2:
-            raise ConfigError("perimeter implements n in {1, 2}")
-        table = _nd_table_cached(
-            e.axis1.n, e.axes_perp[0].n, e.axes_perp[0].lo, e.axes_perp[0].hi, s
-        )
-        inside = e.values
-        scost = offset_sums(inside, 1.0 - inside, np.multiply, (True, False))
-        interior = float(np.vdot(scost, table.weights))
-        tails = float(np.sum(inside * table.exterior[None, :]))
-        return interior + tails
-    w = _riesz_table_cached(e.grid.n, s)
-    scost = offset_sums(e.values, 1.0 - e.values, np.multiply, (True,))
-    return float(np.vdot(scost, w.weights))
+    nd = isinstance(e, GridFunctionND)
+    if nd and e.ndim != 2:
+        raise ConfigError("perimeter implements n in {1, 2}")
+    table = _table(e, "direct", s)
+    inside = e.values
+    scost = offset_sums(inside, 1.0 - inside, np.multiply, (True, False) if nd else (True,))
+    interior = float(np.vdot(scost, table.weights))
+    if not nd:
+        return interior
+    return interior + float(np.sum(inside * table.exterior[None, :]))
 
 
 def coarea_identity_check(u: StepFunction, s: float) -> float:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -63,7 +64,7 @@ from .rearrange import (
     periodic_rearrange_nd,
     symmetric_decreasing_1d,
 )
-from .seminorm import SeminormParams, _both_routes
+from .seminorm import SeminormParams, gagliardo_periodic
 
 EXACT_TOL = 1e-12
 # a Pólya case fails when its two seminorm routes disagree on the margin by
@@ -92,23 +93,22 @@ class EqualityClass:
         return self.tag != "neither"
 
 
-_rotation_cache: dict[int, np.ndarray] = {}
+@cache
+def _rotations(n: int) -> np.ndarray:
+    """The index matrix rot[z, i] = (i + z) % n, read-only."""
+    rot = (np.arange(n)[:, None] + np.arange(n)) % n
+    rot.flags.writeable = False
+    return rot
 
 
 def _rotation_mask(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Shifts z with a[i] == b[(i + z) % n] for every i, as a bool vector.
 
     All rotations of ``b`` are compared at once through one index matrix,
-    kept per length.  Leading axes of ``a`` and ``b`` are batch axes
-    (broadcast together); the shift axis is last.
+    kept per length (``_rotations``).  Leading axes of ``a`` and ``b`` are
+    batch axes (broadcast together); the shift axis is last.
     """
-    n = a.shape[-1]
-    rot = _rotation_cache.get(n)
-    if rot is None:
-        rot = (np.arange(n)[:, None] + np.arange(n)) % n  # rot[z, i] = (i + z) % n
-        rot.flags.writeable = False
-        _rotation_cache[n] = rot
-    return (b[..., rot] == a[..., None, :]).all(axis=-1)
+    return (b[..., _rotations(a.shape[-1])] == a[..., None, :]).all(axis=-1)
 
 
 def _rotation_class(values: np.ndarray, taus: np.ndarray) -> EqualityClass:
@@ -240,6 +240,12 @@ def classify_equality(u, v=None, context: str = "circle") -> EqualityClass:
 # individual checks
 
 
+def _margin_bound(acc_a: float, acc_b: float, *scales: float) -> float:
+    """The margin that two tables of accuracies acc_a and acc_b cannot tell
+    from zero: 4 (acc_a + acc_b) max(|scales|, 1), and at least EXACT_TOL."""
+    return max(4.0 * (acc_a + acc_b) * max(*map(abs, scales), 1.0), EXACT_TOL)
+
+
 @dataclass(frozen=True)
 class CheckResult:
     margin: float
@@ -270,8 +276,7 @@ def check_riesz_circle(
     w2 = kernel.rearranged().weights(f.grid.refined(2))
     sf, sh = periodic_rearrange_1d(f), periodic_rearrange_1d(h)
     rhs = _pair_sum(sf.values, sh.values, np.multiply, w2)
-    bound = 4.0 * (w.accuracy + w2.accuracy) * max(abs(lhs), abs(rhs), 1.0)
-    return CheckResult(rhs - lhs, lhs, rhs, max(bound, EXACT_TOL))
+    return CheckResult(rhs - lhs, lhs, rhs, _margin_bound(w.accuracy, w2.accuracy, lhs, rhs))
 
 
 def _internal_layer_checks(
@@ -321,8 +326,7 @@ def check_nonexpansivity_circle(
     rhs = energy_circle(
         periodic_rearrange_1d(u), periodic_rearrange_1d(v), j, w2
     ).value
-    bound = 4.0 * (w.accuracy + w2.accuracy) * max(abs(lhs), abs(rhs), 1.0)
-    bound = max(bound, EXACT_TOL)
+    bound = _margin_bound(w.accuracy, w2.accuracy, lhs, rhs)
     if internal_checks:
         _internal_layer_checks(u, v, j, w, w2, bound)
     return CheckResult(lhs - rhs, lhs, rhs, bound)
@@ -341,8 +345,7 @@ def check_nonexpansivity_euclidean(
     w2 = kernel.rearranged().weights(su.grid)
     lhs = energy_euclidean(u, v, j, w).value
     rhs = energy_euclidean(su, sv, j, w2).value
-    bound = 4.0 * (w.accuracy + w2.accuracy) * max(abs(lhs), abs(rhs), 1.0)
-    return CheckResult(lhs - rhs, lhs, rhs, max(bound, EXACT_TOL))
+    return CheckResult(lhs - rhs, lhs, rhs, _margin_bound(w.accuracy, w2.accuracy, lhs, rhs))
 
 
 @dataclass(frozen=True)
@@ -356,11 +359,9 @@ class PolyaResult:
 
 def _polya(u, star, params: SeminormParams) -> PolyaResult:
     """Seminorm margin of u against its rearrangement ``star``, both routes."""
-    (d0, l0), (d1, l1) = _both_routes(u, params), _both_routes(star, params)
-    bound = 4.0 * (d0.accuracy + d1.accuracy) * max(d0.value, 1.0)
-    return PolyaResult(
-        d0.value - d1.value, l0.value - l1.value, d0.value, d1.value, max(bound, EXACT_TOL)
-    )
+    (d0, l0), (d1, l1) = gagliardo_periodic(u, params), gagliardo_periodic(star, params)
+    bound = _margin_bound(d0.accuracy, d1.accuracy, d0.value)
+    return PolyaResult(d0.value - d1.value, l0.value - l1.value, d0.value, d1.value, bound)
 
 
 def check_polya_periodic(

@@ -42,15 +42,12 @@ def rng():
 
 
 def clear_persym_caches():
-    """Empty every cache in persym's modules, the lru_caches and the
-    module-level ``*_cache`` dicts, as a fresh process has them."""
+    """Empty every cache in persym's modules, as a fresh process has them."""
     for name, mod in list(sys.modules.items()):
         if name == "persym" or name.startswith("persym."):
-            for attr, obj in vars(mod).items():
+            for obj in vars(mod).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
-                elif attr.endswith("_cache") and isinstance(obj, dict):
-                    obj.clear()
 
 
 @pytest.fixture

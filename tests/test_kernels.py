@@ -435,7 +435,7 @@ class TestRieszWeights1D:
         # m = 40, 5 from there) agree with the direct second difference of
         # r^(1 - sigma) taken in 50-digit arithmetic
         h = 2 * math.pi / 64
-        line = kernels._riesz_line_pairs(300, h, sigma)
+        line = kernels._riesz_line_pairs(kernels._line_powers(300), h, sigma)
         with mpmath.workdps(50):
             a, hh = 1 - mpmath.mpf(sigma), mpmath.mpf(h)
             c = 1 / (mpmath.mpf(sigma) * (mpmath.mpf(sigma) - 1))
@@ -676,11 +676,11 @@ class TestRieszWeightsND:
         # the rounding floor: the certified bound grows with it and still
         # bounds it
         g1, g2 = FIT_GRIDS[0]
-        full = kernels._nd_fit(g1.n, g1.h, g2.n, g2.h).bound
+        full = kernels._nd_fit(g1, g2).bound
         monkeypatch.setattr(kernels, "FIT_DEGREE", 8)
         monkeypatch.setattr(kernels, "ND_TABLE_ACCURACY", 1.0)  # report the bound, do not raise
         fresh_caches()
-        low = kernels._nd_fit(g1.n, g1.h, g2.n, g2.h).bound
+        low = kernels._nd_fit(g1, g2).bound
         plan = kernels._nd_plan(g1.n, g1.h, g2.n, g2.h)
         err = max(
             np.max(np.abs(fitted_sector(g1, g2, sigma) / direct_sector(plan, g1, g2, sigma) - 1.0))
@@ -717,11 +717,11 @@ class TestRieszWeightsND:
     def test_plan_is_read_only(self):
         g1, g2 = Grid1D.circle(6), Grid1D.centered_interval(8, 4.0)
         riesz_weights_nd(g1, g2, 0.5)
-        fit = kernels._nd_fit(g1.n, g1.h, g2.n, g2.h)
+        fit = kernels._nd_fit(g1, g2)
         for arr in (fit.coef, fit.log_r2, fit.corner, *fit.corner_rule, fit.cells):
             with pytest.raises(ValueError):
                 arr.flat[0] = 1
-        assert fit is kernels._nd_fit(g1.n, g1.h, g2.n, g2.h)
+        assert fit is kernels._nd_fit(g1, g2)
 
     def test_plan_memory_is_bounded(self, fresh_caches):
         # the plan is listed a block of boxes and a chunk of nodes at a
@@ -741,7 +741,7 @@ class TestRieszWeightsND:
         _, boxes, tri1, tri2 = kernels._nd_plan(g1.n, g1.h, g2.n, g2.h)
         arrays = (boxes.nodes, boxes.moment, boxes.weight, boxes.target, boxes.corner, tri1, tri2)
         plan = sum(a.nbytes for a in arrays)
-        fit = kernels._nd_fit(g1.n, g1.h, g2.n, g2.h)
+        fit = kernels._nd_fit(g1, g2)
         fit_arrays = (fit.coef, fit.log_r2, fit.corner, *fit.corner_rule, fit.cells)
         fit_bytes = sum(a.nbytes for a in fit_arrays)
         block = 8 * kernels.OFFSET_BLOCK

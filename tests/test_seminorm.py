@@ -10,6 +10,7 @@ from persym.seminorm import (
     SeminormParams,
     coarea_identity_check,
     fractional_perimeter,
+    gagliardo_periodic,
     gagliardo_periodic_direct,
     gagliardo_periodic_laplace,
 )
@@ -260,11 +261,11 @@ class TestClosedFormEnds:
             [gagliardo_periodic_laplace(u, _params(u, s)).value for s in self.S_VALUES]
             for u in inputs
         ]
-        rule = seminorm._laplace_rule_cached.__wrapped__
+        rule = seminorm.laplace_quadrature
         monkeypatch.setattr(
             seminorm,
-            "_laplace_rule_cached",
-            lambda lam, z_min, z_max: rule(lam, z_min / 1e4, z_max * 1e4),
+            "laplace_quadrature",
+            lambda lam, z_min, z_max, **kw: rule(lam, z_min / 1e4, z_max * 1e4, **kw),
         )
         fresh_caches()
         for u, row in zip(inputs, narrow):
@@ -362,19 +363,19 @@ STACK_GRIDS = [(1, (1,)), (1, (64,)), (1, (1024,)), (2, (12, 12, -2.0, 2.0)), (2
 def _stack_and_rule(dim, grid, sigma):
     """The route's rule at sigma, its lattice and rows, and the grid's stack
     on the lattice."""
-    rule = seminorm._laplace_rule_cached
+    rule = seminorm.laplace_quadrature
     rules = []
 
-    def recording(*args):
-        rules.append(rule(*args))
+    def recording(*args, **kwargs):
+        rules.append(rule(*args, **kwargs))
         return rules[-1]
 
-    seminorm._laplace_rule_cached = recording
+    seminorm.laplace_quadrature = recording
     try:
         table = seminorm._laplace_table_1d if dim == 1 else seminorm._laplace_table_2d
         table.__wrapped__(*grid, sigma)
     finally:
-        seminorm._laplace_rule_cached = rule
+        seminorm.laplace_quadrature = rule
     (cfg,) = rules
     lattice, rows = seminorm._lattice_rows(cfg)
     build = seminorm._heat_stack if dim == 1 else seminorm._heat_gauss_stack
@@ -430,10 +431,17 @@ class TestLatticeStacks:
         assert seminorm._heat_gauss_stack.cache_info().currsize == 1
 
 
-def test_fresh_sigmas_build_each_grid_cache_once(rng, fresh_caches):
+def test_fresh_sigmas_build_each_grid_cache_once(rng, monkeypatch, fresh_caches):
     # the seminorm-sweep grids, 20 fresh s through both public routes: every
-    # table is rebuilt, but each sigma-free cache misses once per grid, so a
-    # sigma in the key of a grid's fit, plan, lattice or stack fails here
+    # table and rule is rebuilt, but each sigma-free cache misses once per
+    # grid, so a sigma in the key of a grid's fit, plan, lattice or stack
+    # fails here
+    calls = {"laplace_quadrature": 0, "_line_powers": 0}
+    for mod, name in ((seminorm, "laplace_quadrature"), (kernels, "_line_powers")):
+        def counted(*args, _name=name, _f=getattr(mod, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
     u1 = random_circle_function(rng, n=64)
     g2 = Grid1D.interval(12, -2.0, 2.0)
     vals = rng.random((12, 12))
@@ -447,10 +455,8 @@ def test_fresh_sigmas_build_each_grid_cache_once(rng, fresh_caches):
     builds = {
         seminorm._riesz_table_cached: 20,
         seminorm._nd_table_cached: 20,
-        seminorm._laplace_rule_cached: 40,
         kernels._rule_lattice: 2,
         kernels._periodized_plan: 1,
-        kernels._line_powers: 1,
         kernels._nd_fit: 1,
         seminorm._heat_stack: 1,
         seminorm._heat_gauss_stack: 1,
@@ -458,6 +464,23 @@ def test_fresh_sigmas_build_each_grid_cache_once(rng, fresh_caches):
     assert {f.__name__: f.cache_info().misses for f in builds} == {
         f.__name__: misses for f, misses in builds.items()
     }
+    assert calls == {"laplace_quadrature": 40, "_line_powers": 1}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_both_routes_from_one_pass_of_pair_costs(rng, monkeypatch, dim):
+    # the default methods give bit for bit what the single-route calls give,
+    # from one pass of pair costs
+    u = random_circle_function(rng, n=16) if dim == 1 else random_nd_function(rng)
+    params = SeminormParams(0.35, 2.0, dim)
+    single = (gagliardo_periodic_direct(u, params), gagliardo_periodic_laplace(u, params))
+    calls = []
+    offset_sums = seminorm.offset_sums
+    monkeypatch.setattr(seminorm, "offset_sums", lambda *a: calls.append(a) or offset_sums(*a))
+    assert gagliardo_periodic(u, params) == single
+    assert len(calls) == 1
+    with pytest.raises(ConfigError):
+        gagliardo_periodic(u, params, ("direct", "fft"))
 
 
 def test_cached_route_tables_are_read_only():

@@ -566,13 +566,13 @@ class TestRunSuite:
         assert [r.margin for r in a.rows] != [r.margin for r in c.rows]
 
     def test_dual_route_gap_fails_polya_cases(self, monkeypatch):
-        both = persym.verify._both_routes
+        both = persym.verify.gagliardo_periodic
 
         def skewed(u, params):
             direct, laplace = both(u, params)
             return direct, dataclasses.replace(laplace, value=laplace.value * (1.0 + 1e-3))
 
-        monkeypatch.setattr(persym.verify, "_both_routes", skewed)
+        monkeypatch.setattr(persym.verify, "gagliardo_periodic", skewed)
         rep = run_suite("polya-per", cases=4)
         assert rep.failures
 
@@ -613,9 +613,10 @@ class TestClassifyPeriodicND:
         assert res.margin > res.bound  # p > 1: no translate, strict inequality
 
 
-def test_fresh_caches_empty_the_plain_dict_caches(fresh_caches):
+def test_fresh_caches_empty_the_index_caches(fresh_caches):
     u = StepFunction.on_circle([0.0, 1.0, 2.0, 1.0])
     classify_equality(u, context="periodic-ps")
-    assert persym.verify._rotation_cache and persym.rearrange._placement_cache
+    caches = (persym.verify._rotations, persym.rearrange.placement_order)
+    assert all(c.cache_info().currsize for c in caches)
     fresh_caches()
-    assert not persym.verify._rotation_cache and not persym.rearrange._placement_cache
+    assert not any(c.cache_info().currsize for c in caches)
