@@ -281,16 +281,21 @@ def _grid_to_json(g: Grid1D) -> dict:
     return {"n": g.n, "domain": "periodic" if g.periodic else [g.lo, g.hi]}
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _grid_from_json(obj: dict) -> Grid1D:
     try:
-        n = int(obj["n"])
-        dom = obj["domain"]
+        n, dom = obj["n"], obj["domain"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad grid spec: {obj!r}") from exc
+    if not (_is_number(n) and (isinstance(n, int) or n.is_integer())):
+        raise ConfigError(f"grid cell count is not an integer: {n!r}")
     if dom == "periodic":
-        return Grid1D.circle(n)
-    if isinstance(dom, (list, tuple)) and len(dom) == 2:
-        return Grid1D.interval(n, float(dom[0]), float(dom[1]))
+        return Grid1D.circle(int(n))
+    if isinstance(dom, (list, tuple)) and len(dom) == 2 and all(map(_is_number, dom)):
+        return Grid1D.interval(int(n), float(dom[0]), float(dom[1]))
     raise ConfigError(f"bad domain spec: {dom!r}")
 
 
@@ -311,9 +316,13 @@ def _json_values(obj: dict) -> np.ndarray:
 
 
 def function_from_json(obj: dict) -> StepFunction | GridFunctionND:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"function JSON is not an object: {obj!r}")
     if "axes" in obj:
         if "values" not in obj:
             raise ConfigError("ND function JSON needs 'axes' and 'values' keys")
+        if not isinstance(obj["axes"], list):
+            raise ConfigError(f"ND function 'axes' is not a list: {obj['axes']!r}")
         grids = [_grid_from_json(g) for g in obj["axes"]]
         if not grids:
             raise ConfigError("ND function needs at least one axis")
@@ -337,6 +346,9 @@ def load_function(path: str) -> StepFunction | GridFunctionND:
 
 
 def save_function(path: str, u: StepFunction | GridFunctionND) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(function_to_json(u), fh)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(function_to_json(u), fh)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc

@@ -17,12 +17,14 @@ the tables:
   the first omitted terms), built in one pass against sigma-free arrays
   kept per cell count;
 * the 2D power kernel |z|^(-(2+sigma)) with x1-periodization: the copies
-  near the cell over Gauss-Legendre panels graded by their distance from
-  the kernel origin, with exact corner moments at it, and the far copies
-  as a Hurwitz-zeta polynomial series whose box integral separates into
-  one small contraction; all but the corner moments is analytic in sigma,
-  so each grid keeps it as a certified Chebyshev series, fitted to direct
-  sums at 25 sigmas, and a sigma evaluates that series;
+  near the cell from hat moments per lattice square, over Gauss-Legendre
+  panels graded by their distance from the kernel origin, with exact
+  corner moments at it, each box four shifted slices of them and the
+  copies folded onto |x1|; the far copies as a Hurwitz-zeta polynomial
+  series whose box integral separates into one small contraction; all but
+  the corner moments is analytic in sigma, so each grid keeps it as a
+  certified Chebyshev series, fitted to direct sums at 25 sigmas, and a
+  sigma evaluates that series;
 * general nonnegative step-function kernels, whose tables are exact
   two-tap averages of the kernel values (and whose rearrangement is again
   a step kernel, so rearranged tables stay exact);
@@ -719,138 +721,6 @@ def _hat_rule(m: int) -> np.ndarray:
     return _frozen(np.einsum("ia,jb->ijab", hats, hats).reshape(m * m, 4))
 
 
-@dataclass(frozen=True)
-class _BoxRule:
-    """A sigma-free rule for box integrals of a density, summed per target.
-
-    A box centred at x, [x1 - h1, x1 + h1] x [x2 - h2, x2 + h2], integrates
-    tri(z1) tri(z2) density(x + z), tri(z) = h - |z|, over the panels of
-    its four quadrant squares.  Neighbouring boxes share squares, so each
-    distinct panel's Gauss-Legendre nodes are kept once (``nodes``, as
-    log r^2, r^2 = z1^2 + z2^2, panel after panel) and its four hat
-    moments (``_hat_rule``, whose matrix each chunk of panels of one order
-    carries) serve every box it belongs to: tri is linear along each axis
-    of a panel, a nonnegative combination of the hats at the panel's two
-    ends, so no sum cancels.  Each term of a box's sum takes ``moment``
-    (flat index, panel * 4 + hat) times ``weight`` into ``target``.  Panels
-    at the kernel origin take the exact corner moments instead, weighted by
-    ``corner`` per target.
-    """
-
-    nodes: np.ndarray
-    chunks: tuple  # (first node, first panel, end panel, hat matrix of the order)
-    moment: np.ndarray
-    weight: np.ndarray
-    target: np.ndarray
-    corner: np.ndarray  # (targets, 3)
-
-
-def _box_rule(a1, a2, target, targets: int, h1: float, h2: float) -> _BoxRule:
-    """``_BoxRule`` of the boxes centred at the lattice points (a1 h1, a2 h2).
-
-    Each panel of ``_panels`` takes the product rule of its ``_gl_order``;
-    the panels of one order go together, in chunks of at most OFFSET_BLOCK
-    nodes.  The terms are listed one quadrant and block of boxes at a time,
-    and before the nodes, so that few temporaries outlive their block.
-    """
-    h = np.array([h1, h2])
-    # quadrant q lies below its box's centre along axis 0 if q < 2, along
-    # axis 1 if q is even: its square's lower corner is the centre less that
-    below = np.array([[1, 1], [1, 0], [0, 1], [0, 0]])
-    # the distinct squares, numbered through a dense map of their range
-    base = np.array([a1.min(), a2.min()]) - 1
-    centre = np.stack([a1, a2]) - base[:, None]
-    used = np.zeros(tuple(centre.max(axis=1) + 1), dtype=bool)
-    for q in below:
-        used[tuple(centre - q[:, None])] = True
-    number = np.cumsum(used).reshape(used.shape) - 1
-    sj = np.argwhere(used) + base
-    square, start, stop = _panels(sj[:, 0], sj[:, 1], h1, h2)
-    width = stop - start
-    lo = sj[square] * h + start
-    gap = np.maximum(lo, -lo - width)
-    at0 = np.all(gap < 1e-9 * h, axis=1)
-    order = np.zeros(square.size, dtype=int)
-    order[~at0] = _gl_order(*gap[~at0].T, *width[~at0].T)
-    upper = lo < -1e-9 * h  # the kernel origin at the panel's upper end, if at all
-    area = 0.25 * width[:, 0] * width[:, 1]  # the hat rule covers [-1, 1]^2
-    # quadrature panels by order; the corner panels, of order 0, lead and are cut off
-    rank = np.argsort(order, kind="stable")[np.count_nonzero(at0) :]
-    index = np.empty(square.size, dtype=int)
-    index[rank] = np.arange(rank.size)
-    orders = order[rank]
-    del gap, order
-    # the terms of every (box quadrant, panel of its square) pair
-    first = np.searchsorted(square, np.arange(sj.shape[0]))
-    count = np.diff(np.append(first, square.size))
-    moment, weight, into = [], [], []
-    corner = np.zeros((targets, 3))
-    step = max(1, OFFSET_BLOCK // 16)  # boxes per block: a use takes ~16 numbers
-    for q in below:
-        # tri along each axis: rising from the square's lower edge below the
-        # box's centre, falling from the centre above it
-        rise = q.astype(bool)
-        for b0 in range(0, a1.size, step):
-            sq = number[tuple(centre[:, b0 : b0 + step] - q[:, None])]
-            n = count[sq]
-            panel = np.repeat(first[sq] - np.cumsum(n) + n, n) + np.arange(n.sum())
-            box = b0 + np.repeat(np.arange(sq.size), n)
-            corners = np.stack((start[panel], stop[panel]), axis=1)
-            ends = np.where(rise, corners, h - corners)  # (uses, end, axis)
-            zero = at0[panel]
-            if zero.any():  # tri = a + b |z| on each axis, z from the kernel origin
-                up = upper[panel[zero]]
-                a = np.where(up, ends[zero, 1], ends[zero, 0])
-                b = np.where(up == rise, -1.0, 1.0)
-                if np.any(np.abs(a[:, 0] * a[:, 1]) > 1e-18 * h1 * h2):
-                    raise ConfigError("corner moment lost its linear factor")
-                cw = (a[:, 0] * b[:, 1], b[:, 0] * a[:, 1], b[:, 0] * b[:, 1])
-                for i, c in enumerate(cw):
-                    corner[:, i] += np.bincount(target[box[zero]], c, minlength=targets)
-            keep = ~zero
-            e, p = ends[keep], panel[keep]
-            coef = (area[p, None, None] * e[:, :, 0, None] * e[:, None, :, 1]).reshape(-1, 4)
-            nz = coef != 0.0
-            moment.append((4 * index[p][:, None] + np.arange(4))[nz])
-            weight.append(coef[nz])
-            into.append(np.broadcast_to(target[box[keep]][:, None], nz.shape)[nz])
-    del number, centre, sj, square, start, stop, at0, upper, area, index, first, count
-    terms = []
-    for parts in (moment, weight, into):  # each list freed before the next is joined
-        terms.append(_frozen(np.concatenate(parts), parts[0].dtype))
-        parts.clear()
-    # the nodes, chunk by chunk
-    nodes, chunks, n0 = np.empty(int(orders @ orders)), [], 0
-    for m in np.unique(orders):
-        p_first, p_end = np.searchsorted(orders, [m, m + 1])
-        per = max(1, OFFSET_BLOCK // (m * m))
-        g = _gl(m)[0] + 1.0
-        hats = _hat_rule(m)
-        for p0 in range(p_first, p_end, per):
-            p1 = min(p0 + per, p_end)
-            pp = rank[p0:p1]
-            x = lo[pp][:, :, None] + 0.5 * width[pp][:, :, None] * g  # (panels, 2, m)
-            x *= x
-            n1 = n0 + (p1 - p0) * m * m
-            nodes[n0:n1].reshape(p1 - p0, m, m)[...] = x[:, 0, :, None] + x[:, 1, None, :]
-            chunks.append((n0, int(p0), int(p1), hats))
-            n0 = n1
-    np.log(nodes, out=nodes)
-    return _BoxRule(_frozen(nodes), tuple(chunks), *terms, _frozen(corner))
-
-
-def _box_sums(rule: _BoxRule, density) -> np.ndarray:
-    """Box integrals of ``density`` (a function of log r^2) summed per target,
-    less the corner terms: hat moments per panel, then the weighted moments
-    per target."""
-    moments = np.empty((rule.chunks[-1][2], 4))
-    for n0, p0, p1, hats in rule.chunks:
-        f = density(rule.nodes[n0 : n0 + (p1 - p0) * len(hats)])
-        np.matmul(f.reshape(p1 - p0, len(hats)), hats, out=moments[p0:p1])
-    terms = moments.ravel()[rule.moment] * rule.weight
-    return np.bincount(rule.target, terms, minlength=len(rule.corner))
-
-
 # total degree of the 2D copy-tail series, and the largest ratio of a box
 # point's distance from the kernel origin to the first tail copy's, in periods
 TAIL_DEGREE = 24
@@ -939,42 +809,102 @@ def _nd_sector(n1: int, n2: int):
     return np.divmod(np.arange(1, (n1 // 2 + 1) * n2), n2)
 
 
-def _nd_plan(n1: int, h1: float, n2: int, h2: float):
+_NDPlan = namedtuple("_NDPlan", "copies nodes chunks into squares fold corner tri1 tri2")
+
+
+def _nd_plan(n1: int, h1: float, n2: int, h2: float) -> _NDPlan:
     """The sigma-free part of ``_nd_direct`` on one grid, built by ``_nd_fit``.
 
-    Returns the copy count K of ``_tail_copies``, the ``_BoxRule`` of the
-    boxes of every x1 copy k in [-K, K] of every sector offset, which sum
-    into the sector offsets, and per sector offset its moments
-    ``_tri_moments`` along x1 and along x2.
+    The boxes of the x1 copies k in [-K, K] of a sector offset d, K of
+    ``_tail_copies``, are centred at the lattice points a = (d1 + n1 k, d2).
+    The kernel and tri are even in z1, so the box at -a1 is the one at a1
+    (``fold`` gathers, per copy and sector offset, the box at (|a1|, d2)),
+    and the boxes at a1 >= 0 cover the lattice squares [j1, j1 + 1] h1 x
+    [j2, j2 + 1] h2, j1 in [-1, K n1 + n1 // 2] and j2 in [-1, n2 - 1]
+    (``squares``).  Their panels of ``_panels`` off the kernel origin keep
+    their ``_gl_order`` nodes as log r^2 (``nodes``), in chunks of at most
+    OFFSET_BLOCK nodes.  Along each axis of a square tri falls from its
+    lower edge (hat e = 0) or rises to its upper one (e = 1), linearly over
+    a panel, so the square's hats are a nonnegative combination of the
+    panel's (``_hat_rule``), by their values at the panel's ends.  Panels
+    of one order and place in their square share a chunk, whose matrix
+    takes both steps; the moments go to the slots ``into`` = 4 square +
+    2 e1 + e2.  The corner panels take the exact corner moments instead: on
+    a box with |a| <= 1, tri = A + B |z| along each axis, (A, B) = (h, -1)
+    where a = 0 and (0, 1) where a = 1, and the box holds two corner panels
+    per zero coordinate; ``corner`` folds these weights of the moments of
+    (y, x, x y).  ``tri1`` and ``tri2`` are the sector offsets'
+    ``_tri_moments``.
     """
     copies = _tail_copies(n1, h1, n2, h2)
     d1, d2 = _nd_sector(n1, n2)
-    sector = np.arange(d1.size)
-    k = np.arange(-copies, copies + 1)[:, None]
-    boxes = _box_rule(
-        (d1 + n1 * k).ravel(), np.tile(d2, k.size), np.tile(sector, k.size), d1.size, h1, h2
+    top = copies * n1 + n1 // 2  # the largest |a1|
+    squares = (top + 2, n2 + 1)  # from j = -1
+    h = np.array([h1, h2])
+    j = np.indices(squares).reshape(2, -1).T - 1
+    square, start, stop = _panels(j[:, 0], j[:, 1], h1, h2)
+    width = stop - start
+    lo = j[square] * h + start
+    gap = np.maximum(lo, -lo - width)
+    off = np.flatnonzero(np.any(gap >= 1e-9 * h, axis=1))  # all but the corner panels
+    order = _gl_order(*gap[off].T, *width[off].T)
+    kind = np.column_stack((order, start[off], stop[off]))  # order and place in the square
+    rank = np.lexsort(kind.T[::-1])
+    panel, kind = off[rank], kind[rank]
+    first = np.flatnonzero(np.append(True, np.any(kind[1:] != kind[:-1], axis=1)))
+    nodes, chunks, n0 = np.empty(int(order @ order)), [], 0
+    for p_first, p_end in zip(first, np.append(first[1:], panel.size)):
+        m, ends = int(kind[p_first, 0]), kind[p_first, 1:].reshape(2, 2).T  # (axis, end)
+        tri = np.stack((h[:, None] - ends, ends), axis=1)  # per axis, (e, end)
+        area = 0.25 * np.prod(ends[:, 1] - ends[:, 0])  # the hat rule covers [-1, 1]^2
+        hats = _hat_rule(m) @ (area * np.einsum("ac,bd->abcd", *tri).reshape(4, 4)).T
+        g, per = _gl(m)[0] + 1.0, max(1, OFFSET_BLOCK // (m * m))
+        for p0 in range(p_first, p_end, per):
+            p1 = min(p0 + per, p_end)
+            pp = panel[p0:p1]
+            x = lo[pp][:, :, None] + 0.5 * width[pp][:, :, None] * g  # (panels, 2, m)
+            x *= x
+            n_end = n0 + (p1 - p0) * m * m
+            nodes[n0:n_end].reshape(p1 - p0, m, m)[...] = x[:, 0, :, None] + x[:, 1, None, :]
+            chunks.append((n0, int(p0), int(p1), hats))
+            n0 = n_end
+    np.log(nodes, out=nodes)
+    fold = np.abs(d1 + n1 * np.arange(-copies, copies + 1)[:, None]) * n2 + d2
+    corner = np.zeros((top + 1, n2, 3))  # at a = (0, 1), (1, 0), (1, 1)
+    corner[:2, :2] = np.array([[(0, 0, 0), (2 * h1, 0, -2)], [(0, 2 * h2, -2), (0, 0, 1)]])[:, :n2]
+    into = _frozen(4 * square[panel, None] + np.arange(4), np.intp)
+    return _NDPlan(
+        copies, _frozen(nodes), tuple(chunks), into, squares, _frozen(fold, np.intp),
+        _frozen(corner.reshape(-1, 3)[fold].sum(axis=0)),
+        _tri_moments(n1 // 2 + 1, h1)[d1], _tri_moments(n2, h2)[d2],
     )
-    return copies, boxes, _tri_moments(n1 // 2 + 1, h1)[d1], _tri_moments(n2, h2)[d2]
 
 
-def _nd_direct(plan, mu: float) -> tuple[np.ndarray, np.ndarray]:
+def _nd_direct(plan: _NDPlan, mu: float) -> tuple[np.ndarray, np.ndarray]:
     """The sector entries less their corner terms, summed directly at one mu,
     and the truncation bound of their copy tails.
 
-    The boxes of each x1 copy k in [-K, K] are integrated over the panels of
-    ``_panels``, each at the Gauss-Legendre order that Trefethen's bound asks
-    for: the kernel exp(-mu log r^2) at the plan's nodes, contracted per
-    panel, then per offset (``_box_sums``).  The copies past both ends sum
-    to the polynomial series of ``_copy_tail_series``, whose box integral
-    against tri(z1) tri(z2) separates into the tri moments along each axis
-    and C; twice its first omitted degree bounds the rest.
+    The kernel exp(-mu log r^2) at the plan's nodes, one matrix product per
+    chunk, gives each panel's moments of its square's hats, and one
+    ``np.bincount`` sums them into H[j1, j2, e1, e2].  The box at a is then
+    four shifted slices, H[a - 1, a - 1, 1, 1] + H[a - 1, a, 1, 0] +
+    H[a, a - 1, 0, 1] + H[a, a, 0, 0], and a sector offset the sum of its
+    folded copies' boxes.  The copies past both ends sum to the polynomial
+    series of ``_copy_tail_series``, whose box integral against tri(z1)
+    tri(z2) separates into the tri moments along each axis and C; twice its
+    first omitted degree bounds the rest.
     """
-    copies, boxes, tri1, tri2 = plan
-    quadrature = _box_sums(boxes, lambda lr2: np.exp(-mu * lr2))
+    moments = np.empty((len(plan.into), 4))
+    for n0, p0, p1, hats in plan.chunks:
+        f = np.exp(-mu * plan.nodes[n0 : n0 + (p1 - p0) * len(hats)])
+        np.matmul(f.reshape(p1 - p0, len(hats)), hats, out=moments[p0:p1])
+    H = np.bincount(plan.into.ravel(), moments.ravel(), 4 * math.prod(plan.squares))
+    H = H.reshape(*plan.squares, 2, 2)
+    box = H[:-1, :-1, 1, 1] + H[:-1, 1:, 1, 0] + H[1:, :-1, 0, 1] + H[1:, 1:, 0, 0]
     tail, omitted = TWO_PI ** (-2.0 * mu) * np.sum(
-        (tri1 @ np.stack(_copy_tail_series(mu, copies))) * tri2, axis=2
+        (plan.tri1 @ np.stack(_copy_tail_series(mu, plan.copies))) * plan.tri2, axis=2
     )
-    return quadrature + tail, 2.0 * omitted
+    return box.ravel()[plan.fold].sum(axis=0) + tail, 2.0 * omitted
 
 
 _NDFit = namedtuple("_NDFit", "coef log_r2 corner corner_rule cells to_hi to_lo bound")
@@ -990,7 +920,7 @@ def _nd_fit(grid1: Grid1D, grid2: Grid1D) -> _NDFit:
     cos(pi j / N) / 4 of [1, 1.5] and kept as its interpolant's
     coefficients, F = sum_k a_k T_k(x) with x = 4 mu - 5 = 2 sigma - 1
     (``coef``, one row per offset), beside log r^2, the corner weights of
-    the box rule, ``_corner_rule``, the flat indices of the four table
+    the plan, ``_corner_rule``, the flat indices of the four table
     cells that each sector offset fills by symmetry, and the distances of
     grid2's cell edges to its upper and lower end, which the closed-form
     exterior masses take to the power 1 - sigma.
@@ -1035,7 +965,7 @@ def _nd_fit(grid1: Grid1D, grid2: Grid1D) -> _NDFit:
     corner_rule = _corner_rule(min(h1, h2))
     b = grid2.boundaries()
     return _NDFit(
-        _frozen(coef), _frozen(log_r2), plan[1].corner, corner_rule, _frozen(cells, np.intp),
+        _frozen(coef), _frozen(log_r2), plan.corner, corner_rule, _frozen(cells, np.intp),
         _frozen(grid2.hi - b), _frozen(b - grid2.lo), bound,
     )
 

@@ -251,12 +251,25 @@ class TestErrorPaths:
         ["perimeter", "--s", "nan", "--set", "{e}"],
         ["kernels", "--kernel", "heat:t=-1", "--n", "4"],
         ["kernels", "--kernel", "riesz:sigma=nan", "--n", "8"],
+        ["seminorm", "--s", "0.4", "--in", "{n_text}"],
+        ["seminorm", "--s", "0.4", "--in", "{n_fraction}"],
+        ["seminorm", "--s", "0.4", "--in", "{domain_text}"],
+        ["seminorm", "--s", "0.4", "--in", "{number}"],
+        ["seminorm", "--s", "0.4", "--in", "{axes_number}"],
+        ["seminorm", "--s", "0.4", "--in", "{u}", "--out", "{nodir}"],
+        ["verify", "--suite", "riesz", "--cases", "1", "--out", "{nodir}"],
+        ["sweep", "--in", "{u}", "--values", "0.1", "0.9", "2", "--out", "{nodir}"],
+        ["kernels", "--kernel", "heat:t=1", "--n", "4", "--out", "{nodir}"],
+        ["rearrange", "--op", "periodic", "--in", "{u}", "--out", "{nodir}"],
     ],
     ids=["kernel-float", "kernel-pair", "cost-float", "missing-in", "p-nan", "s-nan",
          "cases-negative", "seed-negative", "cost-p-below-1", "sweep-count-zero",
          "sweep-count-fraction", "ragged-json", "nd-json-without-values",
          "perimeter-s-nan", "kernel-heat-t-negative",
-         "kernel-riesz-sigma-nan"],
+         "kernel-riesz-sigma-nan", "json-n-text", "json-n-fraction", "json-domain-text",
+         "json-not-object", "json-axes-not-list", "seminorm-out-missing-dir",
+         "verify-out-missing-dir", "sweep-out-missing-dir", "kernels-out-missing-dir",
+         "rearrange-out-missing-dir"],
 )
 def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys):
     infile, _ = circle_file
@@ -266,7 +279,14 @@ def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys):
              "ragged": write_json(tmp_path / "ragged.json", ragged),
              "novalues": write_json(tmp_path / "novalues.json", {"axes": ragged["axes"]}),
              "e": write_json(tmp_path / "e.json", function_to_json(
-                 StepFunction.on_circle([0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0])))}
+                 StepFunction.on_circle([0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0]))),
+             "nodir": str(tmp_path / "absent" / "out.csv")}
+    values = [0.0, 1.0, 1.0, 0.0]
+    for name, obj in {"n_text": {"grid": {"n": "x", "domain": "periodic"}, "values": values},
+                      "n_fraction": {"grid": {"n": 4.7, "domain": "periodic"}, "values": values},
+                      "domain_text": {"grid": {"n": 4, "domain": ["a", 1]}, "values": values},
+                      "number": 3, "axes_number": {"axes": 3, "values": [values]}}.items():
+        paths[name] = write_json(tmp_path / f"{name}.json", obj)
     rc = main([arg.format(**paths) for arg in argv])
     err = capsys.readouterr().err
     assert rc == 2

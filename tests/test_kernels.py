@@ -617,6 +617,53 @@ class TestRieszWeightsND:
         nz = ref != 0
         assert np.max(np.abs(sector[nz] / ref[nz] - 1.0)) < 1e-14
 
+    # sectors 0 <= d1 <= n1/2, 0 <= d2 < n2 of grids whose x1 copies fold in
+    # awkward ways: on 1 x 4 and 2 x 3 the k = +-1 copies touch the kernel
+    # origin, and 3 x 7 has an odd n1; recorded from the per-box plan that
+    # summed every copy k in [-K, K] apart
+    FOLD_PINS = {
+        (1, 4, 1.0, 0.3): [
+            ["0x0.0p+0", "0x1.23166d7245488p+4", "0x1.1b3b4cdb6f424p+2", "0x1.415bb85dfedc9p+1"],
+        ],
+        (1, 4, 1.0, 0.7): [
+            ["0x0.0p+0", "0x1.4ac0b2818d0e4p+5", "0x1.eee2e6210a745p+1", "0x1.d2e8463c0d63ep+0"],
+        ],
+        (2, 3, 1.0, 0.3): [
+            ["0x0.0p+0", "0x1.2dd292fa2b709p+3", "0x1.c3627d9719e84p+0"],
+            ["0x1.e63596601cb9bp+1", "0x1.b19f2c46658a0p+0", "0x1.e2e5c5c2aa0fep-1"],
+        ],
+        (2, 3, 1.0, 0.7): [
+            ["0x0.0p+0", "0x1.4f63d8144a7bap+4", "0x1.748ef6aaad4cap+0"],
+            ["0x1.07059acd9d8fcp+3", "0x1.92d1c70ad0fb0p+0", "0x1.4ddf4a36cfa5fp-1"],
+        ],
+        (3, 7, 4.5, 0.3): [
+            ["0x0.0p+0", "0x1.fe1dbe4a91538p+2", "0x1.22a1efdc2d16fp+0", "0x1.231572fdeb886p-1",
+             "0x1.7d439093d3af4p-2", "0x1.18acf4054b825p-2", "0x1.b837b75ce3f53p-3"],
+            ["0x1.42ec18c24b6aap+2", "0x1.e34e635cf8b21p+0", "0x1.b8d904c55709fp-1",
+             "0x1.0d6e7dc768f9dp-1", "0x1.750a73749ad3bp-2", "0x1.16f4c437dea21p-2",
+             "0x1.b77507d5a04c7p-3"],
+        ],
+        (3, 7, 4.5, 0.7): [
+            ["0x0.0p+0", "0x1.e96f1e626b00ap+3", "0x1.726926a09d8d8p-1", "0x1.28d78bedc6ceap-2",
+             "0x1.52b4e97ffdfbcp-3", "0x1.c4332c076863cp-4", "0x1.488cbe546e700p-4"],
+            ["0x1.288d1d3486394p+3", "0x1.8016ce73aaefep+0", "0x1.f992efb113542p-2",
+             "0x1.08cf166b855d4p-2", "0x1.476c43e7047f8p-3", "0x1.bfbae70f37bffp-4",
+             "0x1.479a3c6eba39fp-4"],
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "n1,n2,half,sigma", list(FOLD_PINS), ids=lambda x: str(x).replace(".", "_")
+    )
+    def test_pinned_fold_sectors(self, n1, n2, half, sigma):
+        pinned = self.FOLD_PINS[n1, n2, half, sigma]
+        ref = np.array([[float.fromhex(x) for x in row] for row in pinned])
+        W = riesz_weights_nd(Grid1D.circle(n1), Grid1D.interval(n2, -half, half), sigma)
+        sector = W.weights[: n1 // 2 + 1, n2 - 1 :]
+        assert sector[0, 0] == 0.0
+        nz = ref != 0
+        assert np.max(np.abs(sector[nz] / ref[nz] - 1.0)) < 1e-14
+
     @pytest.mark.parametrize("sigma", [0.3, 0.98, 0.9999, 0.999999])
     def test_corner_moments_against_mpmath(self, sigma):
         # oracle: the radial integrals in closed form, over the angle in
@@ -724,12 +771,12 @@ class TestRieszWeightsND:
         assert fit is kernels._nd_fit(g1, g2)
 
     def test_plan_memory_is_bounded(self, fresh_caches):
-        # the plan is listed a block of boxes and a chunk of nodes at a
-        # time, and dropped once the fit is made: the first build at 16x16
-        # peaks within the plan (0.47 MiB) and 8 blocks (1 MiB; measured 4;
-        # listing every box quadrant at once peaked 16 blocks above the
-        # plan), and what it keeps, the fit (38 KiB) and small rules, is
-        # under a quarter of the plan
+        # the plan's nodes are written a chunk at a time, and the plan is
+        # dropped once the fit is made: the first build at 16x16 peaks
+        # within the plan (0.40 MiB, its nodes, slots, fold, weights and
+        # chunk matrices) and 8 blocks (1 MiB; measured 4), and what it
+        # keeps, the fit (38 KiB) and small rules, is under a quarter of
+        # the plan
         g1, g2 = Grid1D.circle(16), Grid1D.interval(16, -2.0, 2.0)
         kernels._gl_order(1.0, 1.0, 1.0, 1.0)  # scipy's lazy imports are not the plan's
         tracemalloc.start()
@@ -738,8 +785,9 @@ class TestRieszWeightsND:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        _, boxes, tri1, tri2 = kernels._nd_plan(g1.n, g1.h, g2.n, g2.h)
-        arrays = (boxes.nodes, boxes.moment, boxes.weight, boxes.target, boxes.corner, tri1, tri2)
+        plan = kernels._nd_plan(g1.n, g1.h, g2.n, g2.h)
+        hats = {id(c[3]): c[3] for c in plan.chunks}.values()  # chunks of a kind share one
+        arrays = (plan.nodes, plan.into, plan.fold, plan.corner, plan.tri1, plan.tri2, *hats)
         plan = sum(a.nbytes for a in arrays)
         fit = kernels._nd_fit(g1, g2)
         fit_arrays = (fit.coef, fit.log_r2, fit.corner, *fit.corner_rule, fit.cells)
@@ -755,7 +803,7 @@ def direct_sector(plan, g1, g2, sigma):
     mu = (2 + sigma) / 2
     values, _ = kernels._nd_direct(plan, mu)
     rule = kernels._corner_rule(min(g1.h, g2.h))
-    return values + plan[1].corner @ np.array(kernels._corner_moments(rule, sigma))
+    return values + plan.corner @ np.array(kernels._corner_moments(rule, sigma))
 
 
 def fitted_sector(g1, g2, sigma):
