@@ -310,9 +310,12 @@ def function_to_json(u: StepFunction | GridFunctionND) -> dict:
 
 def _json_values(obj: dict) -> np.ndarray:
     try:
-        return np.asarray(obj["values"], dtype=float)
+        values = np.asarray(obj["values"], dtype=float)
     except (TypeError, ValueError) as exc:  # ragged rows or non-numbers
         raise ConfigError(f"function values are not a numeric array: {exc}") from exc
+    if values.size and float(values.min()) < 0.0:  # an invalid file, not NegativeValue
+        raise ConfigError(f"function values must be nonnegative, got {float(values.min())!r}")
+    return values
 
 
 def function_from_json(obj: dict) -> StepFunction | GridFunctionND:

@@ -4,8 +4,8 @@ Every double integral in the package reduces to finite sums against tables
 W[d] = integral of a convolution kernel over a pair of cells at offset d.
 ``offset_sums`` owns the offset layout and computes the pair-cost sums that
 such tables contract with, each pair's cost once: gathered along periodic
-axes, dense and binned by offset along interval ones.  This module builds
-the tables:
+axes, dense and binned by offset along interval ones (a symmetric cost over
+half the offsets, mirrored by one gather).  This module builds the tables:
 
 * wrapped Gaussian (periodic heat kernel) and line Gaussian, from one
   erf/erfc antiderivative value per lattice point, with a theta-series dual
@@ -130,13 +130,16 @@ def _frozen(a, dtype=float) -> np.ndarray:
 
 # largest temporary of offset_sums and of the table builders, in elements.
 # 128 KiB blocks built 2D tables 1.3-2x faster than 2 MiB ones.  Offset sums
-# at 1 << 14, 15 and 16 (2-vCPU Xeon, numpy 2.4, best of 7): 12x12 cylinder
-# 75, 58, 54 us; 6x8 cylinder 17 us; 1024-cell circle 2.8, 2.7, 7.2 ms and
-# interval 3.3, 3.1, 3.6 ms.  Larger blocks re-round circle sums past 128 cells.
+# at 1 << 14, 15 and 16 (2-vCPU Xeon, numpy 2.4, best of 7, two runs;
+# symmetric as the seminorm's pair costs take them): 12x12 cylinder 48-57,
+# 50-58, 51-64 us (full 104-110, 84-92, 91-95 us); 6x8 cylinder 19-27,
+# 20-22, 26-29 us; 1024-cell circle 2.3-2.7, 1.6-2.5, 6.4-7.4 ms (full
+# 4.5-5.2, 3.9-5.0, 11.7-12.2 ms) and interval 4.6-4.8, 4.6-4.7, 5.9-6.0 ms.
+# Larger blocks re-round circle sums past 128 cells.
 OFFSET_BLOCK = 1 << 14
 
 
-def offset_sums(u, v, cost, periodic) -> np.ndarray:
+def offset_sums(u, v, cost, periodic, *, symmetric=False) -> np.ndarray:
     """Pair costs summed by cell offset: S[d] = sum_i cost(u[i], v[i + d]).
 
     This is the offset layout of every pair table in the package:
@@ -160,13 +163,22 @@ def offset_sums(u, v, cost, periodic) -> np.ndarray:
     summed over the periodic cells and binned to offset slots by one
     ``np.bincount``.  Offsets, and past one offset the rows of the first
     interval axis, come in chunks of at most OFFSET_BLOCK cost elements.
+
+    ``symmetric=True`` asserts S[-d] = S[d], as for u against itself under
+    a cost with cost(a, b) = cost(b, a); the code cannot tell this from its
+    input.  Then only the offsets 0..n // 2 of the first periodic axis are
+    summed, and one gather through the plan's ``mirror`` fills every slot
+    of the result from its own or its negated offset.  It takes no batch
+    axes.
     """
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     periodic = tuple(periodic)
     k = len(periodic)
     if u.ndim != k or v.shape[v.ndim - k :] != u.shape:
         raise GridMismatch(f"cannot pair shapes {u.shape} and {v.shape} on {k} axes")
-    p = _offset_plan(u.shape, periodic, v.shape[: v.ndim - k], OFFSET_BLOCK)
+    if symmetric and v.ndim != k:
+        raise GridMismatch(f"symmetric offset sums take no batch axes, got shape {v.shape}")
+    p = _offset_plan(u.shape, periodic, v.shape[: v.ndim - k], OFFSET_BLOCK, symmetric)
     cells = u.transpose(p.order).reshape(p.vshape[1:])
     vs = v.transpose(p.v_axes).reshape(p.vshape)
     parts = []
@@ -188,21 +200,31 @@ def offset_sums(u, v, cost, periodic) -> np.ndarray:
                 acc = got
                 parts.append(got.reshape(partners.shape[0], -1))
     out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    if p.mirror is not None:
+        return out.take(p.mirror)
     return np.ascontiguousarray(out.reshape(p.shape).transpose(p.back))
 
 
-_OffsetPlan = namedtuple("_OffsetPlan", "order v_axes shape back vshape chunks idx bins rows slots")
+_OffsetPlan = namedtuple(
+    "_OffsetPlan", "order v_axes shape back vshape chunks idx bins rows slots mirror"
+)
 
 
 @lru_cache(maxsize=32)
-def _offset_plan(shape: tuple, periodic: tuple, batch: tuple, block: int) -> _OffsetPlan:
-    """Layout of ``offset_sums`` for one shape, batch and block size: axis
-    orders with the periodic axes first and ``back``; per temporary
-    (``chunks``) its block's first offset in flat cells and its rows of
-    ``idx``, the flat cell (i + o) mod n per periodic offset o of the first
-    block and periodic cell i; ``bins``, per leading row l and (cell,
+def _offset_plan(
+    shape: tuple, periodic: tuple, batch: tuple, block: int, symmetric: bool
+) -> _OffsetPlan:
+    """Layout of ``offset_sums`` for one shape, batch, block size and
+    symmetry: axis orders with the periodic axes first and ``back``; per
+    temporary (``chunks``) its block's first offset in flat cells and its
+    rows of ``idx``, the flat cell (i + o) mod n per periodic offset o of the
+    first block and periodic cell i; ``bins``, per leading row l and (cell,
     partner) pair of the first ``rows`` chunk of interval rows, the slot
-    l * slots + the flat slot of partner - cell (None without interval axes).
+    l * slots + the flat slot of partner - cell (None without interval
+    axes).  A symmetric plan covers the first-axis offsets 0..n // 2 only,
+    and ``mirror`` holds, per slot of the result in the caller's axis order,
+    the flat slot of the sums that holds it or its negated offset (None for
+    a full plan).
     """
     k, b, lead = len(shape), len(batch), math.prod(batch)
     order = tuple(sorted(range(k), key=lambda a: not periodic[a]))
@@ -211,11 +233,12 @@ def _offset_plan(shape: tuple, periodic: tuple, batch: tuple, block: int) -> _Of
     ioff = tuple(2 * m - 1 for m in ishape)
     grid = pshape or (1,)  # the periodic cells, one if there are none
     n, cells, pairs, slots = grid[0], math.prod(grid), math.prod(ishape), math.prod(ioff)
+    top = n // 2 + 1 if symmetric else n  # first-axis offsets summed
     dense = lead * cells * pairs * pairs  # cost elements of one periodic offset
     chunk = max(1, block // dense)  # periodic offsets per temporary
     rest = cells // n  # flat cells per first-axis cell
-    step = min(n, max(1, chunk // rest))  # first-axis offsets per block
-    blocks = [(lo * rest, (min(lo + step, n) - lo) * rest) for lo in range(0, n, step)]
+    step = min(top, max(1, chunk // rest))  # first-axis offsets per block
+    blocks = [(lo * rest, (min(lo + step, top) - lo) * rest) for lo in range(0, top, step)]
     chunks = [(s, slice(r, min(r + chunk, m))) for s, m in blocks for r in range(0, m, chunk)]
     g, j = np.indices((step,) + grid[1:] + grid, sparse=True), len(grid)
     idx = np.ravel_multi_index([g[a] + g[j + a] for a in range(j)], grid, mode="wrap")
@@ -228,17 +251,27 @@ def _offset_plan(shape: tuple, periodic: tuple, batch: tuple, block: int) -> _Of
         held = lead * min(chunk, blocks[0][1])  # leading rows of a temporary
         bins = _frozen(slot.ravel() + slots * np.arange(held)[:, None], np.intp)
     w, down = pairs // n_rows, slots // (2 * n_rows - 1)  # cells and slots of a row
+    back = tuple(range(b)) + tuple(b + order.index(a) for a in range(k))
+    mirror = None
+    if symmetric:  # the slot of -d: -d mod m on a periodic axis, 2 m - 2 - slot on an interval one
+        g, j = np.indices(pshape + ioff, sparse=True), len(pshape)
+        neg = [-x % m for x, m in zip(g, pshape)] + [2 * m - 2 - x for x, m in zip(g[j:], ishape)]
+        up = g[0] > n // 2 if pshape else False
+        half = (top,) + pshape[1:] + ioff if pshape else ioff
+        at = np.ravel_multi_index([np.where(up, y, x) for x, y in zip(g, neg)], half)
+        mirror = np.ascontiguousarray(at.transpose(back))  # writeable, as idx
     return _OffsetPlan(
         order=order,
         v_axes=tuple(range(b)) + tuple(b + a for a in order),
         shape=batch + pshape + ioff,  # of the sums, periodic axes first
-        back=tuple(range(b)) + tuple(b + order.index(a) for a in range(k)),
+        back=back,
         vshape=(lead, cells) + (pairs,) * bool(ishape),
         chunks=tuple(chunks),
         idx=idx.reshape(-1, cells),  # writeable: ``take`` copies a read-only index
         bins=bins,
         rows=tuple((slice(a * w, (a + rows) * w), a * down) for a in range(0, n_rows, rows)),
         slots=slots,
+        mirror=mirror,
     )
 
 
@@ -956,7 +989,7 @@ def _nd_fit(grid1: Grid1D, grid2: Grid1D) -> _NDFit:
                    for mu in (1.25 - reach, 1.25 + reach)], axis=0)
     lebesgue = 2.0 / math.pi * math.log(FIT_DEGREE + 1) + 1.0
     error = 4.0 * peak / ((FIT_RHO - 1.0) * FIT_RHO**FIT_DEGREE) + lebesgue * truncation.max(axis=0)
-    bound = float(np.max(error / values.min(axis=0)))
+    bound = float(np.max(error / values.min(axis=0), initial=0.0))  # no offsets on 1 x 1
     if bound > ND_TABLE_ACCURACY:
         raise RangeTooWide(f"2D table fit would not certify rtol={ND_TABLE_ACCURACY}")
     # (d1 or -d1, d2 or -d2) in weights[d1 mod n1, d2 + n2 - 1]

@@ -93,10 +93,23 @@ def _divergent(method: str) -> SeminormResult:
 
 
 def _pair_costs(u: StepFunction | GridFunctionND, p: float) -> np.ndarray:
-    """S[d] = sum over cell pairs at offset d of |u_i - u_j|^p."""
+    """S[d] = sum over cell pairs at offset d of |u_i - u_j|^p; S[-d] = S[d],
+    so half the offsets of the periodic axis are summed."""
     periodic = (True, False) if isinstance(u, GridFunctionND) else (True,)
     cost = (lambda a, b: np.abs(a - b)) if p == 1.0 else (lambda a, b: np.abs(a - b) ** p)
-    return offset_sums(u.values, u.values, cost, periodic)
+    return offset_sums(u.values, u.values, cost, periodic, symmetric=True)
+
+
+def _is_2d(u: StepFunction | GridFunctionND) -> bool:
+    """Whether u is a 2D function; an ND one of another axis count is a ConfigError."""
+    if not isinstance(u, GridFunctionND):
+        return False
+    if u.ndim != 2:
+        raise ConfigError(
+            f"an ND input needs one periodic axis and one interval axis, got {u.ndim} "
+            "axes; a 1D function uses the 'grid' format"
+        )
+    return True
 
 
 def gagliardo_periodic(
@@ -111,13 +124,12 @@ def gagliardo_periodic(
     2 sum_x |u(x)|^p E[x2], since u vanishes outside the box, where the plane
     sees |u|^p against the table's exterior masses E.  The pair costs, and in
     2D the column sums of |u|^p over x1, are computed once for all routes.
-    The dimension, 1 or 2, must be params.n.
+    The dimension, 1 or 2, must be params.n.  A sum that overflows float
+    range raises ConfigError; it is not the divergent result of sp >= 1.
     """
     if not set(methods) <= _ROUTES.keys():
         raise ConfigError(f"methods must be among {list(_ROUTES)}, got {list(methods)}")
-    nd = isinstance(u, GridFunctionND)
-    if nd and u.ndim != 2:
-        raise ConfigError(f"the seminorm routes implement n in {{1, 2}}, got n = {u.ndim}")
+    nd = _is_2d(u)
     if params.n != 1 + nd:
         raise ConfigError(f"{1 + nd}D input needs params.n == {1 + nd}")
     if not params.step_mode_finite:
@@ -132,6 +144,8 @@ def gagliardo_periodic(
         total = float(np.vdot(s, table.weights))
         if nd:
             total += 2.0 * float(columns @ table.exterior)
+        if not math.isfinite(total):  # finite values, so an overflow, not divergence
+            raise ConfigError(f"the {method} seminorm overflows: its p-th power is {total}")
         out.append(SeminormResult(total ** (1.0 / params.p), method, table.accuracy))
     return tuple(out)
 
@@ -308,9 +322,7 @@ def fractional_perimeter(e: StepFunction | GridFunctionND, s: float) -> float:
     """
     if not e.is_indicator():
         raise NotIndicator("fractional perimeter needs an indicator function")
-    nd = isinstance(e, GridFunctionND)
-    if nd and e.ndim != 2:
-        raise ConfigError("perimeter implements n in {1, 2}")
+    nd = _is_2d(e)
     table = _table(e, "direct", s)
     inside = e.values
     scost = offset_sums(inside, 1.0 - inside, np.multiply, (True, False) if nd else (True,))

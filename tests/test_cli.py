@@ -116,6 +116,15 @@ class TestSeminormCommand:
         a, b = float(lines[1].split(",")[0]), float(lines[2].split(",")[0])
         assert b == pytest.approx(a, rel=1e-6)
 
+    def test_one_cell_cylinder(self, tmp_path, capsys):
+        # the one pair is the diagonal: zero weights, and the exterior masses
+        # meet values that vanish on the interval's boundary layer
+        f = write_json(tmp_path / "one.json", {
+            "axes": [{"n": 1, "domain": "periodic"}, {"n": 1, "domain": [-1, 1]}], "values": [[0.0]]})
+        rc = main(["seminorm", "--s", "0.4", "--in", f])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == ["direct: 0.0", "laplace: 0.0"]
+
     def test_divergent_printed(self, tmp_path, circle_file, capsys):
         infile, _ = circle_file
         rc = main(["seminorm", "--s", "0.6", "--p", "2", "--method", "direct", "--in", infile])
@@ -232,6 +241,16 @@ class TestErrorPaths:
         assert len(lines) == 9
 
 
+# the message each input of test_config_errors_exit_2 must name
+ERROR_MESSAGES = {
+    "negative_1d": "must be nonnegative",
+    "negative_nd": "must be nonnegative",
+    "one_axis": "needs one periodic axis and one interval axis, got 1 axes; "
+                "a 1D function uses the 'grid' format",
+    "overflow": "the direct seminorm overflows",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -261,6 +280,11 @@ class TestErrorPaths:
         ["sweep", "--in", "{u}", "--values", "0.1", "0.9", "2", "--out", "{nodir}"],
         ["kernels", "--kernel", "heat:t=1", "--n", "4", "--out", "{nodir}"],
         ["rearrange", "--op", "periodic", "--in", "{u}", "--out", "{nodir}"],
+        ["seminorm", "--s", "0.4", "--in", "{negative_1d}"],
+        ["seminorm", "--s", "0.4", "--in", "{negative_nd}"],
+        ["seminorm", "--s", "0.4", "--in", "{one_axis}"],
+        pytest.param(["seminorm", "--s", "0.4", "--p", "2", "--in", "{overflow}"],
+                     marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
     ],
     ids=["kernel-float", "kernel-pair", "cost-float", "missing-in", "p-nan", "s-nan",
          "cases-negative", "seed-negative", "cost-p-below-1", "sweep-count-zero",
@@ -269,7 +293,8 @@ class TestErrorPaths:
          "kernel-riesz-sigma-nan", "json-n-text", "json-n-fraction", "json-domain-text",
          "json-not-object", "json-axes-not-list", "seminorm-out-missing-dir",
          "verify-out-missing-dir", "sweep-out-missing-dir", "kernels-out-missing-dir",
-         "rearrange-out-missing-dir"],
+         "rearrange-out-missing-dir", "json-negative-1d", "json-negative-nd",
+         "nd-one-axis", "seminorm-overflow"],
 )
 def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys):
     infile, _ = circle_file
@@ -285,9 +310,17 @@ def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys):
     for name, obj in {"n_text": {"grid": {"n": "x", "domain": "periodic"}, "values": values},
                       "n_fraction": {"grid": {"n": 4.7, "domain": "periodic"}, "values": values},
                       "domain_text": {"grid": {"n": 4, "domain": ["a", 1]}, "values": values},
-                      "number": 3, "axes_number": {"axes": 3, "values": [values]}}.items():
+                      "number": 3, "axes_number": {"axes": 3, "values": [values]},
+                      "negative_1d": {"grid": {"n": 4, "domain": "periodic"}, "values": [0, -1, 1, 0]},
+                      "negative_nd": dict(ragged, values=[[0, -1, 0], [0, 1, 0]]),
+                      "one_axis": {"axes": ragged["axes"][:1], "values": [0, 1]},
+                      "overflow": {"grid": {"n": 4, "domain": "periodic"},
+                                   "values": [0, 1, 1e308, 2]}}.items():
         paths[name] = write_json(tmp_path / f"{name}.json", obj)
     rc = main([arg.format(**paths) for arg in argv])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    for name, needle in ERROR_MESSAGES.items():
+        if f"{{{name}}}" in argv:
+            assert needle in err

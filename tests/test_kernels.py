@@ -1100,11 +1100,31 @@ class TestOffsetSums:
         offset_sums(u, v, power_cost, periodic)
         assert kernels._offset_plan.cache_info().misses == 1
         got = offset_sums(u, v, power_cost, periodic)
-        plan = kernels._offset_plan(shape, periodic, (2,), kernels.OFFSET_BLOCK)
+        plan = kernels._offset_plan(shape, periodic, (2,), kernels.OFFSET_BLOCK, False)
         assert kernels._offset_plan.cache_info().misses == 1
         assert len(plan.chunks) * len(plan.rows) > 4  # several temporaries
         ref = offset_sums_reference(u, v, power_cost, periodic)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "shape,periodic",
+        [((n,), (True,)) for n in (1, 2, 3, 64, 129)]
+        + [((n1, n2), (True, False)) for n1 in (1, 2, 7, 12) for n2 in (1, 5, 12)]
+        + [((5, 6), (True, True)), ((4, 3, 5), (False, True, False)), ((6, 5), (False, False))],
+    )
+    def test_symmetric_sums_match_the_full_path(self, shape, periodic, rng):
+        # half the first periodic axis's offsets, the rest mirrored as S[-d];
+        # the interval and second periodic axes are negated with it
+        u = rng.random(shape)
+        full = offset_sums(u, u, power_cost, periodic)
+        half = offset_sums(u, u, power_cost, periodic, symmetric=True)
+        assert half.shape == full.shape and half.flags.c_contiguous
+        assert np.all(np.abs(half - full) <= 4e-15 * np.abs(full))
+
+    def test_symmetric_sums_take_no_batch_axes(self, rng):
+        u = rng.random((5, 4))
+        with pytest.raises(GridMismatch, match="batch"):
+            offset_sums(u, np.stack((u, u)), power_cost, (True, False), symmetric=True)
 
     def test_small_blocks_change_nothing(self, rng, monkeypatch):
         u = rng.random((5, 4))

@@ -476,11 +476,34 @@ def test_both_routes_from_one_pass_of_pair_costs(rng, monkeypatch, dim):
     single = (gagliardo_periodic_direct(u, params), gagliardo_periodic_laplace(u, params))
     calls = []
     offset_sums = seminorm.offset_sums
-    monkeypatch.setattr(seminorm, "offset_sums", lambda *a: calls.append(a) or offset_sums(*a))
+    monkeypatch.setattr(
+        seminorm, "offset_sums", lambda *a, **kw: calls.append(a) or offset_sums(*a, **kw)
+    )
     assert gagliardo_periodic(u, params) == single
     assert len(calls) == 1
     with pytest.raises(ConfigError):
         gagliardo_periodic(u, params, ("direct", "fft"))
+
+
+def test_pair_costs_take_half_the_offsets(rng, monkeypatch):
+    # |u_i - u_j|^p is symmetric, so at 12 x 12 the pair costs are taken at
+    # the 7 first-axis offsets 0..6, not at all 12
+    u = random_nd_function(rng, n1=12, n2=12)
+    seen = []
+
+    def counted(cost):
+        return lambda a, b: seen.append(np.broadcast(a, b).size) or cost(a, b)
+
+    cost = counted(lambda a, b: np.abs(a - b))
+    full = kernels.offset_sums(u.values, u.values, cost, (True, False))
+    whole, seen[:] = sum(seen), []
+    offset_sums = seminorm.offset_sums
+    monkeypatch.setattr(
+        seminorm, "offset_sums", lambda a, b, cost, *r, **kw: offset_sums(a, b, counted(cost), *r, **kw)
+    )
+    s = seminorm._pair_costs(u, 1.0)
+    assert whole == 12**4 and sum(seen) <= 7 * whole // 12
+    assert np.all(np.abs(s - full) <= 4e-15 * full)
 
 
 def test_cached_route_tables_are_read_only():
