@@ -64,6 +64,8 @@ SQRT_PI = math.sqrt(math.pi)
 # pointwise switch between the Gaussian-copy sum and the theta dual
 # representation; both need <= ~8 terms there (tables: _heat_switch)
 T_SWITCH = 1.0 / (4.0 * math.pi**2)
+# relative size of the Gaussian-copy or theta terms a heat-kernel sum leaves out
+HEAT_TAIL_RTOL = 1e-15
 # certified relative accuracy of the periodized 1D power-kernel table, and
 # the accuracy of the 2D power-kernel table (quadrature checked against a
 # fixed-order rule, copy tail and Chebyshev fit certified by their bounds)
@@ -293,7 +295,6 @@ def check_kernel_monotone(w: KernelWeights) -> bool:
 @dataclass(frozen=True)
 class HeatKernelParams:
     t: float
-    tail_rtol: float = 1e-15
 
     def __post_init__(self):
         if not self.t > 0:
@@ -309,7 +310,7 @@ def heat_kernel_periodic(z, params: HeatKernelParams | float):
     """
     if not isinstance(params, HeatKernelParams):
         params = HeatKernelParams(float(params))
-    t, rtol = params.t, params.tail_rtol
+    t, rtol = params.t, HEAT_TAIL_RTOL
     z = np.asarray(z, dtype=float)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
@@ -390,7 +391,7 @@ def _heat_table_batch(n: int, h: float, ts: np.ndarray) -> np.ndarray:
     chunks run in ascending t and take kmax from their own smallest time,
     theta chunks in descending t and take the term count from their largest.
     """
-    rtol = 1e-15  # relative size of the copy or theta terms left out
+    rtol = HEAT_TAIL_RTOL
     ts = np.asarray(ts, dtype=float)
     out = np.empty((ts.size, n))
     d = np.arange(n)

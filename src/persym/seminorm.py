@@ -135,18 +135,20 @@ def gagliardo_periodic(
     if not params.step_mode_finite:
         const = float(u.values.max() - u.values.min()) == 0.0
         return tuple(SeminormResult(0.0, m, 1e-15) if const else _divergent(m) for m in methods)
-    s = _pair_costs(u, params.p)
-    if nd:  # u is nonnegative, so |u|^p is u^p
-        columns = (u.values**params.p).sum(axis=0)
+    tables = [_table(u, method, params.sigma) for method in methods]
     out = []
-    for method in methods:
-        table = _table(u, method, params.sigma)
-        total = float(np.vdot(s, table.weights))
-        if nd:
-            total += 2.0 * float(columns @ table.exterior)
-        if not math.isfinite(total):  # finite values, so an overflow, not divergence
-            raise ConfigError(f"the {method} seminorm overflows: its p-th power is {total}")
-        out.append(SeminormResult(total ** (1.0 / params.p), method, table.accuracy))
+    # an overflow shows as a total that is not finite, checked below
+    with np.errstate(over="ignore"):
+        s = _pair_costs(u, params.p)
+        if nd:  # u is nonnegative, so |u|^p is u^p
+            columns = (u.values**params.p).sum(axis=0)
+        for method, table in zip(methods, tables):
+            total = float(np.vdot(s, table.weights))
+            if nd:
+                total += 2.0 * float(columns @ table.exterior)
+            if not math.isfinite(total):  # finite values, so an overflow, not divergence
+                raise ConfigError(f"the {method} seminorm overflows: its p-th power is {total}")
+            out.append(SeminormResult(total ** (1.0 / params.p), method, table.accuracy))
     return tuple(out)
 
 
@@ -234,7 +236,7 @@ def _touches(n: int) -> np.ndarray:
     """Per offset d, the periodic copies of d at exactly one cell of distance:
     1 at d in {1, n-1} for n >= 3; on n = 2 the cells touch on both sides, on
     n = 1 the cell touches its own copies twice."""
-    return (np.abs(np.arange(n)[:, None] - n * np.arange(-1, 2)) == 1).sum(axis=1)
+    return np.bincount([1 % n, (n - 1) % n], minlength=n)
 
 
 @lru_cache(maxsize=64)

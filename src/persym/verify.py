@@ -17,12 +17,13 @@ the structural equality classes:
 Translates are detected on the half-cell grid, which is complete for exact
 step inputs: a non-constant step function equals a translate of its
 rearrangement only if the translate aligns the two breakpoint lattices.
-Classification works on raw value arrays.  On the circle every rotation of
-the rearrangement is compared at once (``_rotation_mask``).  On the line and
-the cylinder's interval axis one run-centre core (``_runs``) takes the strict
-superlevel sets of every level and row at once: a function is a translate of
-its rearrangement exactly when each set is one run of cells and all share
-one centre.  Centres are integers in half cells until a class is built.
+Classification works on raw value arrays.  In every context one run-centre
+core (``_runs``) takes the strict superlevel sets of every level and row at
+once: a function is a translate of its rearrangement exactly when each set
+is one run of cells (one arc on the circle) and all proper sets share one
+centre.  On the circle an empty or full set is not proper, and a set across
+the seam is an arc when its complement is a run.  Centres are integers in
+half cells until a class is built.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .functionals import (
     normalize,
     split_plus_minus,
 )
-from . import rearrange
 from .grid import Grid1D, GridFunctionND, StepFunction
 from .kernels import (
     CircleKernel,
@@ -93,105 +92,91 @@ class EqualityClass:
         return self.tag != "neither"
 
 
-@cache
-def _rotations(n: int) -> np.ndarray:
-    """The index matrix rot[z, i] = (i + z) % n, read-only."""
-    rot = (np.arange(n)[:, None] + np.arange(n)) % n
-    rot.flags.writeable = False
-    return rot
+def _runs(masks: np.ndarray, periodic: bool):
+    """Per mask along the last axis: whether it is proper, whether it is one
+    run of cells or not proper, and the run's centre in half cells from the
+    left end (cells a..b give a + b + 1).
 
-
-def _rotation_mask(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Shifts z with a[i] == b[(i + z) % n] for every i, as a bool vector.
-
-    All rotations of ``b`` are compared at once through one index matrix,
-    kept per length (``_rotations``).  Leading axes of ``a`` and ``b`` are
-    batch axes (broadcast together); the shift axis is last.
+    A proper set is nonempty, and on the circle not full: an empty or full
+    circle set matches every rotation.  A circle set holding both end cells
+    crosses the seam; it is one arc exactly when its complement is one run,
+    and its centre is the complement's plus n, mod 2n.
     """
-    return (b[..., _rotations(a.shape[-1])] == a[..., None, :]).all(axis=-1)
+    n = masks.shape[-1]
+    size = masks.sum(axis=-1)
+    proper = size > 0
+    centre = 1
+    if periodic:
+        proper &= size < n
+        seam = masks[..., 0] & masks[..., -1]
+        masks = masks ^ seam[..., None]
+        size = np.where(seam, n - size, size)
+        centre = np.where(seam, n + 1, 1)
+    first = masks.argmax(axis=-1)
+    last = n - 1 - masks[..., ::-1].argmax(axis=-1)
+    run = last - first + 1 == size
+    return proper, run | ~proper, (centre + first + last) % (2 * n)
 
 
-def _rotation_class(values: np.ndarray, taus: np.ndarray) -> EqualityClass:
-    """Circle classes of the slices of ``values`` along its first (periodic)
-    axis, each against its rearrangement on the half-cell grid.
+def _shared_centre(proper, ok, centre, axis):
+    """Along ``axis``: whether every set is ok and the proper ones share one
+    centre, and that centre (-1 where no set is proper)."""
+    top = np.where(proper, centre, -1).max(axis=axis, keepdims=True, initial=-1)
+    same = (ok & ((centre == top) | ~proper)).all(axis=axis)
+    return same, np.squeeze(top, axis)
 
-    Common translate: one half-cell rotation takes every slice's
-    rearrangement to the slice.  Levelwise: per level in ``taus``, one
-    rotation does so for every slice's strict superlevel set; a slice wholly
-    above or below the level matches every rotation by itself.  A level set
-    that is not one cyclic arc (more than one rising edge) matches no
-    rotation and rules out both, before any rotation is compared.
+
+def _class(rows: np.ndarray, taus: np.ndarray, keep, periodic: bool, place) -> EqualityClass:
+    """Classes of the rows of ``rows`` from their strict superlevel sets
+    {row > tau}, tau in ``taus``, all tested at once (levels x rows x cells).
+
+    Common translate: every set is one run (one arc on the circle) and the
+    proper sets share one centre.  Levelwise: the same test per level of
+    ``taus[keep]``.  ``place`` maps centres in half cells to shifts.
     """
-    m = 2 * values.shape[0]
-    # one row per slice, at half-cell resolution along the periodic axis;
-    # C-ordered copies, which the rotation gathers read about twice as fast
-    rows = np.repeat(values, 2, axis=0).reshape(m, -1).T.copy()
-    above = rows > taus[:, None, None]  # (level, slice, cell)
-    rises = np.count_nonzero(above[..., 1:] > above[..., :-1], axis=-1)
-    if (rises + (above[..., 0] > above[..., -1]) > 1).any():  # not one cyclic arc
+    proper, ok, centre = _runs(rows > taus[:, None, None], periodic)
+    if not ok[keep].all():  # a kept set that is not one run rules out both
         return EqualityClass("neither")
-    stars = rearrange._rearranged_values(values, axis=0).reshape(m, -1).T.copy()
-    common = _rotation_mask(rows, stars).all(axis=0)
-    if common.any():
-        return EqualityClass("common-translate", shift=float(np.argmax(common)))
-    ok = _rotation_mask(above, stars > taus[:, None, None]).all(axis=-2)  # (level, shift)
-    if not ok.any(axis=-1).all():
+    same, top = _shared_centre(proper, ok, centre, (0, 1))
+    if same:
+        return EqualityClass("common-translate", shift=float(place(top)))
+    same, tops = _shared_centre(proper[keep], ok[keep], centre[keep], 1)
+    if not same.all():
         return EqualityClass("neither")
-    shifts = np.argmax(ok, axis=-1).astype(float)  # first admissible shift
+    shifts = place(tops).astype(float).tolist()
     return EqualityClass(
-        "levelwise-translate", level_shifts=tuple(zip(taus.tolist(), shifts.tolist()))
+        "levelwise-translate", level_shifts=tuple(zip(taus[keep].tolist(), shifts))
     )
 
 
-def _classify_circle(cols: np.ndarray) -> EqualityClass:
-    """Classes of the functions in the columns of ``cols`` on one circle;
-    the levelwise test takes the levels all of them cross."""
-    lo, hi = cols.min(axis=0), cols.max(axis=0)
-    if (lo == hi).any():
-        return EqualityClass("constant")
-    levels = np.unique(cols)
-    return _rotation_class(cols, levels[(levels >= lo.max()) & (levels < hi.min())])
+def _circle_class(rows: np.ndarray, whole: bool) -> EqualityClass:
+    """Circle classes of the rows of ``rows`` at every level below the top.
 
-
-def _runs(masks: np.ndarray):
-    """Per mask along the last axis: whether it is nonempty, whether it is one
-    contiguous run of cells, and the run's centre in half cells from the
-    left end (cells a..b give a + b + 1)."""
-    n = masks.shape[-1]
-    first = np.argmax(masks, axis=-1)
-    last = n - 1 - np.argmax(masks[..., ::-1], axis=-1)
-    nonempty = masks.any(axis=-1)
-    run = nonempty & (last - first + 1 == masks.sum(axis=-1))
-    return nonempty, run, first + last + 1
-
-
-def _run_class(rows: np.ndarray, grid: Grid1D, hi: float) -> EqualityClass:
-    """Line classes of the rows of ``rows``, functions on the interval ``grid``
-    with a positive maximum.
-
-    Every strict superlevel set {row > tau}, tau in {0} and the values, is
-    tested at once (levels x rows x cells).  A row is a translate of its
-    rearrangement when each of its nonempty sets is one run and all share
-    one centre.  Common translate: one centre for every row.  Levelwise:
-    per value tau < hi, the nonempty sets are runs sharing a centre.
-    Centres are integers in half cells until the class is built.
+    Rows that are ``whole`` functions are "constant" if one is, and their
+    levelwise test takes the levels all of them cross; slices of one
+    function take every level.  A centre c is the rotation (n - c) mod 2n
+    half cells of the rearrangement, 0 where no set is proper.
     """
+    n = rows.shape[1]
+    taus = np.unique(rows)[:-1]
+    keep = slice(None)  # every level
+    if whole:
+        lo, hi = rows.min(axis=1), rows.max(axis=1)
+        if (lo == hi).any():
+            return EqualityClass("constant")
+        keep = (taus >= lo.max()) & (taus < hi.min())
+    return _class(rows, taus, keep, True, lambda c: np.where(c < 0, 0, (n - c) % (2 * n)))
+
+
+def _line_class(rows: np.ndarray, grid: Grid1D, hi: float) -> EqualityClass:
+    """Line classes of the rows of ``rows``, functions on the interval ``grid``
+    with a positive maximum, at 0 and every value below the top; the
+    levelwise test takes the levels below ``hi``."""
     taus = np.unique(np.concatenate(([0.0], rows.ravel())))[:-1]  # below the top
-    nonempty, run, centre = _runs(rows > taus[:, None, None])
-    ok = run | ~nonempty
-    top = np.where(nonempty, centre, -1).max(axis=1)
-    bottom = np.where(nonempty, centre, 2 * grid.n).min(axis=1)
-    half = grid.h / 2.0
-    if ok.all() and top.max() == bottom.min():
-        return EqualityClass("common-translate", shift=grid.lo + float(top[0]) * half)
     keep = taus < hi
     keep[0] &= bool(rows.min() == 0.0)  # 0 is a level only as a value
-    if not (ok[keep].all() and (top[keep] == bottom[keep]).all()):
-        return EqualityClass("neither")
-    centres = (grid.lo + top[keep] * half).tolist()
-    return EqualityClass(
-        "levelwise-translate", level_shifts=tuple(zip(taus[keep].tolist(), centres))
-    )
+    half = grid.h / 2.0
+    return _class(rows, taus, keep, False, lambda c: grid.lo + c * half)
 
 
 def classify_equality(u, v=None, context: str = "circle") -> EqualityClass:
@@ -214,25 +199,25 @@ def classify_equality(u, v=None, context: str = "circle") -> EqualityClass:
         ):
             kind = "periodic" if periodic else "interval"
             raise ConfigError(f"{context} classification needs u and v on one {kind} grid")
+        rows = np.stack((u.values, v.values))
         if periodic:
-            return _classify_circle(np.stack((u.values, v.values), axis=1))
+            return _circle_class(rows, whole=True)
         if not u.values.any() or not v.values.any():
             return EqualityClass("zero")
         hi = min(float(u.values.max()), float(v.values.max()))
-        return _run_class(np.stack((u.values, v.values)), u.grid, hi)
+        return _line_class(rows, u.grid, hi)
     if context == "periodic-ps":
         if isinstance(u, GridFunctionND):
-            levels = np.unique(u.values)
-            return _rotation_class(u.values, levels[levels < levels[-1]])
+            return _circle_class(u.values.reshape(u.axis1.n, -1).T, whole=False)
         if not (isinstance(u, StepFunction) and u.grid.periodic):
             raise ConfigError("periodic-ps classification needs a periodic grid")
-        return _classify_circle(u.values[:, None])
+        return _circle_class(u.values[None], whole=True)
     if context == "cylindrical-ps":
         if not (isinstance(u, GridFunctionND) and len(u.axes_perp) == 1):
             raise ConfigError("cylindrical-ps classification needs one interval axis")
         if not u.values.any():
             return EqualityClass("zero")
-        return _run_class(u.values, u.axes_perp[0], float(u.values.max()))
+        return _line_class(u.values, u.axes_perp[0], float(u.values.max()))
     raise ConfigError(f"unknown context {context!r}")
 
 
@@ -458,15 +443,18 @@ def exhaustive_oracle_circle(
         raise KernelNotMonotone(f"{kernel.name}: oracle needs a decreasing kernel")
     w2 = kernel.rearranged().weights(grid.refined(2))
 
-    refined = np.repeat(funcs, 2, axis=1)
     stars = np.stack([periodic_rearrange_1d(StepFunction(grid, f)).values for f in funcs])
-    consts = funcs.min(axis=1) == funcs.max(axis=1)
-    masks = _rotation_mask(refined, stars)  # (function, shift)
-    taus = np.arange(levels - 1.0)[:, None]
-    level_masks = _rotation_mask(refined[:, None] > taus, stars[:, None] > taus)
+    lows, highs = funcs.min(axis=1), funcs.max(axis=1)
+    consts = lows == highs
+    # per (function, level): whether {f > tau} is one arc or not proper, and
+    # its centre; per function: whether f is a translate of f*, and where
+    taus = np.arange(levels - 1.0)
+    proper, ok, centre = _runs(funcs[:, None] > taus[:, None], periodic=True)
+    translate, centres = _shared_centre(proper, ok, centre, 1)
 
     strict = j.strictly_convex
     is_abs = j.name.startswith("abs")
+    tag = "levelwise-translate" if is_abs else "class-i-or-ii"
     cost = lambda a, b: j(a - b)
     report = VerificationReport(
         suite=f"exhaustive:n={n},levels={levels},J={j.name},{kernel.name}"
@@ -475,20 +463,20 @@ def exhaustive_oracle_circle(
         lhs = offset_sums(funcs[a], funcs, cost, (True,)) @ w.weights
         rhs = offset_sums(stars[a], stars, cost, (True,)) @ w2.weights
         margins = lhs - rhs
+        if is_abs:
+            # every level both functions cross, where both sets are proper,
+            # holds two arcs of one centre
+            shared = (taus >= np.maximum(lows[a], lows)[:, None]) & (
+                taus < np.minimum(highs[a], highs)[:, None]
+            )
+            match = ok[a] & ok & (centre[a] == centre)
+            predictions = (match | ~shared).all(axis=1)
+        else:
+            predictions = consts[a] | consts | (translate[a] & translate & (centres[a] == centres))
         for b in range(m):
             margin = float(margins[b])
             scale = max(float(lhs[b]), 1.0)
-            if is_abs:
-                lo = max(funcs[a].min(), funcs[b].min())
-                hi = min(funcs[a].max(), funcs[b].max())
-                shared = [tau for tau in range(levels - 1) if lo <= tau < hi]
-                predicted = all(
-                    (level_masks[a, tau] & level_masks[b, tau]).any() for tau in shared
-                )
-                pred_tag = "levelwise-translate" if predicted else "neither"
-            else:
-                predicted = bool(consts[a] or consts[b] or (masks[a] & masks[b]).any())
-                pred_tag = "class-i-or-ii" if predicted else "neither"
+            predicted = bool(predictions[b])
             observed_zero = abs(margin) <= ORACLE_ZERO_TOL * scale
             if margin < -report.bound * scale:
                 status = "fail"
@@ -504,7 +492,7 @@ def exhaustive_oracle_circle(
                     report.suite,
                     f"{a}-{b}",
                     margin,
-                    pred_tag,
+                    tag if predicted else "neither",
                     "zero" if observed_zero else "positive",
                     status,
                 )

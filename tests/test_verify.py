@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from persym.rearrange import symmetric_decreasing_1d
 from persym.seminorm import SeminormParams
 import persym.verify
 from persym.verify import (
-    _rotation_mask,
     check_nonexpansivity_circle,
     check_nonexpansivity_euclidean,
     check_polya_cylindrical,
@@ -25,42 +25,6 @@ from persym.verify import (
 )
 
 from conftest import random_circle_function, random_interval_function, random_nd_function
-
-
-def _roll_reference(a, b):
-    """Shifts z with a == np.roll(b, -z), one np.roll per shift."""
-    return np.array([np.array_equal(a, np.roll(b, -z)) for z in range(a.size)])
-
-
-class TestRotationMask:
-    def test_random_floats(self, rng):
-        for n in (1, 2, 5, 16):
-            a = rng.random(n)
-            for b in (rng.random(n), np.roll(a, int(rng.integers(n))), a):
-                assert np.array_equal(_rotation_mask(a, b), _roll_reference(a, b))
-
-    def test_bool_masks(self, rng):
-        for _ in range(50):
-            a = rng.random(12) > 0.5
-            for b in (rng.random(12) > 0.5, np.roll(a, int(rng.integers(12)))):
-                assert np.array_equal(_rotation_mask(a, b), _roll_reference(a, b))
-
-    def test_periodic_pattern_has_several_shifts(self):
-        a = np.tile([2.0, 0.0, 1.0], 4)
-        b = np.roll(a, 5)
-        mask = _rotation_mask(a, b)
-        assert np.array_equal(mask, _roll_reference(a, b))
-        assert np.flatnonzero(mask).tolist() == [2, 5, 8, 11]
-
-    def test_leading_axes_are_batch_axes(self, rng):
-        a = rng.integers(0, 2, (3, 4, 8)).astype(float)
-        b = np.roll(a, 3, axis=-1)
-        b[0, 1] = rng.random(8)
-        mask = _rotation_mask(a, b)
-        assert mask.shape == (3, 4, 8)
-        for i in range(3):
-            for j in range(4):
-                assert np.array_equal(mask[i, j], _roll_reference(a[i, j], b[i, j]))
 
 
 class TestClassify:
@@ -106,6 +70,21 @@ class TestClassify:
         assert classify_equality(u, z, "euclidean").tag == "zero"
         w = symmetric_decreasing_instance(rng, g)
         assert classify_equality(w, w, "euclidean").tag == "common-translate"
+
+    def test_circle_pair_memory_is_bounded(self, rng):
+        # two rearranged functions at shifts 1 and 3 on 256 cells: the masks
+        # of every level, not every rotation of the rearrangement
+        g = Grid1D.circle(256)
+        u = symmetric_decreasing_instance(rng, g, shift=1)
+        v = symmetric_decreasing_instance(rng, g, shift=3)
+        tracemalloc.start()
+        try:
+            cls = classify_equality(u, v, "circle")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cls.tag == "neither"
+        assert peak < 4 * 2**20
 
     def test_sup_inf_separated_pair_is_vacuous_levelwise(self):
         u = StepFunction.on_circle([0.0, 1.0, 0.5, 0.0])
@@ -320,6 +299,65 @@ class TestClassifyOracle:
             _assert_same_class(
                 classify_equality(u, context="periodic-ps"), _oracle_class(u, None, "periodic-ps")
             )
+
+    def test_one_cell_circle(self):
+        for x, y in ((1.5, 1.5), (0.0, 2.0)):
+            u, v = StepFunction.on_circle([x]), StepFunction.on_circle([y])
+            _assert_same_class(classify_equality(u, v, "circle"), _oracle_class(u, v, "circle"))
+            _assert_same_class(
+                classify_equality(u, context="periodic-ps"), _oracle_class(u, u, "circle")
+            )
+        vals = np.array([[0.0, 1.0, 2.0, 0.0]])
+        u = GridFunctionND(Grid1D.circle(1), (Grid1D.centered_interval(4, 3.0),), vals)
+        cls = classify_equality(u, context="periodic-ps")
+        _assert_same_class(cls, _oracle_class(u, None, "periodic-ps"))
+        assert cls.shift == 0.0
+
+    def test_periodic_nd_constant_columns(self, rng):
+        # every interior column constant along x1: no superlevel set is a
+        # proper arc, so every rotation fits and the shift is 0
+        for n1 in (1, 2, 5, 8):
+            vals = np.zeros((n1, 5))
+            vals[:, 1:-1] = rng.integers(1, 4, 3).astype(float)
+            u = GridFunctionND(Grid1D.circle(n1), (Grid1D.centered_interval(5, 3.0),), vals)
+            cls = classify_equality(u, context="periodic-ps")
+            _assert_same_class(cls, _oracle_class(u, None, "periodic-ps"))
+            assert (cls.tag, cls.shift) == ("common-translate", 0.0)
+
+    def test_arcs_across_the_seam(self, rng):
+        # nested arcs through cell 0 and cell n - 1, some above a constant
+        # floor: one arc per level, or two where a cell inside is zeroed
+        for n in range(2, 9):
+            g = Grid1D.circle(n)
+            for _ in range(25):
+                pair = []
+                for _ in range(2):
+                    vals = np.full(n, float(rng.integers(0, 2)))
+                    length = int(rng.integers(1, n))
+                    start = int(rng.integers(n - length + 1, n + 1))
+                    vals[(start + np.arange(length)) % n] += 1.0
+                    inner = int(rng.integers(0, length + 1))
+                    at = start + int(rng.integers(0, length - inner + 1))
+                    vals[(at + np.arange(inner)) % n] += 1.0
+                    if rng.random() < 0.2:
+                        vals[(start + int(rng.integers(length))) % n] = 0.0
+                    pair.append(vals)
+                if rng.random() < 0.3:
+                    pair[1] = pair[0]
+                u, v = (StepFunction(g, x) for x in pair)
+                _assert_same_class(
+                    classify_equality(u, v, "circle"), _oracle_class(u, v, "circle")
+                )
+                _assert_same_class(
+                    classify_equality(u, context="periodic-ps"), _oracle_class(u, u, "circle")
+                )
+                zero = np.zeros(n)
+                vals = np.stack([zero, *pair, zero], 1)
+                w = GridFunctionND(g, (Grid1D.centered_interval(4, 3.0),), vals)
+                _assert_same_class(
+                    classify_equality(w, context="periodic-ps"),
+                    _oracle_class(w, None, "periodic-ps"),
+                )
 
 
 class TestClassifyConfig:
@@ -615,8 +653,8 @@ class TestClassifyPeriodicND:
 
 def test_fresh_caches_empty_the_index_caches(fresh_caches):
     u = StepFunction.on_circle([0.0, 1.0, 2.0, 1.0])
-    classify_equality(u, context="periodic-ps")
-    caches = (persym.verify._rotations, persym.rearrange.placement_order)
-    assert all(c.cache_info().currsize for c in caches)
+    symmetric_decreasing_1d(u)
+    cache = persym.rearrange.placement_order
+    assert cache.cache_info().currsize
     fresh_caches()
-    assert not any(c.cache_info().currsize for c in caches)
+    assert not cache.cache_info().currsize
