@@ -145,7 +145,7 @@ def cmd_energy(args) -> int:
     j = parse_cost(args.J)
     kernel = parse_kernel(args.kernel)
     w = kernel.weights(u.grid)
-    if w.singular_diagonal and float(j(u.values - v.values).max()) > 0.0:
+    if kernel.singular_diagonal and float(j(u.values - v.values).max()) > 0.0:
         # the true energy integrates a non-integrable kernel against a
         # nonvanishing diagonal cost
         print("divergent")
@@ -240,8 +240,8 @@ def cmd_kernels(args) -> int:
     else:
         grid = Grid1D.interval(args.n, *args.domain)
     w = kernel.weights(grid)
-    offsets = range(w.n) if w.periodic else range(-(w.n - 1), w.n)
-    rows = [(d, repr(w.offset(d))) for d in offsets]
+    offsets = range(grid.n) if grid.periodic else range(-(grid.n - 1), grid.n)
+    rows = [(d, repr(x)) for d, x in zip(offsets, w.weights.tolist())]
     if args.out:
         _write_csv(args.out, ["offset", "weight"], rows)
     else:

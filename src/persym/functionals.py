@@ -191,13 +191,13 @@ def _check_alignment(u: StepFunction, v: StepFunction, w: KernelWeights, periodi
     if u.grid.periodic != periodic:
         kind = "periodic" if periodic else "interval"
         raise GridMismatch(f"this energy needs {kind} grids")
-    if w.n != u.grid.n or w.periodic != periodic:
+    if w.n != (u.grid.n,) or w.periodic != (periodic,):
         raise GridMismatch("weight table was built for a different grid")
 
 
 def _pair_sum(f: np.ndarray, g: np.ndarray, cost, w: KernelWeights) -> float:
     """sum_{i,j} cost(f_i, g_j) W[j - i] over the cells of the table's grid."""
-    return float(np.vdot(offset_sums(f, g, cost, (w.periodic,)), w.weights))
+    return float(w.contract(offset_sums(f, g, cost, w.periodic)))
 
 
 def energy_circle(
@@ -227,9 +227,9 @@ def energy_euclidean(
         )
     if w.exterior is None:
         raise GridMismatch("weight table carries no exterior masses")
-    interior = _pair_sum(u.values, v.values, lambda a, b: j(a - b), w)
-    tails = float(j(u.values) @ w.exterior) + float(j(-v.values) @ w.exterior)
-    return EnergyResult(interior + tails, "direct", w.accuracy)
+    sums = offset_sums(u.values, v.values, lambda a, b: j(a - b), w.periodic)
+    energy = float(w.contract(sums, j(u.values), j(-v.values)))
+    return EnergyResult(energy, "direct", w.accuracy)
 
 
 @dataclass(frozen=True)

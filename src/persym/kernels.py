@@ -5,7 +5,10 @@ W[d] = integral of a convolution kernel over a pair of cells at offset d.
 ``offset_sums`` owns the offset layout and computes the pair-cost sums that
 such tables contract with, each pair's cost once: gathered along periodic
 axes, dense and binned by offset along interval ones (a symmetric cost over
-half the offsets, mirrored by one gather).  This module builds the tables:
+half the offsets, mirrored by one gather).  ``KernelWeights`` is the one
+table type, 1D or 2D, in that layout; its ``contract`` is the one
+contraction of pair sums with a table.  Tables are read-only; the
+single-time ones are cached by (grid, t).  This module builds the tables:
 
 * wrapped Gaussian (periodic heat kernel) and line Gaussian, from one
   erf/erfc antiderivative value per lattice point, with a theta-series dual
@@ -45,6 +48,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 from .errors import (
@@ -75,52 +79,66 @@ ND_TABLE_ACCURACY = 1e-12
 
 @dataclass(frozen=True)
 class KernelWeights:
-    """Cell-pair integrals of a 1D convolution kernel, indexed by offset.
+    """Cell-pair integrals of a convolution kernel, in the layout of ``offset_sums``.
 
-    Periodic tables store offsets 0..n-1 (modulo n); interval tables store
-    offsets -(n-1)..n-1 in ``weights[d + n - 1]``.  ``exterior[i]`` is the
-    kernel mass from cell i to the complement of the grid interval (filled
-    for integrable line kernels); ``total_mass`` is the full line integral.
+    ``periodic`` holds one flag per axis, as ``offset_sums`` takes it: a
+    periodic axis of n cells stores offsets 0..n-1 (modulo n), an interval
+    axis offsets -(n-1)..n-1 at index d + n - 1.  ``accuracy`` is the
+    table's relative accuracy.  ``exterior``, where the kernel is integrable
+    away from the grid, holds per cell of the last axis the kernel mass from
+    that cell to the region outside the grid's box (on a cylinder, x1
+    integrated over one period).  Kernels singular at the origin keep W = 0
+    at offset 0.
     """
 
-    n: int
-    h: float
-    periodic: bool
+    periodic: tuple
     weights: np.ndarray = field(repr=False)
-    accuracy: float = 1e-12
-    singular_diagonal: bool = False
-    total_mass: float | None = None
+    accuracy: float
     exterior: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        periodic = tuple(bool(p) for p in self.periodic)
         w = _frozen(self.weights)
-        expected = self.n if self.periodic else 2 * self.n - 1
-        if w.size != expected:
-            raise ConfigError(f"weight table needs {expected} entries, got {w.size}")
+        if w.ndim != len(periodic) or any(not p and m % 2 == 0 for p, m in zip(periodic, w.shape)):
+            raise ConfigError(f"weight table of shape {w.shape} fits no grid of axes {periodic}")
+        object.__setattr__(self, "periodic", periodic)
         object.__setattr__(self, "weights", w)
         if self.exterior is not None:
             object.__setattr__(self, "exterior", _frozen(self.exterior))
 
+    @property
+    def n(self) -> tuple[int, ...]:
+        """Cells per axis of the grid the table was built for."""
+        return tuple(m if p else (m + 1) // 2 for p, m in zip(self.periodic, self.weights.shape))
+
+    def contract(self, sums: np.ndarray, *outside: np.ndarray):
+        """sum_d S[d] W[d] for pair sums S in this layout (``offset_sums``),
+        one value per row of S's leading batch axes; plus m @ exterior for
+        each array m of ``outside``, a cost per cell of the last axis, which
+        sums the pairs whose partner lies outside the grid."""
+        w = self.weights
+        if sums.ndim == w.ndim:
+            total = np.vdot(sums, w)
+        else:
+            total = sums.reshape(sums.shape[: sums.ndim - w.ndim] + (-1,)) @ w.ravel()
+        if outside:
+            total = total + sum(float(m @ self.exterior) for m in outside)
+        return total
+
     def offset(self, d: int) -> float:
-        if self.periodic:
-            return float(self.weights[d % self.n])
-        if abs(d) >= self.n:
+        """The weight at offset d of a 1D table (0 past an interval's offsets)."""
+        (n,), (periodic,) = self.n, self.periodic
+        if periodic:
+            return float(self.weights[d % n])
+        if abs(d) >= n:
             return 0.0
-        return float(self.weights[d + self.n - 1])
+        return float(self.weights[d + n - 1])
 
     def row_sum(self) -> float:
         """Kernel mass seen from one cell against the whole period."""
-        if not self.periodic:
-            raise GridMismatch("row_sum is a periodic-table notion")
+        if self.periodic != (True,):
+            raise GridMismatch("row_sum is a notion of 1D periodic tables")
         return float(self.weights.sum())
-
-    def is_even(self, tol: float = 1e-12) -> bool:
-        if self.periodic:
-            d = np.arange(1, self.n)
-            return bool(
-                np.allclose(self.weights[d], self.weights[self.n - d], rtol=tol, atol=0)
-            )
-        return bool(np.allclose(self.weights, self.weights[::-1], rtol=tol, atol=0))
 
 
 def _frozen(a, dtype=float) -> np.ndarray:
@@ -156,7 +174,7 @@ def offset_sums(u, v, cost, periodic, *, symmetric=False) -> np.ndarray:
     beyond ``len(periodic)`` are batch axes and lead the result.  ``cost``
     is a vectorized binary function (``np.multiply``, or
     ``lambda a, b: j(a - b)``).  Contracting with a table of the same
-    layout, ``np.vdot(S, w.weights)``, gives sum_{i,j} cost(u_i, v_j) W[j - i].
+    layout, ``w.contract(S)``, gives sum_{i,j} cost(u_i, v_j) W[j - i].
 
     Each pair's cost is taken once.  Periodic partners (axes moved first)
     are gathered by the cached ``_offset_plan`` of the first block of
@@ -284,7 +302,8 @@ def check_kernel_monotone(w: KernelWeights) -> bool:
     the kernel decreasing away from the origin, which this verifies on the
     table instead of assuming.
     """
-    seq = w.weights[1 : w.n // 2 + 1] if w.periodic else w.weights[w.n - 1 :]
+    (n,), (periodic,) = w.n, w.periodic
+    seq = w.weights[1 : n // 2 + 1] if periodic else w.weights[n - 1 :]
     return bool(np.all(np.diff(seq) < 0))
 
 
@@ -435,7 +454,7 @@ def heat_weights_periodic(grid: Grid1D, t: float) -> KernelWeights:
     if not t > 0:
         raise NonpositiveTime(f"diffusion time must be positive, got {t}")
     table = _heat_table_batch(grid.n, grid.h, np.array([t]))[0]
-    return KernelWeights(grid.n, grid.h, True, table, accuracy=1e-12)
+    return KernelWeights((True,), table, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -479,15 +498,7 @@ def gaussian_weights_interval(grid: Grid1D, t: float) -> KernelWeights:
     if not t > 0:
         raise NonpositiveTime(f"diffusion time must be positive, got {t}")
     table, ext = _gauss_tables_batch(grid, [t])
-    return KernelWeights(
-        grid.n,
-        grid.h,
-        False,
-        table[0],
-        accuracy=1e-12,
-        total_mass=math.sqrt(math.pi / t),
-        exterior=ext[0],
-    )
+    return KernelWeights((False,), table[0], 1e-12, ext[0])
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +642,7 @@ def riesz_weights_1d(grid: Grid1D, sigma: float, periodized: bool) -> KernelWeig
     if not periodized:
         line = _riesz_line_pairs(_line_powers(n - 1), h, sigma)
         w = np.concatenate((line[:0:-1], line))
-        return KernelWeights(n, h, False, w, accuracy=1e-14, singular_diagonal=True)
+        return KernelWeights((False,), w, 1e-14)
     if not grid.periodic:
         raise GridMismatch("periodized Riesz weights need a periodic grid")
     a = 1.0 - sigma
@@ -643,7 +654,7 @@ def riesz_weights_1d(grid: Grid1D, sigma: float, periodized: bool) -> KernelWeig
     w += far
     accuracy = float(np.max(bound / w, initial=0.0)) + RIESZ_ROUNDING
     w = np.concatenate(([0.0], w))
-    return KernelWeights(n, h, True, w, accuracy=accuracy, singular_diagonal=True)
+    return KernelWeights((True,), w, accuracy)
 
 
 # ---------------------------------------------------------------------------
@@ -813,30 +824,6 @@ def _copy_tail_series(mu: float, copies: int) -> tuple[np.ndarray, np.ndarray]:
     return np.where(half < top, c, 0.0), np.where(half == top, np.abs(c), 0.0)
 
 
-@dataclass(frozen=True)
-class NDKernelWeights:
-    """x1-periodized 2D power-kernel weights plus analytic exterior masses.
-
-    ``weights[d1, d2 + n2 - 1]`` is the pair weight at offset (d1 mod n1, d2);
-    ``exterior[i2]`` is the kernel mass from any cell in column i2 to the
-    region outside the x2 box (x1 integrated over one period of x and all
-    copies of y).
-    """
-
-    n1: int
-    h1: float
-    n2: int
-    h2: float
-    sigma: float
-    weights: np.ndarray = field(repr=False)
-    exterior: np.ndarray = field(repr=False)
-    accuracy: float = ND_TABLE_ACCURACY
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _frozen(self.weights))
-        object.__setattr__(self, "exterior", _frozen(self.exterior))
-
-
 def _nd_sector(n1: int, n2: int):
     """Offsets of one symmetry sector, 0 <= d1 <= n1/2 and 0 <= d2 < n2, less
     the singular diagonal (0, 0), which keeps the convention W = 0."""
@@ -1004,7 +991,7 @@ def _nd_fit(grid1: Grid1D, grid2: Grid1D) -> _NDFit:
     )
 
 
-def riesz_weights_nd(grid1: Grid1D, grid2: Grid1D, sigma: float) -> NDKernelWeights:
+def riesz_weights_nd(grid1: Grid1D, grid2: Grid1D, sigma: float) -> KernelWeights:
     """Pair weights of |x - y|^(-(2+sigma)) with periodized x1, analytic tails.
 
     Offsets are computed for one symmetry sector and reflected (the kernel
@@ -1024,8 +1011,7 @@ def riesz_weights_nd(grid1: Grid1D, grid2: Grid1D, sigma: float) -> NDKernelWeig
     _check_sigma(sigma)
     if not grid1.periodic or grid2.periodic:
         raise GridMismatch("riesz_weights_nd needs (periodic, interval) axes")
-    n1, h1 = grid1.n, grid1.h
-    n2, h2 = grid2.n, grid2.h
+    n1, h1, n2 = grid1.n, grid1.h, grid2.n
     mu = (2.0 + sigma) / 2.0
     fit = _nd_fit(grid1, grid2)
     cheb = np.cos(math.acos(2.0 * sigma - 1.0) * np.arange(fit.coef.shape[1]))
@@ -1037,7 +1023,7 @@ def riesz_weights_nd(grid1: Grid1D, grid2: Grid1D, sigma: float) -> NDKernelWeig
     up = fit.to_hi[:-1] ** (1.0 - sigma) - fit.to_hi[1:] ** (1.0 - sigma)
     lo = fit.to_lo[1:] ** (1.0 - sigma) - fit.to_lo[:-1] ** (1.0 - sigma)
     ext = h1 * (kappa / (sigma * (1.0 - sigma))) * (up + lo)
-    return NDKernelWeights(n1, h1, n2, h2, sigma, w.reshape(n1, 2 * n2 - 1), ext)
+    return KernelWeights((True, False), w.reshape(n1, 2 * n2 - 1), ND_TABLE_ACCURACY, ext)
 
 
 # ---------------------------------------------------------------------------
@@ -1059,7 +1045,7 @@ def step_kernel_table(kernel: StepFunction) -> KernelWeights:
     if g.periodic:
         idx = np.arange(g.n)
         w = 0.5 * g.h**2 * (gam[(m - idx - 1) % g.n] + gam[(m - idx) % g.n])
-        return KernelWeights(g.n, g.h, True, w, accuracy=1e-15)
+        return KernelWeights((True,), w, 1e-15)
     d = np.arange(-(g.n - 1), g.n)
 
     def gam_at(j):
@@ -1068,9 +1054,7 @@ def step_kernel_table(kernel: StepFunction) -> KernelWeights:
         return np.where(inside, gam[np.clip(j, 0, g.n - 1)], 0.0)
 
     w = 0.5 * g.h**2 * (gam_at(m - d - 1) + gam_at(m - d))
-    return KernelWeights(
-        g.n, g.h, False, w, accuracy=1e-15, total_mass=float(gam.sum()) * g.h
-    )
+    return KernelWeights((False,), w, 1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -1078,9 +1062,15 @@ def step_kernel_table(kernel: StepFunction) -> KernelWeights:
 
 
 class CircleKernel:
-    """2 pi periodic kernel able to produce weights on any periodic grid."""
+    """2 pi periodic kernel able to produce weights on any periodic grid.
+
+    ``singular_diagonal``: the kernel is not integrable at the origin, so a
+    pair energy whose cost does not vanish on the diagonal is infinite (its
+    tables keep W = 0 at offset 0).
+    """
 
     name: str = "kernel"
+    singular_diagonal: bool = False
 
     def weights(self, grid: Grid1D) -> KernelWeights:
         raise NotImplementedError
@@ -1118,6 +1108,7 @@ class PeriodizedRieszKernel(CircleKernel):
     """
 
     sigma: float
+    singular_diagonal = True  # a class constant, not a field
 
     @property
     def name(self) -> str:
@@ -1162,6 +1153,7 @@ class LineKernel:
     """Integrable line kernel for Euclidean energies."""
 
     name: str = "kernel"
+    singular_diagonal: bool = False
 
     def weights(self, grid: Grid1D) -> KernelWeights:
         raise NotImplementedError
@@ -1205,22 +1197,18 @@ class StepKernelLine(LineKernel):
         k = round(ratio)
         if k < 1 or not math.isclose(ratio, k, rel_tol=1e-12):
             raise GridMismatch("kernel cell width must be an integer multiple of grid's")
-        base = step_kernel_table(refine(self.profile, k))
-        d = np.arange(-(grid.n - 1), grid.n)
-        w = np.array([base.offset(int(dd)) for dd in d])
-        interior = np.array(
-            [w[np.arange(grid.n) - i + grid.n - 1].sum() for i in range(grid.n)]
-        )
-        ext = np.maximum(grid.h * base.total_mass - interior, 0.0)
-        return KernelWeights(
-            grid.n,
-            grid.h,
-            False,
-            w,
-            accuracy=1e-14,
-            total_mass=base.total_mass,
-            exterior=ext,
-        )
+        fine = refine(self.profile, k)
+        base = step_kernel_table(fine).weights
+        top, base_top = grid.n - 1, base.size // 2  # the largest offsets
+        reach = min(top, base_top)
+        w = np.zeros(2 * top + 1)
+        w[top - reach : top + reach + 1] = base[base_top - reach : base_top + reach + 1]
+        # cell i meets the offsets -i..n-1-i, a window of n entries, each
+        # summed on its own (a row of the sliding view), with none of the
+        # cancellation of a running-sum difference
+        interior = sliding_window_view(w, grid.n).sum(axis=1)[::-1]
+        ext = np.maximum(grid.h * (fine.values.sum() * fine.grid.h) - interior, 0.0)
+        return KernelWeights((False,), w, 1e-14, ext)
 
     def rearranged(self) -> "StepKernelLine":
         return StepKernelLine(symmetric_decreasing_1d(self.profile))

@@ -7,9 +7,12 @@ periodized 1D tables, or the 2D table with analytic exterior masses.  Route
 two ("laplace") writes the kernel as a Gamma-weighted integral of Gaussians
 in an auxiliary time variable and contracts the wrapped-Gaussian and
 line-Gaussian tables at the nodes of the validated exp-substitution rule
-into one table.  The tables share no kernel code, so their agreement
+into one table, its heat and Gaussian rows taken from stacks kept once per
+grid on the sigma-free log-t lattice, so a fresh s costs one rule and one
+contraction.  The tables share no kernel code, so their agreement
 cross-validates both; divergence (sp >= 1 on non-constant step input) is a
-first-class result, not an exception.
+first-class result, not an exception.  The seminorm and the perimeter take
+a function on a circle or on a circle times an interval, nothing else.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .grid import Grid1D, GridFunctionND, StepFunction
 from .kernels import (
     KernelWeights,
     LaplaceConfig,
-    NDKernelWeights,
     _gauss_tables_batch,
     _frozen,
     _heat_table_batch,
@@ -92,24 +94,29 @@ def _divergent(method: str) -> SeminormResult:
     return SeminormResult(math.inf, method, math.inf, divergent=True)
 
 
-def _pair_costs(u: StepFunction | GridFunctionND, p: float) -> np.ndarray:
+def _pair_costs(u: StepFunction | GridFunctionND, p: float, periodic: tuple) -> np.ndarray:
     """S[d] = sum over cell pairs at offset d of |u_i - u_j|^p; S[-d] = S[d],
     so half the offsets of the periodic axis are summed."""
-    periodic = (True, False) if isinstance(u, GridFunctionND) else (True,)
     cost = (lambda a, b: np.abs(a - b)) if p == 1.0 else (lambda a, b: np.abs(a - b) ** p)
     return offset_sums(u.values, u.values, cost, periodic, symmetric=True)
 
 
-def _is_2d(u: StepFunction | GridFunctionND) -> bool:
-    """Whether u is a 2D function; an ND one of another axis count is a ConfigError."""
-    if not isinstance(u, GridFunctionND):
-        return False
-    if u.ndim != 2:
+def _dimension(u: StepFunction | GridFunctionND) -> int:
+    """u's dimension: 1 on a circle, 2 on a circle times an interval.  Any
+    other grid is a ConfigError."""
+    if isinstance(u, GridFunctionND):
+        if u.ndim != 2:
+            raise ConfigError(
+                f"an ND input needs one periodic axis and one interval axis, got {u.ndim} "
+                "axes; a 1D function uses the 'grid' format"
+            )
+        return 2
+    if not u.grid.periodic:
         raise ConfigError(
-            f"an ND input needs one periodic axis and one interval axis, got {u.ndim} "
-            "axes; a 1D function uses the 'grid' format"
+            "a 1D input needs a periodic grid, got an interval; the seminorm and "
+            "perimeter are periodic"
         )
-    return True
+    return 1
 
 
 def gagliardo_periodic(
@@ -120,18 +127,19 @@ def gagliardo_periodic(
     """The fractional seminorm by each route of ``methods``, in their order.
 
     Each route contracts the pair costs S with its weight table W (see
-    ``_ROUTES``): vdot(S, W) over cell offsets plus, in 2D,
-    2 sum_x |u(x)|^p E[x2], since u vanishes outside the box, where the plane
-    sees |u|^p against the table's exterior masses E.  The pair costs, and in
-    2D the column sums of |u|^p over x1, are computed once for all routes.
-    The dimension, 1 or 2, must be params.n.  A sum that overflows float
-    range raises ConfigError; it is not the divergent result of sp >= 1.
+    ``_ROUTES``) over cell offsets.  In 2D u vanishes outside the box, so a
+    pair with one point y outside costs |u(x)|^p: against the table's
+    exterior masses E, sum_x |u(x)|^p E[x2], once for (x, y) and once for
+    (y, x).  The pair costs, and in 2D the column sums of |u|^p over x1, are
+    computed once for all routes.  The dimension, 1 or 2, must be params.n.
+    A sum that overflows float range raises ConfigError; it is not the
+    divergent result of sp >= 1.
     """
-    if not set(methods) <= _ROUTES.keys():
+    if not methods or not set(methods) <= _ROUTES.keys():
         raise ConfigError(f"methods must be among {list(_ROUTES)}, got {list(methods)}")
-    nd = _is_2d(u)
-    if params.n != 1 + nd:
-        raise ConfigError(f"{1 + nd}D input needs params.n == {1 + nd}")
+    dim = _dimension(u)
+    if params.n != dim:
+        raise ConfigError(f"{dim}D input needs params.n == {dim}")
     if not params.step_mode_finite:
         const = float(u.values.max() - u.values.min()) == 0.0
         return tuple(SeminormResult(0.0, m, 1e-15) if const else _divergent(m) for m in methods)
@@ -139,13 +147,13 @@ def gagliardo_periodic(
     out = []
     # an overflow shows as a total that is not finite, checked below
     with np.errstate(over="ignore"):
-        s = _pair_costs(u, params.p)
-        if nd:  # u is nonnegative, so |u|^p is u^p
+        s = _pair_costs(u, params.p, tables[0].periodic)
+        outside = ()
+        if dim == 2:  # u is nonnegative, so |u|^p is u^p
             columns = (u.values**params.p).sum(axis=0)
+            outside = (columns, columns)
         for method, table in zip(methods, tables):
-            total = float(np.vdot(s, table.weights))
-            if nd:
-                total += 2.0 * float(columns @ table.exterior)
+            total = float(table.contract(s, *outside))
             if not math.isfinite(total):  # finite values, so an overflow, not divergence
                 raise ConfigError(f"the {method} seminorm overflows: its p-th power is {total}")
             out.append(SeminormResult(total ** (1.0 / params.p), method, table.accuracy))
@@ -173,7 +181,7 @@ def gagliardo_periodic_laplace(
     return gagliardo_periodic(u, params, ("laplace",))[0]
 
 
-def _table(u: StepFunction | GridFunctionND, method: str, sigma: float):
+def _table(u: StepFunction | GridFunctionND, method: str, sigma: float) -> KernelWeights:
     """The weight table of route ``method`` at sigma, keyed by u's grid: the
     circle's cell count, and in 2D the interval axis's cell count and ends."""
     table_1d, table_2d = _ROUTES[method]
@@ -263,13 +271,11 @@ def _laplace_table_1d(n: int, sigma: float) -> KernelWeights:
     w += cfg.algebraic_head(h * h / (2.0 * SQRT_PI), 0.5)
     w[0] = 0.0
     w /= special.gamma(lam)
-    return KernelWeights(
-        n, h, True, w, accuracy=cfg.achieved + 1e-12, singular_diagonal=True
-    )
+    return KernelWeights((True,), w, cfg.achieved + 1e-12)
 
 
 @lru_cache(maxsize=32)
-def _laplace_table_2d(n1: int, n2: int, lo: float, hi: float, sigma: float) -> NDKernelWeights:
+def _laplace_table_2d(n1: int, n2: int, lo: float, hi: float, sigma: float) -> KernelWeights:
     """x1-periodized 2D power-kernel table and exterior masses of the Laplace route.
 
     W = (sum_q w_q heat_q (x) gauss_q + head + tail) / Gamma(lam) and
@@ -304,9 +310,7 @@ def _laplace_table_2d(n1: int, n2: int, lo: float, hi: float, sigma: float) -> N
     np.add.at(ext, [0, n2 - 1], cfg.algebraic_tail(h1 * SQRT_PI / 2.0, 1.5))  # twice if n2 = 1
     w[0, n2 - 1] = 0.0  # the self pair, as in the direct table
     gam = special.gamma(lam)
-    return NDKernelWeights(
-        n1, h1, n2, h2, sigma, w / gam, ext / gam, accuracy=cfg.achieved + 1e-12
-    )
+    return KernelWeights((True, False), w / gam, cfg.achieved + 1e-12, ext / gam)
 
 
 # method -> (1D table of (n, sigma), 2D table of (n1, n2, lo, hi, sigma))
@@ -320,18 +324,17 @@ def fractional_perimeter(e: StepFunction | GridFunctionND, s: float) -> float:
     """Interaction of an indicator set with its complement under |z|^-(n+s).
 
     Exact finite sum of pair weights between set cells and complement cells
-    (plus, in 2D, the analytic exterior which is all complement).
+    (plus, in 2D, the analytic exterior which is all complement, against
+    the set's cell count per column).
     """
     if not e.is_indicator():
         raise NotIndicator("fractional perimeter needs an indicator function")
-    nd = _is_2d(e)
+    dim = _dimension(e)
     table = _table(e, "direct", s)
     inside = e.values
-    scost = offset_sums(inside, 1.0 - inside, np.multiply, (True, False) if nd else (True,))
-    interior = float(np.vdot(scost, table.weights))
-    if not nd:
-        return interior
-    return interior + float(np.sum(inside * table.exterior[None, :]))
+    scost = offset_sums(inside, 1.0 - inside, np.multiply, table.periodic)
+    outside = (inside.sum(axis=0),) if dim == 2 else ()
+    return float(table.contract(scost, *outside))
 
 
 def coarea_identity_check(u: StepFunction, s: float) -> float:

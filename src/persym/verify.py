@@ -460,8 +460,8 @@ def exhaustive_oracle_circle(
         suite=f"exhaustive:n={n},levels={levels},J={j.name},{kernel.name}"
     )
     for a in range(m):
-        lhs = offset_sums(funcs[a], funcs, cost, (True,)) @ w.weights
-        rhs = offset_sums(stars[a], stars, cost, (True,)) @ w2.weights
+        lhs = w.contract(offset_sums(funcs[a], funcs, cost, w.periodic))
+        rhs = w2.contract(offset_sums(stars[a], stars, cost, w2.periodic))
         margins = lhs - rhs
         if is_abs:
             # every level both functions cross, where both sets are proper,
@@ -516,7 +516,10 @@ def symmetric_decreasing_instance(rng, grid: Grid1D, shift: int = 0):
     Mirror-paired descending values make every superlevel set a centered
     interval of even cell count, so at shift 0 the function is exactly its
     own rearrangement; rolling by whole cells realizes the translate class.
+    The mirror pairs need an even cell count.
     """
+    if grid.n % 2:
+        raise ConfigError(f"a symmetric decreasing instance needs an even cell count, got {grid.n}")
     half = grid.n // 2
     vals = np.sort(2.0 * rng.random(half))[::-1]
     full = np.empty(grid.n)
@@ -540,12 +543,15 @@ def levelwise_pair(rng, grid: Grid1D, n_levels: int = 3):
 
     The shared center may wander level to level within both functions'
     nesting slack, so the pair realizes the levelwise-translate equality
-    class without being common translates of their rearrangements.
+    class without being common translates of their rearrangements.  An arc
+    of even length below n needs n >= 3.
     """
     n = grid.n
+    if n <= 2:
+        raise ConfigError(f"a levelwise pair needs at least 3 cells, got {n}")
 
     def draw_lengths():
-        # strictly decreasing even cell counts below n
+        # nonincreasing even cell counts below n, drawn with replacement
         top = max(2, (n - 1) // 2 * 2)
         ls = sorted(rng.choice(np.arange(1, top // 2 + 1), n_levels, replace=True))
         return [2 * int(v) for v in reversed(ls)]

@@ -9,6 +9,7 @@ import pytest
 import persym
 from persym.cli import main, parse_cost, parse_kernel
 from persym.errors import ConfigError
+from persym.kernels import gaussian_weights_interval
 from persym.grid import (
     Grid1D,
     StepFunction,
@@ -240,6 +241,19 @@ class TestErrorPaths:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 9
 
+    def test_kernels_dump_interval(self, tmp_path):
+        # an interval table's offsets -(n-1)..n-1, in its layout order
+        out = tmp_path / "k.csv"
+        rc = main(["kernels", "--kernel", "gauss:t=0.5", "--grid", "interval", "--n", "6",
+                   "--out", str(out)])
+        assert rc == 0
+        header, *lines = out.read_text().strip().splitlines()
+        assert header == "offset,weight"
+        rows = [line.split(",") for line in lines]
+        assert [int(d) for d, _ in rows] == list(range(-5, 6))
+        w = gaussian_weights_interval(Grid1D.interval(6, -1.0, 1.0), 0.5)
+        assert [float(x) for _, x in rows] == w.weights.tolist()
+
 
 # the message each input of test_config_errors_exit_2 must name
 ERROR_MESSAGES = {
@@ -248,6 +262,8 @@ ERROR_MESSAGES = {
     "one_axis": "needs one periodic axis and one interval axis, got 1 axes; "
                 "a 1D function uses the 'grid' format",
     "overflow": "the direct seminorm overflows",
+    "interval": "a 1D input needs a periodic grid",
+    "interval_set": "a 1D input needs a periodic grid",
 }
 
 
@@ -284,6 +300,9 @@ ERROR_MESSAGES = {
         ["seminorm", "--s", "0.4", "--in", "{negative_nd}"],
         ["seminorm", "--s", "0.4", "--in", "{one_axis}"],
         ["seminorm", "--s", "0.4", "--p", "2", "--in", "{overflow}"],
+        ["seminorm", "--s", "0.3", "--p", "2", "--method", "both", "--in", "{interval}"],
+        ["sweep", "--in", "{interval}", "--values", "0.1", "0.9", "2"],
+        ["perimeter", "--s", "0.5", "--set", "{interval_set}"],
     ],
     ids=["kernel-float", "kernel-pair", "cost-float", "missing-in", "p-nan", "s-nan",
          "cases-negative", "seed-negative", "cost-p-below-1", "sweep-count-zero",
@@ -293,7 +312,8 @@ ERROR_MESSAGES = {
          "json-not-object", "json-axes-not-list", "seminorm-out-missing-dir",
          "verify-out-missing-dir", "sweep-out-missing-dir", "kernels-out-missing-dir",
          "rearrange-out-missing-dir", "json-negative-1d", "json-negative-nd",
-         "nd-one-axis", "seminorm-overflow"],
+         "nd-one-axis", "seminorm-overflow", "seminorm-interval-1d", "sweep-interval-1d",
+         "perimeter-interval-1d"],
 )
 def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys):
     infile, _ = circle_file
@@ -314,7 +334,10 @@ def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys):
                       "negative_nd": dict(ragged, values=[[0, -1, 0], [0, 1, 0]]),
                       "one_axis": {"axes": ragged["axes"][:1], "values": [0, 1]},
                       "overflow": {"grid": {"n": 4, "domain": "periodic"},
-                                   "values": [0, 1, 1e308, 2]}}.items():
+                                   "values": [0, 1, 1e308, 2]},
+                      "interval": {"grid": {"n": 4, "domain": [-1, 1]}, "values": [0, 1, 2, 0]},
+                      "interval_set": {"grid": {"n": 4, "domain": [-1, 1]},
+                                       "values": [0, 1, 1, 0]}}.items():
         paths[name] = write_json(tmp_path / f"{name}.json", obj)
     rc = main([arg.format(**paths) for arg in argv])
     err = capsys.readouterr().err

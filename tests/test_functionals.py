@@ -28,8 +28,9 @@ from conftest import random_circle_function, random_interval_function
 
 def dense_weights(w):
     """Dense reference M[i, j] = W[(j - i) % n] of a periodic table."""
-    i = np.arange(w.n)
-    return w.weights[(i[None, :] - i[:, None]) % w.n]
+    (n,) = w.n
+    i = np.arange(n)
+    return w.weights[(i[None, :] - i[:, None]) % n]
 
 
 class TestCostLibrary:

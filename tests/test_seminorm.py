@@ -501,7 +501,7 @@ def test_pair_costs_take_half_the_offsets(rng, monkeypatch):
     monkeypatch.setattr(
         seminorm, "offset_sums", lambda a, b, cost, *r, **kw: offset_sums(a, b, counted(cost), *r, **kw)
     )
-    s = seminorm._pair_costs(u, 1.0)
+    s = seminorm._pair_costs(u, 1.0, (True, False))
     assert whole == 12**4 and sum(seen) <= 7 * whole // 12
     assert np.all(np.abs(s - full) <= 4e-15 * full)
 

@@ -206,7 +206,7 @@ class TestClassifyOracle:
         for k in range(150):
             n = int(rng.choice([2, 3, 4, 6, 8]))
             g = Grid1D.circle(n)
-            if k % 3 == 0:
+            if k % 3 == 0 and n % 2 == 0:  # mirror pairs need an even cell count
                 shift = int(rng.integers(n))
                 pair = [
                     symmetric_decreasing_instance(rng, g, shift).values.round() for _ in range(2)
@@ -379,6 +379,33 @@ class TestClassifyConfig:
         w = StepFunction(Grid1D.interval(4, 0.0, 1.0), np.ones(4))
         with pytest.raises(ConfigError):
             classify_equality(w, context="circle")
+
+
+class TestInstanceBuilders:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_symmetric_decreasing_instance_needs_even_n(self, rng, n):
+        # mirror pairs need an even cell count; odd ones are refused, not
+        # filled by broadcasting (a constant on 3 cells, a numpy error on 1 and 5)
+        g = Grid1D.circle(n)
+        if n % 2:
+            with pytest.raises(ConfigError, match="even cell count"):
+                symmetric_decreasing_instance(rng, g)
+        else:
+            u = symmetric_decreasing_instance(rng, g, shift=1)
+            assert classify_equality(u, context="periodic-ps").predicts_equality
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_levelwise_pair_needs_three_cells(self, rng, n):
+        # arcs of even length below n: on 1 or 2 cells both functions came
+        # out constant
+        g = Grid1D.circle(n)
+        if n <= 2:
+            with pytest.raises(ConfigError, match="at least 3 cells"):
+                levelwise_pair(rng, g)
+        else:
+            u, v = levelwise_pair(rng, g)
+            assert u.values.min() < u.values.max() and v.values.min() < v.values.max()
+            assert classify_equality(u, v, "circle").predicts_equality
 
 
 class TestRieszCircle:
