@@ -122,7 +122,10 @@ class KernelWeights:
         else:
             total = sums.reshape(sums.shape[: sums.ndim - w.ndim] + (-1,)) @ w.ravel()
         if outside:
-            total = total + sum(float(m @ self.exterior) for m in outside)
+            ext, tail = self.exterior, 0.0
+            for m in outside:
+                tail += float(m @ ext)
+            total = total + tail
         return total
 
     def offset(self, d: int) -> float:

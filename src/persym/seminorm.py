@@ -130,8 +130,9 @@ def gagliardo_periodic(
     ``_ROUTES``) over cell offsets.  In 2D u vanishes outside the box, so a
     pair with one point y outside costs |u(x)|^p: against the table's
     exterior masses E, sum_x |u(x)|^p E[x2], once for (x, y) and once for
-    (y, x).  The pair costs, and in 2D the column sums of |u|^p over x1, are
-    computed once for all routes.  The dimension, 1 or 2, must be params.n.
+    (y, x): twice the column sums of |u|^p over x1 against E.  The pair
+    costs, and in 2D those doubled column sums, are computed once for all
+    routes.  The dimension, 1 or 2, must be params.n.
     A sum that overflows float range raises ConfigError; it is not the
     divergent result of sp >= 1.
     """
@@ -150,8 +151,8 @@ def gagliardo_periodic(
         s = _pair_costs(u, params.p, tables[0].periodic)
         outside = ()
         if dim == 2:  # u is nonnegative, so |u|^p is u^p
-            columns = (u.values**params.p).sum(axis=0)
-            outside = (columns, columns)
+            # doubling is exact, so this is bit for bit twice columns @ E
+            outside = (2.0 * (u.values**params.p).sum(axis=0),)
         for method, table in zip(methods, tables):
             total = float(table.contract(s, *outside))
             if not math.isfinite(total):  # finite values, so an overflow, not divergence
