@@ -4,7 +4,9 @@ Subcommands map one-to-one onto library operations; all numeric work stays
 in the modules, this front end only parses, validates, runs and serializes.
 Identical arguments and seed produce byte-identical output files.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error.
+Exit codes: 0 success, 1 verification failure (or a divergent energy), 2
+configuration error, which includes input files whose grids or values do not
+fit the command (``INPUT_ERRORS``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,15 @@ import sys
 import time
 
 from . import __version__
-from .errors import ConfigError, PersymError
+from .errors import (
+    ConfigError,
+    GridMismatch,
+    IncompatibleGrids,
+    NotIndicator,
+    NotInterval,
+    NotPeriodic,
+    PersymError,
+)
 from .functionals import ConvexJ, energy_circle, energy_euclidean, j_library
 from .grid import (
     GridFunctionND,
@@ -44,6 +54,12 @@ from .seminorm import (
     gagliardo_periodic,
 )
 from .verify import DUAL_RTOL, EXACT_TOL, run_suite
+
+# operands of the wrong kind of grid, or a set that is not an indicator: the
+# input does not fit the command, so these exit 2 like a ConfigError
+INPUT_ERRORS = (
+    ConfigError, GridMismatch, IncompatibleGrids, NotIndicator, NotInterval, NotPeriodic
+)
 
 TOLERANCE_DEFAULTS = {
     "exact margin": EXACT_TOL,
@@ -340,7 +356,7 @@ def main(argv=None) -> int:
             args.suite = "all"
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PersymError as exc:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, NotIndicator
 from .grid import Grid1D, GridFunctionND, StepFunction
@@ -271,7 +270,7 @@ def _laplace_table_1d(n: int, sigma: float) -> KernelWeights:
     w += _touches(n) * cfg.algebraic_tail(0.5, 1.0)
     w += cfg.algebraic_head(h * h / (2.0 * SQRT_PI), 0.5)
     w[0] = 0.0
-    w /= special.gamma(lam)
+    w /= math.gamma(lam)
     return KernelWeights((True,), w, cfg.achieved + 1e-12)
 
 
@@ -302,15 +301,17 @@ def _laplace_table_2d(n1: int, n2: int, lo: float, hi: float, sigma: float) -> K
     touch = _touches(n1)
     w[:, n2 - 1] += touch * (cfg.algebraic_tail(h2 * SQRT_PI / 2.0, 1.5) + cfg.algebraic_tail(-0.5, 2.0))
     if n2 >= 2:
-        near = [n2 - 2, n2]
+        near = slice(n2 - 2, n2 + 1, 2)  # the offsets d2 = -1 and 1
         w[0, near] += cfg.algebraic_tail(h1 * SQRT_PI / 2.0, 1.5) + cfg.algebraic_tail(-0.5, 2.0)
         w[:, near] += touch[:, None] * cfg.algebraic_tail(0.25, 2.0)
     w += cfg.algebraic_head(h1**2 * h2**2 / (2.0 * SQRT_PI), 0.5)
     ext += 0.5 * cfg.algebraic_head(2.0 * math.pi * h1 * h2, 1.0)
     ext += 0.5 * cfg.algebraic_head(-2.0 * SQRT_PI * h1 * h2 * g2.length, 0.5)
-    np.add.at(ext, [0, n2 - 1], cfg.algebraic_tail(h1 * SQRT_PI / 2.0, 1.5))  # twice if n2 = 1
+    edge = cfg.algebraic_tail(h1 * SQRT_PI / 2.0, 1.5)
+    ext[0] += edge
+    ext[n2 - 1] += edge  # the same column again if n2 = 1
     w[0, n2 - 1] = 0.0  # the self pair, as in the direct table
-    gam = special.gamma(lam)
+    gam = math.gamma(lam)
     return KernelWeights((True, False), w / gam, cfg.achieved + 1e-12, ext / gam)
 
 

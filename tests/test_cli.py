@@ -264,6 +264,8 @@ ERROR_MESSAGES = {
     "overflow": "the direct seminorm overflows",
     "interval": "a 1D input needs a periodic grid",
     "interval_set": "a 1D input needs a periodic grid",
+    "circle4": "u and v must share one grid",
+    "line": "needs a periodic grid",
 }
 
 
@@ -303,6 +305,14 @@ ERROR_MESSAGES = {
         ["seminorm", "--s", "0.3", "--p", "2", "--method", "both", "--in", "{interval}"],
         ["sweep", "--in", "{interval}", "--values", "0.1", "0.9", "2"],
         ["perimeter", "--s", "0.5", "--set", "{interval_set}"],
+        ["rearrange", "--op", "periodic", "--in", "{line}", "--out", "{out}"],
+        ["perimeter", "--s", "0.5", "--set", "{u}"],
+        ["kernels", "--kernel", "gauss:t=0.5", "--n", "4"],
+        ["energy", "--J", "abs", "--kernel", "heat:t=1", "--u", "{u}", "--v", "{circle4}"],
+        ["energy", "--J", "abs", "--kernel", "heat:t=1", "--u", "{line}", "--v", "{line}"],
+        ["energy", "--J", "abs", "--kernel", "gauss:t=1", "--u", "{u}", "--v", "{u}"],
+        ["rearrange", "--op", "periodic", "--in", "{nd_interval_first}", "--out", "{out}"],
+        ["rearrange", "--op", "periodic", "--in", "{nd_periodic_second}", "--out", "{out}"],
     ],
     ids=["kernel-float", "kernel-pair", "cost-float", "missing-in", "p-nan", "s-nan",
          "cases-negative", "seed-negative", "cost-p-below-1", "sweep-count-zero",
@@ -313,7 +323,9 @@ ERROR_MESSAGES = {
          "verify-out-missing-dir", "sweep-out-missing-dir", "kernels-out-missing-dir",
          "rearrange-out-missing-dir", "json-negative-1d", "json-negative-nd",
          "nd-one-axis", "seminorm-overflow", "seminorm-interval-1d", "sweep-interval-1d",
-         "perimeter-interval-1d"],
+         "perimeter-interval-1d", "rearrange-periodic-interval", "perimeter-not-indicator",
+         "kernels-gauss-circle", "energy-two-grids", "energy-heat-interval",
+         "energy-gauss-circle", "nd-interval-first-axis", "nd-periodic-second-axis"],
 )
 def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys):
     infile, _ = circle_file
@@ -324,7 +336,7 @@ def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys):
              "novalues": write_json(tmp_path / "novalues.json", {"axes": ragged["axes"]}),
              "e": write_json(tmp_path / "e.json", function_to_json(
                  StepFunction.on_circle([0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0]))),
-             "nodir": str(tmp_path / "absent" / "out.csv")}
+             "nodir": str(tmp_path / "absent" / "out.csv"), "out": str(tmp_path / "out.json")}
     values = [0.0, 1.0, 1.0, 0.0]
     for name, obj in {"n_text": {"grid": {"n": "x", "domain": "periodic"}, "values": values},
                       "n_fraction": {"grid": {"n": 4.7, "domain": "periodic"}, "values": values},
@@ -337,7 +349,13 @@ def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys):
                                    "values": [0, 1, 1e308, 2]},
                       "interval": {"grid": {"n": 4, "domain": [-1, 1]}, "values": [0, 1, 2, 0]},
                       "interval_set": {"grid": {"n": 4, "domain": [-1, 1]},
-                                       "values": [0, 1, 1, 0]}}.items():
+                                       "values": [0, 1, 1, 0]},
+                      "circle4": {"grid": {"n": 4, "domain": "periodic"}, "values": values},
+                      "line": {"grid": {"n": 4, "domain": [-1, 1]}, "values": values},
+                      "nd_interval_first": dict(ragged, axes=ragged["axes"][::-1],
+                                                values=[[0, 1], [1, 0], [0, 0]]),
+                      "nd_periodic_second": dict(ragged, axes=[ragged["axes"][0]] * 2,
+                                                 values=[[0, 1], [1, 0]])}.items():
         paths[name] = write_json(tmp_path / f"{name}.json", obj)
     rc = main([arg.format(**paths) for arg in argv])
     err = capsys.readouterr().err
@@ -346,3 +364,20 @@ def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys):
     for name, needle in ERROR_MESSAGES.items():
         if f"{{{name}}}" in argv:
             assert needle in err
+
+
+def test_cli_loads_no_scipy():
+    # the table builders' special functions come from libm and numpy
+    src = os.path.dirname(os.path.dirname(persym.__file__))
+    code = (
+        "import sys, persym.cli as cli\n"
+        "for k, g in (('riesz:sigma=0.5', 'circle'), ('heat:t=0.5', 'circle'),"
+        " ('gauss:t=0.5', 'interval')):\n"
+        "    cli.main(['kernels', '--kernel', k, '--n', '8', '--grid', g])\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        check=True, capture_output=True, text=True, timeout=120,
+    )
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -886,6 +886,75 @@ class TestKernelMonotoneCheck:
         assert not check_kernel_monotone(const)
 
 
+def _ulps(got, exact) -> float:
+    """Largest error of the doubles ``got`` against mpmath values, in units of
+    the spacing of doubles at each exact value (5e-324 where it underflows)."""
+    return max(
+        float(abs(mpmath.mpf(g) - e)) / float(np.spacing(abs(float(e))))
+        for g, e in zip(np.ravel(got).tolist(), exact)
+    )
+
+
+def _rel(got, exact) -> float:
+    return max(float(abs(mpmath.mpf(g) / e - 1)) for g, e in zip(np.ravel(got).tolist(), exact))
+
+
+class TestSpecialFunctions:
+    """The builders' erf, erfc and Hurwitz zeta against 40-digit mpmath on
+    the arguments the tables pass them, each no worse than scipy.special at
+    the same points."""
+
+    def test_erf_and_erfc(self):
+        # [0, 30], with the points where erf rounds to 1 and erfc underflows
+        ends = [5.921587195794507, 27.226364135742184, 27.226364135742188, kernels.ERFC_ZERO]
+        x = np.concatenate((np.linspace(0.0, 30.0, 1201), ends))
+        with mpmath.workdps(40):
+            for ours, scipys, exact in (
+                (kernels._erf, special.erf, mpmath.erf),
+                (kernels._erfc, special.erfc, mpmath.erfc),
+            ):
+                ref = [exact(mpmath.mpf(v)) for v in x.tolist()]
+                assert _ulps(ours(x), ref) <= _ulps(scipys(x), ref)
+
+    def test_erf_and_erfc_are_libm_elementwise(self):
+        x = np.linspace(-3.0, 40.0, 432).reshape(3, -1)
+        for ours, libm in ((kernels._erf, math.erf), (kernels._erfc, math.erfc)):
+            got = ours(x)
+            assert got.shape == x.shape
+            assert np.array_equal(got, np.vectorize(libm)(x))
+        assert kernels._erfc(np.array([kernels.ERFC_ZERO, 1e300, np.inf])).tolist() == [0.0] * 3
+        assert np.isnan(kernels._erfc(np.nan))
+
+    def test_zeta_of_the_1d_far_copies(self):
+        # orders 2j - a, j <= 22 (the most any cell count takes), a = 1 - sigma
+        # across (0, 1) up to its ends, at x = RIESZ_NEAR + 1/2
+        j = np.arange(1, 23)
+        a = [1e-12, 1e-6, 0.02, 0.25, 0.5, 0.75, 0.98, 1 - 1e-6, 1 - 1e-12]
+        s = (2.0 * j - np.array(a)[:, None]).ravel()
+        self._assert_zeta(s, kernels.RIESZ_NEAR + 0.5)
+
+    def test_zeta_of_the_2d_copy_tail(self):
+        # orders 2 mu + 2 j over the fit's ellipse ends mu in [0.6, 1.9], at
+        # x = K + 1 for the copy counts of the 2D grids of these tests
+        grids = [(12, Grid1D.interval(12, -2.0, 2.0)), (8, Grid1D.interval(8, -2.0, 2.0)),
+                 (4, Grid1D.interval(5, -1.0, 1.0)), *TAIL_GRIDS[1:],
+                 (32, Grid1D.centered_interval(32, 16.0))]
+        copies = sorted({kernels._tail_copies(n1, 2 * math.pi / n1, g.n, g.h) for n1, g in grids})
+        assert copies == [4, 10, 13]
+        j = np.arange(kernels.TAIL_DEGREE // 2 + 2)
+        s = (2.0 * np.linspace(0.6, 1.9, 14)[:, None] + 2.0 * j).ravel()
+        for k in copies:
+            self._assert_zeta(s, k + 1.0)
+
+    @staticmethod
+    def _assert_zeta(s, x):
+        with mpmath.workdps(40):
+            ref = [mpmath.zeta(mpmath.mpf(v), mpmath.mpf(x)) for v in s.tolist()]
+        err = _rel(kernels._hurwitz_zeta(s, x), ref)
+        assert err <= 1e-15
+        assert err <= _rel(special.zeta(s, x), ref)
+
+
 def laplace_rule_reference(lam, z_min, z_max, rtol):
     """The rule checked on its own window: 41 geometric points, e^(-z t) at
     its nodes, the spacing halved from 0.25 until the check passes; returns
@@ -898,7 +967,7 @@ def laplace_rule_reference(lam, z_min, z_max, rtol):
         s = ds * np.arange(k_lo, math.ceil(s_right / ds) + 1)
         nodes, weights = np.exp(s), ds * np.exp(lam * s)
         approx = np.exp(-np.outer(zs, nodes)) @ weights
-        err = float(np.abs(approx / (special.gamma(lam) * zs ** (-lam)) - 1.0).max())
+        err = float(np.abs(approx / (math.gamma(lam) * zs ** (-lam)) - 1.0).max())
         if err <= rtol:
             return nodes, weights, err, ds, k_lo
         ds *= 0.5
