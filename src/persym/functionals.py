@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergentTail, GridMismatch, NegativeEnergy, NotNormalized, UnknownCost
-from .grid import StepFunction
+from .grid import StepFunction, _distinct
 from .kernels import KernelWeights, offset_sums
 
 
@@ -277,7 +277,7 @@ def ab_decomposition(
     _check_alignment(u, v, w, periodic=True)
     if float(j_plus(-1.0)) != 0.0 or float(j_plus(0.0)) != 0.0:
         raise NotNormalized("layer decomposition needs the one-sided (plus) part")
-    levels = np.unique(np.concatenate(([0.0], u.values, v.values)))
+    levels = _distinct(np.concatenate(([0.0], u.values, v.values)))
     source = np.array([level_source_term(u, j_plus, w, t) for t in levels])
     interaction = np.array(
         [level_interaction_term(u, v, j_plus, w, t) for t in levels]

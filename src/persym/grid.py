@@ -92,8 +92,14 @@ class Grid1D:
         return Grid1D(self.n * factor, self.lo, self.hi, self.periodic)
 
 
+def _owned(values) -> np.ndarray:
+    """A private C-contiguous float copy of ``values``: a function freezes
+    its own array, never the caller's or a view of it."""
+    return np.array(values, dtype=float, order="C")
+
+
 def _as_values(values, n: int | None = None) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=float)
+    arr = _owned(values)
     if arr.ndim != 1:
         raise ConfigError(f"values must be one-dimensional, got shape {arr.shape}")
     if n is not None and arr.size != n:
@@ -178,7 +184,7 @@ class GridFunctionND:
                 raise NotInterval("perpendicular axes must be interval grids")
         object.__setattr__(self, "axes_perp", axes)
         shape = (self.axis1.n,) + tuple(g.n for g in axes)
-        arr = np.ascontiguousarray(self.values, dtype=float)
+        arr = _owned(self.values)
         if arr.shape != shape:
             raise ConfigError(f"values shape {arr.shape} != grid shape {shape}")
         if arr.size and float(arr.min()) < 0.0:
@@ -236,6 +242,17 @@ def superlevel_measure(u: StepFunction | GridFunctionND, tau: float) -> float:
     return u.h * int(np.count_nonzero(u.values > tau))
 
 
+def _distinct(a) -> np.ndarray:
+    """The sorted distinct values of ``a``, flattened, as ``np.unique`` gives
+    them: the same sort, then a neighbour mask.  ``np.unique`` imports
+    ``numpy.ma`` on its first call, which costs a cold process about 10 ms."""
+    a = np.sort(a, axis=None)
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _common_refinement(u: StepFunction, v: StepFunction) -> tuple[np.ndarray, np.ndarray]:
     m = math.lcm(u.grid.n, v.grid.n)
     return np.repeat(u.values, m // u.grid.n), np.repeat(v.values, m // v.grid.n)
@@ -263,7 +280,7 @@ def layer_cake_value(u: StepFunction, x: float) -> float:
     cell value itself: the layer cake is the identity on step functions.
     """
     i = u.grid.cell_of(x)
-    levels = np.concatenate(([0.0], np.unique(u.values)))
+    levels = np.concatenate(([0.0], _distinct(u.values)))
     widths = np.diff(levels)
     above = u.values[i] > levels[:-1]
     return float(widths[above].sum())

@@ -34,7 +34,7 @@ single-time ones are cached by (grid, t).  This module builds the tables:
 * the exp-substitution trapezoid rule turning t-integrals of
   t^(lambda-1) e^(-zt) into Gamma(lambda) z^(-lambda), its nodes on the
   fixed lattice s = k ds in s = log t, validated against that closed form
-  before use through check data kept once per lattice.
+  before use through check data kept once per band of lambda.
 
 The special functions are libm's erf and erfc and an Euler-Maclaurin Hurwitz
 zeta (``_hurwitz_zeta``), so the tables need numpy alone.
@@ -99,9 +99,12 @@ class KernelWeights:
     exterior: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        periodic = tuple(bool(p) for p in self.periodic)
+        periodic = tuple(map(bool, self.periodic))
         w = _frozen(self.weights)
-        if w.ndim != len(periodic) or any(not p and m % 2 == 0 for p, m in zip(periodic, w.shape)):
+        fits = w.ndim == len(periodic)
+        for p, m in zip(periodic, w.shape):
+            fits = fits and (p or m % 2 == 1)
+        if not fits:
             raise ConfigError(f"weight table of shape {w.shape} fits no grid of axes {periodic}")
         object.__setattr__(self, "periodic", periodic)
         object.__setattr__(self, "weights", w)
@@ -364,8 +367,14 @@ def _hurwitz_zeta(s: np.ndarray, x: float) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     y = x + ZETA_TERMS
     p = np.power(x + _ZETA_K, -s[:, None])  # (x + k)^-s, the last column y^-s
-    rising = np.multiply.accumulate((s[:, None] + _RISING) / y, axis=1)
-    p[:, -1] *= y / (s - 1.0) + 0.5 + rising[:, ::2] @ _BERNOULLI
+    rising = s[:, None] + _RISING
+    rising /= y
+    np.multiply.accumulate(rising, axis=1, out=rising)
+    last = s - 1.0
+    np.divide(y, last, out=last)
+    last += 0.5
+    last += rising[:, ::2] @ _BERNOULLI
+    p[:, -1] *= last
     return p.sum(axis=1)
 
 
@@ -577,8 +586,16 @@ def _check_sigma(sigma: float) -> None:
         raise SigmaOutOfRange(f"sigma must lie in (0, 1), got {sigma}")
 
 
-def _riesz_series(a: float, terms: int) -> np.ndarray:
-    """q_k = prod_{j=2}^{2k-1} (j - a) / (2k)!, k = 1..terms, all positive for a < 2.
+def _series_steps(terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sigma-free part of ``_riesz_series`` for k = 1..terms (read-only):
+    2k - 2, 2k - 1 and (2k - 1) 2k, in floats, all exact."""
+    k2 = np.arange(2.0, 2.0 * terms + 1.0, 2.0)  # 2k, in floats: the same bits as in ints
+    return _frozen(k2 - 2.0), _frozen(k2 - 1.0), _frozen((k2 - 1.0) * k2)
+
+
+def _riesz_series(a: float, steps: tuple) -> np.ndarray:
+    """q_k = prod_{j=2}^{2k-1} (j - a) / (2k)!, k = 1..terms, all positive
+    for a < 2, from ``steps`` = ``_series_steps(terms)``.
 
     The pair weight of |x - y|^(-(1+sigma)) at cell offset m, a = 1 - sigma,
     is the second difference c (P(z+h) - 2 P(z) + P(z-h)) at z = m h of
@@ -586,10 +603,14 @@ def _riesz_series(a: float, terms: int) -> np.ndarray:
     2 sum_k h^(2k) P^(2k)(z) / (2k)! becomes 2 h^a sum_k q_k m^(a - 2k),
     since c a (a - 1) = 1.
     """
-    k2 = np.arange(2.0, 2.0 * terms + 1.0, 2.0)  # 2k, in floats: the same bits as in ints
-    ratio = (k2 - 2.0 - a) * (k2 - 1.0 - a) / ((k2 - 1.0) * k2)
+    below, odd, denominator = steps
+    ratio = below - a
+    ratio *= odd - a
+    ratio /= denominator
     ratio[0] = 1.0  # q_1 = 1/2
-    return 0.5 * np.multiply.accumulate(ratio)
+    np.multiply.accumulate(ratio, out=ratio)
+    ratio *= 0.5
+    return ratio
 
 
 # series terms of the line weights below offset 40 (5 from there)
@@ -613,7 +634,8 @@ def _riesz_line_pairs(
 ) -> np.ndarray:
     """Pair weights L[m] of |x - y|^(-(1+sigma)) at cell offsets m = 0..mmax,
     L[0] = 0, from ``line`` = ``_line_powers(mmax)`` and ``q`` =
-    ``_riesz_series(1 - sigma, terms)``, terms >= LINE_TERMS (built if None).
+    ``_riesz_series(1 - sigma, _series_steps(terms))``, terms >= LINE_TERMS
+    (built if None).
 
     L[1] = 2 h^a (1 - 2^-sigma) / (sigma (1 - sigma)) in closed form, and
     L[m] for m >= 2 the all-positive series 2 h^a sum_k q_k m^(a - 2k) of
@@ -624,13 +646,18 @@ def _riesz_line_pairs(
     mmax, blocks = line
     a = 1.0 - sigma
     if q is None:
-        q = _riesz_series(a, LINE_TERMS)
-    out = np.zeros(mmax + 1)
+        q = _riesz_series(a, _series_steps(LINE_TERMS))
+    out = np.empty(mmax + 1)
+    out[0] = 0.0
     if mmax >= 1:
         out[1] = 2.0 * -math.expm1(-sigma * math.log(2.0)) / (sigma * (1.0 - sigma))
     for lo, hi, m, powers in blocks:
-        out[lo:hi] = 2.0 * m ** (a - 2.0) * (powers @ q[: powers.shape[1]])
-    return out * h**a
+        part = out[lo:hi]
+        np.power(m, a - 2.0, out=part)
+        part *= 2.0
+        part *= powers @ q[: powers.shape[1]]
+    out *= h**a
+    return out
 
 
 # copies -RIESZ_NEAR <= k < RIESZ_NEAR of the periodized 1D table are summed
@@ -644,13 +671,19 @@ RIESZ_TAYLOR = 10
 RIESZ_ROUNDING = 4e-15
 
 
+_PeriodizedPlan = namedtuple("_PeriodizedPlan", "line near far orders steps")
+
+
 @lru_cache(maxsize=8)
-def _periodized_plan(n: int, taylor: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+def _periodized_plan(n: int, taylor: int) -> _PeriodizedPlan:
     """The sigma-free part of the periodized 1D table on n cells (read-only).
 
-    The line powers ``_line_powers`` of the offsets up to RIESZ_NEAR n - 1;
-    per offset d = 1..n-1, the line offsets |d + k n| of its explicit copies,
-    -RIESZ_NEAR <= k < RIESZ_NEAR; and the far-copy matrix, shape
+    The line powers ``_line_powers`` of the offsets up to RIESZ_NEAR n - 1
+    (``line``); per offset d = 1..n-1, the line offsets |d + k n| of its
+    explicit copies, -RIESZ_NEAR <= k < RIESZ_NEAR (``near``); the doubled
+    orders 2j of the far copies' zeta terms (``orders``) and the
+    ``_series_steps`` of one q series long enough for the near and the far
+    copies (``steps``); and the far-copy matrix (``far``), shape
     (2, n - 1, J + M + 1) in the notation of ``riesz_weights_1d``, M =
     ``taylor``: per order j, the sum over the series terms (k, m) with
     k + m = j of C(2j, 2m) n^(-2k) y^(2m), y = d / n - 1/2, over the terms
@@ -678,8 +711,11 @@ def _periodized_plan(n: int, taylor: int) -> tuple[tuple, np.ndarray, np.ndarray
     for row, f in enumerate(factors):
         by_order[row, m, k + m - 1] = f * c
     ypow = ((d / n - 0.5) ** 2)[:, None] ** m
-    line = _line_powers(RIESZ_NEAR * n - 1)
-    return line, _frozen(near, np.intp), _frozen(ypow @ by_order)
+    orders = 2.0 * np.arange(1, terms + taylor + 2)
+    return _PeriodizedPlan(
+        _line_powers(RIESZ_NEAR * n - 1), _frozen(near, np.intp), _frozen(ypow @ by_order),
+        _frozen(orders), _series_steps(max(LINE_TERMS, orders.size)),
+    )
 
 
 def riesz_weights_1d(grid: Grid1D, sigma: float, periodized: bool) -> KernelWeights:
@@ -718,16 +754,20 @@ def riesz_weights_1d(grid: Grid1D, sigma: float, periodized: bool) -> KernelWeig
     if not grid.periodic:
         raise GridMismatch("periodized Riesz weights need a periodic grid")
     a = 1.0 - sigma
-    line, near, far_plan = _periodized_plan(n, RIESZ_TAYLOR)
-    j = np.arange(1, far_plan.shape[2] + 1)
-    q = _riesz_series(a, max(LINE_TERMS, j.size))  # one series for the near and the far copies
-    w = _riesz_line_pairs(line, h, sigma, q)[near].sum(axis=1)
-    series = q[: j.size] * _hurwitz_zeta(2.0 * j - a, RIESZ_NEAR + 0.5)
-    far, bound = far_plan @ (4.0 * h**a * float(n) ** a * series)
+    plan = _periodized_plan(n, RIESZ_TAYLOR)
+    q = _riesz_series(a, plan.steps)  # one series for the near and the far copies
+    out = np.empty(n)
+    out[0] = 0.0
+    w = out[1:]
+    np.add.reduce(_riesz_line_pairs(plan.line, h, sigma, q)[plan.near], axis=1, out=w)
+    series = _hurwitz_zeta(plan.orders - a, RIESZ_NEAR + 0.5)
+    series *= q[: series.size]
+    series *= 4.0 * h**a * float(n) ** a
+    far, bound = plan.far @ series
     w += far
-    accuracy = float(np.max(bound / w, initial=0.0)) + RIESZ_ROUNDING
-    w = np.concatenate(([0.0], w))
-    return KernelWeights((True,), w, accuracy)
+    bound /= w
+    accuracy = float(np.maximum.reduce(bound, initial=0.0)) + RIESZ_ROUNDING
+    return KernelWeights((True,), out, accuracy)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,7 +1041,7 @@ def _nd_direct(plan: _NDPlan, mu: float) -> tuple[np.ndarray, np.ndarray]:
     return box.ravel()[plan.fold].sum(axis=0) + tail, 2.0 * omitted
 
 
-_NDFit = namedtuple("_NDFit", "coef log_r2 corner corner_rule cells to_hi to_lo bound")
+_NDFit = namedtuple("_NDFit", "coef degrees log_r2 corner corner_rule cells to_hi to_lo bound")
 
 
 @lru_cache(maxsize=8)
@@ -1013,7 +1053,8 @@ def _nd_fit(grid1: Grid1D, grid2: Grid1D) -> _NDFit:
     at the N + 1 = FIT_DEGREE + 1 Chebyshev points mu_j = 1.25 +
     cos(pi j / N) / 4 of [1, 1.5] and kept as its interpolant's
     coefficients, F = sum_k a_k T_k(x) with x = 4 mu - 5 = 2 sigma - 1
-    (``coef``, one row per offset), beside log r^2, the corner weights of
+    (``coef``, one row per offset, its degrees k in ``degrees``), beside
+    log r^2, the corner weights of
     the plan, ``_corner_rule``, the flat indices of the four table
     cells that each sector offset fills by symmetry, and the distances of
     grid2's cell edges to its upper and lower end, which the closed-form
@@ -1059,7 +1100,8 @@ def _nd_fit(grid1: Grid1D, grid2: Grid1D) -> _NDFit:
     corner_rule = _corner_rule(min(h1, h2))
     b = grid2.boundaries()
     return _NDFit(
-        _frozen(coef), _frozen(log_r2), plan.corner, corner_rule, _frozen(cells, np.intp),
+        _frozen(coef), _frozen(np.arange(FIT_DEGREE + 1.0)), _frozen(log_r2), plan.corner,
+        corner_rule, _frozen(cells, np.intp),
         _frozen(grid2.hi - b), _frozen(b - grid2.lo), bound,
     )
 
@@ -1087,15 +1129,19 @@ def riesz_weights_nd(grid1: Grid1D, grid2: Grid1D, sigma: float) -> KernelWeight
     n1, h1, n2 = grid1.n, grid1.h, grid2.n
     mu = (2.0 + sigma) / 2.0
     fit = _nd_fit(grid1, grid2)
-    cheb = np.cos(math.acos(2.0 * sigma - 1.0) * np.arange(fit.coef.shape[1]))
-    total = np.exp(-mu * fit.log_r2) * (fit.coef @ cheb)
+    cheb = fit.degrees * math.acos(2.0 * sigma - 1.0)
+    np.cos(cheb, out=cheb)
+    total = fit.log_r2 * -mu
+    np.exp(total, out=total)
+    total *= fit.coef @ cheb
     total += fit.corner @ _corner_moments(fit.corner_rule, sigma)
     w = np.zeros(n1 * (2 * n2 - 1))
     w[fit.cells] = total
     kappa = SQRT_PI * math.gamma(mu - 0.5) / math.gamma(mu)
-    up = fit.to_hi[:-1] ** (1.0 - sigma) - fit.to_hi[1:] ** (1.0 - sigma)
-    lo = fit.to_lo[1:] ** (1.0 - sigma) - fit.to_lo[:-1] ** (1.0 - sigma)
-    ext = h1 * (kappa / (sigma * (1.0 - sigma))) * (up + lo)
+    to_hi, to_lo = fit.to_hi ** (1.0 - sigma), fit.to_lo ** (1.0 - sigma)
+    ext = to_hi[:-1] - to_hi[1:]
+    ext += to_lo[1:] - to_lo[:-1]
+    ext *= h1 * (kappa / (sigma * (1.0 - sigma)))
     return KernelWeights((True, False), w.reshape(n1, 2 * n2 - 1), ND_TABLE_ACCURACY, ext)
 
 
@@ -1391,19 +1437,19 @@ def laplace_quadrature(
 
     The check compares the rule's transform of e^(-z t) with Gamma(lam)
     z^-lam at 41 geometric points z of [z_min, z_max].  Its points and
-    e^(-z t) do not depend on lam: they are kept per lattice
-    (``_rule_lattice``), over the union of the windows of the band's ends,
-    b = floor(2 lam) / 2 and b + 1/2, and of lam's own; both window ends
-    rise with lam in every band from 1/2 up short of the overflow clamp, so
-    every lam of such a band shares one lattice (the seminorm routes read it
-    as ``lattice``).  A rule takes the slice at its nodes times its weights.
+    e^(-z t) do not depend on lam: they are kept per band and spacing
+    (``_rule_lattice``) on the lattice over the union of the windows of the
+    band's ends, b = floor(2 lam) / 2 and b + 1/2; both window ends rise
+    with lam in every band from 1/2 up short of the overflow clamp, so every
+    lam of such a band shares one lattice (the seminorm routes read it as
+    ``lattice``).  A lam whose own window leaves the band's is checked on
+    the union of both, built for that call.  A rule takes the slice at its
+    nodes times its weights.
     """
     if lam <= 0 or z_min <= 0 or z_max < z_min:
         raise ConfigError("need lam > 0 and 0 < z_min <= z_max")
     band = math.floor(2.0 * lam) / 2.0
-    ends = [laplace_window(x, z_min, z_max, rtol) for x in (band, band + 0.5, lam) if x > 0]
-    s_left, s_right = ends[-1]
-    lo, hi = min(e[0] for e in ends), max(e[1] for e in ends)
+    s_left, s_right = laplace_window(lam, z_min, z_max, rtol)
     ds = 0.25
     while True:
         k_lo = math.floor(s_left / ds)
@@ -1412,24 +1458,47 @@ def laplace_quadrature(
             raise RangeTooWide(
                 f"would need {m} nodes for rtol={rtol} on z in [{z_min}, {z_max}]"
             )
-        lattice = (math.floor(lo / ds), math.ceil(hi / ds))
-        zs, t, decay = _rule_lattice(z_min, z_max, ds, *lattice)
+        checks = _rule_lattice(z_min, z_max, rtol, band, ds)
+        lattice = (min(checks.lattice[0], k_lo), max(checks.lattice[1], k_lo + m - 1))
+        if lattice != checks.lattice:  # lam's window leaves its band's
+            checks = _lattice_checks(z_min, z_max, ds, *lattice)
         rows = slice(k_lo - lattice[0], k_lo - lattice[0] + m)
-        weights = ds * np.exp(lam * (ds * np.arange(k_lo, k_lo + m)))
-        exact = math.gamma(lam) * zs ** (-lam)
-        err = float(np.abs(decay[:, rows] @ weights / exact - 1.0).max())
+        weights = lam * checks.s[rows]
+        np.exp(weights, out=weights)
+        weights *= ds
+        ratio = checks.decay[:, rows] @ weights
+        ratio /= math.gamma(lam) * checks.zs ** (-lam)
+        ratio -= 1.0
+        err = float(np.abs(ratio, out=ratio).max())
         if err <= rtol:
+            weights.flags.writeable = False
             return LaplaceConfig(
-                lam, t[rows], _frozen(weights), z_min, z_max, rtol, err, ds, k_lo, lattice
+                lam, checks.t[rows], weights, z_min, z_max, rtol, err, ds, k_lo, lattice
             )
         ds *= 0.5
 
 
+_LatticeChecks = namedtuple("_LatticeChecks", "lattice zs s t decay")
+
+
 @lru_cache(maxsize=8)
-def _rule_lattice(z_min: float, z_max: float, ds: float, k_lo: int, k_hi: int):
+def _rule_lattice(z_min: float, z_max: float, rtol: float, band: float, ds: float) -> _LatticeChecks:
+    """The lam-free part of ``laplace_quadrature`` for every lam of one band
+    b (b <= lam < b + 1/2) at spacing ds: ``_lattice_checks`` on the lattice
+    over the windows of the band's ends b and b + 1/2 (those above 0)."""
+    ends = [laplace_window(x, z_min, z_max, rtol) for x in (band, band + 0.5) if x > 0]
+    lo, hi = min(e[0] for e in ends), max(e[1] for e in ends)
+    return _lattice_checks(z_min, z_max, ds, math.floor(lo / ds), math.ceil(hi / ds))
+
+
+def _lattice_checks(z_min: float, z_max: float, ds: float, k_lo: int, k_hi: int) -> _LatticeChecks:
     """The lam-free part of the Gamma-identity check of ``laplace_quadrature``
-    on the lattice t_k = exp(k ds), k_lo <= k <= k_hi: its 41 points z, the
-    lattice t and e^(-z t), shape (41, k_hi - k_lo + 1); read-only."""
+    on the lattice s_k = k ds, t_k = exp(s_k), k_lo <= k <= k_hi: the
+    lattice (k_lo, k_hi), its 41 points z, s, t and e^(-z t), shape
+    (41, k_hi - k_lo + 1); read-only."""
     zs = np.geomspace(z_min, z_max, 41)
-    t = np.exp(ds * np.arange(k_lo, k_hi + 1))
-    return _frozen(zs), _frozen(t), _frozen(np.exp(-np.outer(zs, t)))
+    s = ds * np.arange(k_lo, k_hi + 1)
+    t = np.exp(s)
+    return _LatticeChecks(
+        (k_lo, k_hi), _frozen(zs), _frozen(s), _frozen(t), _frozen(np.exp(-np.outer(zs, t)))
+    )

@@ -9,10 +9,12 @@ in an auxiliary time variable and contracts the wrapped-Gaussian and
 line-Gaussian tables at the nodes of the validated exp-substitution rule
 into one table, its heat and Gaussian rows taken from stacks kept once per
 grid on the sigma-free log-t lattice, so a fresh s costs one rule and one
-contraction.  The tables share no kernel code, so their agreement
-cross-validates both; divergence (sp >= 1 on non-constant step input) is a
-first-class result, not an exception.  The seminorm and the perimeter take
-a function on a circle or on a circle times an interval, nothing else.
+contraction.  The pair costs of u are free of s too: the last function's
+are kept, so a sweep over s takes them once.  The tables share no kernel
+code, so their agreement cross-validates both; divergence (sp >= 1 on
+non-constant step input) is a first-class result, not an exception.  The
+seminorm and the perimeter take a function on a circle or on a circle
+times an interval, nothing else.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, NotIndicator
-from .grid import Grid1D, GridFunctionND, StepFunction
+from .grid import Grid1D, GridFunctionND, StepFunction, _distinct
 from .kernels import (
     KernelWeights,
     LaplaceConfig,
@@ -100,6 +102,47 @@ def _pair_costs(u: StepFunction | GridFunctionND, p: float, periodic: tuple) -> 
     return offset_sums(u.values, u.values, cost, periodic, symmetric=True)
 
 
+def _last_function(build):
+    """``build(u, p, periodic)`` kept for the last function only.
+
+    One slot, keyed by the identity of u's values array, p and the periodic
+    flags.  A function owns its values as a private read-only copy, so that
+    identity stands for the values themselves (as long as no caller turns
+    writing back on), and the slot's reference keeps the array, and so its
+    identity, alive.  Any other function replaces the slot; ``cache_clear``
+    empties it.
+    """
+    slot = [None, None]  # key, value
+
+    def cached(u, p, periodic):
+        key = slot[0]
+        if key is not None and key[0] is u.values and key[1] == p and key[2] == periodic:
+            return slot[1]
+        value = build(u, p, periodic)
+        slot[:] = (u.values, p, periodic), value
+        return value
+
+    def cache_clear() -> None:
+        slot[:] = None, None
+
+    cached.cache_clear = cache_clear
+    cached.__wrapped__ = build
+    return cached
+
+
+@_last_function
+def _pair_data(u: StepFunction | GridFunctionND, p: float, periodic: tuple) -> tuple:
+    """The sigma-free pair data of u, read-only: its pair costs
+    (``_pair_costs``) and the costs of its pairs with the outside, in 2D
+    twice the column sums of |u|^p (none in 1D).  A sweep over s, or one
+    route after the other on one function, takes them once."""
+    outside = ()
+    if u.values.ndim == 2:  # u is nonnegative, so |u|^p is u^p
+        # doubling is exact, so this is bit for bit twice columns @ E
+        outside = (_frozen(2.0 * (u.values**p).sum(axis=0)),)
+    return _frozen(_pair_costs(u, p, periodic)), outside
+
+
 def _dimension(u: StepFunction | GridFunctionND) -> int:
     """u's dimension: 1 on a circle, 2 on a circle times an interval.  Any
     other grid is a ConfigError."""
@@ -131,7 +174,9 @@ def gagliardo_periodic(
     exterior masses E, sum_x |u(x)|^p E[x2], once for (x, y) and once for
     (y, x): twice the column sums of |u|^p over x1 against E.  The pair
     costs, and in 2D those doubled column sums, are computed once for all
-    routes.  The dimension, 1 or 2, must be params.n.
+    routes, and kept for the last function (``_pair_data``), so that
+    further calls on it at any s reuse them.  The dimension, 1 or 2, must
+    be params.n.
     A sum that overflows float range raises ConfigError; it is not the
     divergent result of sp >= 1.
     """
@@ -147,11 +192,7 @@ def gagliardo_periodic(
     out = []
     # an overflow shows as a total that is not finite, checked below
     with np.errstate(over="ignore"):
-        s = _pair_costs(u, params.p, tables[0].periodic)
-        outside = ()
-        if dim == 2:  # u is nonnegative, so |u|^p is u^p
-            # doubling is exact, so this is bit for bit twice columns @ E
-            outside = (2.0 * (u.values**params.p).sum(axis=0),)
+        s, outside = _pair_data(u, params.p, tables[0].periodic)
         for method, table in zip(methods, tables):
             total = float(table.contract(s, *outside))
             if not math.isfinite(total):  # finite values, so an overflow, not divergence
@@ -240,11 +281,12 @@ def _heat_gauss_stack(
     return tuple(_frozen(a) for a in (t, heat, gauss, ext))
 
 
-def _touches(n: int) -> np.ndarray:
-    """Per offset d, the periodic copies of d at exactly one cell of distance:
-    1 at d in {1, n-1} for n >= 3; on n = 2 the cells touch on both sides, on
-    n = 1 the cell touches its own copies twice."""
-    return np.bincount([1 % n, (n - 1) % n], minlength=n)
+def _touches(n: int) -> tuple[tuple[int, int], ...]:
+    """The offsets d whose periodic copies lie at exactly one cell of
+    distance, each with their number: 1 at d in {1, n-1} for n >= 3; on
+    n = 2 the cells touch on both sides, on n = 1 the cell touches its own
+    copies twice.  Every other offset has none."""
+    return ((1, 1), (n - 1, 1)) if n >= 3 else ((1 % n, 2),)
 
 
 @lru_cache(maxsize=64)
@@ -267,7 +309,9 @@ def _laplace_table_1d(n: int, sigma: float) -> KernelWeights:
     lattice, rows = _lattice_rows(cfg)
     _, heat = _heat_stack(n, *lattice)
     w = cfg.weights @ heat[rows]
-    w += _touches(n) * cfg.algebraic_tail(0.5, 1.0)
+    tail = cfg.algebraic_tail(0.5, 1.0)
+    for d, k in _touches(n):
+        w[d] += k * tail
     w += cfg.algebraic_head(h * h / (2.0 * SQRT_PI), 0.5)
     w[0] = 0.0
     w /= math.gamma(lam)
@@ -298,21 +342,28 @@ def _laplace_table_2d(n1: int, n2: int, lo: float, hi: float, sigma: float) -> K
     _, heat, gauss, ext_rows = _heat_gauss_stack(n1, n2, lo, hi, *lattice)
     w = (cfg.weights[:, None] * heat[rows]).T @ gauss[rows]
     ext = cfg.weights @ ext_rows[rows]
+    edge = cfg.algebraic_tail(h1 * SQRT_PI / 2.0, 1.5)  # a boundary column's outside
+    flat = cfg.algebraic_tail(-0.5, 2.0)
     touch = _touches(n1)
-    w[:, n2 - 1] += touch * (cfg.algebraic_tail(h2 * SQRT_PI / 2.0, 1.5) + cfg.algebraic_tail(-0.5, 2.0))
+    across = cfg.algebraic_tail(h2 * SQRT_PI / 2.0, 1.5) + flat
+    for d1, k in touch:
+        w[d1, n2 - 1] += k * across
     if n2 >= 2:
         near = slice(n2 - 2, n2 + 1, 2)  # the offsets d2 = -1 and 1
-        w[0, near] += cfg.algebraic_tail(h1 * SQRT_PI / 2.0, 1.5) + cfg.algebraic_tail(-0.5, 2.0)
-        w[:, near] += touch[:, None] * cfg.algebraic_tail(0.25, 2.0)
+        w[0, near] += edge + flat
+        corner = cfg.algebraic_tail(0.25, 2.0)
+        for d1, k in touch:
+            w[d1, near] += k * corner
     w += cfg.algebraic_head(h1**2 * h2**2 / (2.0 * SQRT_PI), 0.5)
     ext += 0.5 * cfg.algebraic_head(2.0 * math.pi * h1 * h2, 1.0)
     ext += 0.5 * cfg.algebraic_head(-2.0 * SQRT_PI * h1 * h2 * g2.length, 0.5)
-    edge = cfg.algebraic_tail(h1 * SQRT_PI / 2.0, 1.5)
     ext[0] += edge
     ext[n2 - 1] += edge  # the same column again if n2 = 1
     w[0, n2 - 1] = 0.0  # the self pair, as in the direct table
     gam = math.gamma(lam)
-    return KernelWeights((True, False), w / gam, cfg.achieved + 1e-12, ext / gam)
+    w /= gam
+    ext /= gam
+    return KernelWeights((True, False), w, cfg.achieved + 1e-12, ext)
 
 
 # method -> (1D table of (n, sigma), 2D table of (n1, n2, lo, hi, sigma))
@@ -349,7 +400,7 @@ def coarea_identity_check(u: StepFunction, s: float) -> float:
     """
     params = SeminormParams(s, 1.0)
     lhs = gagliardo_periodic_direct(u, params).value
-    cuts = np.unique(np.concatenate(([0.0], u.values)))
+    cuts = _distinct(np.concatenate(([0.0], u.values)))
     rhs = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         e = u.with_values((u.values > a).astype(float))

@@ -46,7 +46,7 @@ from .functionals import (
     normalize,
     split_plus_minus,
 )
-from .grid import Grid1D, GridFunctionND, StepFunction
+from .grid import Grid1D, GridFunctionND, StepFunction, _distinct
 from .kernels import (
     CircleKernel,
     GaussianKernel,
@@ -158,7 +158,7 @@ def _circle_class(rows: np.ndarray, whole: bool) -> EqualityClass:
     half cells of the rearrangement, 0 where no set is proper.
     """
     n = rows.shape[1]
-    taus = np.unique(rows)[:-1]
+    taus = _distinct(rows)[:-1]
     keep = slice(None)  # every level
     if whole:
         lo, hi = rows.min(axis=1), rows.max(axis=1)
@@ -172,7 +172,7 @@ def _line_class(rows: np.ndarray, grid: Grid1D, hi: float) -> EqualityClass:
     """Line classes of the rows of ``rows``, functions on the interval ``grid``
     with a positive maximum, at 0 and every value below the top; the
     levelwise test takes the levels below ``hi``."""
-    taus = np.unique(np.concatenate(([0.0], rows.ravel())))[:-1]  # below the top
+    taus = _distinct(np.concatenate(([0.0], rows.ravel())))[:-1]  # below the top
     keep = taus < hi
     keep[0] &= bool(rows.min() == 0.0)  # 0 is a level only as a value
     half = grid.h / 2.0
@@ -264,6 +264,20 @@ def check_riesz_circle(
     return CheckResult(rhs - lhs, lhs, rhs, _margin_bound(w.accuracy, w2.accuracy, lhs, rhs))
 
 
+def _quartiles(x: np.ndarray) -> np.ndarray:
+    """``np.quantile(x, [0.25, 0.75])`` by its default linear method, its
+    interpolation step for step: ``np.quantile`` imports ``numpy.ma`` on
+    its first call."""
+    x = np.sort(x)
+    at = (x.size - 1) * np.array([0.25, 0.75])
+    below = np.floor(at)
+    t = at - below
+    i = below.astype(np.intp)
+    a, b = x[i], x[np.minimum(i + 1, x.size - 1)]
+    d = b - a
+    return np.where(t >= 0.5, b - d * (1 - t), a + d * t)
+
+
 def _internal_layer_checks(
     u: StepFunction,
     v: StepFunction,
@@ -278,7 +292,7 @@ def _internal_layer_checks(
     jn = normalize(j)
     jp, _ = split_plus_minus(jn)
     su, sv = periodic_rearrange_1d(u), periodic_rearrange_1d(v)
-    taus = np.quantile(np.concatenate((u.values, v.values)), [0.25, 0.75])
+    taus = _quartiles(np.concatenate((u.values, v.values)))
     for tau in taus:
         a0 = level_source_term(u, jp, w, tau)
         a1 = level_source_term(su, jp, w2, tau)

@@ -144,6 +144,37 @@ def test_nd_function_requires_compact_support():
     assert superlevel_measure(u, 0.5) == pytest.approx(8 * u.cell_volume)
 
 
+def _circle_function(values):
+    return StepFunction(Grid1D.circle(4), values)
+
+
+def _cylinder_function(values):
+    return GridFunctionND(Grid1D.circle(4), (Grid1D.interval(3, -1.0, 1.0),), values)
+
+
+OWNERS = pytest.mark.parametrize(
+    "build,shape", [(_circle_function, (4,)), (_cylinder_function, (4, 3))], ids=["1D", "2D"]
+)
+
+
+@OWNERS
+def test_functions_leave_the_callers_array_writeable(build, shape):
+    a = np.zeros(shape)
+    u = build(a)
+    assert a.flags.writeable and not u.values.flags.writeable
+    a[1] = 5.0  # the function keeps its own values
+    assert not u.values.any()
+
+
+@OWNERS
+def test_functions_own_their_values_not_a_view(build, shape):
+    b = np.zeros((shape[0] + 2,) + shape[1:])
+    u = build(b[: shape[0]])
+    b[1] = 7.0  # a write to the base reaches no view held by the function
+    assert not u.values.any()
+    assert u.values.base is None and u.values.flags.c_contiguous
+
+
 def test_json_round_trip(rng, tmp_path):
     u = random_circle_function(rng, n=7)
     obj = function_to_json(u)

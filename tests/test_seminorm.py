@@ -1,11 +1,16 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from persym import kernels, seminorm
+import persym
+from persym import cli, kernels, seminorm
 from persym.errors import ConfigError, NotIndicator
-from persym.grid import Grid1D, GridFunctionND, StepFunction, refine
+from persym.grid import Grid1D, GridFunctionND, StepFunction, function_to_json, refine, save_function
 from persym.seminorm import (
     SeminormParams,
     coarea_identity_check,
@@ -433,13 +438,17 @@ class TestLatticeStacks:
 
 def test_fresh_sigmas_build_each_grid_cache_once(rng, monkeypatch, fresh_caches):
     # the seminorm-sweep grids, 20 fresh s through both public routes: every
-    # table and rule is rebuilt, but each sigma-free cache misses once per
-    # grid, so a sigma in the key of a grid's fit, plan, lattice or stack
-    # fails here
-    calls = {"laplace_quadrature": 0, "_line_powers": 0}
-    for mod, name in ((seminorm, "laplace_quadrature"), (kernels, "_line_powers")):
+    # table and rule is rebuilt, each route entering its builder once, but
+    # each sigma-free cache misses once per grid, so a sigma in the key of a
+    # grid's fit, plan, lattice or stack fails here, as does a cache that
+    # lets a fresh sigma skip its build
+    entered = []
+    for mod, name in (
+        (seminorm, "laplace_quadrature"), (seminorm, "riesz_weights_1d"),
+        (seminorm, "riesz_weights_nd"), (kernels, "_line_powers"),
+    ):
         def counted(*args, _name=name, _f=getattr(mod, name), **kwargs):
-            calls[_name] += 1
+            entered.append(_name)
             return _f(*args, **kwargs)
         monkeypatch.setattr(mod, name, counted)
     u1 = random_circle_function(rng, n=64)
@@ -447,11 +456,18 @@ def test_fresh_sigmas_build_each_grid_cache_once(rng, monkeypatch, fresh_caches)
     vals = rng.random((12, 12))
     vals[:, [0, -1]] = 0.0
     u2 = GridFunctionND(Grid1D.circle(12), (g2,), vals)
+    per_route = []
     for s in np.linspace(0.1, 0.9, 20):
         for u, dim in ((u1, 1), (u2, 2)):
             params = SeminormParams(float(s), 1.0, dim)
-            gagliardo_periodic_direct(u, params)
-            gagliardo_periodic_laplace(u, params)
+            for route in (gagliardo_periodic_direct, gagliardo_periodic_laplace):
+                before = len(entered)
+                route(u, params)
+                per_route.append([name for name in entered[before:] if name != "_line_powers"])
+    riesz = {1: "riesz_weights_1d", 2: "riesz_weights_nd"}
+    assert per_route == [[name] for _ in range(20) for dim in (1, 2)
+                         for name in (riesz[dim], "laplace_quadrature")]
+    assert entered.count("_line_powers") == 1
     builds = {
         seminorm._riesz_table_cached: 20,
         seminorm._nd_table_cached: 20,
@@ -464,25 +480,91 @@ def test_fresh_sigmas_build_each_grid_cache_once(rng, monkeypatch, fresh_caches)
     assert {f.__name__: f.cache_info().misses for f in builds} == {
         f.__name__: misses for f, misses in builds.items()
     }
-    assert calls == {"laplace_quadrature": 40, "_line_powers": 1}
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_both_routes_from_one_pass_of_pair_costs(rng, monkeypatch, dim):
-    # the default methods give bit for bit what the single-route calls give,
-    # from one pass of pair costs
-    u = random_circle_function(rng, n=16) if dim == 1 else random_nd_function(rng)
-    params = SeminormParams(0.35, 2.0, dim)
-    single = (gagliardo_periodic_direct(u, params), gagliardo_periodic_laplace(u, params))
+def _count_offset_sums(monkeypatch) -> list:
     calls = []
     offset_sums = seminorm.offset_sums
     monkeypatch.setattr(
         seminorm, "offset_sums", lambda *a, **kw: calls.append(a) or offset_sums(*a, **kw)
     )
+    return calls
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_both_routes_from_one_pass_of_pair_costs(rng, monkeypatch, dim):
+    # the default methods give bit for bit what the single-route calls give,
+    # from one pass of pair costs (the single-route calls left u's pair
+    # costs in the slot, so it is emptied first)
+    u = random_circle_function(rng, n=16) if dim == 1 else random_nd_function(rng)
+    params = SeminormParams(0.35, 2.0, dim)
+    single = (gagliardo_periodic_direct(u, params), gagliardo_periodic_laplace(u, params))
+    seminorm._pair_data.cache_clear()
+    calls = _count_offset_sums(monkeypatch)
     assert gagliardo_periodic(u, params) == single
     assert len(calls) == 1
     with pytest.raises(ConfigError):
         gagliardo_periodic(u, params, ("direct", "fft"))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_routes_of_one_function_take_the_pair_costs_once(rng, monkeypatch, fresh_caches, dim):
+    # the direct route fills the slot, the Laplace route reads it; both give
+    # the bits that each route gives alone in a fresh process
+    u = random_circle_function(rng, n=16) if dim == 1 else random_nd_function(rng)
+    params = SeminormParams(0.35, 1.5, dim)
+    calls = _count_offset_sums(monkeypatch)
+    got = [gagliardo_periodic_direct(u, params).value, gagliardo_periodic_laplace(u, params).value]
+    assert len(calls) == 1
+    src = os.path.dirname(os.path.dirname(persym.__file__))
+    code = (
+        "import json, sys\n"
+        "from persym.grid import function_from_json\n"
+        "from persym.seminorm import SeminormParams, gagliardo_periodic\n"
+        "u = function_from_json(json.load(sys.stdin))\n"
+        f"params = SeminormParams(0.35, 1.5, {dim})\n"
+        "print(gagliardo_periodic(u, params, (sys.argv[1],))[0].value.hex())"
+    )
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-c", code, method], input=json.dumps(function_to_json(u)),
+            env=dict(os.environ, PYTHONPATH=src), check=True, capture_output=True, text=True,
+            timeout=120,
+        ).stdout.strip()
+        for method in ("direct", "laplace")
+    ]
+    assert [v.hex() for v in got] == fresh
+
+
+def test_pair_costs_recompute_for_another_p_function_or_after_clearing(
+    rng, monkeypatch, fresh_caches
+):
+    u = random_nd_function(rng)
+    twin = GridFunctionND(u.axis1, u.axes_perp, u.values)  # equal values, another function
+    calls = _count_offset_sums(monkeypatch)
+    params = SeminormParams(0.35, 1.5, 2)
+    first = gagliardo_periodic_direct(u, params)
+    gagliardo_periodic_laplace(u, SeminormParams(0.6, 1.5, 2))  # another s: kept
+    assert len(calls) == 1
+    gagliardo_periodic_direct(u, SeminormParams(0.35, 2.0, 2))  # another p
+    assert len(calls) == 2
+    assert gagliardo_periodic_direct(twin, params) == first
+    assert len(calls) == 3
+    seminorm._pair_data.cache_clear()
+    assert gagliardo_periodic_direct(twin, params) == first
+    assert len(calls) == 4
+    fresh_caches()  # the tests' cache clearing reaches the slot
+    gagliardo_periodic_direct(twin, params)
+    assert len(calls) == 5
+
+
+def test_sweep_takes_the_pair_costs_once(rng, monkeypatch, fresh_caches, tmp_path, capsys):
+    infile = tmp_path / "u.json"
+    save_function(str(infile), random_nd_function(rng))
+    calls = _count_offset_sums(monkeypatch)
+    assert cli.main(["sweep", "--in", str(infile), "--values", "0.1", "0.9", "5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6  # the header and five values of s
+    assert len(calls) == 1
 
 
 def test_pair_costs_take_half_the_offsets(rng, monkeypatch):

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -685,3 +688,48 @@ def test_fresh_caches_empty_the_index_caches(fresh_caches):
     assert cache.cache_info().currsize
     fresh_caches()
     assert not cache.cache_info().currsize
+
+
+def test_quartiles_are_numpys(rng):
+    for n in (1, 2, 3, 4, 7, 16, 33):
+        for x in (rng.random(n), rng.integers(0, 3, n).astype(float)):
+            got = persym.verify._quartiles(x)
+            assert np.array_equal(got, np.quantile(x, [0.25, 0.75]))
+
+
+def test_checks_load_no_numpy_ma():
+    # numpy's unique imports numpy.ma on its first call (about 10 ms of a
+    # cold process); every check, the classifier and the other level sweeps
+    # take distinct values without it
+    src = os.path.dirname(os.path.dirname(persym.__file__))
+    code = """
+import sys
+import numpy as np
+from persym import *
+from persym.functionals import ab_decomposition, split_plus_minus
+c = Grid1D.circle(8)
+u, v = StepFunction(c, [0, 1, 2, 3, 2, 1, 0, 0]), StepFunction(c, [1, 0, 0, 2, 2, 0, 1, 3])
+line = Grid1D.interval(8, -2.0, 2.0)
+a, b = StepFunction(line, u.values), StepFunction(line, v.values)
+vals = np.zeros((6, 6))
+vals[:, 1:5] = np.arange(24.0).reshape(6, 4) % 5
+w = GridFunctionND(Grid1D.circle(6), (Grid1D.centered_interval(6, 3.0),), vals)
+cost = j_library("power", p=2)
+check_riesz_circle(u, v, HeatKernel(0.5))
+check_nonexpansivity_circle(u, v, cost, HeatKernel(0.5), internal_checks=True)
+check_nonexpansivity_euclidean(a, b, cost, GaussianKernel(1.0))
+check_polya_periodic(u, SeminormParams(0.3, 1.0))
+check_polya_periodic(w, SeminormParams(0.3, 1.0, 2))
+check_polya_cylindrical(w, SeminormParams(0.3, 1.0, 2))
+for args in ((u, v, "circle"), (a, b, "euclidean"), (u, None, "periodic-ps"), (w, None, "cylindrical-ps")):
+    classify_equality(*args)
+ab_decomposition(u, v, split_plus_minus(normalize(cost))[0], HeatKernel(0.5).weights(c))
+coarea_identity_check(u, 0.4)
+layer_cake_value(u, 0.1)
+print("numpy.ma" in sys.modules)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        check=True, capture_output=True, text=True, timeout=120,
+    )
+    assert out.stdout.splitlines()[-1] == "False"
