@@ -92,23 +92,17 @@ class Grid1D:
         return Grid1D(self.n * factor, self.lo, self.hi, self.periodic)
 
 
-def _owned(values) -> np.ndarray:
-    """A private C-contiguous float copy of ``values``: a function freezes
-    its own array, never the caller's or a view of it."""
-    return np.array(values, dtype=float, order="C")
-
-
-def _as_values(values, n: int | None = None) -> np.ndarray:
-    arr = _owned(values)
-    if arr.ndim != 1:
-        raise ConfigError(f"values must be one-dimensional, got shape {arr.shape}")
-    if n is not None and arr.size != n:
-        raise ConfigError(f"expected {n} values, got {arr.size}")
-    if arr.size and float(arr.min()) < 0.0:
-        raise NegativeValue(
-            "step functions are nonnegative; use absolute_value() on signed input"
-        )
-    if not np.all(np.isfinite(arr)):
+def _checked(values, shape: tuple, negative: str) -> np.ndarray:
+    """``values`` as a function's own array: a private read-only C-contiguous
+    float copy (never the caller's array or a view of it) of ``shape``, finite
+    and nonnegative, else ConfigError, or NegativeValue with ``negative``.  A
+    NaN fails both bounds, so it reads as not finite; -inf reads as negative."""
+    arr = np.array(values, dtype=float, order="C")
+    if arr.shape != shape:
+        raise ConfigError(f"values of shape {arr.shape} do not fit the grid's {shape}")
+    if arr.min() < 0.0:
+        raise NegativeValue(negative)
+    if not arr.max() < math.inf:
         raise ConfigError("values must be finite")
     arr.flags.writeable = False
     return arr
@@ -122,7 +116,8 @@ class StepFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_values(self.values, self.grid.n))
+        negative = "step functions are nonnegative; use absolute_value() on signed input"
+        object.__setattr__(self, "values", _checked(self.values, (self.grid.n,), negative))
 
     @classmethod
     def on_circle(cls, values) -> "StepFunction":
@@ -184,23 +179,14 @@ class GridFunctionND:
                 raise NotInterval("perpendicular axes must be interval grids")
         object.__setattr__(self, "axes_perp", axes)
         shape = (self.axis1.n,) + tuple(g.n for g in axes)
-        arr = _owned(self.values)
-        if arr.shape != shape:
-            raise ConfigError(f"values shape {arr.shape} != grid shape {shape}")
-        if arr.size and float(arr.min()) < 0.0:
-            raise NegativeValue("ND grid functions are nonnegative")
-        if not np.all(np.isfinite(arr)):
-            raise ConfigError("values must be finite")
+        arr = _checked(self.values, shape, "ND grid functions are nonnegative")
         if self.require_compact:
-            for ax in range(1, arr.ndim):
-                first = np.take(arr, 0, axis=ax)
-                last = np.take(arr, -1, axis=ax)
-                if first.any() or last.any():
+            for ax, m in enumerate(shape[1:], 1):  # the first and last cells of the axis
+                if arr[(slice(None),) * ax + (slice(None, None, max(m - 1, 1)),)].any():
                     raise ConfigError(
                         "values must vanish on the boundary layer of every "
                         f"perpendicular axis (axis {ax})"
                     )
-        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
     @property

@@ -12,22 +12,20 @@ difference.
 
 from __future__ import annotations
 
-from functools import cache
-
 import numpy as np
 
 from .errors import ConfigError, NotIndicator, NotInterval, NotPeriodic
 from .grid import Grid1D, GridFunctionND, StepFunction
 
 
-@cache
 def placement_order(n_refined: int) -> np.ndarray:
     """Cell visit order on a refined centered grid: by distance to 0, right first.
 
     The grid has ``n_refined`` cells (even) on a centered domain, so 0 is the
     boundary between cells n/2 - 1 and n/2.  Mirror cells are equidistant and
     the tie goes to the right cell; distances are nondecreasing along the
-    returned permutation.  Kept per cell count, read-only.
+    returned permutation, read-only.  Values sorted descending and written
+    along it are the rearrangement's (``_rearranged_values`` in closed form).
     """
     if n_refined % 2 != 0:
         raise ConfigError("placement order needs an even cell count")
@@ -40,13 +38,13 @@ def placement_order(n_refined: int) -> np.ndarray:
 
 
 def _rearranged_values(values: np.ndarray, axis: int) -> np.ndarray:
-    """Core step along ``axis``: duplicate onto half cells, sort descending,
-    walk the placement order.  Other axes are independent slices."""
-    doubled = np.repeat(values, 2, axis=axis)
-    out = np.empty_like(doubled)
-    place = (slice(None),) * axis + (placement_order(doubled.shape[axis]),)
-    out[place] = -np.sort(-doubled, axis=axis)  # descending
-    return out
+    """Core step along ``axis``: each value on two half cells, in
+    ``placement_order``.  The doubled values sorted descending come in equal
+    pairs, one for a right cell and one for its mirror, so the result is the
+    ascending sort followed by its reverse.  Other axes are independent
+    slices."""
+    asc = np.sort(values, axis=axis)
+    return np.concatenate((asc, asc[(slice(None),) * axis + (slice(None, None, -1),)]), axis=axis)
 
 
 def symmetric_decreasing_1d(u: StepFunction) -> StepFunction:

@@ -92,61 +92,79 @@ class EqualityClass:
         return self.tag != "neither"
 
 
-def _runs(masks: np.ndarray, periodic: bool):
-    """Per mask along the last axis: whether it is proper, whether it is one
-    run of cells or not proper, and the run's centre in half cells from the
-    left end (cells a..b give a + b + 1).
+def _turned(rows: np.ndarray, periodic: bool):
+    """``rows`` and a turn of 0 on the line; on the circle each row turned to
+    start at its first minimum, and the turns in cells, one per row.  A proper
+    circle set then misses the first cell, so it is one arc exactly when it is
+    one run of the turned row."""
+    if not periodic:
+        return rows, 0
+    turn = rows.argmin(axis=1)
+    n = rows.shape[1]
+    return rows[np.arange(len(rows))[:, None], (turn[:, None] + np.arange(n)) % n], turn
+
+
+def _runs(rows: np.ndarray, turn, taus: np.ndarray, periodic: bool):
+    """Per row of ``rows``, turned by ``_turned``, and level tau of ``taus``:
+    whether {row > tau} is proper, whether it is one run of cells or not
+    proper, and the run's centre in half cells from the left end of the row
+    before its turn (cells a..b give a + b + 1).
 
     A proper set is nonempty, and on the circle not full: an empty or full
-    circle set matches every rotation.  A circle set holding both end cells
-    crosses the seam; it is one arc exactly when its complement is one run,
-    and its centre is the complement's plus n, mod 2n.
+    circle set matches every rotation.
     """
-    n = masks.shape[-1]
-    size = masks.sum(axis=-1)
+    n = rows.shape[1]
+    masks = rows[:, None] > taus[:, None]
+    size = masks.sum(axis=2)
+    first = masks.argmax(axis=2)
+    last = n - 1 - masks[..., ::-1].argmax(axis=2)
     proper = size > 0
-    centre = 1
     if periodic:
         proper &= size < n
-        seam = masks[..., 0] & masks[..., -1]
-        masks = masks ^ seam[..., None]
-        size = np.where(seam, n - size, size)
-        centre = np.where(seam, n + 1, 1)
-    first = masks.argmax(axis=-1)
-    last = n - 1 - masks[..., ::-1].argmax(axis=-1)
-    run = last - first + 1 == size
-    return proper, run | ~proper, (centre + first + last) % (2 * n)
+    centre = (first + last + 1 + 2 * np.reshape(turn, (-1, 1))) % (2 * n)
+    return proper, (last - first + 1 == size) | ~proper, centre
 
 
-def _shared_centre(proper, ok, centre, axis):
-    """Along ``axis``: whether every set is ok and the proper ones share one
-    centre, and that centre (-1 where no set is proper)."""
-    top = np.where(proper, centre, -1).max(axis=axis, keepdims=True, initial=-1)
-    same = (ok & ((centre == top) | ~proper)).all(axis=axis)
-    return same, np.squeeze(top, axis)
-
-
-def _class(rows: np.ndarray, taus: np.ndarray, keep, periodic: bool, place) -> EqualityClass:
+def _class(rows: np.ndarray, levels, floor: float, ceil: float, periodic: bool, place) -> EqualityClass:
     """Classes of the rows of ``rows`` from their strict superlevel sets
-    {row > tau}, tau in ``taus``, all tested at once (levels x rows x cells).
+    {row > tau}, tau any of ``levels`` below its top.
 
     Common translate: every set is one run (one arc on the circle) and the
-    proper sets share one centre.  Levelwise: the same test per level of
-    ``taus[keep]``.  ``place`` maps centres in half cells to shifts.
+    proper sets share one centre.  Levelwise: the same test per level in
+    [floor, ceil).  ``place`` maps centres in half cells to shifts.
+
+    A cell with higher cells on both sides, the lower of the two highest its
+    wall, splits the set of every level from its value up to its wall, so no
+    such cell may reach a kept level.  With no such cell at all, the proper
+    sets share one centre exactly when every row is its own mirror image about
+    the centre of its top set, one for all rows (0 outside the interval).
+    Only a levelwise test builds the sets of its levels.
     """
-    proper, ok, centre = _runs(rows > taus[:, None, None], periodic)
-    if not ok[keep].all():  # a kept set that is not one run rules out both
+    n = rows.shape[1]
+    turned, turn = _turned(rows, periodic)
+    peak = np.maximum.accumulate(turned, 1)
+    wall = np.minimum(peak, np.maximum.accumulate(turned[:, ::-1], 1)[:, ::-1])
+    if (np.maximum(turned, floor) < np.minimum(wall, ceil)).any():
         return EqualityClass("neither")
-    same, top = _shared_centre(proper, ok, centre, (0, 1))
-    if same:
-        return EqualityClass("common-translate", shift=float(place(top)))
-    same, tops = _shared_centre(proper[keep], ok[keep], centre[keep], 1)
-    if not same.all():
+    if not (turned < wall).any():
+        centre = (turned.argmax(axis=1) - turned[:, ::-1].argmax(axis=1) + n + 2 * turn) % (2 * n)
+        flat = peak[:, -1] == (turned[:, 0] if periodic else 0.0)  # no proper set
+        shared = set(centre[~flat].tolist())
+        if len(shared) < 2:
+            c = shared.pop() if shared else -1
+            rev = rows[:, ::-1]
+            side = rev if periodic else np.zeros_like(rev)
+            if c < 0 or (np.concatenate((side, rev, side), 1)[:, 2 * n - c : 3 * n - c] == rows).all():
+                return EqualityClass("common-translate", shift=float(place(c)))
+    taus = _distinct(levels)[:-1]
+    taus = taus[slice(*taus.searchsorted((floor, ceil)))]
+    proper, _, centre = _runs(turned, turn, taus, periodic)  # every set is one run
+    centre = np.where(proper, centre, -1)
+    top = centre.max(axis=0)  # per level, -1 where no set is proper
+    if not ((centre == top) | ~proper).all():
         return EqualityClass("neither")
-    shifts = place(tops).astype(float).tolist()
-    return EqualityClass(
-        "levelwise-translate", level_shifts=tuple(zip(taus[keep].tolist(), shifts))
-    )
+    shifts = place(top).astype(float).tolist()
+    return EqualityClass("levelwise-translate", level_shifts=tuple(zip(taus.tolist(), shifts)))
 
 
 def _circle_class(rows: np.ndarray, whole: bool) -> EqualityClass:
@@ -158,25 +176,22 @@ def _circle_class(rows: np.ndarray, whole: bool) -> EqualityClass:
     half cells of the rearrangement, 0 where no set is proper.
     """
     n = rows.shape[1]
-    taus = _distinct(rows)[:-1]
-    keep = slice(None)  # every level
+    floor, ceil = -math.inf, math.inf  # every level
     if whole:
-        lo, hi = rows.min(axis=1), rows.max(axis=1)
-        if (lo == hi).any():
+        lo, hi = rows.min(axis=1).tolist(), rows.max(axis=1).tolist()
+        if any(map(float.__eq__, lo, hi)):
             return EqualityClass("constant")
-        keep = (taus >= lo.max()) & (taus < hi.min())
-    return _class(rows, taus, keep, True, lambda c: np.where(c < 0, 0, (n - c) % (2 * n)))
+        floor, ceil = max(lo), min(hi)
+    return _class(rows, rows, floor, ceil, True, lambda c: (n - c) % (2 * n) * (c >= 0))
 
 
 def _line_class(rows: np.ndarray, grid: Grid1D, hi: float) -> EqualityClass:
     """Line classes of the rows of ``rows``, functions on the interval ``grid``
     with a positive maximum, at 0 and every value below the top; the
-    levelwise test takes the levels below ``hi``."""
-    taus = _distinct(np.concatenate(([0.0], rows.ravel())))[:-1]  # below the top
-    keep = taus < hi
-    keep[0] &= bool(rows.min() == 0.0)  # 0 is a level only as a value
+    levelwise test takes the levels below ``hi``, 0 only as a value."""
+    levels = np.concatenate(([0.0], rows.ravel()))
     half = grid.h / 2.0
-    return _class(rows, taus, keep, False, lambda c: grid.lo + c * half)
+    return _class(rows, levels, float(rows.min()), hi, False, lambda c: grid.lo + c * half)
 
 
 def classify_equality(u, v=None, context: str = "circle") -> EqualityClass:
@@ -199,12 +214,12 @@ def classify_equality(u, v=None, context: str = "circle") -> EqualityClass:
         ):
             kind = "periodic" if periodic else "interval"
             raise ConfigError(f"{context} classification needs u and v on one {kind} grid")
-        rows = np.stack((u.values, v.values))
+        rows = np.array((u.values, v.values))
         if periodic:
             return _circle_class(rows, whole=True)
-        if not u.values.any() or not v.values.any():
-            return EqualityClass("zero")
         hi = min(float(u.values.max()), float(v.values.max()))
+        if hi == 0.0:  # nonnegative values: a maximum of 0 is the zero function
+            return EqualityClass("zero")
         return _line_class(rows, u.grid, hi)
     if context == "periodic-ps":
         if isinstance(u, GridFunctionND):
@@ -215,9 +230,10 @@ def classify_equality(u, v=None, context: str = "circle") -> EqualityClass:
     if context == "cylindrical-ps":
         if not (isinstance(u, GridFunctionND) and len(u.axes_perp) == 1):
             raise ConfigError("cylindrical-ps classification needs one interval axis")
-        if not u.values.any():
+        top = float(u.values.max())
+        if top == 0.0:
             return EqualityClass("zero")
-        return _line_class(u.values, u.axes_perp[0], float(u.values.max()))
+        return _line_class(u.values, u.axes_perp[0], top)
     raise ConfigError(f"unknown context {context!r}")
 
 
@@ -463,8 +479,10 @@ def exhaustive_oracle_circle(
     # per (function, level): whether {f > tau} is one arc or not proper, and
     # its centre; per function: whether f is a translate of f*, and where
     taus = np.arange(levels - 1.0)
-    proper, ok, centre = _runs(funcs[:, None] > taus[:, None], periodic=True)
-    translate, centres = _shared_centre(proper, ok, centre, 1)
+    proper, ok, centre = _runs(*_turned(funcs, True), taus, True)
+    centre = np.where(proper, centre, -1)
+    centres = centre.max(axis=1, initial=-1)
+    translate = (ok & ((centre == centres[:, None]) | ~proper)).all(axis=1)
 
     strict = j.strictly_convex
     is_abs = j.name.startswith("abs")

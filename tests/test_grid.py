@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persym.errors import ConfigError, IncompatibleGrids, NegativeValue, OutOfDomain
+from persym.errors import (
+    ConfigError,
+    IncompatibleGrids,
+    NegativeValue,
+    OutOfDomain,
+    PersymError,
+)
 from persym.grid import (
     Grid1D,
     GridFunctionND,
@@ -51,6 +57,71 @@ def test_nonnegativity_enforced():
         StepFunction.on_circle([1.0, -0.5, 0.0, 2.0])
     u = absolute_value(Grid1D.circle(4), [1.0, -0.5, 0.0, 2.0])
     assert u.values.tolist() == [1.0, 0.5, 0.0, 2.0]
+
+
+BAD_VALUES = [
+    (math.nan, ConfigError),
+    (math.inf, ConfigError),
+    (-math.inf, NegativeValue),
+    (-0.5, NegativeValue),
+]
+
+
+def _raises_exactly(kind, build):
+    with pytest.raises(PersymError) as info:
+        build()
+    assert type(info.value) is kind
+
+
+@pytest.mark.parametrize("grid", [Grid1D.circle(5), Grid1D.interval(3, -1.0, 2.0), Grid1D.circle(1)])
+def test_step_function_checks_its_values(grid):
+    # every value check holds at each cell; -0.0 is a nonnegative value
+    for bad, kind in BAD_VALUES:
+        for at in range(grid.n):
+            vals = np.ones(grid.n)
+            vals[at] = bad
+            _raises_exactly(kind, lambda: StepFunction(grid, vals))
+    for vals in (np.ones(grid.n + 1), np.ones(grid.n - 1), np.ones((grid.n, 1)), 1.0):
+        _raises_exactly(ConfigError, lambda: StepFunction(grid, vals))
+    zero = StepFunction(grid, np.full(grid.n, -0.0))
+    assert np.signbit(zero.values).all() and not zero.values.flags.writeable
+
+
+ND_AXES = [
+    (Grid1D.interval(1, -1.0, 1.0),),
+    (Grid1D.interval(2, -1.0, 1.0),),
+    (Grid1D.interval(3, -1.0, 1.0),),
+    (Grid1D.interval(3, -1.0, 1.0), Grid1D.interval(4, 0.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("axes", ND_AXES, ids=["1-cell", "2-cell", "3-cell", "two-axes"])
+def test_nd_function_checks_its_values(axes):
+    g1 = Grid1D.circle(4)
+    shape = (4,) + tuple(g.n for g in axes)
+    interior = (slice(None),) + tuple(slice(1, -1) for _ in axes)
+    for bad, kind in BAD_VALUES:
+        for at in np.ndindex(shape):
+            vals = np.zeros(shape)
+            vals[at] = bad
+            _raises_exactly(kind, lambda: GridFunctionND(g1, axes, vals))
+            _raises_exactly(kind, lambda: GridFunctionND(g1, axes, vals, require_compact=False))
+    for wrong in (shape[:-1] + (shape[-1] + 1,), (5,) + shape[1:], shape + (1,), shape[:-1]):
+        _raises_exactly(ConfigError, lambda: GridFunctionND(g1, axes, np.zeros(wrong)))
+    # a nonzero value on the first or last cell of any interval axis
+    for at in np.ndindex(shape):
+        vals = np.zeros(shape)
+        vals[at] = 1.0
+        edge = any(i in (0, m - 1) for i, m in zip(at[1:], shape[1:]))
+        if edge:
+            _raises_exactly(ConfigError, lambda: GridFunctionND(g1, axes, vals))
+        else:
+            GridFunctionND(g1, axes, vals)
+        assert GridFunctionND(g1, axes, vals, require_compact=False).values[at] == 1.0
+    vals = np.full(shape, -0.0)
+    vals[interior] = 1.0
+    u = GridFunctionND(g1, axes, vals)
+    assert np.signbit(u.values[0]).any() and not u.values.flags.writeable
 
 
 def test_refine_examples():

@@ -60,6 +60,30 @@ def test_placement_order_structure():
     assert np.all(np.diff(dists) >= -1e-15)
 
 
+def _placed_by_order(values: np.ndarray, axis: int) -> np.ndarray:
+    """The rearranged values as the placement order writes them: doubled,
+    sorted descending and written along ``placement_order``."""
+    doubled = np.repeat(values, 2, axis=axis)
+    out = np.empty_like(doubled)
+    out[(slice(None),) * axis + (placement_order(doubled.shape[axis]),)] = -np.sort(-doubled, axis=axis)
+    return out
+
+
+def test_closed_form_places_values_as_placement_order(rng):
+    # byte for byte without -0.0; with both zeros in one input, the two sorts
+    # may order them differently, so equal as values only
+    for shape in [(1,), (2,), (7,), (16,), (3, 1), (6, 8), (5, 4, 3)]:
+        for vals in (rng.random(shape), rng.integers(0, 3, shape).astype(float)):
+            for axis in range(len(shape)):
+                got = _rearranged_values(vals, axis)
+                assert got.tobytes() == _placed_by_order(vals, axis).tobytes()
+    zeros = np.array([0.0, -0.0, 1.0, -0.0, 0.0, 2.0, 0.0])
+    assert np.array_equal(_rearranged_values(zeros, 0), _placed_by_order(zeros, 0))
+    negative_zeros = np.array([-0.0, 1.0, -0.0, 3.0])
+    got = _rearranged_values(negative_zeros, 0)
+    assert got.tobytes() == _placed_by_order(negative_zeros, 0).tobytes()
+
+
 def test_rearranged_values_per_axis_match_1d(rng):
     vals = rng.integers(0, 4, (6, 8)).astype(float)
     vals[2] = 2.0 * rng.random(8)

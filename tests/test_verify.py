@@ -681,15 +681,6 @@ class TestClassifyPeriodicND:
         assert res.margin > res.bound  # p > 1: no translate, strict inequality
 
 
-def test_fresh_caches_empty_the_index_caches(fresh_caches):
-    u = StepFunction.on_circle([0.0, 1.0, 2.0, 1.0])
-    symmetric_decreasing_1d(u)
-    cache = persym.rearrange.placement_order
-    assert cache.cache_info().currsize
-    fresh_caches()
-    assert not cache.cache_info().currsize
-
-
 def test_quartiles_are_numpys(rng):
     for n in (1, 2, 3, 4, 7, 16, 33):
         for x in (rng.random(n), rng.integers(0, 3, n).astype(float)):
