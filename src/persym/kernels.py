@@ -118,18 +118,19 @@ class KernelWeights:
 
     def contract(self, sums: np.ndarray, *outside: np.ndarray):
         """sum_d S[d] W[d] for pair sums S in this layout (``offset_sums``),
-        one value per row of S's leading batch axes; plus m @ exterior for
-        each array m of ``outside``, a cost per cell of the last axis, which
-        sums the pairs whose partner lies outside the grid."""
+        a float, or one value per row of S's leading batch axes; plus
+        m @ exterior for each array m of ``outside``, a cost per cell of the
+        last axis, which sums the pairs whose partner lies outside the grid.
+        A float sum that overflows is inf, without a warning."""
         w = self.weights
         if sums.ndim == w.ndim:
-            total = np.vdot(sums, w)
+            total = float(np.vdot(sums, w))
         else:
             total = sums.reshape(sums.shape[: sums.ndim - w.ndim] + (-1,)) @ w.ravel()
         if outside:
             ext, tail = self.exterior, 0.0
             for m in outside:
-                tail += float(m @ ext)
+                tail += float(np.vdot(m, ext))
             total = total + tail
         return total
 
@@ -212,21 +213,23 @@ def offset_sums(u, v, cost, periodic, *, symmetric=False) -> np.ndarray:
     parts = []
     for s, sel in p.chunks:  # s: the block's first offset, in flat cells
         c = np.roll(cells, s, axis=0) if s else cells
-        partners = vs.take(p.idx[sel], axis=1)
         if p.bins is None:  # summed over the cells
-            parts.append(cost(c, partners).sum(axis=2))
+            parts.append(cost(c, vs.take(p.idx[sel], axis=1)).sum(axis=2))
             continue
-        held = partners.shape[0] * partners.shape[1]
+        # periodic cells outermost and (lead, offset, partner) innermost, so
+        # that the cost runs long inner loops; the cells are summed in order
+        partners = vs.take(p.idx[sel].T, axis=1).transpose(1, 0, 2, 3)[:, None]
+        lead, held = partners.shape[2], partners.shape[2] * partners.shape[3]
         for cut, shift in p.rows:
-            pc = cost(c[:, cut, None], partners[..., None, :])
-            pc = pc.sum(axis=2) if pc.shape[2] > 1 else pc[:, :, 0]  # over the periodic cells
-            at = p.bins[:held, : pc.size // held].ravel()
+            pc = cost(c[:, cut, None, None, None], partners)
+            pc = np.add.reduce(pc) if len(pc) > 1 else pc[0]  # over the periodic cells
+            at = p.bins[: len(pc), :held].ravel()
             got = np.bincount(at, pc.ravel(), held * p.slots).reshape(held, p.slots)
             if shift:  # later rows take the first rows' bins, shifted down
                 acc[:, : p.slots - shift] += got[:, shift:]
             else:
                 acc = got
-                parts.append(got.reshape(partners.shape[0], -1))
+                parts.append(got.reshape(lead, -1))
     out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
     if p.mirror is not None:
         return out.take(p.mirror)
@@ -246,8 +249,8 @@ def _offset_plan(
     symmetry: axis orders with the periodic axes first and ``back``; per
     temporary (``chunks``) its block's first offset in flat cells and its
     rows of ``idx``, the flat cell (i + o) mod n per periodic offset o of the
-    first block and periodic cell i; ``bins``, per leading row l and (cell,
-    partner) pair of the first ``rows`` chunk of interval rows, the slot
+    first block and periodic cell i; ``bins``, per cell of the first ``rows``
+    chunk of interval rows, leading row l and partner, the slot
     l * slots + the flat slot of partner - cell (None without interval
     axes).  A symmetric plan covers the first-axis offsets 0..n // 2 only,
     and ``mirror`` holds, per slot of the result in the caller's axis order,
@@ -277,7 +280,8 @@ def _offset_plan(
         g, j = np.indices((rows,) + ishape[1:] + ishape, sparse=True), len(ishape)
         slot = np.ravel_multi_index([g[j + a] - g[a] + m - 1 for a, m in enumerate(ishape)], ioff)
         held = lead * min(chunk, blocks[0][1])  # leading rows of a temporary
-        bins = _frozen(slot.ravel() + slots * np.arange(held)[:, None], np.intp)
+        slot = slot.reshape(-1, 1, pairs)
+        bins = _frozen(slot + slots * np.arange(held)[:, None], np.intp)
     w, down = pairs // n_rows, slots // (2 * n_rows - 1)  # cells and slots of a row
     back = tuple(range(b)) + tuple(b + order.index(a) for a in range(k))
     mirror = None

@@ -137,10 +137,13 @@ def _pair_data(u: StepFunction | GridFunctionND, p: float, periodic: tuple) -> t
     twice the column sums of |u|^p (none in 1D).  A sweep over s, or one
     route after the other on one function, takes them once."""
     outside = ()
-    if u.values.ndim == 2:  # u is nonnegative, so |u|^p is u^p
-        # doubling is exact, so this is bit for bit twice columns @ E
-        outside = (_frozen(2.0 * (u.values**p).sum(axis=0)),)
-    return _frozen(_pair_costs(u, p, periodic)), outside
+    # an overflow shows as a sum that is not finite, and then as a seminorm
+    # that is not (checked by the caller)
+    with np.errstate(over="ignore"):
+        if u.values.ndim == 2:  # u is nonnegative, so |u|^p is u^p
+            # doubling is exact, so this is bit for bit twice columns @ E
+            outside = (_frozen(2.0 * (u.values**p).sum(axis=0)),)
+        return _frozen(_pair_costs(u, p, periodic)), outside
 
 
 def _dimension(u: StepFunction | GridFunctionND) -> int:
@@ -189,15 +192,13 @@ def gagliardo_periodic(
         const = float(u.values.max() - u.values.min()) == 0.0
         return tuple(SeminormResult(0.0, m, 1e-15) if const else _divergent(m) for m in methods)
     tables = [_table(u, method, params.sigma) for method in methods]
+    s, outside = _pair_data(u, params.p, tables[0].periodic)
     out = []
-    # an overflow shows as a total that is not finite, checked below
-    with np.errstate(over="ignore"):
-        s, outside = _pair_data(u, params.p, tables[0].periodic)
-        for method, table in zip(methods, tables):
-            total = float(table.contract(s, *outside))
-            if not math.isfinite(total):  # finite values, so an overflow, not divergence
-                raise ConfigError(f"the {method} seminorm overflows: its p-th power is {total}")
-            out.append(SeminormResult(total ** (1.0 / params.p), method, table.accuracy))
+    for method, table in zip(methods, tables):
+        total = table.contract(s, *outside)  # a float: an overflow is inf, and silent
+        if not math.isfinite(total):  # finite values, so an overflow, not divergence
+            raise ConfigError(f"the {method} seminorm overflows: its p-th power is {total}")
+        out.append(SeminormResult(total ** (1.0 / params.p), method, table.accuracy))
     return tuple(out)
 
 

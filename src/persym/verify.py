@@ -297,17 +297,19 @@ def _quartiles(x: np.ndarray) -> np.ndarray:
 def _internal_layer_checks(
     u: StepFunction,
     v: StepFunction,
+    su: StepFunction,
+    sv: StepFunction,
     j: ConvexJ,
     w: KernelWeights,
     w2: KernelWeights,
     bound: float,
 ) -> None:
-    """Re-assert source invariance and interaction monotonicity on this run."""
+    """Re-assert source invariance and interaction monotonicity on this run,
+    with su and sv the rearrangements of u and v."""
     if not j.min_attained:
         return
     jn = normalize(j)
     jp, _ = split_plus_minus(jn)
-    su, sv = periodic_rearrange_1d(u), periodic_rearrange_1d(v)
     taus = _quartiles(np.concatenate((u.values, v.values)))
     for tau in taus:
         a0 = level_source_term(u, jp, w, tau)
@@ -337,13 +339,12 @@ def check_nonexpansivity_circle(
         raise ConfigError("u and v must share one periodic grid")
     w = kernel.weights(u.grid)
     w2 = kernel.rearranged().weights(u.grid.refined(2))
+    su, sv = periodic_rearrange_1d(u), periodic_rearrange_1d(v)
     lhs = energy_circle(u, v, j, w).value
-    rhs = energy_circle(
-        periodic_rearrange_1d(u), periodic_rearrange_1d(v), j, w2
-    ).value
+    rhs = energy_circle(su, sv, j, w2).value
     bound = _margin_bound(w.accuracy, w2.accuracy, lhs, rhs)
     if internal_checks:
-        _internal_layer_checks(u, v, j, w, w2, bound)
+        _internal_layer_checks(u, v, su, sv, j, w, w2, bound)
     return CheckResult(lhs - rhs, lhs, rhs, bound)
 
 

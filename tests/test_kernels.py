@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -1140,6 +1141,41 @@ class TestOffsetSums:
         u, v = rng.random(n), rng.random((2, n))
         got = offset_sums(u, v, power_cost, (True,))[1]
         assert {d: float(got[d]).hex() for d in pins} == pins
+
+    @pytest.mark.parametrize(
+        "shape,block,digest,pins",
+        [
+            ((6, 8), None, "5ea47e5115216759",
+             {(1, 3): "0x1.26d05fef1c73cp+2", (3, 7): "0x1.4e51dc5347d37p+3",
+              (5, 14): "0x1.2572f9a86faacp-1"}),
+            ((12, 12), None, "b8c8242199e6fb15",
+             {(2, 11): "0x1.f008405e654fdp+4", (6, 0): "0x1.5df9cd536c1fbp+1",
+              (11, 22): "0x1.a199b61035dc4p+1"}),
+            ((16, 8), None, "9caf752ca2a6237b",
+             {(0, 6): "0x1.abc84e30b7f17p+4", (8, 9): "0x1.45d6d0ec106d1p+4",
+              (15, 14): "0x1.98946c8e6fe0ep+2"}),
+            # one first-axis offset and one interval row per temporary
+            ((6, 8), 64, "f5f1beee2d3a6b34",
+             {(1, 3): "0x1.26d05fef1c73cp+2", (3, 7): "0x1.4e51dc5347d37p+3",
+              (5, 14): "0x1.2572f9a86faacp-1"}),
+            # blocks of one offset, interval rows in chunks of 4
+            ((12, 12), 600, "4a636351c012d9b5",
+             {(2, 11): "0x1.f008405e654fep+4", (6, 0): "0x1.5df9cd536c1f8p+1",
+              (11, 22): "0x1.a199b61035dc4p+1"}),
+        ],
+        ids=["6x8", "12x12", "16x8", "6x8-block-64", "12x12-block-600"],
+    )
+    def test_symmetric_2d_sums_are_pinned(self, shape, block, digest, pins, monkeypatch):
+        # float-hex pins and a digest of every byte: any change to the
+        # arithmetic of 2D symmetric sums (cost layout, summation order over
+        # the periodic cells and the bins, blocking) shows here bit for bit
+        if block:
+            monkeypatch.setattr(kernels, "OFFSET_BLOCK", block)
+        rng = np.random.default_rng(shape[0] * shape[1])
+        u = rng.random(shape)
+        got = offset_sums(u, u, power_cost, (True, False), symmetric=True)
+        assert {at: float(got[at]).hex() for at in pins} == pins
+        assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == digest
 
     def test_multi_block_case_spans_blocks(self):
         assert 2500 * 2500 > kernels.OFFSET_BLOCK
