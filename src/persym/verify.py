@@ -17,13 +17,14 @@ the structural equality classes:
 Translates are detected on the half-cell grid, which is complete for exact
 step inputs: a non-constant step function equals a translate of its
 rearrangement only if the translate aligns the two breakpoint lattices.
-Classification works on raw value arrays.  In every context one run-centre
-core (``_runs``) takes the strict superlevel sets of every level and row at
-once: a function is a translate of its rearrangement exactly when each set
-is one run of cells (one arc on the circle) and all proper sets share one
-centre.  On the circle an empty or full set is not proper, and a set across
-the seam is an arc when its complement is a run.  Centres are integers in
-half cells until a class is built.
+Classification works on raw value arrays: a function is a translate of its
+rearrangement exactly when each strict superlevel set is one run of cells
+(one arc on the circle) and all proper sets share one centre.  On the circle
+an empty or full set is not proper, and a row turned to start at its minimum
+has its proper sets as runs of cells.  Whole rows decide most classes
+(``_class``: running maxima and mirror images); only a levelwise test builds
+the sets of its levels (``_runs``).  Centres are integers in half cells until
+a class is built.
 """
 
 from __future__ import annotations
@@ -94,9 +95,8 @@ class EqualityClass:
 
 def _turned(rows: np.ndarray, periodic: bool):
     """``rows`` and a turn of 0 on the line; on the circle each row turned to
-    start at its first minimum, and the turns in cells, one per row.  A proper
-    circle set then misses the first cell, so it is one arc exactly when it is
-    one run of the turned row."""
+    start at its first minimum, and the turns in cells: a proper circle set
+    then misses the first cell, so it is an arc exactly when it is a run."""
     if not periodic:
         return rows, 0
     turn = rows.argmin(axis=1)
@@ -106,13 +106,10 @@ def _turned(rows: np.ndarray, periodic: bool):
 
 def _runs(rows: np.ndarray, turn, taus: np.ndarray, periodic: bool):
     """Per row of ``rows``, turned by ``_turned``, and level tau of ``taus``:
-    whether {row > tau} is proper, whether it is one run of cells or not
+    whether {row > tau} is proper (nonempty, and on the circle not full: such
+    a set matches every rotation), whether it is one run of cells or not
     proper, and the run's centre in half cells from the left end of the row
-    before its turn (cells a..b give a + b + 1).
-
-    A proper set is nonempty, and on the circle not full: an empty or full
-    circle set matches every rotation.
-    """
+    before its turn (cells a..b give a + b + 1)."""
     n = rows.shape[1]
     masks = rows[:, None] > taus[:, None]
     size = masks.sum(axis=2)
@@ -125,21 +122,16 @@ def _runs(rows: np.ndarray, turn, taus: np.ndarray, periodic: bool):
     return proper, (last - first + 1 == size) | ~proper, centre
 
 
-def _class(rows: np.ndarray, levels, floor: float, ceil: float, periodic: bool, place) -> EqualityClass:
-    """Classes of the rows of ``rows`` from their strict superlevel sets
-    {row > tau}, tau any of ``levels`` below its top.
-
-    Common translate: every set is one run (one arc on the circle) and the
-    proper sets share one centre.  Levelwise: the same test per level in
-    [floor, ceil).  ``place`` maps centres in half cells to shifts.
-
-    A cell with higher cells on both sides, the lower of the two highest its
-    wall, splits the set of every level from its value up to its wall, so no
-    such cell may reach a kept level.  With no such cell at all, the proper
-    sets share one centre exactly when every row is its own mirror image about
-    the centre of its top set, one for all rows (0 outside the interval).
-    Only a levelwise test builds the sets of its levels.
-    """
+def _class(rows: np.ndarray, levels, floor: float, ceil: float, periodic: bool, place):
+    """The class of the rows of ``rows`` from their strict superlevel sets
+    {row > tau}, tau any of ``levels`` below its top.  Common translate: every
+    set is one run (an arc on the circle), the proper ones of one centre;
+    levelwise: the same per level in [floor, ceil).  ``place`` maps centres to
+    shifts.  A cell splits the set of every level from its value up to its
+    wall, the lower of the highest values on its two sides; with no split at
+    all, the runs share one centre exactly when each row is its own mirror
+    image about the centre of its top set, one for all rows (0 outside the
+    interval).  Only a levelwise test builds the sets of its levels."""
     n = rows.shape[1]
     turned, turn = _turned(rows, periodic)
     peak = np.maximum.accumulate(turned, 1)
@@ -154,11 +146,12 @@ def _class(rows: np.ndarray, levels, floor: float, ceil: float, periodic: bool, 
             c = shared.pop() if shared else -1
             rev = rows[:, ::-1]
             side = rev if periodic else np.zeros_like(rev)
-            if c < 0 or (np.concatenate((side, rev, side), 1)[:, 2 * n - c : 3 * n - c] == rows).all():
+            mirror = np.concatenate((side, rev, side), 1)[:, 2 * n - c : 3 * n - c]
+            if c < 0 or (mirror == rows).all():
                 return EqualityClass("common-translate", shift=float(place(c)))
     taus = _distinct(levels)[:-1]
     taus = taus[slice(*taus.searchsorted((floor, ceil)))]
-    proper, _, centre = _runs(turned, turn, taus, periodic)  # every set is one run
+    proper, _, centre = _runs(turned, turn, taus, periodic)  # each one run, as tested
     centre = np.where(proper, centre, -1)
     top = centre.max(axis=0)  # per level, -1 where no set is proper
     if not ((centre == top) | ~proper).all():
