@@ -27,7 +27,12 @@ from .errors import (
     PersymError,
 )
 from .functionals import ConvexJ, energy_circle, energy_euclidean, j_library
-from .grid import GridFunctionND, StepFunction, load_function, save_function
+from .grid import (
+    GridFunctionND,
+    StepFunction,
+    load_function,
+    save_function,
+)
 from .kernels import (
     ND_TABLE_ACCURACY,
     RIESZ_RTOL,

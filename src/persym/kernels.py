@@ -214,7 +214,7 @@ def offset_sums(u, v, cost, periodic, *, symmetric=False) -> np.ndarray:
     for s, sel in p.chunks:  # s: the block's first offset, in flat cells
         c = np.roll(cells, s, axis=0) if s else cells
         if p.bins is None:  # summed over the cells
-            parts.append(cost(c, vs.take(p.idx[sel], axis=1)).sum(axis=2))
+            parts.append(np.add.reduce(cost(c, vs.take(p.idx[sel], axis=1)), axis=2))
             continue
         # periodic cells outermost and (lead, offset, partner) innermost, so
         # that the cost runs long inner loops; the cells are summed in order

@@ -106,20 +106,18 @@ def _turned(rows: np.ndarray, periodic: bool):
 
 def _runs(rows: np.ndarray, turn, taus: np.ndarray, periodic: bool):
     """Per row of ``rows``, turned by ``_turned``, and level tau of ``taus``:
-    whether {row > tau} is proper (nonempty, and on the circle not full: such
-    a set matches every rotation), whether it is one run of cells or not
-    proper, and the run's centre in half cells from the left end of the row
-    before its turn (cells a..b give a + b + 1)."""
+    whether {row > tau} is one run of cells or not proper, and the run's
+    centre in half cells from the left end of the row before its turn (cells
+    a..b give a + b + 1), -1 where the set is not proper.  A proper set is
+    nonempty, and on the circle not full: such a set matches every rotation."""
     n = rows.shape[1]
     masks = rows[:, None] > taus[:, None]
     size = masks.sum(axis=2)
     first = masks.argmax(axis=2)
     last = n - 1 - masks[..., ::-1].argmax(axis=2)
-    proper = size > 0
-    if periodic:
-        proper &= size < n
+    proper = (size > 0) & (size < n) if periodic else size > 0
     centre = (first + last + 1 + 2 * np.reshape(turn, (-1, 1))) % (2 * n)
-    return proper, (last - first + 1 == size) | ~proper, centre
+    return (last - first + 1 == size) | ~proper, np.where(proper, centre, -1)
 
 
 def _class(rows: np.ndarray, levels, floor: float, ceil: float, periodic: bool, place):
@@ -151,10 +149,9 @@ def _class(rows: np.ndarray, levels, floor: float, ceil: float, periodic: bool, 
                 return EqualityClass("common-translate", shift=float(place(c)))
     taus = _distinct(levels)[:-1]
     taus = taus[slice(*taus.searchsorted((floor, ceil)))]
-    proper, _, centre = _runs(turned, turn, taus, periodic)  # each one run, as tested
-    centre = np.where(proper, centre, -1)
+    _, centre = _runs(turned, turn, taus, periodic)  # each one run, as tested
     top = centre.max(axis=0)  # per level, -1 where no set is proper
-    if not ((centre == top) | ~proper).all():
+    if not ((centre == top) | (centre < 0)).all():
         return EqualityClass("neither")
     shifts = place(top).astype(float).tolist()
     return EqualityClass("levelwise-translate", level_shifts=tuple(zip(taus.tolist(), shifts)))
@@ -473,10 +470,9 @@ def exhaustive_oracle_circle(
     # per (function, level): whether {f > tau} is one arc or not proper, and
     # its centre; per function: whether f is a translate of f*, and where
     taus = np.arange(levels - 1.0)
-    proper, ok, centre = _runs(*_turned(funcs, True), taus, True)
-    centre = np.where(proper, centre, -1)
+    ok, centre = _runs(*_turned(funcs, True), taus, True)
     centres = centre.max(axis=1, initial=-1)
-    translate = (ok & ((centre == centres[:, None]) | ~proper)).all(axis=1)
+    translate = (ok & ((centre == centres[:, None]) | (centre < 0))).all(axis=1)
 
     strict = j.strictly_convex
     is_abs = j.name.startswith("abs")
