@@ -149,7 +149,7 @@ def _class(rows: np.ndarray, levels, floor: float, ceil: float, periodic: bool, 
                 return EqualityClass("common-translate", shift=float(place(c)))
     taus = _distinct(levels)[:-1]
     taus = taus[slice(*taus.searchsorted((floor, ceil)))]
-    _, centre = _runs(turned, turn, taus, periodic)  # each one run, as tested
+    _, centre = _runs(turned, turn, taus, periodic)  # every kept set is one run (no split)
     top = centre.max(axis=0)  # per level, -1 where no set is proper
     if not ((centre == top) | (centre < 0)).all():
         return EqualityClass("neither")
