@@ -73,7 +73,11 @@ def _raises_exactly(kind, build):
     assert type(info.value) is kind
 
 
-@pytest.mark.parametrize("grid", [Grid1D.circle(5), Grid1D.interval(3, -1.0, 2.0), Grid1D.circle(1)])
+@pytest.mark.parametrize(
+    "grid",
+    [Grid1D.circle(5), Grid1D.interval(3, -1.0, 2.0), Grid1D.circle(1)],
+    ids=["circle-5", "interval-3", "circle-1"],
+)
 def test_step_function_checks_its_values(grid):
     # every value check holds at each cell; -0.0 is a nonnegative value
     for bad, kind in BAD_VALUES:
