@@ -250,6 +250,26 @@ class TestClassifyOracle:
                 classify_equality(u, context="periodic-ps"), _oracle_class(u, u, "circle")
             )
 
+    @pytest.mark.parametrize(
+        "context,u,v,shifts",
+        [
+            # v's set at level 3 is two arcs, above the levels u reaches
+            ("circle", [0, 1, 2, 1, 0, 0, 0, 0], [0, 4, 3, 4, 0, 0, 0, 0], [(0.0, 3.0), (1.0, 3.0)]),
+            # u's set at level 0 is two arcs, below the levels v crosses
+            ("circle", [1, 0, 2, 0, 1, 1, 1, 1], [1, 1, 2, 1, 1, 1, 1, 1], [(1.0, 3.0)]),
+            # v's set at level 2 is two runs, above u's maximum
+            ("euclidean", [0, 1, 2, 1, 0], [0, 3, 2, 3, 0], [(0.0, 0.0), (1.0, 0.0)]),
+        ],
+    )
+    def test_splits_outside_the_shared_levels(self, context, u, v, shifts):
+        # a set that is not one run, at a level the pair does not share, rules
+        # out the common translate but not the levelwise class
+        g = Grid1D.circle(len(u)) if context == "circle" else Grid1D.interval(len(u), -2.5, 2.5)
+        u, v = StepFunction(g, u), StepFunction(g, v)
+        cls = classify_equality(u, v, context)
+        assert cls.tag == "levelwise-translate" and list(cls.level_shifts) == shifts
+        _assert_same_class(cls, _oracle_class(u, v, context))
+
     def test_line_pairs(self, rng):
         for k in range(200):
             n = int(rng.choice([2, 3, 5, 6, 8]))
