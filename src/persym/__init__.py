@@ -29,7 +29,6 @@ from .functionals import (
 from .kernels import (
     GaussianKernel,
     HeatKernel,
-    HeatKernelParams,
     KernelWeights,
     LaplaceConfig,
     PeriodizedRieszKernel,

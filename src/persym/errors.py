@@ -65,7 +65,7 @@ class RangeTooWide(PersymError):
     """Quadrature rule cannot meet its tolerance within the node budget."""
 
 
-class DivergentTail(PersymError):
+class DivergentTail(NotNormalized):
     """Energy over an unbounded region diverges unless J(0) = 0."""
 
 

@@ -11,12 +11,15 @@ evaluated exactly for every convex cost, not just powers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DivergentTail, GridMismatch, NegativeEnergy, NotNormalized, UnknownCost
+from .errors import (
+    ConfigError, DivergentTail, GridMismatch, NegativeEnergy, NotNormalized, UnknownCost
+)
 from .grid import StepFunction, _distinct
 from .kernels import KernelWeights, offset_sums
 
@@ -37,7 +40,6 @@ class ConvexJ:
     strictly_convex: bool
     min_attained: bool
     minimizer: float | None
-    min_value: float = 0.0
 
     def __call__(self, t):
         return self.fn(np.asarray(t, dtype=float))
@@ -51,7 +53,6 @@ class ConvexJ:
             self.strictly_convex,
             self.min_attained,
             None if self.minimizer is None else -self.minimizer,
-            self.min_value,
         )
 
 
@@ -177,10 +178,11 @@ def split_plus_minus(j: ConvexJ) -> tuple[ConvexJ, ConvexJ]:
 @dataclass(frozen=True)
 class EnergyResult:
     value: float
-    method: str
     accuracy: float
 
     def __post_init__(self):
+        if not math.isfinite(self.value):  # a sum of finite values that overflowed
+            raise ConfigError(f"the energy overflows: it came out {self.value}")
         if self.value < 0.0:
             raise NegativeEnergy(f"energy came out negative: {self.value}")
 
@@ -200,13 +202,21 @@ def _pair_sum(f: np.ndarray, g: np.ndarray, cost, w: KernelWeights) -> float:
     return float(w.contract(offset_sums(f, g, cost, w.periodic)))
 
 
+@np.errstate(over="ignore")  # an overflow shows as a total that is not finite
+def _energy(u: StepFunction, v: StepFunction, j: ConvexJ, w: KernelWeights) -> EnergyResult:
+    """sum_{i,j} J(u_i - v_j) W[j - i], plus on an interval J(u_i) and
+    J(-v_j) against the exterior masses."""
+    sums = offset_sums(u.values, v.values, lambda a, b: j(a - b), w.periodic)
+    outside = () if w.periodic[0] else (j(u.values), j(-v.values))
+    return EnergyResult(float(w.contract(sums, *outside)), w.accuracy)
+
+
 def energy_circle(
     u: StepFunction, v: StepFunction, j: ConvexJ, w: KernelWeights
 ) -> EnergyResult:
     """E[u, v] = sum_{i,j} J(u_i - v_j) W[j - i] over one period squared; exact."""
     _check_alignment(u, v, w, periodic=True)
-    energy = _pair_sum(u.values, v.values, lambda a, b: j(a - b), w)
-    return EnergyResult(energy, "direct", w.accuracy)
+    return _energy(u, v, j, w)
 
 
 def energy_euclidean(
@@ -227,9 +237,7 @@ def energy_euclidean(
         )
     if w.exterior is None:
         raise GridMismatch("weight table carries no exterior masses")
-    sums = offset_sums(u.values, v.values, lambda a, b: j(a - b), w.periodic)
-    energy = float(w.contract(sums, j(u.values), j(-v.values)))
-    return EnergyResult(energy, "direct", w.accuracy)
+    return _energy(u, v, j, w)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -111,7 +111,7 @@ class KernelWeights:
         if self.exterior is not None:
             object.__setattr__(self, "exterior", _frozen(self.exterior))
 
-    @property
+    @cached_property
     def n(self) -> tuple[int, ...]:
         """Cells per axis of the grid the table was built for."""
         return tuple(m if p else (m + 1) // 2 for p, m in zip(self.periodic, self.weights.shape))
@@ -386,25 +386,16 @@ def _hurwitz_zeta(s: np.ndarray, x: float) -> np.ndarray:
 # wrapped Gaussian (periodic heat kernel)
 
 
-@dataclass(frozen=True)
-class HeatKernelParams:
-    t: float
-
-    def __post_init__(self):
-        if not self.t > 0:
-            raise NonpositiveTime(f"diffusion time must be positive, got {self.t}")
-
-
-def heat_kernel_periodic(z, params: HeatKernelParams | float):
+def heat_kernel_periodic(z, t: float):
     """Wrapped Gaussian sum_k exp(-(z + 2 pi k)^2 t), dual representation.
 
     Direct Gaussian-copy sum for t >= 1/(4 pi^2), Fourier (theta) series
     (1 / (2 sqrt(pi t))) * (1 + 2 sum_m exp(-m^2/(4t)) cos(m z)) below it;
     both branches agree to ~1e-13 relative at the crossover.
     """
-    if not isinstance(params, HeatKernelParams):
-        params = HeatKernelParams(float(params))
-    t, rtol = params.t, HEAT_TAIL_RTOL
+    t, rtol = float(t), HEAT_TAIL_RTOL
+    if not t > 0:
+        raise NonpositiveTime(f"diffusion time must be positive, got {t}")
     z = np.asarray(z, dtype=float)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
@@ -722,8 +713,8 @@ def _periodized_plan(n: int, taylor: int) -> _PeriodizedPlan:
     )
 
 
-def riesz_weights_1d(grid: Grid1D, sigma: float, periodized: bool) -> KernelWeights:
-    """Cell-pair weights of |x - y|^(-(1+sigma)), optionally 2 pi periodized.
+def riesz_weights_1d(grid: Grid1D, sigma: float) -> KernelWeights:
+    """Cell-pair weights of |x - y|^(-(1+sigma)), 2 pi periodized.
 
     W[0] is 0 by the singular-diagonal convention; the line weights are
     ``_riesz_line_pairs``.  Periodization sums the copies at offsets
@@ -751,10 +742,6 @@ def riesz_weights_1d(grid: Grid1D, sigma: float, periodized: bool) -> KernelWeig
     """
     _check_sigma(sigma)
     n, h = grid.n, grid.h
-    if not periodized:
-        line = _riesz_line_pairs(_line_powers(n - 1), h, sigma)
-        w = np.concatenate((line[:0:-1], line))
-        return KernelWeights((False,), w, 1e-14)
     if not grid.periodic:
         raise GridMismatch("periodized Riesz weights need a periodic grid")
     a = 1.0 - sigma
@@ -1150,42 +1137,14 @@ def riesz_weights_nd(grid1: Grid1D, grid2: Grid1D, sigma: float) -> KernelWeight
 
 
 # ---------------------------------------------------------------------------
-# step-function kernels: exact tables, exact rearranged tables
-
-
-def step_kernel_table(kernel: StepFunction) -> KernelWeights:
-    """Exact cell-pair weights of a step-function kernel on its own grid.
-
-    The pair offset z = x - y spreads over two kernel cells with triangular
-    density, so W[d] = (h^2/2) (gamma[m - d - 1] + gamma[m - d]) with
-    m = n/2; an even cell count keeps z = 0 on a cell boundary.
-    """
-    g = kernel.grid
-    if g.n % 2 != 0:
-        raise ConfigError("step kernels need an even cell count")
-    gam = kernel.values
-    m = g.n // 2
-    if g.periodic:
-        idx = np.arange(g.n)
-        w = 0.5 * g.h**2 * (gam[(m - idx - 1) % g.n] + gam[(m - idx) % g.n])
-        return KernelWeights((True,), w, 1e-15)
-    d = np.arange(-(g.n - 1), g.n)
-
-    def gam_at(j):
-        j = np.asarray(j)
-        inside = (j >= 0) & (j < g.n)
-        return np.where(inside, gam[np.clip(j, 0, g.n - 1)], 0.0)
-
-    w = 0.5 * g.h**2 * (gam_at(m - d - 1) + gam_at(m - d))
-    return KernelWeights((False,), w, 1e-15)
-
-
-# ---------------------------------------------------------------------------
 # kernel families: tables on any compatible grid, with exact rearrangements
 
 
-class CircleKernel:
-    """2 pi periodic kernel able to produce weights on any periodic grid.
+class Kernel:
+    """The one interface of the kernel families: ``weights(grid)``, the
+    family's table on a grid it fits (a 2 pi periodic kernel on a periodic
+    grid, a line kernel on an interval one), and ``rearranged()``, the
+    kernel's symmetric decreasing rearrangement, again of its family.
 
     ``singular_diagonal``: the kernel is not integrable at the origin, so a
     pair energy whose cost does not vanish on the diagonal is infinite (its
@@ -1198,12 +1157,12 @@ class CircleKernel:
     def weights(self, grid: Grid1D) -> KernelWeights:
         raise NotImplementedError
 
-    def rearranged(self) -> "CircleKernel":
+    def rearranged(self) -> "Kernel":
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
-class HeatKernel(CircleKernel):
+class HeatKernel(Kernel):
     """Wrapped Gaussian at diffusion time t; already symmetric decreasing."""
 
     t: float
@@ -1220,7 +1179,7 @@ class HeatKernel(CircleKernel):
 
 
 @dataclass(frozen=True)
-class PeriodizedRieszKernel(CircleKernel):
+class PeriodizedRieszKernel(Kernel):
     """Periodized power kernel with the zero-diagonal convention.
 
     Symmetric decreasing away from the origin (the periodization of a convex
@@ -1238,15 +1197,21 @@ class PeriodizedRieszKernel(CircleKernel):
         return f"riesz:sigma={self.sigma:g}"
 
     def weights(self, grid: Grid1D) -> KernelWeights:
-        return riesz_weights_1d(grid, self.sigma, periodized=True)
+        return riesz_weights_1d(grid, self.sigma)
 
     def rearranged(self) -> "PeriodizedRieszKernel":
         return self
 
 
 @dataclass(frozen=True)
-class StepKernelCircle(CircleKernel):
-    """Nonnegative periodic step kernel; rearranging it is exact sorting."""
+class StepKernelCircle(Kernel):
+    """Nonnegative periodic step kernel; rearranging it is exact sorting.
+
+    Its tables are exact: the pair offset z = x - y spreads over two kernel
+    cells with triangular density, so on the kernel's values gamma refined
+    to the grid's n cells, W[d] = (h^2/2) (gamma[m - d - 1] + gamma[m - d])
+    with m = n/2; an even cell count keeps z = 0 on a cell boundary.
+    """
 
     profile: StepFunction
 
@@ -1266,27 +1231,18 @@ class StepKernelCircle(CircleKernel):
                 f"grid n={grid.n} does not refine the kernel grid "
                 f"n={self.profile.grid.n}"
             )
-        return step_kernel_table(refine(self.profile, grid.n // self.profile.grid.n))
+        fine = refine(self.profile, grid.n // self.profile.grid.n)
+        gam, n = fine.values, fine.grid.n
+        d = np.arange(n)
+        w = 0.5 * fine.grid.h**2 * (gam[(n // 2 - d - 1) % n] + gam[(n // 2 - d) % n])
+        return KernelWeights((True,), w, 1e-15)
 
     def rearranged(self) -> "StepKernelCircle":
         return StepKernelCircle(periodic_rearrange_1d(self.profile))
 
 
-class LineKernel:
-    """Integrable line kernel for Euclidean energies."""
-
-    name: str = "kernel"
-    singular_diagonal: bool = False
-
-    def weights(self, grid: Grid1D) -> KernelWeights:
-        raise NotImplementedError
-
-    def rearranged(self) -> "LineKernel":
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class GaussianKernel(LineKernel):
+class GaussianKernel(Kernel):
     t: float
 
     @property
@@ -1301,8 +1257,14 @@ class GaussianKernel(LineKernel):
 
 
 @dataclass(frozen=True)
-class StepKernelLine(LineKernel):
-    """Compactly supported step kernel on a centered interval grid."""
+class StepKernelLine(Kernel):
+    """Compactly supported step kernel on a centered interval grid.
+
+    Its tables are the circle's formula on the grid's offsets, with gamma 0
+    off the kernel's support, so a grid narrower than the support sees only
+    part of it and a wider one exact zeros past it.  A cell's exterior mass
+    is its whole kernel mass less its mass to the grid's cells.
+    """
 
     profile: StepFunction
 
@@ -1320,16 +1282,14 @@ class StepKernelLine(LineKernel):
         k = round(ratio)
         if k < 1 or not math.isclose(ratio, k, rel_tol=1e-12):
             raise GridMismatch("kernel cell width must be an integer multiple of grid's")
-        fine = refine(self.profile, k)
-        base = step_kernel_table(fine).weights
-        top, base_top = grid.n - 1, base.size // 2  # the largest offsets
-        reach = min(top, base_top)
-        w = np.zeros(2 * top + 1)
-        w[top - reach : top + reach + 1] = base[base_top - reach : base_top + reach + 1]
+        fine, n = refine(self.profile, k), grid.n
+        gam = np.pad(fine.values, n)  # gamma, with n zero cells past each end
+        at = fine.grid.n // 2 + n - np.arange(-(n - 1), n)  # m - d, shifted by the padding
+        w = 0.5 * fine.grid.h**2 * (gam[at - 1] + gam[at])
         # cell i meets the offsets -i..n-1-i, a window of n entries, each
         # summed on its own (a row of the sliding view), with none of the
         # cancellation of a running-sum difference
-        interior = sliding_window_view(w, grid.n).sum(axis=1)[::-1]
+        interior = sliding_window_view(w, n).sum(axis=1)[::-1]
         ext = np.maximum(grid.h * (fine.values.sum() * fine.grid.h) - interior, 0.0)
         return KernelWeights((False,), w, 1e-14, ext)
 
@@ -1348,15 +1308,12 @@ class LaplaceConfig:
     ``apply(F_values)`` approximates int_0^inf t^(lambda-1) F(t) dt by
     sum_q weight_q F(node_q); the constructor validated the rule against
     the exact Laplace transform Gamma(lambda) z^(-lambda) of e^(-z t) over
-    the declared z-range.
+    the z-range it was built for.
     """
 
     lam: float
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    z_min: float
-    z_max: float
-    rtol: float
     achieved: float
     ds: float = 0.0
     k_lo: int = 0  # node q is exp((k_lo + q) ds)
@@ -1417,12 +1374,14 @@ def laplace_window(lam: float, z_min: float, z_max: float, rtol: float) -> tuple
     return max(s_left, -600.0), min(math.log(big / z_min), 680.0 / lam)
 
 
+LAPLACE_MAX_NODES = 200_000  # most nodes of a rule
+
+
 def laplace_quadrature(
     lam: float,
     z_min: float,
     z_max: float,
     rtol: float = 1e-9,
-    max_nodes: int = 200_000,
 ) -> LaplaceConfig:
     """Build and validate the exp-substitution trapezoid rule.
 
@@ -1435,9 +1394,9 @@ def laplace_quadrature(
     those forms; ``algebraic_head`` and ``algebraic_tail`` sum the rule's own
     nodes beyond the window on them in closed form.  The spacing starts at
     ds = 0.25, where every rule of the seminorm routes passes (none did at
-    0.5), and is halved until the Gamma-identity check passes at rtol, else
-    RangeTooWide.  It never depends on earlier calls, so a lam gets the same
-    rule in every process.
+    0.5), and is halved until the Gamma-identity check passes at rtol; a
+    rule of more than LAPLACE_MAX_NODES nodes is RangeTooWide.  It never
+    depends on earlier calls, so a lam gets the same rule in every process.
 
     The check compares the rule's transform of e^(-z t) with Gamma(lam)
     z^-lam at 41 geometric points z of [z_min, z_max].  Its points and
@@ -1458,7 +1417,7 @@ def laplace_quadrature(
     while True:
         k_lo = math.floor(s_left / ds)
         m = math.ceil(s_right / ds) - k_lo + 1
-        if m > max_nodes:
+        if m > LAPLACE_MAX_NODES:
             raise RangeTooWide(
                 f"would need {m} nodes for rtol={rtol} on z in [{z_min}, {z_max}]"
             )
@@ -1476,9 +1435,7 @@ def laplace_quadrature(
         err = float(np.abs(ratio, out=ratio).max())
         if err <= rtol:
             weights.flags.writeable = False
-            return LaplaceConfig(
-                lam, checks.t[rows], weights, z_min, z_max, rtol, err, ds, k_lo, lattice
-            )
+            return LaplaceConfig(lam, checks.t[rows], weights, err, ds, k_lo, lattice)
         ds *= 0.5
 
 

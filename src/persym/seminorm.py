@@ -235,7 +235,7 @@ def _table(u: StepFunction | GridFunctionND, method: str, sigma: float) -> Kerne
 
 @lru_cache(maxsize=64)
 def _riesz_table_cached(n: int, sigma: float):
-    return riesz_weights_1d(Grid1D.circle(n), sigma, periodized=True)
+    return riesz_weights_1d(Grid1D.circle(n), sigma)
 
 
 @lru_cache(maxsize=32)

@@ -94,6 +94,25 @@ class TestEnergyCommand:
         assert rc == 0
         assert capsys.readouterr().out.strip() == "divergent"
 
+    @pytest.mark.parametrize(
+        "kernel, domain", [("heat:t=0.5", "periodic"), ("gauss:t=0.5", [-1.0, 1.0])],
+        ids=["heat-circle", "gauss-interval"],
+    )
+    def test_overflow_exit_2_under_warnings_as_errors(self, tmp_path, kernel, domain):
+        # |t|^2 overflows on values 1e308 apart: an energy of finite values
+        # that leaves float range is one error line, with no numpy warning
+        u = write_json(tmp_path / "u.json",
+                       {"grid": {"n": 3, "domain": domain}, "values": [1e308, 0, 1e308]})
+        argv = ["energy", "--J", "power:2", "--kernel", kernel, "--u", u, "--v", u]
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "persym.cli", *argv], capture_output=True,
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(persym.__file__))),
+            text=True, timeout=120,
+        )
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+        assert "the energy overflows" in out.stderr
+
 
 class TestSeminormCommand:
     def test_constant_both_methods(self, tmp_path, capsys):

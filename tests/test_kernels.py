@@ -20,7 +20,6 @@ from persym.kernels import (
     ND_TABLE_ACCURACY,
     T_SWITCH,
     HeatKernel,
-    HeatKernelParams,
     StepKernelCircle,
     StepKernelLine,
     check_kernel_monotone,
@@ -31,7 +30,6 @@ from persym.kernels import (
     offset_sums,
     riesz_weights_1d,
     riesz_weights_nd,
-    step_kernel_table,
 )
 
 mpmath = pytest.importorskip("mpmath")
@@ -128,7 +126,7 @@ class TestHeatKernel:
 
     def test_rejects_nonpositive_time(self):
         with pytest.raises(NonpositiveTime):
-            HeatKernelParams(0.0)
+            heat_kernel_periodic(0.5, 0.0)
 
 
 class TestHeatWeights:
@@ -282,27 +280,32 @@ def hurwitz_periodized_reference(d, n, sigma):
     return out if np.ndim(d) else out[0]
 
 
+def line_pairs(n, h, sigma):
+    """The line weights L[m], m = 0..n-1, of |x - y|^(-(1+sigma)) on cells
+    of width h, from which the periodized table sums its copies."""
+    return kernels._riesz_line_pairs(kernels._line_powers(n - 1), h, sigma)
+
+
 class TestRieszWeights1D:
     def test_sigma_range_errors(self):
         g = Grid1D.circle(8)
         with pytest.raises(StepFunctionDivergence):
-            riesz_weights_1d(g, 1.0, periodized=True)
+            riesz_weights_1d(g, 1.0)
         with pytest.raises(SigmaOutOfRange):
-            riesz_weights_1d(g, -0.2, periodized=True)
+            riesz_weights_1d(g, -0.2)
 
     def test_line_weights_positive_decreasing(self):
-        g = Grid1D.circle(8)
-        w = riesz_weights_1d(g, 0.5, periodized=False)
-        seq = [w.offset(d) for d in range(1, 8)]
+        line = line_pairs(8, Grid1D.circle(8).h, 0.5)
+        seq = line[1:8].tolist()
         assert all(v > 0 for v in seq)
         assert all(a > b for a, b in zip(seq, seq[1:]))
-        assert w.offset(0) == 0.0  # singular-diagonal convention
+        assert line[0] == 0.0  # singular-diagonal convention
 
     @pytest.mark.parametrize("sigma", [0.2, 0.5, 0.8])
     def test_line_weights_against_quadrature(self, sigma):
         g = Grid1D.circle(8)
         h = g.h
-        w = riesz_weights_1d(g, sigma, periodized=False)
+        line = line_pairs(8, h, sigma)
         for d in (1, 3, 7):
             # the cell pair [0, h) x [dh, (d+1)h) reduced to its difference
             # r = y - x, of density h - |r - dh| on ((d-1)h, (d+1)h); the
@@ -315,17 +318,17 @@ class TestRieszWeights1D:
                     lambda x: 4 * (c - a) ** 2 * x**7 * (a + (c - a) * x**4) ** e, [0, 1]
                 )
                 fall = mpmath.quad(lambda r: (b - r) * r**e, [c, b])
-            assert w.offset(d) == pytest.approx(float(rise + fall), rel=1e-12)
+            assert line[d] == pytest.approx(float(rise + fall), rel=1e-12)
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     @pytest.mark.parametrize("sigma", [0.1, 0.5, 0.9])
     def test_periodized_against_hurwitz_zeta(self, n, sigma):
-        w = riesz_weights_1d(Grid1D.circle(n), sigma, periodized=True)
+        w = riesz_weights_1d(Grid1D.circle(n), sigma)
         ref = hurwitz_periodized_reference(range(1, n), n, sigma)
         assert w.weights[1:].tolist() == pytest.approx(ref, rel=2e-12)
 
     def test_periodized_monotone_and_periodic(self):
-        w = riesz_weights_1d(Grid1D.circle(16), 0.4, periodized=True)
+        w = riesz_weights_1d(Grid1D.circle(16), 0.4)
         assert check_kernel_monotone(w)
         assert_even(w)
 
@@ -342,7 +345,7 @@ class TestRieszWeights1D:
                   "0x1.2555af2d04acep-2", "0x1.052b36908442dp-2", "0x1.2555af2d04acep-2",
                   "0x1.c26594c31680bp-2", "0x1.c278966f46688p+1"],
         }
-        w = riesz_weights_1d(Grid1D.circle(8), sigma, periodized=True)
+        w = riesz_weights_1d(Grid1D.circle(8), sigma)
         ref = np.array([float.fromhex(x) for x in pinned[sigma]])
         assert w.weights[0] == ref[0] == 0.0
         assert np.max(np.abs(w.weights[1:] / ref[1:] - 1.0)) <= w.accuracy <= 1e-14
@@ -406,7 +409,7 @@ class TestRieszWeights1D:
                 "0x1.e458117934ecap-5 0x1.a7d81b11cdde8p-4 0x1.e86477fdb565fp-3 0x1.d25f1dc037648p+2 "
             ),
         }
-        w = riesz_weights_1d(Grid1D.circle(64), sigma, periodized=True)
+        w = riesz_weights_1d(Grid1D.circle(64), sigma)
         ref = np.array([float.fromhex(x) for x in pinned[sigma].split()])
         assert w.weights[0] == ref[0] == 0.0
         assert np.max(np.abs(w.weights[1:] / ref[1:] - 1.0)) <= w.accuracy <= 1e-14
@@ -417,7 +420,7 @@ class TestRieszWeights1D:
         # every offset up to 64 cells, a spread of offsets past that; sigma
         # near 0 and 1 is where a direct second difference of r^(1 - sigma)
         # loses a factor 1 / (sigma (1 - sigma)), 1e-12 at n = 64
-        w = riesz_weights_1d(Grid1D.circle(n), sigma, periodized=True)
+        w = riesz_weights_1d(Grid1D.circle(n), sigma)
         d = np.arange(1, n) if n <= 64 else np.array([1, 2, 3, n // 4 - 1, n // 2, n - 3, n - 1])
         ref = np.array(hurwitz_periodized_reference(d, n, sigma))
         err = np.max(np.abs(w.weights[d] / ref - 1.0))
@@ -430,9 +433,9 @@ class TestRieszWeights1D:
         # three Taylor terms of the far copies instead of RIESZ_TAYLOR leave
         # an error far above the rounding floor: the certificate grows with
         # it and still bounds it
-        full = riesz_weights_1d(Grid1D.circle(n), sigma, periodized=True)
+        full = riesz_weights_1d(Grid1D.circle(n), sigma)
         monkeypatch.setattr(kernels, "RIESZ_TAYLOR", 3)
-        w = riesz_weights_1d(Grid1D.circle(n), sigma, periodized=True)
+        w = riesz_weights_1d(Grid1D.circle(n), sigma)
         d = np.arange(1, n, max(1, n // 64))  # the certificate is a maximum over offsets
         ref = np.array(hurwitz_periodized_reference(d, n, sigma))
         err = np.max(np.abs(w.weights[d] / ref - 1.0))
@@ -844,7 +847,7 @@ class TestStepKernelTables:
         # integrates a linear function exactly
         n = 8
         prof = StepFunction.on_circle(rng.random(n) + 0.1)
-        w = step_kernel_table(prof)
+        w = StepKernelCircle(prof).weights(prof.grid)
         h = prof.grid.h
 
         def g_per(z):
@@ -866,6 +869,28 @@ class TestStepKernelTables:
         seq = w.weights[1 : half + 1]
         assert np.all(np.diff(seq) <= 1e-15)
 
+    @pytest.mark.parametrize(
+        "n, k", [(5, 2), (16, 2), (27, 2), (7, 3), (24, 3), (3, 1), (9, 1)],
+        ids=["cut-k2", "equal-k2", "padded-k2", "cut-k3", "equal-k3", "cut-k1", "padded-k1"],
+    )
+    def test_line_table_matches_brute_integration(self, rng, n, k):
+        # the oracle of the circle tables, with the kernel 0 off its support
+        # [-1, 1]: a grid of fewer offsets than the support's 8 k cells cuts
+        # the table, a wider one pads it with exact zeros
+        prof = StepFunction(Grid1D.centered_interval(8, 2.0), rng.random(8) + 0.1)
+        h = prof.grid.h / k
+        w = StepKernelLine(prof).weights(Grid1D.interval(n, -0.5, n * h - 0.5))
+
+        def g_line(z):
+            return prof.values[int((z + 1.0) // prof.grid.h)] if -1.0 <= z < 1.0 else 0.0
+
+        for d in range(-(n - 1), n):
+            ref = sum(
+                integrate.quad(lambda s: (h - abs(s)) * g_line(s - d * h), a, b)[0]
+                for a, b in ((-h, 0.0), (0.0, h))
+            )
+            assert w.offset(d) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
     def test_line_step_kernel_mass_split(self, rng):
         prof = StepFunction(Grid1D.centered_interval(8, 2.0), rng.random(8))
         kern = StepKernelLine(prof)
@@ -882,7 +907,7 @@ class TestKernelMonotoneCheck:
     def test_heat_and_riesz_pass_constant_fails(self):
         g = Grid1D.circle(12)
         assert check_kernel_monotone(heat_weights_periodic(g, 0.5))
-        assert check_kernel_monotone(riesz_weights_1d(g, 0.5, periodized=True))
+        assert check_kernel_monotone(riesz_weights_1d(g, 0.5))
         const = StepKernelCircle(StepFunction.constant(g, 1.0)).weights(g)
         assert not check_kernel_monotone(const)
 
@@ -1011,9 +1036,10 @@ class TestLaplaceQuadrature:
         fine = np.exp(-np.outer(z, np.exp(s2))) @ ((ds / 2) * np.exp(0.75 * s2))
         assert np.max(np.abs(coarse / fine - 1.0)) < 1e-10
 
-    def test_range_too_wide(self, fresh_caches):
+    def test_range_too_wide(self, fresh_caches, monkeypatch):
+        monkeypatch.setattr(kernels, "LAPLACE_MAX_NODES", 50)
         with pytest.raises(RangeTooWide):
-            laplace_quadrature(0.75, 1e-300, 1e300, rtol=1e-12, max_nodes=50)
+            laplace_quadrature(0.75, 1e-300, 1e300, rtol=1e-12)
         assert kernels._rule_lattice.cache_info().misses == 0  # raised before any lattice
 
     @pytest.mark.parametrize("z_range", LAPLACE_Z_RANGES, ids=["n2", "n64", "n4096", "12x12"])
