@@ -6,14 +6,14 @@ class PersymError(Exception):
 
 
 class ConfigError(PersymError):
-    """Invalid run configuration, CLI flags, or input file."""
+    """Invalid run configuration, CLI flags, input file, or grid kind."""
 
 
-class IncompatibleGrids(PersymError):
+class IncompatibleGrids(ConfigError):
     """Two grids cover domains of different total length."""
 
 
-class GridMismatch(PersymError):
+class GridMismatch(ConfigError):
     """Operands must live on the same grid (same cell count and domain)."""
 
 
@@ -29,15 +29,15 @@ class NegativeEnergy(PersymError):
     """A computed pair energy came out below zero."""
 
 
-class NotPeriodic(PersymError):
+class NotPeriodic(ConfigError):
     """Operation requires a periodic grid."""
 
 
-class NotInterval(PersymError):
+class NotInterval(ConfigError):
     """Operation requires a non-periodic (interval) grid."""
 
 
-class NotIndicator(PersymError):
+class NotIndicator(ConfigError):
     """Set operations require values in {0, 1}."""
 
 

@@ -178,7 +178,6 @@ def split_plus_minus(j: ConvexJ) -> tuple[ConvexJ, ConvexJ]:
 @dataclass(frozen=True)
 class EnergyResult:
     value: float
-    accuracy: float
 
     def __post_init__(self):
         if not math.isfinite(self.value):  # a sum of finite values that overflowed
@@ -208,7 +207,7 @@ def _energy(u: StepFunction, v: StepFunction, j: ConvexJ, w: KernelWeights) -> E
     J(-v_j) against the exterior masses."""
     sums = offset_sums(u.values, v.values, lambda a, b: j(a - b), w.periodic)
     outside = () if w.periodic[0] else (j(u.values), j(-v.values))
-    return EnergyResult(float(w.contract(sums, *outside)), w.accuracy)
+    return EnergyResult(float(w.contract(sums, *outside)))
 
 
 def energy_circle(

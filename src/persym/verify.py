@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -244,42 +245,28 @@ class CheckResult:
     bound: float
 
 
-def check_riesz_circle(
-    f: StepFunction,
-    h: StepFunction,
-    kernel: Kernel,
-    equality_analysis: bool = False,
-) -> CheckResult:
+def _rearranged_pair(u: StepFunction, v: StepFunction, kernel: Kernel, periodic: bool):
+    """The kernel's table on the grid u and v share, which must be periodic
+    or an interval by ``periodic``; u and v rearranged, periodically or by
+    Schwarz; and the rearranged kernel's table on their half-cell grid."""
+    if u.grid != v.grid or u.grid.periodic != periodic:
+        raise ConfigError(f"u and v must share one {'periodic' if periodic else 'interval'} grid")
+    rearrange = periodic_rearrange_1d if periodic else symmetric_decreasing_1d
+    su, sv = rearrange(u), rearrange(v)
+    return kernel.weights(u.grid), su, sv, kernel.rearranged().weights(su.grid)
+
+
+def check_riesz_circle(f: StepFunction, h: StepFunction, kernel: Kernel) -> CheckResult:
     """Margin of the circle convolution inequality under rearrangement.
 
     margin = (rearranged bilinear form) - (original) >= 0; the rearranged
     side pairs f*, h* with the rearranged kernel's own table on the
     half-cell grid.
     """
-    if f.grid != h.grid or not f.grid.periodic:
-        raise ConfigError("f and h must share one periodic grid")
-    w = kernel.weights(f.grid)
-    if equality_analysis and not check_kernel_monotone(w):
-        raise KernelNotMonotone(f"{kernel.name} is not strictly decreasing")
+    w, sf, sh, w2 = _rearranged_pair(f, h, kernel, periodic=True)
     lhs = _pair_sum(f.values, h.values, np.multiply, w)
-    sf, sh = periodic_rearrange_1d(f), periodic_rearrange_1d(h)
-    w2 = kernel.rearranged().weights(sf.grid)
     rhs = _pair_sum(sf.values, sh.values, np.multiply, w2)
     return CheckResult(rhs - lhs, lhs, rhs, _margin_bound(w.accuracy, w2.accuracy, lhs, rhs))
-
-
-def _quartiles(x: np.ndarray) -> np.ndarray:
-    """``np.quantile(x, [0.25, 0.75])`` by its default linear method, its
-    interpolation step for step: ``np.quantile`` imports ``numpy.ma`` on
-    its first call."""
-    x = np.sort(x)
-    at = (x.size - 1) * np.array([0.25, 0.75])
-    below = np.floor(at)
-    t = at - below
-    i = below.astype(np.intp)
-    a, b = x[i], x[np.minimum(i + 1, x.size - 1)]
-    d = b - a
-    return np.where(t >= 0.5, b - d * (1 - t), a + d * t)
 
 
 def _internal_layer_checks(
@@ -298,8 +285,8 @@ def _internal_layer_checks(
         return
     jn = normalize(j)
     jp, _ = split_plus_minus(jn)
-    taus = _quartiles(np.concatenate((u.values, v.values)))
-    for tau in taus:
+    x = np.sort(np.concatenate((u.values, v.values)))
+    for tau in x[[x.size // 4, 3 * x.size // 4]]:  # order statistics near the quartiles
         a0 = level_source_term(u, jp, w, tau)
         a1 = level_source_term(su, jp, w2, tau)
         if abs(a0 - a1) > bound * max(1.0, abs(a0)):
@@ -323,11 +310,7 @@ def check_nonexpansivity_circle(
     cost; the rearranged side is evaluated exactly on the half-cell grid
     against the rearranged kernel's table.
     """
-    if u.grid != v.grid or not u.grid.periodic:
-        raise ConfigError("u and v must share one periodic grid")
-    w = kernel.weights(u.grid)
-    su, sv = periodic_rearrange_1d(u), periodic_rearrange_1d(v)
-    w2 = kernel.rearranged().weights(su.grid)
+    w, su, sv, w2 = _rearranged_pair(u, v, kernel, periodic=True)
     lhs = energy_circle(u, v, j, w).value
     rhs = energy_circle(su, sv, j, w2).value
     bound = _margin_bound(w.accuracy, w2.accuracy, lhs, rhs)
@@ -341,11 +324,7 @@ def check_nonexpansivity_euclidean(
 ) -> CheckResult:
     """Margin of the whole-line energy under Schwarz rearrangement (n = 1); a
     cost with J(0) != 0 raises the energies' DivergentTail, a NotNormalized."""
-    if u.grid != v.grid or u.grid.periodic:
-        raise ConfigError("u and v must share one interval grid")
-    w = kernel.weights(u.grid)
-    su, sv = symmetric_decreasing_1d(u), symmetric_decreasing_1d(v)
-    w2 = kernel.rearranged().weights(su.grid)
+    w, su, sv, w2 = _rearranged_pair(u, v, kernel, periodic=False)
     lhs = energy_euclidean(u, v, j, w).value
     rhs = energy_euclidean(su, sv, j, w2).value
     return CheckResult(lhs - rhs, lhs, rhs, _margin_bound(w.accuracy, w2.accuracy, lhs, rhs))
@@ -396,40 +375,35 @@ class CaseRecord:
 
 @dataclass
 class VerificationReport:
+    """The rows of a run and the largest case bound; every count reads the rows."""
+
     suite: str
-    cases_run: int = 0
-    min_margin: float = math.inf
     bound: float = EXACT_TOL
     rows: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
-    indeterminate: int = 0
+
+    @property
+    def cases_run(self) -> int:
+        return len(self.rows)
+
+    @property
+    def min_margin(self) -> float:
+        return min((case.margin for case in self.rows), default=math.inf)
+
+    @property
+    def failures(self) -> list:
+        return [case for case in self.rows if case.status == "fail"]
+
+    @property
+    def indeterminate(self) -> int:
+        return sum(case.status == "indeterminate" for case in self.rows)
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, case: CaseRecord) -> None:
-        self.cases_run += 1
-        self.min_margin = min(self.min_margin, case.margin)
-        self.rows.append(case)
-        if case.status == "fail":
-            self.failures.append(case)
-        elif case.status == "indeterminate":
-            self.indeterminate += 1
-
     def merge(self, other: "VerificationReport") -> None:
-        self.cases_run += other.cases_run
-        self.min_margin = min(self.min_margin, other.min_margin)
         self.bound = max(self.bound, other.bound)
         self.rows.extend(other.rows)
-        self.failures.extend(other.failures)
-        self.indeterminate += other.indeterminate
-
-
-def _all_quantized(n: int, levels: int) -> np.ndarray:
-    """All level-quantized value vectors on n cells, shape (levels^n, n)."""
-    grids = np.indices((levels,) * n).reshape(n, -1).T
-    return grids.astype(float)
 
 
 def exhaustive_oracle_circle(
@@ -446,7 +420,8 @@ def exhaustive_oracle_circle(
     for the |t| cost with the levelwise-translate criterion.  Margins in
     (ORACLE_ZERO_TOL, ORACLE_INDETERMINATE_TOL) are flagged, not classified.
     """
-    funcs = _all_quantized(n, levels)
+    # every level-quantized value vector on n cells, shape (levels^n, n)
+    funcs = np.indices((levels,) * n).reshape(n, -1).T.astype(float)
     m = funcs.shape[0]
     if m * m > budget:
         raise BudgetExceeded(f"{m * m} pairs exceed budget {budget}")
@@ -501,7 +476,7 @@ def exhaustive_oracle_circle(
             else:
                 # no completeness claim without strict convexity: soundness only
                 status = "pass" if (not predicted or observed_zero) else "fail"
-            report.record(
+            report.rows.append(
                 CaseRecord(
                     report.suite,
                     f"{a}-{b}",
@@ -690,9 +665,7 @@ def _case_polya_per(rng, k: int):
         vals[:, 0] = 0.0
         vals[:, -1] = 0.0
         u = GridFunctionND(Grid1D.circle(8), (Grid1D.centered_interval(8, 4.0),), vals)
-        params = SeminormParams(s, p, 2)
-        if not params.step_mode_finite:
-            params = SeminormParams(0.3, 1.0, 2)
+        params = SeminormParams(s, p, 2)  # every (s, p) has sp < 1: finite
     else:
         n = int(rng.choice([6, 8, 12, 16]))
         grid = Grid1D.circle(n)
@@ -722,26 +695,15 @@ def _case_polya_cyl(rng, k: int):
     return res, classify_equality(u, context="cylindrical-ps"), False
 
 
-# suite name -> case builder (rng, k) -> (check result, EqualityClass,
-# whether the case is a constructed equality case)
-_SUITES = {
-    "riesz": _case_riesz,
-    "nonexp-circle": _case_nonexp_circle,
-    "nonexp-rn": _case_nonexp_rn,
-    "polya-per": _case_polya_per,
-    "polya-cyl": _case_polya_cyl,
-}
-
-
-def _run_cases(name: str, seed: int, cases: int) -> VerificationReport:
-    """Run one randomized suite; the only place a case's status is decided.
+def _run_cases(build, name: str, seed: int, cases: int) -> VerificationReport:
+    """Run the randomized suite ``name`` of case builder ``build``; the one
+    place a randomized case's status is decided (the oracle decides its own).
 
     A case fails when its margin is below -bound, when a constructed
     equality case has a margin above its bound, or, for Pólya cases, when
     the two seminorm routes disagree on the margin beyond DUAL_RTOL.
     """
     report = VerificationReport(suite=name)
-    build = _SUITES[name]
     for k in range(cases):
         res, cls, expect_zero = build(_case_rng(seed, name, k), k)
         observed = abs(res.margin) <= res.bound
@@ -750,7 +712,7 @@ def _run_cases(name: str, seed: int, cases: int) -> VerificationReport:
             gap = abs(res.margin - res.margin_laplace)
             fail = fail or gap > DUAL_RTOL * (res.value + res.value_rearranged)
         report.bound = max(report.bound, res.bound)
-        report.record(
+        report.rows.append(
             CaseRecord(
                 name,
                 f"{name}-{seed}-{k}",
@@ -763,30 +725,46 @@ def _run_cases(name: str, seed: int, cases: int) -> VerificationReport:
     return report
 
 
+def _run_exhaustive(name: str, seed: int, cases: int) -> VerificationReport:
+    """The small-instance enumeration (n = 4, two levels) with a quadratic
+    cost and |t|; it draws nothing, so it ignores seed and cases."""
+    report = VerificationReport(suite=name)
+    for j in (j_library("power", p=2), j_library("abs")):
+        report.merge(exhaustive_oracle_circle(4, 2, j, HeatKernel(1.0)))
+    return report
+
+
+# the one list of suites: name -> runner (name, seed, cases) -> report; a
+# randomized suite's case builder (rng, k) gives (check result,
+# EqualityClass, whether the case is a constructed equality case)
+SUITES = {
+    "riesz": partial(_run_cases, _case_riesz),
+    "nonexp-circle": partial(_run_cases, _case_nonexp_circle),
+    "nonexp-rn": partial(_run_cases, _case_nonexp_rn),
+    "polya-per": partial(_run_cases, _case_polya_per),
+    "polya-cyl": partial(_run_cases, _case_polya_cyl),
+    "exhaustive": _run_exhaustive,
+}
+
+
 def run_suite(suites="all", seed: int = 7, cases: int = 200) -> VerificationReport:
     """Run named verification suites deterministically; aggregate reports.
 
-    ``suites`` is a name, a list of names, or "all"; "exhaustive" runs the
-    small-instance enumeration (n = 4, two levels) with a quadratic cost
-    and |t|.
+    ``suites`` is a name in ``SUITES``, a list of names, or "all".
     """
     if cases < 1:
         raise ConfigError(f"need at least one case, got {cases}")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     if suites == "all":
-        names = list(_SUITES) + ["exhaustive"]
+        names = list(SUITES)
     elif isinstance(suites, str):
         names = [suites]
     else:
         names = list(suites)
     total = VerificationReport(suite="+".join(names))
     for name in names:
-        if name == "exhaustive":
-            for j in (j_library("power", p=2), j_library("abs")):
-                total.merge(exhaustive_oracle_circle(4, 2, j, HeatKernel(1.0)))
-            continue
-        if name not in _SUITES:
+        if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}")
-        total.merge(_run_cases(name, seed, cases))
+        total.merge(SUITES[name](name, seed, cases))
     return total

@@ -113,6 +113,24 @@ class TestEnergyCommand:
         assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
         assert "the energy overflows" in out.stderr
 
+    def test_riesz_energy_on_two_grids_exit_2(self, tmp_path, capsys):
+        # the grids are compared before the diagonal cost u - v is formed
+        u = write_json(tmp_path / "u.json", function_to_json(StepFunction.on_circle([1.0] * 4)))
+        v = write_json(tmp_path / "v.json", function_to_json(StepFunction.on_circle([0.0] * 8)))
+        rc = main(["energy", "--J", "power:2", "--kernel", "riesz:sigma=0.5", "--u", u, "--v", v])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_riesz_energy_of_overflowing_diagonal_divergent(self, tmp_path, capsys):
+        # an infinite diagonal cost is a nonvanishing one, with no numpy warning
+        u = write_json(tmp_path / "u.json",
+                       function_to_json(StepFunction.on_circle([1e308, 0.0, 0.0, 0.0])))
+        v = write_json(tmp_path / "v.json", function_to_json(StepFunction.on_circle([0.0] * 4)))
+        rc = main(["energy", "--J", "power:2", "--kernel", "riesz:sigma=0.5", "--u", u, "--v", v])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == "divergent"
+
 
 class TestSeminormCommand:
     def test_constant_both_methods(self, tmp_path, capsys):
@@ -400,3 +418,77 @@ def test_cli_loads_no_scipy():
         check=True, capture_output=True, text=True, timeout=120,
     )
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+# values of the CLI matrix on n cells
+MATRIX_VALUES = {
+    "zero": lambda n: np.zeros(n),
+    "constant": lambda n: np.full(n, 2.0),
+    "ramp": lambda n: np.arange(n, dtype=float),
+    "huge": lambda n: np.where(np.arange(n) % 2, 0.0, 1e308),
+    "subnormal": lambda n: np.where(np.arange(n) % 2, 0.0, 5e-324),
+    "indicator": lambda n: (np.arange(n) % 3 == 0).astype(float),
+}
+
+# commands of the CLI matrix, with {f} the function file, {z} the zero file
+# on its grid and {o} an output path
+MATRIX_COMMANDS = [
+    ["seminorm", "--s", "0.3", "--p", "2", "--in", "{f}"],
+    ["sweep", "--in", "{f}", "--values", "0.2", "0.6", "2"],
+    ["perimeter", "--s", "0.5", "--set", "{f}"],
+    *(["rearrange", "--op", op, "--in", "{f}", "--out", "{o}"]
+      for op in ("periodic", "cylindrical", "schwarz")),
+    *(["energy", "--J", "power:2", "--kernel", kernel, "--u", "{f}", "--v", "{z}"]
+      for kernel in ("heat:t=0.5", "gauss:t=0.5", "riesz:sigma=0.5", "step:1,2,1,0")),
+]
+
+
+def test_cli_matrix(tmp_path, capsys):
+    # every command on periodic, interval and ND files of 1-8 cells a side and
+    # extreme values, and energies of two different grids: a run exits 0 with
+    # finite numbers (or "divergent") and no stderr, or 2 with one error line;
+    # warnings are errors, so a numpy warning fails the run
+    files = {}
+    for kind in ("periodic", "interval", "nd"):
+        for n in (1, 2, 3, 5, 8):
+            for name, values in MATRIX_VALUES.items():
+                vals = values(n * n if kind == "nd" else n)
+                if kind == "nd":
+                    obj = {"axes": [{"n": n, "domain": "periodic"}, {"n": n, "domain": [-1, 1]}],
+                           "values": vals.reshape(n, n).tolist()}
+                else:
+                    domain = "periodic" if kind == "periodic" else [-1, 1]
+                    obj = {"grid": {"n": n, "domain": domain}, "values": vals.tolist()}
+                files[kind, n, name] = write_json(tmp_path / f"{kind}-{n}-{name}.json", obj)
+    out = str(tmp_path / "out.json")
+    runs = [[arg.format(f=f, z=files[kind, n, "zero"], o=out) for arg in argv]
+            for (kind, n, _), f in files.items() for argv in MATRIX_COMMANDS]
+    for kernel in ("heat:t=0.5", "gauss:t=0.5", "riesz:sigma=0.5", "step:1,2,1,0"):
+        for a, b in [(("periodic", 3), ("periodic", 5)), (("interval", 2), ("interval", 8)),
+                     (("periodic", 5), ("interval", 5)), (("nd", 2), ("periodic", 2))]:
+            runs.append(["energy", "--J", "abs", "--kernel", kernel,
+                          "--u", files[(*a, "ramp")], "--v", files[(*b, "constant")]])
+    bad = []
+    for argv in runs:
+        try:
+            rc = main(argv)
+        except Exception as exc:  # a traceback, or a warning turned into an error
+            capsys.readouterr()
+            bad.append((argv, repr(exc)))
+            continue
+        stdout, err = capsys.readouterr()
+        if rc == 0 and argv[0] == "rearrange":
+            stdout = " ".join(map(str, np.ravel(load_function(out).values)))
+        numbers = []
+        for token in stdout.replace(",", " ").replace(":", " ").split():
+            try:
+                numbers.append(float(token))
+            except ValueError:
+                pass
+        ok = (rc == 0 and not err and np.isfinite(numbers).all()) or (
+            rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+        )
+        if not ok:
+            bad.append((argv, rc, stdout, err))
+    assert len(runs) == 916
+    assert not bad, "\n".join(map(repr, bad[:5]))

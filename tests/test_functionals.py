@@ -165,7 +165,7 @@ class TestEnergyCircle:
 def test_negative_energy_is_a_persym_error():
     # the CLI reports a PersymError as one "error:" line, not a traceback
     with pytest.raises(PersymError):
-        EnergyResult(-1.0, 0.0)
+        EnergyResult(-1.0)
 
 
 class TestEnergyEuclidean:

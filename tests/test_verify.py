@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -464,13 +465,6 @@ class TestRieszCircle:
             res = check_riesz_circle(f, h, kern)
             assert res.margin >= -res.bound  # exact tables: bound ~ 1e-12
 
-    def test_monotone_guard(self, rng):
-        g = Grid1D.circle(8)
-        kern = StepKernelCircle(StepFunction.constant(g, 1.0))
-        f = random_circle_function(rng, n=8)
-        with pytest.raises(KernelNotMonotone):
-            check_riesz_circle(f, f, kern, equality_analysis=True)
-
 
 class TestNonexpansivityCircle:
     @pytest.mark.parametrize(
@@ -670,6 +664,20 @@ class TestRunSuite:
         assert rep.cases_run > 0
         assert rep.min_margin >= -rep.bound
 
+    def test_report_structure_is_pinned(self):
+        # the columns of `persym verify --suite all --seed 7 --cases 200` that
+        # no libm rounding can move: which cases run, in which order, and
+        # their classes and statuses
+        rep = run_suite("all", seed=7, cases=200)
+        text = "".join(
+            "\t".join((r.suite, r.case_id, r.class_predicted, r.class_observed, r.status)) + "\n"
+            for r in rep.rows
+        )
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "6da6d1353d1d9ee6d9ed82498df1f8cb9af4285fb6d23dd5c0d721e76457e1ce"
+        assert rep.cases_run == 1512
+        assert rep.min_margin >= -rep.bound
+
 
 class TestClassifyPeriodicND:
     def test_common_translate_across_slices(self, rng):
@@ -699,13 +707,6 @@ class TestClassifyPeriodicND:
         assert cls.tag != "common-translate"
         res = check_polya_periodic(u, SeminormParams(0.3, 2.0, 2))
         assert res.margin > res.bound  # p > 1: no translate, strict inequality
-
-
-def test_quartiles_are_numpys(rng):
-    for n in (1, 2, 3, 4, 7, 16, 33):
-        for x in (rng.random(n), rng.integers(0, 3, n).astype(float)):
-            got = persym.verify._quartiles(x)
-            assert np.array_equal(got, np.quantile(x, [0.25, 0.75]))
 
 
 def test_checks_load_no_numpy_ma():
