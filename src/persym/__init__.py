@@ -50,7 +50,6 @@ from .rearrange import (
     placement_order,
     rearrange_set_cylindrical,
     rearrange_set_periodic,
-    schwarz_discrete_nd,
     symmetric_decreasing_1d,
 )
 from .seminorm import (

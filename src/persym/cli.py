@@ -22,6 +22,7 @@ from . import __version__
 from .errors import ConfigError, GridMismatch, PersymError
 from .functionals import ConvexJ, energy_circle, energy_euclidean, j_library
 from .grid import (
+    Grid1D,
     GridFunctionND,
     StepFunction,
     load_function,
@@ -130,10 +131,7 @@ def cmd_rearrange(args) -> int:
         out = cylindrical_rearrange(u)
     elif args.op in ("steiner", "schwarz"):
         if isinstance(u, GridFunctionND) or u.grid.periodic:
-            raise ConfigError(
-                f"{args.op} acts on 1D interval functions here; the d >= 2 "
-                "discrete operator is library-level (schwarz_discrete_nd)"
-            )
+            raise ConfigError(f"{args.op} acts on 1D interval functions")
         out = symmetric_decreasing_1d(u)
     else:
         raise ConfigError(f"unknown op {args.op!r}")
@@ -240,8 +238,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_kernels(args) -> int:
     kernel = parse_kernel(args.kernel)
-    from .grid import Grid1D
-
     if args.grid == "circle":
         grid = Grid1D.circle(args.n)
     else:

@@ -21,7 +21,7 @@ class OutOfDomain(PersymError):
     """Point lies outside the domain of an interval grid."""
 
 
-class NegativeValue(PersymError):
+class NegativeValue(ConfigError):
     """Step functions must be nonnegative; pass inputs through absolute_value first."""
 
 

@@ -1,11 +1,12 @@
 """Uniform grids and exact step-function algebra.
 
 Functions are represented as nonnegative piecewise-constant values on a
-uniform grid, either one period of the circle (fixed to [-pi, pi)) or a
-bounded interval of the line.  Everything downstream (rearrangement,
-energies, seminorms) is an exact finite computation on this representation,
-so the only approximation anywhere in the package lives in kernel weight
-tables.
+uniform grid over one of three domains: one period of the circle (fixed to
+[-pi, pi)), a bounded interval of the line, or the cylinder, a circle times
+an interval (``GridFunctionND``, which rejects any other axes).  Everything
+downstream (rearrangement, energies, seminorms) is an exact finite
+computation on this representation, so the only approximation anywhere in
+the package lives in kernel weight tables.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class StepFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        negative = "step functions are nonnegative; use absolute_value() on signed input"
+        negative = "step function values must be nonnegative; use absolute_value() on signed input"
         object.__setattr__(self, "values", _checked(self.values, (self.grid.n,), negative))
 
     @classmethod
@@ -157,41 +158,35 @@ def absolute_value(grid: Grid1D, values) -> StepFunction:
 
 @dataclass(frozen=True)
 class GridFunctionND:
-    """Tensor-product function: periodic first axis, boxed interval axes after.
+    """Function on the cylinder: the periodic ``axis1`` times one interval
+    axis, the single grid of ``axes_perp``.
 
-    The values must vanish on the boundary layer of every interval axis so
-    that every superlevel set stays strictly inside the box; pass
-    ``require_compact=False`` only for operator outputs documented to be
-    approximate.
+    The values must vanish on the first and last cells of the interval axis,
+    so that every superlevel set stays strictly inside the box.  The
+    rearrangements of such a function vanish there too.
     """
 
     axis1: Grid1D
     axes_perp: tuple[Grid1D, ...]
     values: np.ndarray = field(repr=False)
-    require_compact: bool = True
 
     def __post_init__(self):
         if not self.axis1.periodic:
             raise NotPeriodic("first axis of an ND function is the periodic one")
         axes = tuple(self.axes_perp)
-        for g in axes:
-            if g.periodic:
-                raise NotInterval("perpendicular axes must be interval grids")
+        if len(axes) != 1:
+            raise ConfigError(
+                f"an ND input needs one periodic axis and one interval axis, got {1 + len(axes)} "
+                "axes; a 1D function uses the 'grid' format"
+            )
+        if axes[0].periodic:
+            raise NotInterval("the second axis of an ND function is an interval grid")
         object.__setattr__(self, "axes_perp", axes)
-        shape = (self.axis1.n,) + tuple(g.n for g in axes)
-        arr = _checked(self.values, shape, "ND grid functions are nonnegative")
-        if self.require_compact:
-            for ax, m in enumerate(shape[1:], 1):  # the first and last cells of the axis
-                if arr[(slice(None),) * ax + (slice(None, None, max(m - 1, 1)),)].any():
-                    raise ConfigError(
-                        "values must vanish on the boundary layer of every "
-                        f"perpendicular axis (axis {ax})"
-                    )
+        m = axes[0].n
+        arr = _checked(self.values, (self.axis1.n, m), "ND function values must be nonnegative")
+        if arr[:, :: max(m - 1, 1)].any():  # the first and last cells of the interval
+            raise ConfigError("values must vanish on the boundary layer of the interval axis")
         object.__setattr__(self, "values", arr)
-
-    @property
-    def ndim(self) -> int:
-        return 1 + len(self.axes_perp)
 
     @property
     def grids(self) -> tuple[Grid1D, ...]:
@@ -199,10 +194,7 @@ class GridFunctionND:
 
     @property
     def cell_volume(self) -> float:
-        v = self.axis1.h
-        for g in self.axes_perp:
-            v *= g.h
-        return v
+        return self.axis1.h * self.axes_perp[0].h
 
     def is_indicator(self) -> bool:
         return bool(np.all((self.values == 0.0) | (self.values == 1.0)))
@@ -277,7 +269,8 @@ def layer_cake_value(u: StepFunction, x: float) -> float:
 #
 # 1D:  {"grid": {"n": 8, "domain": "periodic"}, "values": [..]}
 #      {"grid": {"n": 8, "domain": [lo, hi]},   "values": [..]}
-# ND:  {"axes": [{"n":..,"domain":..}, ...], "values": nested row-major}
+# ND:  {"axes": [{"n":.., "domain": "periodic"}, {"n":.., "domain": [lo, hi]}],
+#       "values": nested row-major}
 
 
 def _grid_to_json(g: Grid1D) -> dict:
@@ -316,8 +309,6 @@ def _json_values(obj: dict) -> np.ndarray:
         values = np.asarray(obj["values"], dtype=float)
     except (TypeError, ValueError) as exc:  # ragged rows or non-numbers
         raise ConfigError(f"function values are not a numeric array: {exc}") from exc
-    if values.size and float(values.min()) < 0.0:  # an invalid file, not NegativeValue
-        raise ConfigError(f"function values must be nonnegative, got {float(values.min())!r}")
     return values
 
 

@@ -3,8 +3,9 @@
 Every double integral in the package reduces to finite sums against tables
 W[d] = integral of a convolution kernel over a pair of cells at offset d.
 ``offset_sums`` owns the offset layout and computes the pair-cost sums that
-such tables contract with, each pair's cost once: gathered along periodic
-axes, dense and binned by offset along interval ones (a symmetric cost over
+such tables contract with, each pair's cost once, on the three ``LAYOUTS``
+(the circle, an interval, the cylinder): gathered along the periodic axis,
+dense and binned by offset along the interval one (a symmetric cost over
 half the offsets, mirrored by one gather).  ``KernelWeights`` is the one
 table type, 1D or 2D, in that layout; its ``contract`` is the one
 contraction of pair sums with a table.  Tables are read-only; the
@@ -83,7 +84,7 @@ ND_TABLE_ACCURACY = 1e-12
 class KernelWeights:
     """Cell-pair integrals of a convolution kernel, in the layout of ``offset_sums``.
 
-    ``periodic`` holds one flag per axis, as ``offset_sums`` takes it: a
+    ``periodic`` is one of ``LAYOUTS``, as ``offset_sums`` takes it: a
     periodic axis of n cells stores offsets 0..n-1 (modulo n), an interval
     axis offsets -(n-1)..n-1 at index d + n - 1.  ``accuracy`` is the
     table's relative accuracy.  ``exterior``, where the kernel is integrable
@@ -101,10 +102,9 @@ class KernelWeights:
     def __post_init__(self):
         periodic = tuple(map(bool, self.periodic))
         w = _frozen(self.weights)
-        fits = w.ndim == len(periodic)
-        for p, m in zip(periodic, w.shape):
-            fits = fits and (p or m % 2 == 1)
-        if not fits:
+        if periodic not in LAYOUTS or w.ndim != len(periodic) or (
+            not periodic[-1] and w.shape[-1] % 2 == 0
+        ):
             raise ConfigError(f"weight table of shape {w.shape} fits no grid of axes {periodic}")
         object.__setattr__(self, "periodic", periodic)
         object.__setattr__(self, "weights", w)
@@ -157,6 +157,10 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return a
 
 
+# the axes of a grid, one flag per axis: the circle, an interval, and the
+# cylinder, a circle times an interval
+LAYOUTS = ((True,), (False,), (True, False))
+
 # largest temporary of offset_sums and of the table builders, in elements.
 # 128 KiB blocks built 2D tables 1.3-2x faster than 2 MiB ones.  Offset sums
 # at 1 << 14, 15 and 16 (2-vCPU Xeon, numpy 2.4, best of 7, two runs;
@@ -179,129 +183,110 @@ def offset_sums(u, v, cost, periodic, *, symmetric=False) -> np.ndarray:
       index d + n - 1, and pairs whose partner leaves the interval are
       dropped.
 
-    ``periodic`` holds one flag per axis of ``u``; leading axes of ``v``
-    beyond ``len(periodic)`` are batch axes and lead the result.  ``cost``
-    is a vectorized binary function (``np.multiply``, or
+    ``periodic`` is one of ``LAYOUTS``, one flag per axis of ``u``; leading
+    axes of ``v`` beyond ``len(periodic)`` are batch axes and lead the
+    result.  ``cost`` is a vectorized binary function (``np.multiply``, or
     ``lambda a, b: j(a - b)``).  Contracting with a table of the same
     layout, ``w.contract(S)``, gives sum_{i,j} cost(u_i, v_j) W[j - i].
 
-    Each pair's cost is taken once.  Periodic partners (axes moved first)
-    are gathered by the cached ``_offset_plan`` of the first block of
-    offsets, later blocks rolling u by their first offset.  Interval pairs
-    are all valid: the cost is taken on the dense cell x partner block,
-    summed over the periodic cells and binned to offset slots by one
-    ``np.bincount``.  Offsets, and past one offset the rows of the first
-    interval axis, come in chunks of at most OFFSET_BLOCK cost elements.
+    Each pair's cost is taken once.  Periodic partners are gathered by the
+    cached ``_offset_plan`` of the first block of offsets, later blocks
+    rolling u by their first offset.  Interval pairs are all valid: the
+    cost is taken on the dense cell x partner block, summed over the
+    periodic cells and binned to offset slots by one ``np.bincount``.
+    Periodic offsets, and past one offset the interval rows, come in
+    blocks of at most OFFSET_BLOCK cost elements.
 
     ``symmetric=True`` asserts S[-d] = S[d], as for u against itself under
     a cost with cost(a, b) = cost(b, a); the code cannot tell this from its
-    input.  Then only the offsets 0..n // 2 of the first periodic axis are
-    summed, and one gather through the plan's ``mirror`` fills every slot
-    of the result from its own or its negated offset.  It takes no batch
-    axes.
+    input.  Then only the periodic offsets 0..n // 2 are summed, and one
+    gather through the plan's ``mirror`` fills every slot of the result
+    from its own or its negated offset.  It takes no batch axes.
     """
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     periodic = tuple(periodic)
+    if periodic not in LAYOUTS:
+        raise GridMismatch(f"offset sums take the axes of one of {LAYOUTS}, got {periodic}")
     k = len(periodic)
     if u.ndim != k or v.shape[v.ndim - k :] != u.shape:
         raise GridMismatch(f"cannot pair shapes {u.shape} and {v.shape} on {k} axes")
     if symmetric and v.ndim != k:
         raise GridMismatch(f"symmetric offset sums take no batch axes, got shape {v.shape}")
     p = _offset_plan(u.shape, periodic, v.shape[: v.ndim - k], OFFSET_BLOCK, symmetric)
-    cells = u.transpose(p.order).reshape(p.vshape[1:])
-    vs = v.transpose(p.v_axes).reshape(p.vshape)
+    cells = u.reshape(p.vshape[1:])
+    vs = v.reshape(p.vshape)
     parts = []
-    for s, sel in p.chunks:  # s: the block's first offset, in flat cells
+    for s, width in p.blocks:  # s: the block's first offset
         c = np.roll(cells, s, axis=0) if s else cells
         if p.bins is None:  # summed over the cells
-            parts.append(np.add.reduce(cost(c, vs.take(p.idx[sel], axis=1)), axis=2))
+            parts.append(np.add.reduce(cost(c, vs.take(p.idx[:width], axis=1)), axis=2))
             continue
         # periodic cells outermost and (lead, offset, partner) innermost, so
         # that the cost runs long inner loops; the cells are summed in order
-        partners = vs.take(p.idx[sel].T, axis=1).transpose(1, 0, 2, 3)[:, None]
+        partners = vs.take(p.idx[:width].T, axis=1).transpose(1, 0, 2, 3)[:, None]
         lead, held = partners.shape[2], partners.shape[2] * partners.shape[3]
-        for cut, shift in p.rows:
+        for cut in p.rows:
             pc = cost(c[:, cut, None, None, None], partners)
             pc = np.add.reduce(pc) if len(pc) > 1 else pc[0]  # over the periodic cells
             at = p.bins[: len(pc), :held].ravel()
             got = np.bincount(at, pc.ravel(), held * p.slots).reshape(held, p.slots)
-            if shift:  # later rows take the first rows' bins, shifted down
-                acc[:, : p.slots - shift] += got[:, shift:]
+            if cut.start:  # later rows take the first rows' bins, shifted down
+                acc[:, : p.slots - cut.start] += got[:, cut.start :]
             else:
                 acc = got
                 parts.append(got.reshape(lead, -1))
     out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
     if p.mirror is not None:
         return out.take(p.mirror)
-    return np.ascontiguousarray(out.reshape(p.shape).transpose(p.back))
+    return out.reshape(p.shape)
 
 
-_OffsetPlan = namedtuple(
-    "_OffsetPlan", "order v_axes shape back vshape chunks idx bins rows slots mirror"
-)
+_OffsetPlan = namedtuple("_OffsetPlan", "shape vshape blocks idx bins rows slots mirror")
 
 
 @lru_cache(maxsize=32)
 def _offset_plan(
     shape: tuple, periodic: tuple, batch: tuple, block: int, symmetric: bool
 ) -> _OffsetPlan:
-    """Layout of ``offset_sums`` for one shape, batch, block size and
-    symmetry: axis orders with the periodic axes first and ``back``; per
-    temporary (``chunks``) its block's first offset in flat cells and its
-    rows of ``idx``, the flat cell (i + o) mod n per periodic offset o of the
-    first block and periodic cell i; ``bins``, per cell of the first ``rows``
-    chunk of interval rows, leading row l and partner, the slot
-    l * slots + the flat slot of partner - cell (None without interval
-    axes).  A symmetric plan covers the first-axis offsets 0..n // 2 only,
-    and ``mirror`` holds, per slot of the result in the caller's axis order,
-    the flat slot of the sums that holds it or its negated offset (None for
-    a full plan).
+    """Layout of ``offset_sums`` for one shape of a layout, batch, block
+    size and symmetry: per temporary (``blocks``) its first periodic offset
+    and its count of offsets; ``idx``, the cell (i + o) mod n per periodic
+    offset o of the first block and periodic cell i; ``rows``, the chunks of
+    interval rows, and ``bins``, per cell of the first chunk, leading row l
+    and partner, the slot l * slots + partner - cell + m - 1 (None without
+    an interval axis).  A symmetric plan covers the periodic offsets
+    0..n // 2 only, and ``mirror`` holds, per slot of the result, the flat
+    slot of the sums that holds it or its negated offset (None for a full
+    plan).
     """
-    k, b, lead = len(shape), len(batch), math.prod(batch)
-    order = tuple(sorted(range(k), key=lambda a: not periodic[a]))
-    pshape = tuple(shape[a] for a in order if periodic[a])
-    ishape = tuple(shape[a] for a in order if not periodic[a])
-    ioff = tuple(2 * m - 1 for m in ishape)
-    grid = pshape or (1,)  # the periodic cells, one if there are none
-    n, cells, pairs, slots = grid[0], math.prod(grid), math.prod(ishape), math.prod(ioff)
-    top = n // 2 + 1 if symmetric else n  # first-axis offsets summed
-    dense = lead * cells * pairs * pairs  # cost elements of one periodic offset
-    chunk = max(1, block // dense)  # periodic offsets per temporary
-    rest = cells // n  # flat cells per first-axis cell
-    step = min(top, max(1, chunk // rest))  # first-axis offsets per block
-    blocks = [(lo * rest, (min(lo + step, top) - lo) * rest) for lo in range(0, top, step)]
-    chunks = [(s, slice(r, min(r + chunk, m))) for s, m in blocks for r in range(0, m, chunk)]
-    g, j = np.indices((step,) + grid[1:] + grid, sparse=True), len(grid)
-    idx = np.ravel_multi_index([g[a] + g[j + a] for a in range(j)], grid, mode="wrap")
-    n_rows = ishape[0] if ishape else 1
-    rows = min(n_rows, max(1, block * n_rows // dense))  # interval rows per temporary
-    bins = None
-    if ishape:
-        g, j = np.indices((rows,) + ishape[1:] + ishape, sparse=True), len(ishape)
-        slot = np.ravel_multi_index([g[j + a] - g[a] + m - 1 for a, m in enumerate(ishape)], ioff)
-        held = lead * min(chunk, blocks[0][1])  # leading rows of a temporary
-        slot = slot.reshape(-1, 1, pairs)
-        bins = _frozen(slot + slots * np.arange(held)[:, None], np.intp)
-    w, down = pairs // n_rows, slots // (2 * n_rows - 1)  # cells and slots of a row
-    back = tuple(range(b)) + tuple(b + order.index(a) for a in range(k))
+    lead = math.prod(batch)
+    n = shape[0] if periodic[0] else 1  # the periodic cells, one if there are none
+    m = 0 if periodic[-1] else shape[-1]  # the interval cells, none on the circle
+    pairs, slots = max(m, 1), max(2 * m - 1, 1)
+    top = n // 2 + 1 if symmetric else n  # periodic offsets summed
+    dense = lead * n * pairs * pairs  # cost elements of one periodic offset
+    step = min(top, max(1, block // dense))  # periodic offsets per temporary
+    blocks = tuple((lo, min(lo + step, top) - lo) for lo in range(0, top, step))
+    idx = (np.arange(step)[:, None] + np.arange(n)) % n
+    out = batch + shape[:1] * periodic[0] + (slots,) * bool(m)  # the shape of the sums
+    bins, rows = None, ()
+    if m:
+        r = min(m, max(1, block * m // dense))  # interval rows per temporary
+        rows = tuple(slice(a, a + r) for a in range(0, m, r))
+        slot = np.arange(m) - np.arange(r)[:, None] + m - 1
+        bins = _frozen(slot[:, None] + slots * np.arange(lead * step)[:, None], np.intp)
     mirror = None
-    if symmetric:  # the slot of -d: -d mod m on a periodic axis, 2 m - 2 - slot on an interval one
-        g, j = np.indices(pshape + ioff, sparse=True), len(pshape)
-        neg = [-x % m for x, m in zip(g, pshape)] + [2 * m - 2 - x for x, m in zip(g[j:], ishape)]
-        up = g[0] > n // 2 if pshape else False
-        half = (top,) + pshape[1:] + ioff if pshape else ioff
-        at = np.ravel_multi_index([np.where(up, y, x) for x, y in zip(g, neg)], half)
-        mirror = np.ascontiguousarray(at.transpose(back))  # writeable, as idx
+    if symmetric:  # the slot of -d: -d mod n on the periodic axis, 2 m - 2 - slot on the interval
+        x, y = np.arange(n)[:, None], np.arange(slots)
+        up = x > n // 2
+        mirror = (np.where(up, -x % n, x) * slots + np.where(up, slots - 1 - y, y)).reshape(out)
     return _OffsetPlan(
-        order=order,
-        v_axes=tuple(range(b)) + tuple(b + a for a in order),
-        shape=batch + pshape + ioff,  # of the sums, periodic axes first
-        back=back,
-        vshape=(lead, cells) + (pairs,) * bool(ishape),
-        chunks=tuple(chunks),
-        idx=idx.reshape(-1, cells),  # writeable: ``take`` copies a read-only index
+        shape=out,
+        vshape=(lead, n) + (pairs,) * bool(m),
+        blocks=blocks,
+        idx=idx,  # writeable: ``take`` copies a read-only index
         bins=bins,
-        rows=tuple((slice(a * w, (a + rows) * w), a * down) for a in range(0, n_rows, rows)),
+        rows=rows,
         slots=slots,
         mirror=mirror,
     )
@@ -1226,6 +1211,8 @@ class StepKernelCircle(Kernel):
         return f"step-circle:n={self.profile.grid.n}"
 
     def weights(self, grid: Grid1D) -> KernelWeights:
+        if not grid.periodic:
+            raise GridMismatch("a circle step kernel needs a periodic grid")
         if grid.n % self.profile.grid.n != 0:
             raise GridMismatch(
                 f"grid n={grid.n} does not refine the kernel grid "
@@ -1278,6 +1265,8 @@ class StepKernelLine(Kernel):
         return f"step-line:n={self.profile.grid.n}"
 
     def weights(self, grid: Grid1D) -> KernelWeights:
+        if grid.periodic:
+            raise GridMismatch("a line step kernel needs an interval grid")
         ratio = self.profile.grid.h / grid.h
         k = round(ratio)
         if k < 1 or not math.isclose(ratio, k, rel_tol=1e-12):

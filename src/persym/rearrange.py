@@ -3,18 +3,16 @@
 The symmetric decreasing rearrangement of an N-cell step function is again a
 step function once the grid is refined by 2: every superlevel set has measure
 k*h for an integer k, and the centered interval of that measure has endpoints
-on the half-cell lattice.  All 1D operators below therefore return exact
-outputs on the 2N-cell grid; the only approximate operator in this module is
-the d >= 2 discrete Schwarz rearrangement, which is plain sorting by distance
-to the origin and is documented as O(h) accurate in level-set symmetric
-difference.
+on the half-cell lattice.  Every operator below is therefore exact: it
+returns its output on the 2N-cell grid of the rearranged axis, on the circle,
+an interval or the cylinder.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, NotIndicator, NotInterval, NotPeriodic
+from .errors import ConfigError, NotIndicator, NotPeriodic
 from .grid import Grid1D, GridFunctionND, StepFunction
 
 
@@ -71,59 +69,20 @@ def periodic_rearrange_1d(u: StepFunction) -> StepFunction:
 
 
 def periodic_rearrange_nd(u: GridFunctionND) -> GridFunctionND:
-    """Rearrange every perpendicular slice along the periodic axis."""
-    return GridFunctionND(
-        u.axis1.refined(2),
-        u.axes_perp,
-        _rearranged_values(u.values, axis=0),
-        require_compact=u.require_compact,
-    )
-
-
-def schwarz_discrete_nd(values: np.ndarray, grids: tuple[Grid1D, ...]) -> np.ndarray:
-    """Discrete Schwarz rearrangement for d >= 2: sort cells by center distance.
-
-    Values sorted descending are written into cells sorted by distance of the
-    cell center to the origin, ties broken lexicographically on the index
-    tuple.  Exactly equimeasurable as a grid function; approximates the
-    continuum ball rearrangement to O(h) in level-set symmetric difference.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim < 2:
-        raise ConfigError("schwarz_discrete_nd needs d >= 2; use symmetric_decreasing_1d")
-    if len(grids) != arr.ndim or any(g.periodic for g in grids):
-        raise NotInterval("schwarz_discrete_nd acts on interval-grid boxes")
-    dist2 = np.zeros(arr.shape)
-    for ax, g in enumerate(grids):
-        c = g.centers() ** 2
-        dist2 = dist2 + c.reshape((-1,) + (1,) * (arr.ndim - 1 - ax))
-    flat_dist = dist2.ravel()
-    order = np.lexsort((np.arange(flat_dist.size), flat_dist))
-    out = np.empty(arr.size)
-    out[order] = -np.sort(-arr.ravel())
-    return out.reshape(arr.shape)
+    """Rearrange every interval slice along the periodic axis."""
+    return GridFunctionND(u.axis1.refined(2), u.axes_perp, _rearranged_values(u.values, axis=0))
 
 
 def cylindrical_rearrange(u: GridFunctionND) -> GridFunctionND:
-    """Rearrange every frozen-x1 slice over the perpendicular box.
-
-    One perpendicular axis: exact 1D symmetric decreasing rearrangement, so
-    that axis is refined by 2 and re-centered.  Two or more: the approximate
-    discrete Schwarz operator, same shape; its output may touch the box
-    boundary for tight supports, hence ``require_compact=False``.
-    """
-    if not u.axes_perp:
-        raise ConfigError("cylindrical rearrangement needs at least one perpendicular axis")
-    if len(u.axes_perp) == 1:
-        g = u.axes_perp[0]
-        return GridFunctionND(
-            u.axis1,
-            (Grid1D.centered_interval(2 * g.n, g.length),),
-            _rearranged_values(u.values, axis=1),
-            require_compact=u.require_compact,
-        )
-    slices = [schwarz_discrete_nd(u.values[i], u.axes_perp) for i in range(u.axis1.n)]
-    return GridFunctionND(u.axis1, u.axes_perp, np.stack(slices), require_compact=False)
+    """Rearrange every frozen-x1 slice along the interval axis: the exact 1D
+    symmetric decreasing rearrangement, so that axis is refined by 2 and
+    re-centered."""
+    (g,) = u.axes_perp
+    return GridFunctionND(
+        u.axis1,
+        (Grid1D.centered_interval(2 * g.n, g.length),),
+        _rearranged_values(u.values, axis=1),
+    )
 
 
 def _check_indicator(values: np.ndarray) -> None:

@@ -147,14 +147,9 @@ def _pair_data(u: StepFunction | GridFunctionND, p: float, periodic: tuple) -> t
 
 
 def _dimension(u: StepFunction | GridFunctionND) -> int:
-    """u's dimension: 1 on a circle, 2 on a circle times an interval.  Any
-    other grid is a ConfigError."""
+    """u's dimension: 1 on a circle, 2 on the cylinder.  A 1D interval is a
+    ConfigError."""
     if isinstance(u, GridFunctionND):
-        if u.ndim != 2:
-            raise ConfigError(
-                f"an ND input needs one periodic axis and one interval axis, got {u.ndim} "
-                "axes; a 1D function uses the 'grid' format"
-            )
         return 2
     if not u.grid.periodic:
         raise ConfigError(

@@ -213,13 +213,13 @@ def classify_equality(u, v=None, context: str = "circle") -> EqualityClass:
         return _line_class(rows, u.grid, hi)
     if context == "periodic-ps":
         if isinstance(u, GridFunctionND):
-            return _circle_class(u.values.reshape(u.axis1.n, -1).T, whole=False)
+            return _circle_class(u.values.T, whole=False)
         if not (isinstance(u, StepFunction) and u.grid.periodic):
             raise ConfigError("periodic-ps classification needs a periodic grid")
         return _circle_class(u.values[None], whole=True)
     if context == "cylindrical-ps":
-        if not (isinstance(u, GridFunctionND) and len(u.axes_perp) == 1):
-            raise ConfigError("cylindrical-ps classification needs one interval axis")
+        if not isinstance(u, GridFunctionND):
+            raise ConfigError("cylindrical-ps classification needs a function on the cylinder")
         top = float(u.values.max())
         if top == 0.0:
             return EqualityClass("zero")

@@ -298,6 +298,7 @@ ERROR_MESSAGES = {
     "negative_nd": "must be nonnegative",
     "one_axis": "needs one periodic axis and one interval axis, got 1 axes; "
                 "a 1D function uses the 'grid' format",
+    "three_axes": "needs one periodic axis and one interval axis, got 3 axes",
     "overflow": "the direct seminorm overflows",
     "interval": "a 1D input needs a periodic grid",
     "interval_set": "a 1D input needs a periodic grid",
@@ -350,6 +351,10 @@ ERROR_MESSAGES = {
         ["energy", "--J", "abs", "--kernel", "gauss:t=1", "--u", "{u}", "--v", "{u}"],
         ["rearrange", "--op", "periodic", "--in", "{nd_interval_first}", "--out", "{out}"],
         ["rearrange", "--op", "periodic", "--in", "{nd_periodic_second}", "--out", "{out}"],
+        ["kernels", "--kernel", "step:1,2,1,0", "--n", "8", "--grid", "interval"],
+        ["kernels", "--kernel", "step:-1,2,1,0", "--n", "8"],
+        ["rearrange", "--op", "periodic", "--in", "{three_axes}", "--out", "{out}"],
+        ["rearrange", "--op", "cylindrical", "--in", "{three_axes}", "--out", "{out}"],
     ],
     ids=["kernel-float", "kernel-pair", "cost-float", "missing-in", "p-nan", "s-nan",
          "cases-negative", "seed-negative", "cost-p-below-1", "sweep-count-zero",
@@ -362,7 +367,9 @@ ERROR_MESSAGES = {
          "nd-one-axis", "seminorm-overflow", "seminorm-interval-1d", "sweep-interval-1d",
          "perimeter-interval-1d", "rearrange-periodic-interval", "perimeter-not-indicator",
          "kernels-gauss-circle", "energy-two-grids", "energy-heat-interval",
-         "energy-gauss-circle", "nd-interval-first-axis", "nd-periodic-second-axis"],
+         "energy-gauss-circle", "nd-interval-first-axis", "nd-periodic-second-axis",
+         "kernels-step-interval", "kernel-step-negative", "rearrange-periodic-three-axes",
+         "rearrange-cylindrical-three-axes"],
 )
 def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys):
     infile, _ = circle_file
@@ -392,7 +399,9 @@ def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys):
                       "nd_interval_first": dict(ragged, axes=ragged["axes"][::-1],
                                                 values=[[0, 1], [1, 0], [0, 0]]),
                       "nd_periodic_second": dict(ragged, axes=[ragged["axes"][0]] * 2,
-                                                 values=[[0, 1], [1, 0]])}.items():
+                                                 values=[[0, 1], [1, 0]]),
+                      "three_axes": dict(ragged, axes=ragged["axes"] + ragged["axes"][1:],
+                                         values=np.zeros((2, 3, 3)).tolist())}.items():
         paths[name] = write_json(tmp_path / f"{name}.json", obj)
     rc = main([arg.format(**paths) for arg in argv])
     err = capsys.readouterr().err

@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate, special
 
 from persym.errors import (
+    ConfigError,
     GridMismatch,
     NonpositiveTime,
     RangeTooWide,
@@ -20,6 +21,7 @@ from persym.kernels import (
     ND_TABLE_ACCURACY,
     T_SWITCH,
     HeatKernel,
+    KernelWeights,
     StepKernelCircle,
     StepKernelLine,
     check_kernel_monotone,
@@ -902,6 +904,16 @@ class TestStepKernelTables:
                 grid.h * prof.values.sum() * prof.grid.h, rel=1e-12, abs=1e-15
             )
 
+    def test_each_step_kernel_needs_its_grid_kind(self):
+        # a circle kernel has no table on an interval, a line kernel none on
+        # the circle, as the heat and Gaussian builders already refuse
+        circle = StepKernelCircle(StepFunction.on_circle([1.0, 2.0, 1.0, 0.0]))
+        with pytest.raises(GridMismatch, match="periodic grid"):
+            circle.weights(Grid1D.interval(8, -1.0, 1.0))
+        line = StepKernelLine(StepFunction(Grid1D.centered_interval(4, 2.0), [0.0, 1.0, 2.0, 1.0]))
+        with pytest.raises(GridMismatch, match="interval grid"):
+            line.weights(Grid1D.circle(8))
+
 
 class TestKernelMonotoneCheck:
     def test_heat_and_riesz_pass_constant_fails(self):
@@ -1124,7 +1136,7 @@ class TestOffsetSums:
             ((1, 4), (), (True, False), power_cost, None),
             ((2, 3), (2,), (True, False), np.multiply, None),
             ((100,), (), (False,), power_cost, None),
-            ((100, 1), (), (False, True), power_cost, None),
+            ((1, 100), (), (True, False), power_cost, None),
             ((12, 12), (), (True, False), abs_cost, None),
             ((6, 8), (), (True, False), skew_cost, None),
             ((5, 4), (3,), (True, False), power_cost, 16),
@@ -1134,7 +1146,7 @@ class TestOffsetSums:
         ids=["1d-periodic", "1d-interval", "2d", "2d-product", "1d-batched",
              "2d-batched", "1d-multi-block", "1d-one-cell", "1d-two-cells",
              "2d-one-cell-circle", "2d-two-cell-circle",
-             "1d-interval-wide-blocks", "2d-interval-first-wide-blocks",
+             "1d-interval-wide-blocks", "2d-one-cell-circle-wide-rows",
              "2d-sweep-12x12", "2d-asymmetric-cost",
              # one offset and one interval row per temporary; blocks of 2 and
              # 1 offsets; interval rows in chunks of 2, 2 and 1
@@ -1203,6 +1215,77 @@ class TestOffsetSums:
         assert {at: float(got[at]).hex() for at in pins} == pins
         assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == digest
 
+    @pytest.mark.parametrize(
+        "m,pins",
+        [
+            (16, {0: "0x1.a45203d656309p-3", 8: "0x1.2ad023ad10f76p+0",
+                  15: "0x1.1d7633c331166p+1", 30: "0x1.0ad9135c486f3p-7"}),
+            (64, {0: "0x1.725501bfc5e24p-2", 32: "0x1.3c4183a00e0d1p+2",
+                  63: "0x1.26730b8449d95p+3", 126: "0x1.2992f321ff782p-3"}),
+        ],
+    )
+    def test_interval_1d_sums_are_pinned(self, m, pins):
+        # float-hex pins of the sums energy_euclidean takes: any change to
+        # the arithmetic of 1D interval sums (the bins, the row chunks) shows
+        rng = np.random.default_rng(m + 1)
+        u, v = rng.random(m), rng.random(m)
+        got = offset_sums(u, v, lambda a, b: np.abs(a - b) ** 2.5, (False,))
+        assert {d: float(got[d]).hex() for d in pins} == pins
+
+    @pytest.mark.parametrize(
+        "shape,digest,pins",
+        [
+            ((6, 8), "df277c6e7e005a0c",
+             {(0, 7): "0x1.f2d33669114bep+2", (1, 3): "0x1.8d3155fded39bp+2",
+              (5, 14): "0x1.36b014e9da778p+0"}),
+            ((12, 12), "3d84ad63917d510f",
+             {(0, 11): "0x1.740273fd97b85p+4", (1, 3): "0x1.b0576b348bd08p+3",
+              (11, 22): "0x1.e36eaab3166bap+0"}),
+        ],
+        ids=["6x8", "12x12"],
+    )
+    def test_product_2d_sums_are_pinned(self, shape, digest, pins):
+        # float-hex pins and a digest of the full (not symmetric) 2D sums
+        # under np.multiply, the pairing fractional_perimeter takes
+        rng = np.random.default_rng(shape[0] * shape[1] + 1)
+        u = rng.random(shape)
+        got = offset_sums(u, 1.0 - u, np.multiply, (True, False))
+        assert {at: float(got[at]).hex() for at in pins} == pins
+        assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == digest
+
+    def test_every_layout_is_pinned(self, monkeypatch):
+        # one digest over every layout: cell counts 1 to 129, batches, full
+        # and symmetric sums, three costs and four block sizes
+        cases = (
+            [((n,), (True,)) for n in (1, 2, 3, 8, 17, 64, 129)]
+            + [((m,), (False,)) for m in (1, 2, 5, 12, 40)]
+            + [((n, m), (True, False))
+               for n, m in ((1, 1), (2, 3), (5, 6), (7, 12), (12, 12), (16, 8))]
+        )
+        digest = hashlib.sha256()
+        for block in (16, 64, 600, 16384):
+            monkeypatch.setattr(kernels, "OFFSET_BLOCK", block)
+            for shape, periodic in cases:
+                rng = np.random.default_rng(sum(shape) * 31 + len(shape))
+                u = rng.random(shape)
+                for batch in ((), (3,)):
+                    v = rng.random(batch + shape)
+                    for cost in (power_cost, np.multiply, skew_cost):
+                        digest.update(offset_sums(u, v, cost, periodic).tobytes())
+                digest.update(offset_sums(u, u, power_cost, periodic, symmetric=True).tobytes())
+        assert digest.hexdigest() == (
+            "7b56307a593113a3b7c57df430f2ada4a2da0e3755744c97c3a5ad20a6550284"
+        )
+
+    @pytest.mark.parametrize("periodic", [(False, True), (True, True), (False, False)])
+    def test_other_layouts_are_refused(self, periodic, rng):
+        # the circle, an interval and the cylinder are the only grids
+        u = rng.random((4, 5))
+        with pytest.raises(GridMismatch, match="axes of one of"):
+            offset_sums(u, u, power_cost, periodic)
+        with pytest.raises(ConfigError, match="fits no grid"):
+            KernelWeights(periodic, np.ones((4, 5)), 1e-15)
+
     def test_multi_block_case_spans_blocks(self):
         assert 2500 * 2500 > kernels.OFFSET_BLOCK
 
@@ -1229,11 +1312,11 @@ class TestOffsetSums:
         assert peak < out.nbytes + plan + 6 * block, (peak - out.nbytes - plan) / block
 
     @pytest.mark.parametrize(
-        "shape,periodic", [((700,), (False,)), ((40, 5), (False, False)), ((30, 7), (False, True))]
+        "shape,periodic", [((700,), (False,)), ((300,), (False,)), ((181,), (False,))]
     )
     def test_interval_first_axis_reuses_one_plan(self, shape, periodic, rng, fresh_caches):
-        # one plan per shape serves every block of offsets and every chunk
-        # of interval rows, so a repeated call builds none
+        # one plan per shape serves every chunk of interval rows (the last
+        # one partial at 181 cells), so a repeated call builds none
         u = rng.random(shape)
         v = rng.random((2,) + shape)
         offset_sums(u, v, power_cost, periodic)
@@ -1241,7 +1324,7 @@ class TestOffsetSums:
         got = offset_sums(u, v, power_cost, periodic)
         plan = kernels._offset_plan(shape, periodic, (2,), kernels.OFFSET_BLOCK, False)
         assert kernels._offset_plan.cache_info().misses == 1
-        assert len(plan.chunks) * len(plan.rows) > 4  # several temporaries
+        assert len(plan.blocks) * len(plan.rows) > 4  # several temporaries
         ref = offset_sums_reference(u, v, power_cost, periodic)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -1249,11 +1332,11 @@ class TestOffsetSums:
         "shape,periodic",
         [((n,), (True,)) for n in (1, 2, 3, 64, 129)]
         + [((n1, n2), (True, False)) for n1 in (1, 2, 7, 12) for n2 in (1, 5, 12)]
-        + [((5, 6), (True, True)), ((4, 3, 5), (False, True, False)), ((6, 5), (False, False))],
+        + [((5, 6), (True, False)), ((9,), (False,)), ((6,), (False,))],
     )
     def test_symmetric_sums_match_the_full_path(self, shape, periodic, rng):
-        # half the first periodic axis's offsets, the rest mirrored as S[-d];
-        # the interval and second periodic axes are negated with it
+        # half the periodic offsets, the rest mirrored as S[-d], the interval
+        # offset negated with it; without a periodic axis all offsets are summed
         u = rng.random(shape)
         full = offset_sums(u, u, power_cost, periodic)
         half = offset_sums(u, u, power_cost, periodic, symmetric=True)
@@ -1268,9 +1351,9 @@ class TestOffsetSums:
     def test_small_blocks_change_nothing(self, rng, monkeypatch):
         u = rng.random((5, 4))
         v = rng.random((2, 5, 4))
-        whole = offset_sums(u, v, power_cost, (False, True))
+        whole = offset_sums(u, v, power_cost, (True, False))
         monkeypatch.setattr(kernels, "OFFSET_BLOCK", 16)
-        blocked = offset_sums(u, v, power_cost, (False, True))
-        ref = offset_sums_reference(u, v, power_cost, (False, True))
+        blocked = offset_sums(u, v, power_cost, (True, False))
+        ref = offset_sums_reference(u, v, power_cost, (True, False))
         assert np.max(np.abs(whole - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.max(np.abs(blocked - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -21,7 +21,6 @@ from persym.rearrange import (
     placement_order,
     rearrange_set_cylindrical,
     rearrange_set_periodic,
-    schwarz_discrete_nd,
     symmetric_decreasing_1d,
 )
 
@@ -227,27 +226,6 @@ def test_composition_commutes(uvals, steps):
     assert composition_commutes_check(lambda t: np.full_like(np.asarray(t, float), 2.0), u)
 
 
-def test_schwarz_discrete_basics(rng):
-    g = (Grid1D.centered_interval(6, 3.0), Grid1D.centered_interval(6, 3.0))
-    const = np.full((6, 6), 1.5)
-    assert np.array_equal(schwarz_discrete_nd(const, g), const)
-    point = np.zeros((6, 6))
-    point[0, 5] = 7.0
-    out = schwarz_discrete_nd(point, g)
-    # the single mass lands in one of the four cells nearest the origin
-    i, j = np.unravel_index(np.argmax(out), out.shape)
-    assert i in (2, 3) and j in (2, 3)
-    for _ in range(50):
-        v = rng.random((6, 6))
-        w = schwarz_discrete_nd(v, g)
-        assert np.array_equal(np.sort(v.ravel()), np.sort(w.ravel()))
-        # superlevel sets are distance-ordered prefixes
-        d2 = (g[0].centers() ** 2)[:, None] + (g[1].centers() ** 2)[None, :]
-        order = np.lexsort((np.arange(36), d2.ravel()))
-        flat = w.ravel()[order]
-        assert np.all(np.diff(flat) <= 1e-15)
-
-
 def test_periodic_rearrange_nd_slicewise(rng):
     u = random_nd_function(rng, n1=8, n2=8)
     star = periodic_rearrange_nd(u)
@@ -281,19 +259,6 @@ def test_cylindrical_rearrange_1d_slices(rng):
     )
 
 
-def test_cylindrical_rearrange_2d_slices(rng):
-    g2 = Grid1D.centered_interval(6, 3.0)
-    g3 = Grid1D.centered_interval(6, 3.0)
-    vals = np.zeros((4, 6, 6))
-    vals[:, 2:4, 2:4] = rng.random((4, 2, 2)) + 0.5
-    u = GridFunctionND(Grid1D.circle(4), (g2, g3), vals)
-    star = cylindrical_rearrange(u)
-    for i in range(4):
-        assert np.array_equal(
-            np.sort(star.values[i].ravel()), np.sort(u.values[i].ravel())
-        )
-
-
 def test_rearrange_commutes_with_scaling(rng):
     for _ in range(50):
         u = random_circle_function(rng, n=7)
@@ -311,7 +276,3 @@ def test_idempotence_nd_operators(rng):
     cyl = cylindrical_rearrange(u)
     again_c = cylindrical_rearrange(cyl)
     assert np.array_equal(again_c.values, np.repeat(cyl.values, 2, axis=1))
-    g = (Grid1D.centered_interval(5, 2.0), Grid1D.centered_interval(4, 2.0))
-    vals = rng.random((5, 4))
-    once = schwarz_discrete_nd(vals, g)
-    assert np.array_equal(schwarz_discrete_nd(once, g), once)

@@ -346,8 +346,8 @@ class TestDualCertificate:
         ids=["12x12", "6x8", "1x6-elongated", "2x5-elongated", "8x3-elongated"],
     )
     def test_2d_tables_agree(self, n1, g2):
-        # exterior masses on every column, the boundary ones included: input
-        # that does not vanish there (require_compact=False) needs them
+        # exterior masses on every column, the boundary ones included, where
+        # every function on the cylinder vanishes: the tables are whole
         n2 = g2.n
         off_self = np.ones((n1, 2 * n2 - 1), dtype=bool)
         off_self[0, n2 - 1] = False
