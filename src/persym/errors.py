@@ -58,7 +58,7 @@ class StepFunctionDivergence(PersymError):
 
 
 class NonpositiveTime(ConfigError):
-    """Heat-kernel diffusion time must be positive."""
+    """Heat-kernel diffusion time must be positive and finite."""
 
 
 class RangeTooWide(PersymError):

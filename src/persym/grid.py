@@ -46,6 +46,8 @@ class Grid1D:
             raise ConfigError(f"grid needs at least one cell, got n={self.n}")
         if not self.hi > self.lo:
             raise ConfigError(f"empty domain [{self.lo}, {self.hi})")
+        if not self.length < math.inf:  # an infinite end, or ends too far apart
+            raise ConfigError(f"domain [{self.lo}, {self.hi}) needs finite ends and length")
         if self.periodic and not (
             math.isclose(self.lo, -HALF_PERIOD) and math.isclose(self.hi, HALF_PERIOD)
         ):

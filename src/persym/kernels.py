@@ -342,8 +342,9 @@ _ZETA_K = np.arange(ZETA_TERMS + 1.0)
 _RISING = np.arange(2.0 * _BERNOULLI.size - 1.0)
 
 
-def _hurwitz_zeta(s: np.ndarray, x: float) -> np.ndarray:
-    """Hurwitz zeta(s, x) = sum_{k >= 0} (x + k)^(-s), orders s > 1, x >= 3.
+def _hurwitz_zeta(s: np.ndarray, s1: np.ndarray, x: float) -> np.ndarray:
+    """Hurwitz zeta(s, x) = sum_{k >= 0} (x + k)^(-s), orders s > 1, x >= 3;
+    s1 = s - 1 comes from the caller, who may know it better near s = 1.
 
     Euler-Maclaurin summation (DLMF 2.10(i), 25.11): the terms k < N =
     ZETA_TERMS explicitly, then at y = x + N the integral y^(1-s) / (s - 1),
@@ -359,8 +360,7 @@ def _hurwitz_zeta(s: np.ndarray, x: float) -> np.ndarray:
     rising = s[:, None] + _RISING
     rising /= y
     np.multiply.accumulate(rising, axis=1, out=rising)
-    last = s - 1.0
-    np.divide(y, last, out=last)
+    last = np.divide(y, s1)
     last += 0.5
     last += rising[:, ::2] @ _BERNOULLI
     p[:, -1] *= last
@@ -379,8 +379,8 @@ def heat_kernel_periodic(z, t: float):
     both branches agree to ~1e-13 relative at the crossover.
     """
     t, rtol = float(t), HEAT_TAIL_RTOL
-    if not t > 0:
-        raise NonpositiveTime(f"diffusion time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise NonpositiveTime(f"diffusion time must be positive and finite, got {t}")
     z = np.asarray(z, dtype=float)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
@@ -502,8 +502,8 @@ def heat_weights_periodic(grid: Grid1D, t: float) -> KernelWeights:
     """Cell-pair integrals of the wrapped Gaussian on a periodic grid (cached)."""
     if not grid.periodic:
         raise GridMismatch("heat_weights_periodic needs a periodic grid")
-    if not t > 0:
-        raise NonpositiveTime(f"diffusion time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise NonpositiveTime(f"diffusion time must be positive and finite, got {t}")
     table = _heat_table_batch(grid.n, grid.h, np.array([t]))[0]
     return KernelWeights((True,), table, 1e-12)
 
@@ -546,8 +546,8 @@ def gaussian_weights_interval(grid: Grid1D, t: float) -> KernelWeights:
     """Cell-pair integrals of exp(-r^2 t) on an interval grid, with tails (cached)."""
     if grid.periodic:
         raise GridMismatch("gaussian_weights_interval needs an interval grid")
-    if not t > 0:
-        raise NonpositiveTime(f"diffusion time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise NonpositiveTime(f"diffusion time must be positive and finite, got {t}")
     table, ext = _gauss_tables_batch(grid, [t])
     return KernelWeights((False,), table[0], 1e-12, ext[0])
 
@@ -722,8 +722,9 @@ def riesz_weights_1d(grid: Grid1D, sigma: float) -> KernelWeights:
     4 (h n)^a sum_j q_j zeta(2j - a, x) F[d, j], and the bound the same sum
     over another matrix; ``_periodized_plan`` keeps both per n, with the
     line powers of the near copies, so a build takes one zeta call at x on
-    the orders 2j - a.  ``accuracy`` is that bound, relative to each entry,
-    plus the rounding floor RIESZ_ROUNDING.
+    the orders 2j - a, each less one taken as (2j - 2) + sigma, which keeps
+    sigma whole at the pole order j = 1.  ``accuracy`` is that bound,
+    relative to each entry, plus the rounding floor RIESZ_ROUNDING.
     """
     _check_sigma(sigma)
     n, h = grid.n, grid.h
@@ -736,7 +737,7 @@ def riesz_weights_1d(grid: Grid1D, sigma: float) -> KernelWeights:
     out[0] = 0.0
     w = out[1:]
     np.add.reduce(_riesz_line_pairs(plan.line, h, sigma, q)[plan.near], axis=1, out=w)
-    series = _hurwitz_zeta(plan.orders - a, RIESZ_NEAR + 0.5)
+    series = _hurwitz_zeta(plan.orders - a, (plan.orders - 2.0) + sigma, RIESZ_NEAR + 0.5)
     series *= q[: series.size]
     series *= 4.0 * h**a * float(n) ** a
     far, bound = plan.far @ series
@@ -908,7 +909,8 @@ def _copy_tail_series(mu: float, copies: int) -> tuple[np.ndarray, np.ndarray]:
     by_a = np.cumprod(np.hstack((np.ones((top + 1, 1)), ratio)), axis=1)[:, ::2].T  # [i, b]
     by_b = np.cumprod(np.append(1.0, (-mu - j[:-1]) / (j[:-1] + 1.0)))
     half = j[:, None] + j  # i + b
-    zeta = _hurwitz_zeta(2.0 * mu + 2.0 * j, copies + 1.0)
+    order = 2.0 * mu + 2.0 * j
+    zeta = _hurwitz_zeta(order, order - 1.0, copies + 1.0)
     c = 2.0 * by_a * by_b * zeta[np.minimum(half, top)]
     return np.where(half < top, c, 0.0), np.where(half == top, np.abs(c), 0.0)
 
@@ -1017,7 +1019,7 @@ def _nd_direct(plan: _NDPlan, mu: float) -> tuple[np.ndarray, np.ndarray]:
     return box.ravel()[plan.fold].sum(axis=0) + tail, 2.0 * omitted
 
 
-_NDFit = namedtuple("_NDFit", "coef degrees log_r2 corner corner_rule cells to_hi to_lo bound")
+_NDFit = namedtuple("_NDFit", "coef degrees log_r2 corner corner_rule cells log_hi log_lo bound")
 
 
 @lru_cache(maxsize=8)
@@ -1032,9 +1034,10 @@ def _nd_fit(grid1: Grid1D, grid2: Grid1D) -> _NDFit:
     (``coef``, one row per offset, its degrees k in ``degrees``), beside
     log r^2, the corner weights of
     the plan, ``_corner_rule``, the flat indices of the four table
-    cells that each sector offset fills by symmetry, and the distances of
-    grid2's cell edges to its upper and lower end, which the closed-form
-    exterior masses take to the power 1 - sigma.
+    cells that each sector offset fills by symmetry, and the logs of the
+    distances of grid2's cell edges to its upper and lower end, -inf at the
+    end itself, from which the closed-form exterior masses take the powers
+    1 - sigma.
 
     The certificate: F, with the exact copy tail, is a positive combination
     of exp(-mu (log r'^2 - log r^2)) over points r', so at complex mu
@@ -1075,10 +1078,11 @@ def _nd_fit(grid1: Grid1D, grid2: Grid1D) -> _NDFit:
     cells = rows * (2 * n2 - 1) + (n2 - 1 + np.stack((d2, -d2)))
     corner_rule = _corner_rule(min(h1, h2))
     b = grid2.boundaries()
+    gaps = (grid2.hi - b, b - grid2.lo)
+    logs = [np.log(d, out=np.full(d.shape, -np.inf), where=d > 0) for d in gaps]
     return _NDFit(
         _frozen(coef), _frozen(np.arange(FIT_DEGREE + 1.0)), _frozen(log_r2), plan.corner,
-        corner_rule, _frozen(cells, np.intp),
-        _frozen(grid2.hi - b), _frozen(b - grid2.lo), bound,
+        corner_rule, _frozen(cells, np.intp), *map(_frozen, logs), bound,
     )
 
 
@@ -1114,7 +1118,9 @@ def riesz_weights_nd(grid1: Grid1D, grid2: Grid1D, sigma: float) -> KernelWeight
     w = np.zeros(n1 * (2 * n2 - 1))
     w[fit.cells] = total
     kappa = SQRT_PI * math.gamma(mu - 0.5) / math.gamma(mu)
-    to_hi, to_lo = fit.to_hi ** (1.0 - sigma), fit.to_lo ** (1.0 - sigma)
+    # d^(1 - sigma) - 1, so that differences keep their digits as the
+    # powers all near 1 with sigma
+    to_hi, to_lo = np.expm1((1.0 - sigma) * fit.log_hi), np.expm1((1.0 - sigma) * fit.log_lo)
     ext = to_hi[:-1] - to_hi[1:]
     ext += to_lo[1:] - to_lo[:-1]
     ext *= h1 * (kappa / (sigma * (1.0 - sigma)))
@@ -1313,31 +1319,14 @@ class LaplaceConfig:
     def apply(self, fvals: np.ndarray) -> float:
         return float(self.weights @ fvals)
 
-    def algebraic_tail(self, coef: float, beta: float) -> float:
-        """Continue the trapezoid past the last node for F(t) ~ coef t^-beta.
-
-        Geometric sum of the rule's own nodes beyond the window; exact when
-        the profile has settled onto its algebraic tail there (beta > lam).
-        """
-        alpha = (self.lam - beta) * self.ds
-        if alpha >= 0:
-            raise ConfigError("algebraic tail needs beta > lam")
-        s_max = math.log(self.nodes[-1])
-        q = math.exp(alpha)
-        return coef * self.ds * math.exp((self.lam - beta) * s_max) * q / (1.0 - q)
-
-    def algebraic_head(self, coef: float, beta: float) -> float:
-        """Continue the trapezoid before the first node for F(t) ~ coef t^-beta.
-
-        Geometric sum of the rule's nodes below the window; exact when the
-        profile is on its small-t algebraic branch there (beta < lam).
-        """
-        alpha = (self.lam - beta) * self.ds
-        if alpha <= 0:
-            raise ConfigError("algebraic head needs beta < lam")
-        s_min = math.log(self.nodes[0])
-        q = math.exp(-alpha)
-        return coef * self.ds * math.exp((self.lam - beta) * s_min) * q / (1.0 - q)
+    def beyond(self, excess: float) -> float:
+        """The rule continued past its window for a profile t^-beta, excess =
+        lam - beta (passed in, so that no rounding of lam reaches it): the
+        geometric sum ds e^(excess s_end) / expm1(|excess| ds) of its lattice
+        nodes below the first node s_end (the head, excess > 0) or above the
+        last (the tail, excess < 0); exact where the profile is the power."""
+        k_end = self.k_lo if excess > 0.0 else self.k_lo + self.nodes.size - 1
+        return self.ds * math.exp(excess * (k_end * self.ds)) / math.expm1(abs(excess) * self.ds)
 
     def gamma_identity_error(self, z) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -1380,8 +1369,8 @@ def laplace_quadrature(
     convergent on any such lattice, and every lam with the same ds shares
     its node values bit for bit.  A profile with algebraic ends (coef t^-beta
     as t -> 0 or t -> inf) needs the window only where it differs from
-    those forms; ``algebraic_head`` and ``algebraic_tail`` sum the rule's own
-    nodes beyond the window on them in closed form.  The spacing starts at
+    those forms; ``LaplaceConfig.beyond`` sums the rule's own nodes beyond
+    the window on them in closed form.  The spacing starts at
     ds = 0.25, where every rule of the seminorm routes passes (none did at
     0.5), and is halved until the Gamma-identity check passes at rtol; a
     rule of more than LAPLACE_MAX_NODES nodes is RangeTooWide.  It never

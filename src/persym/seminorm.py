@@ -29,7 +29,6 @@ from .errors import ConfigError, NotIndicator
 from .grid import Grid1D, GridFunctionND, StepFunction, _distinct
 from .kernels import (
     KernelWeights,
-    LaplaceConfig,
     _gauss_tables_batch,
     _frozen,
     _heat_table_batch,
@@ -41,6 +40,7 @@ from .kernels import (
 
 SQRT_PI = math.sqrt(math.pi)
 LAPLACE_RTOL = 1e-9  # build target of the Laplace-route quadrature rule
+_ROUTES = ("direct", "laplace")
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ def gagliardo_periodic(
     """The fractional seminorm by each route of ``methods``, in their order.
 
     Each route contracts the pair costs S with its weight table W (see
-    ``_ROUTES``) over cell offsets.  In 2D u vanishes outside the box, so a
+    ``_table``) over cell offsets.  In 2D u vanishes outside the box, so a
     pair with one point y outside costs |u(x)|^p: against the table's
     exterior masses E, sum_x |u(x)|^p E[x2], once for (x, y) and once for
     (y, x): twice the column sums of |u|^p over x1 against E.  The pair
@@ -178,7 +178,7 @@ def gagliardo_periodic(
     A sum that overflows float range raises ConfigError; it is not the
     divergent result of sp >= 1.
     """
-    if not methods or not set(methods) <= _ROUTES.keys():
+    if not methods or not set(methods) <= set(_ROUTES):
         raise ConfigError(f"methods must be among {list(_ROUTES)}, got {list(methods)}")
     dim = _dimension(u)
     if params.n != dim:
@@ -214,18 +214,22 @@ def gagliardo_periodic_laplace(
     u: StepFunction | GridFunctionND, params: SeminormParams
 ) -> SeminormResult:
     """Fractional seminorm through the heat-kernel time integral, against the
-    tables of ``_laplace_table_1d`` and ``_laplace_table_2d``."""
+    tables of ``_laplace_table``."""
     return gagliardo_periodic(u, params, ("laplace",))[0]
 
 
 def _table(u: StepFunction | GridFunctionND, method: str, sigma: float) -> KernelWeights:
-    """The weight table of route ``method`` at sigma, keyed by u's grid: the
-    circle's cell count, and in 2D the interval axis's cell count and ends."""
-    table_1d, table_2d = _ROUTES[method]
+    """The weight table of route ``method`` at sigma, keyed by u's grid: (n,)
+    on the n-cell circle, (n1, n2, lo, hi) on the cylinder of the n1-cell
+    circle and the n2-cell interval [lo, hi]."""
     if isinstance(u, GridFunctionND):
         g2 = u.axes_perp[0]
-        return table_2d(u.axis1.n, g2.n, g2.lo, g2.hi, sigma)
-    return table_1d(u.grid.n, sigma)
+        grid = (u.axis1.n, g2.n, g2.lo, g2.hi)
+    else:
+        grid = (u.grid.n,)
+    if method == "laplace":
+        return _laplace_table(grid, sigma)
+    return (_nd_table_cached if len(grid) > 1 else _riesz_table_cached)(*grid, sigma)
 
 
 @lru_cache(maxsize=64)
@@ -238,135 +242,100 @@ def _nd_table_cached(n1: int, n2: int, lo: float, hi: float, sigma: float):
     return riesz_weights_nd(Grid1D.circle(n1), Grid1D.interval(n2, lo, hi), sigma)
 
 
-def _lattice_rows(cfg: LaplaceConfig) -> tuple[tuple[float, int, int], slice]:
-    """The lattice (ds, k_lo, k_hi) that cfg was checked on, s = k ds for
-    k_lo <= k <= k_hi, and the rows of a stack on it at cfg's nodes.
-
-    The dim-D route's lam = (dim + sigma) / 2 lies in the band
-    (dim / 2, (dim + 1) / 2) for every sigma in (0, 1), and every rule of a
-    band is checked on the lattice over the union of the band's windows, so
-    one stack per grid serves every sigma.
-    """
-    k_lo, k_hi = cfg.lattice
-    first = cfg.k_lo - k_lo
-    return (cfg.ds, k_lo, k_hi), slice(first, first + cfg.nodes.size)
+def _heat_far(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The heat row on the n-cell circle at large t, as coefficients of t^-1
+    and t^-1/2: 1 / 2t per periodic copy at one cell of distance (on n <= 2
+    a cell touches copies on both sides), and h sqrt(pi / t) - 1 / t at d = 0."""
+    d = np.arange(n)
+    copies = np.count_nonzero(np.abs(d[:, None] - n * np.arange(-1, 2)) == 1, axis=1)
+    return 0.5 * copies - (d == 0), SQRT_PI * (2.0 * math.pi / n) * (d == 0)
 
 
 @lru_cache(maxsize=8)
-def _heat_stack(n: int, ds: float, k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice times t_k = exp(k ds), k_lo <= k <= k_hi, and the heat rows on
-    the n-cell circle at them, shape (k_hi - k_lo + 1, n); read-only."""
+def _heat_stack(n: int, ds: float, k_lo: int, k_hi: int) -> tuple:
+    """Lattice times t_k = exp(k ds), k_lo <= k <= k_hi, the heat rows on the
+    n-cell circle at them, shape (k_hi - k_lo + 1, n), and the rows'
+    algebraic ends (``_laplace_table``); read-only.  Below the lattice every
+    entry is h^2 / (2 sqrt(pi t)) (k = 0) up to exp(-1/4t), above it the
+    t^-1 part of ``_heat_far`` (k = -1); its t^-1/2 is the self pair's, 0."""
+    h = 2.0 * math.pi / n
     t = np.exp(ds * np.arange(k_lo, k_hi + 1))
-    return _frozen(t), _frozen(_heat_table_batch(n, 2.0 * math.pi / n, t))
+    ends = np.stack((np.full(n, h * h / (2.0 * SQRT_PI)), _heat_far(n)[0]))
+    return _frozen(t), _frozen(_heat_table_batch(n, h, t)), (0, -1), _frozen(ends)
 
 
 @lru_cache(maxsize=8)
 def _heat_gauss_stack(
     n1: int, n2: int, lo: float, hi: float, ds: float, k_lo: int, k_hi: int
-) -> tuple[np.ndarray, ...]:
-    """Lattice times t_k = exp(k ds) with, at each, the heat row on the
-    n1-cell circle, the line-Gaussian row on the n2-cell interval [lo, hi]
-    and its exterior masses times the heat row's mass h1 sqrt(pi / t_k);
-    read-only."""
+) -> tuple:
+    """Lattice times t_k = exp(k ds), a cylinder row at each and the rows'
+    algebraic ends (``_laplace_table``); read-only.
+
+    A row is the heat row on the n1-cell circle times the line-Gaussian row
+    on the n2-cell interval [lo, hi], flattened, then the Gaussian exterior
+    masses times the heat row's mass h1 sqrt(pi / t).  Below the lattice
+    these are h1^2 / (2 sqrt(pi t)), h2^2 and h2 (sqrt(pi / t) - L2), up to
+    O(t) relative; above it ``_heat_far``, 1 / 2t at d2 = -1, 1 plus
+    h2 sqrt(pi / t) - 1 / t at d2 = 0, and 1 / 2t at a boundary column.  The
+    ends are their products, whose t^-1 falls on the self pair alone (0).
+    """
     h1 = 2.0 * math.pi / n1
     g2 = Grid1D.interval(n2, lo, hi)
+    h2 = g2.h
     t = np.exp(ds * np.arange(k_lo, k_hi + 1))
     heat = _heat_table_batch(n1, h1, t)
     gauss, ext = _gauss_tables_batch(g2, t)
     ext *= (h1 * np.sqrt(math.pi / t))[:, None]
-    return tuple(_frozen(a) for a in (t, heat, gauss, ext))
-
-
-def _touches(n: int) -> tuple[tuple[int, int], ...]:
-    """The offsets d whose periodic copies lie at exactly one cell of
-    distance, each with their number: 1 at d in {1, n-1} for n >= 3; on
-    n = 2 the cells touch on both sides, on n = 1 the cell touches its own
-    copies twice.  Every other offset has none."""
-    return ((1, 1), (n - 1, 1)) if n >= 3 else ((1 % n, 2),)
+    rows = np.hstack(((heat[:, :, None] * gauss[:, None, :]).reshape(t.size, -1), ext))
+    d2 = np.arange(1 - n2, n2)
+    inv1, root1 = _heat_far(n1)
+    inv2, root2 = 0.5 * (np.abs(d2) == 1) - (d2 == 0), SQRT_PI * h2 * (d2 == 0)
+    ends = np.zeros((4, rows.shape[1]))
+    table, outside = ends[:, :-n2], ends[:, -n2:]
+    table[0] = h1**2 * h2**2 / (2.0 * SQRT_PI)  # k = 1
+    outside[0] = -SQRT_PI * h1 * h2 * g2.length
+    outside[1] = math.pi * h1 * h2  # k = 0
+    table[2] = (np.outer(root1, inv2) + np.outer(inv1, root2)).ravel()  # k = -1
+    outside[2, 0] += 0.5 * SQRT_PI * h1
+    outside[2, -1] += 0.5 * SQRT_PI * h1  # the same column again if n2 = 1
+    table[3] = np.outer(inv1, inv2).ravel()  # k = -2
+    return _frozen(t), _frozen(rows), (1, 0, -1, -2), _frozen(ends)
 
 
 @lru_cache(maxsize=64)
-def _laplace_table_1d(n: int, sigma: float) -> KernelWeights:
-    """Periodized power-kernel table of the Laplace route on the n-cell circle.
+def _laplace_table(grid: tuple, sigma: float) -> KernelWeights:
+    """Power-kernel table of the Laplace route on a grid of ``_table``, the
+    circle or the cylinder (its exterior masses after the entries).
 
-    W = (sum_q w_q heat_q + head + tail) / Gamma(lam), lam = (1 + sigma) / 2,
-    the heat rows a slice of the grid's lattice stack (``_heat_stack``), so
-    a fresh sigma costs its rule and one contraction.  Beyond the window
-    only touching pairs survive, each as multiplicity / 2t; below it every
-    entry is h^2 / (2 sqrt(pi t)) up to exp(-1/4t).  W[0] = 0, as in the
-    direct table.
+    W = (sum_q w_q row_q + ends) / Gamma(lam), lam = (dim + sigma) / 2, the
+    rows a slice of the grid's stack (``_heat_stack``, ``_heat_gauss_stack``):
+    every lam of (dim / 2, (dim + 1) / 2) has its rule checked on one lattice
+    (``laplace_quadrature``).  The rule's window covers the rows' exponential
+    transients only; past it the rows follow the stack's ends, powers
+    t^-beta kept as k = dim - 2 beta with their coefficients, which
+    ``LaplaceConfig.beyond`` sums at lam - beta = (k + sigma) / 2, from sigma
+    itself: no rounding of lam reaches it near 0 or 1.  W = 0 at the self
+    pair, as in the direct table.
     """
-    lam = (1.0 + sigma) / 2.0
-    h = 2.0 * math.pi / n
-    # the rule's window covers the pair tables' exponential transients only:
-    # below it every table is on its small-t branch, above it on its large-t
-    # one, and both algebraic ends are added in closed form
-    cfg = laplace_quadrature(lam, h * h / 4.0, (2 * math.pi) ** 2, rtol=LAPLACE_RTOL)
-    lattice, rows = _lattice_rows(cfg)
-    _, heat = _heat_stack(n, *lattice)
-    w = cfg.weights @ heat[rows]
-    tail = cfg.algebraic_tail(0.5, 1.0)
-    for d, k in _touches(n):
-        w[d] += k * tail
-    w += cfg.algebraic_head(h * h / (2.0 * SQRT_PI), 0.5)
-    w[0] = 0.0
-    w /= math.gamma(lam)
-    return KernelWeights((True,), w, cfg.achieved + 1e-12)
-
-
-@lru_cache(maxsize=32)
-def _laplace_table_2d(n1: int, n2: int, lo: float, hi: float, sigma: float) -> KernelWeights:
-    """x1-periodized 2D power-kernel table and exterior masses of the Laplace route.
-
-    W = (sum_q w_q heat_q (x) gauss_q + head + tail) / Gamma(lam) and
-    E = (sum_q w_q row1_q ext_q + head) / Gamma(lam), lam = (2 + sigma) / 2,
-    row1_q = h1 sqrt(pi / t_q) the heat row's mass; the rows are slices of
-    the grid's lattice stacks (``_heat_gauss_stack``).  Beyond the window
-    only touching pairs survive, as multiplicity / 2t per adjacent axis
-    (with wrap multiplicities on the periodic one) and h sqrt(pi / t) - 1 / t
-    per zero-offset axis, and a boundary column sees the outside as 1 / 2t.
-    Below the window heat tables are h1^2 / (2 sqrt(pi t)), Gaussian tables
-    h2^2 and exterior masses h2 (sqrt(pi / t) - L2), up to O(t) relative.
-    """
-    lam = (2.0 + sigma) / 2.0
-    h1 = 2.0 * math.pi / n1
-    g2 = Grid1D.interval(n2, lo, hi)
-    h2 = g2.h
-    z_max = (2.0 * math.pi) ** 2 + g2.length**2  # the window as in _laplace_table_1d
-    cfg = laplace_quadrature(lam, min(h1, h2) ** 2 / 4.0, z_max, rtol=LAPLACE_RTOL)
-    lattice, rows = _lattice_rows(cfg)
-    _, heat, gauss, ext_rows = _heat_gauss_stack(n1, n2, lo, hi, *lattice)
-    w = (cfg.weights[:, None] * heat[rows]).T @ gauss[rows]
-    ext = cfg.weights @ ext_rows[rows]
-    edge = cfg.algebraic_tail(h1 * SQRT_PI / 2.0, 1.5)  # a boundary column's outside
-    flat = cfg.algebraic_tail(-0.5, 2.0)
-    touch = _touches(n1)
-    across = cfg.algebraic_tail(h2 * SQRT_PI / 2.0, 1.5) + flat
-    for d1, k in touch:
-        w[d1, n2 - 1] += k * across
-    if n2 >= 2:
-        near = slice(n2 - 2, n2 + 1, 2)  # the offsets d2 = -1 and 1
-        w[0, near] += edge + flat
-        corner = cfg.algebraic_tail(0.25, 2.0)
-        for d1, k in touch:
-            w[d1, near] += k * corner
-    w += cfg.algebraic_head(h1**2 * h2**2 / (2.0 * SQRT_PI), 0.5)
-    ext += 0.5 * cfg.algebraic_head(2.0 * math.pi * h1 * h2, 1.0)
-    ext += 0.5 * cfg.algebraic_head(-2.0 * SQRT_PI * h1 * h2 * g2.length, 0.5)
-    ext[0] += edge
-    ext[n2 - 1] += edge  # the same column again if n2 = 1
-    w[0, n2 - 1] = 0.0  # the self pair, as in the direct table
-    gam = math.gamma(lam)
-    w /= gam
-    ext /= gam
-    return KernelWeights((True, False), w, cfg.achieved + 1e-12, ext)
-
-
-# method -> (1D table of (n, sigma), 2D table of (n1, n2, lo, hi, sigma))
-_ROUTES = {
-    "direct": (_riesz_table_cached, _nd_table_cached),
-    "laplace": (_laplace_table_1d, _laplace_table_2d),
-}
+    n1, *box = grid
+    h = [2.0 * math.pi / n1]
+    z_max = (2.0 * math.pi) ** 2
+    if box:
+        g2 = Grid1D.interval(*box)
+        h.append(g2.h)
+        z_max += g2.length**2
+    cfg = laplace_quadrature((len(h) + sigma) / 2.0, min(h) ** 2 / 4.0, z_max, rtol=LAPLACE_RTOL)
+    k_lo, k_hi = cfg.lattice
+    _, rows, ks, ends = (_heat_gauss_stack if box else _heat_stack)(*grid, cfg.ds, k_lo, k_hi)
+    first = cfg.k_lo - k_lo
+    w = cfg.weights @ rows[first : first + cfg.nodes.size]
+    w += np.array([cfg.beyond((k + sigma) / 2.0) for k in ks]) @ ends
+    w[box[0] - 1 if box else 0] = 0.0  # the self pair
+    w /= math.gamma(cfg.lam)
+    if not box:
+        return KernelWeights((True,), w, cfg.achieved + 1e-12)
+    size = n1 * (2 * box[0] - 1)
+    return KernelWeights((True, False), w[:size].reshape(n1, -1), cfg.achieved + 1e-12, w[size:])
 
 
 def fractional_perimeter(e: StepFunction | GridFunctionND, s: float) -> float:

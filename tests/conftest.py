@@ -36,6 +36,27 @@ def random_nd_function(rng, n1=8, n2=8, length2=4.0, vmax=2.0, levels=None):
     )
 
 
+def hurwitz_periodized_reference(d, n, sigma):
+    """Independent closed form for the periodized pair weights via Hurwitz zeta.
+
+    The second antiderivative of the periodized kernel at z = 2 pi q is
+    c (zeta(sigma - 1, q) + zeta(sigma - 1, 1 - q)), taken at q = j / n with
+    j wrapped into [0, n) by periodicity (at q = 0 both terms are Riemann
+    zeta); ``d`` is one offset or a list of them."""
+    import mpmath  # a test dependency only
+
+    with mpmath.workdps(40):
+        s = mpmath.mpf(sigma)
+        c = (2 * mpmath.pi) ** (1 - s) / (s * (s - 1))
+        ds = [int(x) for x in np.atleast_1d(d)]
+        js = {j % n for x in ds for j in (x - 1, x, x + 1)}
+        ends = js | {n - j for j in js}
+        zeta = {j: mpmath.zeta(s - 1, mpmath.mpf(j) / n) for j in ends if 0 < j < n}
+        g = {j: c * (zeta[j] + zeta[n - j]) if j else 2 * c * mpmath.zeta(s - 1) for j in js}
+        out = [float(g[(x + 1) % n] - 2 * g[x % n] + g[(x - 1) % n]) for x in ds]
+    return out if np.ndim(d) else out[0]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

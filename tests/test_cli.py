@@ -163,6 +163,20 @@ class TestSeminormCommand:
         assert rc == 0
         assert capsys.readouterr().out.splitlines() == ["direct: 0.0", "laplace: 0.0"]
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_both_routes_at_s_1e_20(self, tmp_path, rng, capsys, dim):
+        # lam = (dim + s) / 2 rounds s = 1e-20 away, and the Laplace ends took
+        # lam - beta from lam: two RuntimeWarnings (errors in this suite, as
+        # under -W error), then "algebraic head needs beta < lam"
+        u = StepFunction.on_circle(rng.random(8)) if dim == 1 else random_nd_function(rng)
+        infile = write_json(tmp_path / "u.json", function_to_json(u))
+        rc = main(["seminorm", "--s", "1e-20", "--in", infile])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == ""
+        values = dict(line.split(": ") for line in out.splitlines())
+        direct, laplace = float(values["direct"]), float(values["laplace"])
+        assert np.isfinite(direct) and laplace == pytest.approx(direct, rel=1e-12)
+
     def test_divergent_printed(self, tmp_path, circle_file, capsys):
         infile, _ = circle_file
         rc = main(["seminorm", "--s", "0.6", "--p", "2", "--method", "direct", "--in", infile])
@@ -278,6 +292,15 @@ class TestErrorPaths:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 9
 
+    def test_kernels_riesz_near_sigma_zero(self, capsys):
+        # the far copies' zeta at its pole order took s - 1 as 1 - a, which
+        # is 0 below sigma = 1e-16: inf weights after two RuntimeWarnings
+        rc = main(["kernels", "--kernel", "riesz:sigma=1e-20", "--n", "4"])
+        out, err = capsys.readouterr()
+        weights = [float(line.split(",")[1]) for line in out.splitlines()]
+        assert rc == 0 and err == ""
+        assert len(weights) == 4 and np.all(np.isfinite(weights))
+
     def test_kernels_dump_interval(self, tmp_path):
         # an interval table's offsets -(n-1)..n-1, in its layout order
         out = tmp_path / "k.csv"
@@ -304,6 +327,8 @@ ERROR_MESSAGES = {
     "interval_set": "a 1D input needs a periodic grid",
     "circle4": "u and v must share one grid",
     "line": "needs a periodic grid",
+    "infinite_box": "needs finite ends and length",
+    "wide_line": "needs finite ends and length",
 }
 
 
@@ -355,6 +380,12 @@ ERROR_MESSAGES = {
         ["kernels", "--kernel", "step:-1,2,1,0", "--n", "8"],
         ["rearrange", "--op", "periodic", "--in", "{three_axes}", "--out", "{out}"],
         ["rearrange", "--op", "cylindrical", "--in", "{three_axes}", "--out", "{out}"],
+        ["kernels", "--kernel", "heat:t=inf", "--n", "4"],
+        ["kernels", "--kernel", "gauss:t=inf", "--n", "4", "--grid", "interval"],
+        ["kernels", "--kernel", "gauss:t=1", "--n", "4", "--grid", "interval",
+         "--domain", "-1", "inf"],
+        ["seminorm", "--s", "0.5", "--in", "{infinite_box}"],
+        ["rearrange", "--op", "schwarz", "--in", "{wide_line}", "--out", "{out}"],
     ],
     ids=["kernel-float", "kernel-pair", "cost-float", "missing-in", "p-nan", "s-nan",
          "cases-negative", "seed-negative", "cost-p-below-1", "sweep-count-zero",
@@ -369,7 +400,8 @@ ERROR_MESSAGES = {
          "kernels-gauss-circle", "energy-two-grids", "energy-heat-interval",
          "energy-gauss-circle", "nd-interval-first-axis", "nd-periodic-second-axis",
          "kernels-step-interval", "kernel-step-negative", "rearrange-periodic-three-axes",
-         "rearrange-cylindrical-three-axes"],
+         "rearrange-cylindrical-three-axes", "kernels-heat-t-inf", "kernels-gauss-t-inf",
+         "kernels-gauss-infinite-domain", "seminorm-infinite-box", "rearrange-schwarz-wide-line"],
 )
 def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys):
     infile, _ = circle_file
@@ -403,6 +435,14 @@ def test_config_errors_exit_2(argv, tmp_path, circle_file, capsys):
                       "three_axes": dict(ragged, axes=ragged["axes"] + ragged["axes"][1:],
                                          values=np.zeros((2, 3, 3)).tolist())}.items():
         paths[name] = write_json(tmp_path / f"{name}.json", obj)
+    # 1e309 reads as inf; -1e308 and 1e308 are finite but 2e308 apart
+    paths["infinite_box"] = str(tmp_path / "infinite_box.json")
+    (tmp_path / "infinite_box.json").write_text(
+        '{"axes": [{"n": 2, "domain": "periodic"}, {"n": 3, "domain": [-1, 1e309]}],'
+        ' "values": [[0, 1, 0], [0, 1, 0]]}'
+    )
+    paths["wide_line"] = write_json(tmp_path / "wide_line.json",
+                                    {"grid": {"n": 4, "domain": [-1e308, 1e308]}, "values": values})
     rc = main([arg.format(**paths) for arg in argv])
     err = capsys.readouterr().err
     assert rc == 2

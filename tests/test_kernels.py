@@ -34,6 +34,8 @@ from persym.kernels import (
     riesz_weights_nd,
 )
 
+from conftest import hurwitz_periodized_reference
+
 mpmath = pytest.importorskip("mpmath")
 
 
@@ -263,25 +265,6 @@ class TestGaussianWeights:
             assert w.exterior[i] == pytest.approx(upper + lower, rel=1e-10)
 
 
-def hurwitz_periodized_reference(d, n, sigma):
-    """Independent closed form for the periodized pair weights via Hurwitz zeta.
-
-    The second antiderivative of the periodized kernel at z = 2 pi q is
-    c (zeta(sigma - 1, q) + zeta(sigma - 1, 1 - q)), taken at q = j / n with
-    j wrapped into [0, n) by periodicity (at q = 0 both terms are Riemann
-    zeta); ``d`` is one offset or a list of them."""
-    with mpmath.workdps(40):
-        s = mpmath.mpf(sigma)
-        c = (2 * mpmath.pi) ** (1 - s) / (s * (s - 1))
-        ds = [int(x) for x in np.atleast_1d(d)]
-        js = {j % n for x in ds for j in (x - 1, x, x + 1)}
-        ends = js | {n - j for j in js}
-        zeta = {j: mpmath.zeta(s - 1, mpmath.mpf(j) / n) for j in ends if 0 < j < n}
-        g = {j: c * (zeta[j] + zeta[n - j]) if j else 2 * c * mpmath.zeta(s - 1) for j in js}
-        out = [float(g[(x + 1) % n] - 2 * g[x % n] + g[(x - 1) % n]) for x in ds]
-    return out if np.ndim(d) else out[0]
-
-
 def line_pairs(n, h, sigma):
     """The line weights L[m], m = 0..n-1, of |x - y|^(-(1+sigma)) on cells
     of width h, from which the periodized table sums its copies."""
@@ -416,12 +399,18 @@ class TestRieszWeights1D:
         assert w.weights[0] == ref[0] == 0.0
         assert np.max(np.abs(w.weights[1:] / ref[1:] - 1.0)) <= w.accuracy <= 1e-14
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 8, 64, 256, 1024, 4096])
-    @pytest.mark.parametrize("sigma", [0.02, 0.1, 0.5, 0.9, 0.98])
+    @pytest.mark.parametrize("sigma,n", [
+        (sigma, n) for sigma in (1e-20, 1e-9, 1e-5, 1e-3, 0.02, 0.1, 0.5, 0.9, 0.98)
+        for n in (2, 3, 4, 8, 64, 256, 1024, 4096) if sigma >= 0.02 or n != 64
+    ])
     def test_periodized_against_hurwitz_oracle(self, n, sigma):
         # every offset up to 64 cells, a spread of offsets past that; sigma
         # near 0 and 1 is where a direct second difference of r^(1 - sigma)
-        # loses a factor 1 / (sigma (1 - sigma)), 1e-12 at n = 64
+        # loses a factor 1 / (sigma (1 - sigma)), 1e-12 at n = 64; with the
+        # pole order's s - 1 taken as 1 - a, the far copies lost sigma below
+        # 1e-2 (1.6e-9 off at 1e-7) and gave inf below 1e-16, at every n
+        # (below 0.02, n = 8 checks every offset: the 40-digit reference
+        # takes 0.3 s on all 63 offsets of 64 cells)
         w = riesz_weights_1d(Grid1D.circle(n), sigma)
         d = np.arange(1, n) if n <= 64 else np.array([1, 2, 3, n // 4 - 1, n // 2, n - 3, n - 1])
         ref = np.array(hurwitz_periodized_reference(d, n, sigma))
@@ -590,6 +579,26 @@ class TestRieszWeightsND:
                 points=[b[i], b[i + 1]],
             )
             assert W.exterior[i] == pytest.approx(g1.h * ref, rel=1e-9)
+
+    @pytest.mark.parametrize("n1,g2", [
+        (12, Grid1D.interval(12, -2.0, 2.0)), (6, Grid1D.centered_interval(8, 4.0)),
+        (8, Grid1D.centered_interval(3, 0.2)),
+    ], ids=["12x12", "6x8", "8x3"])
+    @pytest.mark.parametrize("sigma", [0.5, 1 - 1e-5, 1 - 1e-9])
+    def test_exterior_masses_against_mpmath(self, n1, g2, sigma):
+        # the closed form in 40 digits on the table's own cell edges; as
+        # differences of (hi - b)^(1 - sigma) and (b - lo)^(1 - sigma), which
+        # all near 1 with sigma, the masses were 3.0e-7 off at 1 - 1e-9
+        ext = riesz_weights_nd(Grid1D.circle(n1), g2, sigma).exterior
+        with mpmath.workdps(40):
+            s, b = mpmath.mpf(sigma), [mpmath.mpf(x) for x in g2.boundaries().tolist()]
+            mu, lo, hi = 1 + s / 2, b[0], b[-1]
+            kappa = mpmath.sqrt(mpmath.pi) * mpmath.gamma(mu - 0.5) / mpmath.gamma(mu)
+            scale = 2 * mpmath.pi / n1 * kappa / (s * (1 - s))
+            power = [(hi - x) ** (1 - s) for x in b], [(x - lo) ** (1 - s) for x in b]
+            ref = [float(scale * (power[0][i] - power[0][i + 1] + power[1][i + 1] - power[1][i]))
+                   for i in range(g2.n)]
+        assert np.max(np.abs(ext / np.array(ref) - 1.0)) < 1e-14
 
     def test_needs_periodic_interval_pair(self):
         with pytest.raises(GridMismatch):
@@ -988,7 +997,7 @@ class TestSpecialFunctions:
     def _assert_zeta(s, x):
         with mpmath.workdps(40):
             ref = [mpmath.zeta(mpmath.mpf(v), mpmath.mpf(x)) for v in s.tolist()]
-        err = _rel(kernels._hurwitz_zeta(s, x), ref)
+        err = _rel(kernels._hurwitz_zeta(s, s - 1.0, x), ref)
         assert err <= 1e-15
         assert err <= _rel(special.zeta(s, x), ref)
 

@@ -20,7 +20,7 @@ from persym.seminorm import (
     gagliardo_periodic_laplace,
 )
 
-from conftest import random_circle_function, random_nd_function
+from conftest import hurwitz_periodized_reference, random_circle_function, random_nd_function
 
 
 class TestParams:
@@ -255,8 +255,8 @@ def _params(u, s):
 
 class TestClosedFormEnds:
     """The quadrature window covers only the exponential transients of the
-    pair tables; ``algebraic_head`` and ``algebraic_tail`` carry the rest in
-    closed form, so they must be exact, not merely small."""
+    pair tables; ``LaplaceConfig.beyond`` carries the rest in closed form, so
+    it must be exact, not merely small."""
 
     S_VALUES = (0.02, 0.3, 0.7, 0.98)
 
@@ -310,6 +310,10 @@ def test_off_centre_box_is_finite(rng):
 # sigma at the ends of the lattice stacks: their rules take its first and
 # last rows
 SIGMA_ENDS = (0.02, 0.98)
+# sigma near the ends of (0, 1), where lam = (dim + sigma) / 2 rounds most of
+# sigma away: the Laplace ends took lam - beta from lam and were 8.3e-8 off at
+# 1e-9 and 1.1e-7 at 1 - 1e-9
+SIGMA_EXTREMES = (1e-9, 1e-5, 1.0 - 1e-5, 1.0 - 1e-9)
 
 
 class TestDualCertificate:
@@ -321,7 +325,7 @@ class TestDualCertificate:
     @staticmethod
     def _assert_1d_agree(n, sigma):
         direct = seminorm._riesz_table_cached(n, sigma).weights
-        laplace = seminorm._laplace_table_1d(n, sigma).weights
+        laplace = seminorm._laplace_table((n,), sigma).weights
         assert direct[0] == laplace[0] == 0.0
         assert np.max(np.abs(laplace[1:] / direct[1:] - 1.0)) < 1e-12
 
@@ -330,7 +334,9 @@ class TestDualCertificate:
         for sigma in self.SIGMAS:
             self._assert_1d_agree(n, sigma)
 
-    @pytest.mark.parametrize("n,sigma", [(n, s) for n in (2, 3, 8, 64, 256) for s in SIGMA_ENDS])
+    @pytest.mark.parametrize(
+        "n,sigma", [(n, s) for n in (2, 3, 8, 64, 256) for s in SIGMA_ENDS + SIGMA_EXTREMES]
+    )
     def test_1d_tables_agree_at_the_stack_ends(self, n, sigma):
         self._assert_1d_agree(n, sigma)
 
@@ -351,9 +357,9 @@ class TestDualCertificate:
         n2 = g2.n
         off_self = np.ones((n1, 2 * n2 - 1), dtype=bool)
         off_self[0, n2 - 1] = False
-        for sigma in self.SIGMAS + SIGMA_ENDS:
+        for sigma in self.SIGMAS + SIGMA_ENDS + SIGMA_EXTREMES:
             direct = seminorm._nd_table_cached(n1, n2, g2.lo, g2.hi, sigma)
-            laplace = seminorm._laplace_table_2d(n1, n2, g2.lo, g2.hi, sigma)
+            laplace = seminorm._laplace_table((n1, n2, g2.lo, g2.hi), sigma)
             assert laplace.weights[0, n2 - 1] == 0.0
             rel = laplace.weights[off_self] / direct.weights[off_self] - 1.0
             assert np.max(np.abs(rel)) < 1e-12
@@ -361,11 +367,44 @@ class TestDualCertificate:
             assert np.max(np.abs(ext)) < 1e-12
 
 
-# (dimension, grid arguments of the Laplace table) of the lattice-stack tests
+with open(os.path.join(os.path.dirname(__file__), "laplace_pins.json")) as f:
+    LAPLACE_PINS = json.load(f)
+
+
+class TestLaplaceTable:
+    """One builder for the circle and the cylinder, its algebraic ends
+    summed at lam - beta taken from sigma itself."""
+
+    @pytest.mark.parametrize("pin", LAPLACE_PINS, ids=lambda p: f"{p['grid']}-{p['sigma']}")
+    def test_tables_keep_their_pins(self, pin):
+        # float hex of the separate circle and cylinder builders that this
+        # one replaced; the contraction and the ends are summed in another
+        # order, so every entry stays within 1e-14 of its row's largest
+        table = seminorm._laplace_table(tuple(pin["grid"]), pin["sigma"])
+        pairs = list(zip(pin["weights"], np.atleast_2d(table.weights)))
+        if "exterior" in pin:
+            pairs.append((pin["exterior"], table.exterior))
+        for hexes, got in pairs:
+            ref = np.array([float.fromhex(x) for x in hexes.split()])
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("sigma", [1e-9, 1e-5, 0.5, 1.0 - 1e-5, 1.0 - 1e-9])
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_circle_table_against_the_closed_form(self, n, sigma):
+        # the 40-digit Hurwitz-zeta closed form, every offset on 8 cells; on
+        # 64 both touching offsets, the next one and the antipode
+        table = seminorm._laplace_table((n,), sigma)
+        d = np.arange(1, n) if n <= 8 else np.array([1, 2, 32, 63])
+        ref = np.array(hurwitz_periodized_reference(d, n, sigma))
+        assert table.weights[0] == 0.0
+        assert np.max(np.abs(table.weights[d] / ref - 1.0)) <= table.accuracy
+
+
+# (dimension, grid of the Laplace table) of the lattice-stack tests
 STACK_GRIDS = [(1, (1,)), (1, (64,)), (1, (1024,)), (2, (12, 12, -2.0, 2.0)), (2, (1, 6, -1.0, 1.0)), (2, (8, 3, -0.1, 0.1))]
 
 
-def _stack_and_rule(dim, grid, sigma):
+def _stack_and_rule(grid, sigma):
     """The route's rule at sigma, its lattice and rows, and the grid's stack
     on the lattice."""
     rule = seminorm.laplace_quadrature
@@ -377,13 +416,13 @@ def _stack_and_rule(dim, grid, sigma):
 
     seminorm.laplace_quadrature = recording
     try:
-        table = seminorm._laplace_table_1d if dim == 1 else seminorm._laplace_table_2d
-        table.__wrapped__(*grid, sigma)
+        seminorm._laplace_table.__wrapped__(grid, sigma)
     finally:
         seminorm.laplace_quadrature = rule
     (cfg,) = rules
-    lattice, rows = seminorm._lattice_rows(cfg)
-    build = seminorm._heat_stack if dim == 1 else seminorm._heat_gauss_stack
+    lattice = (cfg.ds, *cfg.lattice)
+    rows = slice(cfg.k_lo - cfg.lattice[0], cfg.k_lo - cfg.lattice[0] + cfg.nodes.size)
+    build = seminorm._heat_stack if len(grid) == 1 else seminorm._heat_gauss_stack
     return cfg, lattice, rows, build(*grid, *lattice)
 
 
@@ -394,7 +433,7 @@ class TestLatticeStacks:
     @pytest.mark.parametrize("dim,grid", STACK_GRIDS)
     def test_stack_rows_are_the_rule_nodes(self, dim, grid):
         for sigma in (1e-9, 0.02, 0.5, 0.98, 1.0 - 1e-9):
-            cfg, (ds, k_lo, k_hi), rows, stack = _stack_and_rule(dim, grid, sigma)
+            cfg, (ds, k_lo, k_hi), rows, stack = _stack_and_rule(grid, sigma)
             t = stack[0]
             assert np.array_equal(t, np.exp(ds * np.arange(k_lo, k_hi + 1)))
             assert np.array_equal(t[rows], cfg.nodes)
@@ -402,17 +441,21 @@ class TestLatticeStacks:
             for shift in (-1, 1):
                 moved = slice(rows.start + shift, rows.stop + shift)
                 assert not np.array_equal(t[moved], cfg.nodes)
-            if dim == 1:
-                n = grid[0]
-                direct = kernels._heat_table_batch(n, 2 * math.pi / n, cfg.nodes)
-                assert np.max(np.abs(stack[1][rows] - direct)) <= 1e-15 * np.max(direct)
+            n = grid[0]
+            direct = kernels._heat_table_batch(n, 2 * math.pi / n, cfg.nodes)
+            if dim == 2:  # the heat row times the Gaussian row, then the exterior masses
+                gauss, ext = kernels._gauss_tables_batch(Grid1D.interval(*grid[1:]), cfg.nodes)
+                ext *= 2 * math.pi / n * np.sqrt(math.pi / cfg.nodes)[:, None]
+                table = np.einsum("qa,qb->qab", direct, gauss).reshape(cfg.nodes.size, -1)
+                direct = np.hstack((table, ext))
+            assert np.max(np.abs(stack[1][rows] - direct)) <= 1e-15 * np.max(direct)
 
     @pytest.mark.parametrize("dim,grid", STACK_GRIDS)
     def test_stack_spans_the_whole_sigma_range(self, dim, grid):
         # every sigma's rule is checked on one lattice and lies within it
         lattices = set()
         for sigma in np.linspace(1e-6, 1.0 - 1e-6, 101):
-            cfg, lattice, rows, stack = _stack_and_rule(dim, grid, float(sigma))
+            cfg, lattice, rows, stack = _stack_and_rule(grid, float(sigma))
             lattices.add(lattice)
             assert 0 <= rows.start and rows.stop <= stack[0].size
         assert len(lattices) == 1
@@ -424,13 +467,13 @@ class TestLatticeStacks:
                 counts[_name] += 1
                 return _f(*args)
             monkeypatch.setattr(seminorm, name, counted)
-        seminorm._laplace_table_1d(64, 0.3)
-        seminorm._laplace_table_2d(12, 12, -2.0, 2.0, 0.3)
+        seminorm._laplace_table((64,), 0.3)
+        seminorm._laplace_table((12, 12, -2.0, 2.0), 0.3)
         assert all(counts.values())
         counts.update(dict.fromkeys(counts, 0))
         for sigma in (0.02, 0.5, 0.89, 0.98):
-            seminorm._laplace_table_1d(64, sigma)
-            seminorm._laplace_table_2d(12, 12, -2.0, 2.0, sigma)
+            seminorm._laplace_table((64,), sigma)
+            seminorm._laplace_table((12, 12, -2.0, 2.0), sigma)
         assert counts == {"_heat_table_batch": 0, "_gauss_tables_batch": 0}
         assert seminorm._heat_stack.cache_info().currsize == 1
         assert seminorm._heat_gauss_stack.cache_info().currsize == 1
@@ -471,6 +514,7 @@ def test_fresh_sigmas_build_each_grid_cache_once(rng, monkeypatch, fresh_caches)
     builds = {
         seminorm._riesz_table_cached: 20,
         seminorm._nd_table_cached: 20,
+        seminorm._laplace_table: 40,
         kernels._rule_lattice: 2,
         kernels._periodized_plan: 1,
         kernels._nd_fit: 1,
@@ -591,13 +635,15 @@ def test_pair_costs_take_half_the_offsets(rng, monkeypatch):
 def test_cached_route_tables_are_read_only():
     tables = [
         seminorm._riesz_table_cached(8, 0.4),
-        seminorm._laplace_table_1d(8, 0.4),
+        seminorm._laplace_table((8,), 0.4),
         seminorm._nd_table_cached(4, 5, -1.0, 1.0, 0.4),
-        seminorm._laplace_table_2d(4, 5, -1.0, 1.0, 0.4),
+        seminorm._laplace_table((4, 5, -1.0, 1.0), 0.4),
     ]
-    stacks = [_stack_and_rule(*dim_grid, 0.4)[3] for dim_grid in STACK_GRIDS[1::3]]
+    stacks = [_stack_and_rule(grid, 0.4)[3] for _, grid in STACK_GRIDS[1::3]]
     arrays = [a for table in tables for a in (table.weights, getattr(table, "exterior", None))]
-    for arr in arrays + [a for stack in stacks for a in stack]:
+    # a stack's arrays: its times, rows and end coefficients (the end powers are a tuple)
+    for arr in arrays + [a for stack in stacks for a in stack if isinstance(a, np.ndarray)]:
         if arr is not None:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
+    assert all(len(stack) == 4 and isinstance(stack[2], tuple) for stack in stacks)
