@@ -61,8 +61,9 @@ class NonpositiveTime(ConfigError):
     """Heat-kernel diffusion time must be positive and finite."""
 
 
-class RangeTooWide(PersymError):
-    """Quadrature rule cannot meet its tolerance within the node budget."""
+class RangeTooWide(ConfigError):
+    """A table's rule or fit cannot meet its tolerance on the grid or range
+    asked for (within the node budget, or certified by the fit)."""
 
 
 class DivergentTail(NotNormalized):

@@ -46,8 +46,14 @@ class Grid1D:
             raise ConfigError(f"grid needs at least one cell, got n={self.n}")
         if not self.hi > self.lo:
             raise ConfigError(f"empty domain [{self.lo}, {self.hi})")
-        if not self.length < math.inf:  # an infinite end, or ends too far apart
-            raise ConfigError(f"domain [{self.lo}, {self.hi}) needs finite ends and length")
+        # an infinite end, ends too far apart, a length whose square (the
+        # kernels take squared distances) leaves float range, or cells of width 0
+        length = self.hi - self.lo
+        if not (length * length < math.inf and length / self.n > 0.0):
+            raise ConfigError(
+                f"domain [{self.lo}, {self.hi}) needs finite ends and length, and cells "
+                "wider than 0"
+            )
         if self.periodic and not (
             math.isclose(self.lo, -HALF_PERIOD) and math.isclose(self.hi, HALF_PERIOD)
         ):

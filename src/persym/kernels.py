@@ -73,11 +73,21 @@ SQRT_PI = math.sqrt(math.pi)
 T_SWITCH = 1.0 / (4.0 * math.pi**2)
 # relative size of the Gaussian-copy or theta terms a heat-kernel sum leaves out
 HEAT_TAIL_RTOL = 1e-15
+# below this time every theta term exp(-m^2 / 4t), m >= 1, is exp(-2500) or
+# less, 0 in floats: the series takes this time instead, so that m^2 / 4t
+# cannot overflow
+THETA_FLOOR = 1e-4
+# the power-kernel tables scale like 1 / sigma: below this sigma they would
+# leave float range
+SIGMA_MIN = 1e-300
 # certified relative accuracy of the periodized 1D power-kernel table, and
 # the accuracy of the 2D power-kernel table (quadrature checked against a
 # fixed-order rule, copy tail and Chebyshev fit certified by their bounds)
 RIESZ_RTOL = 1e-13
 ND_TABLE_ACCURACY = 1e-12
+# the longest side of a 2D table's cells, relative to the other: past it,
+# splits of the long side near its ends would round away (``_panels``)
+ND_ASPECT_MAX = 2.0**45
 
 
 @dataclass(frozen=True)
@@ -392,9 +402,8 @@ def heat_kernel_periodic(z, t: float):
     else:
         mmax = int(math.ceil(2.0 * math.sqrt(t * -math.log(rtol)))) + 2
         m = np.arange(1, mmax + 1)
-        series = 1.0 + 2.0 * (
-            np.exp(-(m**2) / (4.0 * t))[None, :] * np.cos(m[None, :] * zr[:, None])
-        ).sum(axis=1)
+        terms = np.exp(-(m**2) / (4.0 * max(t, THETA_FLOOR)))
+        series = 1.0 + 2.0 * (terms[None, :] * np.cos(m[None, :] * zr[:, None])).sum(axis=1)
         out = series / (2.0 * math.sqrt(math.pi * t))
     return float(out[0]) if scalar else out
 
@@ -428,12 +437,13 @@ def _gauss_lattice(h: float, ts, jmax: int) -> np.ndarray:
     t = np.asarray(ts, dtype=float)[:, None]
     z = h * np.arange(jmax + 2)
     g = np.empty((t.shape[0], jmax + 1))
-    wide = z[-1] ** 2 * t[:, 0] > 1.0
-    for sel, erfc in ((wide, True), (~wide, False)):
-        if sel.any():
-            f = _e2(z, t[sel], erfc)
-            g[sel, 1:] = f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2]
-    g[:, 0] = 2.0 * _e2(h, t[:, 0], False)
+    with np.errstate(over="ignore"):  # z^2 t past float range: exp and expm1 take -inf
+        wide = z[-1] ** 2 * t[:, 0] > 1.0
+        for sel, erfc in ((wide, True), (~wide, False)):
+            if sel.any():
+                f = _e2(z, t[sel], erfc)
+                g[sel, 1:] = f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2]
+        g[:, 0] = 2.0 * _e2(h, t[:, 0], False)
     return g
 
 
@@ -487,9 +497,9 @@ def _heat_table_batch(n: int, h: float, ts: np.ndarray) -> np.ndarray:
         tb = ts[chunk][:, None]
         m = np.arange(1, mmax + 1)
         terms = np.zeros((chunk.size, width))
-        terms[:, 1 : mmax + 1] = np.exp(-(m**2) / (4.0 * tb)) * (4.0 / m**2) * np.sin(
-            m * h / 2.0
-        ) ** 2
+        terms[:, 1 : mmax + 1] = np.exp(-(m**2) / (4.0 * np.maximum(tb, THETA_FLOOR))) * (
+            4.0 / m**2
+        ) * np.sin(m * h / 2.0) ** 2
         folded = terms.reshape(chunk.size, -1, n).sum(axis=1)
         series = h * h + 2.0 * np.fft.rfft(folded, axis=1).real[:, np.abs(dc)]
         out[chunk] = series / (2.0 * np.sqrt(math.pi * tb))
@@ -512,10 +522,30 @@ def heat_weights_periodic(grid: Grid1D, t: float) -> KernelWeights:
 # line Gaussian
 
 
-def _erfc_antideriv(u) -> np.ndarray:
-    """A(u) = integral of erfc from 0 to u = u erfc(u) + (1 - exp(-u^2))/sqrt(pi)."""
-    u = np.asarray(u, dtype=float)
-    return u * _erfc(u) - np.expm1(-(u**2)) / SQRT_PI
+# nodes and weights of the Gauss-Legendre rule of ``_erfc_cells``
+ERFC_RULE = np.polynomial.legendre.leggauss(8)
+
+
+def _erfc_cells(u: np.ndarray) -> np.ndarray:
+    """The integral of erfc over each cell [u_i, u_i+1] of edges u >= 0,
+    increasing along the last axis.
+
+    No difference of nearly equal values is taken.  A cell across which erfc
+    falls by less than a factor e takes 8-point Gauss-Legendre quadrature,
+    exact to rounding there.  Any other cell takes B(u_i) - B(u_i+1), where
+    B(u) = int_u^inf erfc = exp(-u^2) / sqrt(pi) - u erfc(u) has no 1/sqrt(pi)
+    to cancel.  As B / erfc falls with u, the second B is at most 1/e of the
+    first.
+    """
+    e = _erfc(u)
+    with np.errstate(over="ignore"):  # u^2 past float range: exp takes -inf
+        b = np.exp(-u * u) / SQRT_PI - u * e
+    out = b[..., :-1] - b[..., 1:]
+    near, far = u[..., :-1], u[..., 1:]
+    flat = e[..., :-1] < math.e * e[..., 1:]
+    mid, half = (far[flat] + near[flat]) / 2.0, (far[flat] - near[flat]) / 2.0
+    out[flat] = half * sum(w * _erfc(mid + half * x) for x, w in zip(*ERFC_RULE))
+    return out
 
 
 def _gauss_tables_batch(grid: Grid1D, ts) -> tuple[np.ndarray, np.ndarray]:
@@ -534,10 +564,10 @@ def _gauss_tables_batch(grid: Grid1D, ts) -> tuple[np.ndarray, np.ndarray]:
     for i in range(0, ts.size, step):
         t = ts[i : i + step, None]
         st = np.sqrt(t)
-        upper = _erfc_antideriv((hi - b[:-1]) * st) - _erfc_antideriv((hi - b[1:]) * st)
-        lower = _erfc_antideriv((b[1:] - lo) * st) - _erfc_antideriv((b[:-1] - lo) * st)
+        upper = _erfc_cells((hi - b[::-1]) * st)[:, ::-1]
+        lower = _erfc_cells((b - lo) * st)
         table[i : i + step] = _gauss_lattice(grid.h, t[:, 0], grid.n - 1)[:, d]
-        ext[i : i + step] = (SQRT_PI / (2.0 * t)) * (upper + lower)
+        ext[i : i + step] = SQRT_PI / 2.0 * ((upper + lower) / st) / st
     return table, ext
 
 
@@ -562,8 +592,11 @@ def _check_sigma(sigma: float) -> None:
             f"sigma={sigma}: adjacent-cell weights diverge; step functions "
             "genuinely have infinite energy for sigma >= 1"
         )
-    if not 0.0 < sigma < 1.0:
-        raise SigmaOutOfRange(f"sigma must lie in (0, 1), got {sigma}")
+    if not SIGMA_MIN <= sigma < 1.0:  # the tables scale like 1 / sigma
+        raise SigmaOutOfRange(
+            f"sigma must lie in [{SIGMA_MIN:g}, 1), below which the tables would leave "
+            f"float range; got {sigma}"
+        )
 
 
 def _series_steps(terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1053,6 +1086,10 @@ def _nd_fit(grid1: Grid1D, grid2: Grid1D) -> _NDFit:
     raises RangeTooWide.
     """
     n1, h1, n2, h2 = grid1.n, grid1.h, grid2.n, grid2.h
+    if max(h1 / h2, h2 / h1) > ND_ASPECT_MAX:
+        raise RangeTooWide(
+            f"2D table cells {h1:g} by {h2:g}: one side is over {ND_ASPECT_MAX:g} times the other"
+        )
     plan = _nd_plan(n1, h1, n2, h2)
     d1, d2 = _nd_sector(n1, n2)
     log_r2 = np.log((d1 * h1) ** 2 + (d2 * h2) ** 2)

@@ -7,8 +7,8 @@ periodized 1D tables, or the 2D table with analytic exterior masses.  Route
 two ("laplace") writes the kernel as a Gamma-weighted integral of Gaussians
 in an auxiliary time variable and contracts the wrapped-Gaussian and
 line-Gaussian tables at the nodes of the validated exp-substitution rule
-into one table, its heat and Gaussian rows taken from stacks kept once per
-grid on the sigma-free log-t lattice, so a fresh s costs one rule and one
+into one table, its heat and Gaussian rows kept once per grid as factors
+on the sigma-free log-t lattice, so a fresh s costs one rule and one
 contraction.  The pair costs of u are free of s too: the last function's
 are kept, so a sweep over s takes them once.  The tables share no kernel
 code, so their agreement cross-validates both; divergence (sp >= 1 on
@@ -28,6 +28,7 @@ import numpy as np
 from .errors import ConfigError, NotIndicator
 from .grid import Grid1D, GridFunctionND, StepFunction, _distinct
 from .kernels import (
+    SIGMA_MIN,
     KernelWeights,
     _gauss_tables_batch,
     _frozen,
@@ -58,6 +59,11 @@ class SeminormParams:
             raise ConfigError(f"p must be finite and >= 1, got {self.p}")
         if self.n < 1:
             raise ConfigError(f"dimension must be positive, got {self.n}")
+        if self.sigma < SIGMA_MIN:
+            raise ConfigError(
+                f"s p = {self.sigma} is below {SIGMA_MIN:g}: the tables scale like "
+                "1 / (s p) and would leave float range"
+            )
 
     @property
     def sigma(self) -> float:
@@ -242,64 +248,59 @@ def _nd_table_cached(n1: int, n2: int, lo: float, hi: float, sigma: float):
     return riesz_weights_nd(Grid1D.circle(n1), Grid1D.interval(n2, lo, hi), sigma)
 
 
-def _heat_far(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The heat row on the n-cell circle at large t, as coefficients of t^-1
-    and t^-1/2: 1 / 2t per periodic copy at one cell of distance (on n <= 2
-    a cell touches copies on both sides), and h sqrt(pi / t) - 1 / t at d = 0."""
-    d = np.arange(n)
-    copies = np.count_nonzero(np.abs(d[:, None] - n * np.arange(-1, 2)) == 1, axis=1)
-    return 0.5 * copies - (d == 0), SQRT_PI * (2.0 * math.pi / n) * (d == 0)
+def _axis_ends(g: Grid1D) -> tuple:
+    """The head (t -> 0) and tail (t -> inf) of an axis's factor of a Laplace
+    stack, terms (k, c) of c t^((k - 1) / 2), c over its columns: on the circle
+    the heat rows, head h^2 / (2 sqrt(pi t)) up to exp(-1/4t); on the interval
+    the line-Gaussian rows, then the exterior masses, heads h^2 and h (sqrt(pi
+    / t) - L) up to O(t) relative.  The rows' tails are 1 / 2t per copy of a
+    cell one cell away (on n <= 2 a cell of the circle has one on each side)
+    and h sqrt(pi / t) - 1 / t at d = 0, the masses' 1 / 2t at a boundary cell
+    (twice if n = 1)."""
+    n, root = g.n, SQRT_PI * g.h
+    if g.periodic:
+        d = np.arange(n)
+        touching = np.count_nonzero(np.abs(d[:, None] - n * np.arange(-1, 2)) == 1, axis=1)
+        tail = [(-1, 0.5 * touching - (d == 0)), (0, root * (d == 0))]
+        return [(0, np.full(n, g.h**2 / (2.0 * SQRT_PI)))], tail
+    d = np.arange(1 - n, 2 * n)  # the offsets, then each cell as n + its index
+    rows, edge = d < n, 0.5 * (d == n) + 0.5 * (d == 2 * n - 1)
+    head = [(1, np.where(rows, g.h**2, -g.h * g.length)), (0, root * ~rows)]
+    tail = [(-1, np.where(rows, 0.5 * (np.abs(d) == 1) - (d == 0), edge)), (0, root * (d == 0))]
+    return head, tail
 
 
-@lru_cache(maxsize=8)
-def _heat_stack(n: int, ds: float, k_lo: int, k_hi: int) -> tuple:
-    """Lattice times t_k = exp(k ds), k_lo <= k <= k_hi, the heat rows on the
-    n-cell circle at them, shape (k_hi - k_lo + 1, n), and the rows'
-    algebraic ends (``_laplace_table``); read-only.  Below the lattice every
-    entry is h^2 / (2 sqrt(pi t)) (k = 0) up to exp(-1/4t), above it the
-    t^-1 part of ``_heat_far`` (k = -1); its t^-1/2 is the self pair's, 0."""
-    h = 2.0 * math.pi / n
+@lru_cache(maxsize=16)
+def _laplace_stack(grid: tuple, ds: float, k_lo: int, k_hi: int) -> tuple:
+    """Lattice times t_k = exp(k ds), k_lo <= k <= k_hi, the two factors of
+    the Laplace table left diag(v) right on a grid of ``_table`` at them,
+    and the k of their ends; read-only.  On the cylinder left is the heat
+    rows on the circle, transposed (n1, K), then their sum, the mass
+    h1 sqrt(pi / t), against the interval's line-Gaussian rows and then its
+    exterior masses (K, 3 n2 - 1); on the circle a row of ones against the
+    heat rows (K, n1), so that v weighs the thinner factor.  Then come the
+    products of the factors' ends (``_axis_ends``), a column of left and a
+    row of right each; a tail product of k >= 0 lies on the self pair alone,
+    where W = 0, and is dropped, as its excess (k + sigma) / 2 > 0 would sum
+    it as a head.  About K (n1 + 3 n2) floats, where the table's own rows
+    are K n1 (2 n2 - 1)."""
+    n1, *box = grid
+    g1 = Grid1D.circle(n1)
     t = np.exp(ds * np.arange(k_lo, k_hi + 1))
-    ends = np.stack((np.full(n, h * h / (2.0 * SQRT_PI)), _heat_far(n)[0]))
-    return _frozen(t), _frozen(_heat_table_batch(n, h, t)), (0, -1), _frozen(ends)
-
-
-@lru_cache(maxsize=8)
-def _heat_gauss_stack(
-    n1: int, n2: int, lo: float, hi: float, ds: float, k_lo: int, k_hi: int
-) -> tuple:
-    """Lattice times t_k = exp(k ds), a cylinder row at each and the rows'
-    algebraic ends (``_laplace_table``); read-only.
-
-    A row is the heat row on the n1-cell circle times the line-Gaussian row
-    on the n2-cell interval [lo, hi], flattened, then the Gaussian exterior
-    masses times the heat row's mass h1 sqrt(pi / t).  Below the lattice
-    these are h1^2 / (2 sqrt(pi t)), h2^2 and h2 (sqrt(pi / t) - L2), up to
-    O(t) relative; above it ``_heat_far``, 1 / 2t at d2 = -1, 1 plus
-    h2 sqrt(pi / t) - 1 / t at d2 = 0, and 1 / 2t at a boundary column.  The
-    ends are their products, whose t^-1 falls on the self pair alone (0).
-    """
-    h1 = 2.0 * math.pi / n1
-    g2 = Grid1D.interval(n2, lo, hi)
-    h2 = g2.h
-    t = np.exp(ds * np.arange(k_lo, k_hi + 1))
-    heat = _heat_table_batch(n1, h1, t)
-    gauss, ext = _gauss_tables_batch(g2, t)
-    ext *= (h1 * np.sqrt(math.pi / t))[:, None]
-    rows = np.hstack(((heat[:, :, None] * gauss[:, None, :]).reshape(t.size, -1), ext))
-    d2 = np.arange(1 - n2, n2)
-    inv1, root1 = _heat_far(n1)
-    inv2, root2 = 0.5 * (np.abs(d2) == 1) - (d2 == 0), SQRT_PI * h2 * (d2 == 0)
-    ends = np.zeros((4, rows.shape[1]))
-    table, outside = ends[:, :-n2], ends[:, -n2:]
-    table[0] = h1**2 * h2**2 / (2.0 * SQRT_PI)  # k = 1
-    outside[0] = -SQRT_PI * h1 * h2 * g2.length
-    outside[1] = math.pi * h1 * h2  # k = 0
-    table[2] = (np.outer(root1, inv2) + np.outer(inv1, root2)).ravel()  # k = -1
-    outside[2, 0] += 0.5 * SQRT_PI * h1
-    outside[2, -1] += 0.5 * SQRT_PI * h1  # the same column again if n2 = 1
-    table[3] = np.outer(inv1, inv2).ravel()  # k = -2
-    return _frozen(t), _frozen(rows), (1, 0, -1, -2), _frozen(ends)
+    heat = _heat_table_batch(n1, g1.h, t), _axis_ends(g1)
+    if box:
+        g2 = Grid1D.interval(*box)
+        left, right = (heat[0].T, heat[1]), (np.hstack(_gauss_tables_batch(g2, t)), _axis_ends(g2))
+    else:  # the ones are 1 t^0 at both ends
+        left, right = (np.ones((1, t.size)), ([(0, np.ones(1))],) * 2), heat
+    (rows1, (head1, tail1)), (rows2, (head2, tail2)) = left, right
+    head = [(k1 + k2, a, c) for k1, a in head1 for k2, c in head2]
+    tail = [(k1 + k2, a, c) for k1, a in tail1 for k2, c in tail2 if k1 + k2 < 0]
+    ks, a, c = zip(*head, *tail)
+    left = np.hstack((rows1, np.transpose(a)))
+    if box:
+        left = np.vstack((left, left.sum(axis=0)))
+    return _frozen(t), _frozen(left), _frozen(np.vstack((rows2, c))), ks
 
 
 @lru_cache(maxsize=64)
@@ -307,35 +308,31 @@ def _laplace_table(grid: tuple, sigma: float) -> KernelWeights:
     """Power-kernel table of the Laplace route on a grid of ``_table``, the
     circle or the cylinder (its exterior masses after the entries).
 
-    W = (sum_q w_q row_q + ends) / Gamma(lam), lam = (dim + sigma) / 2, the
-    rows a slice of the grid's stack (``_heat_stack``, ``_heat_gauss_stack``):
-    every lam of (dim / 2, (dim + 1) / 2) has its rule checked on one lattice
-    (``laplace_quadrature``).  The rule's window covers the rows' exponential
-    transients only; past it the rows follow the stack's ends, powers
-    t^-beta kept as k = dim - 2 beta with their coefficients, which
-    ``LaplaceConfig.beyond`` sums at lam - beta = (k + sigma) / 2, from sigma
-    itself: no rounding of lam reaches it near 0 or 1.  W = 0 at the self
-    pair, as in the direct table.
+    W = left diag(v) right / Gamma(lam), lam = (dim + sigma) / 2, from the
+    grid's stack (``_laplace_stack``), v the rule's weights on a slice of its
+    lattice: every lam of (dim / 2, (dim + 1) / 2) has its rule checked on one
+    lattice (``laplace_quadrature``).  Past the rule's window the rows follow
+    their ends, powers t^-beta as k = dim - 2 beta, which v weighs by the sums
+    of ``LaplaceConfig.beyond`` at lam - beta = (k + sigma) / 2, from sigma
+    itself: no rounding of lam reaches it near 0 or 1.  W = 0 at the self pair.
     """
     n1, *box = grid
-    h = [2.0 * math.pi / n1]
-    z_max = (2.0 * math.pi) ** 2
-    if box:
-        g2 = Grid1D.interval(*box)
-        h.append(g2.h)
-        z_max += g2.length**2
-    cfg = laplace_quadrature((len(h) + sigma) / 2.0, min(h) ** 2 / 4.0, z_max, rtol=LAPLACE_RTOL)
+    sides = [(2.0 * math.pi, n1), *([(box[2] - box[1], box[0])] if box else [])]  # length, cells
+    h, z_max = min(a / n for a, n in sides), sum(a**2 for a, _ in sides)
+    cfg = laplace_quadrature((len(sides) + sigma) / 2.0, h**2 / 4.0, z_max, rtol=LAPLACE_RTOL)
     k_lo, k_hi = cfg.lattice
-    _, rows, ks, ends = (_heat_gauss_stack if box else _heat_stack)(*grid, cfg.ds, k_lo, k_hi)
-    first = cfg.k_lo - k_lo
-    w = cfg.weights @ rows[first : first + cfg.nodes.size]
-    w += np.array([cfg.beyond((k + sigma) / 2.0) for k in ks]) @ ends
-    w[box[0] - 1 if box else 0] = 0.0  # the self pair
-    w /= math.gamma(cfg.lam)
+    t, left, right, ks = _laplace_stack(grid, cfg.ds, k_lo, k_hi)
+    first = cfg.k_lo - k_lo  # v from the rule's first node on
+    v = np.zeros(t.size + len(ks) - first)
+    v[: cfg.nodes.size] = cfg.weights
+    v[t.size - first :] = [cfg.beyond((k + sigma) / 2) for k in ks]
+    v /= math.gamma(cfg.lam)
+    table = (left[:, first:] * v) @ right[first:]
+    table[0, box[0] - 1 if box else 0] = 0.0  # the self pair
     if not box:
-        return KernelWeights((True,), w, cfg.achieved + 1e-12)
-    size = n1 * (2 * box[0] - 1)
-    return KernelWeights((True, False), w[:size].reshape(n1, -1), cfg.achieved + 1e-12, w[size:])
+        return KernelWeights((True,), table[0], cfg.achieved + 1e-12)
+    cut = 2 * box[0] - 1  # the exterior masses' first column
+    return KernelWeights((True, False), table[:-1, :cut], cfg.achieved + 1e-12, table[-1, cut:])
 
 
 def fractional_perimeter(e: StepFunction | GridFunctionND, s: float) -> float:

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import persym
 from persym.cli import main, parse_cost, parse_kernel
@@ -541,3 +546,106 @@ def test_cli_matrix(tmp_path, capsys):
             bad.append((argv, rc, stdout, err))
     assert len(runs) == 916
     assert not bad, "\n".join(map(repr, bad[:5]))
+
+
+def _run_cli(argv) -> tuple:
+    """main(argv) in this process, with warnings as errors (this suite's
+    setting): (exit code, stdout, stderr), the code the exception it raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except Exception as exc:  # a traceback, or a warning turned into an error
+            rc = exc
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _clean_outcome(rc, stdout: str, err: str) -> bool:
+    """The CLI's promise: exit 0 with finite numbers (or "divergent") and no
+    stderr, or exit 2 with one error line."""
+    numbers = []
+    for token in stdout.replace(",", " ").replace(":", " ").split():
+        try:
+            numbers.append(float(token))
+        except ValueError:
+            pass
+    return (rc == 0 and not err and np.isfinite(numbers).all()) or (
+        rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["seminorm", "--s", "5e-324", "--in", "{circle}"], 2),
+        (["seminorm", "--s", "5e-324", "--in", "{cylinder}"], 2),
+        (["seminorm", "--s", "1e-310", "--in", "{circle}"], 2),
+        (["seminorm", "--s", "1e-310", "--in", "{cylinder}"], 2),
+        (["kernels", "--kernel", "heat:t=1e-320", "--n", "4"], 0),
+    ],
+    ids=["s-5e-324-circle", "s-5e-324-cylinder", "s-1e-310-circle", "s-1e-310-cylinder",
+         "heat-t-1e-320"],
+)
+def test_float_extremes_keep_the_exit_code_promise(argv, code, tmp_path, rng):
+    # (k + sigma) / 2 rounded to 0 at s = 5e-324 and raised ZeroDivisionError;
+    # s = 1e-310 exited 2 after two RuntimeWarnings; m^2 / 4t overflowed in
+    # the theta terms at t = 1e-320: a sigma whose tables leave float range
+    # is one ConfigError, and no warning reaches stderr (warnings are errors)
+    files = {
+        "circle": write_json(tmp_path / "c.json", function_to_json(StepFunction.on_circle(rng.random(8)))),
+        "cylinder": write_json(tmp_path / "n.json", function_to_json(random_nd_function(rng))),
+    }
+    rc, out, err = _run_cli([arg.format(**files) for arg in argv])
+    assert rc == code and _clean_outcome(rc, out, err), (rc, out, err)
+    if code == 2:
+        assert "would leave float range" in err
+
+
+# float edges of the numeric inputs: subnormals, the largest floats, the
+# floats next to 0 and 1, signed zeros, and a few plain values
+FLOAT_EDGES = [
+    5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e308, 1.7976931348623157e308,
+    math.nextafter(1.0, 0.0), math.nextafter(0.0, 1.0), 0.0, -0.0, 0.5, 1.0, 2.0,
+]
+
+
+@given(
+    data=st.data(),
+    command=st.sampled_from(["seminorm", "sweep", "perimeter", "kernels", "energy"]),
+    kind=st.sampled_from(["periodic", "interval", "nd"]),
+    n=st.integers(1, 4),
+)
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+def test_cli_float_edges(data, command, kind, n, tmp_path_factory):
+    # s, p, t, sigma, the domain ends, n and the values drawn from the float
+    # edges; every run keeps the CLI's promise, with warnings as errors
+    edge = st.sampled_from(FLOAT_EDGES)
+    lo, hi = data.draw(edge), data.draw(edge)
+    values = [data.draw(edge) for _ in range(n * n if kind == "nd" else n)]
+    if kind == "nd":
+        obj = {"axes": [{"n": n, "domain": "periodic"}, {"n": n, "domain": [lo, hi]}],
+               "values": np.reshape(values, (n, n)).tolist()}
+    else:
+        obj = {"grid": {"n": n, "domain": "periodic" if kind == "periodic" else [lo, hi]},
+               "values": values}
+    f = write_json(tmp_path_factory.mktemp("edges") / "u.json", obj)
+    s, p = str(data.draw(edge)), str(data.draw(edge))
+    family, x = data.draw(st.sampled_from(["heat:t=", "gauss:t=", "riesz:sigma="])), data.draw(edge)
+    spec = f"{family}{x}"
+    argv = {
+        "seminorm": ["seminorm", "--s", s, "--p", p, "--in", f],
+        "sweep": ["sweep", "--in", f, "--p", p, "--values", s, str(data.draw(edge)), "2"],
+        "perimeter": ["perimeter", "--s", s, "--set", f],
+        "kernels": ["kernels", "--kernel", spec, "--n", str(n),
+                    "--grid", data.draw(st.sampled_from(["circle", "interval"])),
+                    "--domain", str(lo), str(hi)],
+        "energy": ["energy", "--J", f"power:{p}", "--kernel", spec, "--u", f, "--v", f],
+    }[command]
+    rc, out, err = _run_cli(argv)
+    # a power-kernel table of sigma >= 1 (a riesz spec, or a perimeter's s)
+    # is a divergent energy: one error line, exit 1
+    divergent = (command in ("kernels", "energy") and family == "riesz:sigma=" and x >= 1.0) or (
+        command == "perimeter" and float(s) >= 1.0)
+    one_line = isinstance(rc, int) and err.startswith("error: ") and err.count("\n") == 1
+    assert _clean_outcome(rc, out, err) or (divergent and rc == 1 and one_line), (
+        argv, obj, rc, out, err)

@@ -264,6 +264,24 @@ class TestGaussianWeights:
             )
             assert w.exterior[i] == pytest.approx(upper + lower, rel=1e-10)
 
+    @pytest.mark.parametrize("n", [12, 64])
+    def test_exterior_masses_against_mpmath(self, n):
+        # every mass within 1e-12 of itself, against 40-digit differences of
+        # B(u) = int_u^inf erfc: differences of two antiderivatives near
+        # 1/sqrt(pi) lost up to 2e-8 at n = 64 and t = 4, and gave 0 for the
+        # middle cells of [-4, 4] (about e^-64); none underflows here
+        B = lambda u: mpmath.exp(-u * u) / mpmath.sqrt(mpmath.pi) - u * mpmath.erfc(u)
+        for t, (lo, hi) in itertools.product((0.5, 4.0), ((-2.0, 2.0), (-4.0, 4.0))):
+            g = Grid1D.interval(n, lo, hi)
+            got = kernels._gauss_tables_batch(g, [t])[1][0]
+            with mpmath.workdps(40):
+                b, st = [mpmath.mpf(x) for x in g.boundaries()], mpmath.sqrt(t)
+                ref = np.array([float(
+                    mpmath.sqrt(mpmath.pi) / (2 * t) * (B((hi - y) * st) - B((hi - x) * st)
+                                                        + B((x - lo) * st) - B((y - lo) * st)))
+                    for x, y in zip(b[:-1], b[1:])])
+            assert np.all(ref > 0) and np.max(np.abs(got / ref - 1.0)) < 1e-12
+
 
 def line_pairs(n, h, sigma):
     """The line weights L[m], m = 0..n-1, of |x - y|^(-(1+sigma)) on cells
@@ -458,6 +476,65 @@ FIT_GRIDS = [
 ]
 
 
+# explicit periodic copies |k| <= REF_COPIES of ``_nd_table_reference``, and
+# the terms of its series for the others
+REF_COPIES, REF_TAIL_J, REF_TAIL_M = 10, 8, 16
+
+
+def _nd_table_reference(g1, g2, sigma, offsets, order=30):
+    """The 2D power-kernel table at cell offsets (d1, d2), from the
+    difference variables: h1^2 h2^2 times the integral over (a, b) in
+    [-1, 1]^2 of the hats (1 - |a|)(1 - |b|) times sum_k ((d1 + a) h1 + 2 pi
+    k)^2 + ((d2 + b) h2)^2)^-mu, mu = 1 + sigma / 2.
+
+    Each quadrant of (a, b) takes an order-point tensor Gauss-Legendre rule
+    over the copies |k| <= REF_COPIES.  A copy singular at a corner of the
+    quadrant, where a hat vanishes, takes a Duffy split there instead: on
+    each of the two triangles the radial integral of r^(m - 1 - sigma) is
+    1 / (m - sigma), and Gauss-Legendre takes the angle.  The other copies
+    sum in closed form, 2 (2 pi)^-2mu sum over j and even m of binom(-mu, j)
+    binom(-2 mu - 2 j, m) zeta(2 mu + 2 j + m, REF_COPIES + 1) eta^2j xi^m,
+    with xi and eta the point over 2 pi, the Hurwitz zeta from mpmath.
+    """
+    mu = 1.0 + sigma / 2.0
+    h1, h2, n1 = g1.h, g2.h, g1.n
+    with mpmath.workdps(30):
+        m_ = mpmath.mpf(mu)
+        c = 2 * (2 * mpmath.pi) ** (-2 * m_)
+        tail = np.array([[
+            float(c * mpmath.binomial(-m_, j) * mpmath.binomial(-2 * m_ - 2 * j, m)
+                  * mpmath.zeta(2 * m_ + 2 * j + m, REF_COPIES + 1)) if m % 2 == 0 else 0.0
+            for m in range(REF_TAIL_M + 1)] for j in range(REF_TAIL_J + 1)])
+    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = (x + 1.0) / 2.0, w / 2.0  # on [0, 1]
+    hats = np.outer(w * (1.0 - x), w * (1.0 - x))
+    copies = np.arange(-REF_COPIES, REF_COPIES + 1)
+    out = []
+    for d1, d2 in offsets:
+        total = 0.0
+        for sa, sb in itertools.product((-1, 1), repeat=2):  # the quadrant's signs of a, b
+            u, v = (d1 + sa * x[:, None]) * h1, (d2 + sb * x[None, :]) * h2
+            # (copy, corner) where the point (u + 2 pi k, v) is 0
+            singular = [(k, a0, b0) for k in copies for a0 in (0, 1) for b0 in (0, 1)
+                        if d1 + sa * a0 + n1 * k == 0 and d2 + sb * b0 == 0]
+            skip = [k for k, _, _ in singular]
+            f = sum(((u + 2 * math.pi * k) ** 2 + v**2) ** -mu for k in copies if k not in skip)
+            xi, eta = u[:, 0] / (2 * math.pi), v[0] / (2 * math.pi)
+            f = f + (xi[:, None] ** np.arange(REF_TAIL_M + 1)) @ tail.T @ (
+                eta[None, :] ** (2 * np.arange(REF_TAIL_J + 1))[:, None])
+            total += np.sum(hats * f)
+            for _, a0, b0 in singular:
+                # the hats from the corner, p + q r along each side of it
+                (p1, q1), (p2, q2) = [(0.0, 1.0) if end else (1.0, -1.0) for end in (a0, b0)]
+                linear = q1 * q2 * x / (2.0 - sigma)
+                total += ((h1**2 + (x * h2) ** 2) ** -mu) @ (
+                    w * ((q1 * p2 + p1 * q2 * x) / (1.0 - sigma) + linear))
+                total += ((h2**2 + (x * h1) ** 2) ** -mu) @ (
+                    w * ((q1 * p2 * x + p1 * q2) / (1.0 - sigma) + linear))
+        out.append(total * (h1 * h2) ** 2)
+    return np.array(out)
+
+
 class TestRieszWeightsND:
     def test_symmetries(self):
         W = riesz_weights_nd(Grid1D.circle(8), Grid1D.centered_interval(6, 3.0), 0.5)
@@ -484,29 +561,21 @@ class TestRieszWeightsND:
         ours = W.weights[d1, d2 + 31]
         assert abs(ours / approx - 1.0) < 0.01
 
-    @pytest.mark.slow
-    def test_monte_carlo_oracle(self):
-        rng = np.random.default_rng(42)
+    # offsets of the 8 x 8 grid of the reference test: the three adjacent
+    # ones, (1, 0), (0, 1) and (1, 1), the one adjacent through the period,
+    # (7, 0), and others near and far
+    REFERENCE_OFFSETS = [(1, 1), (2, 0), (0, 3), (1, 0), (0, 1), (7, 0), (7, 1), (2, 2),
+                         (3, 3), (4, 1), (1, 3), (4, 7), (6, -5), (0, -7), (5, 2)]
+
+    @pytest.mark.parametrize("sigma", [0.02, 0.5, 0.98])
+    def test_against_a_deterministic_reference(self, sigma):
+        # shares no code with the builder, whose panels, orders and hat
+        # moments are laid out otherwise: every entry within 1e-12
         g1, g2 = Grid1D.circle(8), Grid1D.centered_interval(8, 4.0)
-        sigma = 0.5
-        mu = (2 + sigma) / 2
-        W = riesz_weights_nd(g1, g2, sigma)
-        h1, h2 = g1.h, g2.h
-        for d1, d2 in [(1, 1), (2, 0), (0, 3)]:
-            nsamp = 1_500_000
-            x1 = rng.uniform(0, h1, nsamp)
-            y1 = rng.uniform(d1 * h1, (d1 + 1) * h1, nsamp)
-            x2 = rng.uniform(0, h2, nsamp)
-            y2 = rng.uniform(d2 * h2, (d2 + 1) * h2, nsamp)
-            ks = np.arange(-50, 51)
-            vals = (
-                (x1[:, None] - y1[:, None] + 2 * math.pi * ks[None, :]) ** 2
-                + (x2 - y2)[:, None] ** 2
-            ) ** (-mu)
-            samples = vals.sum(axis=1)
-            est = samples.mean() * (h1 * h2) ** 2
-            se = samples.std() * (h1 * h2) ** 2 / math.sqrt(nsamp)
-            assert abs(W.weights[d1, d2 + 7] - est) < 3.0 * se
+        w = riesz_weights_nd(g1, g2, sigma).weights
+        ref = _nd_table_reference(g1, g2, sigma, self.REFERENCE_OFFSETS)
+        got = np.array([w[d1, d2 + g2.n - 1] for d1, d2 in self.REFERENCE_OFFSETS])
+        assert np.max(np.abs(got / ref - 1.0)) < 1e-12
 
     def test_copy_tail_self_convergence(self, monkeypatch, fresh_caches):
         # four more explicit copies per side move no entry by more than 1e-14

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -422,33 +423,105 @@ def _stack_and_rule(grid, sigma):
     (cfg,) = rules
     lattice = (cfg.ds, *cfg.lattice)
     rows = slice(cfg.k_lo - cfg.lattice[0], cfg.k_lo - cfg.lattice[0] + cfg.nodes.size)
-    build = seminorm._heat_stack if len(grid) == 1 else seminorm._heat_gauss_stack
-    return cfg, lattice, rows, build(*grid, *lattice)
+    return cfg, lattice, rows, seminorm._laplace_stack(grid, *lattice)
+
+
+def _grouped_ends(stack) -> dict:
+    """A stack's ends summed by k, each of the shape of left @ right."""
+    t, left, right, ks = stack
+    ends = {}
+    for k, col, row in zip(ks, left[:, t.size :].T, right[t.size :]):
+        ends[k] = ends.get(k, 0.0) + np.outer(col, row)
+    return ends
+
+
+with open(os.path.join(os.path.dirname(__file__), "laplace_end_pins.json")) as f:
+    LAPLACE_END_PINS = json.load(f)
 
 
 class TestLatticeStacks:
     """Every Laplace rule of a route takes its nodes from one lattice, so each
-    grid keeps one stack of rows and a fresh sigma contracts a slice of it."""
+    grid keeps one stack of factors and a fresh sigma contracts a slice of it."""
 
     @pytest.mark.parametrize("dim,grid", STACK_GRIDS)
     def test_stack_rows_are_the_rule_nodes(self, dim, grid):
+        # each factor at the rule's nodes: a row of ones against the heat
+        # rows on the circle; on the cylinder the heat rows (transposed) and
+        # their sum, the heat row's mass, against the line-Gaussian rows and
+        # then the exterior masses
         for sigma in (1e-9, 0.02, 0.5, 0.98, 1.0 - 1e-9):
-            cfg, (ds, k_lo, k_hi), rows, stack = _stack_and_rule(grid, sigma)
-            t = stack[0]
+            cfg, (ds, k_lo, k_hi), rows, (t, left, right, ks) = _stack_and_rule(grid, sigma)
             assert np.array_equal(t, np.exp(ds * np.arange(k_lo, k_hi + 1)))
             assert np.array_equal(t[rows], cfg.nodes)
             # an index off by one lands a factor exp(ds) away
             for shift in (-1, 1):
                 moved = slice(rows.start + shift, rows.stop + shift)
                 assert not np.array_equal(t[moved], cfg.nodes)
-            n = grid[0]
-            direct = kernels._heat_table_batch(n, 2 * math.pi / n, cfg.nodes)
-            if dim == 2:  # the heat row times the Gaussian row, then the exterior masses
-                gauss, ext = kernels._gauss_tables_batch(Grid1D.interval(*grid[1:]), cfg.nodes)
-                ext *= 2 * math.pi / n * np.sqrt(math.pi / cfg.nodes)[:, None]
-                table = np.einsum("qa,qb->qab", direct, gauss).reshape(cfg.nodes.size, -1)
-                direct = np.hstack((table, ext))
-            assert np.max(np.abs(stack[1][rows] - direct)) <= 1e-15 * np.max(direct)
+            n, q = grid[0], cfg.nodes.size
+            heat = kernels._heat_table_batch(n, 2 * math.pi / n, cfg.nodes)
+            want = np.ones((1, q)), heat
+            if dim == 2:
+                mass = 2 * math.pi / n * np.sqrt(math.pi / cfg.nodes)
+                gauss = kernels._gauss_tables_batch(Grid1D.interval(*grid[1:]), cfg.nodes)
+                want = np.vstack((heat.T, mass)), np.hstack(gauss)
+            assert left.flags.c_contiguous and left.shape == (want[0].shape[0], t.size + len(ks))
+            assert right.shape == (t.size + len(ks), want[1].shape[1])
+            for got, ref in zip((left[:, rows], right[rows]), want):
+                assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(ref)
+
+    def test_stack_memory_is_bounded(self, fresh_caches):
+        # the factors, not their products: at 64 x 64 the rows are K (n1 +
+        # 3 n2) floats (the heat rows, their sum and the line rows) and the
+        # ends five columns more (0.34 MiB), where the rows of products were
+        # K n1 (2 n2 - 1) plus K n2 (10.7 MiB); the
+        # first build, its temporaries included, peaks within five stacks
+        # (measured 3.8)
+        grid = (64, 64, -2.0, 2.0)
+        seminorm._laplace_table(grid, 0.3)  # the rule's lattice checks are not the stack's
+        seminorm._laplace_stack.cache_clear()
+        tracemalloc.start()
+        try:
+            seminorm._laplace_table.__wrapped__(grid, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        t, left, right, ks = _stack_and_rule(grid, 0.3)[3]
+        bound = (t.size + 5) * (64 + 3 * 64) * 8
+        assert len(ks) == 5 and left.nbytes + right.nbytes <= bound
+        assert peak < 5 * bound + t.nbytes, peak / bound
+
+    @pytest.mark.parametrize("pin", LAPLACE_END_PINS, ids=lambda p: str(p["grid"]))
+    def test_cylinder_ends_keep_their_pins(self, pin):
+        # float hex of the ends that the flat stack placed by hand, the table
+        # entries flattened, then the exterior masses, one row per k; the
+        # products of the factors' ends, summed by k, are within 1e-15 of
+        # each row's largest (the exterior masses' from the heat rows' sum)
+        grid = tuple(pin["grid"])
+        n1, n2 = grid[:2]
+        ends = _grouped_ends(_stack_and_rule(grid, 0.5)[3])
+        for k, hexes in zip(pin["ks"], pin["ends"]):
+            ref = np.array([float.fromhex(x) for x in hexes.split()])
+            end = ends.get(k, np.zeros((n1 + 1, 3 * n2 - 1)))
+            got = np.concatenate((end[:n1, : 2 * n2 - 1].ravel(), end[n1, 2 * n2 - 1 :]))
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dim,grid", STACK_GRIDS)
+    def test_tail_terms_of_the_self_pair_are_dropped(self, dim, grid):
+        # a product of tail terms with k >= 0 (root1 t^-1/2 on the circle,
+        # root1 root2 / t on the cylinder) has an excess (k + sigma) / 2 > 0,
+        # which would sum it as a head; it has no entry off the self pair,
+        # where the table is 0, and the stack keeps no such term
+        circle = seminorm._axis_ends(Grid1D.circle(grid[0]))[1]
+        line = seminorm._axis_ends(Grid1D.interval(*grid[1:]))[1] if dim == 2 else [(0, [1.0])]
+        dropped = [np.outer(a, c) for k1, a in circle for k2, c in line if k1 + k2 >= 0]
+        assert len(dropped) == 1
+        self_pair = (0, grid[1] - 1 if dim == 2 else 0)
+        off_self = np.ones(dropped[0].shape, dtype=bool)
+        off_self[self_pair] = False
+        assert dropped[0][self_pair] > 0 and not dropped[0][off_self].any()
+        ks = _stack_and_rule(grid, 0.5)[3][3]
+        assert sorted(ks) == ([-1, 0] if dim == 1 else [-2, -1, -1, 0, 1])
 
     @pytest.mark.parametrize("dim,grid", STACK_GRIDS)
     def test_stack_spans_the_whole_sigma_range(self, dim, grid):
@@ -475,8 +548,7 @@ class TestLatticeStacks:
             seminorm._laplace_table((64,), sigma)
             seminorm._laplace_table((12, 12, -2.0, 2.0), sigma)
         assert counts == {"_heat_table_batch": 0, "_gauss_tables_batch": 0}
-        assert seminorm._heat_stack.cache_info().currsize == 1
-        assert seminorm._heat_gauss_stack.cache_info().currsize == 1
+        assert seminorm._laplace_stack.cache_info().currsize == 2
 
 
 def test_fresh_sigmas_build_each_grid_cache_once(rng, monkeypatch, fresh_caches):
@@ -518,8 +590,7 @@ def test_fresh_sigmas_build_each_grid_cache_once(rng, monkeypatch, fresh_caches)
         kernels._rule_lattice: 2,
         kernels._periodized_plan: 1,
         kernels._nd_fit: 1,
-        seminorm._heat_stack: 1,
-        seminorm._heat_gauss_stack: 1,
+        seminorm._laplace_stack: 2,  # one per grid
     }
     assert {f.__name__: f.cache_info().misses for f in builds} == {
         f.__name__: misses for f, misses in builds.items()
@@ -641,9 +712,9 @@ def test_cached_route_tables_are_read_only():
     ]
     stacks = [_stack_and_rule(grid, 0.4)[3] for _, grid in STACK_GRIDS[1::3]]
     arrays = [a for table in tables for a in (table.weights, getattr(table, "exterior", None))]
-    # a stack's arrays: its times, rows and end coefficients (the end powers are a tuple)
-    for arr in arrays + [a for stack in stacks for a in stack if isinstance(a, np.ndarray)]:
+    # a stack's arrays: its times and its two factors (the end powers are a tuple)
+    for arr in arrays + [a for stack in stacks for a in stack[:3]]:
         if arr is not None:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
-    assert all(len(stack) == 4 and isinstance(stack[2], tuple) for stack in stacks)
+    assert all(len(stack) == 4 and isinstance(stack[3], tuple) for stack in stacks)
