@@ -18,8 +18,9 @@ single-time ones are cached by (grid, t).  This module builds the tables:
   of its second differences) and its Hurwitz-zeta periodization (explicit
   copies plus the same series summed over the far copies, positive-order
   zeta only, each term an even Taylor series at one point, certified by
-  the first omitted terms), built in one pass against sigma-free arrays
-  kept per cell count;
+  the first omitted terms); less its poles at sigma = 0 and 1, which have
+  closed forms, it is analytic in sigma, so each cell count keeps it as a
+  certified Chebyshev series, fitted to those direct sums at 25 sigmas;
 * the 2D power kernel |z|^(-(2+sigma)) with x1-periodization: the copies
   near the cell from hat moments per lattice square, over Gauss-Legendre
   panels graded by their distance from the kernel origin, with exact
@@ -231,12 +232,14 @@ def offset_sums(u, v, cost, periodic, *, symmetric=False) -> np.ndarray:
         if p.bins is None:  # summed over the cells
             parts.append(np.add.reduce(cost(c, vs.take(p.idx[:width], axis=1)), axis=2))
             continue
-        # periodic cells outermost and (lead, offset, partner) innermost, so
-        # that the cost runs long inner loops; the cells are summed in order
-        partners = vs.take(p.idx[:width].T, axis=1).transpose(1, 0, 2, 3)[:, None]
-        lead, held = partners.shape[2], partners.shape[2] * partners.shape[3]
+        # periodic cells outermost and (lead, offset, partner) innermost, as
+        # one axis, so that the cost runs long inner loops; the cells are
+        # summed in order
+        partners = vs.take(p.idx[:width].T, axis=1).transpose(1, 0, 2, 3)
+        lead, held = partners.shape[1], partners.shape[1] * partners.shape[2]
+        partners = partners.reshape(len(partners), 1, -1)
         for cut in p.rows:
-            pc = cost(c[:, cut, None, None, None], partners)
+            pc = cost(c[:, cut, None], partners)
             pc = np.add.reduce(pc) if len(pc) > 1 else pc[0]  # over the periodic cells
             at = p.bins[: len(pc), :held].ravel()
             got = np.bincount(at, pc.ravel(), held * p.slots).reshape(held, p.slots)
@@ -340,9 +343,11 @@ def _erfc(x) -> np.ndarray:
     return out
 
 
-# explicit terms of ``_hurwitz_zeta``, and its Bernoulli coefficients B_2j / (2j)!,
-# j = 1..9 (each the double nearest the rational)
+# explicit terms of ``_hurwitz_zeta``, the bound of its relative truncation,
+# and its Bernoulli coefficients B_2j / (2j)!, j = 1..9 (each the double
+# nearest the rational)
 ZETA_TERMS = 8
+ZETA_RTOL = 1.2e-17
 _BERNOULLI = np.array([
     0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
     -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
@@ -361,7 +366,7 @@ def _hurwitz_zeta(s: np.ndarray, s1: np.ndarray, x: float) -> np.ndarray:
     the half term y^(-s) / 2 and the Bernoulli terms B_2j / (2j)!
     (s)_(2j-1) y^(1-s-2j), j = 1..9, the rising factorials a running product
     of (s + i) / y.  For powers of (x + k) the remainder is below the first
-    omitted term, which is at most 1.2e-17 of zeta at x = 3, 4.5, 5 and 11
+    omitted term, which is at most ZETA_RTOL of zeta at x = 3, 4.5, 5 and 11
     for s from 1 to 100 (checked against mpmath).
     """
     s = np.asarray(s, dtype=float)
@@ -414,12 +419,17 @@ def _e2(z, t, erfc: bool) -> np.ndarray:
     The erf form z a erf(z sqrt t) + expm1(-z^2 t) / (2t), a = sqrt(pi) / (2
     sqrt t), is of size O(z^2) while z sqrt t stays below 1; the complement
     drops the affine part z a, leaving terms that are all Gaussian-small far
-    out.  Second differences of either form are the same.
+    out.  Second differences of either form are the same.  The second term
+    is -(z^2 / 2) phi(z^2 t), phi(x) = -expm1(-x) / x; where z^2 t is
+    subnormal it has lost bits, and the term takes phi = 1, exact there to
+    rounding.
     """
     a = SQRT_PI / (2.0 * np.sqrt(t))
+    x = z**2 * t
+    quadratic = np.where(x < np.finfo(float).tiny, -0.5 * z**2, np.expm1(-x) / (2.0 * t))
     if erfc:
-        return np.expm1(-(z**2) * t) / (2.0 * t) - z * a * _erfc(z * np.sqrt(t))
-    return z * a * _erf(z * np.sqrt(t)) + np.expm1(-(z**2) * t) / (2.0 * t)
+        return quadratic - z * a * _erfc(z * np.sqrt(t))
+    return z * a * _erf(z * np.sqrt(t)) + quadratic
 
 
 def _gauss_lattice(h: float, ts, jmax: int) -> np.ndarray:
@@ -642,28 +652,33 @@ def _line_powers(mmax: int) -> tuple[int, tuple]:
     return mmax, tuple(blocks)
 
 
+def _adjacent_pair(h: float, sigma: float) -> float:
+    """The pair weight L[1] of |x - y|^(-(1+sigma)) at cell offset 1, in
+    closed form: 2 h^a (1 - 2^-sigma) / (sigma (1 - sigma)), a = 1 - sigma,
+    which carries the table's pole at sigma = 1."""
+    a = 1.0 - sigma
+    return 2.0 * -math.expm1(-sigma * math.log(2.0)) / (sigma * a) * h**a
+
+
 def _riesz_line_pairs(
     line: tuple[int, tuple], h: float, sigma: float, q: np.ndarray | None = None
 ) -> np.ndarray:
-    """Pair weights L[m] of |x - y|^(-(1+sigma)) at cell offsets m = 0..mmax,
-    L[0] = 0, from ``line`` = ``_line_powers(mmax)`` and ``q`` =
+    """Pair weights L[m] of |x - y|^(-(1+sigma)) at cell offsets m = 2..mmax,
+    with L[0] = L[1] = 0, from ``line`` = ``_line_powers(mmax)`` and ``q`` =
     ``_riesz_series(1 - sigma, _series_steps(terms))``, terms >= LINE_TERMS
-    (built if None).
+    (built if None); L[1] itself is ``_adjacent_pair``.
 
-    L[1] = 2 h^a (1 - 2^-sigma) / (sigma (1 - sigma)) in closed form, and
-    L[m] for m >= 2 the all-positive series 2 h^a sum_k q_k m^(a - 2k) of
+    L[m] for m >= 2 is the all-positive series 2 h^a sum_k q_k m^(a - 2k) of
     ``_riesz_series``: 30 terms below m = 40, 5 from there, the first
     omitted term below 2e-17 relative at m = 2 and 40.  No term cancels, so
-    the weights hold a few ulps at every sigma.
+    the weights hold a few ulps at every sigma; the series holds for every
+    sigma > -1, past the ends of (0, 1) too.
     """
     mmax, blocks = line
     a = 1.0 - sigma
     if q is None:
         q = _riesz_series(a, _series_steps(LINE_TERMS))
-    out = np.empty(mmax + 1)
-    out[0] = 0.0
-    if mmax >= 1:
-        out[1] = 2.0 * -math.expm1(-sigma * math.log(2.0)) / (sigma * (1.0 - sigma))
+    out = np.zeros(mmax + 1)
     for lo, hi, m, powers in blocks:
         part = out[lo:hi]
         np.power(m, a - 2.0, out=part)
@@ -679,39 +694,39 @@ def _riesz_line_pairs(
 RIESZ_NEAR = 4
 RIESZ_TAYLOR = 10
 # rounding floor of the periodized 1D table's certificate: the largest
-# error measured against 40-digit Hurwitz-zeta values, 1.2e-15 (n from 2
-# to 4096, sigma from 0.02 to 0.98), with room to spare
+# error of its fit measured against 40-digit Hurwitz-zeta values, 1.6e-15 (n
+# from 2 to 4096, sigma from 1e-300 to 1 - 1e-9), with room to spare
 RIESZ_ROUNDING = 4e-15
 
 
-_PeriodizedPlan = namedtuple("_PeriodizedPlan", "line near far orders steps")
+_PeriodizedPlan = namedtuple("_PeriodizedPlan", "n line near adjacent far orders steps")
 
 
-@lru_cache(maxsize=8)
 def _periodized_plan(n: int, taylor: int) -> _PeriodizedPlan:
-    """The sigma-free part of the periodized 1D table on n cells (read-only).
+    """The sigma-free part of ``_periodized_direct`` on n cells (read-only).
 
     The line powers ``_line_powers`` of the offsets up to RIESZ_NEAR n - 1
-    (``line``); per offset d = 1..n-1, the line offsets |d + k n| of its
-    explicit copies, -RIESZ_NEAR <= k < RIESZ_NEAR (``near``); the doubled
+    (``line``); per half-table offset d = 1..n // 2, the line offsets
+    |d + k n| of its explicit copies, -RIESZ_NEAR <= k < RIESZ_NEAR
+    (``near``), and how many of them are 1 (``adjacent``); the doubled
     orders 2j of the far copies' zeta terms (``orders``) and the
     ``_series_steps`` of one q series long enough for the near and the far
     copies (``steps``); and the far-copy matrix (``far``), shape
-    (2, n - 1, J + M + 1) in the notation of ``riesz_weights_1d``, M =
+    (2, n // 2, J + M + 1) in the notation of ``_periodized_direct``, M =
     ``taylor``: per order j, the sum over the series terms (k, m) with
     k + m = j of C(2j, 2m) n^(-2k) y^(2m), y = d / n - 1/2, over the terms
     the table keeps (k <= J, m < M) in row 0, and in row 1 over the terms
     that bound the rest, each with its factor: 2 for the first omitted zeta
     term (k = J + 1), and 1 / (1 - rho_k) for each Taylor tail (m = M),
-    rho_k = (2k + 2M)(2k + 2M + 1) / ((2M + 1)(2M + 2) 4 x^2), the ratio
-    bound at s <= 2k and y^2 <= 1/4.
+    rho_k = (2k + 2M + 1)(2k + 2M + 2) / ((2M + 1)(2M + 2) 4 x^2), the ratio
+    bound at |s| <= 2k + 1 and y^2 <= 1/4.
     """
-    d = np.arange(1, n)
+    d = np.arange(1, n // 2 + 1)
     near = np.abs(d[:, None] + n * np.arange(-RIESZ_NEAR, RIESZ_NEAR))
     terms = math.ceil(17.0 / (2.0 * math.log10(n * RIESZ_NEAR))) + 1
     k = np.arange(1, terms + 2)[:, None]
     m = np.arange(taylor + 1)
-    top = 2.0 * (k + taylor)
+    top = 2.0 * (k + taylor) + 1.0
     rho = top * (top + 1.0) / ((2 * taylor + 1) * (2 * taylor + 2) * 4.0 * (RIESZ_NEAR + 0.5) ** 2)
     omitted = k == terms + 1
     binom = np.frompyfunc(math.comb, 2, 1)(2 * (k + m), 2 * m).astype(float)  # exact below 2^53
@@ -726,58 +741,198 @@ def _periodized_plan(n: int, taylor: int) -> _PeriodizedPlan:
     ypow = ((d / n - 0.5) ** 2)[:, None] ** m
     orders = 2.0 * np.arange(1, terms + taylor + 2)
     return _PeriodizedPlan(
-        _line_powers(RIESZ_NEAR * n - 1), _frozen(near, np.intp), _frozen(ypow @ by_order),
+        n, _line_powers(RIESZ_NEAR * n - 1), _frozen(np.where(near > 1, near, 0), np.intp),
+        _frozen(np.count_nonzero(near == 1, axis=1)), _frozen(ypow @ by_order),
         _frozen(orders), _series_steps(max(LINE_TERMS, orders.size)),
+    )
+
+
+def _periodized_direct(plan: _PeriodizedPlan, h: float, sigma: float):
+    """The periodized 1D table less its two poles, summed directly at one
+    sigma > -1 per half-table offset: the near copies at line offsets >= 2
+    (the adjacent ones index L[0] = 0 instead), the far copies' orders
+    j >= 2, and the truncation bound of those.
+
+    The far copies are 4 (h n)^a sum_j q_j zeta(2j - a, x) F[d, j], x =
+    RIESZ_NEAR + 1/2, a = 1 - sigma, J = ceil(17 / (2 log10(n K))) + 1,
+    K = RIESZ_NEAR: the copies at offsets d + k n, |k| >= K, are the same
+    series as the line weights summed over them, with Hurwitz zeta of
+    positive order only.  The pair Z_k[d] + Z_k[n - d] of zeta(2k - a,
+    K + d / n) and zeta(2k - a, K + 1 - d / n) is zeta(s, x + y) + zeta(s,
+    x - y), s = 2k - a, y = d / n - 1/2, whose even Taylor series
+    2 sum_m (s)_2m / (2m)! zeta(s + 2m, x) y^(2m) (d/dx zeta(s, x) =
+    -s zeta(s + 1, x)) has positive terms only.  Term m + 1 is at most
+    (s + 2m)(s + 2m + 1) / ((2m + 1)(2m + 2)) y^2 / x^2 times term m, a ratio
+    that falls with m, so the first omitted term M = RIESZ_TAYLOR over one
+    minus that ratio at m = M bounds the rest; successive zeta terms fall
+    by at least (n K)^2 >= 16, so twice the first omitted one bounds them.
+    Since q_k (s)_2m / (2m)! = q_j C(2j, 2m), j = k + m, ``_periodized_plan``
+    keeps F and the bound as matrices per n.  The order j = 1 is the pole
+    at sigma = 0, the same for every d, which ``riesz_weights_1d`` adds.
+    """
+    n = plan.n
+    a = 1.0 - sigma
+    q = _riesz_series(a, plan.steps)  # one series for the near and the far copies
+    near = np.add.reduce(_riesz_line_pairs(plan.line, h, sigma, q)[plan.near], axis=1)
+    orders = plan.orders[1:]
+    series = _hurwitz_zeta(orders - a, (orders - 2.0) + sigma, RIESZ_NEAR + 0.5)
+    series *= q[1 : orders.size + 1]
+    series *= 4.0 * h**a * float(n) ** a
+    far, bound = plan.far[:, :, 1:] @ series
+    return near, far, bound
+
+
+# degree in sigma of the direct tables' Chebyshev fits, and rho of the
+# Bernstein ellipse that certifies them: its real ends, sigma = 1/2 -+ (rho +
+# 1/rho) / 4 = -0.8 and 1.8, stay above -1, where the 1D line series
+# converges, and mu = 1 + sigma / 2 = 0.6 and 1.9 above 1/2, where the 2D
+# copy-tail series converges
+FIT_DEGREE = 24
+FIT_RHO = 5.0
+
+
+def _chebyshev_fit(values: np.ndarray, peak: np.ndarray, truncation: np.ndarray):
+    """Coefficients and certificate of the interpolant of samples ``values``
+    (point, entry) at the N + 1 Chebyshev points sigma_j = 1/2 + cos(pi j /
+    N) / 2 of [0, 1], of a function analytic in the Bernstein ellipse of
+    [0, 1] with rho = FIT_RHO.
+
+    The coefficients a_k of F = sum_k a_k T_k(2 sigma - 1), one row per
+    entry, come from the type-I DCT of the samples, with j k reduced mod
+    2N before the cosine, whose argument would otherwise lose up to 6 bits.
+    The interpolant errs by at most 4 M rho^(-N) / (rho - 1), M = ``peak``
+    a bound of |F| on the ellipse (Trefethen, Approximation Theory and
+    Approximation Practice, Thm 8.2); the samples' own ``truncation``
+    spreads by at most the Lebesgue constant 2 / pi log(N + 1) + 1
+    (Thm 15.2).  Returns the coefficients and, per entry, the sum of both.
+    Samples less a constant give the same bound, the constant's
+    coefficient a_0 aside.
+    """
+    degree = len(values) - 1
+    j = np.arange(degree + 1)
+    half = np.where((j == 0) | (j == degree), 0.5, 1.0)
+    dct = np.cos(math.pi / degree * (np.outer(j, j) % (2 * degree)))
+    coef = (values.T * half) @ dct * (2.0 / degree * half)
+    lebesgue = 2.0 / math.pi * math.log(degree + 1) + 1.0
+    return coef, 4.0 * peak / ((FIT_RHO - 1.0) * FIT_RHO**degree) + lebesgue * truncation
+
+
+def _chebyshev_basis(degrees: np.ndarray, sigma: float) -> np.ndarray:
+    """T_k(2 sigma - 1) = cos(k arccos(2 sigma - 1)) at the fit's ``degrees`` k."""
+    cheb = degrees * math.acos(2.0 * sigma - 1.0)
+    np.cos(cheb, out=cheb)
+    return cheb
+
+
+_PeriodizedFit = namedtuple("_PeriodizedFit", "coef degrees log_r adjacent mirror accuracy")
+
+
+@lru_cache(maxsize=8)
+def _periodized_fit(n: int, h: float) -> _PeriodizedFit:
+    """The sigma-free part of ``riesz_weights_1d`` on n cells of width h,
+    once per grid (read-only).
+
+    Per half-table offset d, with r_d = h times its least line offset past
+    the adjacent ones, F_d(sigma) = r_d^sigma ``_periodized_direct``(sigma)
+    varies slowly in sigma; so does G(sigma) = sigma zeta(1 + sigma, x), x
+    = RIESZ_NEAR + 1/2, the pole order's zeta times its pole, 1 at sigma = 0
+    and entire.  Both are sampled at the N + 1 = FIT_DEGREE + 1 Chebyshev
+    points of ``_chebyshev_fit`` (G by ``_hurwitz_zeta``) and kept as their
+    interpolants' Chebyshev coefficients in x = 2 sigma - 1 (``coef``, one
+    row per offset d = 0..n // 2, row 0 zero, and a last row for G; the
+    degrees in ``degrees``), beside log r_d (``log_r``, 0 for G), the count
+    of adjacent copies (``adjacent``), the index of each entry's
+    half-table offset min(d, n - d) (``mirror``), and the table's
+    ``accuracy``.
+
+    The certificate of ``_chebyshev_fit``.  On the Bernstein ellipse of
+    [0, 1] with rho = FIT_RHO, Re sigma runs over [1/2 - R, 1/2 + R], R =
+    (rho + 1/rho) / 4, and |sigma| <= 1/2 + R: the real ends -0.8 and 1.8
+    stay above -1, where the line series converges.  The near copies are
+    positive combinations of r^-(1 + sigma), so their part of |F_d| is at
+    most its value at Re sigma, convex in Re sigma, so at most its larger
+    value at the ellipse's real ends.  The far orders take their series
+    with |q_j(sigma)| <= q_j at a = 1 - |sigma|, |zeta(s, x)| <= zeta(Re s,
+    x) and |(h n)^a| <= (h n)^(1 - Re sigma), each at its largest on the
+    ellipse, and with the truncation bound, which holds there too.  G takes
+    the first Euler-Maclaurin remainder, for Re s > 0 (s = 1 + sigma, y =
+    x + ZETA_TERMS): |zeta(s, x)| <= sum_k<ZETA_TERMS (x + k)^-Re s +
+    |y^(1-s) / (s - 1)| + y^-Re s / 2 + |s| y^-Re s / (2 Re s), each term at
+    its largest.  The samples carry the far copies' truncation, and G that
+    of ``_hurwitz_zeta``.  ``accuracy`` is the largest sum over the offsets,
+    relative to the offset's least sample (each entry is at least F_d
+    r_d^-sigma, as the poles are positive), plus G's, relative to its least
+    sample (each entry is at least C), plus RIESZ_ROUNDING.
+    """
+    plan = _periodized_plan(n, RIESZ_TAYLOR)
+    apart = np.where(plan.near > 1, plan.near, np.inf).min(axis=1)
+    log_r = np.append(np.log(h * apart), 0.0)  # and G's
+    x = RIESZ_NEAR + 0.5
+    sigmas = 0.5 + 0.5 * np.cos(math.pi / FIT_DEGREE * np.arange(FIT_DEGREE + 1))  # last 0, G 1
+    pole = np.append(sigmas[:-1] * _hurwitz_zeta(1.0 + sigmas[:-1], sigmas[:-1], x), 1.0)
+    samples = np.array([_periodized_direct(plan, h, s) for s in sigmas])  # (point, 3, offset)
+    scale = np.exp(np.outer(sigmas, log_r))
+    values = np.column_stack((samples[:, 0] + samples[:, 1], pole)) * scale
+    truncation = np.column_stack((samples[:, 2], ZETA_RTOL * pole)) * scale
+    reach = 0.25 * (FIT_RHO + 1.0 / FIT_RHO)
+    lo, hi = 0.5 - reach, 0.5 + reach
+    ends = np.exp(np.outer((lo, hi), log_r[:-1]))
+    near = np.max([e * _periodized_direct(plan, h, s)[0] for s, e in zip((lo, hi), ends)], axis=0)
+    orders = plan.orders[1:]
+    q = _riesz_series(1.0 - hi, plan.steps)[1 : orders.size + 1]
+    zeta = _hurwitz_zeta(orders - (1.0 - lo), (orders - 2.0) + lo, x)
+    far = (plan.far[0, :, 1:] + plan.far[1, :, 1:]) @ (4.0 * (h * n) ** (1.0 - lo) * q * zeta)
+    y, re_s = x + ZETA_TERMS, 1.0 + lo  # |G| on the ellipse, each term at its largest
+    rest = np.sum((x + _ZETA_K[:-1]) ** -re_s) + y**-re_s * (0.5 + (1.0 + hi) / (2.0 * re_s))
+    peak = np.append(near + ends.max(axis=0) * far, hi * rest + y**-lo)
+    # the samples less their middle one, which a_0 takes back exactly: the
+    # DCT's rounding, which T_k = 1 at sigma = 1 sums up, then scales with
+    # the samples' spread, not with their size (3e-15 of F there otherwise)
+    mid = values[FIT_DEGREE // 2]
+    coef, error = _chebyshev_fit(values - mid, peak, truncation.max(axis=0))
+    coef[:, 0] += mid
+    error /= values.min(axis=0)
+    d = np.arange(n)
+    return _PeriodizedFit(
+        _frozen(np.vstack((np.zeros(FIT_DEGREE + 1), coef))),
+        _frozen(np.arange(FIT_DEGREE + 1.0)), _frozen(np.append(0.0, log_r)),
+        _frozen(np.concatenate(([0.0], plan.adjacent, [0.0]))),
+        _frozen(np.minimum(d, n - d), np.intp),
+        float(np.max(error[:-1], initial=0.0)) + float(error[-1]) + RIESZ_ROUNDING,
     )
 
 
 def riesz_weights_1d(grid: Grid1D, sigma: float) -> KernelWeights:
     """Cell-pair weights of |x - y|^(-(1+sigma)), 2 pi periodized.
 
-    W[0] is 0 by the singular-diagonal convention; the line weights are
-    ``_riesz_line_pairs``.  Periodization sums the copies at offsets
-    d + k n, -K <= k < K = RIESZ_NEAR, explicitly, and closes the far copies
-    in one pass by summing the same series over them, with Hurwitz zeta of
-    positive order only:
-    W[d] += 2 h^a sum_{k <= J} q_k n^(a - 2k) (Z_k[d] + Z_k[n - d]),
-    Z_k[j] = zeta(2k - a, K + j / n), J = ceil(17 / (2 log10(n K))) + 1.
-    Successive terms fall by at least (n K)^2 >= 16, so twice the first
-    omitted term bounds the rest.
-
-    With x = K + 1/2 and y = d / n - 1/2, the pair Z_k[d] + Z_k[n - d] is
-    zeta(s, x + y) + zeta(s, x - y), s = 2k - a, whose even Taylor series
-    2 sum_m (s)_2m / (2m)! zeta(s + 2m, x) y^(2m) (d/dx zeta(s, x) =
-    -s zeta(s + 1, x)) has positive terms only.  Term m + 1 is at most
-    (s + 2m)(s + 2m + 1) / ((2m + 1)(2m + 2)) y^2 / x^2 times term m, a ratio
-    that falls with m, so the first omitted term M = RIESZ_TAYLOR over one
-    minus that ratio at m = M bounds the rest.  Since q_k (s)_2m / (2m)! =
-    q_j C(2j, 2m), j = k + m, the far copies are
-    4 (h n)^a sum_j q_j zeta(2j - a, x) F[d, j], and the bound the same sum
-    over another matrix; ``_periodized_plan`` keeps both per n, with the
-    line powers of the near copies, so a build takes one zeta call at x on
-    the orders 2j - a, each less one taken as (2j - 2) + sigma, which keeps
-    sigma whole at the pole order j = 1.  ``accuracy`` is that bound,
-    relative to each entry, plus the rounding floor RIESZ_ROUNDING.
+    W[0] is 0 by the singular-diagonal convention, and W[d] = W[n - d].
+    Each half-table entry splits as W[d] = A_d + C + r_d^-sigma F_d(sigma):
+    A_d, the adjacent pairs, ``_adjacent_pair`` once per copy at line offset
+    1, carries the pole at sigma = 1; C = 2 (h n)^a n^-2 zeta(1 + sigma,
+    K + 1/2), a = 1 - sigma, the first order of the far copies (see
+    ``_periodized_direct``), the same for every d, carries the pole at
+    sigma = 0; and F_d, the rest, is analytic on a Bernstein ellipse about
+    [0, 1].  ``_periodized_fit`` keeps F_d and sigma zeta(1 + sigma, K +
+    1/2) per grid as certified Chebyshev series, and a build for one sigma
+    evaluates them in one product, undoes the scaling r_d^sigma with one
+    exponential per offset, adds the closed forms of A and C, and mirrors
+    the half table.  ``accuracy``, relative to each entry, is the fit's
+    certificate plus the rounding floor RIESZ_ROUNDING.
     """
     _check_sigma(sigma)
-    n, h = grid.n, grid.h
     if not grid.periodic:
         raise GridMismatch("periodized Riesz weights need a periodic grid")
+    n, h = grid.n, grid.h
+    fit = _periodized_fit(n, h)
     a = 1.0 - sigma
-    plan = _periodized_plan(n, RIESZ_TAYLOR)
-    q = _riesz_series(a, plan.steps)  # one series for the near and the far copies
-    out = np.empty(n)
-    out[0] = 0.0
-    w = out[1:]
-    np.add.reduce(_riesz_line_pairs(plan.line, h, sigma, q)[plan.near], axis=1, out=w)
-    series = _hurwitz_zeta(plan.orders - a, (plan.orders - 2.0) + sigma, RIESZ_NEAR + 0.5)
-    series *= q[: series.size]
-    series *= 4.0 * h**a * float(n) ** a
-    far, bound = plan.far @ series
-    w += far
-    bound /= w
-    accuracy = float(np.maximum.reduce(bound, initial=0.0)) + RIESZ_ROUNDING
-    return KernelWeights((True,), out, accuracy)
+    w = fit.log_r * -sigma
+    np.exp(w, out=w)
+    w *= fit.coef @ _chebyshev_basis(fit.degrees, sigma)
+    pole = float(w[-1])  # sigma zeta(1 + sigma, K + 1/2)
+    w += fit.adjacent * _adjacent_pair(h, sigma)
+    w += 2.0 * h**a * float(n) ** a / (n * n) * (pole / sigma)
+    w[0] = 0.0
+    return KernelWeights((True,), w.take(fit.mirror), fit.accuracy)
 
 
 # ---------------------------------------------------------------------------
@@ -893,11 +1048,6 @@ def _hat_rule(m: int) -> np.ndarray:
 # point's distance from the kernel origin to the first tail copy's, in periods
 TAIL_DEGREE = 24
 TAIL_REACH = 0.2
-# degree in mu of the 2D table's Chebyshev fit, and rho of the Bernstein
-# ellipse that certifies it: the ellipse's real ends, mu = 1.25 -+ (rho +
-# 1/rho) / 8 = 0.6 and 1.9, stay above 1/2, where the copy-tail series converges
-FIT_DEGREE = 24
-FIT_RHO = 5.0
 
 
 def _tail_copies(n1: int, h1: float, n2: int, h2: float) -> int:
@@ -1056,36 +1206,34 @@ _NDFit = namedtuple("_NDFit", "coef degrees log_r2 corner corner_rule cells log_
 
 
 @lru_cache(maxsize=8)
-def _nd_fit(grid1: Grid1D, grid2: Grid1D) -> _NDFit:
-    """The sigma-free part of ``riesz_weights_nd``, once per grid (read-only).
+def _nd_fit(n1: int, h1: float, n2: int, lo: float, hi: float) -> _NDFit:
+    """The sigma-free part of ``riesz_weights_nd`` on n1 periodic cells of
+    width h1 times the n2-cell interval [lo, hi], once per grid (read-only).
 
     With r the distance of a sector offset's centre from the kernel origin,
     F(mu) = r^(2 mu) ``_nd_direct``(mu) varies slowly in mu.  It is sampled
-    at the N + 1 = FIT_DEGREE + 1 Chebyshev points mu_j = 1.25 +
-    cos(pi j / N) / 4 of [1, 1.5] and kept as its interpolant's
-    coefficients, F = sum_k a_k T_k(x) with x = 4 mu - 5 = 2 sigma - 1
-    (``coef``, one row per offset, its degrees k in ``degrees``), beside
-    log r^2, the corner weights of
-    the plan, ``_corner_rule``, the flat indices of the four table
-    cells that each sector offset fills by symmetry, and the logs of the
-    distances of grid2's cell edges to its upper and lower end, -inf at the
-    end itself, from which the closed-form exterior masses take the powers
-    1 - sigma.
+    at the N + 1 = FIT_DEGREE + 1 Chebyshev points of ``_chebyshev_fit``,
+    mu = 1 + sigma / 2 in [1, 1.5], and kept as its interpolant's coefficients,
+    F = sum_k a_k T_k(x) with x = 4 mu - 5 = 2 sigma - 1 (``coef``, one row
+    per offset, its degrees k in ``degrees``), beside log r^2, the corner
+    weights of the plan, ``_corner_rule``, the flat indices of the four
+    table cells that each sector offset fills by symmetry, and the logs of
+    the distances of the interval's cell edges to its upper and lower end,
+    -inf at the end itself, from which the closed-form exterior masses take
+    the powers 1 - sigma.
 
-    The certificate: F, with the exact copy tail, is a positive combination
-    of exp(-mu (log r'^2 - log r^2)) over points r', so at complex mu
-    |F(mu)| <= F(Re mu), a convex function of Re mu.  On the Bernstein
-    ellipse of [1, 1.5] with rho = FIT_RHO, |F| is therefore at most its
-    larger value M at the ellipse's two real ends, there evaluated directly
-    plus the truncation bound, and the interpolant of F errs by at most
-    4 M rho^(-N) / (rho - 1) (Trefethen, Approximation Theory and
-    Approximation Practice, Thm 8.2).  The samples carry the copy tails'
-    truncation, which interpolation spreads by at most the Lebesgue constant
-    2 / pi log(N + 1) + 1 (Thm 15.2).  ``bound`` is the largest sum of both,
-    relative to the offset's least sample; above ND_TABLE_ACCURACY the grid
-    raises RangeTooWide.
+    The certificate is ``_chebyshev_fit``'s.  F, with the exact copy tail,
+    is a positive combination of exp(-mu (log r'^2 - log r^2)) over points
+    r', so at complex mu |F(mu)| <= F(Re mu), a convex function of Re mu.
+    On the Bernstein ellipse with rho = FIT_RHO, |F| is therefore at most
+    its larger value M at the ellipse's two real ends, there evaluated
+    directly plus the truncation bound; the samples carry the copy tails'
+    truncation.  ``bound`` is the largest error so certified, relative to
+    the offset's least sample; above ND_TABLE_ACCURACY the grid raises
+    RangeTooWide.
     """
-    n1, h1, n2, h2 = grid1.n, grid1.h, grid2.n, grid2.h
+    grid2 = Grid1D.interval(n2, lo, hi)
+    h2 = grid2.h
     if max(h1 / h2, h2 / h1) > ND_ASPECT_MAX:
         raise RangeTooWide(
             f"2D table cells {h1:g} by {h2:g}: one side is over {ND_ASPECT_MAX:g} times the other"
@@ -1093,20 +1241,13 @@ def _nd_fit(grid1: Grid1D, grid2: Grid1D) -> _NDFit:
     plan = _nd_plan(n1, h1, n2, h2)
     d1, d2 = _nd_sector(n1, n2)
     log_r2 = np.log((d1 * h1) ** 2 + (d2 * h2) ** 2)
-    j = np.arange(FIT_DEGREE + 1)
-    mus = 1.25 + 0.25 * np.cos(math.pi / FIT_DEGREE * j)
+    mus = 1.25 + 0.25 * np.cos(math.pi / FIT_DEGREE * np.arange(FIT_DEGREE + 1))  # 1 + sigma / 2
     samples = np.array([_nd_direct(plan, mu) for mu in mus])  # (point, 2, offset)
     values, truncation = (samples * np.exp(np.outer(mus, log_r2))[:, None]).transpose(1, 0, 2)
-    # the type-I DCT of the samples; j k is reduced mod 2N before the cosine,
-    # whose argument would otherwise lose up to 6 bits
-    half = np.where((j == 0) | (j == FIT_DEGREE), 0.5, 1.0)
-    dct = np.cos(math.pi / FIT_DEGREE * (np.outer(j, j) % (2 * FIT_DEGREE)))
-    coef = (values.T * half) @ dct * (2.0 / FIT_DEGREE * half)
     reach = 0.125 * (FIT_RHO + 1.0 / FIT_RHO)  # the ellipse's half-length in mu
     peak = np.max([np.exp(mu * log_r2) * np.sum(_nd_direct(plan, mu), axis=0)
                    for mu in (1.25 - reach, 1.25 + reach)], axis=0)
-    lebesgue = 2.0 / math.pi * math.log(FIT_DEGREE + 1) + 1.0
-    error = 4.0 * peak / ((FIT_RHO - 1.0) * FIT_RHO**FIT_DEGREE) + lebesgue * truncation.max(axis=0)
+    coef, error = _chebyshev_fit(values, peak, truncation.max(axis=0))
     bound = float(np.max(error / values.min(axis=0), initial=0.0))  # no offsets on 1 x 1
     if bound > ND_TABLE_ACCURACY:
         raise RangeTooWide(f"2D table fit would not certify rtol={ND_TABLE_ACCURACY}")
@@ -1115,7 +1256,7 @@ def _nd_fit(grid1: Grid1D, grid2: Grid1D) -> _NDFit:
     cells = rows * (2 * n2 - 1) + (n2 - 1 + np.stack((d2, -d2)))
     corner_rule = _corner_rule(min(h1, h2))
     b = grid2.boundaries()
-    gaps = (grid2.hi - b, b - grid2.lo)
+    gaps = (hi - b, b - lo)
     logs = [np.log(d, out=np.full(d.shape, -np.inf), where=d > 0) for d in gaps]
     return _NDFit(
         _frozen(coef), _frozen(np.arange(FIT_DEGREE + 1.0)), _frozen(log_r2), plan.corner,
@@ -1145,12 +1286,10 @@ def riesz_weights_nd(grid1: Grid1D, grid2: Grid1D, sigma: float) -> KernelWeight
         raise GridMismatch("riesz_weights_nd needs (periodic, interval) axes")
     n1, h1, n2 = grid1.n, grid1.h, grid2.n
     mu = (2.0 + sigma) / 2.0
-    fit = _nd_fit(grid1, grid2)
-    cheb = fit.degrees * math.acos(2.0 * sigma - 1.0)
-    np.cos(cheb, out=cheb)
+    fit = _nd_fit(n1, h1, n2, grid2.lo, grid2.hi)
     total = fit.log_r2 * -mu
     np.exp(total, out=total)
-    total *= fit.coef @ cheb
+    total *= fit.coef @ _chebyshev_basis(fit.degrees, sigma)
     total += fit.corner @ _corner_moments(fit.corner_rule, sigma)
     w = np.zeros(n1 * (2 * n2 - 1))
     w[fit.cells] = total
@@ -1413,9 +1552,10 @@ def laplace_quadrature(
     rule of more than LAPLACE_MAX_NODES nodes is RangeTooWide.  It never
     depends on earlier calls, so a lam gets the same rule in every process.
 
-    The check compares the rule's transform of e^(-z t) with Gamma(lam)
-    z^-lam at 41 geometric points z of [z_min, z_max].  Its points and
-    e^(-z t) do not depend on lam: they are kept per band and spacing
+    The check compares the rule's transform of e^(-z t), times z^lam =
+    exp(lam log z), with Gamma(lam) at 41 geometric points z of [z_min,
+    z_max], its largest relative error from the largest and the least
+    product.  Its points, kept as log z, and e^(-z t) do not depend on lam: they are kept per band and spacing
     (``_rule_lattice``) on the lattice over the union of the windows of the
     band's ends, b = floor(2 lam) / 2 and b + 1/2; both window ends rise
     with lam in every band from 1/2 up short of the overflow clamp, so every
@@ -1441,20 +1581,21 @@ def laplace_quadrature(
         if lattice != checks.lattice:  # lam's window leaves its band's
             checks = _lattice_checks(z_min, z_max, ds, *lattice)
         rows = slice(k_lo - lattice[0], k_lo - lattice[0] + m)
-        weights = lam * checks.s[rows]
+        weights = checks.s[rows] * lam
         np.exp(weights, out=weights)
         weights *= ds
-        ratio = checks.decay[:, rows] @ weights
-        ratio /= math.gamma(lam) * checks.zs ** (-lam)
-        ratio -= 1.0
-        err = float(np.abs(ratio, out=ratio).max())
+        scale = checks.log_z * lam  # z^lam, so that the transform is Gamma(lam) where exact
+        np.exp(scale, out=scale)
+        scale *= checks.decay[:, rows] @ weights
+        exact = math.gamma(lam)
+        err = max(float(scale.max()) - exact, exact - float(scale.min())) / exact
         if err <= rtol:
             weights.flags.writeable = False
             return LaplaceConfig(lam, checks.t[rows], weights, err, ds, k_lo, lattice)
         ds *= 0.5
 
 
-_LatticeChecks = namedtuple("_LatticeChecks", "lattice zs s t decay")
+_LatticeChecks = namedtuple("_LatticeChecks", "lattice log_z s t decay")
 
 
 @lru_cache(maxsize=8)
@@ -1470,11 +1611,11 @@ def _rule_lattice(z_min: float, z_max: float, rtol: float, band: float, ds: floa
 def _lattice_checks(z_min: float, z_max: float, ds: float, k_lo: int, k_hi: int) -> _LatticeChecks:
     """The lam-free part of the Gamma-identity check of ``laplace_quadrature``
     on the lattice s_k = k ds, t_k = exp(s_k), k_lo <= k <= k_hi: the
-    lattice (k_lo, k_hi), its 41 points z, s, t and e^(-z t), shape
+    lattice (k_lo, k_hi), log z at its 41 points z, s, t and e^(-z t), shape
     (41, k_hi - k_lo + 1); read-only."""
     zs = np.geomspace(z_min, z_max, 41)
     s = ds * np.arange(k_lo, k_hi + 1)
     t = np.exp(s)
     return _LatticeChecks(
-        (k_lo, k_hi), _frozen(zs), _frozen(s), _frozen(t), _frozen(np.exp(-np.outer(zs, t)))
+        (k_lo, k_hi), _frozen(np.log(zs)), _frozen(s), _frozen(t), _frozen(np.exp(-np.outer(zs, t)))
     )

@@ -20,6 +20,7 @@ times an interval, nothing else.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,7 +42,7 @@ from .kernels import (
 
 SQRT_PI = math.sqrt(math.pi)
 LAPLACE_RTOL = 1e-9  # build target of the Laplace-route quadrature rule
-_ROUTES = ("direct", "laplace")
+_ROUTES = frozenset(("direct", "laplace"))
 
 
 @dataclass(frozen=True)
@@ -184,15 +185,16 @@ def gagliardo_periodic(
     A sum that overflows float range raises ConfigError; it is not the
     divergent result of sp >= 1.
     """
-    if not methods or not set(methods) <= set(_ROUTES):
-        raise ConfigError(f"methods must be among {list(_ROUTES)}, got {list(methods)}")
+    if not methods or not _ROUTES.issuperset(methods):
+        raise ConfigError(f"methods must be among {sorted(_ROUTES)}, got {list(methods)}")
     dim = _dimension(u)
     if params.n != dim:
         raise ConfigError(f"{dim}D input needs params.n == {dim}")
-    if not params.step_mode_finite:
+    sigma = params.sigma
+    if not sigma < 1.0:  # not params.step_mode_finite
         const = float(u.values.max() - u.values.min()) == 0.0
         return tuple(SeminormResult(0.0, m, 1e-15) if const else _divergent(m) for m in methods)
-    tables = [_table(u, method, params.sigma) for method in methods]
+    tables = [_table(u, method, sigma) for method in methods]
     s, outside = _pair_data(u, params.p, tables[0].periodic)
     out = []
     for method, table in zip(methods, tables):
@@ -238,14 +240,29 @@ def _table(u: StepFunction | GridFunctionND, method: str, sigma: float) -> Kerne
     return (_nd_table_cached if len(grid) > 1 else _riesz_table_cached)(*grid, sigma)
 
 
+_Domain = namedtuple("_Domain", "axes z_min z_max")
+
+
+@lru_cache(maxsize=16)
+def _domain(grid: tuple) -> _Domain:
+    """The sigma-free data of a grid of ``_table``: its axes, the circle and
+    on the cylinder the interval, and the range [z_min, z_max] of the
+    exponentials its Laplace rules integrate, h^2 / 4 for the narrowest
+    cell to the sum of the squared axis lengths."""
+    n1, *box = grid
+    axes = (Grid1D.circle(n1), *([Grid1D.interval(*box)] if box else ()))
+    h = min(g.h for g in axes)
+    return _Domain(axes, h**2 / 4.0, sum(g.length**2 for g in axes))
+
+
 @lru_cache(maxsize=64)
 def _riesz_table_cached(n: int, sigma: float):
-    return riesz_weights_1d(Grid1D.circle(n), sigma)
+    return riesz_weights_1d(*_domain((n,)).axes, sigma)
 
 
 @lru_cache(maxsize=32)
 def _nd_table_cached(n1: int, n2: int, lo: float, hi: float, sigma: float):
-    return riesz_weights_nd(Grid1D.circle(n1), Grid1D.interval(n2, lo, hi), sigma)
+    return riesz_weights_nd(*_domain((n1, n2, lo, hi)).axes, sigma)
 
 
 def _axis_ends(g: Grid1D) -> tuple:
@@ -270,37 +287,72 @@ def _axis_ends(g: Grid1D) -> tuple:
     return head, tail
 
 
+def _distinct_columns(g: Grid1D) -> tuple[slice, np.ndarray]:
+    """The columns of an axis's factor that a Laplace stack keeps, one run,
+    and per column of the full factor the kept one that equals it.  Every
+    table is even in each offset: on the circle the heat rows' offsets
+    0..n // 2 stand for the others (d and n - d); on the interval the
+    line-Gaussian rows' offsets d >= 0 stand for -d, and the exterior masses
+    of the first ceil(n / 2) cells for those of their mirror cells (cell i
+    and n - 1 - i)."""
+    n = g.n
+    if g.periodic:
+        d = np.arange(n)
+        return slice(0, n // 2 + 1), np.minimum(d, n - d)
+    cell = np.arange(n)
+    keep = slice(n - 1, 2 * n - 1 + (n + 1) // 2)
+    return keep, np.concatenate((np.abs(np.arange(1 - n, n)), n + np.minimum(cell, n - 1 - cell)))
+
+
+_Stack = namedtuple("_Stack", "t left right ks expand")
+
+
 @lru_cache(maxsize=16)
-def _laplace_stack(grid: tuple, ds: float, k_lo: int, k_hi: int) -> tuple:
+def _laplace_stack(grid: tuple, ds: float, k_lo: int, k_hi: int) -> _Stack:
     """Lattice times t_k = exp(k ds), k_lo <= k <= k_hi, the two factors of
     the Laplace table left diag(v) right on a grid of ``_table`` at them,
-    and the k of their ends; read-only.  On the cylinder left is the heat
-    rows on the circle, transposed (n1, K), then their sum, the mass
-    h1 sqrt(pi / t), against the interval's line-Gaussian rows and then its
-    exterior masses (K, 3 n2 - 1); on the circle a row of ones against the
-    heat rows (K, n1), so that v weighs the thinner factor.  Then come the
-    products of the factors' ends (``_axis_ends``), a column of left and a
-    row of right each; a tail product of k >= 0 lies on the self pair alone,
-    where W = 0, and is dropped, as its excess (k + sigma) / 2 > 0 would sum
-    it as a head.  About K (n1 + 3 n2) floats, where the table's own rows
-    are K n1 (2 n2 - 1)."""
-    n1, *box = grid
-    g1 = Grid1D.circle(n1)
+    the k of their ends, and the gather that expands the product; read-only.
+
+    On the cylinder left is the heat rows on the circle, transposed, then
+    their sum, the mass h1 sqrt(pi / t), against the interval's
+    line-Gaussian rows and then its exterior masses; on the circle a row of
+    ones against the heat rows, so that v weighs the thinner factor.  Then
+    come the products of the factors' ends (``_axis_ends``), a column of
+    left and a row of right each; a tail product of k >= 0 lies on the self
+    pair alone, where W = 0, and is dropped, as its excess (k + sigma) / 2
+    > 0 would sum it as a head.  Each factor keeps its distinct rows or
+    columns alone (``_distinct_columns``): on the n1 x n2 cylinder the
+    n1 // 2 + 1 heat rows and their sum against the n2 line offsets d2 >= 0
+    and ceil(n2 / 2) masses, about K (n1 + 3 n2) / 2 floats, where the
+    table's own rows are K n1 (2 n2 - 1).  ``expand`` gathers, from the
+    flattened product, the table's entries in the layout of ``offset_sums``
+    and then, on the cylinder, the exterior masses.
+    """
+    axes = _domain(grid).axes
     t = np.exp(ds * np.arange(k_lo, k_hi + 1))
-    heat = _heat_table_batch(n1, g1.h, t), _axis_ends(g1)
-    if box:
-        g2 = Grid1D.interval(*box)
-        left, right = (heat[0].T, heat[1]), (np.hstack(_gauss_tables_batch(g2, t)), _axis_ends(g2))
+    heat = _heat_table_batch(axes[0].n, axes[0].h, t), _axis_ends(axes[0])
+    if len(axes) > 1:
+        gauss = np.hstack(_gauss_tables_batch(axes[1], t))
+        left, right = (heat[0].T, heat[1]), (gauss, _axis_ends(axes[1]))
+        (keep1, into1), (keep2, into2) = map(_distinct_columns, axes)
     else:  # the ones are 1 t^0 at both ends
         left, right = (np.ones((1, t.size)), ([(0, np.ones(1))],) * 2), heat
+        keep2, into2 = _distinct_columns(axes[0])
     (rows1, (head1, tail1)), (rows2, (head2, tail2)) = left, right
     head = [(k1 + k2, a, c) for k1, a in head1 for k2, c in head2]
     tail = [(k1 + k2, a, c) for k1, a in tail1 for k2, c in tail2 if k1 + k2 < 0]
     ks, a, c = zip(*head, *tail)
     left = np.hstack((rows1, np.transpose(a)))
-    if box:
-        left = np.vstack((left, left.sum(axis=0)))
-    return _frozen(t), _frozen(left), _frozen(np.vstack((rows2, c))), ks
+    right = np.vstack((rows2[:, keep2], *(row[keep2] for row in c)))
+    width = right.shape[1]
+    expand = into2
+    if len(axes) > 1:
+        # the entries (d1, d2), d2 over the line offsets, then the masses from the sum row
+        rows, cols = left[keep1].shape[0], 2 * axes[1].n - 1
+        entries = into1[:, None] * width + into2[:cols]
+        expand = np.concatenate((entries.ravel(), rows * width + into2[cols:]))
+        left = np.vstack((left[keep1], left.sum(axis=0)))
+    return _Stack(_frozen(t), _frozen(left), _frozen(right), ks, _frozen(expand, np.intp))
 
 
 @lru_cache(maxsize=64)
@@ -314,25 +366,29 @@ def _laplace_table(grid: tuple, sigma: float) -> KernelWeights:
     lattice (``laplace_quadrature``).  Past the rule's window the rows follow
     their ends, powers t^-beta as k = dim - 2 beta, which v weighs by the sums
     of ``LaplaceConfig.beyond`` at lam - beta = (k + sigma) / 2, from sigma
-    itself: no rounding of lam reaches it near 0 or 1.  W = 0 at the self pair.
+    itself: no rounding of lam reaches it near 0 or 1.  The product of the
+    stack's distinct rows and columns expands to the table by one gather.
+    W = 0 at the self pair.
     """
-    n1, *box = grid
-    sides = [(2.0 * math.pi, n1), *([(box[2] - box[1], box[0])] if box else [])]  # length, cells
-    h, z_max = min(a / n for a, n in sides), sum(a**2 for a, _ in sides)
-    cfg = laplace_quadrature((len(sides) + sigma) / 2.0, h**2 / 4.0, z_max, rtol=LAPLACE_RTOL)
+    domain = _domain(grid)
+    dim = len(domain.axes)
+    cfg = laplace_quadrature((dim + sigma) / 2.0, domain.z_min, domain.z_max, rtol=LAPLACE_RTOL)
     k_lo, k_hi = cfg.lattice
-    t, left, right, ks = _laplace_stack(grid, cfg.ds, k_lo, k_hi)
+    t, left, right, ks, expand = _laplace_stack(grid, cfg.ds, k_lo, k_hi)
     first = cfg.k_lo - k_lo  # v from the rule's first node on
     v = np.zeros(t.size + len(ks) - first)
     v[: cfg.nodes.size] = cfg.weights
     v[t.size - first :] = [cfg.beyond((k + sigma) / 2) for k in ks]
     v /= math.gamma(cfg.lam)
-    table = (left[:, first:] * v) @ right[first:]
-    table[0, box[0] - 1 if box else 0] = 0.0  # the self pair
-    if not box:
-        return KernelWeights((True,), table[0], cfg.achieved + 1e-12)
-    cut = 2 * box[0] - 1  # the exterior masses' first column
-    return KernelWeights((True, False), table[:-1, :cut], cfg.achieved + 1e-12, table[-1, cut:])
+    product = (left[:, first:] * v) @ right[first:]
+    product[0, 0] = 0.0  # the self pair
+    table = product.ravel().take(expand)
+    accuracy = cfg.achieved + 1e-12
+    if dim == 1:
+        return KernelWeights((True,), table, accuracy)
+    n1, n2 = grid[:2]
+    cut = n1 * (2 * n2 - 1)  # the exterior masses' first entry
+    return KernelWeights((True, False), table[:cut].reshape(n1, -1), accuracy, table[cut:])
 
 
 def fractional_perimeter(e: StepFunction | GridFunctionND, s: float) -> float:

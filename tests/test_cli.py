@@ -601,6 +601,22 @@ def test_float_extremes_keep_the_exit_code_promise(argv, code, tmp_path, rng):
         assert "would leave float range" in err
 
 
+@pytest.mark.parametrize("t", ["5e-324", "1e-320", "1e-310", "2.3e-308"])
+@pytest.mark.parametrize("n", [4, 16])
+def test_gaussian_tables_at_subnormal_times(n, t):
+    # exp(-r^2 t) is 1 to rounding over the cells, so every weight is h^2;
+    # the erf form's expm1(-z^2 t) / 2t lost the bits of a subnormal z^2 t
+    # (at t = 5e-324 the weights alternated near 0 and 2 h^2), and every
+    # weight now holds the rounding floor of the lattice, n^2 ulps of h^2
+    rc, out, err = _run_cli(["kernels", "--kernel", f"gauss:t={t}", "--grid", "interval",
+                             "--n", str(n)])
+    assert rc == 0 and _clean_outcome(rc, out, err), (rc, out, err)
+    weights = np.array([float(line.split(",")[1]) for line in out.splitlines()])
+    h2 = (2.0 / n) ** 2  # the default domain [-1, 1]
+    assert weights.size == 2 * n - 1
+    assert np.max(np.abs(weights / h2 - 1.0)) <= 2 * n * n * 2.0**-52
+
+
 # float edges of the numeric inputs: subnormals, the largest floats, the
 # floats next to 0 and 1, signed zeros, and a few plain values
 FLOAT_EDGES = [

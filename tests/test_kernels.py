@@ -285,8 +285,11 @@ class TestGaussianWeights:
 
 def line_pairs(n, h, sigma):
     """The line weights L[m], m = 0..n-1, of |x - y|^(-(1+sigma)) on cells
-    of width h, from which the periodized table sums its copies."""
-    return kernels._riesz_line_pairs(kernels._line_powers(n - 1), h, sigma)
+    of width h, from which the periodized table sums its copies: the series
+    past offset 1 and the adjacent pair's closed form."""
+    line = kernels._riesz_line_pairs(kernels._line_powers(n - 1), h, sigma)
+    line[1] = kernels._adjacent_pair(h, sigma)
+    return line
 
 
 class TestRieszWeights1D:
@@ -436,19 +439,48 @@ class TestRieszWeights1D:
         assert err <= w.accuracy <= 1e-14
         assert w.accuracy >= kernels.RIESZ_ROUNDING
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 64, 256, 1024])
+    def test_sigma_series_within_its_certificate(self, n):
+        # the table is a Chebyshev series in sigma per grid, with the poles
+        # at 0 and 1 split off: at the ends of (0, 1), between the fit's
+        # points and at 20 seeded sigmas, every checked entry lies within
+        # the certificate of the 40-digit Hurwitz-zeta closed form, and the
+        # certificate within 1e-14 (every offset on up to 8 cells; past
+        # that the touching ones, the next and the antipode, and through
+        # the mirror the last)
+        sigmas = [1e-20, 1e-9, 1e-5, 0.02, 0.1, 0.5, 0.9, 0.98, 1.0 - 1e-9]
+        sigmas += np.random.default_rng(32).random(20).tolist()
+        d = np.arange(1, n) if n <= 8 else np.array([1, 2, n // 2, n - 1])
+        for sigma in sigmas:
+            w = riesz_weights_1d(Grid1D.circle(n), sigma)
+            ref = np.array(hurwitz_periodized_reference(d, n, sigma))
+            assert np.max(np.abs(w.weights[d] / ref - 1.0)) <= w.accuracy <= 1e-14, sigma
+
     @pytest.mark.parametrize("n", [8, 64, 4096])
     @pytest.mark.parametrize("sigma", [0.02, 0.5, 0.98])
-    def test_short_far_copy_series_is_certified(self, n, sigma, monkeypatch):
+    def test_short_far_copy_series_is_certified(self, n, sigma, monkeypatch, fresh_caches):
         # three Taylor terms of the far copies instead of RIESZ_TAYLOR leave
-        # an error far above the rounding floor: the certificate grows with
-        # it and still bounds it
+        # an error far above the rounding floor: the certificate of the
+        # direct sums, the fit's sampler, grows with it and still bounds it,
+        # and the fit of those sums carries it into its own certificate
         full = riesz_weights_1d(Grid1D.circle(n), sigma)
-        monkeypatch.setattr(kernels, "RIESZ_TAYLOR", 3)
-        w = riesz_weights_1d(Grid1D.circle(n), sigma)
-        d = np.arange(1, n, max(1, n // 64))  # the certificate is a maximum over offsets
+        h, a = 2 * math.pi / n, 1.0 - sigma
+        plan = kernels._periodized_plan(n, 3)
+        near, far, bound = kernels._periodized_direct(plan, h, sigma)
+        with mpmath.workdps(30):
+            zeta = float(mpmath.zeta(1 + mpmath.mpf(sigma), kernels.RIESZ_NEAR + 0.5))
+        poles = 2.0 * h**a * n**a / n**2 * zeta + plan.adjacent * kernels._adjacent_pair(h, sigma)
+        direct = near + far + poles  # the half table, offsets 1..n // 2
+        accuracy = np.max(bound / direct) + kernels.RIESZ_ROUNDING
+        d = np.arange(1, n // 2 + 1, max(1, n // 128))  # the certificate is a maximum over offsets
         ref = np.array(hurwitz_periodized_reference(d, n, sigma))
-        err = np.max(np.abs(w.weights[d] / ref - 1.0))
-        assert 1e3 * full.accuracy < err <= w.accuracy < 2.0 * err
+        err = np.max(np.abs(direct[d - 1] / ref - 1.0))
+        assert 1e3 * full.accuracy < err <= accuracy < 2.0 * err
+        monkeypatch.setattr(kernels, "RIESZ_TAYLOR", 3)
+        fresh_caches()
+        w = riesz_weights_1d(Grid1D.circle(n), sigma)
+        fit_err = np.max(np.abs(w.weights[d] / ref - 1.0))
+        assert 1e3 * full.accuracy < fit_err <= w.accuracy
 
     @pytest.mark.parametrize("sigma", [0.02, 0.5, 0.98])
     def test_line_series_against_direct_differences(self, sigma):
@@ -456,7 +488,7 @@ class TestRieszWeights1D:
         # m = 40, 5 from there) agree with the direct second difference of
         # r^(1 - sigma) taken in 50-digit arithmetic
         h = 2 * math.pi / 64
-        line = kernels._riesz_line_pairs(kernels._line_powers(300), h, sigma)
+        line = line_pairs(301, h, sigma)
         with mpmath.workdps(50):
             a, hh = 1 - mpmath.mpf(sigma), mpmath.mpf(h)
             c = 1 / (mpmath.mpf(sigma) * (mpmath.mpf(sigma) - 1))
@@ -815,11 +847,11 @@ class TestRieszWeightsND:
         # the rounding floor: the certified bound grows with it and still
         # bounds it
         g1, g2 = FIT_GRIDS[0]
-        full = kernels._nd_fit(g1, g2).bound
+        full = kernels._nd_fit(g1.n, g1.h, g2.n, g2.lo, g2.hi).bound
         monkeypatch.setattr(kernels, "FIT_DEGREE", 8)
         monkeypatch.setattr(kernels, "ND_TABLE_ACCURACY", 1.0)  # report the bound, do not raise
         fresh_caches()
-        low = kernels._nd_fit(g1, g2).bound
+        low = kernels._nd_fit(g1.n, g1.h, g2.n, g2.lo, g2.hi).bound
         plan = kernels._nd_plan(g1.n, g1.h, g2.n, g2.h)
         err = max(
             np.max(np.abs(fitted_sector(g1, g2, sigma) / direct_sector(plan, g1, g2, sigma) - 1.0))
@@ -856,11 +888,11 @@ class TestRieszWeightsND:
     def test_plan_is_read_only(self):
         g1, g2 = Grid1D.circle(6), Grid1D.centered_interval(8, 4.0)
         riesz_weights_nd(g1, g2, 0.5)
-        fit = kernels._nd_fit(g1, g2)
+        fit = kernels._nd_fit(g1.n, g1.h, g2.n, g2.lo, g2.hi)
         for arr in (fit.coef, fit.log_r2, fit.corner, *fit.corner_rule, fit.cells):
             with pytest.raises(ValueError):
                 arr.flat[0] = 1
-        assert fit is kernels._nd_fit(g1, g2)
+        assert fit is kernels._nd_fit(g1.n, g1.h, g2.n, g2.lo, g2.hi)
 
     def test_plan_memory_is_bounded(self, fresh_caches):
         # the plan's nodes are written a chunk at a time, and the plan is
@@ -881,7 +913,7 @@ class TestRieszWeightsND:
         hats = {id(c[3]): c[3] for c in plan.chunks}.values()  # chunks of a kind share one
         arrays = (plan.nodes, plan.into, plan.fold, plan.corner, plan.tri1, plan.tri2, *hats)
         plan = sum(a.nbytes for a in arrays)
-        fit = kernels._nd_fit(g1, g2)
+        fit = kernels._nd_fit(g1.n, g1.h, g2.n, g2.lo, g2.hi)
         fit_arrays = (fit.coef, fit.log_r2, fit.corner, *fit.corner_rule, fit.cells)
         fit_bytes = sum(a.nbytes for a in fit_arrays)
         block = 8 * kernels.OFFSET_BLOCK
@@ -1073,7 +1105,8 @@ class TestSpecialFunctions:
 
 def laplace_rule_reference(lam, z_min, z_max, rtol):
     """The rule checked on its own window: 41 geometric points, e^(-z t) at
-    its nodes, the spacing halved from 0.25 until the check passes; returns
+    its nodes, the spacing halved from 0.25 until the check passes, the
+    transform times z^lam = exp(lam log z) against Gamma(lam); returns
     nodes, weights, the check's error, ds and the first k."""
     s_left, s_right = kernels.laplace_window(lam, z_min, z_max, rtol)
     zs = np.geomspace(z_min, z_max, 41)
@@ -1082,8 +1115,9 @@ def laplace_rule_reference(lam, z_min, z_max, rtol):
         k_lo = math.floor(s_left / ds)
         s = ds * np.arange(k_lo, math.ceil(s_right / ds) + 1)
         nodes, weights = np.exp(s), ds * np.exp(lam * s)
-        approx = np.exp(-np.outer(zs, nodes)) @ weights
-        err = float(np.abs(approx / (math.gamma(lam) * zs ** (-lam)) - 1.0).max())
+        ratio = (np.exp(-np.outer(zs, nodes)) @ weights) * np.exp(lam * np.log(zs))
+        exact = math.gamma(lam)
+        err = max(float(ratio.max()) - exact, exact - float(ratio.min())) / exact
         if err <= rtol:
             return nodes, weights, err, ds, k_lo
         ds *= 0.5
