@@ -232,14 +232,12 @@ def offset_sums(u, v, cost, periodic, *, symmetric=False) -> np.ndarray:
         if p.bins is None:  # summed over the cells
             parts.append(np.add.reduce(cost(c, vs.take(p.idx[:width], axis=1)), axis=2))
             continue
-        # periodic cells outermost and (lead, offset, partner) innermost, as
-        # one axis, so that the cost runs long inner loops; the cells are
-        # summed in order
-        partners = vs.take(p.idx[:width].T, axis=1).transpose(1, 0, 2, 3)
-        lead, held = partners.shape[1], partners.shape[1] * partners.shape[2]
-        partners = partners.reshape(len(partners), 1, -1)
+        # periodic cells outermost and (lead, offset, partner) innermost, so
+        # that the cost runs long inner loops; the cells are summed in order
+        partners = vs.take(p.idx[:width].T, axis=1).transpose(1, 0, 2, 3)[:, None]
+        lead, held = partners.shape[2], partners.shape[2] * partners.shape[3]
         for cut in p.rows:
-            pc = cost(c[:, cut, None], partners)
+            pc = cost(c[:, cut, None, None, None], partners)
             pc = np.add.reduce(pc) if len(pc) > 1 else pc[0]  # over the periodic cells
             at = p.bins[: len(pc), :held].ravel()
             got = np.bincount(at, pc.ravel(), held * p.slots).reshape(held, p.slots)

@@ -190,10 +190,10 @@ def gagliardo_periodic(
     dim = _dimension(u)
     if params.n != dim:
         raise ConfigError(f"{dim}D input needs params.n == {dim}")
-    sigma = params.sigma
-    if not sigma < 1.0:  # not params.step_mode_finite
+    if not params.step_mode_finite:
         const = float(u.values.max() - u.values.min()) == 0.0
         return tuple(SeminormResult(0.0, m, 1e-15) if const else _divergent(m) for m in methods)
+    sigma = params.sigma
     tables = [_table(u, method, sigma) for method in methods]
     s, outside = _pair_data(u, params.p, tables[0].periodic)
     out = []
@@ -287,72 +287,37 @@ def _axis_ends(g: Grid1D) -> tuple:
     return head, tail
 
 
-def _distinct_columns(g: Grid1D) -> tuple[slice, np.ndarray]:
-    """The columns of an axis's factor that a Laplace stack keeps, one run,
-    and per column of the full factor the kept one that equals it.  Every
-    table is even in each offset: on the circle the heat rows' offsets
-    0..n // 2 stand for the others (d and n - d); on the interval the
-    line-Gaussian rows' offsets d >= 0 stand for -d, and the exterior masses
-    of the first ceil(n / 2) cells for those of their mirror cells (cell i
-    and n - 1 - i)."""
-    n = g.n
-    if g.periodic:
-        d = np.arange(n)
-        return slice(0, n // 2 + 1), np.minimum(d, n - d)
-    cell = np.arange(n)
-    keep = slice(n - 1, 2 * n - 1 + (n + 1) // 2)
-    return keep, np.concatenate((np.abs(np.arange(1 - n, n)), n + np.minimum(cell, n - 1 - cell)))
-
-
-_Stack = namedtuple("_Stack", "t left right ks expand")
-
-
 @lru_cache(maxsize=16)
-def _laplace_stack(grid: tuple, ds: float, k_lo: int, k_hi: int) -> _Stack:
+def _laplace_stack(grid: tuple, ds: float, k_lo: int, k_hi: int) -> tuple:
     """Lattice times t_k = exp(k ds), k_lo <= k <= k_hi, the two factors of
     the Laplace table left diag(v) right on a grid of ``_table`` at them,
-    the k of their ends, and the gather that expands the product; read-only.
-
-    On the cylinder left is the heat rows on the circle, transposed, then
-    their sum, the mass h1 sqrt(pi / t), against the interval's
-    line-Gaussian rows and then its exterior masses; on the circle a row of
-    ones against the heat rows, so that v weighs the thinner factor.  Then
-    come the products of the factors' ends (``_axis_ends``), a column of
-    left and a row of right each; a tail product of k >= 0 lies on the self
-    pair alone, where W = 0, and is dropped, as its excess (k + sigma) / 2
-    > 0 would sum it as a head.  Each factor keeps its distinct rows or
-    columns alone (``_distinct_columns``): on the n1 x n2 cylinder the
-    n1 // 2 + 1 heat rows and their sum against the n2 line offsets d2 >= 0
-    and ceil(n2 / 2) masses, about K (n1 + 3 n2) / 2 floats, where the
-    table's own rows are K n1 (2 n2 - 1).  ``expand`` gathers, from the
-    flattened product, the table's entries in the layout of ``offset_sums``
-    and then, on the cylinder, the exterior masses.
-    """
-    axes = _domain(grid).axes
+    and the k of their ends; read-only.  On the cylinder left is the heat
+    rows on the circle, transposed (n1, K), then their sum, the mass
+    h1 sqrt(pi / t), against the interval's line-Gaussian rows and then its
+    exterior masses (K, 3 n2 - 1); on the circle a row of ones against the
+    heat rows (K, n1), so that v weighs the thinner factor.  Then come the
+    products of the factors' ends (``_axis_ends``), a column of left and a
+    row of right each; a tail product of k >= 0 lies on the self pair alone,
+    where W = 0, and is dropped, as its excess (k + sigma) / 2 > 0 would sum
+    it as a head.  About K (n1 + 3 n2) floats, where the table's own rows
+    are K n1 (2 n2 - 1)."""
+    n1, *box = grid
+    g1 = Grid1D.circle(n1)
     t = np.exp(ds * np.arange(k_lo, k_hi + 1))
-    heat = _heat_table_batch(axes[0].n, axes[0].h, t), _axis_ends(axes[0])
-    if len(axes) > 1:
-        gauss = np.hstack(_gauss_tables_batch(axes[1], t))
-        left, right = (heat[0].T, heat[1]), (gauss, _axis_ends(axes[1]))
-        (keep1, into1), (keep2, into2) = map(_distinct_columns, axes)
+    heat = _heat_table_batch(n1, g1.h, t), _axis_ends(g1)
+    if box:
+        g2 = Grid1D.interval(*box)
+        left, right = (heat[0].T, heat[1]), (np.hstack(_gauss_tables_batch(g2, t)), _axis_ends(g2))
     else:  # the ones are 1 t^0 at both ends
         left, right = (np.ones((1, t.size)), ([(0, np.ones(1))],) * 2), heat
-        keep2, into2 = _distinct_columns(axes[0])
     (rows1, (head1, tail1)), (rows2, (head2, tail2)) = left, right
     head = [(k1 + k2, a, c) for k1, a in head1 for k2, c in head2]
     tail = [(k1 + k2, a, c) for k1, a in tail1 for k2, c in tail2 if k1 + k2 < 0]
     ks, a, c = zip(*head, *tail)
     left = np.hstack((rows1, np.transpose(a)))
-    right = np.vstack((rows2[:, keep2], *(row[keep2] for row in c)))
-    width = right.shape[1]
-    expand = into2
-    if len(axes) > 1:
-        # the entries (d1, d2), d2 over the line offsets, then the masses from the sum row
-        rows, cols = left[keep1].shape[0], 2 * axes[1].n - 1
-        entries = into1[:, None] * width + into2[:cols]
-        expand = np.concatenate((entries.ravel(), rows * width + into2[cols:]))
-        left = np.vstack((left[keep1], left.sum(axis=0)))
-    return _Stack(_frozen(t), _frozen(left), _frozen(right), ks, _frozen(expand, np.intp))
+    if box:
+        left = np.vstack((left, left.sum(axis=0)))
+    return _frozen(t), _frozen(left), _frozen(np.vstack((rows2, c))), ks
 
 
 @lru_cache(maxsize=64)
@@ -366,29 +331,24 @@ def _laplace_table(grid: tuple, sigma: float) -> KernelWeights:
     lattice (``laplace_quadrature``).  Past the rule's window the rows follow
     their ends, powers t^-beta as k = dim - 2 beta, which v weighs by the sums
     of ``LaplaceConfig.beyond`` at lam - beta = (k + sigma) / 2, from sigma
-    itself: no rounding of lam reaches it near 0 or 1.  The product of the
-    stack's distinct rows and columns expands to the table by one gather.
-    W = 0 at the self pair.
+    itself: no rounding of lam reaches it near 0 or 1.  W = 0 at the self pair.
     """
-    domain = _domain(grid)
-    dim = len(domain.axes)
-    cfg = laplace_quadrature((dim + sigma) / 2.0, domain.z_min, domain.z_max, rtol=LAPLACE_RTOL)
+    n1, *box = grid
+    axes, z_min, z_max = _domain(grid)
+    cfg = laplace_quadrature((len(axes) + sigma) / 2.0, z_min, z_max, rtol=LAPLACE_RTOL)
     k_lo, k_hi = cfg.lattice
-    t, left, right, ks, expand = _laplace_stack(grid, cfg.ds, k_lo, k_hi)
+    t, left, right, ks = _laplace_stack(grid, cfg.ds, k_lo, k_hi)
     first = cfg.k_lo - k_lo  # v from the rule's first node on
     v = np.zeros(t.size + len(ks) - first)
     v[: cfg.nodes.size] = cfg.weights
     v[t.size - first :] = [cfg.beyond((k + sigma) / 2) for k in ks]
     v /= math.gamma(cfg.lam)
-    product = (left[:, first:] * v) @ right[first:]
-    product[0, 0] = 0.0  # the self pair
-    table = product.ravel().take(expand)
-    accuracy = cfg.achieved + 1e-12
-    if dim == 1:
-        return KernelWeights((True,), table, accuracy)
-    n1, n2 = grid[:2]
-    cut = n1 * (2 * n2 - 1)  # the exterior masses' first entry
-    return KernelWeights((True, False), table[:cut].reshape(n1, -1), accuracy, table[cut:])
+    table = (left[:, first:] * v) @ right[first:]
+    table[0, box[0] - 1 if box else 0] = 0.0  # the self pair
+    if not box:
+        return KernelWeights((True,), table[0], cfg.achieved + 1e-12)
+    cut = 2 * box[0] - 1  # the exterior masses' first column
+    return KernelWeights((True, False), table[:-1, :cut], cfg.achieved + 1e-12, table[-1, cut:])
 
 
 def fractional_perimeter(e: StepFunction | GridFunctionND, s: float) -> float:

@@ -462,7 +462,10 @@ class TestRieszWeights1D:
         # three Taylor terms of the far copies instead of RIESZ_TAYLOR leave
         # an error far above the rounding floor: the certificate of the
         # direct sums, the fit's sampler, grows with it and still bounds it,
-        # and the fit of those sums carries it into its own certificate
+        # and the fit of those sums carries it into its own certificate: that
+        # one bounds the table's error, and is at most the Lebesgue constant
+        # plus one times the sampler's largest relative bound, over the fit's
+        # Chebyshev points, of the part it fits
         full = riesz_weights_1d(Grid1D.circle(n), sigma)
         h, a = 2 * math.pi / n, 1.0 - sigma
         plan = kernels._periodized_plan(n, 3)
@@ -480,7 +483,14 @@ class TestRieszWeights1D:
         fresh_caches()
         w = riesz_weights_1d(Grid1D.circle(n), sigma)
         fit_err = np.max(np.abs(w.weights[d] / ref - 1.0))
+        degree = kernels.FIT_DEGREE
+        lebesgue = 2.0 / math.pi * math.log(degree + 1) + 1.0
+        sampled = 0.0
+        for s in 0.5 + 0.5 * np.cos(math.pi / degree * np.arange(degree + 1)):
+            near, far, bound = kernels._periodized_direct(plan, h, s)
+            sampled = max(sampled, np.max(bound / (near + far)))
         assert 1e3 * full.accuracy < fit_err <= w.accuracy
+        assert w.accuracy <= (lebesgue + 1.0) * sampled + kernels.RIESZ_ROUNDING
 
     @pytest.mark.parametrize("sigma", [0.02, 0.5, 0.98])
     def test_line_series_against_direct_differences(self, sigma):

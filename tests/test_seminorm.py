@@ -428,7 +428,7 @@ def _stack_and_rule(grid, sigma):
 
 def _grouped_ends(stack) -> dict:
     """A stack's ends summed by k, each of the shape of left @ right."""
-    t, left, right, ks = stack[:4]
+    t, left, right, ks = stack
     ends = {}
     for k, col, row in zip(ks, left[:, t.size :].T, right[t.size :]):
         ends[k] = ends.get(k, 0.0) + np.outer(col, row)
@@ -445,14 +445,12 @@ class TestLatticeStacks:
 
     @pytest.mark.parametrize("dim,grid", STACK_GRIDS)
     def test_stack_rows_are_the_rule_nodes(self, dim, grid):
-        # each factor at the rule's nodes, its distinct rows or columns
-        # alone: a row of ones against the heat rows' offsets 0..n // 2 on
-        # the circle; on the cylinder the heat rows' offsets 0..n1 // 2
-        # (transposed) and the sum of all n1, the heat row's mass, against
-        # the line-Gaussian rows' offsets d2 >= 0 and then the exterior
-        # masses of the first ceil(n2 / 2) cells
+        # each factor at the rule's nodes: a row of ones against the heat
+        # rows on the circle; on the cylinder the heat rows (transposed) and
+        # their sum, the heat row's mass, against the line-Gaussian rows and
+        # then the exterior masses
         for sigma in (1e-9, 0.02, 0.5, 0.98, 1.0 - 1e-9):
-            cfg, (ds, k_lo, k_hi), rows, (t, left, right, ks, _) = _stack_and_rule(grid, sigma)
+            cfg, (ds, k_lo, k_hi), rows, (t, left, right, ks) = _stack_and_rule(grid, sigma)
             assert np.array_equal(t, np.exp(ds * np.arange(k_lo, k_hi + 1)))
             assert np.array_equal(t[rows], cfg.nodes)
             # an index off by one lands a factor exp(ds) away
@@ -460,28 +458,24 @@ class TestLatticeStacks:
                 moved = slice(rows.start + shift, rows.stop + shift)
                 assert not np.array_equal(t[moved], cfg.nodes)
             n, q = grid[0], cfg.nodes.size
-            heat = kernels._heat_table_batch(n, 2 * math.pi / n, cfg.nodes)[:, : n // 2 + 1]
+            heat = kernels._heat_table_batch(n, 2 * math.pi / n, cfg.nodes)
             want = np.ones((1, q)), heat
             if dim == 2:
-                n2 = grid[1]
                 mass = 2 * math.pi / n * np.sqrt(math.pi / cfg.nodes)
-                gauss, ext = kernels._gauss_tables_batch(Grid1D.interval(*grid[1:]), cfg.nodes)
-                want = np.vstack((heat.T, mass)), np.hstack((gauss[:, n2 - 1 :], ext[:, : (n2 + 1) // 2]))
+                gauss = kernels._gauss_tables_batch(Grid1D.interval(*grid[1:]), cfg.nodes)
+                want = np.vstack((heat.T, mass)), np.hstack(gauss)
             assert left.flags.c_contiguous and left.shape == (want[0].shape[0], t.size + len(ks))
             assert right.shape == (t.size + len(ks), want[1].shape[1])
             for got, ref in zip((left[:, rows], right[rows]), want):
                 assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(ref)
 
     def test_stack_memory_is_bounded(self, fresh_caches):
-        # the factors, not their products, and of those the distinct rows
-        # and columns alone: at 64 x 64 the rows are K (n1 / 2 + 2 + n2 +
-        # n2 / 2) floats (half the heat rows, their sum, the line rows at
-        # d2 >= 0 and half the masses) and the ends five columns more
-        # (0.17 MiB), where the full factors took K (n1 + 3 n2) (0.34 MiB)
-        # and the rows of products K n1 (2 n2 - 1) plus K n2 (10.7 MiB); the
-        # first build, its temporaries included, peaks within nine stacks
-        # (measured 7.5, 1.3 MiB, most of it the line-Gaussian builder's own
-        # temporaries; the full factors peaked at 3.8 of their five)
+        # the factors, not their products: at 64 x 64 the rows are K (n1 +
+        # 3 n2) floats (the heat rows, their sum and the line rows) and the
+        # ends five columns more (0.34 MiB), where the rows of products were
+        # K n1 (2 n2 - 1) plus K n2 (10.7 MiB); the
+        # first build, its temporaries included, peaks within five stacks
+        # (measured 3.8)
         grid = (64, 64, -2.0, 2.0)
         seminorm._laplace_table(grid, 0.3)  # the rule's lattice checks are not the stack's
         seminorm._laplace_stack.cache_clear()
@@ -491,25 +485,24 @@ class TestLatticeStacks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        t, left, right, ks, _ = _stack_and_rule(grid, 0.3)[3]
-        bound = (t.size + 5) * (64 // 2 + 2 + 64 + 64 // 2) * 8
+        t, left, right, ks = _stack_and_rule(grid, 0.3)[3]
+        bound = (t.size + 5) * (64 + 3 * 64) * 8
         assert len(ks) == 5 and left.nbytes + right.nbytes <= bound
-        assert peak < 9 * bound + t.nbytes, peak / bound
+        assert peak < 5 * bound + t.nbytes, peak / bound
 
     @pytest.mark.parametrize("pin", LAPLACE_END_PINS, ids=lambda p: str(p["grid"]))
     def test_cylinder_ends_keep_their_pins(self, pin):
         # float hex of the ends that the flat stack placed by hand, the table
         # entries flattened, then the exterior masses, one row per k; the
-        # products of the factors' ends, summed by k and read through the
-        # stack's expansion, are within 1e-15 of each row's largest (the
-        # exterior masses' from the heat rows' sum)
+        # products of the factors' ends, summed by k, are within 1e-15 of
+        # each row's largest (the exterior masses' from the heat rows' sum)
         grid = tuple(pin["grid"])
-        stack = _stack_and_rule(grid, 0.5)[3]
-        ends = _grouped_ends(stack)
+        n1, n2 = grid[:2]
+        ends = _grouped_ends(_stack_and_rule(grid, 0.5)[3])
         for k, hexes in zip(pin["ks"], pin["ends"]):
             ref = np.array([float.fromhex(x) for x in hexes.split()])
-            end = ends.get(k, np.zeros((stack.left.shape[0], stack.right.shape[1])))
-            got = end.ravel()[stack.expand]
+            end = ends.get(k, np.zeros((n1 + 1, 3 * n2 - 1)))
+            got = np.concatenate((end[:n1, : 2 * n2 - 1].ravel(), end[n1, 2 * n2 - 1 :]))
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
@@ -720,13 +713,9 @@ def test_cached_route_tables_are_read_only():
     ]
     stacks = [_stack_and_rule(grid, 0.4)[3] for _, grid in STACK_GRIDS[1::3]]
     arrays = [a for table in tables for a in (table.weights, getattr(table, "exterior", None))]
-    # a stack's arrays: its times, its two factors and its expansion (the
-    # end powers are a tuple)
+    # a stack's arrays: its times and its two factors (the end powers are a tuple)
     for arr in arrays + [a for stack in stacks for a in stack[:3]]:
         if arr is not None:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
-    assert all(len(stack) == 5 and isinstance(stack[3], tuple) for stack in stacks)
-    for stack in stacks:
-        with pytest.raises(ValueError):
-            stack.expand[0] = 0
+    assert all(len(stack) == 4 and isinstance(stack[3], tuple) for stack in stacks)
