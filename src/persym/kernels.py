@@ -19,17 +19,18 @@ single-time ones are cached by (grid, t).  This module builds the tables:
   copies plus the same series summed over the far copies, positive-order
   zeta only, each term an even Taylor series at one point, certified by
   the first omitted terms); less its poles at sigma = 0 and 1, which have
-  closed forms, it is analytic in sigma, so each cell count keeps it as a
-  certified Chebyshev series, fitted to those direct sums at 25 sigmas;
+  closed forms, it is analytic in sigma;
 * the 2D power kernel |z|^(-(2+sigma)) with x1-periodization: the copies
   near the cell from hat moments per lattice square, over Gauss-Legendre
   panels graded by their distance from the kernel origin, with exact
   corner moments at it, each box four shifted slices of them and the
   copies folded onto |x1|; the far copies as a Hurwitz-zeta polynomial
   series whose box integral separates into one small contraction; all but
-  the corner moments is analytic in sigma, so each grid keeps it as a
-  certified Chebyshev series, fitted to direct sums at 25 sigmas, and a
-  sigma evaluates that series;
+  the corner moments is analytic in sigma;
+* both power tables as one kind of certified Chebyshev series in sigma
+  (``_sigma_series``), built once per grid from their direct sums at 25
+  sigmas and bounded on a Bernstein ellipse, which one evaluation
+  (``_series_at``) turns into a table for each sigma;
 * general nonnegative step-function kernels, whose tables are exact
   two-tap averages of the kernel values (and whose rearrangement is again
   a step kernel, so rearranged tables stay exact);
@@ -607,16 +608,9 @@ def _check_sigma(sigma: float) -> None:
         )
 
 
-def _series_steps(terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sigma-free part of ``_riesz_series`` for k = 1..terms (read-only):
-    2k - 2, 2k - 1 and (2k - 1) 2k, in floats, all exact."""
-    k2 = np.arange(2.0, 2.0 * terms + 1.0, 2.0)  # 2k, in floats: the same bits as in ints
-    return _frozen(k2 - 2.0), _frozen(k2 - 1.0), _frozen((k2 - 1.0) * k2)
-
-
-def _riesz_series(a: float, steps: tuple) -> np.ndarray:
+def _riesz_series(a: float, terms: int) -> np.ndarray:
     """q_k = prod_{j=2}^{2k-1} (j - a) / (2k)!, k = 1..terms, all positive
-    for a < 2, from ``steps`` = ``_series_steps(terms)``.
+    for a < 2.
 
     The pair weight of |x - y|^(-(1+sigma)) at cell offset m, a = 1 - sigma,
     is the second difference c (P(z+h) - 2 P(z) + P(z-h)) at z = m h of
@@ -624,10 +618,10 @@ def _riesz_series(a: float, steps: tuple) -> np.ndarray:
     2 sum_k h^(2k) P^(2k)(z) / (2k)! becomes 2 h^a sum_k q_k m^(a - 2k),
     since c a (a - 1) = 1.
     """
-    below, odd, denominator = steps
-    ratio = below - a
-    ratio *= odd - a
-    ratio /= denominator
+    k2 = np.arange(2.0, 2.0 * terms + 1.0, 2.0)  # 2k, in floats: exact
+    ratio = (k2 - 2.0) - a
+    ratio *= (k2 - 1.0) - a
+    ratio /= (k2 - 1.0) * k2
     ratio[0] = 1.0  # q_1 = 1/2
     np.multiply.accumulate(ratio, out=ratio)
     ratio *= 0.5
@@ -658,13 +652,11 @@ def _adjacent_pair(h: float, sigma: float) -> float:
     return 2.0 * -math.expm1(-sigma * math.log(2.0)) / (sigma * a) * h**a
 
 
-def _riesz_line_pairs(
-    line: tuple[int, tuple], h: float, sigma: float, q: np.ndarray | None = None
-) -> np.ndarray:
+def _riesz_line_pairs(line: tuple[int, tuple], h: float, sigma: float, q: np.ndarray) -> np.ndarray:
     """Pair weights L[m] of |x - y|^(-(1+sigma)) at cell offsets m = 2..mmax,
     with L[0] = L[1] = 0, from ``line`` = ``_line_powers(mmax)`` and ``q`` =
-    ``_riesz_series(1 - sigma, _series_steps(terms))``, terms >= LINE_TERMS
-    (built if None); L[1] itself is ``_adjacent_pair``.
+    ``_riesz_series(1 - sigma, terms)``, terms >= LINE_TERMS; L[1] itself
+    is ``_adjacent_pair``.
 
     L[m] for m >= 2 is the all-positive series 2 h^a sum_k q_k m^(a - 2k) of
     ``_riesz_series``: 30 terms below m = 40, 5 from there, the first
@@ -674,8 +666,6 @@ def _riesz_line_pairs(
     """
     mmax, blocks = line
     a = 1.0 - sigma
-    if q is None:
-        q = _riesz_series(a, _series_steps(LINE_TERMS))
     out = np.zeros(mmax + 1)
     for lo, hi, m, powers in blocks:
         part = out[lo:hi]
@@ -697,28 +687,27 @@ RIESZ_TAYLOR = 10
 RIESZ_ROUNDING = 4e-15
 
 
-_PeriodizedPlan = namedtuple("_PeriodizedPlan", "n line near adjacent far orders steps")
+_PeriodizedPlan = namedtuple("_PeriodizedPlan", "n line near adjacent far orders")
 
 
-def _periodized_plan(n: int, taylor: int) -> _PeriodizedPlan:
+def _periodized_plan(n: int) -> _PeriodizedPlan:
     """The sigma-free part of ``_periodized_direct`` on n cells (read-only).
 
     The line powers ``_line_powers`` of the offsets up to RIESZ_NEAR n - 1
     (``line``); per half-table offset d = 1..n // 2, the line offsets
     |d + k n| of its explicit copies, -RIESZ_NEAR <= k < RIESZ_NEAR
     (``near``), and how many of them are 1 (``adjacent``); the doubled
-    orders 2j of the far copies' zeta terms (``orders``) and the
-    ``_series_steps`` of one q series long enough for the near and the far
-    copies (``steps``); and the far-copy matrix (``far``), shape
-    (2, n // 2, J + M + 1) in the notation of ``_periodized_direct``, M =
-    ``taylor``: per order j, the sum over the series terms (k, m) with
-    k + m = j of C(2j, 2m) n^(-2k) y^(2m), y = d / n - 1/2, over the terms
-    the table keeps (k <= J, m < M) in row 0, and in row 1 over the terms
-    that bound the rest, each with its factor: 2 for the first omitted zeta
-    term (k = J + 1), and 1 / (1 - rho_k) for each Taylor tail (m = M),
-    rho_k = (2k + 2M + 1)(2k + 2M + 2) / ((2M + 1)(2M + 2) 4 x^2), the ratio
-    bound at |s| <= 2k + 1 and y^2 <= 1/4.
+    orders 2j of the far copies' zeta terms (``orders``); and the far-copy
+    matrix (``far``), shape (2, n // 2, J + M + 1) in the notation of
+    ``_periodized_direct``, M = RIESZ_TAYLOR: per order j, the sum over the
+    series terms (k, m) with k + m = j of C(2j, 2m) n^(-2k) y^(2m), y = d / n
+    - 1/2, over the terms the table keeps (k <= J, m < M) in row 0, and in
+    row 1 over the terms that bound the rest, each with its factor: 2 for
+    the first omitted zeta term (k = J + 1), and 1 / (1 - rho_k) for each
+    Taylor tail (m = M), rho_k = (2k + 2M + 1)(2k + 2M + 2) / ((2M + 1)(2M +
+    2) 4 x^2), the ratio bound at |s| <= 2k + 1 and y^2 <= 1/4.
     """
+    taylor = RIESZ_TAYLOR
     d = np.arange(1, n // 2 + 1)
     near = np.abs(d[:, None] + n * np.arange(-RIESZ_NEAR, RIESZ_NEAR))
     terms = math.ceil(17.0 / (2.0 * math.log10(n * RIESZ_NEAR))) + 1
@@ -737,11 +726,10 @@ def _periodized_plan(n: int, taylor: int) -> _PeriodizedPlan:
     for row, f in enumerate(factors):
         by_order[row, m, k + m - 1] = f * c
     ypow = ((d / n - 0.5) ** 2)[:, None] ** m
-    orders = 2.0 * np.arange(1, terms + taylor + 2)
     return _PeriodizedPlan(
         n, _line_powers(RIESZ_NEAR * n - 1), _frozen(np.where(near > 1, near, 0), np.intp),
         _frozen(np.count_nonzero(near == 1, axis=1)), _frozen(ypow @ by_order),
-        _frozen(orders), _series_steps(max(LINE_TERMS, orders.size)),
+        _frozen(2.0 * np.arange(1, terms + taylor + 2)),
     )
 
 
@@ -770,7 +758,8 @@ def _periodized_direct(plan: _PeriodizedPlan, h: float, sigma: float):
     """
     n = plan.n
     a = 1.0 - sigma
-    q = _riesz_series(a, plan.steps)  # one series for the near and the far copies
+    # one series for the near and the far copies
+    q = _riesz_series(a, max(LINE_TERMS, plan.orders.size))
     near = np.add.reduce(_riesz_line_pairs(plan.line, h, sigma, q)[plan.near], axis=1)
     orders = plan.orders[1:]
     series = _hurwitz_zeta(orders - a, (orders - 2.0) + sigma, RIESZ_NEAR + 0.5)
@@ -780,49 +769,80 @@ def _periodized_direct(plan: _PeriodizedPlan, h: float, sigma: float):
     return near, far, bound
 
 
-# degree in sigma of the direct tables' Chebyshev fits, and rho of the
-# Bernstein ellipse that certifies them: its real ends, sigma = 1/2 -+ (rho +
-# 1/rho) / 4 = -0.8 and 1.8, stay above -1, where the 1D line series
-# converges, and mu = 1 + sigma / 2 = 0.6 and 1.9 above 1/2, where the 2D
-# copy-tail series converges
+# degree in sigma of the direct tables' Chebyshev series, and rho of the
+# Bernstein ellipse of [0, 1] that certifies them: its real ends FIT_ENDS,
+# sigma = 1/2 -+ (rho + 1/rho) / 4 = -0.8 and 1.8, stay above -1, where the
+# 1D line series converges, and mu = 1 + sigma / 2 = 0.6 and 1.9 above 1/2,
+# where the 2D copy-tail series converges
 FIT_DEGREE = 24
 FIT_RHO = 5.0
+FIT_ENDS = (0.5 - 0.25 * (FIT_RHO + 1.0 / FIT_RHO), 0.5 + 0.25 * (FIT_RHO + 1.0 / FIT_RHO))
 
 
-def _chebyshev_fit(values: np.ndarray, peak: np.ndarray, truncation: np.ndarray):
-    """Coefficients and certificate of the interpolant of samples ``values``
-    (point, entry) at the N + 1 Chebyshev points sigma_j = 1/2 + cos(pi j /
-    N) / 2 of [0, 1], of a function analytic in the Bernstein ellipse of
-    [0, 1] with rho = FIT_RHO.
+_SigmaSeries = namedtuple("_SigmaSeries", "coef degrees log_r")
 
-    The coefficients a_k of F = sum_k a_k T_k(2 sigma - 1), one row per
-    entry, come from the type-I DCT of the samples, with j k reduced mod
-    2N before the cosine, whose argument would otherwise lose up to 6 bits.
-    The interpolant errs by at most 4 M rho^(-N) / (rho - 1), M = ``peak``
-    a bound of |F| on the ellipse (Trefethen, Approximation Theory and
-    Approximation Practice, Thm 8.2); the samples' own ``truncation``
-    spreads by at most the Lebesgue constant 2 / pi log(N + 1) + 1
-    (Thm 15.2).  Returns the coefficients and, per entry, the sum of both.
-    Samples less a constant give the same bound, the constant's
-    coefficient a_0 aside.
+
+def _sigma_series(sample, log_r: np.ndarray, at_ends, across) -> tuple[_SigmaSeries, np.ndarray]:
+    """The Chebyshev series in sigma of a direct table, once per grid
+    (read-only), and its certificate.
+
+    Each entry D(sigma) of the table, times r^sigma, r = exp(``log_r``) per
+    entry, is F(sigma) = r^sigma D(sigma), which varies slowly in sigma.  F
+    is sampled at the N + 1 = FIT_DEGREE + 1 Chebyshev points sigma_j = 1/2
+    + cos(pi j / N) / 2 of [0, 1], from 1 down to 0: ``sample``(sigmas)
+    gives D and its truncation bound there, (point, entry) each.  F is kept
+    as its interpolant's coefficients a_k of F = sum_k a_k T_k(2 sigma - 1)
+    (``coef``, one row per entry, its degrees k in ``degrees``), beside
+    ``log_r``.  The type-I DCT takes the samples less their middle one,
+    which a_0 takes back exactly: its rounding, which T_k = 1 at sigma = 1
+    sums up, then scales with the samples' spread, not with their size
+    (3e-15 of F there otherwise).  It reduces j k mod 2N before the cosine,
+    whose argument would otherwise lose up to 6 bits.
+
+    The interpolant errs by at most 4 M rho^(-N) / (rho - 1), M a bound of
+    |F| on the Bernstein ellipse of [0, 1] with rho = FIT_RHO (Trefethen,
+    Approximation Theory and Approximation Practice, Thm 8.2); the samples'
+    truncation spreads by at most the Lebesgue constant 2 / pi log(N + 1) +
+    1 (Thm 15.2).  The caller bounds |D| on the ellipse in two parts.
+    ``at_ends`` holds, at each real end of FIT_ENDS, the value of the part of
+    D that is a positive combination of powers r'^-sigma: r^sigma times that
+    part is at most its value at Re sigma, convex in Re sigma, so at most
+    its larger value at the two ends.  ``across`` bounds the rest of D over
+    the whole ellipse, where |r^sigma| is at most its larger value at the
+    ends.  Returns the series and, per entry, the certified error relative
+    to the entry's least sample.
     """
-    degree = len(values) - 1
+    degree = FIT_DEGREE
     j = np.arange(degree + 1)
+    sigmas = 0.5 + 0.5 * np.cos(math.pi / degree * j)
+    values, truncation = np.multiply(sample(sigmas), np.exp(np.outer(sigmas, log_r)))
+    ends = np.exp(np.outer(FIT_ENDS, log_r))
+    peak = np.max(ends * at_ends, axis=0) + ends.max(axis=0) * across
+    mid = values[degree // 2]
     half = np.where((j == 0) | (j == degree), 0.5, 1.0)
     dct = np.cos(math.pi / degree * (np.outer(j, j) % (2 * degree)))
-    coef = (values.T * half) @ dct * (2.0 / degree * half)
+    coef = ((values - mid).T * half) @ dct * (2.0 / degree * half)
+    coef[:, 0] += mid
     lebesgue = 2.0 / math.pi * math.log(degree + 1) + 1.0
-    return coef, 4.0 * peak / ((FIT_RHO - 1.0) * FIT_RHO**degree) + lebesgue * truncation
+    error = 4.0 * peak / ((FIT_RHO - 1.0) * FIT_RHO**degree) + lebesgue * truncation.max(axis=0)
+    series = _SigmaSeries(_frozen(coef), _frozen(np.arange(degree + 1.0)), _frozen(log_r))
+    return series, error / values.min(axis=0)
 
 
-def _chebyshev_basis(degrees: np.ndarray, sigma: float) -> np.ndarray:
-    """T_k(2 sigma - 1) = cos(k arccos(2 sigma - 1)) at the fit's ``degrees`` k."""
+def _series_at(series: _SigmaSeries, sigma: float) -> np.ndarray:
+    """D(sigma) = r^-sigma F(sigma) per entry of a ``_sigma_series``: one
+    cosine for T_k(2 sigma - 1) = cos(k arccos(2 sigma - 1)), one product
+    with the coefficients and one exponential per entry."""
+    coef, degrees, log_r = series
     cheb = degrees * math.acos(2.0 * sigma - 1.0)
     np.cos(cheb, out=cheb)
-    return cheb
+    w = log_r * -sigma
+    np.exp(w, out=w)
+    w *= coef @ cheb
+    return w
 
 
-_PeriodizedFit = namedtuple("_PeriodizedFit", "coef degrees log_r adjacent mirror accuracy")
+_PeriodizedFit = namedtuple("_PeriodizedFit", "series adjacent mirror accuracy")
 
 
 @lru_cache(maxsize=8)
@@ -830,70 +850,59 @@ def _periodized_fit(n: int, h: float) -> _PeriodizedFit:
     """The sigma-free part of ``riesz_weights_1d`` on n cells of width h,
     once per grid (read-only).
 
-    Per half-table offset d, with r_d = h times its least line offset past
-    the adjacent ones, F_d(sigma) = r_d^sigma ``_periodized_direct``(sigma)
-    varies slowly in sigma; so does G(sigma) = sigma zeta(1 + sigma, x), x
-    = RIESZ_NEAR + 1/2, the pole order's zeta times its pole, 1 at sigma = 0
-    and entire.  Both are sampled at the N + 1 = FIT_DEGREE + 1 Chebyshev
-    points of ``_chebyshev_fit`` (G by ``_hurwitz_zeta``) and kept as their
-    interpolants' Chebyshev coefficients in x = 2 sigma - 1 (``coef``, one
-    row per offset d = 0..n // 2, row 0 zero, and a last row for G; the
-    degrees in ``degrees``), beside log r_d (``log_r``, 0 for G), the count
-    of adjacent copies (``adjacent``), the index of each entry's
+    The ``_sigma_series`` of one entry per half-table offset d = 1..n // 2,
+    ``_periodized_direct``(sigma) scaled by r_d^sigma, r_d = h times its
+    least line offset past the adjacent ones, and of a last entry G(sigma) =
+    sigma zeta(1 + sigma, x), x = RIESZ_NEAR + 1/2, the pole order's zeta
+    times its pole, 1 at sigma = 0 and entire, by ``_hurwitz_zeta``, with a
+    zero row for d = 0 in front (``series``); beside it the count of
+    adjacent copies per row (``adjacent``), the index of each table entry's
     half-table offset min(d, n - d) (``mirror``), and the table's
     ``accuracy``.
 
-    The certificate of ``_chebyshev_fit``.  On the Bernstein ellipse of
-    [0, 1] with rho = FIT_RHO, Re sigma runs over [1/2 - R, 1/2 + R], R =
-    (rho + 1/rho) / 4, and |sigma| <= 1/2 + R: the real ends -0.8 and 1.8
-    stay above -1, where the line series converges.  The near copies are
-    positive combinations of r^-(1 + sigma), so their part of |F_d| is at
-    most its value at Re sigma, convex in Re sigma, so at most its larger
-    value at the ellipse's real ends.  The far orders take their series
-    with |q_j(sigma)| <= q_j at a = 1 - |sigma|, |zeta(s, x)| <= zeta(Re s,
-    x) and |(h n)^a| <= (h n)^(1 - Re sigma), each at its largest on the
-    ellipse, and with the truncation bound, which holds there too.  G takes
-    the first Euler-Maclaurin remainder, for Re s > 0 (s = 1 + sigma, y =
-    x + ZETA_TERMS): |zeta(s, x)| <= sum_k<ZETA_TERMS (x + k)^-Re s +
-    |y^(1-s) / (s - 1)| + y^-Re s / 2 + |s| y^-Re s / (2 Re s), each term at
-    its largest.  The samples carry the far copies' truncation, and G that
-    of ``_hurwitz_zeta``.  ``accuracy`` is the largest sum over the offsets,
-    relative to the offset's least sample (each entry is at least F_d
-    r_d^-sigma, as the poles are positive), plus G's, relative to its least
-    sample (each entry is at least C), plus RIESZ_ROUNDING.
+    The bounds on the Bernstein ellipse of ``_sigma_series``, where Re sigma
+    runs over [1/2 - R, 1/2 + R], R = (rho + 1/rho) / 4, and |sigma| <= 1/2
+    + R: the real ends -0.8 and 1.8 stay above -1, where the line series
+    converges.  The near copies are positive combinations of r^-(1 + sigma),
+    bounded at the real ends.  The far orders take their series with
+    |q_j(sigma)| <= q_j at a = 1 - |sigma|, |zeta(s, x)| <= zeta(Re s, x) and
+    |(h n)^a| <= (h n)^(1 - Re sigma), each at its largest on the ellipse,
+    and with the truncation bound, which holds there too: a majorant, as
+    their sum converges only for Re sigma > 0.  G takes the first
+    Euler-Maclaurin remainder, for Re s > 0 (s = 1 + sigma, y = x +
+    ZETA_TERMS): |zeta(s, x)| <= sum_k<ZETA_TERMS (x + k)^-Re s + |y^(1-s) /
+    (s - 1)| + y^-Re s / 2 + |s| y^-Re s / (2 Re s), each term at its
+    largest.  The samples carry the far copies' truncation, and G that of
+    ``_hurwitz_zeta``.  ``accuracy`` is the largest certified error over the
+    offsets, relative to the offset's least sample (each entry is at least
+    F_d r_d^-sigma, as the poles are positive), plus G's, relative to its
+    least sample (each entry is at least C), plus RIESZ_ROUNDING.
     """
-    plan = _periodized_plan(n, RIESZ_TAYLOR)
+    plan = _periodized_plan(n)
     apart = np.where(plan.near > 1, plan.near, np.inf).min(axis=1)
-    log_r = np.append(np.log(h * apart), 0.0)  # and G's
     x = RIESZ_NEAR + 0.5
-    sigmas = 0.5 + 0.5 * np.cos(math.pi / FIT_DEGREE * np.arange(FIT_DEGREE + 1))  # last 0, G 1
-    pole = np.append(sigmas[:-1] * _hurwitz_zeta(1.0 + sigmas[:-1], sigmas[:-1], x), 1.0)
-    samples = np.array([_periodized_direct(plan, h, s) for s in sigmas])  # (point, 3, offset)
-    scale = np.exp(np.outer(sigmas, log_r))
-    values = np.column_stack((samples[:, 0] + samples[:, 1], pole)) * scale
-    truncation = np.column_stack((samples[:, 2], ZETA_RTOL * pole)) * scale
-    reach = 0.25 * (FIT_RHO + 1.0 / FIT_RHO)
-    lo, hi = 0.5 - reach, 0.5 + reach
-    ends = np.exp(np.outer((lo, hi), log_r[:-1]))
-    near = np.max([e * _periodized_direct(plan, h, s)[0] for s, e in zip((lo, hi), ends)], axis=0)
+
+    def sample(sigmas):  # the last is 0, where G is 1
+        parts = np.array([_periodized_direct(plan, h, s) for s in sigmas])  # (point, 3, offset)
+        s = sigmas[:-1]
+        pole = np.append(s * _hurwitz_zeta(1.0 + s, s, x), 1.0)
+        values = np.column_stack((parts[:, 0] + parts[:, 1], pole))
+        return values, np.column_stack((parts[:, 2], ZETA_RTOL * pole))
+
+    lo, hi = FIT_ENDS
+    near = [np.append(_periodized_direct(plan, h, s)[0], 0.0) for s in FIT_ENDS]
     orders = plan.orders[1:]
-    q = _riesz_series(1.0 - hi, plan.steps)[1 : orders.size + 1]
+    q = _riesz_series(1.0 - hi, plan.orders.size)[1:]
     zeta = _hurwitz_zeta(orders - (1.0 - lo), (orders - 2.0) + lo, x)
     far = (plan.far[0, :, 1:] + plan.far[1, :, 1:]) @ (4.0 * (h * n) ** (1.0 - lo) * q * zeta)
     y, re_s = x + ZETA_TERMS, 1.0 + lo  # |G| on the ellipse, each term at its largest
     rest = np.sum((x + _ZETA_K[:-1]) ** -re_s) + y**-re_s * (0.5 + (1.0 + hi) / (2.0 * re_s))
-    peak = np.append(near + ends.max(axis=0) * far, hi * rest + y**-lo)
-    # the samples less their middle one, which a_0 takes back exactly: the
-    # DCT's rounding, which T_k = 1 at sigma = 1 sums up, then scales with
-    # the samples' spread, not with their size (3e-15 of F there otherwise)
-    mid = values[FIT_DEGREE // 2]
-    coef, error = _chebyshev_fit(values - mid, peak, truncation.max(axis=0))
-    coef[:, 0] += mid
-    error /= values.min(axis=0)
+    log_r = np.append(np.log(h * apart), 0.0)  # and G's
+    series, error = _sigma_series(sample, log_r, near, np.append(far, hi * rest + y**-lo))
+    coef = np.vstack((np.zeros(series.degrees.size), series.coef))  # d = 0 in front, W = 0
     d = np.arange(n)
     return _PeriodizedFit(
-        _frozen(np.vstack((np.zeros(FIT_DEGREE + 1), coef))),
-        _frozen(np.arange(FIT_DEGREE + 1.0)), _frozen(np.append(0.0, log_r)),
+        series._replace(coef=_frozen(coef), log_r=_frozen(np.append(0.0, log_r))),
         _frozen(np.concatenate(([0.0], plan.adjacent, [0.0]))),
         _frozen(np.minimum(d, n - d), np.intp),
         float(np.max(error[:-1], initial=0.0)) + float(error[-1]) + RIESZ_ROUNDING,
@@ -911,11 +920,10 @@ def riesz_weights_1d(grid: Grid1D, sigma: float) -> KernelWeights:
     ``_periodized_direct``), the same for every d, carries the pole at
     sigma = 0; and F_d, the rest, is analytic on a Bernstein ellipse about
     [0, 1].  ``_periodized_fit`` keeps F_d and sigma zeta(1 + sigma, K +
-    1/2) per grid as certified Chebyshev series, and a build for one sigma
-    evaluates them in one product, undoes the scaling r_d^sigma with one
-    exponential per offset, adds the closed forms of A and C, and mirrors
-    the half table.  ``accuracy``, relative to each entry, is the fit's
-    certificate plus the rounding floor RIESZ_ROUNDING.
+    1/2) per grid as one certified series in sigma, and a build for one
+    sigma evaluates it (``_series_at``), adds the closed forms of A and C,
+    and mirrors the half table.  ``accuracy``, relative to each entry, is
+    the fit's certificate plus the rounding floor RIESZ_ROUNDING.
     """
     _check_sigma(sigma)
     if not grid.periodic:
@@ -923,9 +931,7 @@ def riesz_weights_1d(grid: Grid1D, sigma: float) -> KernelWeights:
     n, h = grid.n, grid.h
     fit = _periodized_fit(n, h)
     a = 1.0 - sigma
-    w = fit.log_r * -sigma
-    np.exp(w, out=w)
-    w *= fit.coef @ _chebyshev_basis(fit.degrees, sigma)
+    w = _series_at(fit.series, sigma)
     pole = float(w[-1])  # sigma zeta(1 + sigma, K + 1/2)
     w += fit.adjacent * _adjacent_pair(h, sigma)
     w += 2.0 * h**a * float(n) ** a / (n * n) * (pole / sigma)
@@ -1200,7 +1206,7 @@ def _nd_direct(plan: _NDPlan, mu: float) -> tuple[np.ndarray, np.ndarray]:
     return box.ravel()[plan.fold].sum(axis=0) + tail, 2.0 * omitted
 
 
-_NDFit = namedtuple("_NDFit", "coef degrees log_r2 corner corner_rule cells log_hi log_lo bound")
+_NDFit = namedtuple("_NDFit", "series corner corner_rule cells log_hi log_lo bound")
 
 
 @lru_cache(maxsize=8)
@@ -1208,27 +1214,21 @@ def _nd_fit(n1: int, h1: float, n2: int, lo: float, hi: float) -> _NDFit:
     """The sigma-free part of ``riesz_weights_nd`` on n1 periodic cells of
     width h1 times the n2-cell interval [lo, hi], once per grid (read-only).
 
-    With r the distance of a sector offset's centre from the kernel origin,
-    F(mu) = r^(2 mu) ``_nd_direct``(mu) varies slowly in mu.  It is sampled
-    at the N + 1 = FIT_DEGREE + 1 Chebyshev points of ``_chebyshev_fit``,
-    mu = 1 + sigma / 2 in [1, 1.5], and kept as its interpolant's coefficients,
-    F = sum_k a_k T_k(x) with x = 4 mu - 5 = 2 sigma - 1 (``coef``, one row
-    per offset, its degrees k in ``degrees``), beside log r^2, the corner
-    weights of the plan, ``_corner_rule``, the flat indices of the four
-    table cells that each sector offset fills by symmetry, and the logs of
-    the distances of the interval's cell edges to its upper and lower end,
-    -inf at the end itself, from which the closed-form exterior masses take
-    the powers 1 - sigma.
+    The ``_sigma_series`` of the sector's ``_nd_direct`` at mu = 1 + sigma
+    / 2, scaled by r^sigma, r the distance of a sector offset's centre from
+    the kernel origin (``series``), beside the corner weights of the plan,
+    ``_corner_rule``, the flat indices of the four table cells that each
+    sector offset fills by symmetry, and the logs of the distances of the
+    interval's cell edges to its upper and lower end, -inf at the end
+    itself, from which the closed-form exterior masses take the powers
+    1 - sigma.
 
-    The certificate is ``_chebyshev_fit``'s.  F, with the exact copy tail,
-    is a positive combination of exp(-mu (log r'^2 - log r^2)) over points
-    r', so at complex mu |F(mu)| <= F(Re mu), a convex function of Re mu.
-    On the Bernstein ellipse with rho = FIT_RHO, |F| is therefore at most
-    its larger value M at the ellipse's two real ends, there evaluated
-    directly plus the truncation bound; the samples carry the copy tails'
-    truncation.  ``bound`` is the largest error so certified, relative to
-    the offset's least sample; above ND_TABLE_ACCURACY the grid raises
-    RangeTooWide.
+    ``_nd_direct``, with the exact copy tail, is a positive combination of
+    r'^-(2 + sigma) over points r', so all of it is bounded at the
+    ellipse's real ends (``at_ends``), there evaluated directly plus the
+    truncation bound; the samples carry the copy tails' truncation.
+    ``bound`` is the largest certified error, relative to the offset's
+    least sample; above ND_TABLE_ACCURACY the grid raises RangeTooWide.
     """
     grid2 = Grid1D.interval(n2, lo, hi)
     h2 = grid2.h
@@ -1238,15 +1238,12 @@ def _nd_fit(n1: int, h1: float, n2: int, lo: float, hi: float) -> _NDFit:
         )
     plan = _nd_plan(n1, h1, n2, h2)
     d1, d2 = _nd_sector(n1, n2)
-    log_r2 = np.log((d1 * h1) ** 2 + (d2 * h2) ** 2)
-    mus = 1.25 + 0.25 * np.cos(math.pi / FIT_DEGREE * np.arange(FIT_DEGREE + 1))  # 1 + sigma / 2
-    samples = np.array([_nd_direct(plan, mu) for mu in mus])  # (point, 2, offset)
-    values, truncation = (samples * np.exp(np.outer(mus, log_r2))[:, None]).transpose(1, 0, 2)
-    reach = 0.125 * (FIT_RHO + 1.0 / FIT_RHO)  # the ellipse's half-length in mu
-    peak = np.max([np.exp(mu * log_r2) * np.sum(_nd_direct(plan, mu), axis=0)
-                   for mu in (1.25 - reach, 1.25 + reach)], axis=0)
-    coef, error = _chebyshev_fit(values, peak, truncation.max(axis=0))
-    bound = float(np.max(error / values.min(axis=0), initial=0.0))  # no offsets on 1 x 1
+    series, error = _sigma_series(
+        lambda sigmas: np.moveaxis([_nd_direct(plan, 1.0 + s / 2.0) for s in sigmas], 1, 0),
+        np.log(np.hypot(d1 * h1, d2 * h2)),
+        [np.sum(_nd_direct(plan, 1.0 + s / 2.0), axis=0) for s in FIT_ENDS], 0.0,
+    )
+    bound = float(np.max(error, initial=0.0))  # no offsets on 1 x 1
     if bound > ND_TABLE_ACCURACY:
         raise RangeTooWide(f"2D table fit would not certify rtol={ND_TABLE_ACCURACY}")
     # (d1 or -d1, d2 or -d2) in weights[d1 mod n1, d2 + n2 - 1]
@@ -1257,8 +1254,7 @@ def _nd_fit(n1: int, h1: float, n2: int, lo: float, hi: float) -> _NDFit:
     gaps = (hi - b, b - lo)
     logs = [np.log(d, out=np.full(d.shape, -np.inf), where=d > 0) for d in gaps]
     return _NDFit(
-        _frozen(coef), _frozen(np.arange(FIT_DEGREE + 1.0)), _frozen(log_r2), plan.corner,
-        corner_rule, _frozen(cells, np.intp), *map(_frozen, logs), bound,
+        series, plan.corner, corner_rule, _frozen(cells, np.intp), *map(_frozen, logs), bound
     )
 
 
@@ -1271,13 +1267,11 @@ def riesz_weights_nd(grid1: Grid1D, grid2: Grid1D, sigma: float) -> KernelWeight
     copies k in [-K, K] near the cell, K chosen per grid (``_tail_copies``),
     plus a Hurwitz-zeta series for the copies past both ends
     (``_nd_direct``), plus exact corner moments at the kernel origin.  All
-    but the corner moments is analytic in mu = 1 + sigma / 2, and
-    ``_nd_fit`` keeps it once per grid as a Chebyshev series in mu,
-    certified within ND_TABLE_ACCURACY.  A build for one sigma evaluates
-    that series, T_k(2 sigma - 1) = cos(k arccos(2 sigma - 1)) times the
-    coefficients, undoes the scaling by r^(2 mu) with one exponential per
-    offset, adds the corner moments (two exponentials per angle node), and
-    reflects the sector.
+    but the corner moments is analytic in sigma, and ``_nd_fit`` keeps it
+    once per grid as a series in sigma, certified within ND_TABLE_ACCURACY.
+    A build for one sigma evaluates that series (``_series_at``), adds the
+    corner moments (two exponentials per angle node), and reflects the
+    sector.
     """
     _check_sigma(sigma)
     if not grid1.periodic or grid2.periodic:
@@ -1285,9 +1279,7 @@ def riesz_weights_nd(grid1: Grid1D, grid2: Grid1D, sigma: float) -> KernelWeight
     n1, h1, n2 = grid1.n, grid1.h, grid2.n
     mu = (2.0 + sigma) / 2.0
     fit = _nd_fit(n1, h1, n2, grid2.lo, grid2.hi)
-    total = fit.log_r2 * -mu
-    np.exp(total, out=total)
-    total *= fit.coef @ _chebyshev_basis(fit.degrees, sigma)
+    total = _series_at(fit.series, sigma)
     total += fit.corner @ _corner_moments(fit.corner_rule, sigma)
     w = np.zeros(n1 * (2 * n2 - 1))
     w[fit.cells] = total

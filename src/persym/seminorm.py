@@ -235,9 +235,7 @@ def _table(u: StepFunction | GridFunctionND, method: str, sigma: float) -> Kerne
         grid = (u.axis1.n, g2.n, g2.lo, g2.hi)
     else:
         grid = (u.grid.n,)
-    if method == "laplace":
-        return _laplace_table(grid, sigma)
-    return (_nd_table_cached if len(grid) > 1 else _riesz_table_cached)(*grid, sigma)
+    return (_laplace_table if method == "laplace" else _direct_table)(grid, sigma)
 
 
 _Domain = namedtuple("_Domain", "axes z_min z_max")
@@ -256,13 +254,10 @@ def _domain(grid: tuple) -> _Domain:
 
 
 @lru_cache(maxsize=64)
-def _riesz_table_cached(n: int, sigma: float):
-    return riesz_weights_1d(*_domain((n,)).axes, sigma)
-
-
-@lru_cache(maxsize=32)
-def _nd_table_cached(n1: int, n2: int, lo: float, hi: float, sigma: float):
-    return riesz_weights_nd(*_domain((n1, n2, lo, hi)).axes, sigma)
+def _direct_table(grid: tuple, sigma: float) -> KernelWeights:
+    """Power-kernel table of the direct route on a grid of ``_table``."""
+    axes = _domain(grid).axes
+    return (riesz_weights_nd if len(axes) > 1 else riesz_weights_1d)(*axes, sigma)
 
 
 def _axis_ends(g: Grid1D) -> tuple:

@@ -325,7 +325,7 @@ class TestDualCertificate:
 
     @staticmethod
     def _assert_1d_agree(n, sigma):
-        direct = seminorm._riesz_table_cached(n, sigma).weights
+        direct = seminorm._direct_table((n,), sigma).weights
         laplace = seminorm._laplace_table((n,), sigma).weights
         assert direct[0] == laplace[0] == 0.0
         assert np.max(np.abs(laplace[1:] / direct[1:] - 1.0)) < 1e-12
@@ -359,7 +359,7 @@ class TestDualCertificate:
         off_self = np.ones((n1, 2 * n2 - 1), dtype=bool)
         off_self[0, n2 - 1] = False
         for sigma in self.SIGMAS + SIGMA_ENDS + SIGMA_EXTREMES:
-            direct = seminorm._nd_table_cached(n1, n2, g2.lo, g2.hi, sigma)
+            direct = seminorm._direct_table((n1, n2, g2.lo, g2.hi), sigma)
             laplace = seminorm._laplace_table((n1, n2, g2.lo, g2.hi), sigma)
             assert laplace.weights[0, n2 - 1] == 0.0
             rel = laplace.weights[off_self] / direct.weights[off_self] - 1.0
@@ -584,8 +584,7 @@ def test_fresh_sigmas_build_each_grid_cache_once(rng, monkeypatch, fresh_caches)
                          for name in (riesz[dim], "laplace_quadrature")]
     assert entered.count("_line_powers") == 1
     builds = {
-        seminorm._riesz_table_cached: 20,
-        seminorm._nd_table_cached: 20,
+        seminorm._direct_table: 40,
         seminorm._laplace_table: 40,
         kernels._rule_lattice: 2,
         kernels._periodized_fit: 1,
@@ -706,9 +705,9 @@ def test_pair_costs_take_half_the_offsets(rng, monkeypatch):
 
 def test_cached_route_tables_are_read_only():
     tables = [
-        seminorm._riesz_table_cached(8, 0.4),
+        seminorm._direct_table((8,), 0.4),
         seminorm._laplace_table((8,), 0.4),
-        seminorm._nd_table_cached(4, 5, -1.0, 1.0, 0.4),
+        seminorm._direct_table((4, 5, -1.0, 1.0), 0.4),
         seminorm._laplace_table((4, 5, -1.0, 1.0), 0.4),
     ]
     stacks = [_stack_and_rule(grid, 0.4)[3] for _, grid in STACK_GRIDS[1::3]]
