@@ -117,9 +117,13 @@ def _checked(values, shape: tuple, negative: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepFunction:
-    """Nonnegative piecewise-constant function on a Grid1D."""
+    """Nonnegative piecewise-constant function on a Grid1D.
+
+    Compares and hashes by identity: two functions with equal values are
+    distinct objects, each with its own read-only copy of the values.
+    """
 
     grid: Grid1D
     values: np.ndarray = field(repr=False)
@@ -141,12 +145,8 @@ class StepFunction:
     def h(self) -> float:
         return self.grid.h
 
-    @property
-    def mass(self) -> float:
-        return self.h * float(self.values.sum())
-
-    def is_constant(self, tol: float = 0.0) -> bool:
-        return float(self.values.max() - self.values.min()) <= tol
+    def is_constant(self) -> bool:
+        return float(self.values.max() - self.values.min()) == 0.0
 
     def is_indicator(self) -> bool:
         return bool(np.all((self.values == 0.0) | (self.values == 1.0)))
@@ -164,14 +164,15 @@ def absolute_value(grid: Grid1D, values) -> StepFunction:
     return StepFunction(grid, np.abs(arr))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunctionND:
     """Function on the cylinder: the periodic ``axis1`` times one interval
     axis, the single grid of ``axes_perp``.
 
     The values must vanish on the first and last cells of the interval axis,
     so that every superlevel set stays strictly inside the box.  The
-    rearrangements of such a function vanish there too.
+    rearrangements of such a function vanish there too.  Compares and
+    hashes by identity, as ``StepFunction`` does.
     """
 
     axis1: Grid1D

@@ -733,11 +733,17 @@ def _periodized_plan(n: int) -> _PeriodizedPlan:
     )
 
 
+def _near_copies(plan: _PeriodizedPlan, h: float, sigma: float, q: np.ndarray) -> np.ndarray:
+    """The near copies of ``_periodized_direct`` per half-table offset: the
+    line weights ``_riesz_line_pairs`` at their line offsets >= 2 (the
+    adjacent ones index L[0] = 0 instead), summed."""
+    return np.add.reduce(_riesz_line_pairs(plan.line, h, sigma, q)[plan.near], axis=1)
+
+
 def _periodized_direct(plan: _PeriodizedPlan, h: float, sigma: float):
     """The periodized 1D table less its two poles, summed directly at one
-    sigma > -1 per half-table offset: the near copies at line offsets >= 2
-    (the adjacent ones index L[0] = 0 instead), the far copies' orders
-    j >= 2, and the truncation bound of those.
+    sigma > -1 per half-table offset: the near copies (``_near_copies``),
+    the far copies' orders j >= 2, and the truncation bound of those.
 
     The far copies are 4 (h n)^a sum_j q_j zeta(2j - a, x) F[d, j], x =
     RIESZ_NEAR + 1/2, a = 1 - sigma, J = ceil(17 / (2 log10(n K))) + 1,
@@ -760,7 +766,7 @@ def _periodized_direct(plan: _PeriodizedPlan, h: float, sigma: float):
     a = 1.0 - sigma
     # one series for the near and the far copies
     q = _riesz_series(a, max(LINE_TERMS, plan.orders.size))
-    near = np.add.reduce(_riesz_line_pairs(plan.line, h, sigma, q)[plan.near], axis=1)
+    near = _near_copies(plan, h, sigma, q)
     orders = plan.orders[1:]
     series = _hurwitz_zeta(orders - a, (orders - 2.0) + sigma, RIESZ_NEAR + 0.5)
     series *= q[1 : orders.size + 1]
@@ -890,7 +896,8 @@ def _periodized_fit(n: int, h: float) -> _PeriodizedFit:
         return values, np.column_stack((parts[:, 2], ZETA_RTOL * pole))
 
     lo, hi = FIT_ENDS
-    near = [np.append(_periodized_direct(plan, h, s)[0], 0.0) for s in FIT_ENDS]
+    near = [np.append(_near_copies(plan, h, s, _riesz_series(1.0 - s, LINE_TERMS)), 0.0)
+            for s in FIT_ENDS]
     orders = plan.orders[1:]
     q = _riesz_series(1.0 - hi, plan.orders.size)[1:]
     zeta = _hurwitz_zeta(orders - (1.0 - lo), (orders - 2.0) + lo, x)
@@ -1466,24 +1473,21 @@ class StepKernelLine(Kernel):
 class LaplaceConfig:
     """Trapezoid-in-log-t rule for integrals of t^(lambda - 1) F(t).
 
-    ``apply(F_values)`` approximates int_0^inf t^(lambda-1) F(t) dt by
-    sum_q weight_q F(node_q); the constructor validated the rule against
-    the exact Laplace transform Gamma(lambda) z^(-lambda) of e^(-z t) over
-    the z-range it was built for.
+    int_0^inf t^(lambda-1) F(t) dt is approximated by sum_q weight_q
+    F(node_q); ``laplace_quadrature`` validated the rule against the exact
+    Laplace transform Gamma(lambda) z^(-lambda) of e^(-z t) over the z-range
+    it was built for.
     """
 
     lam: float
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     achieved: float
-    ds: float = 0.0
-    k_lo: int = 0  # node q is exp((k_lo + q) ds)
+    ds: float
+    k_lo: int  # node q is exp((k_lo + q) ds)
     # first and last k of the lattice the rule was checked on, shared by
     # every lam of its band (``laplace_quadrature``)
-    lattice: tuple[int, int] = (0, -1)
-
-    def apply(self, fvals: np.ndarray) -> float:
-        return float(self.weights @ fvals)
+    lattice: tuple[int, int]
 
     def beyond(self, excess: float) -> float:
         """The rule continued past its window for a profile t^-beta, excess =

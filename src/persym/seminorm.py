@@ -71,10 +71,6 @@ class SeminormParams:
         return self.s * self.p
 
     @property
-    def lam(self) -> float:
-        return (self.n + self.s * self.p) / 2.0
-
-    @property
     def step_mode_finite(self) -> bool:
         return self.sigma < 1.0
 
@@ -109,40 +105,14 @@ def _pair_costs(u: StepFunction | GridFunctionND, p: float, periodic: tuple) -> 
     return offset_sums(u.values, u.values, cost, periodic, symmetric=True)
 
 
-def _last_function(build):
-    """``build(u, p, periodic)`` kept for the last function only.
-
-    One slot, keyed by the identity of u's values array, p and the periodic
-    flags.  A function owns its values as a private read-only copy, so that
-    identity stands for the values themselves (as long as no caller turns
-    writing back on), and the slot's reference keeps the array, and so its
-    identity, alive.  Any other function replaces the slot; ``cache_clear``
-    empties it.
-    """
-    slot = [None, None]  # key, value
-
-    def cached(u, p, periodic):
-        key = slot[0]
-        if key is not None and key[0] is u.values and key[1] == p and key[2] == periodic:
-            return slot[1]
-        value = build(u, p, periodic)
-        slot[:] = (u.values, p, periodic), value
-        return value
-
-    def cache_clear() -> None:
-        slot[:] = None, None
-
-    cached.cache_clear = cache_clear
-    cached.__wrapped__ = build
-    return cached
-
-
-@_last_function
+@lru_cache(maxsize=1)
 def _pair_data(u: StepFunction | GridFunctionND, p: float, periodic: tuple) -> tuple:
     """The sigma-free pair data of u, read-only: its pair costs
     (``_pair_costs``) and the costs of its pairs with the outside, in 2D
-    twice the column sums of |u|^p (none in 1D).  A sweep over s, or one
-    route after the other on one function, takes them once."""
+    twice the column sums of |u|^p (none in 1D).  Kept for the last
+    function: functions hash by identity, and each owns a read-only copy of
+    its values, so a sweep over s, or one route after the other on one
+    function, takes them once."""
     outside = ()
     # an overflow shows as a sum that is not finite, and then as a seminorm
     # that is not (checked by the caller)
@@ -296,12 +266,11 @@ def _laplace_stack(grid: tuple, ds: float, k_lo: int, k_hi: int) -> tuple:
     where W = 0, and is dropped, as its excess (k + sigma) / 2 > 0 would sum
     it as a head.  About K (n1 + 3 n2) floats, where the table's own rows
     are K n1 (2 n2 - 1)."""
-    n1, *box = grid
-    g1 = Grid1D.circle(n1)
+    g1, *box = _domain(grid).axes
     t = np.exp(ds * np.arange(k_lo, k_hi + 1))
-    heat = _heat_table_batch(n1, g1.h, t), _axis_ends(g1)
+    heat = _heat_table_batch(g1.n, g1.h, t), _axis_ends(g1)
     if box:
-        g2 = Grid1D.interval(*box)
+        (g2,) = box
         left, right = (heat[0].T, heat[1]), (np.hstack(_gauss_tables_batch(g2, t)), _axis_ends(g2))
     else:  # the ones are 1 t^0 at both ends
         left, right = (np.ones((1, t.size)), ([(0, np.ones(1))],) * 2), heat

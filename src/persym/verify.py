@@ -493,10 +493,10 @@ def exhaustive_oracle_circle(
 # randomized suites
 
 
-def random_step(rng, grid: Grid1D, levels: int | None = None, vmax: float = 2.0):
+def random_step(rng, grid: Grid1D, levels: int | None = None):
     if levels is not None:
         return StepFunction(grid, rng.integers(0, levels, grid.n).astype(float))
-    return StepFunction(grid, vmax * rng.random(grid.n))
+    return StepFunction(grid, 2.0 * rng.random(grid.n))
 
 
 def symmetric_decreasing_instance(rng, grid: Grid1D, shift: int = 0):

@@ -253,6 +253,17 @@ def test_functions_own_their_values_not_a_view(build, shape):
     assert u.values.base is None and u.values.flags.c_contiguous
 
 
+@OWNERS
+def test_functions_compare_and_hash_by_identity(build, shape):
+    # a function equals itself alone: a twin with equal values is another
+    # function, and a set keeps both
+    u = build(np.zeros(shape))
+    twin = build(u.values)
+    assert u == u and hash(u) == hash(u)
+    assert u != twin and not u == twin
+    assert len({u, twin}) == 2
+
+
 def test_json_round_trip(rng, tmp_path):
     u = random_circle_function(rng, n=7)
     obj = function_to_json(u)

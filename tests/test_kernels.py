@@ -493,6 +493,19 @@ class TestRieszWeights1D:
         assert 1e3 * full.accuracy < fit_err <= w.accuracy
         assert w.accuracy <= (lebesgue + 1.0) * sampled + kernels.RIESZ_ROUNDING
 
+    def test_fit_sums_the_copies_at_its_points_alone(self, monkeypatch, fresh_caches):
+        # the fit sums every copy at its FIT_DEGREE + 1 Chebyshev points
+        # alone; at the ellipse's ends it sums only the near copies, whose
+        # bound it keeps
+        calls = []
+        direct = kernels._periodized_direct
+        monkeypatch.setattr(
+            kernels, "_periodized_direct", lambda *a: calls.append(a[2]) or direct(*a)
+        )
+        riesz_weights_1d(Grid1D.circle(64), 0.3)
+        assert len(calls) == kernels.FIT_DEGREE + 1
+        assert 0.0 <= min(calls) and max(calls) <= 1.0
+
     @pytest.mark.parametrize("sigma", [0.02, 0.5, 0.98])
     def test_line_series_against_direct_differences(self, sigma):
         # the closed form at m = 1 and both series lengths (30 terms below
@@ -1161,7 +1174,7 @@ class TestLaplaceQuadrature:
 
     def test_exponential_integral_example(self):
         cfg = laplace_quadrature(1.0, 0.5, 2.0, rtol=1e-10)
-        assert cfg.apply(np.exp(-cfg.nodes)) == pytest.approx(1.0, rel=1e-10)
+        assert cfg.weights @ np.exp(-cfg.nodes) == pytest.approx(1.0, rel=1e-10)
 
     def test_node_doubling_stability(self):
         cfg = laplace_quadrature(0.75, 1e-2, 1e2, rtol=1e-10)

@@ -28,7 +28,6 @@ class TestParams:
     def test_derived_exponents(self):
         p = SeminormParams(0.4, 2.0, n=2)
         assert p.sigma == pytest.approx(0.8)
-        assert p.lam == pytest.approx(1.4)
         assert p.step_mode_finite
         assert not SeminormParams(0.6, 2.0).step_mode_finite
         with pytest.raises(ConfigError):
@@ -649,6 +648,17 @@ def test_routes_of_one_function_take_the_pair_costs_once(rng, monkeypatch, fresh
         for method in ("direct", "laplace")
     ]
     assert [v.hex() for v in got] == fresh
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pair_data_is_an_lru_cache_of_the_last_function(rng, fresh_caches, dim):
+    # the direct route misses, the Laplace route on the same function hits
+    u = random_circle_function(rng, n=16) if dim == 1 else random_nd_function(rng)
+    params = SeminormParams(0.35, 1.5, dim)
+    gagliardo_periodic_direct(u, params)
+    gagliardo_periodic_laplace(u, params)
+    info = seminorm._pair_data.cache_info()
+    assert (info.misses, info.hits, info.maxsize, info.currsize) == (1, 1, 1, 1)
 
 
 def test_pair_costs_recompute_for_another_p_function_or_after_clearing(
